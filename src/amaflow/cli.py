@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .diagnostics import SummaryReport, energy, report
+from .diagnostics import SummaryReport, report, trajectory_energies
 from .discrete import SolveConfig, ama_run, prox_ama_run
 from .dynamics import Trajectory, integrate
 from .errors import (
@@ -97,7 +97,7 @@ def _write_csv(path: str, traj: Trajectory, time_label: str, dims,
     cols += [f"y{i}" for i in range(ny)]
     cols += ["feas_residual", "kkt_rx", "kkt_rz"]
     if energies is None:
-        energies = [smp.energy for smp in traj.samples]
+        energies = traj.energies()
     with_energy = all(e is not None for e in energies) and len(energies) > 0
     if with_energy:
         cols.append("energy")
@@ -169,19 +169,18 @@ def _emit(data: ProblemFileData, traj, summary_source, prefix: str, mode: str,
     time_label = "k" if mode in ("prox-ama", "ama") else "t"
     energies = None
     if reference is not None and traj is not None and traj.samples:
-        if any(smp.energy is None for smp in traj.samples):
-            energies = [energy(p, data.sched, smp.t, smp.state, reference).energy
-                        for smp in traj.samples]
+        energies = traj.energies()
+        if any(e is None for e in energies):
+            energies = trajectory_energies(traj, p, data.sched, reference)
     if traj is not None:
         _write_csv(f"{prefix}.csv", traj, time_label, (p.dim_x, p.dim_z, p.dim_y),
                    energies)
     if isinstance(summary_source, TrajectoryError):
-        rep = report(traj, p, ref=reference, sched=data.sched, validation=validation)
+        rep = report(traj, p, validation=validation, energies=energies)
         rep.status = "error"
         rep.message = str(summary_source)
     else:
-        rep = report(summary_source, p, ref=reference, sched=data.sched,
-                     validation=validation)
+        rep = report(summary_source, p, validation=validation, energies=energies)
     _write_report(f"{prefix}.report.txt", rep, forced)
     print(f"status: {rep.status}")
     print(f"wrote: {prefix}.csv")

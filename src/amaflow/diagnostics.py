@@ -22,7 +22,15 @@ from .dynamics import Trajectory
 from .problem import PrimalDualState, TwoBlockProblem
 from .schedules import ParameterSchedule, ValidationReport
 
-__all__ = ["EnergySample", "energy", "check_energy_monotone", "SummaryReport", "report"]
+__all__ = [
+    "EnergySample",
+    "check_reference",
+    "energy",
+    "trajectory_energies",
+    "check_energy_monotone",
+    "SummaryReport",
+    "report",
+]
 
 REF_KKT_TOL = 1e-6
 
@@ -34,7 +42,8 @@ class EnergySample:
     components: tuple  # (x-term, x-metric-term, z-metric-term, y-term)
 
 
-def _check_reference(p: TwoBlockProblem, ref: PrimalDualState) -> None:
+def check_reference(p: TwoBlockProblem, ref: PrimalDualState) -> None:
+    """Raise ``ValueError`` unless ``ref`` is a saddle point to ``REF_KKT_TOL``."""
     res = p.kkt_residual(ref)
     if res.max > REF_KKT_TOL:
         raise ValueError(
@@ -43,9 +52,18 @@ def _check_reference(p: TwoBlockProblem, ref: PrimalDualState) -> None:
 
 
 def energy(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
-           s: PrimalDualState, ref: PrimalDualState) -> EnergySample:
-    """Evaluate the energy of ``s`` against a verified reference saddle."""
-    _check_reference(p, ref)
+           s: PrimalDualState, ref: PrimalDualState,
+           ref_checked: bool = False) -> EnergySample:
+    """Evaluate the energy of ``s`` against a verified reference saddle.
+
+    The reference is verified on every call unless the caller has already
+    passed it through :func:`check_reference` (``ref_checked``). With a
+    prox-friendly M2 = (1/tau) Id - c B*B, which shares the run's c and the
+    problem's B, the z-metric c M2 + c^2 B*B is (c/tau) Id, so the z-term
+    needs no matrix.
+    """
+    if not ref_checked:
+        check_reference(p, ref)
     c = sched.c.value_at(t)
     dx = s.x - ref.x
     dz = s.z - ref.z
@@ -53,11 +71,31 @@ def energy(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
     sigma = p.f.strong_convexity
     x_term = (2.0 * sigma * c - c * c * p.norm_A**2) * float(dx @ dx)
     x_metric = c * float(dx @ sched.M1.at(t).apply(dx))
-    bdz = p.B.apply(dz)
-    z_metric = c * float(dz @ sched.M2.at(t).apply(dz)) + c * c * float(bdz @ bdz)
+    tau = sched.tau
+    if tau is not None:
+        z_metric = c / tau.value_at(t) * float(dz @ dz)
+    else:
+        bdz = p.B.apply(dz)
+        z_metric = c * float(dz @ sched.M2.at(t).apply(dz)) + c * c * float(bdz @ bdz)
     y_term = float(dy @ dy)
     total = x_term + x_metric + z_metric + y_term
     return EnergySample(t, total, (x_term, x_metric, z_metric, y_term))
+
+
+def trajectory_energies(traj: Trajectory, p: TwoBlockProblem,
+                        sched: ParameterSchedule, ref: PrimalDualState) -> list:
+    """The energy of every sample, with the reference checked once."""
+    check_reference(p, ref)
+    return [energy(p, sched, smp.t, smp.state, ref, ref_checked=True).energy
+            for smp in traj.samples]
+
+
+def _monotone(values) -> tuple:
+    worst = 0.0
+    for e_prev, e_next in zip(values, values[1:]):
+        slack = 1e-6 * (1.0 + e_prev)
+        worst = max(worst, e_next - e_prev - slack)
+    return worst <= 0.0, max(0.0, worst)
 
 
 def check_energy_monotone(traj: Trajectory, ref: Optional[PrimalDualState] = None,
@@ -78,13 +116,8 @@ def check_energy_monotone(traj: Trajectory, ref: Optional[PrimalDualState] = Non
             raise ValueError(
                 "trajectory has no recorded energies; supply p, sched and ref"
             )
-        values = [energy(p, sched, smp.t, smp.state, ref).energy
-                  for smp in traj.samples]
-    worst = 0.0
-    for e_prev, e_next in zip(values, values[1:]):
-        slack = 1e-6 * (1.0 + e_prev)
-        worst = max(worst, e_next - e_prev - slack)
-    return worst <= 0.0, max(0.0, worst)
+        values = trajectory_energies(traj, p, sched, ref)
+    return _monotone(values)
 
 
 @dataclass
@@ -149,13 +182,13 @@ def report(result_or_traj, p: TwoBlockProblem,
            ref: Optional[PrimalDualState] = None,
            sched: Optional[ParameterSchedule] = None,
            validation: Optional[ValidationReport] = None,
-           tol: float = 1e-6) -> SummaryReport:
+           tol: float = 1e-6, energies: Optional[list] = None) -> SummaryReport:
     """Summarize a solver result or a raw trajectory.
 
-    The energy section appears only when it can be computed: recorded
-    energies on the trajectory, or a reference plus schedules to recompute
-    them. ``time_to_tolerance`` reports when all residuals first dropped
-    below ``tol`` among the recorded samples.
+    The energy section appears only when it can be computed: ``energies`` of
+    the samples from the caller, energies recorded on the trajectory, or a
+    reference plus schedules to compute them. ``time_to_tolerance`` reports
+    when all residuals first dropped below ``tol`` among the recorded samples.
     """
     status = "ok"
     message = ""
@@ -189,19 +222,14 @@ def report(result_or_traj, p: TwoBlockProblem,
     )
     rep.time_to_tolerance = _first_time_within(traj, tol)
 
-    energies = traj.energies()
+    if energies is None:
+        energies = traj.energies()
     have_recorded = len(traj.samples) >= 2 and all(v is not None for v in energies)
     can_recompute = ref is not None and sched is not None and len(traj.samples) >= 2
     if have_recorded or can_recompute:
         if not have_recorded:
-            energies = [energy(p, sched, smp.t, smp.state, ref).energy
-                        for smp in traj.samples]
+            energies = trajectory_energies(traj, p, sched, ref)
         rep.energy_start = float(energies[0])
         rep.energy_end = float(energies[-1])
-        if have_recorded:
-            ok, worst = check_energy_monotone(traj)
-        else:
-            ok, worst = check_energy_monotone(traj, ref, p, sched)
-        rep.energy_monotone = ok
-        rep.energy_max_violation = worst
+        rep.energy_monotone, rep.energy_max_violation = _monotone(energies)
     return rep

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapabilityError, ConditionError, ConvergenceError
-from .dynamics import Trajectory, TrajectorySample, alternating_update
+from .dynamics import (
+    Trajectory,
+    TrajectorySample,
+    _schedule_snapshot,
+    alternating_update,
+)
 from .linop import ScaledIdentityMap
 from .problem import PrimalDualState, TwoBlockProblem
 from .schedules import ParameterSchedule, ScalarSchedule
@@ -49,18 +54,23 @@ class SolveResult:
 def prox_ama_step(p: TwoBlockProblem, M1_k, M2_k, c_k: float,
                   s_k: PrimalDualState, tau_k: Optional[float] = None) -> PrimalDualState:
     """One iteration: x-argmin, z-argmin with the fresh x, multiplier ascent."""
-    x_new, z_new, w = alternating_update(p, M1_k, M2_k, c_k, tau_k, s_k)
-    return PrimalDualState(x_new, z_new, s_k.y + w, s_k.t + 1)
+    up = alternating_update(p, M1_k, M2_k, c_k, tau_k, s_k)
+    return PrimalDualState(up.x, up.z, s_k.y + up.w, s_k.t + 1)
 
 
 def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfig,
               method: str, require_uniform: bool) -> SolveResult:
-    def sample(k, state):
-        return TrajectorySample(float(k), state, p.feasibility_residual(state),
-                                p.kkt_residual(state))
+    # A sample's KKT residual takes the A x and B z of the update that made
+    # the state and computes A* y; the next update reuses A* y and B z.
+    def sample(k, state, ax=None, bz=None):
+        if ax is None:
+            ax, bz = p.A.apply(state.x), p.B.apply(state.z)
+        aty = p.A.adjoint_apply(state.y)
+        kkt = p.kkt_residual(state, aty, ax, bz)
+        return TrajectorySample(float(k), state, kkt.feas, kkt), aty, bz
 
     s = s0.with_time(0.0)
-    first = sample(0, s)
+    first, aty, bz = sample(0, s)
     samples = [first]
     if _within(first.kkt, cfg):
         traj = Trajectory(samples, method, 1.0, 0.0)
@@ -71,13 +81,13 @@ def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfi
     for k in range(cfg.max_iters):
         m1_k, m2_k, c_k, tau_k = snapshot(k)
         try:
-            x_new, z_new, w = alternating_update(p, m1_k, m2_k, c_k, tau_k, s,
-                                                 require_uniform=require_uniform)
+            up = alternating_update(p, m1_k, m2_k, c_k, tau_k, s,
+                                    require_uniform=require_uniform, aty=aty, bz=bz)
         except (ConvergenceError, ConditionError) as exc:
             status, message, used = "error", str(exc), k
             break
-        s = PrimalDualState(x_new, z_new, s.y + w, float(k + 1))
-        smp = sample(k + 1, s)
+        s = PrimalDualState(up.x, up.z, s.y + up.w, float(k + 1))
+        smp, aty, bz = sample(k + 1, s, up.ax, up.bz)
         done = _within(smp.kkt, cfg)
         if done or (k + 1) % cfg.record_every == 0 or k + 1 == cfg.max_iters:
             samples.append(smp)
@@ -86,7 +96,7 @@ def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfi
             break
 
     if status == "error" and samples[-1].t != s.t:
-        samples.append(sample(s.t, s))
+        samples.append(sample(s.t, s)[0])
     traj = Trajectory(samples, method, 1.0, float(used))
     return SolveResult(s, traj, status, used, message)
 
@@ -98,14 +108,8 @@ def _within(kkt, cfg: SolveConfig) -> bool:
 def prox_ama_run(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
                  cfg: SolveConfig) -> SolveResult:
     """Iterate the proximal alternating scheme until the residuals pass."""
-    tau = sched.tau
-
-    def snapshot(k):
-        t = float(k)
-        return (sched.M1.at(t), sched.M2.at(t), sched.c.value_at(t),
-                tau.value_at(t) if tau is not None else None)
-
-    return _run_loop(p, snapshot, s0, cfg, "prox-ama", require_uniform=True)
+    return _run_loop(p, lambda k: _schedule_snapshot(sched, float(k)), s0, cfg,
+                     "prox-ama", require_uniform=True)
 
 
 def ama_run(p: TwoBlockProblem, c_schedule: ScalarSchedule, s0: PrimalDualState,

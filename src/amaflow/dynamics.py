@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "regularized_argmin",
     "solve_x_subproblem",
     "solve_z_subproblem",
+    "Update",
     "alternating_update",
     "gamma",
     "integrate",
@@ -155,83 +156,112 @@ def regularized_argmin(fun: SeparableFunction, Q: LinearMap, target,
     )
 
 
-def solve_x_subproblem(p: TwoBlockProblem, M1_t: LinearMap, x, y) -> np.ndarray:
+def solve_x_subproblem(p: TwoBlockProblem, M1_t: LinearMap, x, y,
+                       aty=None) -> np.ndarray:
     """Return the x-block argmin (the new point, not the velocity).
 
     Only M1 = 0 or a positive multiple of the identity is supported; both keep
-    the update a single prox or conjugate-gradient evaluation of f.
+    the update a single prox or conjugate-gradient evaluation of f. ``aty`` is
+    the product ``A* y`` when the caller already has it.
     """
     x = as_vector(x, p.dim_x, "x")
     y = as_vector(y, p.dim_y, "y")
     mu = _identity_factor(M1_t)
     if mu is None:
         raise CapabilityError("x-subproblem supports only zero or scaled-identity M1")
-    pull = p.A.adjoint_apply(y) - p.h1.grad(x)
+    if aty is None:
+        aty = p.A.adjoint_apply(y)
+    pull = aty - p.h1.grad(x)
     if mu == 0.0:
         return p.f.conj_grad(pull)
     return regularized_argmin(p.f, M1_t, mu * x + pull)
 
 
-def solve_z_subproblem(p: TwoBlockProblem, M2_t: LinearMap, c_t: float,
+def solve_z_subproblem(p: TwoBlockProblem, M2_t: Optional[LinearMap], c_t: float,
                        tau_t: Optional[float], z, y, x_new,
-                       require_uniform: bool = True) -> np.ndarray:
+                       require_uniform: bool = True, ax_new=None,
+                       bz=None) -> np.ndarray:
     """Return the z-block argmin given the freshly updated x.
 
     When ``tau_t`` is supplied the metric is the prox-friendly choice
     M2 = (1/tau) Id - c B*B, so c B*B + M2 collapses to (1/tau) Id and the
-    whole update is one prox of g. Otherwise the quadratic coupling is solved
-    by the inner proximal-gradient loop of :func:`regularized_argmin`.
+    whole update is one prox of g, at the matrix-free target
+
+        z/tau + B*(y - c (A x_new + B z - b)) - grad h2(z),
+
+    which is M2 z + B* y - c B*(A x_new - b) - grad h2(z) with one adjoint.
+    This branch never reads ``M2_t`` (it may be None) and takes the metric's c
+    and B to be ``c_t`` and ``p.B``: a prox-friendly M2 must share the run's c
+    schedule and the problem's B. Otherwise the quadratic coupling is solved by
+    the inner proximal-gradient loop of :func:`regularized_argmin`.
+
+    ``ax_new = A x_new`` and ``bz = B z`` are used when the caller already has
+    them.
     """
     z = as_vector(z, p.dim_z, "z")
     y = as_vector(y, p.dim_y, "y")
     x_new = as_vector(x_new, p.dim_x, "x_new")
-    target = (
-        M2_t.apply(z)
-        + p.B.adjoint_apply(y)
-        - c_t * p.B.adjoint_apply(p.A.apply(x_new) - p.b)
-        - p.h2.grad(z)
-    )
+    if ax_new is None:
+        ax_new = p.A.apply(x_new)
     if tau_t is not None:
         if tau_t <= 0.0:
             raise ConditionError(f"prox step tau must be positive, got {tau_t}")
+        if bz is None:
+            bz = p.B.apply(z)
+        target = (z / tau_t + p.B.adjoint_apply(y - c_t * (ax_new + bz - p.b))
+                  - p.h2.grad(z))
         return regularized_argmin(p.g, ScaledIdentityMap(p.dim_z, 1.0 / tau_t), target)
+    target = (M2_t.apply(z) + p.B.adjoint_apply(y - c_t * (ax_new - p.b))
+              - p.h2.grad(z))
     Q = SumMap(scaled(gram(p.B), c_t), M2_t)
     return regularized_argmin(p.g, Q, target, start=z, require_uniform=require_uniform)
 
 
-def alternating_update(p: TwoBlockProblem, M1_t: LinearMap, M2_t: LinearMap,
+class Update(NamedTuple):
+    """One alternating sweep: the new blocks, the multiplier step, and the
+    products ``ax = A x`` and ``bz = B z`` of the new blocks for reuse."""
+
+    x: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
+    ax: np.ndarray
+    bz: np.ndarray
+
+
+def alternating_update(p: TwoBlockProblem, M1_t: LinearMap, M2_t: Optional[LinearMap],
                        c_t: float, tau_t: Optional[float], s: PrimalDualState,
-                       require_uniform: bool = True):
+                       require_uniform: bool = True, aty=None, bz=None) -> Update:
     """One x-then-z sweep plus the multiplier residual.
 
-    Returns ``(x_new, z_new, w)`` with ``w = c (b - A x_new - B z_new)``. The
-    continuous field and the discrete iteration both reduce to this; keeping
-    one code path makes the unit-step Euler discretization reproduce the
-    discrete solver exactly, not merely to rounding.
+    Returns an :class:`Update` with ``w = c (b - A x_new - B z_new)``. ``aty``
+    and ``bz`` are the products ``A* s.y`` and ``B s.z`` when the caller
+    already has them. The continuous field and the discrete iteration both
+    reduce to this; keeping one code path makes the unit-step Euler
+    discretization reproduce the discrete solver exactly, not merely to
+    rounding.
     """
-    x_new = solve_x_subproblem(p, M1_t, s.x, s.y)
+    x_new = solve_x_subproblem(p, M1_t, s.x, s.y, aty=aty)
+    ax_new = p.A.apply(x_new)
     z_new = solve_z_subproblem(p, M2_t, c_t, tau_t, s.z, s.y, x_new,
-                               require_uniform=require_uniform)
-    w = c_t * (p.b - p.A.apply(x_new) - p.B.apply(z_new))
-    return x_new, z_new, w
+                               require_uniform=require_uniform, ax_new=ax_new, bz=bz)
+    bz_new = p.B.apply(z_new)
+    w = c_t * (p.b - ax_new - bz_new)
+    return Update(x_new, z_new, w, ax_new, bz_new)
 
 
 def _schedule_snapshot(sched: ParameterSchedule, t: float):
+    """``(M1(t), M2(t), c(t), tau(t))``; M2 is None when tau makes it implicit."""
     tau = sched.tau
-    return (
-        sched.M1.at(t),
-        sched.M2.at(t),
-        sched.c.value_at(t),
-        tau.value_at(t) if tau is not None else None,
-    )
+    if tau is not None:
+        return sched.M1.at(t), None, sched.c.value_at(t), tau.value_at(t)
+    return sched.M1.at(t), sched.M2.at(t), sched.c.value_at(t), None
 
 
 def gamma(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
           s: PrimalDualState) -> GammaOutput:
     """Evaluate the field at (t, s); zero exactly at saddle points."""
-    m1_t, m2_t, c_t, tau_t = _schedule_snapshot(sched, t)
-    x_new, z_new, w = alternating_update(p, m1_t, m2_t, c_t, tau_t, s)
-    return GammaOutput(x_new - s.x, z_new - s.z, w)
+    up = alternating_update(p, *_schedule_snapshot(sched, t), s)
+    return GammaOutput(up.x - s.x, up.z - s.z, up.w)
 
 
 def _shifted(s: PrimalDualState, g: GammaOutput, factor: float, t: float) -> PrimalDualState:
@@ -250,14 +280,13 @@ def _rk4_step(p, sched, t, s, h) -> PrimalDualState:
 
 
 def _euler_step(p, sched, t, s, h) -> PrimalDualState:
-    m1_t, m2_t, c_t, tau_t = _schedule_snapshot(sched, t)
-    x_new, z_new, w = alternating_update(p, m1_t, m2_t, c_t, tau_t, s)
+    up = alternating_update(p, *_schedule_snapshot(sched, t), s)
     if h == 1.0:
         # Unit step: the argmins become the next iterate, matching the
         # discrete solver's update bit for bit.
-        return PrimalDualState(x_new, z_new, s.y + w, t + h)
+        return PrimalDualState(up.x, up.z, s.y + up.w, t + h)
     return PrimalDualState(
-        s.x + h * (x_new - s.x), s.z + h * (z_new - s.z), s.y + h * w, t + h
+        s.x + h * (up.x - s.x), s.z + h * (up.z - s.z), s.y + h * up.w, t + h
     )
 
 
@@ -268,7 +297,8 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     """Run an explicit fixed-step integration from t = 0 to t = T.
 
     Residuals are computed at recorded samples only; an energy value is
-    attached to each sample when a reference saddle point is supplied. A
+    attached to each sample when a reference saddle point is supplied. The
+    reference is checked to be a saddle point once, before the first step. A
     subproblem failure mid-run raises :class:`TrajectoryError` carrying the
     partial trajectory.
     """
@@ -281,8 +311,10 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
 
-    from .diagnostics import energy as energy_fn
+    from .diagnostics import check_reference, energy as energy_fn
 
+    if reference is not None:
+        check_reference(p, reference)
     stepper = _euler_step if method == "euler" else _rk4_step
     n_steps = int(round(T / h))
     if n_steps < 1:
@@ -291,9 +323,9 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     def make_sample(t, state):
         e = None
         if reference is not None:
-            e = energy_fn(p, sched, t, state, reference).energy
-        return TrajectorySample(t, state, p.feasibility_residual(state),
-                                p.kkt_residual(state), e)
+            e = energy_fn(p, sched, t, state, reference, ref_checked=True).energy
+        kkt = p.kkt_residual(state)
+        return TrajectorySample(t, state, kkt.feas, kkt, e)
 
     s = s0.with_time(0.0)
     samples = [make_sample(0.0, s)]

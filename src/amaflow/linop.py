@@ -1,16 +1,17 @@
 """Small dense linear-operator algebra with exact adjoints.
 
 Operators are composed lazily (sums, compositions, adjoints are never
-materialized during ``apply``); only the symmetric-spectrum query builds a
-dense matrix. Everything here is immutable and pure, so maps can be shared
-freely between concurrent solver runs.
+materialized during ``apply``); only the spectral queries (operator norm,
+smallest symmetric eigenvalue) build a dense matrix. Everything here is
+immutable and pure, so maps can be shared freely between concurrent solver
+runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionMismatchError
+from .errors import DimensionMismatchError
 
 __all__ = [
     "LinearMap",
@@ -181,45 +182,9 @@ def scaled(m: LinearMap, factor: float) -> LinearMap:
     return ComposeMap(ScaledIdentityMap(m.dim_out, factor), m)
 
 
-def _power_probe(n: int) -> np.ndarray:
-    # Fixed pseudo-random fallback; keeps results reproducible with no
-    # RNG state threaded through callers.
-    rng = np.random.default_rng(16061)
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
-def operator_norm(m: LinearMap, tol: float = 1e-12, max_iter: int = 10000) -> float:
-    """Largest singular value of ``m`` by power iteration on ``m* ∘ m``.
-
-    Deterministic: starts from the normalized all-ones vector and falls back
-    to a fixed pseudo-random probe if that start lies in a null direction.
-    Raises :class:`ConvergenceError` (carrying the best estimate) if the
-    Rayleigh quotient has not settled to relative tolerance ``tol`` within
-    ``max_iter`` iterations.
-    """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    n = m.dim_in
-    v = np.ones(n) / np.sqrt(n)
-    w = m.adjoint_apply(m.apply(v))
-    if np.linalg.norm(w) == 0.0:
-        v = _power_probe(n)
-        w = m.adjoint_apply(m.apply(v))
-        if np.linalg.norm(w) == 0.0:
-            return 0.0
-    lam = float(v @ w)
-    for _ in range(max_iter):
-        v = w / np.linalg.norm(w)
-        w = m.adjoint_apply(m.apply(v))
-        lam_next = float(v @ w)
-        if abs(lam_next - lam) <= tol * max(abs(lam_next), 1e-30):
-            return float(np.sqrt(max(lam_next, 0.0)))
-        lam = lam_next
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations",
-        best_estimate=float(np.sqrt(max(lam, 0.0))),
-    )
+def operator_norm(m: LinearMap) -> float:
+    """Largest singular value of ``m``, from an SVD of its dense matrix."""
+    return float(np.linalg.norm(m.as_matrix(), 2))
 
 
 def min_eigenvalue_sym(m: LinearMap, sym_tol: float = 1e-10) -> float:

@@ -141,20 +141,30 @@ class TwoBlockProblem:
             return -math.inf
         return -f_star - g_star + float(y @ self.b)
 
-    def feasibility_residual(self, s: PrimalDualState) -> float:
-        x = as_vector(s.x, self.dim_x, "x")
-        z = as_vector(s.z, self.dim_z, "z")
-        return float(np.linalg.norm(self.A.apply(x) + self.B.apply(z) - self.b))
+    def feasibility_residual(self, s: PrimalDualState, ax=None, bz=None) -> float:
+        """``|A x + B z - b|``, reusing the products ``ax = A x``, ``bz = B z`` if given."""
+        if ax is None:
+            ax = self.A.apply(as_vector(s.x, self.dim_x, "x"))
+        if bz is None:
+            bz = self.B.apply(as_vector(s.z, self.dim_z, "z"))
+        return float(np.linalg.norm(ax + bz - self.b))
 
-    def kkt_residual(self, s: PrimalDualState) -> KKTResidual:
-        """Unit-step prox fixed-point residuals for the optimality system."""
+    def kkt_residual(self, s: PrimalDualState, aty=None, ax=None, bz=None) -> KKTResidual:
+        """Unit-step prox fixed-point residuals for the optimality system.
+
+        The products ``aty = A* y``, ``ax = A x`` and ``bz = B z`` are computed
+        here unless the caller already has them; the solver loop passes the ones
+        its update made and keeps ``aty`` for the next x-step.
+        """
         x = as_vector(s.x, self.dim_x, "x")
         z = as_vector(s.z, self.dim_z, "z")
         y = as_vector(s.y, self.dim_y, "y")
-        rx = x - self.f.prox(1.0, x + self.A.adjoint_apply(y) - self.h1.grad(x))
+        if aty is None:
+            aty = self.A.adjoint_apply(y)
+        rx = x - self.f.prox(1.0, x + aty - self.h1.grad(x))
         rz = z - self.g.prox(1.0, z + self.B.adjoint_apply(y) - self.h2.grad(z))
         return KKTResidual(
             float(np.linalg.norm(rx)),
             float(np.linalg.norm(rz)),
-            self.feasibility_residual(s),
+            self.feasibility_residual(s, ax, bz),
         )

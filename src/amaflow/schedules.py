@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -198,7 +199,12 @@ class ProxFriendlyMetric(MetricSchedule):
         self.c = c
         self.B = B
         self.dim = B.dim_in
-        self._btb = gram(B).as_matrix()
+
+    @cached_property
+    def _btb(self) -> np.ndarray:
+        # Only the dense views below need B*B; the solvers' z-step and the
+        # energy use the metric's closed form and never build it.
+        return gram(self.B).as_matrix()
 
     def at(self, t):
         from .linop import DenseMap

@@ -17,6 +17,7 @@ from amaflow import (
     report,
     validate,
 )
+from amaflow import diagnostics, dynamics
 from amaflow.schedules import ParameterSchedule
 
 
@@ -73,6 +74,31 @@ class TestEnergyValues:
     def test_reference_must_be_saddle(self, ex_problem, ex_sched_c025, ex_start):
         with pytest.raises(ValueError, match="saddle"):
             energy(ex_problem, ex_sched_c025, 0.0, ex_start, ex_start)
+
+    def test_integrate_rejects_a_non_saddle_reference_before_stepping(
+            self, ex_problem, ex_sched_c025, ex_start, monkeypatch):
+        updates = []
+        real = dynamics.alternating_update
+        monkeypatch.setattr(dynamics, "alternating_update",
+                            lambda *a, **k: updates.append(1) or real(*a, **k))
+        with pytest.raises(ValueError, match="saddle"):
+            integrate(ex_problem, ex_sched_c025, ex_start, method="euler", h=0.5,
+                      T=2.0, reference=ex_start)
+        assert updates == []
+
+    def test_reference_is_checked_once_per_trajectory(
+            self, ex_problem, ex_sched_c025, ex_start, ex_reference, monkeypatch):
+        checks = []
+        real = diagnostics.check_reference
+        monkeypatch.setattr(diagnostics, "check_reference",
+                            lambda *a: checks.append(1) or real(*a))
+        traj = integrate(ex_problem, ex_sched_c025, ex_start, method="euler", h=0.5,
+                         T=5.0, reference=ex_reference)
+        assert len(traj.samples) == 11 and len(checks) == 1
+        res = prox_ama_run(ex_problem, ex_sched_c025, ex_start,
+                           SolveConfig(max_iters=10, tol_kkt=1e-15, tol_feas=1e-15))
+        rep = report(res, ex_problem, ref=ex_reference, sched=ex_sched_c025)
+        assert rep.energy_monotone is True and len(checks) == 2
 
 
 class TestMonotoneCheck:

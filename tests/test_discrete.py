@@ -4,9 +4,13 @@ import pytest
 from amaflow import (
     CapabilityError,
     ConstantSchedule,
+    CoupledReciprocal,
+    DenseMap,
     IdentityMap,
+    L1Norm,
     ParameterSchedule,
     PrimalDualState,
+    ProxFriendlyMetric,
     QuadraticDistance,
     ScaledIdentityMap,
     SolveConfig,
@@ -105,6 +109,46 @@ class TestProxAmaRun:
         assert res.iterations_used == 0
         assert "not uniformly positive" in res.message
         assert len(res.iterates.samples) == 1
+
+
+class CountingMap(DenseMap):
+    """A dense map that counts its products with the matrix and its transpose."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.calls = 0
+
+    def apply(self, x):
+        self.calls += 1
+        return super().apply(x)
+
+    def adjoint_apply(self, y):
+        self.calls += 1
+        return super().adjoint_apply(y)
+
+
+class TestMatvecCount:
+    def test_prox_friendly_run_makes_five_matvecs_per_iteration(self, rng):
+        n = 20
+        B = rng.standard_normal((n, n))
+        p = TwoBlockProblem(
+            f=QuadraticDistance(rng.standard_normal(n), 1.0), h1=ZeroFunction(n),
+            g=L1Norm(n, 0.5), h2=ZeroFunction(n),
+            A=CountingMap(rng.standard_normal((n, n)) + 3.0 * np.eye(n)),
+            B=CountingMap(B / np.linalg.norm(B, 2)), b=rng.standard_normal(n))
+        c = ConstantSchedule(1.0)
+        sched = ParameterSchedule(c, ZeroMetric(n),
+                                  ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B))
+        s0 = p.state(np.zeros(n), np.zeros(n), np.zeros(n))
+        counts = {}
+        for iters in (10, 50):
+            p.A.calls = p.B.calls = 0
+            res = prox_ama_run(p, sched, s0, SolveConfig(max_iters=iters, tol_kkt=1e-300,
+                                                         tol_feas=1e-300))
+            assert res.iterations_used == iters
+            counts[iters] = p.A.calls + p.B.calls
+        assert (counts[50] - counts[10]) / 40 <= 5
+        assert counts[10] <= 5 * 10 + 4
 
 
 class TestAmaRun:
