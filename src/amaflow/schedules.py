@@ -5,6 +5,10 @@ metric schedules cover the regularization metrics M1(t), M2(t). Every kind
 has an analytic derivative, so hypothesis checks never need numerical
 differentiation. Validation is grid-based: each rule is evaluated on a finite
 time grid and the report records the grid together with per-rule witnesses.
+
+Every metric kind is ``alpha(t) Id + beta(t) B*B + K`` with a constant K, so
+the validators evaluate each rule in closed form from the extreme eigenvalues
+of B*B (``btb_spectrum`` of the problem); no matrix is built per grid point.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linop import LinearMap, ScaledIdentityMap, gram
+from .errors import CapabilityError
+from .linop import LinearMap, ScaledIdentityMap
 
 __all__ = [
     "ScalarSchedule",
@@ -202,9 +207,10 @@ class ProxFriendlyMetric(MetricSchedule):
 
     @cached_property
     def _btb(self) -> np.ndarray:
-        # Only the dense views below need B*B; the solvers' z-step and the
-        # energy use the metric's closed form and never build it.
-        return gram(self.B).as_matrix()
+        # Only the dense views below need B*B; the solvers' z-step, the energy
+        # and the validators use the metric's closed form and never build it.
+        bm = self.B.as_matrix()
+        return bm.T @ bm
 
     def at(self, t):
         from .linop import DenseMap
@@ -319,18 +325,47 @@ def _min_eig(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
 
 
-def _spectral_norm_sym(mat: np.ndarray) -> float:
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    return float(np.max(np.abs(eigs))) if eigs.size else 0.0
+def _on_grid(s: ScalarSchedule, grid: np.ndarray) -> tuple:
+    """Values and derivatives of a scalar schedule on the grid."""
+    return (np.array([s.value_at(t) for t in grid]),
+            np.array([s.derivative_at(t) for t in grid]))
 
 
-def _c_rules(p, c: ScalarSchedule, eps: float, grid: np.ndarray) -> list:
+def _spectral_form(M: MetricSchedule, grid: np.ndarray, B: LinearMap) -> tuple:
+    """``(alpha, alpha', beta, beta', K)`` with ``M(t) = alpha(t) Id + beta(t) B*B + K``.
+
+    Four arrays over the grid and a constant matrix K (None for K = 0); K is
+    set only where beta is zero. ``B`` is the problem's second operator.
+    """
+    zero = np.zeros(grid.size)
+    if isinstance(M, ZeroMetric):
+        return zero, zero, zero, zero, None
+    if isinstance(M, ScaledIdentityMetric):
+        mu, dmu = _on_grid(M.mu, grid)
+        return mu, dmu, zero, zero, None
+    if isinstance(M, ProxFriendlyMetric):
+        if M.B is not B:
+            raise CapabilityError("prox_friendly metric is built on another B than "
+                                  "the problem's and cannot be validated")
+        tau, dtau = _on_grid(M.tau, grid)
+        c, dc = _on_grid(M.c, grid)
+        return 1.0 / tau, -dtau / (tau * tau), -c, -dc, None
+    if isinstance(M, ConstantDenseMetric):
+        return zero, zero, zero, zero, M.M.as_matrix()
+    raise CapabilityError(f"metric kind {M.kind!r} has no spectral form and cannot be validated")
+
+
+def _at_extremes(a: np.ndarray, b: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Extreme eigenvalues of ``a Id + b B*B``, one row per grid point."""
+    return a[:, None] + b[:, None] * spectrum[[0, -1]]
+
+
+def _c_rules(p, c: ScalarSchedule, values: np.ndarray, derivs: np.ndarray,
+             eps: float) -> list:
     sigma = p.f.strong_convexity
     a2 = p.norm_A**2
     constant = isinstance(c, ConstantSchedule)
     upper = (2.0 * sigma / a2 - eps) if constant else (sigma / a2 - eps)
-    values = np.array([c.value_at(t) for t in grid])
-    derivs = np.array([c.derivative_at(t) for t in grid])
     range_margin = float(np.min(np.minimum(values - eps, upper - values)))
     sup_deriv = float(np.max(derivs))
     sup_abs_deriv = float(np.max(np.abs(derivs)))
@@ -341,14 +376,18 @@ def _c_rules(p, c: ScalarSchedule, eps: float, grid: np.ndarray) -> list:
     ]
 
 
-def _metric_rules(name: str, mats: list, dmats: list, shift: float) -> list:
-    # shift = L/4 for the corresponding smooth coupling.
-    n = mats[0].shape[0]
-    lower = float(min(_min_eig(m - shift * np.eye(n)) for m in mats))
+def _metric_rules(name: str, form: tuple, spectrum: np.ndarray, shift: float) -> list:
+    # shift = L/4 for the corresponding smooth coupling. K cancels from the
+    # Loewner differences and the derivative; beta = 0 whenever K is set, so
+    # lambda_min(alpha Id + K) = alpha + lambda_min(K).
+    alpha, dalpha, beta, dbeta, K = form
+    k_min = 0.0 if K is None else _min_eig(K)
+    lower = k_min + float(np.min(_at_extremes(alpha - shift, beta, spectrum)))
     loewner = 0.0
-    if len(mats) > 1:
-        loewner = float(min(_min_eig(mats[i] - mats[i + 1]) for i in range(len(mats) - 1)))
-    sup_dnorm = float(max(_spectral_norm_sym(d) for d in dmats))
+    if alpha.size > 1:
+        loewner = float(np.min(_at_extremes(alpha[:-1] - alpha[1:],
+                                            beta[:-1] - beta[1:], spectrum)))
+    sup_dnorm = float(np.max(np.abs(_at_extremes(dalpha, dbeta, spectrum))))
     return [
         CheckResult(f"{name}-lower-bound", lower >= -1e-10, lower, 0.0),
         CheckResult(f"{name}-loewner-decreasing", loewner >= -1e-10, loewner, 0.0),
@@ -356,15 +395,15 @@ def _metric_rules(name: str, mats: list, dmats: list, shift: float) -> list:
     ]
 
 
-def _z_wellposedness(p, c: ScalarSchedule, m2_mats: list, grid: np.ndarray):
-    btb = gram(p.B).as_matrix()
-    eigs = [
-        _min_eig(c.value_at(t) * btb + m) for t, m in zip(grid, m2_mats)
-    ]
-    beta = float(min(eigs))
-    cweak = all(e > 0.0 for e in eigs)
-    cstrong = beta > 1e-10
-    return beta, cweak, cstrong
+def _z_beta(p, c_vals: np.ndarray, form: tuple) -> float:
+    """``min_t lambda_min(c(t) B*B + M2(t))`` over the grid."""
+    alpha, _, beta, _, K = form
+    if K is None:
+        return float(np.min(_at_extremes(alpha, c_vals + beta, p.btb_spectrum)))
+    # lambda_min(c B*B + K) is nondecreasing in c because B*B is PSD, so the
+    # smallest c on the grid attains the minimum, whatever the c schedule.
+    bm = p.B.as_matrix()
+    return _min_eig(float(np.min(c_vals)) * (bm.T @ bm) + K)
 
 
 def validate(p, c: ScalarSchedule, M1: MetricSchedule, M2: MetricSchedule,
@@ -376,31 +415,29 @@ def validate(p, c: ScalarSchedule, M1: MetricSchedule, M2: MetricSchedule,
     M1, M2 dominating a quarter of the corresponding gradient Lipschitz
     constants; both metrics Loewner-monotonically decreasing with bounded
     derivative; and the disjunctive convergence condition (uniformly positive
-    regularized M2, or uniformly positive-definite B*B).
+    regularized M2, or uniformly positive-definite B*B). A metric that is not
+    one of the four shipped kinds raises :class:`CapabilityError`.
     """
     grid = _check_grid(t_grid)
     _check_eps(p, eps)
-    checks = _c_rules(p, c, eps, grid)
+    c_vals, c_derivs = _on_grid(c, grid)
+    checks = _c_rules(p, c, c_vals, c_derivs, eps)
 
     l1 = p.h1.grad_lipschitz or 0.0
     l2 = p.h2.grad_lipschitz or 0.0
-    m1_mats = [M1.matrix_at(t) for t in grid]
-    m1_d = [M1.derivative_at(t).as_matrix() for t in grid]
-    m2_mats = [M2.matrix_at(t) for t in grid]
-    m2_d = [M2.derivative_at(t).as_matrix() for t in grid]
-    checks += _metric_rules("m1", m1_mats, m1_d, l1 / 4.0)
-    checks += _metric_rules("m2", m2_mats, m2_d, l2 / 4.0)
+    m2_form = _spectral_form(M2, grid, p.B)
+    checks += _metric_rules("m1", _spectral_form(M1, grid, p.B), p.btb_spectrum, l1 / 4.0)
+    m2_checks = _metric_rules("m2", m2_form, p.btb_spectrum, l2 / 4.0)
+    checks += m2_checks
 
-    n_z = p.dim_z
-    alpha = float(min(_min_eig(m - (l2 / 4.0) * np.eye(n_z)) for m in m2_mats))
-    btb_min = _min_eig(gram(p.B).as_matrix())
-    cond_witness = max(alpha, btb_min)
+    # alpha = min_t lambda_min(M2(t) - (L2/4) Id) is the m2 lower-bound witness.
+    cond_witness = max(m2_checks[0].witness, float(p.btb_spectrum[0]))
     checks.append(CheckResult("convergence-condition", cond_witness > 1e-10,
                               cond_witness, 1e-10))
 
-    beta, cweak, cstrong = _z_wellposedness(p, c, m2_mats, grid)
+    beta = _z_beta(p, c_vals, m2_form)
     mode = "theorem-constant-c" if isinstance(c, ConstantSchedule) else "theorem-variable-c"
-    return ValidationReport(mode, tuple(checks), tuple(grid), beta, cweak, cstrong)
+    return ValidationReport(mode, tuple(checks), tuple(grid), beta, beta > 0.0, beta > 1e-10)
 
 
 def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
@@ -416,14 +453,12 @@ def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
     """
     grid = _check_grid(t_grid)
     _check_eps(p, eps)
-    checks = _c_rules(p, c, eps, grid)
+    c_vals, c_derivs = _on_grid(c, grid)
+    checks = _c_rules(p, c, c_vals, c_derivs, eps)
 
     b2 = p.norm_B**2
     l2 = p.h2.grad_lipschitz or 0.0
-    tau_vals = np.array([tau.value_at(t) for t in grid])
-    tau_derivs = np.array([tau.derivative_at(t) for t in grid])
-    c_vals = np.array([c.value_at(t) for t in grid])
-    c_derivs = np.array([c.derivative_at(t) for t in grid])
+    tau_vals, tau_derivs = _on_grid(tau, grid)
 
     inf_tau_deriv = float(np.min(tau_derivs))
     checks.append(CheckResult("tau-increasing", inf_tau_deriv >= -1e-12, inf_tau_deriv, 0.0))
@@ -441,13 +476,11 @@ def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
                               deriv_excess, 0.0))
 
     strict_margin = float(np.min(1.0 - tau_vals * l2 / 4.0 - c_vals * tau_vals * b2))
-    btb_min = _min_eig(gram(p.B).as_matrix())
-    cond_witness = max(strict_margin, btb_min)
+    cond_witness = max(strict_margin, float(p.btb_spectrum[0]))
     checks.append(CheckResult("convergence-condition", cond_witness > 1e-10,
                               cond_witness, 1e-10))
 
-    m2 = ProxFriendlyMetric(tau, c, p.B)
-    m2_mats = [m2.matrix_at(t) for t in grid]
-    beta, cweak, cstrong = _z_wellposedness(p, c, m2_mats, grid)
+    # c B*B + (Id/tau - c B*B) = Id/tau exactly for the prox-friendly M2.
+    beta = float(np.min(1.0 / tau_vals))
     return ValidationReport("corollary-prox-friendly", tuple(checks), tuple(grid),
-                            beta, cweak, cstrong)
+                            beta, beta > 0.0, beta > 1e-10)
