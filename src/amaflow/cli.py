@@ -46,9 +46,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-GRID_HELP = "comma-separated time grid (default: dense 0..100 plus log tail)"
-
-
 def _parse_grid(text: str | None):
     if text is None:
         return default_grid()
@@ -194,7 +191,7 @@ def _emit(data: ProblemFileData, traj, summary_source, prefix: str, mode: str,
 def cmd_solve(args) -> int:
     data = load_problem_file(args.file)
     vr = validate(data.problem, data.sched.c, data.sched.M1, data.sched.M2,
-                  args.eps, _parse_grid(args.grid))
+                  args.eps, default_grid())
     forced = False
     if not vr.passed:
         if not args.force:
@@ -243,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="check schedule hypotheses for a problem file")
     v.add_argument("file")
     v.add_argument("--eps", type=float, default=0.005)
-    v.add_argument("--grid", default=None, help=GRID_HELP)
+    v.add_argument("--grid", default=None,
+                   help="comma-separated time grid (default: dense 0..100 plus log tail)")
     v.add_argument("--corollary", action="store_true",
                    help="check the prox-friendly (c, tau) conditions instead")
     v.set_defaults(func=cmd_validate)
@@ -258,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sets both the KKT and feasibility tolerances")
     s.add_argument("--record-every", type=int, default=None)
     s.add_argument("--eps", type=float, default=0.005)
-    s.add_argument("--grid", default=None, help=GRID_HELP)
     s.add_argument("--out-prefix", default=None)
     s.add_argument("--force", action="store_true",
                    help="run even if schedule validation fails")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError
 from .functions import SeparableFunction
-from .linop import LinearMap, as_vector
+from .linop import LinearMap, as_vector, operator_norm
 
 __all__ = ["PrimalDualState", "TwoBlockProblem", "KKTResidual"]
 
@@ -55,11 +55,6 @@ class KKTResidual(NamedTuple):
         return max(self.rx, self.rz, self.feas)
 
 
-def _singular_values(m: LinearMap) -> np.ndarray:
-    """Singular values of ``m`` in descending order, from one SVD of its matrix."""
-    return np.linalg.svd(m.as_matrix(), compute_uv=False)
-
-
 @dataclass(eq=False)
 class TwoBlockProblem:
     """Immutable problem data; all residual/objective operations live here."""
@@ -73,7 +68,7 @@ class TwoBlockProblem:
     b: np.ndarray
     norm_A: float = field(init=False, repr=False)
     norm_B: float = field(init=False, repr=False)
-    btb_spectrum: np.ndarray = field(init=False, repr=False)
+    btb_min: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
@@ -92,14 +87,12 @@ class TwoBlockProblem:
             raise DimensionMismatchError("z block", self.g.dim, self.B.dim_in)
         if self.A.dim_out != self.b.shape[0] or self.B.dim_out != self.b.shape[0]:
             raise DimensionMismatchError("constraint rows", self.b.shape[0], self.A.dim_out)
-        self.norm_A = float(_singular_values(self.A)[0])
-        sv_B = _singular_values(self.B)
+        self.norm_A = operator_norm(self.A)
+        # One SVD of B gives both extreme eigenvalues of B*B, norm_B**2 and
+        # btb_min (zero for a wide B); the validators need no others.
+        sv_B = np.linalg.svd(self.B.as_matrix(), compute_uv=False)
         self.norm_B = float(sv_B[0])
-        # Eigenvalues of B*B in ascending order: the squared singular values,
-        # plus dim_in - dim_out zeros when B is wide. The validators read every
-        # metric rule off this array.
-        self.btb_spectrum = np.zeros(self.B.dim_in)
-        self.btb_spectrum[self.B.dim_in - sv_B.size:] = sv_B[::-1] ** 2
+        self.btb_min = float(sv_B[-1]) ** 2 if self.B.dim_out >= self.B.dim_in else 0.0
         if self.norm_A <= 0.0:
             raise ValueError("A must be a nonzero operator")
 

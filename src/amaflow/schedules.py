@@ -8,7 +8,8 @@ time grid and the report records the grid together with per-rule witnesses.
 
 Every metric kind is ``alpha(t) Id + beta(t) B*B + K`` with a constant K, so
 the validators evaluate each rule in closed form from the extreme eigenvalues
-of B*B (``btb_spectrum`` of the problem); no matrix is built per grid point.
+of B*B (``btb_min`` and ``norm_B**2`` of the problem); no matrix is built per
+grid point.
 """
 
 from __future__ import annotations
@@ -140,6 +141,12 @@ class CoupledReciprocal(ScalarSchedule):
 # metric schedules
 
 
+def _gram_matrix(B: LinearMap) -> np.ndarray:
+    """B*B as a dense matrix, from one product."""
+    bm = B.as_matrix()
+    return bm.T @ bm
+
+
 class MetricSchedule:
     """A symmetric-operator-valued function of time."""
 
@@ -209,8 +216,7 @@ class ProxFriendlyMetric(MetricSchedule):
     def _btb(self) -> np.ndarray:
         # Only the dense views below need B*B; the solvers' z-step, the energy
         # and the validators use the metric's closed form and never build it.
-        bm = self.B.as_matrix()
-        return bm.T @ bm
+        return _gram_matrix(self.B)
 
     def at(self, t):
         from .linop import DenseMap
@@ -355,9 +361,12 @@ def _spectral_form(M: MetricSchedule, grid: np.ndarray, B: LinearMap) -> tuple:
     raise CapabilityError(f"metric kind {M.kind!r} has no spectral form and cannot be validated")
 
 
-def _at_extremes(a: np.ndarray, b: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """Extreme eigenvalues of ``a Id + b B*B``, one row per grid point."""
-    return a[:, None] + b[:, None] * spectrum[[0, -1]]
+def _at_extremes(a: np.ndarray, b: np.ndarray, extremes: np.ndarray) -> np.ndarray:
+    """Extreme eigenvalues of ``a Id + b B*B``, one row per grid point.
+
+    ``extremes`` holds the smallest and largest eigenvalue of B*B.
+    """
+    return a[:, None] + b[:, None] * extremes
 
 
 def _c_rules(p, c: ScalarSchedule, values: np.ndarray, derivs: np.ndarray,
@@ -376,18 +385,18 @@ def _c_rules(p, c: ScalarSchedule, values: np.ndarray, derivs: np.ndarray,
     ]
 
 
-def _metric_rules(name: str, form: tuple, spectrum: np.ndarray, shift: float) -> list:
+def _metric_rules(name: str, form: tuple, extremes: np.ndarray, shift: float) -> list:
     # shift = L/4 for the corresponding smooth coupling. K cancels from the
     # Loewner differences and the derivative; beta = 0 whenever K is set, so
     # lambda_min(alpha Id + K) = alpha + lambda_min(K).
     alpha, dalpha, beta, dbeta, K = form
     k_min = 0.0 if K is None else _min_eig(K)
-    lower = k_min + float(np.min(_at_extremes(alpha - shift, beta, spectrum)))
+    lower = k_min + float(np.min(_at_extremes(alpha - shift, beta, extremes)))
     loewner = 0.0
     if alpha.size > 1:
         loewner = float(np.min(_at_extremes(alpha[:-1] - alpha[1:],
-                                            beta[:-1] - beta[1:], spectrum)))
-    sup_dnorm = float(np.max(np.abs(_at_extremes(dalpha, dbeta, spectrum))))
+                                            beta[:-1] - beta[1:], extremes)))
+    sup_dnorm = float(np.max(np.abs(_at_extremes(dalpha, dbeta, extremes))))
     return [
         CheckResult(f"{name}-lower-bound", lower >= -1e-10, lower, 0.0),
         CheckResult(f"{name}-loewner-decreasing", loewner >= -1e-10, loewner, 0.0),
@@ -395,15 +404,14 @@ def _metric_rules(name: str, form: tuple, spectrum: np.ndarray, shift: float) ->
     ]
 
 
-def _z_beta(p, c_vals: np.ndarray, form: tuple) -> float:
+def _z_beta(p, c_vals: np.ndarray, form: tuple, extremes: np.ndarray) -> float:
     """``min_t lambda_min(c(t) B*B + M2(t))`` over the grid."""
     alpha, _, beta, _, K = form
     if K is None:
-        return float(np.min(_at_extremes(alpha, c_vals + beta, p.btb_spectrum)))
+        return float(np.min(_at_extremes(alpha, c_vals + beta, extremes)))
     # lambda_min(c B*B + K) is nondecreasing in c because B*B is PSD, so the
     # smallest c on the grid attains the minimum, whatever the c schedule.
-    bm = p.B.as_matrix()
-    return _min_eig(float(np.min(c_vals)) * (bm.T @ bm) + K)
+    return _min_eig(float(np.min(c_vals)) * _gram_matrix(p.B) + K)
 
 
 def validate(p, c: ScalarSchedule, M1: MetricSchedule, M2: MetricSchedule,
@@ -425,17 +433,18 @@ def validate(p, c: ScalarSchedule, M1: MetricSchedule, M2: MetricSchedule,
 
     l1 = p.h1.grad_lipschitz or 0.0
     l2 = p.h2.grad_lipschitz or 0.0
+    extremes = np.array([p.btb_min, p.norm_B**2])
     m2_form = _spectral_form(M2, grid, p.B)
-    checks += _metric_rules("m1", _spectral_form(M1, grid, p.B), p.btb_spectrum, l1 / 4.0)
-    m2_checks = _metric_rules("m2", m2_form, p.btb_spectrum, l2 / 4.0)
+    checks += _metric_rules("m1", _spectral_form(M1, grid, p.B), extremes, l1 / 4.0)
+    m2_checks = _metric_rules("m2", m2_form, extremes, l2 / 4.0)
     checks += m2_checks
 
     # alpha = min_t lambda_min(M2(t) - (L2/4) Id) is the m2 lower-bound witness.
-    cond_witness = max(m2_checks[0].witness, float(p.btb_spectrum[0]))
+    cond_witness = max(m2_checks[0].witness, p.btb_min)
     checks.append(CheckResult("convergence-condition", cond_witness > 1e-10,
                               cond_witness, 1e-10))
 
-    beta = _z_beta(p, c_vals, m2_form)
+    beta = _z_beta(p, c_vals, m2_form, extremes)
     mode = "theorem-constant-c" if isinstance(c, ConstantSchedule) else "theorem-variable-c"
     return ValidationReport(mode, tuple(checks), tuple(grid), beta, beta > 0.0, beta > 1e-10)
 
@@ -476,7 +485,7 @@ def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
                               deriv_excess, 0.0))
 
     strict_margin = float(np.min(1.0 - tau_vals * l2 / 4.0 - c_vals * tau_vals * b2))
-    cond_witness = max(strict_margin, float(p.btb_spectrum[0]))
+    cond_witness = max(strict_margin, p.btb_min)
     checks.append(CheckResult("convergence-condition", cond_witness > 1e-10,
                               cond_witness, 1e-10))
 

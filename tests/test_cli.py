@@ -126,19 +126,6 @@ class TestSolve:
         assert "--force" in err
         assert not (tmp_path / "prob-prox-ama.csv").exists()
 
-    def test_grid_option_gates_the_solve(self, tmp_path, monkeypatch, capsys):
-        # c(t) = 1/sqrt(t + 4) stays above eps = 0.005 up to t = 39996: the
-        # default grid (to 1e4) passes, a grid reaching 5e4 fails c-range
-        monkeypatch.chdir(tmp_path)
-        f = write(tmp_path, doc(schedules__c={"kind": "reciprocal_sqrt", "a": 4.0}))
-        assert main(["validate", f]) == 0
-        capsys.readouterr()
-        rc = main(["solve", f, "--grid", "0,100,50000"])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert "c-range" in err
-        assert not (tmp_path / "prob-prox-ama.csv").exists()
-
     def test_force_runs_and_flags_the_report(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         bad = doc(schedules__c={"kind": "constant", "value": 3.0})

@@ -301,9 +301,14 @@ def test_prox_friendly_metric_on_another_b_is_refused():
 # cost
 
 
+# numpy's implementation module: np.linalg.norm(M, 2), which operator_norm
+# uses, calls the svd found there rather than np.linalg.svd
+_LINALG_IMPL = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+
+
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Counts of numpy's eigvalsh, eigh and svd calls made through ``np.linalg``."""
+    """Counts of numpy's eigvalsh, eigh and svd calls, direct or from inside np.linalg."""
     counts = {"eigvalsh": 0, "eigh": 0, "svd": 0}
     for name in counts:
         original = getattr(np.linalg, name)
@@ -313,6 +318,7 @@ def decompositions(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(_LINALG_IMPL, name, counted)
     return counts
 
 
