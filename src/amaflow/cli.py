@@ -4,7 +4,8 @@ Subcommands: ``validate`` (schedule hypothesis checks on a problem file),
 ``solve`` (run one of the four solver modes on a problem file),
 ``paper-example`` (the bundled worked example with its named parameter
 variants), and ``norm`` (operator norms of A and B). Exit codes: 0 ok,
-1 validation or capability failure, 2 parse error, 3 solver error.
+1 validation or capability failure, 2 parse error, 3 solver error or
+divergence.
 """
 
 from __future__ import annotations
@@ -88,6 +89,15 @@ def cmd_validate(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _row_format(ncols: int) -> str:
+    """A CSV row of ``ncols`` floats for one ``%`` operation.
+
+    ``"%.17g" % v`` writes the same bytes as ``f"{v:.17g}"`` for every float,
+    numpy's float64 included.
+    """
+    return ",".join(["%.17g"] * ncols) + "\n"
+
+
 def _write_csv(path: str, traj: Trajectory, time_label: str, dims,
                energies=None) -> None:
     nx, nz, ny = dims
@@ -101,18 +111,14 @@ def _write_csv(path: str, traj: Trajectory, time_label: str, dims,
     with_energy = all(e is not None for e in energies) and len(energies) > 0
     if with_energy:
         cols.append("energy")
-    lines = [",".join(cols)]
-    for smp, e in zip(traj.samples, energies):
-        row = [_fmt(smp.t)]
-        row += [_fmt(v) for v in smp.state.x]
-        row += [_fmt(v) for v in smp.state.z]
-        row += [_fmt(v) for v in smp.state.y]
-        row += [_fmt(smp.feas), _fmt(smp.kkt.rx), _fmt(smp.kkt.rz)]
-        if with_energy:
-            row.append(_fmt(e))
-        lines.append(",".join(row))
+    row = _row_format(len(cols))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(cols) + "\n")
+        for smp, e in zip(traj.samples, energies):
+            st, kkt = smp.state, smp.kkt
+            values = (smp.t, *st.x.tolist(), *st.z.tolist(), *st.y.tolist(),
+                      smp.feas, kkt.rx, kkt.rz)
+            fh.write(row % (values + (e,) if with_energy else values))
 
 
 def _write_report(path: str, rep: SummaryReport, forced: bool = False) -> None:
@@ -148,7 +154,7 @@ def _run_mode(data: ProblemFileData, mode: str, args, reference=None):
             result = prox_ama_run(p, sched, s0, cfg)
         else:
             result = ama_run(p, sched.c, s0, cfg)
-        code = 3 if result.status == "error" else 0
+        code = 3 if result.status in ("error", "diverged") else 0
         return result.iterates, result, code
 
     h = args.step if args.step is not None else 0.01

@@ -69,15 +69,15 @@ def energy(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
     dz = s.z - ref.z
     dy = s.y - ref.y
     sigma = p.f.strong_convexity
-    x_term = (2.0 * sigma * c - c * c * p.norm_A**2) * float(dx @ dx)
-    x_metric = c * float(dx @ sched.M1.at(t).apply(dx))
+    x_term = (2.0 * sigma * c - c * c * p.norm_A**2) * float(dx.dot(dx))
+    x_metric = c * float(dx.dot(sched.M1.at(t).apply(dx)))
     tau = sched.tau
     if tau is not None:
-        z_metric = c / tau.value_at(t) * float(dz @ dz)
+        z_metric = c / tau.value_at(t) * float(dz.dot(dz))
     else:
         bdz = p.B.apply(dz)
-        z_metric = c * float(dz @ sched.M2.at(t).apply(dz)) + c * c * float(bdz @ bdz)
-    y_term = float(dy @ dy)
+        z_metric = c * float(dz.dot(sched.M2.at(t).apply(dz))) + c * c * float(bdz.dot(bdz))
+    y_term = float(dy.dot(dy))
     total = x_term + x_metric + z_metric + y_term
     return EnergySample(t, total, (x_term, x_metric, z_metric, y_term))
 

@@ -9,6 +9,7 @@ schedules agree exactly. Schedules are sampled at t = k for iteration k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,7 +47,7 @@ class SolveConfig:
 class SolveResult:
     final: PrimalDualState
     iterates: Trajectory
-    status: str  # converged | max_iters | error
+    status: str  # converged | max_iters | diverged | error
     iterations_used: int
     message: str = ""
 
@@ -61,7 +62,8 @@ def prox_ama_step(p: TwoBlockProblem, M1_k, M2_k, c_k: float,
 def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfig,
               method: str, require_uniform: bool) -> SolveResult:
     # A sample's KKT residual takes the A x and B z of the update that made
-    # the state and computes A* y; the next update reuses A* y and B z.
+    # the state and computes A* y; the next update reuses A* y and B z, and the
+    # z-step's coupling while c and M2 stay the same.
     def sample(k, state, ax=None, bz=None):
         if ax is None:
             ax, bz = p.A.apply(state.x), p.B.apply(state.z)
@@ -69,30 +71,34 @@ def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfi
         kkt = p.kkt_residual(state, aty, ax, bz)
         return TrajectorySample(float(k), state, kkt.feas, kkt), aty, bz
 
-    s = s0.with_time(0.0)
+    s = p.state(s0.x, s0.z, s0.y)
     first, aty, bz = sample(0, s)
     samples = [first]
-    if _within(first.kkt, cfg):
+    stop = _stop(first.kkt, cfg, 0)
+    if stop is not None:
         traj = Trajectory(samples, method, 1.0, 0.0)
-        return SolveResult(s, traj, "converged", 0)
+        return SolveResult(s, traj, stop[0], 0, stop[1])
 
     status, message = "max_iters", ""
     used = cfg.max_iters
+    coupling = None
     for k in range(cfg.max_iters):
         m1_k, m2_k, c_k, tau_k = snapshot(k)
         try:
             up = alternating_update(p, m1_k, m2_k, c_k, tau_k, s,
-                                    require_uniform=require_uniform, aty=aty, bz=bz)
+                                    require_uniform=require_uniform, aty=aty, bz=bz,
+                                    coupling=coupling)
         except (ConvergenceError, ConditionError) as exc:
             status, message, used = "error", str(exc), k
             break
+        coupling = up.coupling
         s = PrimalDualState(up.x, up.z, s.y + up.w, float(k + 1))
         smp, aty, bz = sample(k + 1, s, up.ax, up.bz)
-        done = _within(smp.kkt, cfg)
-        if done or (k + 1) % cfg.record_every == 0 or k + 1 == cfg.max_iters:
+        stop = _stop(smp.kkt, cfg, k + 1)
+        if stop is not None or (k + 1) % cfg.record_every == 0 or k + 1 == cfg.max_iters:
             samples.append(smp)
-        if done:
-            status, used = "converged", k + 1
+        if stop is not None:
+            (status, message), used = stop, k + 1
             break
 
     if status == "error" and samples[-1].t != s.t:
@@ -101,13 +107,25 @@ def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfi
     return SolveResult(s, traj, status, used, message)
 
 
-def _within(kkt, cfg: SolveConfig) -> bool:
-    return kkt.rx <= cfg.tol_kkt and kkt.rz <= cfg.tol_kkt and kkt.feas <= cfg.tol_feas
+def _stop(kkt, cfg: SolveConfig, k: int) -> Optional[tuple]:
+    """``(status, message)`` when the residuals of iterate ``k`` end the run:
+    all within tolerance, or one not finite."""
+    if kkt.rx <= cfg.tol_kkt and kkt.rz <= cfg.tol_kkt and kkt.feas <= cfg.tol_feas:
+        return "converged", ""
+    if not (math.isfinite(kkt.rx) and math.isfinite(kkt.rz) and math.isfinite(kkt.feas)):
+        return "diverged", f"residual not finite at iteration {k}"
+    return None
 
 
 def prox_ama_run(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
                  cfg: SolveConfig) -> SolveResult:
-    """Iterate the proximal alternating scheme until the residuals pass."""
+    """Iterate the proximal alternating scheme until the residuals pass.
+
+    The run stops as ``converged`` when they pass, as ``diverged`` at the first
+    iterate with a residual that is not finite, as ``error`` when a subproblem
+    fails, and otherwise as ``max_iters``. The dimensions of ``s0`` are checked
+    once, before the first update.
+    """
     return _run_loop(p, lambda k: _schedule_snapshot(sched, float(k)), s0, cfg,
                      "prox-ama", require_uniform=True)
 
@@ -118,6 +136,7 @@ def ama_run(p: TwoBlockProblem, c_schedule: ScalarSchedule, s0: PrimalDualState,
 
     Requires h1 = h2 = 0. The z-subproblem is only required to be attained
     here, not strongly convex, so the uniform-positivity gate is relaxed.
+    Statuses are those of :func:`prox_ama_run`.
     """
     if p.h1.kind != "zero" or p.h2.kind != "zero":
         raise CapabilityError("the plain alternating scheme requires h1 = h2 = 0")

@@ -12,6 +12,11 @@ evaluated strictly in that order (the z subproblem consumes the fresh x).
 With unit-step explicit Euler this is exactly the proximal alternating
 minimization iteration in :mod:`amaflow.discrete`; the shared update lives in
 :func:`alternating_update` so the two produce bit-identical numbers.
+
+Runs check their start state once; inside a run the update works on trusted
+float64 arrays, and the public helpers' own checks take a fast path for them.
+Scalar products are written ``array * scalar``: the same IEEE product as
+``scalar * array``, without the reflected-operator dispatch.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .problem import KKTResidual, PrimalDualState, TwoBlockProblem
 from .schedules import ParameterSchedule
 
 __all__ = [
+    "Coupling",
     "GammaOutput",
     "TrajectorySample",
     "Trajectory",
@@ -72,7 +78,7 @@ class GammaOutput:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectorySample:
     t: float
     state: PrimalDualState
@@ -111,6 +117,49 @@ def _identity_factor(m: LinearMap) -> Optional[float]:
     return None
 
 
+def _scaled_argmin(fun: SeparableFunction, mu: float, target: np.ndarray) -> np.ndarray:
+    """``argmin_p  fun(p) + (mu/2)|p|^2 - <target, p>``: one prox, or for mu = 0
+    the conjugate gradient of ``fun``."""
+    if mu < 0.0:
+        raise ConditionError(f"subproblem metric has negative factor {mu}")
+    if mu == 0.0:
+        return fun.conj_grad(target)
+    return fun.prox(1.0 / mu, target / mu)
+
+
+def _lipschitz(Q: LinearMap, require_uniform: bool) -> float:
+    """``|Q|``, after checking that Q is uniformly positive if so required."""
+    if require_uniform:
+        floor = min_eigenvalue_sym(Q)
+        if floor <= 1e-12:
+            raise ConditionError(
+                f"subproblem metric not uniformly positive (min eigenvalue {floor:.3e}); "
+                "the z-subproblem is not well posed under these schedules"
+            )
+    return operator_norm(Q)
+
+
+def _inner_argmin(fun: SeparableFunction, Q: LinearMap, lip: float,
+                  target: np.ndarray, start: Optional[np.ndarray]) -> np.ndarray:
+    """The proximal-gradient loop for a general Q with Lipschitz constant ``lip``."""
+    if lip == 0.0:
+        return fun.conj_grad(target)
+    step = 1.0 / lip
+    p = np.zeros(fun.dim) if start is None else start.copy()
+    for k in range(50000):
+        p_next = fun.prox(step, p - step * (Q.apply(p) - target))
+        d = p_next - p
+        delta = math.sqrt(d.dot(d))
+        p = p_next
+        if delta < 1e-10:
+            return p
+    raise ConvergenceError(
+        "inner proximal-gradient solve did not reach tolerance",
+        best_estimate=p,
+        diagnostics={"iterations": 50000, "last_step": delta},
+    )
+
+
 def regularized_argmin(fun: SeparableFunction, Q: LinearMap, target,
                        start=None, require_uniform: bool = True) -> np.ndarray:
     """``argmin_p  fun(p) + (1/2)<p, Qp> - <target, p>`` for symmetric PSD Q.
@@ -125,35 +174,31 @@ def regularized_argmin(fun: SeparableFunction, Q: LinearMap, target,
     target = as_vector(target, fun.dim, "subproblem target")
     mu = _identity_factor(Q)
     if mu is not None:
-        if mu < 0.0:
-            raise ConditionError(f"subproblem metric has negative factor {mu}")
-        if mu == 0.0:
-            return fun.conj_grad(target)
-        return fun.prox(1.0 / mu, target / mu)
+        return _scaled_argmin(fun, mu, target)
+    lip = _lipschitz(Q, require_uniform)
+    if start is not None:
+        start = as_vector(start, fun.dim, "start")
+    return _inner_argmin(fun, Q, lip, target, start)
 
-    if require_uniform:
-        floor = min_eigenvalue_sym(Q)
-        if floor <= 1e-12:
-            raise ConditionError(
-                f"subproblem metric not uniformly positive (min eigenvalue {floor:.3e}); "
-                "the z-subproblem is not well posed under these schedules"
-            )
-    lip = operator_norm(Q)
-    if lip == 0.0:
-        return fun.conj_grad(target)
-    step = 1.0 / lip
-    p = np.zeros(fun.dim) if start is None else as_vector(start, fun.dim, "start").copy()
-    for k in range(50000):
-        p_next = fun.prox(step, p - step * (Q.apply(p) - target))
-        delta = float(np.linalg.norm(p_next - p))
-        p = p_next
-        if delta < 1e-10:
-            return p
-    raise ConvergenceError(
-        "inner proximal-gradient solve did not reach tolerance",
-        best_estimate=p,
-        diagnostics={"iterations": 50000, "last_step": delta},
-    )
+
+class Coupling(NamedTuple):
+    """The z-subproblem's quadratic form ``Q = c B*B + M2``, checked, with its
+    Lipschitz constant and the ``(c, M2)`` it was built from."""
+
+    c: float
+    M2: LinearMap
+    Q: LinearMap
+    lip: float
+
+
+def _coupling(p: TwoBlockProblem, M2_t: LinearMap, c_t: float, require_uniform: bool,
+              last: Optional[Coupling] = None) -> Coupling:
+    """``c_t B*B + M2_t`` with its spectral checks; ``last`` is reused as it is
+    when it was built from the same ``c_t`` and the same ``M2_t`` object."""
+    if last is not None and last.c == c_t and last.M2 is M2_t:
+        return last
+    Q = SumMap(scaled(gram(p.B), c_t), M2_t)
+    return Coupling(c_t, M2_t, Q, _lipschitz(Q, require_uniform))
 
 
 def solve_x_subproblem(p: TwoBlockProblem, M1_t: LinearMap, x, y,
@@ -162,25 +207,24 @@ def solve_x_subproblem(p: TwoBlockProblem, M1_t: LinearMap, x, y,
 
     Only M1 = 0 or a positive multiple of the identity is supported; both keep
     the update a single prox or conjugate-gradient evaluation of f. ``aty`` is
-    the product ``A* y`` when the caller already has it.
+    the product ``A* y`` when the caller already has it; ``y`` is then unused.
     """
     x = as_vector(x, p.dim_x, "x")
-    y = as_vector(y, p.dim_y, "y")
     mu = _identity_factor(M1_t)
     if mu is None:
         raise CapabilityError("x-subproblem supports only zero or scaled-identity M1")
     if aty is None:
-        aty = p.A.adjoint_apply(y)
-    pull = aty - p.h1.grad(x)
+        aty = p.A.adjoint_apply(as_vector(y, p.dim_y, "y"))
+    pull = aty if p.h1.kind == "zero" else aty - p.h1.grad(x)
     if mu == 0.0:
         return p.f.conj_grad(pull)
-    return regularized_argmin(p.f, M1_t, mu * x + pull)
+    return _scaled_argmin(p.f, mu, x * mu + pull)
 
 
 def solve_z_subproblem(p: TwoBlockProblem, M2_t: Optional[LinearMap], c_t: float,
                        tau_t: Optional[float], z, y, x_new,
                        require_uniform: bool = True, ax_new=None,
-                       bz=None) -> np.ndarray:
+                       bz=None, coupling: Optional[Coupling] = None) -> np.ndarray:
     """Return the z-block argmin given the freshly updated x.
 
     When ``tau_t`` is supplied the metric is the prox-friendly choice
@@ -192,61 +236,73 @@ def solve_z_subproblem(p: TwoBlockProblem, M2_t: Optional[LinearMap], c_t: float
     which is M2 z + B* y - c B*(A x_new - b) - grad h2(z) with one adjoint.
     This branch never reads ``M2_t`` (it may be None) and takes the metric's c
     and B to be ``c_t`` and ``p.B``: a prox-friendly M2 must share the run's c
-    schedule and the problem's B. Otherwise the quadratic coupling is solved by
-    the inner proximal-gradient loop of :func:`regularized_argmin`.
+    schedule and the problem's B. Otherwise the quadratic coupling
+    c B*B + M2 is solved by the inner proximal-gradient loop of
+    :func:`regularized_argmin`; ``coupling`` is that form for ``c_t`` and
+    ``M2_t`` when the caller keeps it across updates.
 
     ``ax_new = A x_new`` and ``bz = B z`` are used when the caller already has
-    them.
+    them; ``x_new`` is then unused.
     """
     z = as_vector(z, p.dim_z, "z")
     y = as_vector(y, p.dim_y, "y")
-    x_new = as_vector(x_new, p.dim_x, "x_new")
     if ax_new is None:
-        ax_new = p.A.apply(x_new)
+        ax_new = p.A.apply(as_vector(x_new, p.dim_x, "x_new"))
     if tau_t is not None:
         if tau_t <= 0.0:
             raise ConditionError(f"prox step tau must be positive, got {tau_t}")
         if bz is None:
             bz = p.B.apply(z)
-        target = (z / tau_t + p.B.adjoint_apply(y - c_t * (ax_new + bz - p.b))
-                  - p.h2.grad(z))
-        return regularized_argmin(p.g, ScaledIdentityMap(p.dim_z, 1.0 / tau_t), target)
-    target = (M2_t.apply(z) + p.B.adjoint_apply(y - c_t * (ax_new - p.b))
-              - p.h2.grad(z))
-    Q = SumMap(scaled(gram(p.B), c_t), M2_t)
-    return regularized_argmin(p.g, Q, target, start=z, require_uniform=require_uniform)
+        target = z / tau_t + p.B.adjoint_apply(y - (ax_new + bz - p.b) * c_t)
+        if p.h2.kind != "zero":
+            target = target - p.h2.grad(z)
+        return _scaled_argmin(p.g, 1.0 / tau_t, target)
+    target = M2_t.apply(z) + p.B.adjoint_apply(y - (ax_new - p.b) * c_t)
+    if p.h2.kind != "zero":
+        target = target - p.h2.grad(z)
+    if coupling is None:
+        coupling = _coupling(p, M2_t, c_t, require_uniform)
+    return _inner_argmin(p.g, coupling.Q, coupling.lip, target, z)
 
 
 class Update(NamedTuple):
-    """One alternating sweep: the new blocks, the multiplier step, and the
-    products ``ax = A x`` and ``bz = B z`` of the new blocks for reuse."""
+    """One alternating sweep: the new blocks, the multiplier step, the
+    products ``ax = A x`` and ``bz = B z`` of the new blocks for reuse, and the
+    z-step's :class:`Coupling` (None on the prox-friendly branch)."""
 
     x: np.ndarray
     z: np.ndarray
     w: np.ndarray
     ax: np.ndarray
     bz: np.ndarray
+    coupling: Optional[Coupling]
 
 
 def alternating_update(p: TwoBlockProblem, M1_t: LinearMap, M2_t: Optional[LinearMap],
                        c_t: float, tau_t: Optional[float], s: PrimalDualState,
-                       require_uniform: bool = True, aty=None, bz=None) -> Update:
+                       require_uniform: bool = True, aty=None, bz=None,
+                       coupling: Optional[Coupling] = None) -> Update:
     """One x-then-z sweep plus the multiplier residual.
 
     Returns an :class:`Update` with ``w = c (b - A x_new - B z_new)``. ``aty``
     and ``bz`` are the products ``A* s.y`` and ``B s.z`` when the caller
-    already has them. The continuous field and the discrete iteration both
+    already has them; ``coupling`` is the previous update's, reused when c and
+    the M2 map are unchanged, so a run with a constant coupling checks and
+    norms it once. The continuous field and the discrete iteration both
     reduce to this; keeping one code path makes the unit-step Euler
     discretization reproduce the discrete solver exactly, not merely to
     rounding.
     """
     x_new = solve_x_subproblem(p, M1_t, s.x, s.y, aty=aty)
     ax_new = p.A.apply(x_new)
+    if tau_t is None:
+        coupling = _coupling(p, M2_t, c_t, require_uniform, coupling)
     z_new = solve_z_subproblem(p, M2_t, c_t, tau_t, s.z, s.y, x_new,
-                               require_uniform=require_uniform, ax_new=ax_new, bz=bz)
+                               require_uniform=require_uniform, ax_new=ax_new, bz=bz,
+                               coupling=coupling)
     bz_new = p.B.apply(z_new)
-    w = c_t * (p.b - ax_new - bz_new)
-    return Update(x_new, z_new, w, ax_new, bz_new)
+    w = (p.b - ax_new - bz_new) * c_t
+    return Update(x_new, z_new, w, ax_new, bz_new, coupling)
 
 
 def _schedule_snapshot(sched: ParameterSchedule, t: float):
@@ -257,25 +313,34 @@ def _schedule_snapshot(sched: ParameterSchedule, t: float):
     return sched.M1.at(t), sched.M2.at(t), sched.c.value_at(t), None
 
 
+def _field(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
+           s: PrimalDualState) -> tuple:
+    """The field ``(x', z', y')`` at (t, s) as three arrays."""
+    up = alternating_update(p, *_schedule_snapshot(sched, t), s)
+    return up.x - s.x, up.z - s.z, up.w
+
+
 def gamma(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
           s: PrimalDualState) -> GammaOutput:
     """Evaluate the field at (t, s); zero exactly at saddle points."""
-    up = alternating_update(p, *_schedule_snapshot(sched, t), s)
-    return GammaOutput(up.x - s.x, up.z - s.z, up.w)
+    return GammaOutput(*_field(p, sched, t, s))
 
 
-def _shifted(s: PrimalDualState, g: GammaOutput, factor: float, t: float) -> PrimalDualState:
-    return PrimalDualState(s.x + factor * g.u, s.z + factor * g.v, s.y + factor * g.w, t)
+def _shifted(s: PrimalDualState, k: tuple, factor: float, t: float) -> PrimalDualState:
+    u, v, w = k
+    return PrimalDualState(s.x + u * factor, s.z + v * factor, s.y + w * factor, t)
 
 
 def _rk4_step(p, sched, t, s, h) -> PrimalDualState:
-    k1 = gamma(p, sched, t, s)
-    k2 = gamma(p, sched, t + 0.5 * h, _shifted(s, k1, 0.5 * h, t))
-    k3 = gamma(p, sched, t + 0.5 * h, _shifted(s, k2, 0.5 * h, t))
-    k4 = gamma(p, sched, t + h, _shifted(s, k3, h, t))
-    x = s.x + (h / 6.0) * (k1.u + 2.0 * k2.u + 2.0 * k3.u + k4.u)
-    z = s.z + (h / 6.0) * (k1.v + 2.0 * k2.v + 2.0 * k3.v + k4.v)
-    y = s.y + (h / 6.0) * (k1.w + 2.0 * k2.w + 2.0 * k3.w + k4.w)
+    half = 0.5 * h
+    u1, v1, w1 = k1 = _field(p, sched, t, s)
+    u2, v2, w2 = k2 = _field(p, sched, t + half, _shifted(s, k1, half, t))
+    u3, v3, w3 = k3 = _field(p, sched, t + half, _shifted(s, k2, half, t))
+    u4, v4, w4 = _field(p, sched, t + h, _shifted(s, k3, h, t))
+    sixth = h / 6.0
+    x = s.x + (u1 + u2 * 2.0 + u3 * 2.0 + u4) * sixth
+    z = s.z + (v1 + v2 * 2.0 + v3 * 2.0 + v4) * sixth
+    y = s.y + (w1 + w2 * 2.0 + w3 * 2.0 + w4) * sixth
     return PrimalDualState(x, z, y, t + h)
 
 
@@ -286,7 +351,7 @@ def _euler_step(p, sched, t, s, h) -> PrimalDualState:
         # discrete solver's update bit for bit.
         return PrimalDualState(up.x, up.z, s.y + up.w, t + h)
     return PrimalDualState(
-        s.x + h * (up.x - s.x), s.z + h * (up.z - s.z), s.y + h * up.w, t + h
+        s.x + (up.x - s.x) * h, s.z + (up.z - s.z) * h, s.y + up.w * h, t + h
     )
 
 
@@ -298,7 +363,8 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
 
     Residuals are computed at recorded samples only; an energy value is
     attached to each sample when a reference saddle point is supplied. The
-    reference is checked to be a saddle point once, before the first step. A
+    dimensions of ``s0`` are checked, and the reference is checked to be a
+    saddle point, once, before the first step. A
     subproblem failure mid-run raises :class:`TrajectoryError` carrying the
     partial trajectory.
     """
@@ -313,6 +379,7 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
 
     from .diagnostics import check_reference, energy as energy_fn
 
+    s = p.state(s0.x, s0.z, s0.y)
     if reference is not None:
         check_reference(p, reference)
     stepper = _euler_step if method == "euler" else _rk4_step
@@ -327,7 +394,6 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
         kkt = p.kkt_residual(state)
         return TrajectorySample(t, state, kkt.feas, kkt, e)
 
-    s = s0.with_time(0.0)
     samples = [make_sample(0.0, s)]
     for n in range(n_steps):
         t = n * h

@@ -20,12 +20,12 @@ import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError
 from .functions import SeparableFunction
-from .linop import LinearMap, as_vector, operator_norm
+from .linop import _FLOAT, LinearMap, as_vector, operator_norm
 
 __all__ = ["PrimalDualState", "TwoBlockProblem", "KKTResidual"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimalDualState:
     """A primal-dual triple (x, z, y) stamped with a time or iteration index."""
 
@@ -35,9 +35,12 @@ class PrimalDualState:
     t: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        x, z, y = self.x, self.z, self.y
+        if not (type(x) is type(z) is type(y) is np.ndarray
+                and x.dtype is z.dtype is y.dtype is _FLOAT):
+            object.__setattr__(self, "x", np.asarray(x, dtype=float))
+            object.__setattr__(self, "z", np.asarray(z, dtype=float))
+            object.__setattr__(self, "y", np.asarray(y, dtype=float))
 
     def with_time(self, t: float) -> "PrimalDualState":
         return PrimalDualState(self.x, self.z, self.y, t)
@@ -152,24 +155,32 @@ class TwoBlockProblem:
             ax = self.A.apply(as_vector(s.x, self.dim_x, "x"))
         if bz is None:
             bz = self.B.apply(as_vector(s.z, self.dim_z, "z"))
-        return float(np.linalg.norm(ax + bz - self.b))
+        r = ax + bz - self.b
+        return math.sqrt(r.dot(r))
 
     def kkt_residual(self, s: PrimalDualState, aty=None, ax=None, bz=None) -> KKTResidual:
         """Unit-step prox fixed-point residuals for the optimality system.
 
         The products ``aty = A* y``, ``ax = A x`` and ``bz = B z`` are computed
         here unless the caller already has them; the solver loop passes the ones
-        its update made and keeps ``aty`` for the next x-step.
+        its update made and keeps ``aty`` for the next x-step. Norms are
+        ``sqrt(r . r)``, the computation ``np.linalg.norm`` makes for a vector.
         """
         x = as_vector(s.x, self.dim_x, "x")
         z = as_vector(s.z, self.dim_z, "z")
         y = as_vector(s.y, self.dim_y, "y")
         if aty is None:
             aty = self.A.adjoint_apply(y)
-        rx = x - self.f.prox(1.0, x + aty - self.h1.grad(x))
-        rz = z - self.g.prox(1.0, z + self.B.adjoint_apply(y) - self.h2.grad(z))
+        vx = x + aty
+        if self.h1.kind != "zero":
+            vx = vx - self.h1.grad(x)
+        vz = z + self.B.adjoint_apply(y)
+        if self.h2.kind != "zero":
+            vz = vz - self.h2.grad(z)
+        rx = x - self.f.prox(1.0, vx)
+        rz = z - self.g.prox(1.0, vz)
         return KKTResidual(
-            float(np.linalg.norm(rx)),
-            float(np.linalg.norm(rz)),
+            math.sqrt(rx.dot(rx)),
+            math.sqrt(rz.dot(rz)),
             self.feasibility_residual(s, ax, bz),
         )

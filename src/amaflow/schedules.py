@@ -170,12 +170,13 @@ class ZeroMetric(MetricSchedule):
         if dim <= 0:
             raise ValueError(f"dimension must be positive, got {dim}")
         self.dim = dim
+        self._zero = ScaledIdentityMap(dim, 0.0)
 
     def at(self, t):
-        return ScaledIdentityMap(self.dim, 0.0)
+        return self._zero
 
     def derivative_at(self, t):
-        return ScaledIdentityMap(self.dim, 0.0)
+        return self._zero
 
 
 class ScaledIdentityMetric(MetricSchedule):

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from amaflow.cli import main
+from amaflow.cli import _row_format, main
 
 from test_probfile import doc
 
@@ -152,6 +154,20 @@ class TestSolve:
         assert "status: error" in report
         assert "aborted" in report
 
+    def test_forced_diverging_solve_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        huge_c = doc(schedules__c={"kind": "constant", "value": 50.0})
+        rc = main(["solve", write(tmp_path, huge_c), "--force", "--max-iters", "300"])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert "status: diverged" in out
+        report = (tmp_path / "prob-prox-ama.report.txt").read_text()
+        assert "status: diverged" in report
+        assert "message: residual not finite at iteration" in report
+        _, rows = read_csv(tmp_path / "prob-prox-ama.csv")
+        assert any(v in ("inf", "nan") for v in rows[-1][7:])
+        assert int(float(rows[-1][0])) < 300
+
     def test_ama_needs_zero_couplings(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         smooth_h1 = doc(
@@ -216,3 +232,14 @@ class TestPaperExample:
             (tmp_path / "two.csv").read_bytes()
         assert (tmp_path / "one.report.txt").read_bytes() == \
             (tmp_path / "two.report.txt").read_bytes()
+
+
+class TestCsvRows:
+    def test_row_format_writes_the_bytes_of_the_f_string(self):
+        values = (-0.0, 5.0, 1e-300, 2.0**53 + 1, math.inf, -math.inf, math.nan,
+                  np.float64(0.1), np.float64(-3.5e17), np.float64(-0.0), 1.0 / 3.0,
+                  5e-324, 1.7976931348623157e308, 123456789012345678.0)
+        expected = ",".join(f"{v:.17g}" for v in values) + "\n"
+        assert _row_format(len(values)) % values == expected
+        for v in values:
+            assert _row_format(1) % (v,) == f"{v:.17g}\n"

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from amaflow import (
     CapabilityError,
+    ConstantDenseMetric,
     ConstantSchedule,
     CoupledReciprocal,
     DenseMap,
@@ -12,6 +15,7 @@ from amaflow import (
     PrimalDualState,
     ProxFriendlyMetric,
     QuadraticDistance,
+    ReciprocalQuadratic,
     ScaledIdentityMap,
     SolveConfig,
     TwoBlockProblem,
@@ -238,3 +242,87 @@ class TestSolveConfig:
         assert cfg.tol_kkt == 1e-6
         assert cfg.tol_feas == 1e-6
         assert cfg.record_every == 1
+
+
+class TestDivergence:
+    @staticmethod
+    def large_penalty(p):
+        # c = 50 is far outside the admissible range 0 < c < 2 of the example
+        c = ConstantSchedule(50.0)
+        return ParameterSchedule(c, ZeroMetric(2),
+                                 ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B))
+
+    def test_stops_at_the_first_nonfinite_residual(self, ex_problem, ex_start):
+        res = prox_ama_run(ex_problem, self.large_penalty(ex_problem), ex_start,
+                           SolveConfig(max_iters=300))
+        assert res.status == "diverged"
+        assert res.iterations_used < 300
+        *before, last = res.iterates.samples
+        assert last.t == res.iterations_used and last.state is res.final
+        assert not all(math.isfinite(v) for v in last.kkt)
+        assert all(math.isfinite(v) for smp in before for v in smp.kkt)
+        assert f"iteration {res.iterations_used}" in res.message
+
+    def test_diverged_sample_is_recorded_between_cadence_points(self, ex_problem,
+                                                                 ex_start):
+        full = prox_ama_run(ex_problem, self.large_penalty(ex_problem), ex_start,
+                            SolveConfig(max_iters=300))
+        sparse = prox_ama_run(ex_problem, self.large_penalty(ex_problem), ex_start,
+                              SolveConfig(max_iters=300, record_every=100))
+        k = full.iterations_used
+        assert sparse.status == "diverged" and sparse.iterations_used == k
+        assert sparse.iterates.times() == pytest.approx(
+            [float(t) for t in range(0, k, 100)] + [float(k)])
+
+    def test_short_budget_still_reports_max_iters(self, ex_problem, ex_start):
+        res = prox_ama_run(ex_problem, self.large_penalty(ex_problem), ex_start,
+                           SolveConfig(max_iters=20))
+        assert res.status == "max_iters"
+
+
+class TestConstantCoupling:
+    """The general-M2 z-step checks and norms c B*B + M2 once while it is constant."""
+
+    M2 = ConstantDenseMetric(DenseMap([[0.6, 0.1], [0.1, 0.4]]))
+
+    def manual(self, p, sched, s0, iters):
+        s = s0
+        for k in range(iters):
+            t = float(k)
+            s = prox_ama_step(p, sched.M1.at(t), sched.M2.at(t), sched.c.value_at(t), s)
+        return s
+
+    def test_constant_dense_run_decomposes_once(self, ex_problem, ex_start,
+                                                decompositions):
+        sched = ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2), self.M2)
+        res = prox_ama_run(ex_problem, sched, ex_start,
+                           SolveConfig(max_iters=50, tol_kkt=1e-300, tol_feas=1e-300))
+        assert res.iterations_used == 50
+        assert decompositions == {"eigvalsh": 1, "eigh": 0, "svd": 1}
+        s = self.manual(ex_problem, sched, ex_start, 50)
+        for a, b in ((res.final.x, s.x), (res.final.z, s.z), (res.final.y, s.y)):
+            assert np.array_equal(a, b)
+
+    def test_plain_scheme_norms_once(self, ex_problem, ex_start, decompositions):
+        res = ama_run(ex_problem, ConstantSchedule(0.25), ex_start,
+                      SolveConfig(max_iters=50, tol_kkt=1e-300, tol_feas=1e-300))
+        assert res.iterations_used == 50
+        assert decompositions == {"eigvalsh": 0, "eigh": 0, "svd": 1}
+
+    def test_varying_penalty_rebuilds_every_update(self, ex_problem, ex_start,
+                                                   decompositions):
+        sched = ParameterSchedule(ReciprocalQuadratic(1.1, 0.3), ZeroMetric(2), self.M2)
+        res = prox_ama_run(ex_problem, sched, ex_start,
+                           SolveConfig(max_iters=20, tol_kkt=1e-300, tol_feas=1e-300))
+        assert res.iterations_used == 20
+        assert decompositions["svd"] == 20
+        s = self.manual(ex_problem, sched, ex_start, 20)
+        for a, b in ((res.final.x, s.x), (res.final.z, s.z), (res.final.y, s.y)):
+            assert np.array_equal(a, b)
+
+    def test_ill_posed_constant_coupling_fails_at_the_first_update(self, ex_problem,
+                                                                   ex_start):
+        sched = ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2), ZeroMetric(2))
+        res = prox_ama_run(ex_problem, sched, ex_start, SolveConfig(max_iters=50))
+        assert res.status == "error" and res.iterations_used == 0
+        assert res.message.startswith("subproblem metric not uniformly positive")

@@ -7,6 +7,7 @@ from amaflow import (
     ConstantDenseMetric,
     ConstantSchedule,
     DenseMap,
+    DimensionMismatchError,
     GammaOutput,
     IdentityMap,
     L1Norm,
@@ -290,3 +291,94 @@ class TestIntegrate:
         assert len(partial.samples) == 1
         assert partial.samples[0].t == 0.0
         assert "aborted at t=0" in str(err.value)
+
+
+class LooseMap(DenseMap):
+    """A dense map that trusts the length of what it is given."""
+
+    def apply(self, x):
+        return self.matrix.dot(x)
+
+    def adjoint_apply(self, y):
+        return self.matrix.T.dot(y)
+
+
+class TestBoundaryChecks:
+    """Runs check their start once; public helpers still check what they get."""
+
+    @pytest.mark.parametrize("block", ["x", "z", "y"])
+    @pytest.mark.parametrize("run", ["prox-ama", "ama", "integrate"])
+    def test_wrong_length_start_fails_before_any_update(
+            self, run, block, ex_problem, monkeypatch):
+        from amaflow import ama_run, discrete, dynamics
+
+        # maps that do not check lengths: the run itself must catch the start
+        p = TwoBlockProblem(f=ex_problem.f, h1=ex_problem.h1, g=ex_problem.g,
+                            h2=ex_problem.h2, A=LooseMap(A_MAT), B=LooseMap(B_MAT),
+                            b=ex_problem.b)
+        sched = example_schedule("c025", 0.99, p)
+
+        updates = []
+        real = dynamics.alternating_update
+
+        def counted(*args, **kwargs):
+            updates.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "alternating_update", counted)
+        monkeypatch.setattr(discrete, "alternating_update", counted)
+        blocks = {"x": np.zeros(2), "z": np.zeros(2), "y": np.zeros(2)}
+        blocks[block] = np.zeros(3)
+        s0 = PrimalDualState(**blocks)
+        cfg = SolveConfig(max_iters=5)
+        with pytest.raises(DimensionMismatchError):
+            if run == "prox-ama":
+                prox_ama_run(p, sched, s0, cfg)
+            elif run == "ama":
+                ama_run(p, ConstantSchedule(0.25), s0, cfg)
+            else:
+                integrate(p, sched, s0, method="rk4", h=0.5, T=1.0)
+        assert updates == []
+
+    def test_public_helpers_accept_lists(self, ex_problem, ex_sched_c025):
+        p, sched = ex_problem, ex_sched_c025
+        m1, c, tau = sched.M1.at(0.0), 0.25, sched.tau.value_at(0.0)
+        x, z, y = [1.0, -2.0], [0.5, 3.0], [-1.0, 2.0]
+        arr = [np.array(v) for v in (x, z, y)]
+        assert np.array_equal(solve_x_subproblem(p, m1, x, y),
+                              solve_x_subproblem(p, m1, arr[0], arr[2]))
+        assert np.array_equal(solve_z_subproblem(p, None, c, tau, z, y, x),
+                              solve_z_subproblem(p, None, c, tau, arr[1], arr[2], arr[0]))
+        assert np.array_equal(regularized_argmin(p.g, ScaledIdentityMap(2, 2.0), x),
+                              regularized_argmin(p.g, ScaledIdentityMap(2, 2.0), arr[0]))
+        listed = gamma(p, sched, 0.0, PrimalDualState(x, z, y))
+        assert np.array_equal(listed.u, gamma(p, sched, 0.0, PrimalDualState(*arr)).u)
+        assert np.array_equal(p.A.apply(x), A_MAT @ arr[0])
+        assert np.array_equal(p.f.prox(1.0, x), p.f.prox(1.0, arr[0]))
+
+    def test_public_helpers_reject_wrong_lengths(self, ex_problem, ex_sched_c025):
+        p, sched = ex_problem, ex_sched_c025
+        m1, c, tau = sched.M1.at(0.0), 0.25, sched.tau.value_at(0.0)
+        good, bad = np.zeros(2), np.zeros(3)
+        calls = [
+            lambda: solve_x_subproblem(p, m1, bad, good),
+            lambda: solve_x_subproblem(p, m1, good, bad),
+            lambda: solve_z_subproblem(p, None, c, tau, bad, good, good),
+            lambda: solve_z_subproblem(p, None, c, tau, good, bad, good),
+            lambda: solve_z_subproblem(p, None, c, tau, good, good, bad),
+            lambda: regularized_argmin(p.g, ScaledIdentityMap(2, 2.0), bad),
+            lambda: gamma(p, sched, 0.0, PrimalDualState(bad, good, good)),
+            lambda: gamma(p, sched, 0.0, PrimalDualState(good, bad, good)),
+            lambda: gamma(p, sched, 0.0, PrimalDualState(good, good, bad)),
+            lambda: p.A.apply(bad),
+            lambda: p.B.adjoint_apply(bad),
+            lambda: p.f.prox(1.0, bad),
+            lambda: p.g.prox(1.0, bad),
+            lambda: p.h1.grad(bad),
+            lambda: p.kkt_residual(PrimalDualState(good, good, bad)),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionMismatchError):
+                call()
+        with pytest.raises(DimensionMismatchError):
+            p.A.apply(np.zeros((2, 1)))

@@ -34,6 +34,16 @@ class TestApply:
         with pytest.raises(DimensionMismatchError):
             DenseMap(A_MAT).apply([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (7, 4), (64, 64), (400, 400)])
+    def test_dense_products_equal_matmul_bit_for_bit(self, shape, rng):
+        m = rng.standard_normal(shape)
+        op = DenseMap(m)
+        x = rng.standard_normal(2 * shape[1])
+        y = rng.standard_normal(shape[0])
+        assert np.array_equal(op.apply(x[::2]), m @ x[::2])
+        assert np.array_equal(op.apply(x[: shape[1]]), m @ x[: shape[1]])
+        assert np.array_equal(op.adjoint_apply(y), m.T @ y)
+
 
 class TestAdjoint:
     def test_dense_adjoint_values(self):

@@ -151,6 +151,23 @@ class TestKKTResidual:
         assert r.rx == pytest.approx(0.5)
         assert r.rz == pytest.approx(0.0)
 
+    def test_equals_the_norm_formula_bit_for_bit(self, rng):
+        n = 6
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        p = TwoBlockProblem(
+            f=QuadraticDistance(rng.standard_normal(n), 1.5),
+            h1=QuadraticDistance(rng.standard_normal(n), 0.3), g=L1Norm(n, 0.7),
+            h2=QuadraticDistance(rng.standard_normal(n), 0.2), A=DenseMap(A),
+            B=DenseMap(B), b=rng.standard_normal(n))
+        for _ in range(20):
+            x, z, y = (rng.standard_normal(n) * 10.0 for _ in range(3))
+            r = p.kkt_residual(state(p, x, z, y))
+            rx = x - p.f.prox(1.0, x + A.T @ y - p.h1.grad(x))
+            rz = z - p.g.prox(1.0, z + B.T @ y - p.h2.grad(z))
+            assert r.rx == float(np.linalg.norm(rx))
+            assert r.rz == float(np.linalg.norm(rz))
+            assert r.feas == float(np.linalg.norm(A @ x + B @ z - p.b))
+
     def test_max_field(self, ex_problem):
         s = state(ex_problem, [3.0, 0.0], [1.0, -1.0], [0.2, 0.1])
         r = ex_problem.kkt_residual(s)

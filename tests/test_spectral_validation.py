@@ -301,27 +301,6 @@ def test_prox_friendly_metric_on_another_b_is_refused():
 # cost
 
 
-# numpy's implementation module: np.linalg.norm(M, 2), which operator_norm
-# uses, calls the svd found there rather than np.linalg.svd
-_LINALG_IMPL = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-
-
-@pytest.fixture
-def decompositions(monkeypatch):
-    """Counts of numpy's eigvalsh, eigh and svd calls, direct or from inside np.linalg."""
-    counts = {"eigvalsh": 0, "eigh": 0, "svd": 0}
-    for name in counts:
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-        monkeypatch.setattr(_LINALG_IMPL, name, counted)
-    return counts
-
-
 def _random_problem(n, seed=0):
     rng = np.random.default_rng(seed)
     A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
