@@ -274,11 +274,6 @@ class TestDivergence:
         assert sparse.iterates.times() == pytest.approx(
             [float(t) for t in range(0, k, 100)] + [float(k)])
 
-    def test_short_budget_still_reports_max_iters(self, ex_problem, ex_start):
-        res = prox_ama_run(ex_problem, self.large_penalty(ex_problem), ex_start,
-                           SolveConfig(max_iters=20))
-        assert res.status == "max_iters"
-
 
 class TestConstantCoupling:
     """The general-M2 z-step checks and norms c B*B + M2 once while it is constant."""
@@ -319,10 +314,3 @@ class TestConstantCoupling:
         s = self.manual(ex_problem, sched, ex_start, 20)
         for a, b in ((res.final.x, s.x), (res.final.z, s.z), (res.final.y, s.y)):
             assert np.array_equal(a, b)
-
-    def test_ill_posed_constant_coupling_fails_at_the_first_update(self, ex_problem,
-                                                                   ex_start):
-        sched = ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2), ZeroMetric(2))
-        res = prox_ama_run(ex_problem, sched, ex_start, SolveConfig(max_iters=50))
-        assert res.status == "error" and res.iterations_used == 0
-        assert res.message.startswith("subproblem metric not uniformly positive")
