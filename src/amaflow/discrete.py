@@ -21,7 +21,7 @@ from .dynamics import (
     alternating_update,
 )
 from .linop import ScaledIdentityMap
-from .problem import PrimalDualState, TwoBlockProblem
+from .problem import KKTResidual, PrimalDualState, TwoBlockProblem
 from .schedules import ParameterSchedule, ScalarSchedule
 
 __all__ = ["SolveConfig", "SolveResult", "prox_ama_step", "prox_ama_run", "ama_run"]
@@ -61,18 +61,34 @@ def prox_ama_step(p: TwoBlockProblem, M1_k, M2_k, c_k: float,
 
 def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfig,
               method: str, require_uniform: bool) -> SolveResult:
-    # A sample's KKT residual takes the A x and B z of the update that made
-    # the state and computes A* y; the next update reuses A* y and B z, and the
-    # z-step's coupling while c and M2 stay the same.
+    """The loop of :func:`prox_ama_run` and :func:`ama_run`.
+
+    An iteration streams the matrices four times, A B B A on the
+    prox-friendly branch: the update's A x+, B* of the z-target and B z+,
+    then A* y+ for the x-residual, which the next x-step reuses along with
+    B z+. The z-residual (one more B* y+, before A* y+, and a prox of g) is
+    computed only where it can decide the run: on recorded iterates (the
+    last one included) and on iterates whose x-residual and feasibility
+    residual both pass their tolerances or are not both finite. Anywhere
+    else one of the two is finite and above its tolerance, so the iterate
+    can neither converge nor be found diverged by them. The one case this
+    reports later than a full residual would: a non-finite value that shows
+    first in rz alone, on an iterate that is not recorded. The run then stops
+    as ``diverged`` once it reaches rx or the feasibility residual (through
+    the next z-step, typically one iterate later) or at the next recorded
+    iterate, whichever comes first.
+    """
+    A, B = p.A, p.B
+
     def sample(k, state, ax=None, bz=None):
-        if ax is None:
-            ax, bz = p.A.apply(state.x), p.B.apply(state.z)
-        aty = p.A.adjoint_apply(state.y)
-        kkt = p.kkt_residual(state, aty, ax, bz)
-        return TrajectorySample(float(k), state, kkt.feas, kkt), aty, bz
+        bty = B.adjoint_apply(state.y)
+        aty = A.adjoint_apply(state.y)
+        kkt = p.kkt_residual(state, aty, ax, bz, bty)
+        return TrajectorySample(float(k), state, kkt.feas, kkt), aty
 
     s = p.state(s0.x, s0.z, s0.y)
-    first, aty, bz = sample(0, s)
+    bz = B.apply(s.z)
+    first, aty = sample(0, s, A.apply(s.x), bz)
     samples = [first]
     stop = _stop(first.kkt, cfg, 0)
     if stop is not None:
@@ -91,13 +107,25 @@ def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfi
         except (ConvergenceError, ConditionError) as exc:
             status, message, used = "error", str(exc), k
             break
-        coupling = up.coupling
+        coupling, bz = up.coupling, up.bz
         s = PrimalDualState(up.x, up.z, s.y + up.w, float(k + 1))
-        smp, aty, bz = sample(k + 1, s, up.ax, up.bz)
-        stop = _stop(smp.kkt, cfg, k + 1)
-        if stop is not None or (k + 1) % cfg.record_every == 0 or k + 1 == cfg.max_iters:
+        recorded = (k + 1) % cfg.record_every == 0 or k + 1 == cfg.max_iters
+        if recorded:
+            smp, aty = sample(k + 1, s, up.ax, bz)
             samples.append(smp)
+        else:
+            aty = A.adjoint_apply(s.y)
+            rx = p._x_residual(s.x, aty)
+            feas = p.feasibility_residual(s, up.ax, bz)
+            if ((rx > cfg.tol_kkt or feas > cfg.tol_feas)
+                    and math.isfinite(rx) and math.isfinite(feas)):
+                continue
+            kkt = KKTResidual(rx, p._z_residual(s.z, B.adjoint_apply(s.y)), feas)
+            smp = TrajectorySample(float(k + 1), s, feas, kkt)
+        stop = _stop(smp.kkt, cfg, k + 1)
         if stop is not None:
+            if not recorded:
+                samples.append(smp)
             (status, message), used = stop, k + 1
             break
 

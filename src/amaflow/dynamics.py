@@ -141,7 +141,11 @@ def _lipschitz(Q: LinearMap, require_uniform: bool) -> float:
 
 def _inner_argmin(fun: SeparableFunction, Q: LinearMap, lip: float,
                   target: np.ndarray, start: Optional[np.ndarray]) -> np.ndarray:
-    """The proximal-gradient loop for a general Q with Lipschitz constant ``lip``."""
+    """The proximal-gradient loop for a general Q with Lipschitz constant ``lip``.
+
+    It stops once a step is at most ``1e-10 * max(1, |p|)``, p the new point,
+    so iterates of any scale can stop.
+    """
     if lip == 0.0:
         return fun.conj_grad(target)
     step = 1.0 / lip
@@ -151,7 +155,7 @@ def _inner_argmin(fun: SeparableFunction, Q: LinearMap, lip: float,
         d = p_next - p
         delta = math.sqrt(d.dot(d))
         p = p_next
-        if delta < 1e-10:
+        if delta <= 1e-10 * max(1.0, math.sqrt(p.dot(p))):
             return p
     raise ConvergenceError(
         "inner proximal-gradient solve did not reach tolerance",
@@ -344,15 +348,20 @@ def _rk4_step(p, sched, t, s, h) -> PrimalDualState:
     return PrimalDualState(x, z, y, t + h)
 
 
-def _euler_step(p, sched, t, s, h) -> PrimalDualState:
-    up = alternating_update(p, *_schedule_snapshot(sched, t), s)
+def _euler_step(p, sched, t, s, h, bz=None) -> tuple:
+    """One Euler step from ``s``, whose ``B z`` is ``bz`` when the caller has it.
+
+    Returns the next state and, at unit step, its ``B z``: the argmins become
+    the next iterate, matching the discrete solver's update bit for bit, so
+    the update's ``B z_new`` is exactly the product the next step needs.
+    Other steps return None for it.
+    """
+    up = alternating_update(p, *_schedule_snapshot(sched, t), s, bz=bz)
     if h == 1.0:
-        # Unit step: the argmins become the next iterate, matching the
-        # discrete solver's update bit for bit.
-        return PrimalDualState(up.x, up.z, s.y + up.w, t + h)
+        return PrimalDualState(up.x, up.z, s.y + up.w, t + h), up.bz
     return PrimalDualState(
         s.x + (up.x - s.x) * h, s.z + (up.z - s.z) * h, s.y + up.w * h, t + h
-    )
+    ), None
 
 
 def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
@@ -364,9 +373,11 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     Residuals are computed at recorded samples only; an energy value is
     attached to each sample when a reference saddle point is supplied. The
     dimensions of ``s0`` are checked, and the reference is checked to be a
-    saddle point, once, before the first step. A
-    subproblem failure mid-run raises :class:`TrajectoryError` carrying the
-    partial trajectory.
+    saddle point, once, before the first step. A subproblem failure mid-run,
+    or a recorded sample with a residual that is not finite, raises
+    :class:`TrajectoryError` carrying the partial trajectory (that sample
+    included). Unit-step Euler carries each update's ``B z_new`` into the
+    next step, as the discrete solver does.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
@@ -382,27 +393,35 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     s = p.state(s0.x, s0.z, s0.y)
     if reference is not None:
         check_reference(p, reference)
-    stepper = _euler_step if method == "euler" else _rk4_step
     n_steps = int(round(T / h))
     if n_steps < 1:
         n_steps = 1
 
-    def make_sample(t, state):
+    def make_sample(t, state, bz):
         e = None
         if reference is not None:
             e = energy_fn(p, sched, t, state, reference, ref_checked=True).energy
-        kkt = p.kkt_residual(state)
+        kkt = p.kkt_residual(state, bz=bz)
         return TrajectorySample(t, state, kkt.feas, kkt, e)
 
-    samples = [make_sample(0.0, s)]
+    samples = [make_sample(0.0, s, None)]
+    bz = None
     for n in range(n_steps):
         t = n * h
         try:
-            s = stepper(p, sched, t, s, h)
+            if method == "euler":
+                s, bz = _euler_step(p, sched, t, s, h, bz)
+            else:
+                s = _rk4_step(p, sched, t, s, h)
         except (ConvergenceError, ConditionError, CapabilityError) as exc:
             partial = Trajectory(samples, method, h, T)
             raise TrajectoryError(f"integration aborted at t={t:.6g}: {exc}",
                                   trajectory=partial) from exc
         if (n + 1) % record_every == 0 or n + 1 == n_steps:
-            samples.append(make_sample((n + 1) * h, s))
+            smp = make_sample((n + 1) * h, s, bz)
+            samples.append(smp)
+            if not all(math.isfinite(v) for v in smp.kkt):
+                raise TrajectoryError(
+                    f"integration diverged at t={smp.t:.6g}: residual not finite",
+                    trajectory=Trajectory(samples, method, h, T))
     return Trajectory(samples, method, h, T)

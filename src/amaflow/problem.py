@@ -158,29 +158,41 @@ class TwoBlockProblem:
         r = ax + bz - self.b
         return math.sqrt(r.dot(r))
 
-    def kkt_residual(self, s: PrimalDualState, aty=None, ax=None, bz=None) -> KKTResidual:
+    def kkt_residual(self, s: PrimalDualState, aty=None, ax=None, bz=None,
+                     bty=None) -> KKTResidual:
         """Unit-step prox fixed-point residuals for the optimality system.
 
-        The products ``aty = A* y``, ``ax = A x`` and ``bz = B z`` are computed
-        here unless the caller already has them; the solver loop passes the ones
-        its update made and keeps ``aty`` for the next x-step. Norms are
-        ``sqrt(r . r)``, the computation ``np.linalg.norm`` makes for a vector.
+        The products ``aty = A* y``, ``bty = B* y``, ``ax = A x`` and
+        ``bz = B z`` are computed here unless the caller already has them; the
+        solver loop passes the ones its update made and keeps ``aty`` for the
+        next x-step. Norms are ``sqrt(r . r)``, the computation
+        ``np.linalg.norm`` makes for a vector.
         """
         x = as_vector(s.x, self.dim_x, "x")
         z = as_vector(s.z, self.dim_z, "z")
         y = as_vector(s.y, self.dim_y, "y")
+        if bty is None:
+            bty = self.B.adjoint_apply(y)
         if aty is None:
             aty = self.A.adjoint_apply(y)
+        return KKTResidual(
+            self._x_residual(x, aty),
+            self._z_residual(z, bty),
+            self.feasibility_residual(s, ax, bz),
+        )
+
+    def _x_residual(self, x: np.ndarray, aty: np.ndarray) -> float:
+        """``|x - prox_f(x + A* y - grad h1(x))|`` on trusted arrays."""
         vx = x + aty
         if self.h1.kind != "zero":
             vx = vx - self.h1.grad(x)
-        vz = z + self.B.adjoint_apply(y)
+        rx = x - self.f.prox(1.0, vx)
+        return math.sqrt(rx.dot(rx))
+
+    def _z_residual(self, z: np.ndarray, bty: np.ndarray) -> float:
+        """``|z - prox_g(z + B* y - grad h2(z))|`` on trusted arrays."""
+        vz = z + bty
         if self.h2.kind != "zero":
             vz = vz - self.h2.grad(z)
-        rx = x - self.f.prox(1.0, vx)
         rz = z - self.g.prox(1.0, vz)
-        return KKTResidual(
-            math.sqrt(rx.dot(rx)),
-            math.sqrt(rz.dot(rz)),
-            self.feasibility_residual(s, ax, bz),
-        )
+        return math.sqrt(rz.dot(rz))

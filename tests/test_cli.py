@@ -168,6 +168,20 @@ class TestSolve:
         assert any(v in ("inf", "nan") for v in rows[-1][7:])
         assert int(float(rows[-1][0])) < 300
 
+    def test_forced_diverging_integration_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        huge_c = doc(schedules__c={"kind": "constant", "value": 50.0})
+        rc = main(["solve", write(tmp_path, huge_c), "--force", "--mode",
+                   "continuous-euler", "--step", "1", "--horizon", "3000",
+                   "--record-every", "10"])
+        assert rc == 3
+        report = (tmp_path / "prob-continuous-euler.report.txt").read_text()
+        assert "residual not finite" in report
+        _, rows = read_csv(tmp_path / "prob-continuous-euler.csv")
+        assert any(v in ("inf", "nan") for v in rows[-1][7:])
+        assert all(v not in ("inf", "nan") for row in rows[:-1] for v in row[7:])
+        assert float(rows[-1][0]) < 3000.0
+
     def test_ama_needs_zero_couplings(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         smooth_h1 = doc(

@@ -23,6 +23,7 @@ from amaflow import (
     ZeroMetric,
     ama_run,
     example_schedule,
+    integrate,
     prox_ama_run,
     prox_ama_step,
 )
@@ -155,6 +156,77 @@ class TestMatvecCount:
         assert counts[10] <= 5 * 10 + 4
 
 
+class LoggingMap(DenseMap):
+    """A dense map that logs ``(name, "apply" | "adjoint")`` for each product."""
+
+    def __init__(self, matrix, name, log):
+        super().__init__(matrix)
+        self.name, self.log = name, log
+
+    def apply(self, x):
+        self.log.append((self.name, "apply"))
+        return super().apply(x)
+
+    def adjoint_apply(self, y):
+        self.log.append((self.name, "adjoint"))
+        return super().adjoint_apply(y)
+
+
+PLAIN = [("A", "apply"), ("B", "adjoint"), ("B", "apply"), ("A", "adjoint")]
+RECORDED = PLAIN[:3] + [("B", "adjoint"), ("A", "adjoint")]
+
+
+class TestPassPlan:
+    """The order and number of matrix products per iteration."""
+
+    @staticmethod
+    def logged_problem(rng, n=20):
+        log = []
+        B = rng.standard_normal((n, n))
+        p = TwoBlockProblem(
+            f=QuadraticDistance(rng.standard_normal(n), 1.0), h1=ZeroFunction(n),
+            g=L1Norm(n, 0.5), h2=ZeroFunction(n),
+            A=LoggingMap(rng.standard_normal((n, n)) + 3.0 * np.eye(n), "A", log),
+            B=LoggingMap(B / np.linalg.norm(B, 2), "B", log), b=rng.standard_normal(n))
+        c = ConstantSchedule(1.0)
+        sched = ParameterSchedule(c, ZeroMetric(n),
+                                  ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B))
+        s0 = p.state(np.zeros(n), np.zeros(n), np.zeros(n))
+        log.clear()
+        return p, sched, s0, log
+
+    @staticmethod
+    def unreachable(iters, record_every):
+        return SolveConfig(max_iters=iters, tol_kkt=1e-300, tol_feas=1e-300,
+                           record_every=record_every)
+
+    def test_iterations_stream_a_b_b_a(self, rng):
+        p, sched, s0, log = self.logged_problem(rng)
+        res = prox_ama_run(p, sched, s0, self.unreachable(12, 4))
+        assert res.iterations_used == 12
+        expected = []
+        for k in range(1, 13):
+            expected += RECORDED if k % 4 == 0 or k == 12 else PLAIN
+        assert len(log) == 4 + len(expected)
+        assert log[4:] == expected
+
+    def test_unrecorded_run_makes_four_products_per_iteration(self, rng):
+        p, sched, s0, log = self.logged_problem(rng)
+        res = prox_ama_run(p, sched, s0, self.unreachable(50, 50))
+        assert res.iterations_used == 50
+        assert len(log) <= 4 * 50 + 5
+
+    def test_unit_step_euler_makes_four_products_per_step(self, rng):
+        p, sched, s0, log = self.logged_problem(rng)
+        counts = {}
+        for steps in (10, 50):
+            log.clear()
+            integrate(p, sched, s0, method="euler", h=1.0, T=float(steps),
+                      record_every=steps)
+            counts[steps] = len(log)
+        assert (counts[50] - counts[10]) / 40 <= 4
+
+
 class TestAmaRun:
     def test_example_converges_without_metrics(self, ex_problem, ex_start,
                                                ex_sched_c025):
@@ -273,6 +345,14 @@ class TestDivergence:
         assert sparse.status == "diverged" and sparse.iterations_used == k
         assert sparse.iterates.times() == pytest.approx(
             [float(t) for t in range(0, k, 100)] + [float(k)])
+
+    def test_plain_scheme_stops_diverged_not_in_the_inner_loop(self, ex_problem, ex_start):
+        # Its general-M2 z-step runs the inner loop on iterates near 1e18, which
+        # an absolute step test could not stop.
+        res = ama_run(ex_problem, ConstantSchedule(50.0), ex_start,
+                      SolveConfig(max_iters=3000))
+        assert res.status == "diverged"
+        assert res.iterations_used == 142
 
 
 class TestConstantCoupling:

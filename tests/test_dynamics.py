@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from amaflow import (
     ConditionError,
     ConstantDenseMetric,
     ConstantSchedule,
+    CoupledReciprocal,
     DenseMap,
     DimensionMismatchError,
     GammaOutput,
@@ -199,6 +202,16 @@ class TestRegularizedArgmin:
                                  np.array([2.0, 3.0]), require_uniform=False)
         assert out == pytest.approx([1.0, 3.0], abs=1e-8)
 
+    def test_inner_loop_stops_on_a_relative_step(self):
+        # At 1e12 the iterates move by rounding, far above an absolute 1e-10.
+        rng = np.random.default_rng(0)
+        m = rng.standard_normal((4, 4))
+        q = m @ m.T + 0.5 * np.eye(4)
+        target = rng.standard_normal(4) * 1e12
+        out = regularized_argmin(L1Norm(4, 1.0), DenseMap(q), target)
+        exact = np.linalg.solve(q, target - np.sign(out))
+        assert np.linalg.norm(out - exact) <= 1e-8 * np.linalg.norm(exact)
+
 
 class TestGamma:
     def test_golden_value_at_start(self, ex_problem, ex_sched_c025, ex_start):
@@ -291,6 +304,40 @@ class TestIntegrate:
         assert len(partial.samples) == 1
         assert partial.samples[0].t == 0.0
         assert "aborted at t=0" in str(err.value)
+
+
+class TestIntegrateDivergence:
+    @staticmethod
+    def large_penalty(p):
+        c = ConstantSchedule(50.0)
+        return ParameterSchedule(c, ZeroMetric(2),
+                                 ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B))
+
+    def test_raises_at_the_first_nonfinite_recorded_sample(self, ex_problem, ex_start):
+        sched = self.large_penalty(ex_problem)
+        with pytest.raises(TrajectoryError) as err:
+            integrate(ex_problem, sched, ex_start, method="euler", h=1.0, T=3000.0,
+                      record_every=10)
+        assert "diverged at t=150" in str(err.value)
+        *before, last = err.value.trajectory.samples
+        assert last.t == 150.0
+        assert not all(math.isfinite(v) for v in last.kkt)
+        run = prox_ama_run(ex_problem, sched, ex_start,
+                           SolveConfig(max_iters=3000, record_every=10))
+        assert run.status == "diverged" and run.iterations_used == 142
+        assert [a.t for a in before] == [b.t for b in run.iterates.samples[:-1]]
+        for a, b in zip(before, run.iterates.samples):
+            for key in ("x", "z", "y"):
+                assert np.array_equal(getattr(a.state, key), getattr(b.state, key))
+            assert a.kkt == b.kkt and a.feas == b.feas
+
+    def test_rk4_raises_too(self, ex_problem, ex_start):
+        with pytest.raises(TrajectoryError) as err:
+            integrate(ex_problem, self.large_penalty(ex_problem), ex_start,
+                      method="rk4", h=1.0, T=3000.0, record_every=10)
+        last = err.value.trajectory.final
+        assert f"diverged at t={last.t:g}" in str(err.value)
+        assert not all(math.isfinite(v) for v in last.kkt)
 
 
 class LooseMap(DenseMap):

@@ -8,6 +8,7 @@ metric's matrix and compared with the matrix-free ones.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,10 @@ from amaflow import (
     TwoBlockProblem,
     ZeroFunction,
     ZeroMetric,
+    ama_run,
     energy,
+    example_problem,
+    example_start,
     integrate,
     prox_ama_run,
     solve_z_subproblem,
@@ -104,3 +108,53 @@ def test_energy_z_term_matches_dense_metric(case):
     dense = c * float(dz @ sched.M2.matrix_at(t) @ dz) + c * c * float(bdz @ bdz)
     got = energy(p, sched, t, s, ref, ref_checked=True).components[2]
     assert abs(got - dense) <= 1e-12 * abs(dense)
+
+
+def _bits(smp):
+    """A sample as bytes, NaN payloads included."""
+    st_ = smp.state
+    return (smp.t, st_.x.tobytes(), st_.z.tobytes(), st_.y.tobytes(),
+            np.array([smp.feas, *smp.kkt]).tobytes())
+
+
+def assert_subsampled(sparse, full, r):
+    """``sparse`` (record_every r) is ``full`` (record_every 1) subsampled."""
+    assert (sparse.status, sparse.iterations_used, sparse.message) == (
+        full.status, full.iterations_used, full.message)
+    last = full.iterates.samples[-1].t
+    kept = [s for s in full.iterates.samples if s.t % r == 0 or s.t == last]
+    assert [_bits(s) for s in sparse.iterates.samples] == [_bits(s) for s in kept]
+
+
+@SETTINGS
+@given(cases(), st.integers(1, 9), st.sampled_from((1e-2, 1e-5, 1e-9)))
+def test_recording_cadence_does_not_change_the_run(case, r, tol):
+    # The z-residual is skipped between recorded iterates where it cannot
+    # decide the run; the run must not notice.
+    p, sched, (x, z, y, _), _ = case
+    s0 = PrimalDualState(x, z, y)
+    runs = [prox_ama_run(p, sched, s0, SolveConfig(max_iters=150, tol_kkt=tol,
+                                                   tol_feas=tol, record_every=every))
+            for every in (1, r)]
+    assert_subsampled(runs[1], runs[0], r)
+
+
+@pytest.mark.parametrize("c, stop", [(50.0, 142), (20.0, 243)])
+@pytest.mark.parametrize("solver", ["prox-ama", "ama"])
+def test_diverging_runs_stop_at_the_same_iterate_for_every_cadence(c, stop, solver):
+    p, s0 = example_problem(), example_start()
+    c_sched = ConstantSchedule(c)
+    sched = ParameterSchedule(c_sched, ZeroMetric(2),
+                              ProxFriendlyMetric(CoupledReciprocal(0.99, c_sched),
+                                                 c_sched, p.B))
+
+    def run(r):
+        cfg = SolveConfig(max_iters=3000, record_every=r)
+        if solver == "ama":
+            return ama_run(p, c_sched, s0, cfg)
+        return prox_ama_run(p, sched, s0, cfg)
+
+    full = run(1)
+    assert full.status == "diverged" and full.iterations_used == stop
+    for r in range(2, 10):
+        assert_subsampled(run(r), full, r)
