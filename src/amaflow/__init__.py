@@ -15,17 +15,12 @@ from .errors import (
     TrajectoryError,
 )
 from .linop import (
-    AdjointMap,
-    ComposeMap,
     DenseMap,
     IdentityMap,
     LinearMap,
     ScaledIdentityMap,
-    SumMap,
-    gram,
     min_eigenvalue_sym,
     operator_norm,
-    scaled,
 )
 from .functions import (
     BoxIndicator,

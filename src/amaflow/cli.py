@@ -183,7 +183,7 @@ def _emit(data: ProblemFileData, traj, summary_source, prefix: str, mode: str,
                    energies)
     if isinstance(summary_source, TrajectoryError):
         rep = report(traj, p, validation=validation, energies=energies)
-        rep.status = "error"
+        rep.status = summary_source.status
         rep.message = str(summary_source)
     else:
         rep = report(summary_source, p, validation=validation, energies=energies)

@@ -15,10 +15,9 @@ which the monotonicity check absorbs with a small per-step slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, _snapshot
 from .problem import PrimalDualState, TwoBlockProblem
 from .schedules import ParameterSchedule, ValidationReport
 
@@ -35,11 +34,14 @@ __all__ = [
 REF_KKT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
 class EnergySample:
-    t: float
-    energy: float
-    components: tuple  # (x-term, x-metric-term, z-metric-term, y-term)
+    """The energy at time ``t`` and its four terms
+    ``(x-term, x-metric-term, z-metric-term, y-term)``."""
+
+    __slots__ = ("t", "energy", "components")
+
+    def __init__(self, t: float, energy: float, components: tuple):
+        self.t, self.energy, self.components = t, energy, components
 
 
 def check_reference(p: TwoBlockProblem, ref: PrimalDualState) -> None:
@@ -57,26 +59,32 @@ def energy(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
     """Evaluate the energy of ``s`` against a verified reference saddle.
 
     The reference is verified on every call unless the caller has already
-    passed it through :func:`check_reference` (``ref_checked``). With a
-    prox-friendly M2 = (1/tau) Id - c B*B, which shares the run's c and the
-    problem's B, the z-metric c M2 + c^2 B*B is (c/tau) Id, so the z-term
-    needs no matrix.
+    passed it through :func:`check_reference` (``ref_checked``). M1 must be
+    zero or a scaled identity, as for the solvers. With a prox-friendly
+    M2 = (1/tau) Id - c B*B, which shares the run's c and the problem's B,
+    the z-metric c M2 + c^2 B*B is (c/tau) Id, so the z-term needs no matrix.
     """
     if not ref_checked:
         check_reference(p, ref)
-    c = sched.c.value_at(t)
+    return _energy(p, _snapshot(sched)(t), t, s, ref)
+
+
+def _energy(p: TwoBlockProblem, params: tuple, t: float, s: PrimalDualState,
+            ref: PrimalDualState) -> EnergySample:
+    """:func:`energy` for the schedule snapshot ``params = (mu1, K, c, tau)``."""
+    mu1, K, c, tau = params
     dx = s.x - ref.x
     dz = s.z - ref.z
     dy = s.y - ref.y
     sigma = p.f.strong_convexity
     x_term = (2.0 * sigma * c - c * c * p.norm_A**2) * float(dx.dot(dx))
-    x_metric = c * float(dx.dot(sched.M1.at(t).apply(dx)))
-    tau = sched.tau
+    x_metric = c * float(dx.dot(dx * mu1))
     if tau is not None:
-        z_metric = c / tau.value_at(t) * float(dz.dot(dz))
+        z_metric = c / tau * float(dz.dot(dz))
     else:
-        bdz = p.B.apply(dz)
-        z_metric = c * float(dz.dot(sched.M2.at(t).apply(dz))) + c * c * float(bdz.dot(bdz))
+        bdz = p.mat_B.dot(dz)
+        m2_term = 0.0 if K is None else float(dz.dot(K.dot(dz)))
+        z_metric = c * m2_term + c * c * float(bdz.dot(bdz))
     y_term = float(dy.dot(dy))
     total = x_term + x_metric + z_metric + y_term
     return EnergySample(t, total, (x_term, x_metric, z_metric, y_term))
@@ -86,8 +94,8 @@ def trajectory_energies(traj: Trajectory, p: TwoBlockProblem,
                         sched: ParameterSchedule, ref: PrimalDualState) -> list:
     """The energy of every sample, with the reference checked once."""
     check_reference(p, ref)
-    return [energy(p, sched, smp.t, smp.state, ref, ref_checked=True).energy
-            for smp in traj.samples]
+    snap = _snapshot(sched)
+    return [_energy(p, snap(smp.t), smp.t, smp.state, ref).energy for smp in traj.samples]
 
 
 def _monotone(values) -> tuple:
@@ -120,25 +128,28 @@ def check_energy_monotone(traj: Trajectory, ref: Optional[PrimalDualState] = Non
     return _monotone(values)
 
 
-@dataclass
 class SummaryReport:
-    """Structured outcome of a run, ready for serialization."""
+    """Structured outcome of a run, ready for serialization; ``kind`` is
+    ``discrete`` or ``continuous``.
 
-    status: str
-    kind: str  # "discrete" | "continuous"
-    iterations: Optional[int]
-    horizon: Optional[float]
-    final_t: Optional[float]
-    final_feas: Optional[float]
-    final_kkt_rx: Optional[float]
-    final_kkt_rz: Optional[float]
-    energy_start: Optional[float] = None
-    energy_end: Optional[float] = None
-    energy_monotone: Optional[bool] = None
-    energy_max_violation: Optional[float] = None
-    time_to_tolerance: Optional[float] = None
-    validation: Optional[ValidationReport] = None
-    message: str = ""
+    :func:`report` fills in the energy section and ``time_to_tolerance``
+    where they can be computed; they are None otherwise.
+    """
+
+    def __init__(self, status: str, kind: str, iterations: Optional[int],
+                 horizon: Optional[float], final_t: Optional[float],
+                 final_feas: Optional[float], final_kkt_rx: Optional[float],
+                 final_kkt_rz: Optional[float],
+                 validation: Optional[ValidationReport] = None, message: str = ""):
+        self.status, self.kind, self.iterations = status, kind, iterations
+        self.horizon, self.final_t, self.final_feas = horizon, final_t, final_feas
+        self.final_kkt_rx, self.final_kkt_rz = final_kkt_rx, final_kkt_rz
+        self.validation, self.message = validation, message
+        self.energy_start: Optional[float] = None
+        self.energy_end: Optional[float] = None
+        self.energy_monotone: Optional[bool] = None
+        self.energy_max_violation: Optional[float] = None
+        self.time_to_tolerance: Optional[float] = None
 
     def as_dict(self) -> dict:
         out = {

@@ -10,55 +10,69 @@ schedules agree exactly. Schedules are sampled at t = k for iteration k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .errors import CapabilityError, ConditionError, ConvergenceError
 from .dynamics import (
     Trajectory,
     TrajectorySample,
-    _schedule_snapshot,
+    _m1_factor,
+    _metric_matrix,
+    _sample,
+    _snapshot,
     alternating_update,
 )
-from .linop import ScaledIdentityMap
 from .problem import KKTResidual, PrimalDualState, TwoBlockProblem
 from .schedules import ParameterSchedule, ScalarSchedule
 
 __all__ = ["SolveConfig", "SolveResult", "prox_ama_step", "prox_ama_run", "ama_run"]
 
 
-@dataclass(frozen=True)
 class SolveConfig:
-    max_iters: int = 20000
-    tol_kkt: float = 1e-6
-    tol_feas: float = 1e-6
-    record_every: int = 1
+    """Iteration budget, stopping tolerances and recording cadence of a run."""
 
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if self.tol_kkt <= 0.0 or self.tol_feas <= 0.0:
+    __slots__ = ("max_iters", "tol_kkt", "tol_feas", "record_every")
+
+    def __init__(self, max_iters: int = 20000, tol_kkt: float = 1e-6,
+                 tol_feas: float = 1e-6, record_every: int = 1):
+        if max_iters < 1:
+            raise ValueError(f"max_iters must be positive, got {max_iters}")
+        if tol_kkt <= 0.0 or tol_feas <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {record_every}")
+        self.max_iters, self.tol_kkt = max_iters, tol_kkt
+        self.tol_feas, self.record_every = tol_feas, record_every
+
+    def __repr__(self) -> str:
+        return (f"SolveConfig(max_iters={self.max_iters!r}, tol_kkt={self.tol_kkt!r}, "
+                f"tol_feas={self.tol_feas!r}, record_every={self.record_every!r})")
 
 
-@dataclass
 class SolveResult:
-    final: PrimalDualState
-    iterates: Trajectory
-    status: str  # converged | max_iters | diverged | error
-    iterations_used: int
-    message: str = ""
+    """The final state, the recorded iterates and how the run ended:
+    ``status`` is converged, max_iters, diverged or error."""
+
+    __slots__ = ("final", "iterates", "status", "iterations_used", "message")
+
+    def __init__(self, final: PrimalDualState, iterates: Trajectory, status: str,
+                 iterations_used: int, message: str = ""):
+        self.final, self.iterates, self.status = final, iterates, status
+        self.iterations_used, self.message = iterations_used, message
 
 
 def prox_ama_step(p: TwoBlockProblem, M1_k, M2_k, c_k: float,
                   s_k: PrimalDualState, tau_k: Optional[float] = None) -> PrimalDualState:
     """One iteration: x-argmin, z-argmin with the fresh x, multiplier ascent."""
-    up = alternating_update(p, M1_k, M2_k, c_k, tau_k, s_k)
-    return PrimalDualState(up.x, up.z, s_k.y + up.w, s_k.t + 1)
+    s = p.state(s_k.x, s_k.z, s_k.y)
+    K = None if tau_k is not None else _metric_matrix(M2_k)
+    up = alternating_update(p, _m1_factor(M1_k), K, c_k, tau_k, s.x, s.z, s.y)
+    return PrimalDualState(up.x, up.z, s.y + up.w, s_k.t + 1)
 
 
+@np.errstate(over="ignore")
 def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfig,
               method: str, require_uniform: bool) -> SolveResult:
     """The loop of :func:`prox_ama_run` and :func:`ama_run`.
@@ -76,19 +90,12 @@ def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfi
     first in rz alone, on an iterate that is not recorded. The run then stops
     as ``diverged`` once it reaches rx or the feasibility residual (through
     the next z-step, typically one iterate later) or at the next recorded
-    iterate, whichever comes first.
+    iterate, whichever comes first. A squared residual past the float range
+    is an infinite residual, without numpy's overflow warning.
     """
-    A, B = p.A, p.B
-
-    def sample(k, state, ax=None, bz=None):
-        bty = B.adjoint_apply(state.y)
-        aty = A.adjoint_apply(state.y)
-        kkt = p.kkt_residual(state, aty, ax, bz, bty)
-        return TrajectorySample(float(k), state, kkt.feas, kkt), aty
-
     s = p.state(s0.x, s0.z, s0.y)
-    bz = B.apply(s.z)
-    first, aty = sample(0, s, A.apply(s.x), bz)
+    At, Bt = p.mat_At, p.mat_Bt
+    first, aty, bz = _sample(p, 0.0, s)
     samples = [first]
     stop = _stop(first.kkt, cfg, 0)
     if stop is not None:
@@ -96,31 +103,31 @@ def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfi
         return SolveResult(s, traj, stop[0], 0, stop[1])
 
     status, message = "max_iters", ""
-    used = cfg.max_iters
+    used = last = cfg.max_iters
+    every, tol_kkt, tol_feas = cfg.record_every, cfg.tol_kkt, cfg.tol_feas
     coupling = None
-    for k in range(cfg.max_iters):
-        m1_k, m2_k, c_k, tau_k = snapshot(k)
+    for k in range(last):
+        mu1, K, c, tau = snapshot(float(k))
         try:
-            up = alternating_update(p, m1_k, m2_k, c_k, tau_k, s,
-                                    require_uniform=require_uniform, aty=aty, bz=bz,
-                                    coupling=coupling)
+            up = alternating_update(p, mu1, K, c, tau, s.x, s.z, s.y, require_uniform,
+                                    aty, bz, coupling)
         except (ConvergenceError, ConditionError) as exc:
             status, message, used = "error", str(exc), k
             break
         coupling, bz = up.coupling, up.bz
         s = PrimalDualState(up.x, up.z, s.y + up.w, float(k + 1))
-        recorded = (k + 1) % cfg.record_every == 0 or k + 1 == cfg.max_iters
+        recorded = (k + 1) % every == 0 or k + 1 == last
         if recorded:
-            smp, aty = sample(k + 1, s, up.ax, bz)
+            smp, aty, _ = _sample(p, float(k + 1), s, up.ax, bz)
             samples.append(smp)
         else:
-            aty = A.adjoint_apply(s.y)
+            aty = At.dot(s.y)
             rx = p._x_residual(s.x, aty)
-            feas = p.feasibility_residual(s, up.ax, bz)
-            if ((rx > cfg.tol_kkt or feas > cfg.tol_feas)
+            feas = p._feas(up.ax, bz)
+            if ((rx > tol_kkt or feas > tol_feas)
                     and math.isfinite(rx) and math.isfinite(feas)):
                 continue
-            kkt = KKTResidual(rx, p._z_residual(s.z, B.adjoint_apply(s.y)), feas)
+            kkt = KKTResidual(rx, p._z_residual(s.z, Bt.dot(s.y)), feas)
             smp = TrajectorySample(float(k + 1), s, feas, kkt)
         stop = _stop(smp.kkt, cfg, k + 1)
         if stop is not None:
@@ -130,7 +137,7 @@ def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfi
             break
 
     if status == "error" and samples[-1].t != s.t:
-        samples.append(sample(s.t, s)[0])
+        samples.append(_sample(p, s.t, s)[0])
     traj = Trajectory(samples, method, 1.0, float(used))
     return SolveResult(s, traj, status, used, message)
 
@@ -154,8 +161,7 @@ def prox_ama_run(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualSta
     fails, and otherwise as ``max_iters``. The dimensions of ``s0`` are checked
     once, before the first update.
     """
-    return _run_loop(p, lambda k: _schedule_snapshot(sched, float(k)), s0, cfg,
-                     "prox-ama", require_uniform=True)
+    return _run_loop(p, _snapshot(sched), s0, cfg, "prox-ama", require_uniform=True)
 
 
 def ama_run(p: TwoBlockProblem, c_schedule: ScalarSchedule, s0: PrimalDualState,
@@ -168,10 +174,6 @@ def ama_run(p: TwoBlockProblem, c_schedule: ScalarSchedule, s0: PrimalDualState,
     """
     if p.h1.kind != "zero" or p.h2.kind != "zero":
         raise CapabilityError("the plain alternating scheme requires h1 = h2 = 0")
-    zero_x = ScaledIdentityMap(p.dim_x, 0.0)
-    zero_z = ScaledIdentityMap(p.dim_z, 0.0)
-
-    def snapshot(k):
-        return (zero_x, zero_z, c_schedule.value_at(float(k)), None)
-
-    return _run_loop(p, snapshot, s0, cfg, "ama", require_uniform=False)
+    c_at = c_schedule.value_at
+    return _run_loop(p, lambda t: (0.0, None, c_at(t), None), s0, cfg, "ama",
+                     require_uniform=False)

@@ -13,16 +13,19 @@ With unit-step explicit Euler this is exactly the proximal alternating
 minimization iteration in :mod:`amaflow.discrete`; the shared update lives in
 :func:`alternating_update` so the two produce bit-identical numbers.
 
-Runs check their start state once; inside a run the update works on trusted
-float64 arrays, and the public helpers' own checks take a fast path for them.
-Scalar products are written ``array * scalar``: the same IEEE product as
-``scalar * array``, without the reflected-operator dispatch.
+The update works on trusted float64 arrays and per-step scalars: a schedule
+is read through :func:`_snapshot`, which gives M1's factor, c, and either the
+prox step tau (prox-friendly M2) or M2 as one dense matrix K, and every
+product is a ``dot`` with the problem's dense matrices. Runs check their
+start state once; the public helpers check what they are given and then call
+the same private steps. Scalar products are written ``array * scalar``: the
+same IEEE product as ``scalar * array``, without the reflected-operator
+dispatch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -34,19 +37,15 @@ from .errors import (
     TrajectoryError,
 )
 from .functions import SeparableFunction
-from .linop import (
-    IdentityMap,
-    LinearMap,
-    ScaledIdentityMap,
-    SumMap,
-    as_vector,
-    gram,
-    min_eigenvalue_sym,
-    operator_norm,
-    scaled,
-)
+from .linop import LinearMap, ScaledIdentityMap, as_vector, matrix_of, sym_eigenvalues
 from .problem import KKTResidual, PrimalDualState, TwoBlockProblem
-from .schedules import ParameterSchedule
+from .schedules import (
+    ConstantDenseMetric,
+    ParameterSchedule,
+    ProxFriendlyMetric,
+    ScaledIdentityMetric,
+    ZeroMetric,
+)
 
 __all__ = [
     "Coupling",
@@ -63,13 +62,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class GammaOutput:
     """The field value (u, v, w) = (x', z', y') at one (t, state)."""
 
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
+    __slots__ = ("u", "v", "w")
+
+    def __init__(self, u: np.ndarray, v: np.ndarray, w: np.ndarray):
+        self.u, self.v, self.w = u, v, w
 
     @property
     def norm(self) -> float:
@@ -78,23 +77,21 @@ class GammaOutput:
         )
 
 
-@dataclass(frozen=True, slots=True)
 class TrajectorySample:
-    t: float
-    state: PrimalDualState
-    feas: float
-    kkt: KKTResidual
-    energy: Optional[float] = None
+    """One recorded state with its residuals and, given a reference, its energy."""
+
+    __slots__ = ("t", "state", "feas", "kkt", "energy")
+
+    def __init__(self, t: float, state: PrimalDualState, feas: float, kkt: KKTResidual,
+                 energy: Optional[float] = None):
+        self.t, self.state, self.feas, self.kkt, self.energy = t, state, feas, kkt, energy
 
 
-@dataclass
 class Trajectory:
     """Recorded samples of one run plus the configuration that produced it."""
 
-    samples: list
-    method: str
-    step: float
-    horizon: float
+    def __init__(self, samples: list, method: str, step: float, horizon: float):
+        self.samples, self.method, self.step, self.horizon = samples, method, step, horizon
 
     @property
     def final(self) -> TrajectorySample:
@@ -109,37 +106,85 @@ class Trajectory:
         return [s.energy for s in self.samples]
 
 
-def _identity_factor(m: LinearMap) -> Optional[float]:
-    if isinstance(m, ScaledIdentityMap):
-        return m.factor
-    if isinstance(m, IdentityMap):
-        return 1.0
-    return None
+_M1_KINDS = "x-subproblem supports only zero or scaled-identity M1"
 
 
-def _scaled_argmin(fun: SeparableFunction, mu: float, target: np.ndarray) -> np.ndarray:
-    """``argmin_p  fun(p) + (mu/2)|p|^2 - <target, p>``: one prox, or for mu = 0
-    the conjugate gradient of ``fun``."""
-    if mu < 0.0:
-        raise ConditionError(f"subproblem metric has negative factor {mu}")
-    if mu == 0.0:
-        return fun.conj_grad(target)
-    return fun.prox(1.0 / mu, target / mu)
+def _m1_factor(M1_t: LinearMap) -> float:
+    if not isinstance(M1_t, ScaledIdentityMap):
+        raise CapabilityError(_M1_KINDS)
+    return M1_t.factor
 
 
-def _lipschitz(Q: LinearMap, require_uniform: bool) -> float:
-    """``|Q|``, after checking that Q is uniformly positive if so required."""
-    if require_uniform:
-        floor = min_eigenvalue_sym(Q)
-        if floor <= 1e-12:
-            raise ConditionError(
-                f"subproblem metric not uniformly positive (min eigenvalue {floor:.3e}); "
-                "the z-subproblem is not well posed under these schedules"
-            )
-    return operator_norm(Q)
+def _metric_matrix(M2_t: LinearMap) -> Optional[np.ndarray]:
+    """M2 as the kernel's K: None for a zero map, else its dense matrix."""
+    if isinstance(M2_t, ScaledIdentityMap) and M2_t.factor == 0.0:
+        return None
+    return matrix_of(M2_t)
 
 
-def _inner_argmin(fun: SeparableFunction, Q: LinearMap, lip: float,
+def _snapshot(sched: ParameterSchedule):
+    """``t -> (mu1, K, c, tau)``: the update's parameters at time t.
+
+    mu1 is M1's factor (M1 must be zero or a scaled identity, or the call
+    raises :class:`CapabilityError`). With a prox-friendly M2, tau is its step
+    and K is None; otherwise tau is None and K is M2(t) as a dense matrix:
+    None for a zero M2, and one shared array for a constant one, so a run
+    builds its coupling once. The metric kinds are resolved here, once.
+    """
+    c_at = sched.c.value_at
+    M1, M2 = sched.M1, sched.M2
+    if isinstance(M1, ZeroMetric):
+        def mu1_at(t):
+            return 0.0
+    elif isinstance(M1, ScaledIdentityMetric):
+        mu1_at = M1.mu.value_at
+    else:
+        def mu1_at(t):
+            raise CapabilityError(_M1_KINDS)
+    if isinstance(M2, ProxFriendlyMetric):
+        tau_at = M2.tau.value_at
+        return lambda t: (mu1_at(t), None, c_at(t), tau_at(t))
+    if isinstance(M2, ZeroMetric):
+        return lambda t: (mu1_at(t), None, c_at(t), None)
+    if isinstance(M2, ConstantDenseMetric):
+        K = matrix_of(M2.M)
+        return lambda t: (mu1_at(t), K, c_at(t), None)
+    return lambda t: (mu1_at(t), M2.matrix_at(t), c_at(t), None)
+
+
+class Coupling(NamedTuple):
+    """The z-subproblem's quadratic form ``Q = c B*B + K`` as one dense matrix,
+    checked, with its Lipschitz constant and the ``(c, K)`` it was built from."""
+
+    c: float
+    K: Optional[np.ndarray]
+    Q: np.ndarray
+    lip: float
+
+
+def _lipschitz(Q: np.ndarray, require_uniform: bool) -> float:
+    """``|Q| = max |eigenvalue|`` of a symmetric Q, after checking, if so
+    required, that Q is uniformly positive: both from one ``eigvalsh``."""
+    eig = sym_eigenvalues(Q)
+    if require_uniform and eig[0] <= 1e-12:
+        raise ConditionError(
+            f"subproblem metric not uniformly positive (min eigenvalue {eig[0]:.3e}); "
+            "the z-subproblem is not well posed under these schedules"
+        )
+    return float(max(-eig[0], eig[-1]))
+
+
+def _coupling(p: TwoBlockProblem, K: Optional[np.ndarray], c: float,
+              require_uniform: bool, last: Optional[Coupling] = None) -> Coupling:
+    """``c B*B + K`` with its spectral checks; ``last`` is reused as it is when
+    it was built from the same ``c`` and the same ``K`` array."""
+    if last is not None and last.c == c and last.K is K:
+        return last
+    Q = p.btb * c if K is None else p.btb * c + K
+    return Coupling(c, K, Q, _lipschitz(Q, require_uniform))
+
+
+def _inner_argmin(fun: SeparableFunction, Q: np.ndarray, lip: float,
                   target: np.ndarray, start: Optional[np.ndarray]) -> np.ndarray:
     """The proximal-gradient loop for a general Q with Lipschitz constant ``lip``.
 
@@ -149,9 +194,9 @@ def _inner_argmin(fun: SeparableFunction, Q: LinearMap, lip: float,
     if lip == 0.0:
         return fun.conj_grad(target)
     step = 1.0 / lip
-    p = np.zeros(fun.dim) if start is None else start.copy()
+    p = np.zeros(fun.dim) if start is None else start
     for k in range(50000):
-        p_next = fun.prox(step, p - step * (Q.apply(p) - target))
+        p_next = fun.prox(step, p - (Q.dot(p) - target) * step)
         d = p_next - p
         delta = math.sqrt(d.dot(d))
         p = p_next
@@ -176,33 +221,54 @@ def regularized_argmin(fun: SeparableFunction, Q: LinearMap, target,
     regularization) relax it.
     """
     target = as_vector(target, fun.dim, "subproblem target")
-    mu = _identity_factor(Q)
-    if mu is not None:
-        return _scaled_argmin(fun, mu, target)
-    lip = _lipschitz(Q, require_uniform)
+    if isinstance(Q, ScaledIdentityMap):
+        mu = Q.factor
+        if mu < 0.0:
+            raise ConditionError(f"subproblem metric has negative factor {mu}")
+        if mu == 0.0:
+            return fun.conj_grad(target)
+        return fun.prox(1.0 / mu, target / mu)
+    Qm = matrix_of(Q)
+    lip = _lipschitz(Qm, require_uniform)
     if start is not None:
         start = as_vector(start, fun.dim, "start")
-    return _inner_argmin(fun, Q, lip, target, start)
+    return _inner_argmin(fun, Qm, lip, target, start)
 
 
-class Coupling(NamedTuple):
-    """The z-subproblem's quadratic form ``Q = c B*B + M2``, checked, with its
-    Lipschitz constant and the ``(c, M2)`` it was built from."""
+# The three steps of the update, on trusted arrays.
 
-    c: float
-    M2: LinearMap
-    Q: LinearMap
-    lip: float
+def _x_argmin(p: TwoBlockProblem, mu1: float, x: np.ndarray, aty: np.ndarray) -> np.ndarray:
+    pull = aty if p.h1.kind == "zero" else aty - p.h1.grad(x)
+    if mu1 == 0.0:
+        return p.f.conj_grad(pull)
+    if mu1 < 0.0:
+        raise ConditionError(f"subproblem metric has negative factor {mu1}")
+    return p.f.prox(1.0 / mu1, (x * mu1 + pull) / mu1)
 
 
-def _coupling(p: TwoBlockProblem, M2_t: LinearMap, c_t: float, require_uniform: bool,
-              last: Optional[Coupling] = None) -> Coupling:
-    """``c_t B*B + M2_t`` with its spectral checks; ``last`` is reused as it is
-    when it was built from the same ``c_t`` and the same ``M2_t`` object."""
-    if last is not None and last.c == c_t and last.M2 is M2_t:
-        return last
-    Q = SumMap(scaled(gram(p.B), c_t), M2_t)
-    return Coupling(c_t, M2_t, Q, _lipschitz(Q, require_uniform))
+def _z_prox(p: TwoBlockProblem, c: float, tau: float, z: np.ndarray, y: np.ndarray,
+            ax: np.ndarray, bz: Optional[np.ndarray]) -> np.ndarray:
+    """The prox-friendly z-step: one prox of g at the matrix-free target."""
+    if tau <= 0.0:
+        raise ConditionError(f"prox step tau must be positive, got {tau}")
+    if bz is None:
+        bz = p.mat_B.dot(z)
+    target = z / tau + p.mat_Bt.dot(y - (ax + bz - p.b) * c)
+    if p.h2.kind != "zero":
+        target = target - p.h2.grad(z)
+    mu = 1.0 / tau
+    return p.g.prox(1.0 / mu, target / mu)
+
+
+def _z_general(p: TwoBlockProblem, cp: Coupling, z: np.ndarray, y: np.ndarray,
+               ax: np.ndarray) -> np.ndarray:
+    """The general z-step: the inner loop on ``cp.Q``, warm-started at z."""
+    target = p.mat_Bt.dot(y - (ax - p.b) * cp.c)
+    if cp.K is not None:
+        target = cp.K.dot(z) + target
+    if p.h2.kind != "zero":
+        target = target - p.h2.grad(z)
+    return _inner_argmin(p.g, cp.Q, cp.lip, target, z)
 
 
 def solve_x_subproblem(p: TwoBlockProblem, M1_t: LinearMap, x, y,
@@ -214,15 +280,10 @@ def solve_x_subproblem(p: TwoBlockProblem, M1_t: LinearMap, x, y,
     the product ``A* y`` when the caller already has it; ``y`` is then unused.
     """
     x = as_vector(x, p.dim_x, "x")
-    mu = _identity_factor(M1_t)
-    if mu is None:
-        raise CapabilityError("x-subproblem supports only zero or scaled-identity M1")
+    mu1 = _m1_factor(M1_t)
     if aty is None:
-        aty = p.A.adjoint_apply(as_vector(y, p.dim_y, "y"))
-    pull = aty if p.h1.kind == "zero" else aty - p.h1.grad(x)
-    if mu == 0.0:
-        return p.f.conj_grad(pull)
-    return _scaled_argmin(p.f, mu, x * mu + pull)
+        aty = p.mat_At.dot(as_vector(y, p.dim_y, "y"))
+    return _x_argmin(p, mu1, x, aty)
 
 
 def solve_z_subproblem(p: TwoBlockProblem, M2_t: Optional[LinearMap], c_t: float,
@@ -241,9 +302,9 @@ def solve_z_subproblem(p: TwoBlockProblem, M2_t: Optional[LinearMap], c_t: float
     This branch never reads ``M2_t`` (it may be None) and takes the metric's c
     and B to be ``c_t`` and ``p.B``: a prox-friendly M2 must share the run's c
     schedule and the problem's B. Otherwise the quadratic coupling
-    c B*B + M2 is solved by the inner proximal-gradient loop of
-    :func:`regularized_argmin`; ``coupling`` is that form for ``c_t`` and
-    ``M2_t`` when the caller keeps it across updates.
+    Q = c B*B + M2 is formed as one dense matrix and solved by the inner
+    proximal-gradient loop of :func:`regularized_argmin`; ``coupling`` is that
+    form for ``c_t`` and ``M2_t`` when the caller keeps it across updates.
 
     ``ax_new = A x_new`` and ``bz = B z`` are used when the caller already has
     them; ``x_new`` is then unused.
@@ -251,22 +312,11 @@ def solve_z_subproblem(p: TwoBlockProblem, M2_t: Optional[LinearMap], c_t: float
     z = as_vector(z, p.dim_z, "z")
     y = as_vector(y, p.dim_y, "y")
     if ax_new is None:
-        ax_new = p.A.apply(as_vector(x_new, p.dim_x, "x_new"))
+        ax_new = p.mat_A.dot(as_vector(x_new, p.dim_x, "x_new"))
     if tau_t is not None:
-        if tau_t <= 0.0:
-            raise ConditionError(f"prox step tau must be positive, got {tau_t}")
-        if bz is None:
-            bz = p.B.apply(z)
-        target = z / tau_t + p.B.adjoint_apply(y - (ax_new + bz - p.b) * c_t)
-        if p.h2.kind != "zero":
-            target = target - p.h2.grad(z)
-        return _scaled_argmin(p.g, 1.0 / tau_t, target)
-    target = M2_t.apply(z) + p.B.adjoint_apply(y - (ax_new - p.b) * c_t)
-    if p.h2.kind != "zero":
-        target = target - p.h2.grad(z)
-    if coupling is None:
-        coupling = _coupling(p, M2_t, c_t, require_uniform)
-    return _inner_argmin(p.g, coupling.Q, coupling.lip, target, z)
+        return _z_prox(p, c_t, tau_t, z, y, ax_new, bz)
+    coupling = _coupling(p, _metric_matrix(M2_t), c_t, require_uniform, coupling)
+    return _z_general(p, coupling, z, y, ax_new)
 
 
 class Update(NamedTuple):
@@ -282,88 +332,85 @@ class Update(NamedTuple):
     coupling: Optional[Coupling]
 
 
-def alternating_update(p: TwoBlockProblem, M1_t: LinearMap, M2_t: Optional[LinearMap],
-                       c_t: float, tau_t: Optional[float], s: PrimalDualState,
-                       require_uniform: bool = True, aty=None, bz=None,
+def alternating_update(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray],
+                       c: float, tau: Optional[float], x: np.ndarray, z: np.ndarray,
+                       y: np.ndarray, require_uniform: bool = True, aty=None, bz=None,
                        coupling: Optional[Coupling] = None) -> Update:
-    """One x-then-z sweep plus the multiplier residual.
+    """One x-then-z sweep plus the multiplier residual, on trusted arrays.
 
-    Returns an :class:`Update` with ``w = c (b - A x_new - B z_new)``. ``aty``
-    and ``bz`` are the products ``A* s.y`` and ``B s.z`` when the caller
-    already has them; ``coupling`` is the previous update's, reused when c and
-    the M2 map are unchanged, so a run with a constant coupling checks and
-    norms it once. The continuous field and the discrete iteration both
-    reduce to this; keeping one code path makes the unit-step Euler
-    discretization reproduce the discrete solver exactly, not merely to
-    rounding.
+    ``(mu1, K, c, tau)`` is a :func:`_snapshot` of the schedules. Returns an
+    :class:`Update` with ``w = c (b - A x_new - B z_new)``. ``aty`` and ``bz``
+    are the products ``A* y`` and ``B z`` when the caller already has them;
+    ``coupling`` is the previous update's, reused when c and K are unchanged,
+    so a run with a constant coupling checks and decomposes it once. The
+    continuous field and the discrete iteration both reduce to this; keeping
+    one code path makes the unit-step Euler discretization reproduce the
+    discrete solver exactly, not merely to rounding.
     """
-    x_new = solve_x_subproblem(p, M1_t, s.x, s.y, aty=aty)
-    ax_new = p.A.apply(x_new)
-    if tau_t is None:
-        coupling = _coupling(p, M2_t, c_t, require_uniform, coupling)
-    z_new = solve_z_subproblem(p, M2_t, c_t, tau_t, s.z, s.y, x_new,
-                               require_uniform=require_uniform, ax_new=ax_new, bz=bz,
-                               coupling=coupling)
-    bz_new = p.B.apply(z_new)
-    w = (p.b - ax_new - bz_new) * c_t
-    return Update(x_new, z_new, w, ax_new, bz_new, coupling)
-
-
-def _schedule_snapshot(sched: ParameterSchedule, t: float):
-    """``(M1(t), M2(t), c(t), tau(t))``; M2 is None when tau makes it implicit."""
-    tau = sched.tau
+    if aty is None:
+        aty = p.mat_At.dot(y)
+    x_new = _x_argmin(p, mu1, x, aty)
+    ax = p.mat_A.dot(x_new)
     if tau is not None:
-        return sched.M1.at(t), None, sched.c.value_at(t), tau.value_at(t)
-    return sched.M1.at(t), sched.M2.at(t), sched.c.value_at(t), None
+        z_new = _z_prox(p, c, tau, z, y, ax, bz)
+    else:
+        coupling = _coupling(p, K, c, require_uniform, coupling)
+        z_new = _z_general(p, coupling, z, y, ax)
+    bz_new = p.mat_B.dot(z_new)
+    return Update(x_new, z_new, (p.b - ax - bz_new) * c, ax, bz_new, coupling)
 
 
-def _field(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
-           s: PrimalDualState) -> tuple:
-    """The field ``(x', z', y')`` at (t, s) as three arrays."""
-    up = alternating_update(p, *_schedule_snapshot(sched, t), s)
-    return up.x - s.x, up.z - s.z, up.w
+def _sample(p: TwoBlockProblem, t: float, s: PrimalDualState, ax=None, bz=None) -> tuple:
+    """``(sample, A* y, B z)`` for state ``s`` at ``t``, with all three residuals.
+
+    ``ax = A x`` and ``bz = B z`` are used when the caller has them. B* y is
+    formed before A* y; the caller hands A* y and B z to the next update.
+    """
+    x, z, y = s.x, s.z, s.y
+    bty = p.mat_Bt.dot(y)
+    aty = p.mat_At.dot(y)
+    if ax is None:
+        ax = p.mat_A.dot(x)
+    if bz is None:
+        bz = p.mat_B.dot(z)
+    feas = p._feas(ax, bz)
+    kkt = KKTResidual(p._x_residual(x, aty), p._z_residual(z, bty), feas)
+    return TrajectorySample(t, s, feas, kkt), aty, bz
+
+
+def _field(p: TwoBlockProblem, params: tuple, x, z, y, aty=None, bz=None,
+           coupling: Optional[Coupling] = None) -> tuple:
+    """The field ``(x', z', y')`` at a state for the snapshot ``params``, and
+    the update's coupling."""
+    up = alternating_update(p, *params, x, z, y, aty=aty, bz=bz, coupling=coupling)
+    return up.x - x, up.z - z, up.w, up.coupling
 
 
 def gamma(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
           s: PrimalDualState) -> GammaOutput:
     """Evaluate the field at (t, s); zero exactly at saddle points."""
-    return GammaOutput(*_field(p, sched, t, s))
+    s = p.state(s.x, s.z, s.y)
+    u, v, w, _ = _field(p, _snapshot(sched)(t), s.x, s.z, s.y)
+    return GammaOutput(u, v, w)
 
 
-def _shifted(s: PrimalDualState, k: tuple, factor: float, t: float) -> PrimalDualState:
-    u, v, w = k
-    return PrimalDualState(s.x + u * factor, s.z + v * factor, s.y + w * factor, t)
-
-
-def _rk4_step(p, sched, t, s, h) -> PrimalDualState:
+def _rk4_step(p, snap, t, x, z, y, h, aty, bz, cp) -> tuple:
+    """The classic four-stage step from (x, z, y), whose ``A* y`` and ``B z``
+    are ``aty`` and ``bz`` when the caller has them; ``cp`` is the coupling
+    the stages reuse while it is unchanged. Returns the new blocks and it."""
     half = 0.5 * h
-    u1, v1, w1 = k1 = _field(p, sched, t, s)
-    u2, v2, w2 = k2 = _field(p, sched, t + half, _shifted(s, k1, half, t))
-    u3, v3, w3 = k3 = _field(p, sched, t + half, _shifted(s, k2, half, t))
-    u4, v4, w4 = _field(p, sched, t + h, _shifted(s, k3, h, t))
+    mid = snap(t + half)
+    u1, v1, w1, cp = _field(p, snap(t), x, z, y, aty, bz, cp)
+    u2, v2, w2, cp = _field(p, mid, x + u1 * half, z + v1 * half, y + w1 * half, coupling=cp)
+    u3, v3, w3, cp = _field(p, mid, x + u2 * half, z + v2 * half, y + w2 * half, coupling=cp)
+    u4, v4, w4, cp = _field(p, snap(t + h), x + u3 * h, z + v3 * h, y + w3 * h, coupling=cp)
     sixth = h / 6.0
-    x = s.x + (u1 + u2 * 2.0 + u3 * 2.0 + u4) * sixth
-    z = s.z + (v1 + v2 * 2.0 + v3 * 2.0 + v4) * sixth
-    y = s.y + (w1 + w2 * 2.0 + w3 * 2.0 + w4) * sixth
-    return PrimalDualState(x, z, y, t + h)
+    return (x + (u1 + u2 * 2.0 + u3 * 2.0 + u4) * sixth,
+            z + (v1 + v2 * 2.0 + v3 * 2.0 + v4) * sixth,
+            y + (w1 + w2 * 2.0 + w3 * 2.0 + w4) * sixth, cp)
 
 
-def _euler_step(p, sched, t, s, h, bz=None) -> tuple:
-    """One Euler step from ``s``, whose ``B z`` is ``bz`` when the caller has it.
-
-    Returns the next state and, at unit step, its ``B z``: the argmins become
-    the next iterate, matching the discrete solver's update bit for bit, so
-    the update's ``B z_new`` is exactly the product the next step needs.
-    Other steps return None for it.
-    """
-    up = alternating_update(p, *_schedule_snapshot(sched, t), s, bz=bz)
-    if h == 1.0:
-        return PrimalDualState(up.x, up.z, s.y + up.w, t + h), up.bz
-    return PrimalDualState(
-        s.x + (up.x - s.x) * h, s.z + (up.z - s.z) * h, s.y + up.w * h, t + h
-    ), None
-
-
+@np.errstate(over="ignore")
 def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
               method: str = "rk4", h: float = 0.01, T: float = 10.0,
               record_every: int = 1,
@@ -373,11 +420,19 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     Residuals are computed at recorded samples only; an energy value is
     attached to each sample when a reference saddle point is supplied. The
     dimensions of ``s0`` are checked, and the reference is checked to be a
-    saddle point, once, before the first step. A subproblem failure mid-run,
-    or a recorded sample with a residual that is not finite, raises
-    :class:`TrajectoryError` carrying the partial trajectory (that sample
-    included). Unit-step Euler carries each update's ``B z_new`` into the
-    next step, as the discrete solver does.
+    saddle point, once, before the first step. A subproblem failure mid-run
+    raises :class:`TrajectoryError` with status ``error``, and a recorded
+    sample with a residual that is not finite raises it with status
+    ``diverged``; either carries the partial trajectory (that sample
+    included). A squared residual past the float range is an infinite
+    residual, without numpy's overflow warning.
+
+    The products ``A* y`` and ``B z`` a recorded sample forms go into the
+    next step. At unit step Euler's argmins are the next iterate, so each
+    update's ``A x_new`` and ``B z_new`` also serve the next sample and step,
+    as in the discrete solver: the two make the same products. A general-M2
+    coupling is carried from step to step (and stage to stage), so a constant
+    one is checked and decomposed once per run, as in the discrete solver.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
@@ -388,7 +443,7 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
 
-    from .diagnostics import check_reference, energy as energy_fn
+    from .diagnostics import _energy, check_reference
 
     s = p.state(s0.x, s0.z, s0.y)
     if reference is not None:
@@ -396,32 +451,45 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     n_steps = int(round(T / h))
     if n_steps < 1:
         n_steps = 1
+    snap = _snapshot(sched)
+    unit = method == "euler" and h == 1.0
+    samples = []
 
-    def make_sample(t, state, bz):
-        e = None
+    def record(t, state, ax, bz):
+        smp, aty, bz = _sample(p, t, state, ax, bz)
         if reference is not None:
-            e = energy_fn(p, sched, t, state, reference, ref_checked=True).energy
-        kkt = p.kkt_residual(state, bz=bz)
-        return TrajectorySample(t, state, kkt.feas, kkt, e)
+            smp.energy = _energy(p, snap(t), t, state, reference).energy
+        samples.append(smp)
+        return smp, aty, bz
 
-    samples = [make_sample(0.0, s, None)]
-    bz = None
+    _, aty, bz = record(0.0, s, None, None)
+    cp = None
     for n in range(n_steps):
         t = n * h
+        x, z, y = s.x, s.z, s.y
+        ax = None
         try:
-            if method == "euler":
-                s, bz = _euler_step(p, sched, t, s, h, bz)
+            if method == "rk4":
+                x, z, y, cp = _rk4_step(p, snap, t, x, z, y, h, aty, bz, cp)
+                bz = None
             else:
-                s = _rk4_step(p, sched, t, s, h)
+                up = alternating_update(p, *snap(t), x, z, y, aty=aty, bz=bz,
+                                        coupling=cp)
+                cp = up.coupling
+                if unit:
+                    x, z, y, ax, bz = up.x, up.z, y + up.w, up.ax, up.bz
+                else:
+                    x, z, y = x + (up.x - x) * h, z + (up.z - z) * h, y + up.w * h
+                    bz = None
         except (ConvergenceError, ConditionError, CapabilityError) as exc:
-            partial = Trajectory(samples, method, h, T)
             raise TrajectoryError(f"integration aborted at t={t:.6g}: {exc}",
-                                  trajectory=partial) from exc
+                                  trajectory=Trajectory(samples, method, h, T)) from exc
+        s = PrimalDualState(x, z, y, t + h)
+        aty = None
         if (n + 1) % record_every == 0 or n + 1 == n_steps:
-            smp = make_sample((n + 1) * h, s, bz)
-            samples.append(smp)
+            smp, aty, bz = record((n + 1) * h, s, ax, bz)
             if not all(math.isfinite(v) for v in smp.kkt):
                 raise TrajectoryError(
                     f"integration diverged at t={smp.t:.6g}: residual not finite",
-                    trajectory=Trajectory(samples, method, h, T))
+                    trajectory=Trajectory(samples, method, h, T), status="diverged")
     return Trajectory(samples, method, h, T)

@@ -41,8 +41,13 @@ class ParseError(ValueError):
 
 
 class TrajectoryError(RuntimeError):
-    """An integration run aborted; ``trajectory`` holds the partial result."""
+    """An integration run aborted; ``trajectory`` holds the partial result.
 
-    def __init__(self, message: str, trajectory=None):
+    ``status`` is ``"diverged"`` when a residual stopped being finite and
+    ``"error"`` when a subproblem failed, as for the discrete solvers.
+    """
+
+    def __init__(self, message: str, trajectory=None, status: str = "error"):
         self.trajectory = trajectory
+        self.status = status
         super().__init__(message)

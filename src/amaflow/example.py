@@ -107,7 +107,9 @@ def example_reference(tol: float = 1e-10) -> PrimalDualState:
         return cached
     p = example_problem()
     sched = example_schedule("c025", 0.99, p)
-    cfg = SolveConfig(max_iters=100000, tol_kkt=tol, tol_feas=tol)
+    budget = 100000
+    # Only the final iterate is needed, so none between is recorded.
+    cfg = SolveConfig(max_iters=budget, tol_kkt=tol, tol_feas=tol, record_every=budget)
     result = prox_ama_run(p, sched, example_start(), cfg)
     if result.status != "converged":
         raise RuntimeError(

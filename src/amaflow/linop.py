@@ -1,10 +1,9 @@
-"""Small dense linear-operator algebra with exact adjoints.
+"""Dense linear operators with exact adjoints, and their spectral queries.
 
-Operators are composed lazily (sums, compositions, adjoints are never
-materialized during ``apply``); only the spectral queries (operator norm,
-smallest symmetric eigenvalue) build a dense matrix. Everything here is
-immutable and pure, so maps can be shared freely between concurrent solver
-runs.
+A problem's operators are dense matrices; the maps here give them a checked
+``apply``/``adjoint_apply`` for callers outside the solvers, which work on
+the matrices themselves. Everything is immutable, so maps can be shared
+freely between concurrent solver runs.
 """
 
 from __future__ import annotations
@@ -18,11 +17,6 @@ __all__ = [
     "DenseMap",
     "IdentityMap",
     "ScaledIdentityMap",
-    "SumMap",
-    "ComposeMap",
-    "AdjointMap",
-    "gram",
-    "scaled",
     "operator_norm",
     "min_eigenvalue_sym",
 ]
@@ -46,11 +40,8 @@ def as_vector(x, n: int, what: str = "vector") -> np.ndarray:
 
 
 class LinearMap:
-    """A finite-dimensional linear operator with an exact adjoint.
-
-    Subclasses implement :meth:`apply` and :meth:`adjoint_apply`; the base
-    class supplies lazy combinators and dense materialization.
-    """
+    """A finite-dimensional linear operator with an exact adjoint and a dense
+    matrix; subclasses implement all four methods."""
 
     dim_in: int
     dim_out: int
@@ -62,20 +53,13 @@ class LinearMap:
         raise NotImplementedError
 
     def adjoint(self) -> "LinearMap":
-        return AdjointMap(self)
+        raise NotImplementedError
+
+    def as_matrix(self) -> np.ndarray:
+        raise NotImplementedError
 
     def __call__(self, x) -> np.ndarray:
         return self.apply(x)
-
-    def as_matrix(self) -> np.ndarray:
-        """Materialize the dense matrix, one unit vector at a time."""
-        cols = np.empty((self.dim_out, self.dim_in))
-        e = np.zeros(self.dim_in)
-        for j in range(self.dim_in):
-            e[j] = 1.0
-            cols[:, j] = self.apply(e)
-            e[j] = 0.0
-        return cols
 
 
 class DenseMap(LinearMap):
@@ -103,22 +87,6 @@ class DenseMap(LinearMap):
         return self.matrix.copy()
 
 
-class IdentityMap(LinearMap):
-    def __init__(self, n: int):
-        if n <= 0:
-            raise ValueError(f"dimension must be positive, got {n}")
-        self.dim_in = self.dim_out = n
-
-    def apply(self, x):
-        return as_vector(x, self.dim_in, "apply input").copy()
-
-    def adjoint_apply(self, y):
-        return as_vector(y, self.dim_out, "adjoint input").copy()
-
-    def adjoint(self):
-        return self
-
-
 class ScaledIdentityMap(LinearMap):
     """``factor * Id`` on R^n; ``factor`` may be zero or negative."""
 
@@ -137,65 +105,36 @@ class ScaledIdentityMap(LinearMap):
     def adjoint(self):
         return self
 
-
-class SumMap(LinearMap):
-    def __init__(self, left: LinearMap, right: LinearMap):
-        if (left.dim_in, left.dim_out) != (right.dim_in, right.dim_out):
-            raise DimensionMismatchError("sum of maps", left.dim_in, right.dim_in)
-        self.left, self.right = left, right
-        self.dim_in, self.dim_out = left.dim_in, left.dim_out
-
-    def apply(self, x):
-        return self.left.apply(x) + self.right.apply(x)
-
-    def adjoint_apply(self, y):
-        return self.left.adjoint_apply(y) + self.right.adjoint_apply(y)
+    def as_matrix(self):
+        return np.eye(self.dim_in) * self.factor
 
 
-class ComposeMap(LinearMap):
-    """``outer ∘ inner``: apply ``inner`` first."""
-
-    def __init__(self, outer: LinearMap, inner: LinearMap):
-        if outer.dim_in != inner.dim_out:
-            raise DimensionMismatchError("composition", outer.dim_in, inner.dim_out)
-        self.outer, self.inner = outer, inner
-        self.dim_in, self.dim_out = inner.dim_in, outer.dim_out
-
-    def apply(self, x):
-        return self.outer.apply(self.inner.apply(x))
-
-    def adjoint_apply(self, y):
-        return self.inner.adjoint_apply(self.outer.adjoint_apply(y))
+class IdentityMap(ScaledIdentityMap):
+    def __init__(self, n: int):
+        super().__init__(n, 1.0)
 
 
-class AdjointMap(LinearMap):
-    def __init__(self, of: LinearMap):
-        self.of = of
-        self.dim_in, self.dim_out = of.dim_out, of.dim_in
-
-    def apply(self, x):
-        return self.of.adjoint_apply(x)
-
-    def adjoint_apply(self, y):
-        return self.of.apply(y)
-
-    def adjoint(self):
-        return self.of
+def matrix_of(m: LinearMap) -> np.ndarray:
+    """The dense matrix of ``m``, shared with a :class:`DenseMap`, not copied."""
+    return m.matrix if isinstance(m, DenseMap) else m.as_matrix()
 
 
-def gram(m: LinearMap) -> LinearMap:
-    """The symmetric PSD map ``m* ∘ m``."""
-    return ComposeMap(m.adjoint(), m)
-
-
-def scaled(m: LinearMap, factor: float) -> LinearMap:
-    """``factor * m`` as a lazy composition with a scaled identity."""
-    return ComposeMap(ScaledIdentityMap(m.dim_out, factor), m)
+def sym_eigenvalues(a: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
+    """Ascending eigenvalues of the square matrix ``a``, which must be symmetric
+    to ``sym_tol`` relative to its largest entry; an asymmetric input raises
+    with the maximal asymmetry magnitude in the message."""
+    if a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError("symmetric eigenvalue input", a.shape[1], a.shape[0])
+    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
+    if asym > sym_tol * scale:
+        raise ValueError(f"map is not symmetric: max asymmetry {asym:.3e}")
+    return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
 def operator_norm(m: LinearMap) -> float:
     """Largest singular value of ``m``, from an SVD of its dense matrix."""
-    return float(np.linalg.norm(m.as_matrix(), 2))
+    return float(np.linalg.norm(matrix_of(m), 2))
 
 
 def min_eigenvalue_sym(m: LinearMap, sym_tol: float = 1e-10) -> float:
@@ -204,11 +143,4 @@ def min_eigenvalue_sym(m: LinearMap, sym_tol: float = 1e-10) -> float:
     The map is materialized and checked for symmetry first; an asymmetric
     input raises with the maximal asymmetry magnitude in the message.
     """
-    if m.dim_in != m.dim_out:
-        raise DimensionMismatchError("symmetric eigenvalue input", m.dim_in, m.dim_out)
-    a = m.as_matrix()
-    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if asym > sym_tol * scale:
-        raise ValueError(f"map is not symmetric: max asymmetry {asym:.3e}")
-    return float(np.linalg.eigvalsh(0.5 * (a + a.T))[0])
+    return float(sym_eigenvalues(matrix_of(m), sym_tol)[0])

@@ -10,7 +10,6 @@ round-trip exactly for every supported kind.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,13 +43,16 @@ __all__ = ["ProblemFileData", "parse_problem_text", "load_problem_file",
            "serialize_problem"]
 
 
-@dataclass
 class ProblemFileData:
-    problem: TwoBlockProblem
-    sched: ParameterSchedule
-    initial: PrimalDualState
-    config: SolveConfig = field(default_factory=SolveConfig)
-    tau: ScalarSchedule | None = None
+    """What a problem file describes: the problem, its schedules, the start
+    state, the solver settings and the tau schedule (None without one)."""
+
+    def __init__(self, problem: TwoBlockProblem, sched: ParameterSchedule,
+                 initial: PrimalDualState, config: SolveConfig | None = None,
+                 tau: ScalarSchedule | None = None):
+        self.problem, self.sched, self.initial = problem, sched, initial
+        self.config = SolveConfig() if config is None else config
+        self.tau = tau
 
 
 def _expect_object(doc, loc: str, required: set, optional: set = frozenset()) -> dict:

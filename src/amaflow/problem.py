@@ -13,34 +13,31 @@ prox fixed points at unit step, which vanish exactly at saddle points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError
 from .functions import SeparableFunction
-from .linop import _FLOAT, LinearMap, as_vector, operator_norm
+from .linop import _FLOAT, LinearMap, as_vector, matrix_of
 
 __all__ = ["PrimalDualState", "TwoBlockProblem", "KKTResidual"]
 
 
-@dataclass(frozen=True, slots=True)
 class PrimalDualState:
     """A primal-dual triple (x, z, y) stamped with a time or iteration index."""
 
-    x: np.ndarray
-    z: np.ndarray
-    y: np.ndarray
-    t: float = 0.0
+    __slots__ = ("x", "z", "y", "t")
 
-    def __post_init__(self):
-        x, z, y = self.x, self.z, self.y
+    def __init__(self, x, z, y, t: float = 0.0):
         if not (type(x) is type(z) is type(y) is np.ndarray
                 and x.dtype is z.dtype is y.dtype is _FLOAT):
-            object.__setattr__(self, "x", np.asarray(x, dtype=float))
-            object.__setattr__(self, "z", np.asarray(z, dtype=float))
-            object.__setattr__(self, "y", np.asarray(y, dtype=float))
+            x, z, y = (np.asarray(v, dtype=float) for v in (x, z, y))
+        self.x, self.z, self.y, self.t = x, z, y, t
+
+    def __repr__(self) -> str:
+        return f"PrimalDualState(x={self.x!r}, z={self.z!r}, y={self.y!r}, t={self.t!r})"
 
     def with_time(self, t: float) -> "PrimalDualState":
         return PrimalDualState(self.x, self.z, self.y, t)
@@ -58,23 +55,20 @@ class KKTResidual(NamedTuple):
         return max(self.rx, self.rz, self.feas)
 
 
-@dataclass(eq=False)
 class TwoBlockProblem:
-    """Immutable problem data; all residual/objective operations live here."""
+    """Immutable problem data; all residual/objective operations live here.
 
-    f: SeparableFunction
-    h1: SeparableFunction
-    g: SeparableFunction
-    h2: SeparableFunction
-    A: LinearMap
-    B: LinearMap
-    b: np.ndarray
-    norm_A: float = field(init=False, repr=False)
-    norm_B: float = field(init=False, repr=False)
-    btb_min: float = field(init=False, repr=False)
+    The dense matrices of A and B are kept once, at build, as ``mat_A`` and
+    ``mat_B`` (shared with a :class:`~amaflow.linop.DenseMap`), with their
+    transposes ``mat_At`` and ``mat_Bt`` as views; the solvers multiply by
+    these directly.
+    """
 
-    def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float)
+    def __init__(self, f: SeparableFunction, h1: SeparableFunction,
+                 g: SeparableFunction, h2: SeparableFunction, A: LinearMap,
+                 B: LinearMap, b):
+        self.f, self.h1, self.g, self.h2, self.A, self.B = f, h1, g, h2, A, B
+        self.b = np.asarray(b, dtype=float)
         if self.b.ndim != 1:
             raise ValueError("right-hand side b must be a vector")
         if self.f.strong_convexity <= 0.0:
@@ -90,14 +84,21 @@ class TwoBlockProblem:
             raise DimensionMismatchError("z block", self.g.dim, self.B.dim_in)
         if self.A.dim_out != self.b.shape[0] or self.B.dim_out != self.b.shape[0]:
             raise DimensionMismatchError("constraint rows", self.b.shape[0], self.A.dim_out)
-        self.norm_A = operator_norm(self.A)
+        self.mat_A, self.mat_B = matrix_of(A), matrix_of(B)
+        self.mat_At, self.mat_Bt = self.mat_A.T, self.mat_B.T
+        self.norm_A = float(np.linalg.norm(self.mat_A, 2))
         # One SVD of B gives both extreme eigenvalues of B*B, norm_B**2 and
         # btb_min (zero for a wide B); the validators need no others.
-        sv_B = np.linalg.svd(self.B.as_matrix(), compute_uv=False)
+        sv_B = np.linalg.svd(self.mat_B, compute_uv=False)
         self.norm_B = float(sv_B[0])
         self.btb_min = float(sv_B[-1]) ** 2 if self.B.dim_out >= self.B.dim_in else 0.0
         if self.norm_A <= 0.0:
             raise ValueError("A must be a nonzero operator")
+
+    @cached_property
+    def btb(self) -> np.ndarray:
+        """B*B as a dense matrix, built on first use from one product."""
+        return self.mat_Bt @ self.mat_B
 
     @property
     def dim_x(self) -> int:
@@ -152,37 +153,47 @@ class TwoBlockProblem:
     def feasibility_residual(self, s: PrimalDualState, ax=None, bz=None) -> float:
         """``|A x + B z - b|``, reusing the products ``ax = A x``, ``bz = B z`` if given."""
         if ax is None:
-            ax = self.A.apply(as_vector(s.x, self.dim_x, "x"))
+            ax = self.mat_A.dot(as_vector(s.x, self.dim_x, "x"))
         if bz is None:
-            bz = self.B.apply(as_vector(s.z, self.dim_z, "z"))
-        r = ax + bz - self.b
-        return math.sqrt(r.dot(r))
+            bz = self.mat_B.dot(as_vector(s.z, self.dim_z, "z"))
+        with np.errstate(over="ignore"):
+            return self._feas(ax, bz)
 
     def kkt_residual(self, s: PrimalDualState, aty=None, ax=None, bz=None,
                      bty=None) -> KKTResidual:
         """Unit-step prox fixed-point residuals for the optimality system.
 
         The products ``aty = A* y``, ``bty = B* y``, ``ax = A x`` and
-        ``bz = B z`` are computed here unless the caller already has them; the
-        solver loop passes the ones its update made and keeps ``aty`` for the
-        next x-step. Norms are ``sqrt(r . r)``, the computation
-        ``np.linalg.norm`` makes for a vector.
+        ``bz = B z`` are computed here unless the caller already has them.
+        Norms are ``sqrt(r . r)``, the computation ``np.linalg.norm`` makes
+        for a vector; a norm past the float range is ``inf``.
         """
         x = as_vector(s.x, self.dim_x, "x")
         z = as_vector(s.z, self.dim_z, "z")
         y = as_vector(s.y, self.dim_y, "y")
         if bty is None:
-            bty = self.B.adjoint_apply(y)
+            bty = self.mat_Bt.dot(y)
         if aty is None:
-            aty = self.A.adjoint_apply(y)
-        return KKTResidual(
-            self._x_residual(x, aty),
-            self._z_residual(z, bty),
-            self.feasibility_residual(s, ax, bz),
-        )
+            aty = self.mat_At.dot(y)
+        if ax is None:
+            ax = self.mat_A.dot(x)
+        if bz is None:
+            bz = self.mat_B.dot(z)
+        with np.errstate(over="ignore"):
+            return KKTResidual(self._x_residual(x, aty), self._z_residual(z, bty),
+                               self._feas(ax, bz))
+
+    # The three residuals on trusted arrays. A squared norm past the float
+    # range is inf, which is what it means: the run has diverged. The callers
+    # switch numpy's overflow warning off for that, once per call or run.
+
+    def _feas(self, ax: np.ndarray, bz: np.ndarray) -> float:
+        """``|ax + bz - b|``."""
+        r = ax + bz - self.b
+        return math.sqrt(r.dot(r))
 
     def _x_residual(self, x: np.ndarray, aty: np.ndarray) -> float:
-        """``|x - prox_f(x + A* y - grad h1(x))|`` on trusted arrays."""
+        """``|x - prox_f(x + A* y - grad h1(x))|``."""
         vx = x + aty
         if self.h1.kind != "zero":
             vx = vx - self.h1.grad(x)
@@ -190,7 +201,7 @@ class TwoBlockProblem:
         return math.sqrt(rx.dot(rx))
 
     def _z_residual(self, z: np.ndarray, bty: np.ndarray) -> float:
-        """``|z - prox_g(z + B* y - grad h2(z))|`` on trusted arrays."""
+        """``|z - prox_g(z + B* y - grad h2(z))|``."""
         vz = z + bty
         if self.h2.kind != "zero":
             vz = vz - self.h2.grad(z)

@@ -15,14 +15,13 @@ grid point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import CapabilityError
-from .linop import LinearMap, ScaledIdentityMap
+from .linop import LinearMap, ScaledIdentityMap, matrix_of
 
 __all__ = [
     "ScalarSchedule",
@@ -141,12 +140,6 @@ class CoupledReciprocal(ScalarSchedule):
 # metric schedules
 
 
-def _gram_matrix(B: LinearMap) -> np.ndarray:
-    """B*B as a dense matrix, from one product."""
-    bm = B.as_matrix()
-    return bm.T @ bm
-
-
 class MetricSchedule:
     """A symmetric-operator-valued function of time."""
 
@@ -217,7 +210,8 @@ class ProxFriendlyMetric(MetricSchedule):
     def _btb(self) -> np.ndarray:
         # Only the dense views below need B*B; the solvers' z-step, the energy
         # and the validators use the metric's closed form and never build it.
-        return _gram_matrix(self.B)
+        bm = matrix_of(self.B)
+        return bm.T @ bm
 
     def at(self, t):
         from .linop import DenseMap
@@ -252,13 +246,13 @@ class ConstantDenseMetric(MetricSchedule):
         return ScaledIdentityMap(self.dim, 0.0)
 
 
-@dataclass(frozen=True)
 class ParameterSchedule:
     """The bundle (c, M1, M2) a solver run consumes."""
 
-    c: ScalarSchedule
-    M1: MetricSchedule
-    M2: MetricSchedule
+    __slots__ = ("c", "M1", "M2")
+
+    def __init__(self, c: ScalarSchedule, M1: MetricSchedule, M2: MetricSchedule):
+        self.c, self.M1, self.M2 = c, M1, M2
 
     @property
     def tau(self) -> Optional[ScalarSchedule]:
@@ -279,7 +273,6 @@ class CheckResult(NamedTuple):
     threshold: float
 
 
-@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of a hypothesis check run.
 
@@ -288,12 +281,12 @@ class ValidationReport:
     convergence rule already accounts for them where the hypotheses do).
     """
 
-    mode: str
-    checks: tuple
-    grid: tuple
-    beta: float
-    cweak: bool
-    cstrong: bool
+    __slots__ = ("mode", "checks", "grid", "beta", "cweak", "cstrong")
+
+    def __init__(self, mode: str, checks: tuple, grid: tuple, beta: float,
+                 cweak: bool, cstrong: bool):
+        self.mode, self.checks, self.grid = mode, checks, grid
+        self.beta, self.cweak, self.cstrong = beta, cweak, cstrong
 
     @property
     def passed(self) -> bool:
@@ -412,7 +405,7 @@ def _z_beta(p, c_vals: np.ndarray, form: tuple, extremes: np.ndarray) -> float:
         return float(np.min(_at_extremes(alpha, c_vals + beta, extremes)))
     # lambda_min(c B*B + K) is nondecreasing in c because B*B is PSD, so the
     # smallest c on the grid attains the minimum, whatever the c schedule.
-    return _min_eig(float(np.min(c_vals)) * _gram_matrix(p.B) + K)
+    return _min_eig(float(np.min(c_vals)) * p.btb + K)
 
 
 def validate(p, c: ScalarSchedule, M1: MetricSchedule, M2: MetricSchedule,

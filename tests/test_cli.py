@@ -174,13 +174,31 @@ class TestSolve:
         rc = main(["solve", write(tmp_path, huge_c), "--force", "--mode",
                    "continuous-euler", "--step", "1", "--horizon", "3000",
                    "--record-every", "10"])
+        out = capsys.readouterr().out
         assert rc == 3
+        assert "status: diverged" in out
         report = (tmp_path / "prob-continuous-euler.report.txt").read_text()
-        assert "residual not finite" in report
+        assert "status: diverged" in report
+        assert "message: integration diverged at t=150: residual not finite" in report
         _, rows = read_csv(tmp_path / "prob-continuous-euler.csv")
         assert any(v in ("inf", "nan") for v in rows[-1][7:])
         assert all(v not in ("inf", "nan") for row in rows[:-1] for v in row[7:])
         assert float(rows[-1][0]) < 3000.0
+
+    def test_forced_diverging_rk4_integration_reports_diverged(self, tmp_path,
+                                                              monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        huge_c = doc(schedules__c={"kind": "constant", "value": 50.0})
+        rc = main(["solve", write(tmp_path, huge_c), "--force", "--mode",
+                   "continuous-rk4", "--step", "1", "--horizon", "3000",
+                   "--record-every", "10"])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert "status: diverged" in out
+        report = (tmp_path / "prob-continuous-rk4.report.txt").read_text()
+        assert "status: diverged" in report
+        assert "kind: continuous" in report
+        assert "residual not finite" in report
 
     def test_ama_needs_zero_couplings(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -22,7 +22,9 @@ from amaflow import (
     ZeroFunction,
     ZeroMetric,
     ama_run,
+    example_problem,
     example_schedule,
+    example_start,
     integrate,
     prox_ama_run,
     prox_ama_step,
@@ -116,60 +118,67 @@ class TestProxAmaRun:
         assert len(res.iterates.samples) == 1
 
 
-class CountingMap(DenseMap):
-    """A dense map that counts its products with the matrix and its transpose."""
+class LoggedMatrix(np.ndarray):
+    """A matrix that logs ``(name, "apply")`` for each product it makes; its
+    transpose logs ``(name, "adjoint")``. The solvers multiply by the problem's
+    matrices directly, so this is where their products are seen."""
 
-    def __init__(self, matrix):
-        super().__init__(matrix)
-        self.calls = 0
+    def __new__(cls, matrix, name, log):
+        obj = np.asarray(matrix, dtype=float).view(cls)
+        obj.name, obj.log, obj.op = name, log, "apply"
+        return obj
 
-    def apply(self, x):
-        self.calls += 1
-        return super().apply(x)
+    def __array_finalize__(self, obj):
+        self.name = getattr(obj, "name", None)
+        self.log = getattr(obj, "log", None)
+        self.op = getattr(obj, "op", "apply")
 
-    def adjoint_apply(self, y):
-        self.calls += 1
-        return super().adjoint_apply(y)
+    @property
+    def T(self):
+        view = super().T
+        view.op = "adjoint" if self.op == "apply" else "apply"
+        return view
+
+    def dot(self, x):
+        self.log.append((self.name, self.op))
+        return self.view(np.ndarray).dot(x)
+
+
+def logged_map(matrix, name, log):
+    m = DenseMap(matrix)
+    m.matrix = LoggedMatrix(m.matrix, name, log)
+    return m
+
+
+def logged_problem(rng, n=20):
+    """A prox-friendly problem whose products with A and B go to the returned log."""
+    log = []
+    B = rng.standard_normal((n, n))
+    p = TwoBlockProblem(
+        f=QuadraticDistance(rng.standard_normal(n), 1.0), h1=ZeroFunction(n),
+        g=L1Norm(n, 0.5), h2=ZeroFunction(n),
+        A=logged_map(rng.standard_normal((n, n)) + 3.0 * np.eye(n), "A", log),
+        B=logged_map(B / np.linalg.norm(B, 2), "B", log), b=rng.standard_normal(n))
+    c = ConstantSchedule(1.0)
+    sched = ParameterSchedule(c, ZeroMetric(n),
+                              ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B))
+    s0 = p.state(np.zeros(n), np.zeros(n), np.zeros(n))
+    log.clear()
+    return p, sched, s0, log
 
 
 class TestMatvecCount:
     def test_prox_friendly_run_makes_five_matvecs_per_iteration(self, rng):
-        n = 20
-        B = rng.standard_normal((n, n))
-        p = TwoBlockProblem(
-            f=QuadraticDistance(rng.standard_normal(n), 1.0), h1=ZeroFunction(n),
-            g=L1Norm(n, 0.5), h2=ZeroFunction(n),
-            A=CountingMap(rng.standard_normal((n, n)) + 3.0 * np.eye(n)),
-            B=CountingMap(B / np.linalg.norm(B, 2)), b=rng.standard_normal(n))
-        c = ConstantSchedule(1.0)
-        sched = ParameterSchedule(c, ZeroMetric(n),
-                                  ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B))
-        s0 = p.state(np.zeros(n), np.zeros(n), np.zeros(n))
+        p, sched, s0, log = logged_problem(rng)
         counts = {}
         for iters in (10, 50):
-            p.A.calls = p.B.calls = 0
+            log.clear()
             res = prox_ama_run(p, sched, s0, SolveConfig(max_iters=iters, tol_kkt=1e-300,
                                                          tol_feas=1e-300))
             assert res.iterations_used == iters
-            counts[iters] = p.A.calls + p.B.calls
+            counts[iters] = len(log)
         assert (counts[50] - counts[10]) / 40 <= 5
         assert counts[10] <= 5 * 10 + 4
-
-
-class LoggingMap(DenseMap):
-    """A dense map that logs ``(name, "apply" | "adjoint")`` for each product."""
-
-    def __init__(self, matrix, name, log):
-        super().__init__(matrix)
-        self.name, self.log = name, log
-
-    def apply(self, x):
-        self.log.append((self.name, "apply"))
-        return super().apply(x)
-
-    def adjoint_apply(self, y):
-        self.log.append((self.name, "adjoint"))
-        return super().adjoint_apply(y)
 
 
 PLAIN = [("A", "apply"), ("B", "adjoint"), ("B", "apply"), ("A", "adjoint")]
@@ -180,28 +189,12 @@ class TestPassPlan:
     """The order and number of matrix products per iteration."""
 
     @staticmethod
-    def logged_problem(rng, n=20):
-        log = []
-        B = rng.standard_normal((n, n))
-        p = TwoBlockProblem(
-            f=QuadraticDistance(rng.standard_normal(n), 1.0), h1=ZeroFunction(n),
-            g=L1Norm(n, 0.5), h2=ZeroFunction(n),
-            A=LoggingMap(rng.standard_normal((n, n)) + 3.0 * np.eye(n), "A", log),
-            B=LoggingMap(B / np.linalg.norm(B, 2), "B", log), b=rng.standard_normal(n))
-        c = ConstantSchedule(1.0)
-        sched = ParameterSchedule(c, ZeroMetric(n),
-                                  ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B))
-        s0 = p.state(np.zeros(n), np.zeros(n), np.zeros(n))
-        log.clear()
-        return p, sched, s0, log
-
-    @staticmethod
     def unreachable(iters, record_every):
         return SolveConfig(max_iters=iters, tol_kkt=1e-300, tol_feas=1e-300,
                            record_every=record_every)
 
     def test_iterations_stream_a_b_b_a(self, rng):
-        p, sched, s0, log = self.logged_problem(rng)
+        p, sched, s0, log = logged_problem(rng)
         res = prox_ama_run(p, sched, s0, self.unreachable(12, 4))
         assert res.iterations_used == 12
         expected = []
@@ -211,13 +204,13 @@ class TestPassPlan:
         assert log[4:] == expected
 
     def test_unrecorded_run_makes_four_products_per_iteration(self, rng):
-        p, sched, s0, log = self.logged_problem(rng)
+        p, sched, s0, log = logged_problem(rng)
         res = prox_ama_run(p, sched, s0, self.unreachable(50, 50))
         assert res.iterations_used == 50
         assert len(log) <= 4 * 50 + 5
 
     def test_unit_step_euler_makes_four_products_per_step(self, rng):
-        p, sched, s0, log = self.logged_problem(rng)
+        p, sched, s0, log = logged_problem(rng)
         counts = {}
         for steps in (10, 50):
             log.clear()
@@ -225,6 +218,20 @@ class TestPassPlan:
                       record_every=steps)
             counts[steps] = len(log)
         assert (counts[50] - counts[10]) / 40 <= 4
+
+    @pytest.mark.parametrize("record_every, products", [(1, 104), (10, 86)])
+    def test_unit_step_euler_makes_the_products_of_the_discrete_run(
+            self, rng, record_every, products):
+        # 4 for the start, 4 per step, and B* y plus A* y at each recorded step
+        # in place of the A* y the next step needs anyway.
+        p, sched, s0, log = logged_problem(rng)
+        integrate(p, sched, s0, method="euler", h=1.0, T=20.0, record_every=record_every)
+        euler = list(log)
+        log.clear()
+        res = prox_ama_run(p, sched, s0, self.unreachable(20, record_every))
+        assert res.iterations_used == 20
+        assert len(euler) == products
+        assert euler == log
 
 
 class TestAmaRun:
@@ -316,6 +323,7 @@ class TestSolveConfig:
         assert cfg.record_every == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestDivergence:
     @staticmethod
     def large_penalty(p):
@@ -355,8 +363,22 @@ class TestDivergence:
         assert res.iterations_used == 142
 
 
+class TestExampleReference:
+    def test_reference_is_the_final_state_of_a_fully_recorded_run(self, ex_reference):
+        p = example_problem()
+        sched = example_schedule("c025", 0.99, p)
+        full = prox_ama_run(p, sched, example_start(),
+                            SolveConfig(max_iters=100000, tol_kkt=1e-10, tol_feas=1e-10,
+                                        record_every=1))
+        assert full.status == "converged"
+        assert len(full.iterates.samples) == full.iterations_used + 1
+        for key in ("x", "z", "y"):
+            assert np.array_equal(getattr(ex_reference, key), getattr(full.final, key))
+
+
 class TestConstantCoupling:
-    """The general-M2 z-step checks and norms c B*B + M2 once while it is constant."""
+    """The general-M2 z-step checks and decomposes c B*B + M2 once while it is
+    constant: one eigvalsh gives both the positivity gate and the norm."""
 
     M2 = ConstantDenseMetric(DenseMap([[0.6, 0.1], [0.1, 0.4]]))
 
@@ -373,16 +395,23 @@ class TestConstantCoupling:
         res = prox_ama_run(ex_problem, sched, ex_start,
                            SolveConfig(max_iters=50, tol_kkt=1e-300, tol_feas=1e-300))
         assert res.iterations_used == 50
-        assert decompositions == {"eigvalsh": 1, "eigh": 0, "svd": 1}
+        assert decompositions == {"eigvalsh": 1, "eigh": 0, "svd": 0}
         s = self.manual(ex_problem, sched, ex_start, 50)
         for a, b in ((res.final.x, s.x), (res.final.z, s.z), (res.final.y, s.y)):
             assert np.array_equal(a, b)
+
+    def test_integration_decomposes_once_per_run(self, ex_problem, ex_start,
+                                                 decompositions):
+        sched = ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2), self.M2)
+        for method in ("euler", "rk4"):
+            integrate(ex_problem, sched, ex_start, method=method, h=0.5, T=5.0)
+        assert decompositions == {"eigvalsh": 2, "eigh": 0, "svd": 0}
 
     def test_plain_scheme_norms_once(self, ex_problem, ex_start, decompositions):
         res = ama_run(ex_problem, ConstantSchedule(0.25), ex_start,
                       SolveConfig(max_iters=50, tol_kkt=1e-300, tol_feas=1e-300))
         assert res.iterations_used == 50
-        assert decompositions == {"eigvalsh": 0, "eigh": 0, "svd": 1}
+        assert decompositions == {"eigvalsh": 1, "eigh": 0, "svd": 0}
 
     def test_varying_penalty_rebuilds_every_update(self, ex_problem, ex_start,
                                                    decompositions):
@@ -390,7 +419,7 @@ class TestConstantCoupling:
         res = prox_ama_run(ex_problem, sched, ex_start,
                            SolveConfig(max_iters=20, tol_kkt=1e-300, tol_feas=1e-300))
         assert res.iterations_used == 20
-        assert decompositions["svd"] == 20
+        assert decompositions == {"eigvalsh": 20, "eigh": 0, "svd": 0}
         s = self.manual(ex_problem, sched, ex_start, 20)
         for a, b in ((res.final.x, s.x), (res.final.z, s.z), (res.final.y, s.y)):
             assert np.array_equal(a, b)

@@ -19,6 +19,7 @@ from amaflow import (
     ProxFriendlyMetric,
     QuadraticDistance,
     ScaledIdentityMap,
+    ScaledIdentityMetric,
     SolveConfig,
     TrajectoryError,
     TwoBlockProblem,
@@ -304,8 +305,72 @@ class TestIntegrate:
         assert len(partial.samples) == 1
         assert partial.samples[0].t == 0.0
         assert "aborted at t=0" in str(err.value)
+        assert err.value.status == "error"
 
 
+def textbook(p, sched, s0, method, h, steps):
+    """Every state of explicit Euler or classic RK4 over the public field."""
+    def shifted(s, k, f):
+        return PrimalDualState(s.x + k.u * f, s.z + k.v * f, s.y + k.w * f)
+
+    states = [s0]
+    s = s0
+    for n in range(steps):
+        t = n * h
+        k1 = gamma(p, sched, t, s)
+        if method == "euler":
+            s = shifted(s, k1, h)
+        else:
+            k2 = gamma(p, sched, t + h / 2, shifted(s, k1, h / 2))
+            k3 = gamma(p, sched, t + h / 2, shifted(s, k2, h / 2))
+            k4 = gamma(p, sched, t + h, shifted(s, k3, h))
+            s = PrimalDualState(s.x + (k1.u + 2 * k2.u + 2 * k3.u + k4.u) * (h / 6),
+                                s.z + (k1.v + 2 * k2.v + 2 * k3.v + k4.v) * (h / 6),
+                                s.y + (k1.w + 2 * k2.w + 2 * k3.w + k4.w) * (h / 6))
+        states.append(s)
+    return states
+
+
+def random_problem(n=5, seed=5):
+    """A dense problem with smooth h1, h2 and M1 = 0.5 Id, so every term of the
+    field is exercised."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n))
+    p = TwoBlockProblem(
+        f=QuadraticDistance(rng.standard_normal(n), 1.5),
+        h1=QuadraticDistance(rng.standard_normal(n), 0.3),
+        g=L1Norm(n, 0.7), h2=QuadraticDistance(rng.standard_normal(n), 0.2),
+        A=DenseMap(rng.standard_normal((n, n)) + 2.0 * np.eye(n)),
+        B=DenseMap(B / np.linalg.norm(B, 2)), b=rng.standard_normal(n))
+    c = ConstantSchedule(0.5)
+    sched = ParameterSchedule(c, ScaledIdentityMetric(ConstantSchedule(0.5), n),
+                              ProxFriendlyMetric(CoupledReciprocal(0.9, c), c, p.B))
+    s0 = p.state(*(rng.standard_normal(n) for _ in range(3)))
+    return p, sched, s0
+
+
+class TestIntegratorsAreTheTextbookSchemes:
+    """The integrators equal a plain loop over :func:`gamma`, bit for bit."""
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("case", ["example", "random"])
+    def test_every_state_equals_the_textbook_loop(self, case, method, ex_problem,
+                                                  ex_start):
+        if case == "example":
+            p, s0 = ex_problem, ex_start
+            sched = example_schedule("c1-decay", 0.99, p)
+        else:
+            p, sched, s0 = random_problem()
+        h, steps = 0.05, 40
+        traj = integrate(p, sched, s0, method=method, h=h, T=h * steps)
+        states = textbook(p, sched, s0, method, h, steps)
+        assert len(traj.samples) == len(states) == steps + 1
+        for smp, s in zip(traj.samples, states):
+            for key in ("x", "z", "y"):
+                assert np.array_equal(getattr(smp.state, key), getattr(s, key))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestIntegrateDivergence:
     @staticmethod
     def large_penalty(p):
@@ -319,6 +384,7 @@ class TestIntegrateDivergence:
             integrate(ex_problem, sched, ex_start, method="euler", h=1.0, T=3000.0,
                       record_every=10)
         assert "diverged at t=150" in str(err.value)
+        assert err.value.status == "diverged"
         *before, last = err.value.trajectory.samples
         assert last.t == 150.0
         assert not all(math.isfinite(v) for v in last.kkt)

@@ -38,7 +38,6 @@ from amaflow import (
     validate,
     validate_corollary,
 )
-from amaflow.linop import gram
 from amaflow.schedules import CheckResult
 
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
@@ -89,8 +88,13 @@ def _dense_metric_rules(name, mats, dmats, shift):
     ]
 
 
+def _gram(B):
+    bm = B.as_matrix()
+    return bm.T @ bm
+
+
 def _dense_z_wellposedness(p, c, m2_mats, grid):
-    btb = gram(p.B).as_matrix()
+    btb = _gram(p.B)
     eigs = [_min_eig(c.value_at(t) * btb + m) for t, m in zip(grid, m2_mats)]
     beta = float(min(eigs))
     return beta, all(e > 0.0 for e in eigs), beta > 1e-10
@@ -108,7 +112,7 @@ def dense_validate(p, c, M1, M2, eps, grid):
     checks += _dense_metric_rules("m2", m2_mats, m2_d, l2 / 4.0)
     n_z = p.dim_z
     alpha = float(min(_min_eig(m - (l2 / 4.0) * np.eye(n_z)) for m in m2_mats))
-    btb_min = _min_eig(gram(p.B).as_matrix())
+    btb_min = _min_eig(_gram(p.B))
     cond_witness = max(alpha, btb_min)
     checks.append(CheckResult("convergence-condition", cond_witness > 1e-10,
                               cond_witness, 1e-10))
@@ -137,7 +141,7 @@ def dense_validate_corollary(p, c, tau, eps, grid):
     checks.append(CheckResult("derivative-coupling", deriv_excess <= 1e-9,
                               deriv_excess, 0.0))
     strict_margin = float(np.min(1.0 - tau_vals * l2 / 4.0 - c_vals * tau_vals * b2))
-    btb_min = _min_eig(gram(p.B).as_matrix())
+    btb_min = _min_eig(_gram(p.B))
     cond_witness = max(strict_margin, btb_min)
     checks.append(CheckResult("convergence-condition", cond_witness > 1e-10,
                               cond_witness, 1e-10))
