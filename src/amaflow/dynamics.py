@@ -125,11 +125,13 @@ def _metric_matrix(M2_t: LinearMap) -> Optional[np.ndarray]:
 def _snapshot(sched: ParameterSchedule):
     """``t -> (mu1, K, c, tau)``: the update's parameters at time t.
 
-    mu1 is M1's factor (M1 must be zero or a scaled identity, or the call
-    raises :class:`CapabilityError`). With a prox-friendly M2, tau is its step
-    and K is None; otherwise tau is None and K is M2(t) as a dense matrix:
-    None for a zero M2, and one shared array for a constant one, so a run
-    builds its coupling once. The metric kinds are resolved here, once.
+    mu1 is M1's factor. With a prox-friendly M2, tau is its step and K is
+    None; otherwise tau is None and K is M2(t) as a dense matrix: None for a
+    zero M2, and one shared array while M2 is unchanged (a constant dense M2,
+    or a scaled identity whose mu(t) keeps its value), so a run builds its
+    coupling once. The metric kinds are resolved here, once: an M1 that is
+    not zero or a scaled identity, or an M2 of a kind not shipped, raises
+    :class:`CapabilityError` before any update.
     """
     c_at = sched.c.value_at
     M1, M2 = sched.M1, sched.M2
@@ -139,8 +141,7 @@ def _snapshot(sched: ParameterSchedule):
     elif isinstance(M1, ScaledIdentityMetric):
         mu1_at = M1.mu.value_at
     else:
-        def mu1_at(t):
-            raise CapabilityError(_M1_KINDS)
+        raise CapabilityError(_M1_KINDS)
     if isinstance(M2, ProxFriendlyMetric):
         tau_at = M2.tau.value_at
         return lambda t: (mu1_at(t), None, c_at(t), tau_at(t))
@@ -149,7 +150,17 @@ def _snapshot(sched: ParameterSchedule):
     if isinstance(M2, ConstantDenseMetric):
         K = matrix_of(M2.M)
         return lambda t: (mu1_at(t), K, c_at(t), None)
-    return lambda t: (mu1_at(t), M2.matrix_at(t), c_at(t), None)
+    if not isinstance(M2, ScaledIdentityMetric):
+        raise CapabilityError(f"z-subproblem does not support M2 of kind {M2.kind!r}")
+    mu_at, eye = M2.mu.value_at, np.eye(M2.dim)
+    last = [None, None]  # mu(t) and its K, rebuilt when the value changes
+
+    def at(t):
+        mu = mu_at(t)
+        if last[0] != mu:
+            last[:] = mu, eye * mu
+        return mu1_at(t), last[1], c_at(t), None
+    return at
 
 
 class Coupling(NamedTuple):

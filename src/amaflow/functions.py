@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import CapabilityError, ConvergenceError
-from .linop import LinearMap, as_vector, min_eigenvalue_sym, operator_norm
+from .errors import CapabilityError
+from .linop import LinearMap, _check_symmetric, as_vector
 
 __all__ = [
     "SeparableFunction",
@@ -29,9 +29,8 @@ class SeparableFunction:
     """Base class: evaluation, prox, gradient, conjugate capabilities.
 
     Capabilities not available for a kind raise :class:`CapabilityError`.
-    ``conj_grad`` is single-valued exactly when ``strong_convexity > 0``; the
-    base implementation runs a proximal-point iteration so that any strongly
-    convex kind works even without a closed form.
+    ``conj_grad`` is single-valued exactly when ``strong_convexity > 0``; a
+    kind with that property defines it in closed form.
     """
 
     kind: str
@@ -52,24 +51,7 @@ class SeparableFunction:
         raise CapabilityError(f"{self.kind} has no closed-form conjugate")
 
     def conj_grad(self, s) -> np.ndarray:
-        # argmax_p { <s,p> - fun(p) }: proximal-point iteration with step
-        # 1/sigma, linearly convergent by strong convexity.
-        if self.strong_convexity <= 0.0:
-            raise CapabilityError(
-                f"{self.kind} is not strongly convex; conjugate gradient is set-valued"
-            )
-        s = as_vector(s, self.dim, "conj_grad input")
-        eta = 1.0 / self.strong_convexity
-        p = np.zeros(self.dim)
-        for _ in range(10000):
-            p_next = self.prox(eta, p + eta * s)
-            step = float(np.linalg.norm(p_next - p))
-            p = p_next
-            if step < 1e-12:
-                return p
-        raise ConvergenceError(
-            f"conj_grad fallback for {self.kind} did not converge", best_estimate=p
-        )
+        raise CapabilityError(f"{self.kind} has no single-valued conjugate gradient")
 
     def _check_gamma(self, gamma: float) -> float:
         gamma = float(gamma)
@@ -211,8 +193,10 @@ class ZeroFunction(SeparableFunction):
 class QuadraticForm(SeparableFunction):
     """``(1/2)<x, Qx> + <q, x>`` for symmetric PSD ``Q``.
 
-    Prox and conjugate gradient go through dense solves. No closed-form
-    conjugate value is exposed.
+    Q is decomposed once, ``Q = V diag(lam) V*``, at build; the strong
+    convexity (smallest lam), the gradient's Lipschitz constant (largest
+    |lam|), the prox and the conjugate gradient all read that factorization.
+    No closed-form conjugate value is exposed.
     """
 
     kind = "quadratic_form"
@@ -226,21 +210,24 @@ class QuadraticForm(SeparableFunction):
         self.Q = Q
         self.dim = self.q.shape[0]
         self._Qmat = Q.as_matrix()
-        sigma = min_eigenvalue_sym(Q)
+        _check_symmetric(self._Qmat)
+        self._lam, self._V = np.linalg.eigh(0.5 * (self._Qmat + self._Qmat.T))
+        sigma = float(self._lam[0])
         if sigma < -1e-10:
             raise ValueError(f"Q must be positive semidefinite; min eigenvalue {sigma:.3e}")
         self.strong_convexity = max(sigma, 0.0)
-        self.grad_lipschitz = operator_norm(Q)
+        self.grad_lipschitz = float(max(-sigma, self._lam[-1]))
 
     def __call__(self, x):
         x = as_vector(x, self.dim, "eval input")
         return 0.5 * float(x @ (self._Qmat @ x)) + float(self.q @ x)
 
     def prox(self, gamma, x):
+        # (I + gamma Q)^-1 (x - gamma q) in the eigenbasis of Q.
         gamma = self._check_gamma(gamma)
         x = as_vector(x, self.dim, "prox input")
-        lhs = np.eye(self.dim) + gamma * self._Qmat
-        return np.linalg.solve(lhs, x - gamma * self.q)
+        V = self._V
+        return V.dot(V.T.dot(x - gamma * self.q) / (1.0 + gamma * self._lam))
 
     def grad(self, x):
         x = as_vector(x, self.dim, "grad input")
@@ -250,4 +237,5 @@ class QuadraticForm(SeparableFunction):
         if self.strong_convexity <= 0.0:
             raise CapabilityError("quadratic_form with singular Q: conjugate gradient is set-valued")
         s = as_vector(s, self.dim, "conj_grad input")
-        return np.linalg.solve(self._Qmat, s - self.q)
+        V = self._V
+        return V.dot(V.T.dot(s - self.q) / self._lam)

@@ -41,7 +41,7 @@ def as_vector(x, n: int, what: str = "vector") -> np.ndarray:
 
 class LinearMap:
     """A finite-dimensional linear operator with an exact adjoint and a dense
-    matrix; subclasses implement all four methods."""
+    matrix; subclasses implement all three methods."""
 
     dim_in: int
     dim_out: int
@@ -50,9 +50,6 @@ class LinearMap:
         raise NotImplementedError
 
     def adjoint_apply(self, y) -> np.ndarray:
-        raise NotImplementedError
-
-    def adjoint(self) -> "LinearMap":
         raise NotImplementedError
 
     def as_matrix(self) -> np.ndarray:
@@ -80,9 +77,6 @@ class DenseMap(LinearMap):
     def adjoint_apply(self, y):
         return self.matrix.T.dot(as_vector(y, self.dim_out, "adjoint input"))
 
-    def adjoint(self):
-        return DenseMap(self.matrix.T)
-
     def as_matrix(self):
         return self.matrix.copy()
 
@@ -102,9 +96,6 @@ class ScaledIdentityMap(LinearMap):
     def adjoint_apply(self, y):
         return as_vector(y, self.dim_out, "adjoint input") * self.factor
 
-    def adjoint(self):
-        return self
-
     def as_matrix(self):
         return np.eye(self.dim_in) * self.factor
 
@@ -119,16 +110,21 @@ def matrix_of(m: LinearMap) -> np.ndarray:
     return m.matrix if isinstance(m, DenseMap) else m.as_matrix()
 
 
-def sym_eigenvalues(a: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
-    """Ascending eigenvalues of the square matrix ``a``, which must be symmetric
-    to ``sym_tol`` relative to its largest entry; an asymmetric input raises
-    with the maximal asymmetry magnitude in the message."""
+def _check_symmetric(a: np.ndarray, sym_tol: float = 1e-10) -> None:
+    """Raise unless the square matrix ``a`` is symmetric to ``sym_tol`` relative
+    to its largest entry; the message carries the maximal asymmetry."""
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("symmetric eigenvalue input", a.shape[1], a.shape[0])
     asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
     if asym > sym_tol * scale:
         raise ValueError(f"map is not symmetric: max asymmetry {asym:.3e}")
+
+
+def sym_eigenvalues(a: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
+    """Ascending eigenvalues of the square matrix ``a``, after
+    :func:`_check_symmetric`."""
+    _check_symmetric(a, sym_tol)
     return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 

@@ -182,7 +182,7 @@ def _parse_metric(doc, loc: str, dim: int, c: ScalarSchedule,
         mat = _matrix(doc["matrix"], f"{loc}.matrix")
         if mat.shape != (dim, dim):
             raise ParseError(f"matrix must be {dim}x{dim}, got {mat.shape}", loc)
-        return ConstantDenseMetric(DenseMap(mat))
+        return _build(ConstantDenseMetric, loc, DenseMap(mat))
     raise ParseError(f"unknown metric kind {kind!r}", loc)
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CapabilityError
-from .linop import LinearMap, ScaledIdentityMap, matrix_of
+from .linop import LinearMap, ScaledIdentityMap, _check_symmetric, matrix_of, sym_eigenvalues
 
 __all__ = [
     "ScalarSchedule",
@@ -152,9 +152,6 @@ class MetricSchedule:
     def derivative_at(self, t: float) -> LinearMap:
         raise NotImplementedError
 
-    def matrix_at(self, t: float) -> np.ndarray:
-        return self.at(t).as_matrix()
-
 
 class ZeroMetric(MetricSchedule):
     kind = "zero"
@@ -231,11 +228,14 @@ class ProxFriendlyMetric(MetricSchedule):
 
 
 class ConstantDenseMetric(MetricSchedule):
+    """A constant metric given by a symmetric map M."""
+
     kind = "constant_dense"
 
     def __init__(self, M: LinearMap):
         if M.dim_in != M.dim_out:
             raise ValueError("metric operator must be square")
+        _check_symmetric(matrix_of(M))
         self.M = M
         self.dim = M.dim_in
 
@@ -321,10 +321,6 @@ def _check_eps(p, eps: float) -> None:
         )
 
 
-def _min_eig(mat: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
-
-
 def _on_grid(s: ScalarSchedule, grid: np.ndarray) -> tuple:
     """Values and derivatives of a scalar schedule on the grid."""
     return (np.array([s.value_at(t) for t in grid]),
@@ -384,7 +380,7 @@ def _metric_rules(name: str, form: tuple, extremes: np.ndarray, shift: float) ->
     # Loewner differences and the derivative; beta = 0 whenever K is set, so
     # lambda_min(alpha Id + K) = alpha + lambda_min(K).
     alpha, dalpha, beta, dbeta, K = form
-    k_min = 0.0 if K is None else _min_eig(K)
+    k_min = 0.0 if K is None else float(sym_eigenvalues(K)[0])
     lower = k_min + float(np.min(_at_extremes(alpha - shift, beta, extremes)))
     loewner = 0.0
     if alpha.size > 1:
@@ -405,7 +401,7 @@ def _z_beta(p, c_vals: np.ndarray, form: tuple, extremes: np.ndarray) -> float:
         return float(np.min(_at_extremes(alpha, c_vals + beta, extremes)))
     # lambda_min(c B*B + K) is nondecreasing in c because B*B is PSD, so the
     # smallest c on the grid attains the minimum, whatever the c schedule.
-    return _min_eig(float(np.min(c_vals)) * p.btb + K)
+    return float(sym_eigenvalues(float(np.min(c_vals)) * p.btb + K)[0])
 
 
 def validate(p, c: ScalarSchedule, M1: MetricSchedule, M2: MetricSchedule,

@@ -64,6 +64,20 @@ class TestValidate:
         assert rc == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("metric", ["M1", "M2"])
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_asymmetric_dense_metric_is_a_parse_error(self, metric, command, tmp_path,
+                                                      capsys):
+        bad = doc(**{f"schedules__{metric}": {"kind": "constant_dense",
+                                              "matrix": [[0.6, 0.3], [0.1, 0.4]]}})
+        args = [command, write(tmp_path, bad)]
+        if command == "solve":
+            args += ["--out-prefix", str(tmp_path / "out")]
+        rc = main(args)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"parse error: schedules.{metric}: map is not symmetric" in err
+
     def test_bad_grid_argument(self, tmp_path, capsys):
         rc = main(["validate", write(tmp_path, doc()), "--grid", "0,oops"])
         assert rc == 1

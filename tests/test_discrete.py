@@ -11,12 +11,14 @@ from amaflow import (
     DenseMap,
     IdentityMap,
     L1Norm,
+    MetricSchedule,
     ParameterSchedule,
     PrimalDualState,
     ProxFriendlyMetric,
     QuadraticDistance,
     ReciprocalQuadratic,
     ScaledIdentityMap,
+    ScaledIdentityMetric,
     SolveConfig,
     TwoBlockProblem,
     ZeroFunction,
@@ -423,3 +425,60 @@ class TestConstantCoupling:
         s = self.manual(ex_problem, sched, ex_start, 20)
         for a, b in ((res.final.x, s.x), (res.final.z, s.z), (res.final.y, s.y)):
             assert np.array_equal(a, b)
+
+    def test_scaled_identity_run_decomposes_once(self, ex_problem, ex_start,
+                                                 decompositions):
+        cfg = SolveConfig(max_iters=50, tol_kkt=1e-300, tol_feas=1e-300)
+        c = ConstantSchedule(0.25)
+        res = prox_ama_run(ex_problem, ParameterSchedule(
+            c, ZeroMetric(2), ScaledIdentityMetric(ConstantSchedule(0.5), 2)), ex_start, cfg)
+        assert res.iterations_used == 50
+        assert decompositions == {"eigvalsh": 1, "eigh": 0, "svd": 0}
+        dense = prox_ama_run(ex_problem, ParameterSchedule(
+            c, ZeroMetric(2), ConstantDenseMetric(DenseMap(0.5 * np.eye(2)))), ex_start, cfg)
+        assert len(res.iterates.samples) == len(dense.iterates.samples) == 51
+        for a, b in zip(res.iterates.samples, dense.iterates.samples):
+            for key in ("x", "z", "y"):
+                assert np.array_equal(getattr(a.state, key), getattr(b.state, key))
+
+    def test_changing_mu_rebuilds_the_coupling(self, ex_problem, ex_start,
+                                               decompositions):
+        class Growing(ConstantSchedule):
+            def value_at(self, t):
+                return self.value + 0.01 * t
+
+        sched = ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2),
+                                  ScaledIdentityMetric(Growing(0.5), 2))
+        res = prox_ama_run(ex_problem, sched, ex_start,
+                           SolveConfig(max_iters=20, tol_kkt=1e-300, tol_feas=1e-300))
+        assert res.iterations_used == 20
+        assert decompositions == {"eigvalsh": 20, "eigh": 0, "svd": 0}
+        s = self.manual(ex_problem, sched, ex_start, 20)
+        for a, b in ((res.final.x, s.x), (res.final.z, s.z), (res.final.y, s.y)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("which", ["M1", "M2"])
+    def test_other_metric_kinds_are_refused_before_the_first_update(
+            self, which, ex_problem, ex_start, monkeypatch):
+        import amaflow.discrete
+        import amaflow.dynamics
+
+        class Custom(MetricSchedule):
+            kind = "custom"
+            dim = 2
+
+            def at(self, t):
+                return DenseMap(np.eye(2))
+
+        updates = []
+        for mod in (amaflow.discrete, amaflow.dynamics):
+            monkeypatch.setattr(mod, "alternating_update",
+                                lambda *a, **k: updates.append(a))
+        metrics = {"M1": ZeroMetric(2), "M2": ZeroMetric(2), which: Custom()}
+        sched = ParameterSchedule(ConstantSchedule(0.25), metrics["M1"], metrics["M2"])
+        match = "custom" if which == "M2" else "M1"
+        with pytest.raises(CapabilityError, match=match):
+            prox_ama_run(ex_problem, sched, ex_start, SolveConfig(max_iters=5))
+        with pytest.raises(CapabilityError, match=match):
+            integrate(ex_problem, sched, ex_start, method="euler", h=1.0, T=5.0)
+        assert updates == []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amaflow import (
     BoxIndicator,
@@ -113,14 +115,9 @@ class TestConjGrad:
             with pytest.raises(CapabilityError):
                 f.conj_grad(np.zeros(f.dim))
 
-    def test_fallback_iteration_matches_closed_form(self, rng):
-        # Route a strongly convex function through the base-class fallback and
-        # compare with its closed form.
-        f = QuadraticDistance(np.array([0.3, -0.8]), 1.7)
-        for _ in range(20):
-            s = rng.uniform(-4, 4, 2)
-            via_fallback = SeparableFunction.conj_grad(f, s)
-            assert via_fallback == pytest.approx(f.conj_grad(s), abs=1e-9)
+    def test_base_kind_has_no_conjugate_gradient(self):
+        with pytest.raises(CapabilityError):
+            SeparableFunction.conj_grad(qd10(), np.zeros(2))
 
     def test_fenchel_young_equality(self, rng):
         f = qd10()
@@ -153,6 +150,56 @@ class TestConjEval:
         f = QuadraticForm(ScaledIdentityMap(2, 1.0), np.zeros(2))
         with pytest.raises(CapabilityError):
             f.conj_eval([1.0, 0.0])
+
+
+@st.composite
+def psd_forms(draw):
+    """A random PSD Q (n in 2..30, of rank 1..n, eigenvalues in [0.1, 10]
+    or zero), a linear term, a prox step and a point."""
+    n = draw(st.integers(2, 30))
+    rank = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.concatenate([rng.uniform(0.1, 10.0, rank), np.zeros(n - rank)])
+    Q = (V * lam) @ V.T
+    gamma = draw(st.floats(0.05, 5.0))
+    return 0.5 * (Q + Q.T), rng.standard_normal(n), rank, gamma, rng.standard_normal(n)
+
+
+def _close(got, expect, rtol=1e-12):
+    return np.linalg.norm(got - expect) <= rtol * np.linalg.norm(expect)
+
+
+class TestQuadraticFormFactorization:
+    """Q is decomposed once at build; every capability reads that eigh."""
+
+    def test_build_makes_one_eigh(self, rng, decompositions):
+        raw = rng.standard_normal((6, 6))
+        QuadraticForm(DenseMap(raw @ raw.T), rng.standard_normal(6))
+        assert decompositions == {"eigvalsh": 0, "eigh": 1, "svd": 0}
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(psd_forms())
+    def test_capabilities_match_dense_solves(self, case):
+        Q, q, rank, gamma, x = case
+        n = q.shape[0]
+        f = QuadraticForm(DenseMap(Q), q)
+        assert _close(f.prox(gamma, x), np.linalg.solve(np.eye(n) + gamma * Q, x - gamma * q))
+        norm = np.linalg.svd(Q, compute_uv=False)[0]
+        assert abs(f.grad_lipschitz - norm) <= 1e-12 * norm
+        if rank == n:
+            assert _close(f.conj_grad(x), np.linalg.solve(Q, x - q))
+
+    def test_singular_form_has_no_conjugate_gradient(self):
+        f = QuadraticForm(DenseMap([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]]),
+                          np.zeros(3))
+        assert f.strong_convexity == 0.0
+        with pytest.raises(CapabilityError, match="singular"):
+            f.conj_grad(np.ones(3))
+
+    def test_asymmetric_form_is_rejected_with_magnitude(self):
+        with pytest.raises(ValueError, match="max asymmetry 3.000e-01"):
+            QuadraticForm(DenseMap([[1.0, 0.3], [0.0, 1.0]]), np.zeros(2))
 
 
 class TestMoreauIdentity:

@@ -87,7 +87,7 @@ def test_matrix_free_z_target_matches_dense_metric(case):
     # With g = 0 the z-step returns tau times its target.
     p, sched, (x_new, z, y, _), t = case
     c, tau = sched.c.value_at(t), sched.tau.value_at(t)
-    M2 = sched.M2.matrix_at(t)
+    M2 = sched.M2.at(t).as_matrix()
     Bt = p.B.matrix.T
     ax = p.A.matrix @ x_new
     terms = [M2 @ z, Bt @ y, c * (Bt @ (ax - p.b))]
@@ -105,7 +105,7 @@ def test_energy_z_term_matches_dense_metric(case):
     s = PrimalDualState(x, z + dz, y)
     c = sched.c.value_at(t)
     bdz = p.B.matrix @ dz
-    dense = c * float(dz @ sched.M2.matrix_at(t) @ dz) + c * c * float(bdz @ bdz)
+    dense = c * float(dz @ sched.M2.at(t).as_matrix() @ dz) + c * c * float(bdz @ bdz)
     got = energy(p, sched, t, s, ref, ref_checked=True).components[2]
     assert abs(got - dense) <= 1e-12 * abs(dense)
 

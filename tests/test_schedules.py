@@ -84,17 +84,17 @@ class TestScalarDerivatives:
 class TestMetricValues:
     def test_zero(self):
         m = ZeroMetric(2)
-        assert np.allclose(m.matrix_at(3.0), 0.0)
+        assert np.allclose(m.at(3.0).as_matrix(), 0.0)
         assert np.allclose(m.derivative_at(3.0).as_matrix(), 0.0)
 
     def test_scaled_identity(self):
         m = ScaledIdentityMetric(ConstantSchedule(2.5), 3)
-        assert np.allclose(m.matrix_at(1.0), 2.5 * np.eye(3))
+        assert np.allclose(m.at(1.0).as_matrix(), 2.5 * np.eye(3))
 
     def test_prox_friendly_example(self):
         p = example_problem()
         m = ProxFriendlyMetric(ConstantSchedule(1.0), ConstantSchedule(0.25), p.B)
-        eigs = np.linalg.eigvalsh(m.matrix_at(0.0))
+        eigs = np.linalg.eigvalsh(m.at(0.0).as_matrix())
         assert eigs[0] == pytest.approx(0.75)
         assert eigs[1] == pytest.approx(1.0)
 
@@ -103,13 +103,13 @@ class TestMetricValues:
         for variant in ("c025", "c199", "c1-decay", "c2-decay"):
             sched = example_schedule(variant, 0.99, p)
             for t in GRID:
-                w = float(np.linalg.eigvalsh(sched.M2.matrix_at(float(t)))[0])
+                w = float(np.linalg.eigvalsh(sched.M2.at(float(t)).as_matrix())[0])
                 assert w >= -1e-12
 
     def test_constant_dense(self):
         mat = np.array([[2.0, 0.5], [0.5, 1.0]])
         m = ConstantDenseMetric(DenseMap(mat))
-        assert np.allclose(m.matrix_at(9.0), mat)
+        assert np.allclose(m.at(9.0).as_matrix(), mat)
         assert np.allclose(m.derivative_at(9.0).as_matrix(), 0.0)
 
 
@@ -119,14 +119,14 @@ class TestMetricDerivatives:
         c = ReciprocalSqrt(1.1, 0.01)
         m = ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B)
         for t in np.linspace(0.1, 30.0, 25):
-            fd = finite_difference(lambda u: m.matrix_at(u), float(t))
+            fd = finite_difference(lambda u: m.at(u).as_matrix(), float(t))
             assert np.allclose(m.derivative_at(float(t)).as_matrix(), fd,
                                rtol=1e-5, atol=1e-8)
 
     def test_scaled_identity_against_central_difference(self):
         m = ScaledIdentityMetric(ReciprocalQuadratic(2.0), 3)
         for t in np.linspace(0.1, 10.0, 10):
-            fd = finite_difference(lambda u: m.matrix_at(u), float(t))
+            fd = finite_difference(lambda u: m.at(u).as_matrix(), float(t))
             assert np.allclose(m.derivative_at(float(t)).as_matrix(), fd,
                                rtol=1e-5, atol=1e-8)
 

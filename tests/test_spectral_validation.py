@@ -104,9 +104,9 @@ def dense_validate(p, c, M1, M2, eps, grid):
     checks = _dense_c_rules(p, c, eps, grid)
     l1 = p.h1.grad_lipschitz or 0.0
     l2 = p.h2.grad_lipschitz or 0.0
-    m1_mats = [M1.matrix_at(t) for t in grid]
+    m1_mats = [M1.at(t).as_matrix() for t in grid]
     m1_d = [M1.derivative_at(t).as_matrix() for t in grid]
-    m2_mats = [M2.matrix_at(t) for t in grid]
+    m2_mats = [M2.at(t).as_matrix() for t in grid]
     m2_d = [M2.derivative_at(t).as_matrix() for t in grid]
     checks += _dense_metric_rules("m1", m1_mats, m1_d, l1 / 4.0)
     checks += _dense_metric_rules("m2", m2_mats, m2_d, l2 / 4.0)
@@ -146,7 +146,7 @@ def dense_validate_corollary(p, c, tau, eps, grid):
     checks.append(CheckResult("convergence-condition", cond_witness > 1e-10,
                               cond_witness, 1e-10))
     m2 = ProxFriendlyMetric(tau, c, p.B)
-    m2_mats = [m2.matrix_at(t) for t in grid]
+    m2_mats = [m2.at(t).as_matrix() for t in grid]
     beta, cweak, cstrong = _dense_z_wellposedness(p, c, m2_mats, grid)
     return "corollary-prox-friendly", checks, beta, cweak, cstrong
 
