@@ -78,10 +78,11 @@ def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfi
     """The loop of :func:`prox_ama_run` and :func:`ama_run`.
 
     An iteration streams the matrices four times, A B B A on the
-    prox-friendly branch: the update's A x+, B* of the z-target and B z+,
+    prox-friendly branch: the update's A x+, B* of the z-step and B z+,
     then A* y+ for the x-residual, which the next x-step reuses along with
-    B z+. The z-residual (one more B* y+, before A* y+, and a prox of g) is
-    computed only where it can decide the run: on recorded iterates (the
+    B z+; the feasibility residual is the norm of the update's r. The
+    z-residual (one more B* y+, before A* y+, and a prox of g) is computed
+    only where it can decide the run: on recorded iterates (the
     last one included) and on iterates whose x-residual and feasibility
     residual both pass their tolerances or are not both finite. Anywhere
     else one of the two is finite and above its tolerance, so the iterate
@@ -105,41 +106,41 @@ def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfi
     status, message = "max_iters", ""
     used = last = cfg.max_iters
     every, tol_kkt, tol_feas = cfg.record_every, cfg.tol_kkt, cfg.tol_feas
+    x, z, y = s.x, s.z, s.y
     coupling = None
     for k in range(last):
         mu1, K, c, tau = snapshot(float(k))
         try:
-            up = alternating_update(p, mu1, K, c, tau, s.x, s.z, s.y, require_uniform,
+            up = alternating_update(p, mu1, K, c, tau, x, z, y, require_uniform,
                                     aty, bz, coupling)
         except (ConvergenceError, ConditionError) as exc:
             status, message, used = "error", str(exc), k
             break
-        coupling, bz = up.coupling, up.bz
-        s = PrimalDualState(up.x, up.z, s.y + up.w, float(k + 1))
-        recorded = (k + 1) % every == 0 or k + 1 == last
-        if recorded:
-            smp, aty, _ = _sample(p, float(k + 1), s, up.ax, bz)
+        x, z, y, bz, coupling = up.x, up.z, y + up.w, up.bz, up.coupling
+        t = float(k + 1)
+        if (k + 1) % every == 0 or k + 1 == last:
+            smp, aty, _ = _sample(p, t, PrimalDualState(x, z, y, t), bz, up.r)
             samples.append(smp)
+            stop = _stop(smp.kkt, cfg, k + 1)
         else:
-            aty = At.dot(s.y)
-            rx = p._x_residual(s.x, aty)
-            feas = p._feas(up.ax, bz)
+            aty = At.dot(y)
+            rx = p._x_residual(x, aty)
+            feas = math.sqrt(up.r.dot(up.r))
             if ((rx > tol_kkt or feas > tol_feas)
                     and math.isfinite(rx) and math.isfinite(feas)):
                 continue
-            kkt = KKTResidual(rx, p._z_residual(s.z, Bt.dot(s.y)), feas)
-            smp = TrajectorySample(float(k + 1), s, feas, kkt)
-        stop = _stop(smp.kkt, cfg, k + 1)
+            kkt = KKTResidual(rx, p._z_residual(z, Bt.dot(y)), feas)
+            stop = _stop(kkt, cfg, k + 1)
+            if stop is not None:
+                samples.append(TrajectorySample(t, PrimalDualState(x, z, y, t), feas, kkt))
         if stop is not None:
-            if not recorded:
-                samples.append(smp)
             (status, message), used = stop, k + 1
             break
 
-    if status == "error" and samples[-1].t != s.t:
-        samples.append(_sample(p, s.t, s)[0])
+    if status == "error" and samples[-1].t != used:
+        samples.append(_sample(p, float(used), PrimalDualState(x, z, y, float(used)))[0])
     traj = Trajectory(samples, method, 1.0, float(used))
-    return SolveResult(s, traj, status, used, message)
+    return SolveResult(samples[-1].state, traj, status, used, message)
 
 
 def _stop(kkt, cfg: SolveConfig, k: int) -> Optional[tuple]:

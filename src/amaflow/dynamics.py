@@ -203,11 +203,11 @@ def _inner_argmin(fun: SeparableFunction, Q: np.ndarray, lip: float,
     so iterates of any scale can stop.
     """
     if lip == 0.0:
-        return fun.conj_grad(target)
+        return fun._conj_grad(target)
     step = 1.0 / lip
     p = np.zeros(fun.dim) if start is None else start
     for k in range(50000):
-        p_next = fun.prox(step, p - (Q.dot(p) - target) * step)
+        p_next = fun._prox(step, p - (Q.dot(p) - target) * step)
         d = p_next - p
         delta = math.sqrt(d.dot(d))
         p = p_next
@@ -251,24 +251,23 @@ def regularized_argmin(fun: SeparableFunction, Q: LinearMap, target,
 def _x_argmin(p: TwoBlockProblem, mu1: float, x: np.ndarray, aty: np.ndarray) -> np.ndarray:
     pull = aty if p.h1.kind == "zero" else aty - p.h1.grad(x)
     if mu1 == 0.0:
-        return p.f.conj_grad(pull)
+        return p.f._conj_grad(pull)
     if mu1 < 0.0:
         raise ConditionError(f"subproblem metric has negative factor {mu1}")
-    return p.f.prox(1.0 / mu1, (x * mu1 + pull) / mu1)
+    return p.f._prox(1.0 / mu1, (x * mu1 + pull) / mu1)
 
 
 def _z_prox(p: TwoBlockProblem, c: float, tau: float, z: np.ndarray, y: np.ndarray,
             ax: np.ndarray, bz: Optional[np.ndarray]) -> np.ndarray:
-    """The prox-friendly z-step: one prox of g at the matrix-free target."""
+    """The prox-friendly z-step ``prox_{tau g}(z + tau v)``; see :func:`solve_z_subproblem`."""
     if tau <= 0.0:
         raise ConditionError(f"prox step tau must be positive, got {tau}")
     if bz is None:
         bz = p.mat_B.dot(z)
-    target = z / tau + p.mat_Bt.dot(y - (ax + bz - p.b) * c)
+    v = p.mat_Bt.dot(y - (ax + bz - p.b) * c)
     if p.h2.kind != "zero":
-        target = target - p.h2.grad(z)
-    mu = 1.0 / tau
-    return p.g.prox(1.0 / mu, target / mu)
+        v = v - p.h2.grad(z)
+    return p.g._prox(tau, z + v * tau)
 
 
 def _z_general(p: TwoBlockProblem, cp: Coupling, z: np.ndarray, y: np.ndarray,
@@ -305,11 +304,11 @@ def solve_z_subproblem(p: TwoBlockProblem, M2_t: Optional[LinearMap], c_t: float
 
     When ``tau_t`` is supplied the metric is the prox-friendly choice
     M2 = (1/tau) Id - c B*B, so c B*B + M2 collapses to (1/tau) Id and the
-    whole update is one prox of g, at the matrix-free target
+    whole update is one prox of tau g at the matrix-free point
 
-        z/tau + B*(y - c (A x_new + B z - b)) - grad h2(z),
+        z + tau (B*(y - c (A x_new + B z - b)) - grad h2(z)),
 
-    which is M2 z + B* y - c B*(A x_new - b) - grad h2(z) with one adjoint.
+    tau times M2 z + B* y - c B*(A x_new - b) - grad h2(z), with one adjoint.
     This branch never reads ``M2_t`` (it may be None) and takes the metric's c
     and B to be ``c_t`` and ``p.B``: a prox-friendly M2 must share the run's c
     schedule and the problem's B. Otherwise the quadratic coupling
@@ -331,8 +330,8 @@ def solve_z_subproblem(p: TwoBlockProblem, M2_t: Optional[LinearMap], c_t: float
 
 
 class Update(NamedTuple):
-    """One alternating sweep: the new blocks, the multiplier step, the
-    products ``ax = A x`` and ``bz = B z`` of the new blocks for reuse, and the
+    """One alternating sweep: the new blocks, the multiplier step, the new
+    blocks' ``ax = A x``, ``bz = B z`` and ``r = ax + bz - b`` for reuse, and the
     z-step's :class:`Coupling` (None on the prox-friendly branch)."""
 
     x: np.ndarray
@@ -341,6 +340,7 @@ class Update(NamedTuple):
     ax: np.ndarray
     bz: np.ndarray
     coupling: Optional[Coupling]
+    r: np.ndarray
 
 
 def alternating_update(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray],
@@ -350,8 +350,8 @@ def alternating_update(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray],
     """One x-then-z sweep plus the multiplier residual, on trusted arrays.
 
     ``(mu1, K, c, tau)`` is a :func:`_snapshot` of the schedules. Returns an
-    :class:`Update` with ``w = c (b - A x_new - B z_new)``. ``aty`` and ``bz``
-    are the products ``A* y`` and ``B z`` when the caller already has them;
+    :class:`Update` with ``r = A x_new + B z_new - b``, formed once, and
+    ``w = -c r``. ``aty`` and ``bz`` are ``A* y`` and ``B z`` when known;
     ``coupling`` is the previous update's, reused when c and K are unchanged,
     so a run with a constant coupling checks and decomposes it once. The
     continuous field and the discrete iteration both reduce to this; keeping
@@ -368,23 +368,25 @@ def alternating_update(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray],
         coupling = _coupling(p, K, c, require_uniform, coupling)
         z_new = _z_general(p, coupling, z, y, ax)
     bz_new = p.mat_B.dot(z_new)
-    return Update(x_new, z_new, (p.b - ax - bz_new) * c, ax, bz_new, coupling)
+    r = ax + bz_new - p.b
+    return Update(x_new, z_new, r * -c, ax, bz_new, coupling, r)
 
 
-def _sample(p: TwoBlockProblem, t: float, s: PrimalDualState, ax=None, bz=None) -> tuple:
+def _sample(p: TwoBlockProblem, t: float, s: PrimalDualState, bz=None, r=None) -> tuple:
     """``(sample, A* y, B z)`` for state ``s`` at ``t``, with all three residuals.
 
-    ``ax = A x`` and ``bz = B z`` are used when the caller has them. B* y is
-    formed before A* y; the caller hands A* y and B z to the next update.
+    ``bz = B z`` and the constraint residual ``r = A x + B z - b`` are used
+    when the caller has them (``r`` only with ``bz``). B* y is formed before
+    A* y; the caller hands A* y and B z to the next update.
     """
     x, z, y = s.x, s.z, s.y
     bty = p.mat_Bt.dot(y)
     aty = p.mat_At.dot(y)
-    if ax is None:
+    if r is None:
         ax = p.mat_A.dot(x)
-    if bz is None:
-        bz = p.mat_B.dot(z)
-    feas = p._feas(ax, bz)
+        bz = p.mat_B.dot(z) if bz is None else bz
+        r = ax + bz - p.b
+    feas = math.sqrt(r.dot(r))
     kkt = KKTResidual(p._x_residual(x, aty), p._z_residual(z, bty), feas)
     return TrajectorySample(t, s, feas, kkt), aty, bz
 
@@ -440,9 +442,9 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
 
     The products ``A* y`` and ``B z`` a recorded sample forms go into the
     next step. At unit step Euler's argmins are the next iterate, so each
-    update's ``A x_new`` and ``B z_new`` also serve the next sample and step,
-    as in the discrete solver: the two make the same products. A general-M2
-    coupling is carried from step to step (and stage to stage), so a constant
+    update's ``B z_new`` and constraint residual also serve the next sample
+    and step, as in the discrete solver: the two make the same products.
+    A general-M2 coupling is carried from step to step (and stage to stage), so a constant
     one is checked and decomposed once per run, as in the discrete solver.
     """
     if method not in ("euler", "rk4"):
@@ -466,19 +468,19 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     unit = method == "euler" and h == 1.0
     samples = []
 
-    def record(t, state, ax, bz):
-        smp, aty, bz = _sample(p, t, state, ax, bz)
+    def record(t, state, bz, r):
+        smp, aty, bz = _sample(p, t, state, bz, r)
         if reference is not None:
             smp.energy = _energy(p, snap(t), t, state, reference).energy
         samples.append(smp)
         return smp, aty, bz
 
     _, aty, bz = record(0.0, s, None, None)
+    x, z, y = s.x, s.z, s.y
     cp = None
     for n in range(n_steps):
         t = n * h
-        x, z, y = s.x, s.z, s.y
-        ax = None
+        r = None
         try:
             if method == "rk4":
                 x, z, y, cp = _rk4_step(p, snap, t, x, z, y, h, aty, bz, cp)
@@ -488,17 +490,16 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
                                         coupling=cp)
                 cp = up.coupling
                 if unit:
-                    x, z, y, ax, bz = up.x, up.z, y + up.w, up.ax, up.bz
+                    x, z, y, bz, r = up.x, up.z, y + up.w, up.bz, up.r
                 else:
                     x, z, y = x + (up.x - x) * h, z + (up.z - z) * h, y + up.w * h
                     bz = None
         except (ConvergenceError, ConditionError, CapabilityError) as exc:
             raise TrajectoryError(f"integration aborted at t={t:.6g}: {exc}",
                                   trajectory=Trajectory(samples, method, h, T)) from exc
-        s = PrimalDualState(x, z, y, t + h)
         aty = None
         if (n + 1) % record_every == 0 or n + 1 == n_steps:
-            smp, aty, bz = record((n + 1) * h, s, ax, bz)
+            smp, aty, bz = record((n + 1) * h, PrimalDualState(x, z, y, t + h), bz, r)
             if not all(math.isfinite(v) for v in smp.kkt):
                 raise TrajectoryError(
                     f"integration diverged at t={smp.t:.6g}: residual not finite",

@@ -30,7 +30,9 @@ class SeparableFunction:
 
     Capabilities not available for a kind raise :class:`CapabilityError`.
     ``conj_grad`` is single-valued exactly when ``strong_convexity > 0``; a
-    kind with that property defines it in closed form.
+    kind with that property defines it in closed form. The public ``prox``
+    and ``conj_grad`` check their inputs once and call the kind's trusted
+    ``_prox``/``_conj_grad``, which the solvers call on arrays they own.
     """
 
     kind: str
@@ -42,6 +44,12 @@ class SeparableFunction:
         raise NotImplementedError
 
     def prox(self, gamma: float, x) -> np.ndarray:
+        gamma = float(gamma)
+        if gamma <= 0.0:
+            raise ValueError(f"prox step must be positive, got {gamma}")
+        return self._prox(gamma, as_vector(x, self.dim, "prox input"))
+
+    def _prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def grad(self, x) -> np.ndarray:
@@ -51,13 +59,13 @@ class SeparableFunction:
         raise CapabilityError(f"{self.kind} has no closed-form conjugate")
 
     def conj_grad(self, s) -> np.ndarray:
-        raise CapabilityError(f"{self.kind} has no single-valued conjugate gradient")
+        # Without the capability, _conj_grad raises before the input matters.
+        if self.strong_convexity > 0.0:
+            s = as_vector(s, self.dim, "conj_grad input")
+        return self._conj_grad(s)
 
-    def _check_gamma(self, gamma: float) -> float:
-        gamma = float(gamma)
-        if gamma <= 0.0:
-            raise ValueError(f"prox step must be positive, got {gamma}")
-        return gamma
+    def _conj_grad(self, s: np.ndarray) -> np.ndarray:
+        raise CapabilityError(f"{self.kind} has no single-valued conjugate gradient")
 
 
 class QuadraticDistance(SeparableFunction):
@@ -80,17 +88,14 @@ class QuadraticDistance(SeparableFunction):
         x = as_vector(x, self.dim, "eval input")
         return 0.5 * self.weight * float(np.sum((x - self.d) ** 2))
 
-    def prox(self, gamma, x):
-        gamma = self._check_gamma(gamma)
-        x = as_vector(x, self.dim, "prox input")
+    def _prox(self, gamma, x):
         return (x + gamma * self.weight * self.d) / (1.0 + gamma * self.weight)
 
     def grad(self, x):
         x = as_vector(x, self.dim, "grad input")
         return self.weight * (x - self.d)
 
-    def conj_grad(self, s):
-        s = as_vector(s, self.dim, "conj_grad input")
+    def _conj_grad(self, s):
         return self.d + s / self.weight
 
     def conj_eval(self, s):
@@ -116,11 +121,8 @@ class L1Norm(SeparableFunction):
         x = as_vector(x, self.dim, "eval input")
         return self.weight * float(np.sum(np.abs(x)))
 
-    def prox(self, gamma, x):
-        gamma = self._check_gamma(gamma)
-        x = as_vector(x, self.dim, "prox input")
-        thresh = gamma * self.weight
-        return np.sign(x) * np.maximum(np.abs(x) - thresh, 0.0)
+    def _prox(self, gamma, x):
+        return np.sign(x) * np.maximum(np.abs(x) - gamma * self.weight, 0.0)
 
     def conj_eval(self, s):
         # Indicator of the weight-radius sup-norm ball.
@@ -150,9 +152,7 @@ class BoxIndicator(SeparableFunction):
         inside = np.all(x >= self.lo - 1e-12) and np.all(x <= self.hi + 1e-12)
         return 0.0 if inside else math.inf
 
-    def prox(self, gamma, x):
-        self._check_gamma(gamma)
-        x = as_vector(x, self.dim, "prox input")
+    def _prox(self, gamma, x):
         return np.clip(x, self.lo, self.hi)
 
     def conj_eval(self, s):
@@ -176,9 +176,8 @@ class ZeroFunction(SeparableFunction):
         as_vector(x, self.dim, "eval input")
         return 0.0
 
-    def prox(self, gamma, x):
-        self._check_gamma(gamma)
-        return as_vector(x, self.dim, "prox input").copy()
+    def _prox(self, gamma, x):
+        return x.copy()
 
     def grad(self, x):
         as_vector(x, self.dim, "grad input")
@@ -195,8 +194,9 @@ class QuadraticForm(SeparableFunction):
 
     Q is decomposed once, ``Q = V diag(lam) V*``, at build; the strong
     convexity (smallest lam), the gradient's Lipschitz constant (largest
-    |lam|), the prox and the conjugate gradient all read that factorization.
-    No closed-form conjugate value is exposed.
+    |lam|), the prox and the conjugate gradient all read that factorization;
+    a smallest lam of at most ``n * eps * max |lam|`` makes Q singular. No
+    closed-form conjugate value is exposed.
     """
 
     kind = "quadratic_form"
@@ -215,17 +215,16 @@ class QuadraticForm(SeparableFunction):
         sigma = float(self._lam[0])
         if sigma < -1e-10:
             raise ValueError(f"Q must be positive semidefinite; min eigenvalue {sigma:.3e}")
-        self.strong_convexity = max(sigma, 0.0)
         self.grad_lipschitz = float(max(-sigma, self._lam[-1]))
+        floor = self.dim * np.finfo(float).eps * self.grad_lipschitz
+        self.strong_convexity = sigma if sigma > floor else 0.0
 
     def __call__(self, x):
         x = as_vector(x, self.dim, "eval input")
         return 0.5 * float(x @ (self._Qmat @ x)) + float(self.q @ x)
 
-    def prox(self, gamma, x):
+    def _prox(self, gamma, x):
         # (I + gamma Q)^-1 (x - gamma q) in the eigenbasis of Q.
-        gamma = self._check_gamma(gamma)
-        x = as_vector(x, self.dim, "prox input")
         V = self._V
         return V.dot(V.T.dot(x - gamma * self.q) / (1.0 + gamma * self._lam))
 
@@ -233,9 +232,8 @@ class QuadraticForm(SeparableFunction):
         x = as_vector(x, self.dim, "grad input")
         return self._Qmat @ x + self.q
 
-    def conj_grad(self, s):
+    def _conj_grad(self, s):
         if self.strong_convexity <= 0.0:
             raise CapabilityError("quadratic_form with singular Q: conjugate gradient is set-valued")
-        s = as_vector(s, self.dim, "conj_grad input")
         V = self._V
         return V.dot(V.T.dot(s - self.q) / self._lam)

@@ -197,7 +197,7 @@ class TwoBlockProblem:
         vx = x + aty
         if self.h1.kind != "zero":
             vx = vx - self.h1.grad(x)
-        rx = x - self.f.prox(1.0, vx)
+        rx = x - self.f._prox(1.0, vx)
         return math.sqrt(rx.dot(rx))
 
     def _z_residual(self, z: np.ndarray, bty: np.ndarray) -> float:
@@ -205,5 +205,5 @@ class TwoBlockProblem:
         vz = z + bty
         if self.h2.kind != "zero":
             vz = vz - self.h2.grad(z)
-        rz = z - self.g.prox(1.0, vz)
+        rz = z - self.g._prox(1.0, vz)
         return math.sqrt(rz.dot(rz))

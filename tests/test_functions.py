@@ -9,11 +9,13 @@ from amaflow import (
     BoxIndicator,
     CapabilityError,
     DenseMap,
+    DimensionMismatchError,
     L1Norm,
     QuadraticDistance,
     QuadraticForm,
     ScaledIdentityMap,
     SeparableFunction,
+    TwoBlockProblem,
     ZeroFunction,
 )
 
@@ -116,8 +118,16 @@ class TestConjGrad:
                 f.conj_grad(np.zeros(f.dim))
 
     def test_base_kind_has_no_conjugate_gradient(self):
+        # The public conj_grad lives on the base and dispatches to the kind's
+        # trusted _conj_grad; a kind that defines none gets the base's refusal,
+        # strongly convex or not.
+        class Bare(SeparableFunction):
+            kind, dim, strong_convexity = "bare", 2, 1.0
+
+        with pytest.raises(CapabilityError, match="bare has no single-valued"):
+            Bare().conj_grad(np.zeros(2))
         with pytest.raises(CapabilityError):
-            SeparableFunction.conj_grad(qd10(), np.zeros(2))
+            SeparableFunction._conj_grad(qd10(), np.zeros(2))
 
     def test_fenchel_young_equality(self, rng):
         f = qd10()
@@ -189,6 +199,20 @@ class TestQuadraticFormFactorization:
         assert abs(f.grad_lipschitz - norm) <= 1e-12 * norm
         if rank == n:
             assert _close(f.conj_grad(x), np.linalg.solve(Q, x - q))
+
+    def test_numerically_singular_forms_are_singular(self):
+        # eigh returns about +-1e-16 for a zero eigenvalue; the relative floor
+        # n * eps * max|lam| makes every such form singular.
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            G = rng.standard_normal((6, 3))
+            f = QuadraticForm(DenseMap(G @ G.T), np.zeros(6))
+            assert f.strong_convexity == 0.0
+            with pytest.raises(CapabilityError, match="singular"):
+                f.conj_grad(np.ones(6))
+            with pytest.raises(ValueError, match="strongly convex"):
+                TwoBlockProblem(f, ZeroFunction(6), ZeroFunction(6), ZeroFunction(6),
+                                DenseMap(np.eye(6)), DenseMap(np.eye(6)), np.zeros(6))
 
     def test_singular_form_has_no_conjugate_gradient(self):
         f = QuadraticForm(DenseMap([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]]),
@@ -299,3 +323,46 @@ class TestEdgeCases:
             QuadraticDistance(np.zeros(2), 0.0)
         with pytest.raises(ValueError):
             L1Norm(2, -0.1)
+
+
+def _catalog(rng):
+    """One instance of every shipped kind, the singular quadratic form included."""
+    G = rng.standard_normal((3, 3))
+    return [QuadraticDistance(rng.standard_normal(3), 1.7), L1Norm(3, 0.6),
+            BoxIndicator([-1.0, -0.5, 0.0], [1.0, 0.5, 2.0]), ZeroFunction(3),
+            QuadraticForm(DenseMap(G @ G.T + np.eye(3)), rng.standard_normal(3)),
+            QuadraticForm(DenseMap([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+                          np.ones(3))]
+
+
+class TestCheckedBoundary:
+    """The public prox/conj_grad check once and return the trusted method's bits."""
+
+    def test_public_methods_equal_the_trusted_ones_bitwise(self, rng):
+        for f in _catalog(rng):
+            for _ in range(20):
+                gamma = float(rng.uniform(0.05, 5.0))
+                x = rng.standard_normal(3) * 3.0
+                assert f.prox(gamma, x).tobytes() == f._prox(gamma, x).tobytes()
+                assert f.prox(gamma, x.tolist()).tobytes() == f._prox(gamma, x).tobytes()
+                if f.strong_convexity > 0.0:
+                    assert f.conj_grad(x).tobytes() == f._conj_grad(x).tobytes()
+
+    def test_public_prox_returns_a_new_array(self, rng):
+        for f in _catalog(rng):
+            x = rng.standard_normal(3)
+            assert not np.shares_memory(f.prox(1.0, x), x)
+
+    def test_bad_steps_and_lengths_still_raise(self, rng):
+        for f in _catalog(rng):
+            for gamma in (0.0, -1.0):
+                with pytest.raises(ValueError, match="prox step must be positive"):
+                    f.prox(gamma, np.zeros(3))
+            with pytest.raises(DimensionMismatchError, match="prox input"):
+                f.prox(1.0, np.zeros(4))
+            if f.strong_convexity > 0.0:
+                with pytest.raises(DimensionMismatchError, match="conj_grad input"):
+                    f.conj_grad(np.zeros(2))
+            else:
+                with pytest.raises(CapabilityError):
+                    f.conj_grad(np.zeros(2))

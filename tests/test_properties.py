@@ -21,6 +21,7 @@ from amaflow import (
     PrimalDualState,
     ProxFriendlyMetric,
     QuadraticDistance,
+    QuadraticForm,
     ReciprocalQuadratic,
     SolveConfig,
     TwoBlockProblem,
@@ -34,6 +35,7 @@ from amaflow import (
     prox_ama_run,
     solve_z_subproblem,
 )
+from amaflow.dynamics import alternating_update
 
 SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
 
@@ -95,6 +97,32 @@ def test_matrix_free_z_target_matches_dense_metric(case):
     got = solve_z_subproblem(p, None, c, tau, z, y, x_new) / tau
     scale = sum(float(np.linalg.norm(v)) for v in terms)
     assert np.linalg.norm(got - dense) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(cases(), st.booleans())
+def test_fused_update_matches_the_textbook_step(case, with_h2):
+    # The kernel takes one prox of tau g at z + tau v and forms the constraint
+    # residual r = A x+ + B z+ - b once, with w = -c r. Written out densely:
+    # z+ = prox_{tau g}(tau (M2 z + B* y - c B*(A x+ - b) - grad h2(z))) and
+    # w = c (b - A x+ - B z+).
+    p, sched, (x, z, y, d), t = case
+    n = p.dim_z
+    if with_h2:
+        G = np.random.default_rng(n).standard_normal((n, n))
+        h2 = QuadraticForm(DenseMap(G @ G.T / n), d)
+        p = TwoBlockProblem(p.f, p.h1, p.g, h2, p.A, p.B, p.b)
+    c, tau = sched.c.value_at(t), sched.tau.value_at(t)
+    up = alternating_update(p, 0.0, None, c, tau, x, z, y)
+    A, B = p.A.matrix, p.B.matrix
+    M2 = sched.M2.at(t).as_matrix()
+    terms = [M2 @ z, B.T @ y, c * (B.T @ (A @ up.x - p.b)), p.h2.grad(z)]
+    want_z = p.g.prox(tau, tau * (terms[0] + terms[1] - terms[2] - terms[3]))
+    assert np.linalg.norm(up.z - want_z) <= 1e-12 * tau * sum(np.linalg.norm(v) for v in terms)
+    parts = [p.b, A @ up.x, B @ up.z]
+    want_w = c * (parts[0] - parts[1] - parts[2])
+    assert np.linalg.norm(up.w - want_w) <= 1e-12 * c * sum(np.linalg.norm(v) for v in parts)
+    assert np.array_equal(up.r, up.ax + up.bz - p.b)
 
 
 @SETTINGS
