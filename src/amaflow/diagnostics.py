@@ -63,6 +63,7 @@ def energy(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
     zero or a scaled identity, as for the solvers. With a prox-friendly
     M2 = (1/tau) Id - c B*B, which shares the run's c and the problem's B,
     the z-metric c M2 + c^2 B*B is (c/tau) Id, so the z-term needs no matrix.
+    The first call on a fresh problem carries the SVD behind ``||A||``.
     """
     if not ref_checked:
         check_reference(p, ref)

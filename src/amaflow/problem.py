@@ -61,7 +61,10 @@ class TwoBlockProblem:
     The dense matrices of A and B are kept once, at build, as ``mat_A`` and
     ``mat_B`` (shared with a :class:`~amaflow.linop.DenseMap`), with their
     transposes ``mat_At`` and ``mat_Bt`` as views; the solvers multiply by
-    these directly.
+    these directly. The build checks are O(n^2): A, B and b must be finite
+    and A nonzero. The spectra the hypotheses need (``norm_A``, and
+    ``norm_B`` and ``btb_min`` from one SVD of B) are computed once per
+    problem, on first use; the iteration never reads them.
     """
 
     def __init__(self, f: SeparableFunction, h1: SeparableFunction,
@@ -86,14 +89,29 @@ class TwoBlockProblem:
             raise DimensionMismatchError("constraint rows", self.b.shape[0], self.A.dim_out)
         self.mat_A, self.mat_B = matrix_of(A), matrix_of(B)
         self.mat_At, self.mat_Bt = self.mat_A.T, self.mat_B.T
-        self.norm_A = float(np.linalg.norm(self.mat_A, 2))
-        # One SVD of B gives both extreme eigenvalues of B*B, norm_B**2 and
-        # btb_min (zero for a wide B); the validators need no others.
-        sv_B = np.linalg.svd(self.mat_B, compute_uv=False)
-        self.norm_B = float(sv_B[0])
-        self.btb_min = float(sv_B[-1]) ** 2 if self.B.dim_out >= self.B.dim_in else 0.0
-        if self.norm_A <= 0.0:
+        for name, arr in (("A", self.mat_A), ("B", self.mat_B), ("b", self.b)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must have finite entries")
+        if not self.mat_A.any():
             raise ValueError("A must be a nonzero operator")
+
+    @cached_property
+    def norm_A(self) -> float:
+        return float(np.linalg.norm(self.mat_A, 2))
+
+    # One SVD of B gives both extreme eigenvalues of B*B, norm_B**2 and
+    # btb_min (zero for a wide B); the validators need no others.
+    @cached_property
+    def _sv_B(self) -> np.ndarray:
+        return np.linalg.svd(self.mat_B, compute_uv=False)
+
+    @cached_property
+    def norm_B(self) -> float:
+        return float(self._sv_B[0])
+
+    @cached_property
+    def btb_min(self) -> float:
+        return float(self._sv_B[-1]) ** 2 if self.B.dim_out >= self.B.dim_in else 0.0
 
     @cached_property
     def btb(self) -> np.ndarray:

@@ -414,7 +414,8 @@ def validate(p, c: ScalarSchedule, M1: MetricSchedule, M2: MetricSchedule,
     constants; both metrics Loewner-monotonically decreasing with bounded
     derivative; and the disjunctive convergence condition (uniformly positive
     regularized M2, or uniformly positive-definite B*B). A metric that is not
-    one of the four shipped kinds raises :class:`CapabilityError`.
+    one of the four shipped kinds raises :class:`CapabilityError`. The first
+    call on a fresh problem carries its SVDs of A and B.
     """
     grid = _check_grid(t_grid)
     _check_eps(p, eps)
@@ -448,7 +449,8 @@ def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
     c(t) tau(t) ||B||^2 <= 1 - (tau(t)/4) L_{h2}, the derivative coupling
     -c'(t) ||B||^2 <= tau'(t)/tau(t)^2, and the disjunctive convergence
     condition with the strict coupling inequality playing the role of the
-    uniformly-positive-metric branch.
+    uniformly-positive-metric branch. The first call on a fresh problem
+    carries its SVDs of A and B.
     """
     grid = _check_grid(t_grid)
     _check_eps(p, eps)

@@ -94,6 +94,23 @@ class TestNorm:
         assert float(out[0][2:]) == pytest.approx(1.0, abs=1e-9)
         assert float(out[1][2:]) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("edit", [
+        {"operators__A": [[math.inf, 0.35], [-0.7, 0.35]]},
+        {"operators__B": [[-0.6, 0.0], [math.nan, 0.0]]},
+        {"b": [0.0, math.nan]},
+    ], ids=["A", "B", "b"])
+    @pytest.mark.parametrize("command", ["norm", "validate", "solve"])
+    def test_non_finite_data_is_a_parse_error(self, edit, command, tmp_path, capsys):
+        name = next(iter(edit)).split("__")[-1]
+        args = [command, write(tmp_path, doc(**edit))]
+        if command == "solve":
+            args += ["--out-prefix", str(tmp_path / "out")]
+        rc = main(args)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"parse error: problem: {name} must have finite entries" in captured.err
+        assert captured.out == ""
+
 
 class TestSolve:
     def test_discrete_run_outputs(self, tmp_path, monkeypatch, capsys):

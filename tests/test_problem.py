@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amaflow import (
     CapabilityError,
@@ -238,6 +240,16 @@ class TestConstruction:
                 b=np.zeros(1),
             )
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["A", "B", "b"])
+    def test_rejects_non_finite_data(self, name, bad):
+        data = {"A": np.eye(2), "B": np.eye(2), "b": np.zeros(2)}
+        data[name].flat[-1] = bad
+        h = ZeroFunction(2)
+        with pytest.raises(ValueError, match=f"^{name} must have finite entries$"):
+            TwoBlockProblem(f=QuadraticDistance(np.zeros(2)), h1=h, g=L1Norm(2), h2=h,
+                            A=DenseMap(data["A"]), B=DenseMap(data["B"]), b=data["b"])
+
     def test_rejects_mismatched_dimensions(self):
         from amaflow import IdentityMap
 
@@ -264,3 +276,19 @@ class TestConstruction:
         assert np.allclose(q.B.as_matrix(), ex_problem.B.as_matrix())
         s = example_start()
         assert s.x == pytest.approx([-10.0, 10.0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_spectra_on_first_use_equal_the_direct_calls_bit_for_bit(m, n_x, n_z, seed):
+    """Tall, square and wide A and B: the cached spectra are numpy's own calls."""
+    rng = np.random.default_rng(seed)
+    A, B = rng.standard_normal((m, n_x)), rng.standard_normal((m, n_z))
+    p = TwoBlockProblem(f=QuadraticDistance(np.zeros(n_x)), h1=ZeroFunction(n_x),
+                        g=L1Norm(n_z), h2=ZeroFunction(n_z), A=DenseMap(A), B=DenseMap(B),
+                        b=np.zeros(m))
+    sv = np.linalg.svd(B, compute_uv=False)
+    assert p.norm_A == float(np.linalg.norm(A, 2))
+    assert p.norm_B == float(sv[0])
+    assert p.btb_min == (0.0 if m < n_z else float(sv[-1]) ** 2)
+    assert type(p.norm_A) is type(p.norm_B) is type(p.btb_min) is float

@@ -315,20 +315,38 @@ def _random_problem(n, seed=0):
 
 
 def test_build_makes_one_svd_per_operator(decompositions):
+    """The build decomposes nothing; each operator gets one SVD, on first use."""
     rng = np.random.default_rng(1)
     f, h, g = QuadraticDistance(np.zeros(5)), ZeroFunction(5), L1Norm(5)
     A, B = DenseMap(rng.standard_normal((5, 5))), DenseMap(rng.standard_normal((5, 5)))
-    TwoBlockProblem(f=f, h1=h, g=g, h2=h, A=A, B=B, b=np.zeros(5))
+    p = TwoBlockProblem(f=f, h1=h, g=g, h2=h, A=A, B=B, b=np.zeros(5))
+    assert decompositions == {"eigvalsh": 0, "eigh": 0, "svd": 0}
+    p.norm_A
+    assert decompositions == {"eigvalsh": 0, "eigh": 0, "svd": 1}
+    p.btb_min
     assert decompositions == {"eigvalsh": 0, "eigh": 0, "svd": 2}
+    p.norm_B, p.norm_A, p.btb_min
+    assert decompositions == {"eigvalsh": 0, "eigh": 0, "svd": 2}
+
+    q = TwoBlockProblem(f=f, h1=h, g=g, h2=h, A=A, B=B, b=np.zeros(5))
+    q.norm_B
+    assert decompositions["svd"] == 3
+    q.btb_min, q.norm_B
+    assert decompositions["svd"] == 3
 
 
 def test_prox_friendly_validation_makes_no_decomposition(decompositions):
+    """Past the two spectra, made on the first pass, validation decomposes nothing."""
     n = 200
     p = _random_problem(n)
     c = ConstantSchedule(0.25)
     tau = CoupledReciprocal(0.99, c)
     M2 = ProxFriendlyMetric(tau, c, p.B)
     grid = default_grid()
+    decompositions["svd"] = 0
+    validate(p, c, ZeroMetric(n), M2, 0.005, grid)
+    validate_corollary(p, c, tau, 0.005, grid)
+    assert decompositions == {"eigvalsh": 0, "eigh": 0, "svd": 2}
     decompositions["svd"] = 0
     tracemalloc.start()
     try:
@@ -351,4 +369,5 @@ def test_constant_dense_m2_costs_at_most_two_eigvalsh(decompositions):
     decompositions["svd"] = 0
     validate(p, ReciprocalQuadratic(4.0), ZeroMetric(n), M2, 0.005, default_grid())
     assert decompositions["eigvalsh"] <= 2
-    assert decompositions["eigh"] == decompositions["svd"] == 0
+    assert decompositions["eigh"] == 0
+    assert decompositions["svd"] == 2  # the problem's two spectra, on first use
