@@ -98,27 +98,22 @@ def _row_format(ncols: int) -> str:
     return ",".join(["%.17g"] * ncols) + "\n"
 
 
-def _write_csv(path: str, traj: Trajectory, time_label: str, dims,
-               energies=None) -> None:
-    nx, nz, ny = dims
-    cols = [time_label]
-    cols += [f"x{i}" for i in range(nx)]
-    cols += [f"z{i}" for i in range(nz)]
-    cols += [f"y{i}" for i in range(ny)]
-    cols += ["feas_residual", "kkt_rx", "kkt_rz"]
-    if energies is None:
-        energies = traj.energies()
-    with_energy = all(e is not None for e in energies) and len(energies) > 0
-    if with_energy:
+def _write_csv(path: str, traj: Trajectory, time_label: str, energies=None) -> None:
+    """The trajectory's table, a block of rows per write, with ``energies`` as
+    one more column when given."""
+    cols = [time_label, *(f"{v}{i}" for v, n in zip("xzy", traj.dims) for i in range(n)),
+            "feas_residual", "kkt_rx", "kkt_rz"]
+    table = traj.table
+    if table.shape[1] > len(cols) or energies is not None:
         cols.append("energy")
     row = _row_format(len(cols))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for smp, e in zip(traj.samples, energies):
-            st, kkt = smp.state, smp.kkt
-            values = (smp.t, *st.x.tolist(), *st.z.tolist(), *st.y.tolist(),
-                      smp.feas, kkt.rx, kkt.rz)
-            fh.write(row % (values + (e,) if with_energy else values))
+        for i in range(0, len(table), 64):
+            block = table[i:i + 64]
+            if energies is not None:
+                block = np.column_stack((block, energies[i:i + 64]))
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_report(path: str, rep: SummaryReport, forced: bool = False) -> None:
@@ -132,22 +127,10 @@ def _write_report(path: str, rep: SummaryReport, forced: bool = False) -> None:
 def _run_mode(data: ProblemFileData, mode: str, args, reference=None):
     """Dispatch one solve; returns (trajectory, summary-source, exit_code)."""
     p, sched, s0 = data.problem, data.sched, data.initial
-    cfg = data.config
-    overrides = {}
-    if args.max_iters is not None:
-        overrides["max_iters"] = args.max_iters
-    if args.tol is not None:
-        overrides["tol_kkt"] = args.tol
-        overrides["tol_feas"] = args.tol
-    if args.record_every is not None:
-        overrides["record_every"] = args.record_every
-    if overrides:
-        cfg = SolveConfig(
-            max_iters=overrides.get("max_iters", cfg.max_iters),
-            tol_kkt=overrides.get("tol_kkt", cfg.tol_kkt),
-            tol_feas=overrides.get("tol_feas", cfg.tol_feas),
-            record_every=overrides.get("record_every", cfg.record_every),
-        )
+    flags = {"max_iters": args.max_iters, "tol_kkt": args.tol, "tol_feas": args.tol,
+             "record_every": args.record_every}
+    cfg = SolveConfig(**{key: getattr(data.config, key) if flag is None else flag
+                         for key, flag in flags.items()})
 
     if mode in ("prox-ama", "ama"):
         if mode == "prox-ama":
@@ -173,20 +156,16 @@ def _emit(data: ProblemFileData, traj, summary_source, prefix: str, mode: str,
           validation=None, forced=False, reference=None, exit_code=0) -> int:
     p = data.problem
     time_label = "k" if mode in ("prox-ama", "ama") else "t"
-    energies = None
-    if reference is not None and traj is not None and traj.samples:
-        energies = traj.energies()
-        if any(e is None for e in energies):
-            energies = trajectory_energies(traj, p, data.sched, reference)
+    energies = None  # computed here when the run recorded none
+    if reference is not None and traj is not None and None in traj.energies():
+        energies = trajectory_energies(traj, p, data.sched, reference)
     if traj is not None:
-        _write_csv(f"{prefix}.csv", traj, time_label, (p.dim_x, p.dim_z, p.dim_y),
-                   energies)
-    if isinstance(summary_source, TrajectoryError):
-        rep = report(traj, p, validation=validation, energies=energies)
-        rep.status = summary_source.status
-        rep.message = str(summary_source)
-    else:
-        rep = report(summary_source, p, validation=validation, energies=energies)
+        _write_csv(f"{prefix}.csv", traj, time_label, energies)
+    failed = isinstance(summary_source, TrajectoryError)
+    rep = report(traj if failed else summary_source, p, validation=validation,
+                 energies=energies)
+    if failed:
+        rep.status, rep.message = summary_source.status, str(summary_source)
     _write_report(f"{prefix}.report.txt", rep, forced)
     print(f"status: {rep.status}")
     print(f"wrote: {prefix}.csv")
@@ -254,29 +233,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="solve a problem file")
     s.add_argument("file")
-    s.add_argument("--mode", choices=MODES, default="prox-ama")
-    s.add_argument("--step", type=float, default=None, help="integrator step size")
-    s.add_argument("--horizon", type=float, default=None, help="integration horizon T")
-    s.add_argument("--max-iters", type=int, default=None)
-    s.add_argument("--tol", type=float, default=None,
-                   help="sets both the KKT and feasibility tolerances")
-    s.add_argument("--record-every", type=int, default=None)
-    s.add_argument("--eps", type=float, default=0.005)
-    s.add_argument("--out-prefix", default=None)
-    s.add_argument("--force", action="store_true",
-                   help="run even if schedule validation fails")
-    s.set_defaults(func=cmd_solve)
-
     e = sub.add_parser("paper-example", help="run the bundled worked example")
     e.add_argument("--c-schedule", choices=C_VARIANTS, default="c025")
     e.add_argument("--tau-c", choices=sorted(TAU_C_VARIANTS), default="tc099")
-    e.add_argument("--mode", choices=MODES, default="prox-ama")
-    e.add_argument("--step", type=float, default=None)
-    e.add_argument("--horizon", type=float, default=None)
-    e.add_argument("--max-iters", type=int, default=None)
-    e.add_argument("--tol", type=float, default=None)
-    e.add_argument("--record-every", type=int, default=None)
-    e.add_argument("--out-prefix", default=None)
+    for run in (s, e):  # the run options both share
+        run.add_argument("--mode", choices=MODES, default="prox-ama")
+        run.add_argument("--step", type=float, default=None, help="integrator step size")
+        run.add_argument("--horizon", type=float, default=None,
+                         help="integration horizon T")
+        run.add_argument("--max-iters", type=int, default=None)
+        run.add_argument("--tol", type=float, default=None,
+                         help="sets both the KKT and feasibility tolerances")
+        run.add_argument("--record-every", type=int, default=None)
+        run.add_argument("--out-prefix", default=None)
+    s.add_argument("--eps", type=float, default=0.005)
+    s.add_argument("--force", action="store_true",
+                   help="run even if schedule validation fails")
+    s.set_defaults(func=cmd_solve)
     e.set_defaults(func=cmd_paper_example)
 
     n = sub.add_parser("norm", help="print the operator norms of A and B")

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from .dynamics import Trajectory, _snapshot
 from .problem import PrimalDualState, TwoBlockProblem
 from .schedules import ParameterSchedule, ValidationReport
@@ -93,10 +95,10 @@ def _energy(p: TwoBlockProblem, params: tuple, t: float, s: PrimalDualState,
 
 def trajectory_energies(traj: Trajectory, p: TwoBlockProblem,
                         sched: ParameterSchedule, ref: PrimalDualState) -> list:
-    """The energy of every sample, with the reference checked once."""
+    """The energy of every recorded row, with the reference checked once."""
     check_reference(p, ref)
     snap = _snapshot(sched)
-    return [_energy(p, snap(smp.t), smp.t, smp.state, ref).energy for smp in traj.samples]
+    return [_energy(p, snap(s.t), s.t, s, ref).energy for s in map(traj._state, traj.table)]
 
 
 def _monotone(values) -> tuple:
@@ -117,7 +119,7 @@ def check_energy_monotone(traj: Trajectory, ref: Optional[PrimalDualState] = Non
     recomputed. Each step is allowed slack 1e-6 * (1 + E_i) for integrator
     error. Returns ``(passed, max_violation)``.
     """
-    if len(traj.samples) < 2:
+    if len(traj.table) < 2:
         raise ValueError("monotonicity check needs at least two samples")
     values = traj.energies()
     if any(v is None for v in values):
@@ -184,10 +186,9 @@ class SummaryReport:
 
 
 def _first_time_within(traj: Trajectory, tol: float) -> Optional[float]:
-    for smp in traj.samples:
-        if max(smp.kkt.rx, smp.kkt.rz, smp.feas) <= tol:
-            return smp.t
-    return None
+    c = 1 + sum(traj.dims)
+    hits = np.flatnonzero((traj.table[:, c:c + 3] <= tol).all(axis=1))
+    return float(traj.table[hits[0], 0]) if hits.size else None
 
 
 def report(result_or_traj, p: TwoBlockProblem,
@@ -202,42 +203,28 @@ def report(result_or_traj, p: TwoBlockProblem,
     reference plus schedules to compute them. ``time_to_tolerance`` reports
     when all residuals first dropped below ``tol`` among the recorded samples.
     """
-    status = "ok"
-    message = ""
-    iterations = None
     if isinstance(result_or_traj, Trajectory):
-        traj = result_or_traj
+        traj, status, message, iterations = result_or_traj, "ok", "", None
         kind = "discrete" if traj.method in ("prox-ama", "ama") else "continuous"
     else:
-        traj = result_or_traj.iterates
-        status = result_or_traj.status
-        message = result_or_traj.message
-        iterations = result_or_traj.iterations_used
-        kind = "discrete"
+        res = result_or_traj
+        traj, status, message = res.iterates, res.status, res.message
+        iterations, kind = res.iterations_used, "discrete"
 
-    if not traj.samples:
+    if not len(traj.table):
         return SummaryReport("error", kind, iterations, None, None, None, None, None,
                              validation=validation, message=message or "empty trajectory")
 
-    last = traj.final
-    rep = SummaryReport(
-        status=status,
-        kind=kind,
-        iterations=iterations,
-        horizon=traj.horizon,
-        final_t=last.t,
-        final_feas=last.feas,
-        final_kkt_rx=last.kkt.rx,
-        final_kkt_rz=last.kkt.rz,
-        validation=validation,
-        message=message,
-    )
+    c = 1 + sum(traj.dims)  # the first residual column
+    t, feas, rx, rz = traj.table[-1, [0, c, c + 1, c + 2]].tolist()
+    rep = SummaryReport(status, kind, iterations, traj.horizon, t, feas, rx, rz,
+                        validation=validation, message=message)
     rep.time_to_tolerance = _first_time_within(traj, tol)
 
     if energies is None:
         energies = traj.energies()
-    have_recorded = len(traj.samples) >= 2 and all(v is not None for v in energies)
-    can_recompute = ref is not None and sched is not None and len(traj.samples) >= 2
+    have_recorded = len(energies) >= 2 and None not in energies
+    can_recompute = ref is not None and sched is not None and len(energies) >= 2
     if have_recorded or can_recompute:
         if not have_recorded:
             energies = trajectory_energies(traj, p, sched, ref)

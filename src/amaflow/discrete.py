@@ -15,17 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError, ConditionError, ConvergenceError
-from .dynamics import (
-    Trajectory,
-    TrajectorySample,
-    _m1_factor,
-    _metric_matrix,
-    _sample,
-    _snapshot,
-    alternating_update,
-)
-from .problem import KKTResidual, PrimalDualState, TwoBlockProblem
+from .dynamics import _m1_factor, _metric_matrix, _sample, _snapshot, alternating_update
+from .problem import PrimalDualState, TwoBlockProblem
 from .schedules import ParameterSchedule, ScalarSchedule
+from .trajectory import Trajectory, _Recorder
 
 __all__ = ["SolveConfig", "SolveResult", "prox_ama_step", "prox_ama_run", "ama_run"]
 
@@ -39,8 +32,8 @@ class SolveConfig:
                  tol_feas: float = 1e-6, record_every: int = 1):
         if max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {max_iters}")
-        if tol_kkt <= 0.0 or tol_feas <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < tol_kkt < math.inf and 0.0 < tol_feas < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {record_every}")
         self.max_iters, self.tol_kkt = max_iters, tol_kkt
@@ -96,17 +89,14 @@ def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfi
     """
     s = p.state(s0.x, s0.z, s0.y)
     At, Bt = p.mat_At, p.mat_Bt
-    first, aty, bz = _sample(p, 0.0, s)
-    samples = [first]
-    stop = _stop(first.kkt, cfg, 0)
-    if stop is not None:
-        traj = Trajectory(samples, method, 1.0, 0.0)
-        return SolveResult(s, traj, stop[0], 0, stop[1])
-
-    status, message = "max_iters", ""
-    used = last = cfg.max_iters
-    every, tol_kkt, tol_feas = cfg.record_every, cfg.tol_kkt, cfg.tol_feas
     x, z, y = s.x, s.z, s.y
+    rec = _Recorder((p.dim_x, p.dim_z, p.dim_y), False)
+    feas, rx, rz, aty, bz = _sample(p, x, z, y)
+    rec.add(0.0, x, z, y, feas, rx, rz)
+    stop = _stop(cfg, 0, feas, rx, rz)
+    status, message = stop or ("max_iters", "")
+    used = last = 0 if stop else cfg.max_iters
+    every, tol_kkt, tol_feas = cfg.record_every, cfg.tol_kkt, cfg.tol_feas
     coupling = None
     for k in range(last):
         mu1, K, c, tau = snapshot(float(k))
@@ -119,9 +109,9 @@ def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfi
         x, z, y, bz, coupling = up.x, up.z, y + up.w, up.bz, up.coupling
         t = float(k + 1)
         if (k + 1) % every == 0 or k + 1 == last:
-            smp, aty, _ = _sample(p, t, PrimalDualState(x, z, y, t), bz, up.r)
-            samples.append(smp)
-            stop = _stop(smp.kkt, cfg, k + 1)
+            feas, rx, rz, aty, _ = _sample(p, x, z, y, bz, up.r)
+            rec.add(t, x, z, y, feas, rx, rz)
+            stop = _stop(cfg, k + 1, feas, rx, rz)
         else:
             aty = At.dot(y)
             rx = p._x_residual(x, aty)
@@ -129,26 +119,26 @@ def _run_loop(p: TwoBlockProblem, snapshot, s0: PrimalDualState, cfg: SolveConfi
             if ((rx > tol_kkt or feas > tol_feas)
                     and math.isfinite(rx) and math.isfinite(feas)):
                 continue
-            kkt = KKTResidual(rx, p._z_residual(z, Bt.dot(y)), feas)
-            stop = _stop(kkt, cfg, k + 1)
+            rz = p._z_residual(z, Bt.dot(y))
+            stop = _stop(cfg, k + 1, feas, rx, rz)
             if stop is not None:
-                samples.append(TrajectorySample(t, PrimalDualState(x, z, y, t), feas, kkt))
+                rec.add(t, x, z, y, feas, rx, rz)
         if stop is not None:
             (status, message), used = stop, k + 1
             break
 
-    if status == "error" and samples[-1].t != used:
-        samples.append(_sample(p, float(used), PrimalDualState(x, z, y, float(used)))[0])
-    traj = Trajectory(samples, method, 1.0, float(used))
-    return SolveResult(samples[-1].state, traj, status, used, message)
+    if status == "error" and rec.rows[rec.m - 1, 0] != used:
+        rec.add(float(used), x, z, y, *_sample(p, x, z, y)[:3])
+    traj = rec.trajectory(method, 1.0, float(used))
+    return SolveResult(traj.final.state, traj, status, used, message)
 
 
-def _stop(kkt, cfg: SolveConfig, k: int) -> Optional[tuple]:
+def _stop(cfg: SolveConfig, k: int, feas: float, rx: float, rz: float) -> Optional[tuple]:
     """``(status, message)`` when the residuals of iterate ``k`` end the run:
     all within tolerance, or one not finite."""
-    if kkt.rx <= cfg.tol_kkt and kkt.rz <= cfg.tol_kkt and kkt.feas <= cfg.tol_feas:
+    if rx <= cfg.tol_kkt and rz <= cfg.tol_kkt and feas <= cfg.tol_feas:
         return "converged", ""
-    if not (math.isfinite(kkt.rx) and math.isfinite(kkt.rz) and math.isfinite(kkt.feas)):
+    if not (math.isfinite(rx) and math.isfinite(rz) and math.isfinite(feas)):
         return "diverged", f"residual not finite at iteration {k}"
     return None
 

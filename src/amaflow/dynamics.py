@@ -38,7 +38,7 @@ from .errors import (
 )
 from .functions import SeparableFunction
 from .linop import LinearMap, ScaledIdentityMap, as_vector, matrix_of, sym_eigenvalues
-from .problem import KKTResidual, PrimalDualState, TwoBlockProblem
+from .problem import PrimalDualState, TwoBlockProblem
 from .schedules import (
     ConstantDenseMetric,
     ParameterSchedule,
@@ -46,6 +46,7 @@ from .schedules import (
     ScaledIdentityMetric,
     ZeroMetric,
 )
+from .trajectory import Trajectory, TrajectorySample, _Recorder
 
 __all__ = [
     "Coupling",
@@ -75,35 +76,6 @@ class GammaOutput:
         return math.sqrt(
             float(self.u @ self.u) + float(self.v @ self.v) + float(self.w @ self.w)
         )
-
-
-class TrajectorySample:
-    """One recorded state with its residuals and, given a reference, its energy."""
-
-    __slots__ = ("t", "state", "feas", "kkt", "energy")
-
-    def __init__(self, t: float, state: PrimalDualState, feas: float, kkt: KKTResidual,
-                 energy: Optional[float] = None):
-        self.t, self.state, self.feas, self.kkt, self.energy = t, state, feas, kkt, energy
-
-
-class Trajectory:
-    """Recorded samples of one run plus the configuration that produced it."""
-
-    def __init__(self, samples: list, method: str, step: float, horizon: float):
-        self.samples, self.method, self.step, self.horizon = samples, method, step, horizon
-
-    @property
-    def final(self) -> TrajectorySample:
-        if not self.samples:
-            raise ValueError("trajectory is empty")
-        return self.samples[-1]
-
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    def energies(self):
-        return [s.energy for s in self.samples]
 
 
 _M1_KINDS = "x-subproblem supports only zero or scaled-identity M1"
@@ -372,23 +344,22 @@ def alternating_update(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray],
     return Update(x_new, z_new, r * -c, ax, bz_new, coupling, r)
 
 
-def _sample(p: TwoBlockProblem, t: float, s: PrimalDualState, bz=None, r=None) -> tuple:
-    """``(sample, A* y, B z)`` for state ``s`` at ``t``, with all three residuals.
+def _sample(p: TwoBlockProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray,
+            bz=None, r=None) -> tuple:
+    """``(feas, rx, rz, A* y, B z)``: the three residuals of the state (x, z, y)
+    and the products the caller hands to the next update.
 
     ``bz = B z`` and the constraint residual ``r = A x + B z - b`` are used
     when the caller has them (``r`` only with ``bz``). B* y is formed before
-    A* y; the caller hands A* y and B z to the next update.
+    A* y.
     """
-    x, z, y = s.x, s.z, s.y
     bty = p.mat_Bt.dot(y)
     aty = p.mat_At.dot(y)
     if r is None:
         ax = p.mat_A.dot(x)
         bz = p.mat_B.dot(z) if bz is None else bz
         r = ax + bz - p.b
-    feas = math.sqrt(r.dot(r))
-    kkt = KKTResidual(p._x_residual(x, aty), p._z_residual(z, bty), feas)
-    return TrajectorySample(t, s, feas, kkt), aty, bz
+    return math.sqrt(r.dot(r)), p._x_residual(x, aty), p._z_residual(z, bty), aty, bz
 
 
 def _field(p: TwoBlockProblem, params: tuple, x, z, y, aty=None, bz=None,
@@ -466,17 +437,17 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
         n_steps = 1
     snap = _snapshot(sched)
     unit = method == "euler" and h == 1.0
-    samples = []
+    rec = _Recorder((p.dim_x, p.dim_z, p.dim_y), reference is not None)
 
-    def record(t, state, bz, r):
-        smp, aty, bz = _sample(p, t, state, bz, r)
-        if reference is not None:
-            smp.energy = _energy(p, snap(t), t, state, reference).energy
-        samples.append(smp)
-        return smp, aty, bz
+    def record(t, x, z, y, bz, r):
+        feas, rx, rz, aty, bz = _sample(p, x, z, y, bz, r)
+        e = None if reference is None else _energy(p, snap(t), t, PrimalDualState(x, z, y, t),
+                                                   reference).energy
+        rec.add(t, x, z, y, feas, rx, rz, e)
+        return math.isfinite(rx) and math.isfinite(rz) and math.isfinite(feas), aty, bz
 
-    _, aty, bz = record(0.0, s, None, None)
     x, z, y = s.x, s.z, s.y
+    _, aty, bz = record(0.0, x, z, y, None, None)
     cp = None
     for n in range(n_steps):
         t = n * h
@@ -496,12 +467,12 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
                     bz = None
         except (ConvergenceError, ConditionError, CapabilityError) as exc:
             raise TrajectoryError(f"integration aborted at t={t:.6g}: {exc}",
-                                  trajectory=Trajectory(samples, method, h, T)) from exc
+                                  trajectory=rec.trajectory(method, h, T)) from exc
         aty = None
         if (n + 1) % record_every == 0 or n + 1 == n_steps:
-            smp, aty, bz = record((n + 1) * h, PrimalDualState(x, z, y, t + h), bz, r)
-            if not all(math.isfinite(v) for v in smp.kkt):
+            finite, aty, bz = record((n + 1) * h, x, z, y, bz, r)
+            if not finite:
                 raise TrajectoryError(
-                    f"integration diverged at t={smp.t:.6g}: residual not finite",
-                    trajectory=Trajectory(samples, method, h, T), status="diverged")
-    return Trajectory(samples, method, h, T)
+                    f"integration diverged at t={(n + 1) * h:.6g}: residual not finite",
+                    trajectory=rec.trajectory(method, h, T), status="diverged")
+    return rec.trajectory(method, h, T)

@@ -75,11 +75,11 @@ class QuadraticDistance(SeparableFunction):
 
     def __init__(self, d, weight: float = 1.0):
         self.d = np.asarray(d, dtype=float)
-        if self.d.ndim != 1:
-            raise ValueError("anchor d must be a vector")
+        if self.d.ndim != 1 or not np.isfinite(self.d).all():
+            raise ValueError("anchor d must be a vector with finite entries")
         self.weight = float(weight)
-        if self.weight <= 0.0:
-            raise ValueError(f"weight must be positive, got {weight}")
+        if not 0.0 < self.weight < math.inf:
+            raise ValueError(f"weight must be positive and finite, got {weight}")
         self.dim = self.d.shape[0]
         self.strong_convexity = self.weight
         self.grad_lipschitz = self.weight
@@ -112,8 +112,8 @@ class L1Norm(SeparableFunction):
         if dim <= 0:
             raise ValueError(f"dimension must be positive, got {dim}")
         self.weight = float(weight)
-        if self.weight < 0.0:
-            raise ValueError(f"weight must be nonnegative, got {weight}")
+        if not 0.0 <= self.weight < math.inf:
+            raise ValueError(f"weight must be nonnegative and finite, got {weight}")
         self.dim = dim
         self.grad_lipschitz = None
 
@@ -142,6 +142,8 @@ class BoxIndicator(SeparableFunction):
         self.hi = np.asarray(hi, dtype=float)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise ValueError("box bounds must be equal-length vectors")
+        if np.isnan(self.lo).any() or np.isnan(self.hi).any():
+            raise ValueError("box bounds must not be NaN")
         if np.any(self.lo > self.hi):
             raise ValueError("box has lo > hi in some component")
         self.dim = self.lo.shape[0]
@@ -210,6 +212,8 @@ class QuadraticForm(SeparableFunction):
         self.Q = Q
         self.dim = self.q.shape[0]
         self._Qmat = Q.as_matrix()
+        if not (np.isfinite(self._Qmat).all() and np.isfinite(self.q).all()):
+            raise ValueError("Q and q must have finite entries")
         _check_symmetric(self._Qmat)
         self._lam, self._V = np.linalg.eigh(0.5 * (self._Qmat + self._Qmat.T))
         sigma = float(self._lam[0])

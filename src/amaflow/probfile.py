@@ -90,10 +90,19 @@ def _matrix(doc, loc: str) -> np.ndarray:
     return np.vstack(rows)
 
 
+def _finite(arr: np.ndarray, loc: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ParseError("must have finite entries", loc)
+    return arr
+
+
 def _number(doc, loc: str, kind=float):
     if isinstance(doc, bool) or not isinstance(doc, (int, float)):
         raise ParseError("expected a number", loc)
-    return kind(doc)
+    try:
+        return kind(doc)
+    except (OverflowError, ValueError):  # an integer field given NaN or Infinity
+        raise ParseError("expected a finite number", loc) from None
 
 
 def _build(ctor, loc: str, *args, **kwargs):
@@ -179,7 +188,7 @@ def _parse_metric(doc, loc: str, dim: int, c: ScalarSchedule,
         return ProxFriendlyMetric(tau, c, B)
     if kind == "constant_dense":
         _expect_object(doc, loc, {"kind", "matrix"})
-        mat = _matrix(doc["matrix"], f"{loc}.matrix")
+        mat = _finite(_matrix(doc["matrix"], f"{loc}.matrix"), f"{loc}.matrix")
         if mat.shape != (dim, dim):
             raise ParseError(f"matrix must be {dim}x{dim}, got {mat.shape}", loc)
         return _build(ConstantDenseMetric, loc, DenseMap(mat))
@@ -221,26 +230,20 @@ def parse_problem_text(text: str) -> ProblemFileData:
     sched = ParameterSchedule(c=c, M1=M1, M2=M2)
 
     init = _expect_object(doc["initial"], "initial", {"x", "z", "y"})
+    xzy = [_finite(_vector(init[k], f"initial.{k}"), f"initial.{k}") for k in "xzy"]
     try:
-        initial = problem.state(_vector(init["x"], "initial.x"),
-                                _vector(init["z"], "initial.z"),
-                                _vector(init["y"], "initial.y"))
+        initial = problem.state(*xzy)
     except ValueError as exc:
         raise ParseError(str(exc), "initial") from exc
 
     config = SolveConfig()
     if "solver" in doc:
-        sv = _expect_object(doc["solver"], "solver", set(),
-                            {"max_iters", "tol_kkt", "tol_feas", "record_every"})
+        kinds = {"max_iters": int, "tol_kkt": float, "tol_feas": float, "record_every": int}
+        sv = _expect_object(doc["solver"], "solver", set(), set(kinds))
+        values = {key: _number(sv.get(key, getattr(config, key)), f"solver.{key}", kind)
+                  for key, kind in kinds.items()}
         try:
-            config = SolveConfig(
-                max_iters=_number(sv.get("max_iters", config.max_iters),
-                                  "solver.max_iters", int),
-                tol_kkt=_number(sv.get("tol_kkt", config.tol_kkt), "solver.tol_kkt"),
-                tol_feas=_number(sv.get("tol_feas", config.tol_feas), "solver.tol_feas"),
-                record_every=_number(sv.get("record_every", config.record_every),
-                                     "solver.record_every", int),
-            )
+            config = SolveConfig(**values)
         except ValueError as exc:
             raise ParseError(str(exc), "solver") from exc
 

@@ -66,8 +66,8 @@ class ConstantSchedule(ScalarSchedule):
     kind = "constant"
 
     def __init__(self, value: float):
-        if value <= 0.0:
-            raise ValueError(f"schedule value must be positive, got {value}")
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"schedule value must be positive and finite, got {value}")
         self.value = float(value)
 
     def value_at(self, t):
@@ -83,10 +83,10 @@ class ReciprocalQuadratic(ScalarSchedule):
     kind = "reciprocal_quadratic"
 
     def __init__(self, a: float, offset: float = 0.0):
-        if a <= 0.0:
-            raise ValueError(f"parameter a must be positive, got {a}")
-        if offset < 0.0:
-            raise ValueError(f"offset must be nonnegative, got {offset}")
+        if not 0.0 < a < math.inf:
+            raise ValueError(f"parameter a must be positive and finite, got {a}")
+        if not 0.0 <= offset < math.inf:
+            raise ValueError(f"offset must be nonnegative and finite, got {offset}")
         self.a = float(a)
         self.offset = float(offset)
 
@@ -103,10 +103,10 @@ class ReciprocalSqrt(ScalarSchedule):
     kind = "reciprocal_sqrt"
 
     def __init__(self, a: float, offset: float = 0.0):
-        if a <= 0.0:
-            raise ValueError(f"parameter a must be positive, got {a}")
-        if offset < 0.0:
-            raise ValueError(f"offset must be nonnegative, got {offset}")
+        if not 0.0 < a < math.inf:
+            raise ValueError(f"parameter a must be positive and finite, got {a}")
+        if not 0.0 <= offset < math.inf:
+            raise ValueError(f"offset must be nonnegative and finite, got {offset}")
         self.a = float(a)
         self.offset = float(offset)
 
@@ -123,8 +123,8 @@ class CoupledReciprocal(ScalarSchedule):
     kind = "coupled_reciprocal"
 
     def __init__(self, numerator: float, other: ScalarSchedule):
-        if numerator <= 0.0:
-            raise ValueError(f"numerator must be positive, got {numerator}")
+        if not 0.0 < numerator < math.inf:
+            raise ValueError(f"numerator must be positive and finite, got {numerator}")
         self.numerator = float(numerator)
         self.other = other
 

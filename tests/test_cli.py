@@ -112,6 +112,30 @@ class TestNorm:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"functions__f__d": [math.nan, 0.0]},
+         "functions.f: anchor d must be a vector with finite entries"),
+        ({"schedules__c__value": math.inf},
+         "schedules.c: schedule value must be positive and finite, got inf"),
+        ({"initial__x": [math.nan, 10.0]}, "initial.x: must have finite entries"),
+        ({"solver": {"tol_kkt": math.nan}},
+         "solver: tolerances must be positive and finite"),
+    ], ids=["f.d", "c-value", "initial.x", "tol_kkt"])
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_numbers_are_parse_errors(self, edit, message, command, tmp_path,
+                                                 capsys):
+        args = [command, write(tmp_path, doc(**edit))]
+        if command == "solve":
+            args += ["--out-prefix", str(tmp_path / "out")]
+        rc = main(args)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"parse error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out.csv").exists()
+
+
 class TestSolve:
     def test_discrete_run_outputs(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

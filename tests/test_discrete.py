@@ -317,6 +317,12 @@ class TestSolveConfig:
         with pytest.raises(ValueError):
             SolveConfig(record_every=0)
 
+    @pytest.mark.parametrize("key", ["tol_kkt", "tol_feas"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_tolerances_must_be_finite(self, key, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolveConfig(**{key: bad})
+
     def test_defaults(self):
         cfg = SolveConfig()
         assert cfg.max_iters == 20000

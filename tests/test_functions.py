@@ -324,6 +324,26 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             L1Norm(2, -0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite entries"):
+            QuadraticDistance([bad, 0.0], 1.0)
+        with pytest.raises(ValueError, match="weight must be positive and finite"):
+            QuadraticDistance(np.zeros(2), bad)
+        with pytest.raises(ValueError, match="weight must be nonnegative and finite"):
+            L1Norm(2, bad)
+        with pytest.raises(ValueError, match="Q and q must have finite entries"):
+            QuadraticForm(DenseMap(np.array([[1.0, 0.0], [0.0, bad]])), np.zeros(2))
+        with pytest.raises(ValueError, match="Q and q must have finite entries"):
+            QuadraticForm(ScaledIdentityMap(2, 1.0), [0.0, bad])
+
+    def test_box_bounds_may_be_infinite_but_not_nan(self):
+        box = BoxIndicator([-math.inf, 0.0], [1.0, math.inf])
+        assert box.prox(1.0, [-5.0, 5.0]) == pytest.approx([-5.0, 5.0])
+        for lo, hi in (([math.nan], [1.0]), ([0.0], [math.nan])):
+            with pytest.raises(ValueError, match="must not be NaN"):
+                BoxIndicator(lo, hi)
+
 
 def _catalog(rng):
     """One instance of every shipped kind, the singular quadratic form included."""

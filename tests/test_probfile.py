@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -141,6 +142,33 @@ class TestParseErrors:
     def test_metric_extra_key(self):
         self.check(doc(schedules__M1={"kind": "zero", "dim": 2}), "schedules.M1",
                    "unknown key 'dim'")
+
+    @pytest.mark.parametrize("edit, location, fragment", [
+        ({"functions__f__d": [math.nan, 0.0]}, "functions.f", "finite entries"),
+        ({"functions__g__weight": math.nan}, "functions.g", "nonnegative and finite"),
+        ({"functions__g": {"kind": "box_indicator", "lo": [math.nan, 0.0],
+                           "hi": [1.0, 1.0]}}, "functions.g", "must not be NaN"),
+        ({"functions__g__dim": math.inf}, "functions.g.dim", "expected a finite number"),
+        ({"schedules__c__value": math.inf}, "schedules.c", "positive and finite"),
+        ({"schedules__tau__numerator": math.nan}, "schedules.tau", "positive and finite"),
+        ({"schedules__M1": {"kind": "constant_dense",
+                            "matrix": [[1.0, 0.0], [0.0, math.nan]]}},
+         "schedules.M1.matrix", "must have finite entries"),
+        ({"initial__x": [math.nan, 10.0]}, "initial.x", "must have finite entries"),
+        ({"initial__y": [-10.0, -math.inf]}, "initial.y", "must have finite entries"),
+        ({"solver": {"tol_kkt": math.nan}}, "solver", "positive and finite"),
+        ({"solver": {"tol_feas": math.inf}}, "solver", "positive and finite"),
+        ({"solver": {"max_iters": math.inf}}, "solver.max_iters", "finite number"),
+        ({"solver": {"record_every": math.nan}}, "solver.record_every", "finite number"),
+    ], ids=["f.d", "l1-weight", "box-lo", "dim", "c-value", "tau-numerator",
+            "M1-matrix", "initial.x", "initial.y", "tol_kkt", "tol_feas", "max_iters",
+            "record_every"])
+    def test_non_finite_numbers_are_parse_errors(self, edit, location, fragment):
+        self.check(doc(**edit), location, fragment)
+
+    def test_infinite_box_bounds_parse(self):
+        g = {"kind": "box_indicator", "lo": [-math.inf, 0.0], "hi": [1.0, math.inf]}
+        assert parse_problem_text(doc(functions__g=g)).problem.g.kind == "box_indicator"
 
     def test_dense_metric_shape(self):
         self.check(doc(schedules__M1={"kind": "constant_dense",

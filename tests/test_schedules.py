@@ -62,6 +62,17 @@ class TestScalarValues:
         with pytest.raises(ValueError):
             CoupledReciprocal(0.0, ConstantSchedule(1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_are_rejected(self, bad):
+        for make in (lambda: ConstantSchedule(bad),
+                     lambda: ReciprocalQuadratic(bad),
+                     lambda: ReciprocalQuadratic(1.0, bad),
+                     lambda: ReciprocalSqrt(bad),
+                     lambda: ReciprocalSqrt(1.0, bad),
+                     lambda: CoupledReciprocal(bad, ConstantSchedule(1.0))):
+            with pytest.raises(ValueError, match="and finite, got"):
+                make()
+
 
 class TestScalarDerivatives:
     SCHEDULES = [
