@@ -98,7 +98,7 @@ def trajectory_energies(traj: Trajectory, p: TwoBlockProblem,
     """The energy of every recorded row, with the reference checked once."""
     check_reference(p, ref)
     snap = _snapshot(sched)
-    return [_energy(p, snap(s.t), s.t, s, ref).energy for s in map(traj._state, traj.table)]
+    return [_energy(p, snap(s.t), s.t, s, ref).energy for s in traj._states()]
 
 
 def _monotone(values) -> tuple:

@@ -45,22 +45,22 @@ class Trajectory:
         self.method, self.step, self.horizon = method, step, horizon
         self._samples = self._final = None
 
-    def _state(self, row: np.ndarray) -> PrimalDualState:
-        """The state of a row, as views of it, stamped with the row's time."""
+    def _states(self, rows: slice = slice(None)):
+        """The states of ``rows``, as views of them, stamped with their times."""
         nx, nz, ny = self.dims
-        return PrimalDualState(row[1:1 + nx], row[1 + nx:1 + nx + nz],
-                               row[1 + nx + nz:1 + nx + nz + ny], float(row[0]))
+        tab = self.table[rows]
+        return map(PrimalDualState, tab[:, 1:1 + nx], tab[:, 1 + nx:1 + nx + nz],
+                   tab[:, 1 + nx + nz:1 + nx + nz + ny], map(float, tab[:, 0]))
 
-    def _row_sample(self, row: np.ndarray) -> TrajectorySample:
-        st = self._state(row)
-        feas, rx, rz, *energy = row[1 + sum(self.dims):].tolist()
-        return TrajectorySample(st.t, st, feas, KKTResidual(rx, rz, feas), *energy)
+    def _samples_of(self, rows: slice) -> list:
+        residuals = self.table[rows, 1 + sum(self.dims):].tolist()
+        return [TrajectorySample(st.t, st, feas, KKTResidual(rx, rz, feas), *energy)
+                for st, (feas, rx, rz, *energy) in zip(self._states(rows), residuals)]
 
     @property
     def samples(self) -> list:
         if self._samples is None:
-            self._samples = [self._row_sample(row) for row in self.table[:-1]]
-            self._samples += [self.final] if len(self.table) else []
+            self._samples = self._samples_of(slice(-1)) + [self.final] if len(self.table) else []
         return self._samples
 
     @property
@@ -68,7 +68,7 @@ class Trajectory:
         if not len(self.table):
             raise ValueError("trajectory is empty")
         if self._final is None:
-            self._final = self._row_sample(self.table[-1])
+            self._final = self._samples_of(slice(-1, None))[0]
         return self._final
 
     def times(self) -> np.ndarray:
