@@ -62,14 +62,14 @@ def energy(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
 
     The reference is verified on every call unless the caller has already
     passed it through :func:`check_reference` (``ref_checked``). M1 must be
-    zero or a scaled identity, as for the solvers. With a prox-friendly
-    M2 = (1/tau) Id - c B*B, which shares the run's c and the problem's B,
-    the z-metric c M2 + c^2 B*B is (c/tau) Id, so the z-term needs no matrix.
+    zero or a scaled identity, and a prox-friendly M2 on the problem's B, as
+    for the solvers. Where its c is the run's, M2 = (1/tau) Id - c B*B makes
+    the z-metric c M2 + c^2 B*B equal (c/tau) Id: no matrix is needed.
     The first call on a fresh problem carries the SVD behind ``||A||``.
     """
     if not ref_checked:
         check_reference(p, ref)
-    return _energy(p, _snapshot(sched)(t), t, s, ref)
+    return _energy(p, _snapshot(p, sched)(t), t, s, ref)
 
 
 def _energy(p: TwoBlockProblem, params: tuple, t: float, s: PrimalDualState,
@@ -97,7 +97,7 @@ def trajectory_energies(traj: Trajectory, p: TwoBlockProblem,
                         sched: ParameterSchedule, ref: PrimalDualState) -> list:
     """The energy of every recorded row, with the reference checked once."""
     check_reference(p, ref)
-    snap = _snapshot(sched)
+    snap = _snapshot(p, sched)
     return [_energy(p, snap(s.t), s.t, s, ref).energy for s in traj._states()]
 
 

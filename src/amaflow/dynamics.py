@@ -10,8 +10,9 @@ subproblems followed by a multiplier residual:
 
 evaluated strictly in that order (the z subproblem consumes the fresh x).
 With unit-step explicit Euler this is exactly the proximal alternating
-minimization iteration in :mod:`amaflow.discrete`; the shared update lives in
-:func:`alternating_update` so the two produce bit-identical numbers.
+minimization iteration in :mod:`amaflow.discrete`: both run the step of
+:func:`_euler_step` at h = 1, :func:`alternating_update`, in the one run loop
+of :mod:`amaflow.trajectory`, so the two produce bit-identical numbers.
 
 The update works on trusted float64 arrays and per-step scalars: a schedule
 is read through :func:`_snapshot`, which gives M1's factor, c, and either the
@@ -30,12 +31,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    ConditionError,
-    ConvergenceError,
-    TrajectoryError,
-)
+from .errors import CapabilityError, ConditionError, ConvergenceError, TrajectoryError
 from .functions import SeparableFunction
 from .linop import LinearMap, ScaledIdentityMap, as_vector, matrix_of, sym_eigenvalues
 from .problem import PrimalDualState, TwoBlockProblem
@@ -45,8 +41,9 @@ from .schedules import (
     ProxFriendlyMetric,
     ScaledIdentityMetric,
     ZeroMetric,
+    _FOREIGN_B,
 )
-from .trajectory import Trajectory, TrajectorySample, _Recorder
+from .trajectory import Trajectory, TrajectorySample, _run
 
 __all__ = [
     "Coupling",
@@ -94,16 +91,18 @@ def _metric_matrix(M2_t: LinearMap) -> Optional[np.ndarray]:
     return matrix_of(M2_t)
 
 
-def _snapshot(sched: ParameterSchedule):
-    """``t -> (mu1, K, c, tau)``: the update's parameters at time t.
+def _snapshot(p: TwoBlockProblem, sched: ParameterSchedule):
+    """``t -> (mu1, K, c, tau)``: the update's parameters on ``p`` at time t.
 
     mu1 is M1's factor. With a prox-friendly M2, tau is its step and K is
     None; otherwise tau is None and K is M2(t) as a dense matrix: None for a
     zero M2, and one shared array while M2 is unchanged (a constant dense M2,
     or a scaled identity whose mu(t) keeps its value), so a run builds its
     coupling once. The metric kinds are resolved here, once: an M1 that is
-    not zero or a scaled identity, or an M2 of a kind not shipped, raises
-    :class:`CapabilityError` before any update.
+    not zero or a scaled identity, an M2 of a kind not shipped, or a
+    prox-friendly M2 on another B than ``p``'s raises :class:`CapabilityError`
+    before any update. Where a prox-friendly M2's c differs from the run's,
+    K is M2(t) as a dense matrix.
     """
     c_at = sched.c.value_at
     M1, M2 = sched.M1, sched.M2
@@ -115,8 +114,22 @@ def _snapshot(sched: ParameterSchedule):
     else:
         raise CapabilityError(_M1_KINDS)
     if isinstance(M2, ProxFriendlyMetric):
+        if M2.B is not p.B and not np.array_equal(matrix_of(M2.B), p.mat_B):
+            raise CapabilityError(_FOREIGN_B)
         tau_at = M2.tau.value_at
-        return lambda t: (mu1_at(t), None, c_at(t), tau_at(t))
+        if M2.c is sched.c:
+            return lambda t: (mu1_at(t), None, c_at(t), tau_at(t))
+        m2_c_at = M2.c.value_at
+        last = [None, None]  # (tau(t), M2's c(t)) and its K, rebuilt when they change
+
+        def prox_at(t):
+            c, key = c_at(t), (tau_at(t), m2_c_at(t))
+            if key[1] == c:
+                return mu1_at(t), None, c, key[0]
+            if last[0] != key:
+                last[:] = key, matrix_of(M2.at(t))
+            return mu1_at(t), last[1], c, None
+        return prox_at
     if isinstance(M2, ZeroMetric):
         return lambda t: (mu1_at(t), None, c_at(t), None)
     if isinstance(M2, ConstantDenseMetric):
@@ -253,25 +266,19 @@ def _z_general(p: TwoBlockProblem, cp: Coupling, z: np.ndarray, y: np.ndarray,
     return _inner_argmin(p.g, cp.Q, cp.lip, target, z)
 
 
-def solve_x_subproblem(p: TwoBlockProblem, M1_t: LinearMap, x, y,
-                       aty=None) -> np.ndarray:
+def solve_x_subproblem(p: TwoBlockProblem, M1_t: LinearMap, x, y) -> np.ndarray:
     """Return the x-block argmin (the new point, not the velocity).
 
     Only M1 = 0 or a positive multiple of the identity is supported; both keep
-    the update a single prox or conjugate-gradient evaluation of f. ``aty`` is
-    the product ``A* y`` when the caller already has it; ``y`` is then unused.
+    the update a single prox or conjugate-gradient evaluation of f.
     """
     x = as_vector(x, p.dim_x, "x")
     mu1 = _m1_factor(M1_t)
-    if aty is None:
-        aty = p.mat_At.dot(as_vector(y, p.dim_y, "y"))
-    return _x_argmin(p, mu1, x, aty)
+    return _x_argmin(p, mu1, x, p.mat_At.dot(as_vector(y, p.dim_y, "y")))
 
 
 def solve_z_subproblem(p: TwoBlockProblem, M2_t: Optional[LinearMap], c_t: float,
-                       tau_t: Optional[float], z, y, x_new,
-                       require_uniform: bool = True, ax_new=None,
-                       bz=None, coupling: Optional[Coupling] = None) -> np.ndarray:
+                       tau_t: Optional[float], z, y, x_new) -> np.ndarray:
     """Return the z-block argmin given the freshly updated x.
 
     When ``tau_t`` is supplied the metric is the prox-friendly choice
@@ -285,26 +292,21 @@ def solve_z_subproblem(p: TwoBlockProblem, M2_t: Optional[LinearMap], c_t: float
     and B to be ``c_t`` and ``p.B``: a prox-friendly M2 must share the run's c
     schedule and the problem's B. Otherwise the quadratic coupling
     Q = c B*B + M2 is formed as one dense matrix and solved by the inner
-    proximal-gradient loop of :func:`regularized_argmin`; ``coupling`` is that
-    form for ``c_t`` and ``M2_t`` when the caller keeps it across updates.
-
-    ``ax_new = A x_new`` and ``bz = B z`` are used when the caller already has
-    them; ``x_new`` is then unused.
+    proximal-gradient loop of :func:`regularized_argmin`.
     """
     z = as_vector(z, p.dim_z, "z")
     y = as_vector(y, p.dim_y, "y")
-    if ax_new is None:
-        ax_new = p.mat_A.dot(as_vector(x_new, p.dim_x, "x_new"))
+    ax_new = p.mat_A.dot(as_vector(x_new, p.dim_x, "x_new"))
     if tau_t is not None:
-        return _z_prox(p, c_t, tau_t, z, y, ax_new, bz)
-    coupling = _coupling(p, _metric_matrix(M2_t), c_t, require_uniform, coupling)
-    return _z_general(p, coupling, z, y, ax_new)
+        return _z_prox(p, c_t, tau_t, z, y, ax_new, None)
+    return _z_general(p, _coupling(p, _metric_matrix(M2_t), c_t, True), z, y, ax_new)
 
 
 class Update(NamedTuple):
-    """One alternating sweep: the new blocks, the multiplier step, the new
-    blocks' ``ax = A x``, ``bz = B z`` and ``r = ax + bz - b`` for reuse, and the
-    z-step's :class:`Coupling` (None on the prox-friendly branch)."""
+    """One step: the new blocks, the multiplier step, the new blocks'
+    ``ax = A x``, ``bz = B z`` and ``r = ax + bz - b`` for reuse, and the
+    z-step's :class:`Coupling` (None on the prox-friendly branch). A step
+    that does not know the products, an integrator's, leaves them None."""
 
     x: np.ndarray
     z: np.ndarray
@@ -326,9 +328,7 @@ def alternating_update(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray],
     ``w = -c r``. ``aty`` and ``bz`` are ``A* y`` and ``B z`` when known;
     ``coupling`` is the previous update's, reused when c and K are unchanged,
     so a run with a constant coupling checks and decomposes it once. The
-    continuous field and the discrete iteration both reduce to this; keeping
-    one code path makes the unit-step Euler discretization reproduce the
-    discrete solver exactly, not merely to rounding.
+    continuous field and the discrete iteration both reduce to this.
     """
     if aty is None:
         aty = p.mat_At.dot(y)
@@ -344,24 +344,6 @@ def alternating_update(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray],
     return Update(x_new, z_new, r * -c, ax, bz_new, coupling, r)
 
 
-def _sample(p: TwoBlockProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray,
-            bz=None, r=None) -> tuple:
-    """``(feas, rx, rz, A* y, B z)``: the three residuals of the state (x, z, y)
-    and the products the caller hands to the next update.
-
-    ``bz = B z`` and the constraint residual ``r = A x + B z - b`` are used
-    when the caller has them (``r`` only with ``bz``). B* y is formed before
-    A* y.
-    """
-    bty = p.mat_Bt.dot(y)
-    aty = p.mat_At.dot(y)
-    if r is None:
-        ax = p.mat_A.dot(x)
-        bz = p.mat_B.dot(z) if bz is None else bz
-        r = ax + bz - p.b
-    return math.sqrt(r.dot(r)), p._x_residual(x, aty), p._z_residual(z, bty), aty, bz
-
-
 def _field(p: TwoBlockProblem, params: tuple, x, z, y, aty=None, bz=None,
            coupling: Optional[Coupling] = None) -> tuple:
     """The field ``(x', z', y')`` at a state for the snapshot ``params``, and
@@ -374,27 +356,46 @@ def gamma(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
           s: PrimalDualState) -> GammaOutput:
     """Evaluate the field at (t, s); zero exactly at saddle points."""
     s = p.state(s.x, s.z, s.y)
-    u, v, w, _ = _field(p, _snapshot(sched)(t), s.x, s.z, s.y)
+    u, v, w, _ = _field(p, _snapshot(p, sched)(t), s.x, s.z, s.y)
     return GammaOutput(u, v, w)
 
 
-def _rk4_step(p, snap, t, x, z, y, h, aty, bz, cp) -> tuple:
-    """The classic four-stage step from (x, z, y), whose ``A* y`` and ``B z``
-    are ``aty`` and ``bz`` when the caller has them; ``cp`` is the coupling
-    the stages reuse while it is unchanged. Returns the new blocks and it."""
-    half = 0.5 * h
-    mid = snap(t + half)
-    u1, v1, w1, cp = _field(p, snap(t), x, z, y, aty, bz, cp)
-    u2, v2, w2, cp = _field(p, mid, x + u1 * half, z + v1 * half, y + w1 * half, coupling=cp)
-    u3, v3, w3, cp = _field(p, mid, x + u2 * half, z + v2 * half, y + w2 * half, coupling=cp)
-    u4, v4, w4, cp = _field(p, snap(t + h), x + u3 * h, z + v3 * h, y + w3 * h, coupling=cp)
-    sixth = h / 6.0
-    return (x + (u1 + u2 * 2.0 + u3 * 2.0 + u4) * sixth,
-            z + (v1 + v2 * 2.0 + v3 * 2.0 + v4) * sixth,
-            y + (w1 + w2 * 2.0 + w3 * 2.0 + w4) * sixth, cp)
+def _euler_step(p: TwoBlockProblem, snap, h: float, require_uniform: bool = True):
+    """Explicit Euler at step ``h``. At h = 1 it is the update itself, the
+    discrete iteration, whose ``B z_new`` and ``r`` serve the next step."""
+    def unit(t, x, z, y, aty, bz, cp):
+        mu1, K, c, tau = snap(t)
+        return alternating_update(p, mu1, K, c, tau, x, z, y, require_uniform, aty, bz, cp)
+    if h == 1.0:
+        return unit
+
+    def step(t, x, z, y, aty, bz, cp):
+        up = unit(t, x, z, y, aty, bz, cp)
+        return Update(x + (up.x - x) * h, z + (up.z - z) * h, up.w * h, None, None,
+                      up.coupling, None)
+    return step
 
 
-@np.errstate(over="ignore")
+def _rk4_step(p: TwoBlockProblem, snap, h: float):
+    """The classic four-stage step; the stages share the coupling while it
+    is unchanged."""
+    half, sixth = 0.5 * h, h / 6.0
+
+    def step(t, x, z, y, aty, bz, cp):
+        mid = snap(t + half)
+        u1, v1, w1, cp = _field(p, snap(t), x, z, y, aty, bz, cp)
+        u2, v2, w2, cp = _field(p, mid, x + u1 * half, z + v1 * half, y + w1 * half,
+                                coupling=cp)
+        u3, v3, w3, cp = _field(p, mid, x + u2 * half, z + v2 * half, y + w2 * half,
+                                coupling=cp)
+        u4, v4, w4, cp = _field(p, snap(t + h), x + u3 * h, z + v3 * h, y + w3 * h,
+                                coupling=cp)
+        return Update(x + (u1 + u2 * 2.0 + u3 * 2.0 + u4) * sixth,
+                      z + (v1 + v2 * 2.0 + v3 * 2.0 + v4) * sixth,
+                      (w1 + w2 * 2.0 + w3 * 2.0 + w4) * sixth, None, None, cp, None)
+    return step
+
+
 def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
               method: str = "rk4", h: float = 0.01, T: float = 10.0,
               record_every: int = 1,
@@ -404,19 +405,13 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     Residuals are computed at recorded samples only; an energy value is
     attached to each sample when a reference saddle point is supplied. The
     dimensions of ``s0`` are checked, and the reference is checked to be a
-    saddle point, once, before the first step. A subproblem failure mid-run
-    raises :class:`TrajectoryError` with status ``error``, and a recorded
-    sample with a residual that is not finite raises it with status
-    ``diverged``; either carries the partial trajectory (that sample
-    included). A squared residual past the float range is an infinite
-    residual, without numpy's overflow warning.
-
-    The products ``A* y`` and ``B z`` a recorded sample forms go into the
-    next step. At unit step Euler's argmins are the next iterate, so each
-    update's ``B z_new`` and constraint residual also serve the next sample
-    and step, as in the discrete solver: the two make the same products.
-    A general-M2 coupling is carried from step to step (and stage to stage), so a constant
-    one is checked and decomposed once per run, as in the discrete solver.
+    saddle point, once, before the first step. The run is the solvers' loop
+    with an Euler or RK4 step, and stops as they do: at a subproblem failure,
+    with a last sample for the state the failing step started from, and at a
+    recorded sample with a residual that is not finite. Either raises
+    :class:`TrajectoryError` carrying the partial trajectory, with status
+    ``error`` or ``diverged``. Unit-step Euler is the solvers' step, so its
+    trajectory is ``prox_ama_run``'s, bit for bit, with the same products.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
@@ -427,52 +422,23 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
 
-    from .diagnostics import _energy, check_reference
-
-    s = p.state(s0.x, s0.z, s0.y)
+    snap = _snapshot(p, sched)
+    energy = None
     if reference is not None:
+        from .diagnostics import _energy, check_reference
+
         check_reference(p, reference)
-    n_steps = int(round(T / h))
-    if n_steps < 1:
-        n_steps = 1
-    snap = _snapshot(sched)
-    unit = method == "euler" and h == 1.0
-    rec = _Recorder((p.dim_x, p.dim_z, p.dim_y), reference is not None)
 
-    def record(t, x, z, y, bz, r):
-        feas, rx, rz, aty, bz = _sample(p, x, z, y, bz, r)
-        e = None if reference is None else _energy(p, snap(t), t, PrimalDualState(x, z, y, t),
-                                                   reference).energy
-        rec.add(t, x, z, y, feas, rx, rz, e)
-        return math.isfinite(rx) and math.isfinite(rz) and math.isfinite(feas), aty, bz
-
-    x, z, y = s.x, s.z, s.y
-    _, aty, bz = record(0.0, x, z, y, None, None)
-    cp = None
-    for n in range(n_steps):
-        t = n * h
-        r = None
-        try:
-            if method == "rk4":
-                x, z, y, cp = _rk4_step(p, snap, t, x, z, y, h, aty, bz, cp)
-                bz = None
-            else:
-                up = alternating_update(p, *snap(t), x, z, y, aty=aty, bz=bz,
-                                        coupling=cp)
-                cp = up.coupling
-                if unit:
-                    x, z, y, bz, r = up.x, up.z, y + up.w, up.bz, up.r
-                else:
-                    x, z, y = x + (up.x - x) * h, z + (up.z - z) * h, y + up.w * h
-                    bz = None
-        except (ConvergenceError, ConditionError, CapabilityError) as exc:
-            raise TrajectoryError(f"integration aborted at t={t:.6g}: {exc}",
-                                  trajectory=rec.trajectory(method, h, T)) from exc
-        aty = None
-        if (n + 1) % record_every == 0 or n + 1 == n_steps:
-            finite, aty, bz = record((n + 1) * h, x, z, y, bz, r)
-            if not finite:
-                raise TrajectoryError(
-                    f"integration diverged at t={(n + 1) * h:.6g}: residual not finite",
-                    trajectory=rec.trajectory(method, h, T), status="diverged")
-    return rec.trajectory(method, h, T)
+        def energy(t, x, z, y):
+            return _energy(p, snap(t), t, PrimalDualState(x, z, y, t), reference).energy
+    step = _rk4_step(p, snap, h) if method == "rk4" else _euler_step(p, snap, h)
+    status, k, rec, exc = _run(p, s0, step, h, max(1, int(round(T / h))), record_every,
+                               energy=energy)
+    traj = rec.trajectory(method, h, T)
+    if status == "error":
+        raise TrajectoryError(f"integration aborted at t={k * h:.6g}: {exc}",
+                              trajectory=traj) from exc
+    if status == "diverged":
+        raise TrajectoryError(f"integration diverged at t={k * h:.6g}: residual not finite",
+                              trajectory=traj, status="diverged")
+    return traj

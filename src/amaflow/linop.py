@@ -110,21 +110,21 @@ def matrix_of(m: LinearMap) -> np.ndarray:
     return m.matrix if isinstance(m, DenseMap) else m.as_matrix()
 
 
-def _check_symmetric(a: np.ndarray, sym_tol: float = 1e-10) -> None:
-    """Raise unless the square matrix ``a`` is symmetric to ``sym_tol`` relative
-    to its largest entry; the message carries the maximal asymmetry."""
+def _check_symmetric(a: np.ndarray) -> None:
+    """Raise unless the square matrix ``a`` is symmetric to 1e-10 relative to
+    its largest entry; the message carries the maximal asymmetry."""
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("symmetric eigenvalue input", a.shape[1], a.shape[0])
     asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if asym > sym_tol * scale:
+    if asym > 1e-10 * scale:
         raise ValueError(f"map is not symmetric: max asymmetry {asym:.3e}")
 
 
-def sym_eigenvalues(a: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
+def sym_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the square matrix ``a``, after
     :func:`_check_symmetric`."""
-    _check_symmetric(a, sym_tol)
+    _check_symmetric(a)
     return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
@@ -133,10 +133,10 @@ def operator_norm(m: LinearMap) -> float:
     return float(np.linalg.norm(matrix_of(m), 2))
 
 
-def min_eigenvalue_sym(m: LinearMap, sym_tol: float = 1e-10) -> float:
+def min_eigenvalue_sym(m: LinearMap) -> float:
     """Smallest eigenvalue of a square symmetric map, via dense eigh.
 
     The map is materialized and checked for symmetry first; an asymmetric
     input raises with the maximal asymmetry magnitude in the message.
     """
-    return float(sym_eigenvalues(matrix_of(m), sym_tol)[0])
+    return float(sym_eigenvalues(matrix_of(m))[0])

@@ -168,38 +168,27 @@ class TwoBlockProblem:
             return -math.inf
         return -f_star - g_star + float(y @ self.b)
 
-    def feasibility_residual(self, s: PrimalDualState, ax=None, bz=None) -> float:
-        """``|A x + B z - b|``, reusing the products ``ax = A x``, ``bz = B z`` if given."""
-        if ax is None:
-            ax = self.mat_A.dot(as_vector(s.x, self.dim_x, "x"))
-        if bz is None:
-            bz = self.mat_B.dot(as_vector(s.z, self.dim_z, "z"))
+    def feasibility_residual(self, s: PrimalDualState) -> float:
+        """``|A x + B z - b|``."""
+        ax = self.mat_A.dot(as_vector(s.x, self.dim_x, "x"))
+        bz = self.mat_B.dot(as_vector(s.z, self.dim_z, "z"))
         with np.errstate(over="ignore"):
             return self._feas(ax, bz)
 
-    def kkt_residual(self, s: PrimalDualState, aty=None, ax=None, bz=None,
-                     bty=None) -> KKTResidual:
+    def kkt_residual(self, s: PrimalDualState) -> KKTResidual:
         """Unit-step prox fixed-point residuals for the optimality system.
 
-        The products ``aty = A* y``, ``bty = B* y``, ``ax = A x`` and
-        ``bz = B z`` are computed here unless the caller already has them.
         Norms are ``sqrt(r . r)``, the computation ``np.linalg.norm`` makes
         for a vector; a norm past the float range is ``inf``.
         """
         x = as_vector(s.x, self.dim_x, "x")
         z = as_vector(s.z, self.dim_z, "z")
         y = as_vector(s.y, self.dim_y, "y")
-        if bty is None:
-            bty = self.mat_Bt.dot(y)
-        if aty is None:
-            aty = self.mat_At.dot(y)
-        if ax is None:
-            ax = self.mat_A.dot(x)
-        if bz is None:
-            bz = self.mat_B.dot(z)
+        bty = self.mat_Bt.dot(y)
+        aty = self.mat_At.dot(y)
         with np.errstate(over="ignore"):
             return KKTResidual(self._x_residual(x, aty), self._z_residual(z, bty),
-                               self._feas(ax, bz))
+                               self._feas(self.mat_A.dot(x), self.mat_B.dot(z)))
 
     # The three residuals on trusted arrays. A squared norm past the float
     # range is inf, which is what it means: the run has diverged. The callers

@@ -227,6 +227,10 @@ class ProxFriendlyMetric(MetricSchedule):
         return DenseMap(mat)
 
 
+# A prox-friendly metric's closed forms hold only on the problem's own B.
+_FOREIGN_B = "prox_friendly metric is built on another B than the problem's and cannot be validated"
+
+
 class ConstantDenseMetric(MetricSchedule):
     """A constant metric given by a symmetric map M."""
 
@@ -341,8 +345,7 @@ def _spectral_form(M: MetricSchedule, grid: np.ndarray, B: LinearMap) -> tuple:
         return mu, dmu, zero, zero, None
     if isinstance(M, ProxFriendlyMetric):
         if M.B is not B:
-            raise CapabilityError("prox_friendly metric is built on another B than "
-                                  "the problem's and cannot be validated")
+            raise CapabilityError(_FOREIGN_B)
         tau, dtau = _on_grid(M.tau, grid)
         c, dc = _on_grid(M.c, grid)
         return 1.0 / tau, -dtau / (tau * tau), -c, -dc, None

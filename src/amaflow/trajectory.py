@@ -1,14 +1,17 @@
 """A run's recorded iterates as one float64 table, a row per iterate, with the
 columns of the CLI's CSV: t, x, z, y, the feasibility, x- and z-residuals and,
-when the run had a reference saddle, the energy."""
+when the run had a reference saddle, the energy; and the one loop that runs
+the solvers and the integrators and records them."""
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
-from .problem import KKTResidual, PrimalDualState
+from .errors import CapabilityError, ConditionError, ConvergenceError
+from .problem import KKTResidual, PrimalDualState, TwoBlockProblem
 
 __all__ = ["TrajectorySample", "Trajectory"]
 
@@ -110,3 +113,109 @@ class _Recorder:
 
     def trajectory(self, method: str, step: float, horizon: float) -> Trajectory:
         return Trajectory(self.finish(), method, step, horizon, self.dims)
+
+
+def _sample(p: TwoBlockProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray,
+            bz=None, r=None) -> tuple:
+    """``(feas, rx, rz, A* y, B z)``: the three residuals of the state (x, z, y)
+    and the products the caller hands to the next update.
+
+    ``bz = B z`` and the constraint residual ``r = A x + B z - b`` are used
+    when the caller has them (``r`` only with ``bz``). B* y is formed before
+    A* y.
+    """
+    bty = p.mat_Bt.dot(y)
+    aty = p.mat_At.dot(y)
+    if r is None:
+        ax = p.mat_A.dot(x)
+        bz = p.mat_B.dot(z) if bz is None else bz
+        r = ax + bz - p.b
+    return math.sqrt(r.dot(r)), p._x_residual(x, aty), p._z_residual(z, bty), aty, bz
+
+
+def _stop(feas: float, rx: float, rz: float, tol: Optional[tuple]) -> Optional[str]:
+    """``converged`` when ``tol = (tol_kkt, tol_feas)`` is given and the
+    residuals pass it, ``diverged`` when one is not finite, else None."""
+    if tol is not None and rx <= tol[0] and rz <= tol[0] and feas <= tol[1]:
+        return "converged"
+    if not (math.isfinite(rx) and math.isfinite(rz) and math.isfinite(feas)):
+        return "diverged"
+    return None
+
+
+@np.errstate(over="ignore")
+def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
+         every: int, tol: Optional[tuple] = None, energy=None) -> tuple:
+    """The one loop of the solvers and the integrators: at most ``steps``
+    steps of size ``h`` from ``s0``, whose dimensions it checks, recording
+    the state at t = 0, every ``every``-th one and the last.
+
+    ``step(t, x, z, y, aty, bz, coupling)`` advances the state at time t,
+    given its ``A* y``, its ``B z`` when known (else None) and the last
+    step's coupling. It returns an :class:`~amaflow.dynamics.Update` with the
+    new x and z, the step w of y, and the new ``bz`` and ``r = A x + B z - b``
+    when it knows them (the unit step does; else None).
+    ``energy(t, x, z, y)``, when given, fills the table's energy column.
+
+    A recorded state with a residual that is not finite stops the run as
+    ``diverged``; given ``tol = (tol_kkt, tol_feas)``, one whose residuals
+    all pass stops it as ``converged``. A step whose subproblem fails stops
+    it as ``error``, with a row for the state it started from. Returns
+    ``(status, k, recorder, exc)``: the run stopped at state k, as
+    ``max_iters`` if it took every step; ``exc`` is the subproblem's error.
+
+    A unit step streams the matrices four times, A B B A on the prox-friendly
+    branch: the update's A x+, B* and B z+, then A* y+ for the next x-step.
+    Given ``tol``, an unrecorded state also gets its x-residual and, from r,
+    its feasibility residual; its z-residual (one more B* y+ and a prox of g)
+    only where those two pass or are not both finite, as elsewhere the state
+    can neither converge nor be found diverged. So a non-finite value that
+    shows first in rz alone, on an unrecorded state, stops the run once it
+    reaches rx or the feasibility residual (through the next z-step,
+    typically one state later) or at the next recorded state. A squared
+    residual past the float range is an infinite residual, without numpy's
+    overflow warning.
+    """
+    s = p.state(s0.x, s0.z, s0.y)
+    x, z, y = s.x, s.z, s.y
+    At, Bt = p.mat_At, p.mat_Bt
+    rec = _Recorder((p.dim_x, p.dim_z, p.dim_y), energy is not None)
+
+    def add(t, x, z, y, feas, rx, rz):
+        rec.add(t, x, z, y, feas, rx, rz, None if energy is None else energy(t, x, z, y))
+
+    feas, rx, rz, aty, bz = _sample(p, x, z, y)
+    add(0.0, x, z, y, feas, rx, rz)
+    status = _stop(feas, rx, rz, tol)
+    if status is not None:
+        return status, 0, rec, None
+    tol_kkt, tol_feas = tol or (None, None)
+    coupling = None
+    for k in range(steps):
+        try:
+            up = step(k * h, x, z, y, aty, bz, coupling)
+        except (ConvergenceError, ConditionError, CapabilityError) as exc:
+            if k % every:
+                add(k * h, x, z, y, *_sample(p, x, z, y)[:3])
+            return "error", k, rec, exc
+        x, z, y, bz, coupling = up.x, up.z, y + up.w, up.bz, up.coupling
+        if (k + 1) % every and k + 1 < steps:
+            aty = At.dot(y)
+            if tol is None:
+                continue
+            rx = p._x_residual(x, aty)
+            feas = math.sqrt(up.r.dot(up.r))
+            if ((rx > tol_kkt or feas > tol_feas)
+                    and math.isfinite(rx) and math.isfinite(feas)):
+                continue
+            rz = p._z_residual(z, Bt.dot(y))
+            status = _stop(feas, rx, rz, tol)
+            if status is None:
+                continue
+        else:
+            feas, rx, rz, aty, bz = _sample(p, x, z, y, bz, up.r)
+            status = _stop(feas, rx, rz, tol)
+        add((k + 1) * h, x, z, y, feas, rx, rz)
+        if status is not None:
+            return status, k + 1, rec, None
+    return "max_iters", steps, rec, None

@@ -25,6 +25,7 @@ from amaflow import (
     TwoBlockProblem,
     ZeroFunction,
     ZeroMetric,
+    energy,
     example_schedule,
     example_start,
     gamma,
@@ -495,3 +496,57 @@ class TestBoundaryChecks:
                 call()
         with pytest.raises(DimensionMismatchError):
             p.A.apply(np.zeros((2, 1)))
+
+
+class TestProxFriendlyMetricOfAnotherRun:
+    """The one-prox z-step and the (c/tau) energy term hold only for a
+    prox-friendly M2 on the run's c and the problem's B."""
+
+    @staticmethod
+    def other_c(p):
+        c9 = ConstantSchedule(0.9)
+        M2 = ProxFriendlyMetric(CoupledReciprocal(0.2, c9), c9, p.B)
+        return (ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2), M2),
+                ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2),
+                                  ConstantDenseMetric(M2.at(0.0))))
+
+    def test_another_c_runs_as_its_dense_matrix(self, ex_problem, ex_start, ex_reference,
+                                                decompositions):
+        mismatch, dense = self.other_c(ex_problem)
+        cfg = SolveConfig(max_iters=60, record_every=7)
+        a = prox_ama_run(ex_problem, mismatch, ex_start, cfg)
+        assert decompositions["eigvalsh"] == 1  # one coupling while M2 is unchanged
+        b = prox_ama_run(ex_problem, dense, ex_start, cfg)
+        assert a.status == b.status and a.iterations_used == b.iterations_used
+        np.testing.assert_allclose(a.iterates.table, b.iterates.table, rtol=1e-12, atol=0)
+        a, b = (integrate(ex_problem, s, ex_start, method="rk4", h=0.5, T=5.0,
+                          reference=ex_reference) for s in (mismatch, dense))
+        np.testing.assert_allclose(a.table, b.table, rtol=1e-12, atol=0)
+        a, b = (energy(ex_problem, s, 0.0, ex_start, ex_reference) for s in (mismatch, dense))
+        np.testing.assert_allclose(a.components, b.components, rtol=1e-12, atol=0)
+
+    def test_an_equal_c_keeps_the_one_prox_step(self, ex_problem, ex_start, decompositions):
+        c, equal = ConstantSchedule(0.25), ConstantSchedule(0.25)
+        sched = ParameterSchedule(c, ZeroMetric(2),
+                                  ProxFriendlyMetric(CoupledReciprocal(0.99, equal), equal,
+                                                     ex_problem.B))
+        same = example_schedule("c025", 0.99, ex_problem)
+        cfg = SolveConfig(max_iters=40, record_every=3)
+        a = prox_ama_run(ex_problem, sched, ex_start, cfg)
+        assert decompositions["eigvalsh"] == 0
+        assert np.array_equal(a.iterates.table,
+                              prox_ama_run(ex_problem, same, ex_start, cfg).iterates.table)
+
+    def test_another_b_is_refused_before_the_first_update(self, ex_problem, ex_start,
+                                                          ex_reference):
+        c = ConstantSchedule(0.25)
+        sched = ParameterSchedule(c, ZeroMetric(2), ProxFriendlyMetric(
+            CoupledReciprocal(0.99, c), c, DenseMap(ex_problem.mat_B * 0.5)))
+        calls = [
+            lambda: prox_ama_run(ex_problem, sched, ex_start, SolveConfig(max_iters=3)),
+            lambda: integrate(ex_problem, sched, ex_start, method="euler", h=1.0, T=3.0),
+            lambda: energy(ex_problem, sched, 0.0, ex_start, ex_reference),
+        ]
+        for call in calls:
+            with pytest.raises(CapabilityError, match="another B"):
+                call()

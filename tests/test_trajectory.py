@@ -18,11 +18,14 @@ from amaflow import (
     ParameterSchedule,
     PrimalDualState,
     ProxFriendlyMetric,
+    ScalarSchedule,
+    ScaledIdentityMetric,
     SolveConfig,
     Trajectory,
     TrajectoryError,
     TrajectorySample,
     ZeroMetric,
+    ama_run,
     example_schedule,
     integrate,
     prox_ama_run,
@@ -164,3 +167,44 @@ def test_paper_example_cli_memory(tmp_path, monkeypatch, ex_reference):
     assert peak <= 1_000_000
     assert len(built) <= 1
     assert ((tmp_path / "run.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes())
+
+
+class _Drop(ScalarSchedule):
+    """``before`` up to t = 5, then ``after``."""
+
+    kind = "drop"
+
+    def __init__(self, before, after):
+        self.before, self.after = before, after
+
+    def value_at(self, t):
+        return self.before if t < 5.0 else self.after
+
+    def derivative_at(self, t):
+        return 0.0
+
+
+def test_a_failing_step_ends_every_mode_the_same_way(ex_problem, ex_start):
+    """M2 = mu(t) Id over the example's rank-1 B stops being uniformly positive
+    at t = 5, an iterate that is not recorded: the solver and unit-step Euler
+    stop there with the same table, the failing step's start state last."""
+    sched = ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2),
+                              ScaledIdentityMetric(_Drop(1.0, 1e-14), 2))
+    run = prox_ama_run(ex_problem, sched, ex_start, SolveConfig(record_every=3))
+    assert run.status == "error" and run.iterations_used == 5
+    assert "not uniformly positive" in run.message
+    assert run.iterates.times().tolist() == [0.0, 3.0, 5.0]
+    with pytest.raises(TrajectoryError) as err:
+        integrate(ex_problem, sched, ex_start, method="euler", h=1.0, T=50.0,
+                  record_every=3)
+    assert err.value.status == "error" and "aborted at t=5:" in str(err.value)
+    assert np.array_equal(err.value.trajectory.table, run.iterates.table)
+
+
+def test_a_capability_error_mid_run_ends_the_solver_run(ex_problem, ex_start):
+    """c(t) = 0 from t = 5 leaves the ama z-step the conjugate gradient of the
+    l1 norm, which does not exist: the run ends as ``error``, not raising."""
+    run = ama_run(ex_problem, _Drop(0.25, 0.0), ex_start, SolveConfig(record_every=3))
+    assert run.status == "error" and run.iterations_used == 5
+    assert "conjugate gradient" in run.message
+    assert run.iterates.times().tolist() == [0.0, 3.0, 5.0]
