@@ -11,7 +11,9 @@ divergence.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -276,5 +278,18 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def entry() -> NoReturn:
+    """Process entry of ``python -m amaflow.cli`` and the ``amaflow`` script.
+
+    Moves every object the imports created into the collector's permanent
+    generation (``gc.freeze()``), so no later collection walks them again,
+    those the interpreter runs at exit included, then exits with
+    :func:`main`'s code. :func:`main` never freezes: a library call leaves its
+    caller's collector as it found it.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -41,7 +41,7 @@ from .schedules import (
     ProxFriendlyMetric,
     ScaledIdentityMetric,
     ZeroMetric,
-    _FOREIGN_B,
+    _check_own_b,
 )
 from .trajectory import Trajectory, TrajectorySample, _run
 
@@ -114,8 +114,7 @@ def _snapshot(p: TwoBlockProblem, sched: ParameterSchedule):
     else:
         raise CapabilityError(_M1_KINDS)
     if isinstance(M2, ProxFriendlyMetric):
-        if M2.B is not p.B and not np.array_equal(matrix_of(M2.B), p.mat_B):
-            raise CapabilityError(_FOREIGN_B)
+        _check_own_b(M2, p.B)
         tau_at = M2.tau.value_at
         if M2.c is sched.c:
             return lambda t: (mu1_at(t), None, c_at(t), tau_at(t))
@@ -417,6 +416,8 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
         raise ValueError(f"unknown method {method!r}")
     if not 0.0 < h <= 1.0:
         raise ValueError(f"step size must lie in (0, 1], got {h}")
+    if not math.isfinite(T):
+        raise ValueError(f"horizon must be finite, got {T}")
     if T < h:
         raise ValueError(f"horizon {T} shorter than one step {h}")
     if record_every < 1:

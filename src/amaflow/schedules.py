@@ -227,8 +227,13 @@ class ProxFriendlyMetric(MetricSchedule):
         return DenseMap(mat)
 
 
-# A prox-friendly metric's closed forms hold only on the problem's own B.
-_FOREIGN_B = "prox_friendly metric is built on another B than the problem's and cannot be validated"
+def _check_own_b(M: ProxFriendlyMetric, B: LinearMap) -> None:
+    """Raise :class:`CapabilityError` unless ``M`` is built on ``B`` or on a map
+    with ``B``'s matrix. A prox-friendly metric's closed forms hold only on the
+    problem's own B, and a separate but equal B is the problem's own."""
+    if M.B is not B and not np.array_equal(matrix_of(M.B), matrix_of(B)):
+        raise CapabilityError("prox_friendly metric is built on another B than the "
+                              "problem's and cannot be validated")
 
 
 class ConstantDenseMetric(MetricSchedule):
@@ -311,6 +316,8 @@ def _check_grid(t_grid) -> np.ndarray:
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("time grid must be a nonempty vector")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("time grid must have finite points")
     if np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0:
         raise ValueError("time grid must be nonnegative and strictly increasing")
     return grid
@@ -344,8 +351,7 @@ def _spectral_form(M: MetricSchedule, grid: np.ndarray, B: LinearMap) -> tuple:
         mu, dmu = _on_grid(M.mu, grid)
         return mu, dmu, zero, zero, None
     if isinstance(M, ProxFriendlyMetric):
-        if M.B is not B:
-            raise CapabilityError(_FOREIGN_B)
+        _check_own_b(M, B)
         tau, dtau = _on_grid(M.tau, grid)
         c, dc = _on_grid(M.c, grid)
         return 1.0 / tau, -dtau / (tau * tau), -c, -dc, None

@@ -1,8 +1,14 @@
+import gc
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import amaflow
+from amaflow import cli
 from amaflow.cli import _row_format, main
 
 from test_probfile import doc
@@ -82,6 +88,14 @@ class TestValidate:
         rc = main(["validate", write(tmp_path, doc()), "--grid", "0,oops"])
         assert rc == 1
         assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0,1,nan,2", "0,inf"])
+    def test_non_finite_grid_is_refused(self, grid, tmp_path, capsys):
+        rc = main(["validate", write(tmp_path, doc()), "--grid", grid])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: time grid must have finite points\n"
+        assert captured.out == ""
 
 
 class TestNorm:
@@ -255,6 +269,19 @@ class TestSolve:
         assert "kind: continuous" in report
         assert "residual not finite" in report
 
+    @pytest.mark.parametrize("horizon", ["inf", "nan"])
+    @pytest.mark.parametrize("mode", ["continuous-euler", "continuous-rk4"])
+    def test_non_finite_horizon_is_refused(self, mode, horizon, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["solve", write(tmp_path, doc()), "--mode", mode, "--step", "0.5",
+                   "--horizon", horizon, "--out-prefix", "out"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: horizon must be finite, got {horizon}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out.csv").exists()
+
     def test_ama_needs_zero_couplings(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         smooth_h1 = doc(
@@ -330,3 +357,71 @@ class TestCsvRows:
         assert _row_format(len(values)) % values == expected
         for v in values:
             assert _row_format(1) % (v,) == f"{v:.17g}\n"
+
+
+# One case per exit code: the problem-file edit and the arguments after the file.
+ENTRY_CASES = {
+    0: ({}, ["solve", "--max-iters", "60", "--out-prefix", "out"]),
+    1: ({"schedules__c": {"kind": "constant", "value": 3.0}}, ["validate"]),
+    2: (None, ["norm"]),
+    3: ({"schedules__c": {"kind": "constant", "value": 50.0}},
+        ["solve", "--force", "--max-iters", "300", "--out-prefix", "out"]),
+}
+
+
+def _run_process(args, cwd):
+    """``python ARGS`` in ``cwd`` with this amaflow on the path, output captured."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(amaflow.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          timeout=120)
+
+
+class TestEntry:
+    """The process entry (``python -m amaflow.cli`` and the ``amaflow`` script)
+    against the in-process :func:`main`."""
+
+    @pytest.mark.parametrize("code", sorted(ENTRY_CASES))
+    def test_a_process_writes_what_main_writes(self, code, tmp_path, monkeypatch, capsys):
+        edit, (command, *rest) = ENTRY_CASES[code]
+        text = "{broken" if edit is None else doc(**edit)
+        args = [command, write(tmp_path, text), *rest]
+        runs = {side: tmp_path / side for side in ("main", "process")}
+        for d in runs.values():
+            d.mkdir()
+
+        monkeypatch.chdir(runs["main"])
+        frozen = gc.get_freeze_count()
+        rc = main(args)
+        captured = capsys.readouterr()
+        assert gc.get_freeze_count() == frozen  # main never freezes
+        proc = _run_process(["-m", "amaflow.cli", *args], runs["process"])
+
+        assert rc == proc.returncode == code
+        assert proc.stdout.decode() == captured.out
+        assert proc.stderr.decode() == captured.err
+        files = {side: sorted(p.name for p in d.iterdir()) for side, d in runs.items()}
+        assert files["main"] == files["process"]
+        assert bool(files["main"]) == (command == "solve")
+        for name in files["main"]:
+            assert (runs["main"] / name).read_bytes() == (runs["process"] / name).read_bytes()
+
+    def test_running_the_module_freezes_the_import_heap(self, tmp_path):
+        # runpy.run_module with alter_sys is what ``python -m`` does.
+        script = ("import atexit, gc, runpy, sys\n"
+                  "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                  "sys.argv = ['amaflow', 'norm', sys.argv[1]]\n"
+                  "runpy.run_module('amaflow.cli', run_name='__main__', alter_sys=True)\n")
+        proc = _run_process(["-c", script, write(tmp_path, doc())], tmp_path)
+        assert proc.returncode == 0
+        assert proc.stdout.decode().endswith("frozen True\n")
+
+    def test_the_entry_freezes_then_exits_with_the_code_of_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 3
+        assert calls == ["freeze", "main"]

@@ -262,6 +262,11 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(ex_problem, ex_sched_c025, ex_start, record_every=0)
 
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_a_non_finite_horizon_is_refused(self, T, ex_problem, ex_sched_c025, ex_start):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            integrate(ex_problem, ex_sched_c025, ex_start, method="euler", h=0.5, T=T)
+
     def test_recording_cadence(self, ex_problem, ex_sched_c025, ex_start):
         traj = integrate(ex_problem, ex_sched_c025, ex_start, method="euler",
                          h=0.1, T=1.0, record_every=3)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,16 @@ class TestValidationPreconditions:
                 validate(p, sched.c, sched.M1, sched.M2, EPS, bad)
         with pytest.raises(ValueError):
             validate_corollary(p, sched.c, sched.tau, EPS, [])
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, math.nan, 2.0], [0.0, math.inf],
+                                      [math.nan], [0.0, 1.0, math.nan]])
+    def test_non_finite_grid_points_are_refused(self, grid):
+        p = example_problem()
+        sched = example_schedule("c025", 0.99, p)
+        with pytest.raises(ValueError, match="finite"):
+            validate(p, sched.c, sched.M1, sched.M2, EPS, grid)
+        with pytest.raises(ValueError, match="finite"):
+            validate_corollary(p, sched.c, sched.tau, EPS, grid)
 
     def test_report_records_grid(self):
         p = example_problem()

@@ -35,6 +35,7 @@ from amaflow import (
     ZeroMetric,
     default_grid,
     example_problem,
+    example_schedule,
     validate,
     validate_corollary,
 )
@@ -296,9 +297,27 @@ def test_unknown_metric_kind_is_refused():
 def test_prox_friendly_metric_on_another_b_is_refused():
     p = example_problem()
     c = ConstantSchedule(0.25)
-    other = ProxFriendlyMetric(ConstantSchedule(1.0), c, DenseMap(p.B.as_matrix()))
+    other = ProxFriendlyMetric(ConstantSchedule(1.0), c, DenseMap(p.mat_B * 0.5))
     with pytest.raises(CapabilityError, match="prox_friendly"):
         validate(p, c, ZeroMetric(2), other, 0.005, [0.0, 1.0])
+
+
+def test_prox_friendly_metric_on_an_equal_b_is_the_problems_own():
+    """A separate but equal B validates as the problem's own, as the solvers run
+    it: a copy of B's matrix, and the README's pairing of the example problem
+    with an example schedule built without it."""
+    p = example_problem()
+    c = ConstantSchedule(0.25)
+    grid = default_grid()
+    own = validate(p, c, ZeroMetric(2), ProxFriendlyMetric(ConstantSchedule(1.0), c, p.B),
+                   0.005, grid)
+    copy = ProxFriendlyMetric(ConstantSchedule(1.0), c, DenseMap(p.B.as_matrix()))
+    assert validate(p, c, ZeroMetric(2), copy, 0.005, grid).checks == own.checks
+
+    built, apart = example_schedule("c025", 0.99, p), example_schedule("c025", 0.99)
+    assert apart.M2.B is not p.B
+    reps = [validate(p, s.c, s.M1, s.M2, 0.005, grid) for s in (built, apart)]
+    assert reps[0].passed and reps[1].checks == reps[0].checks
 
 
 # ---------------------------------------------------------------------------
