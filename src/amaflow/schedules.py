@@ -316,10 +316,10 @@ def _check_grid(t_grid) -> np.ndarray:
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("time grid must be a nonempty vector")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("time grid must have finite points")
-    if np.any(np.diff(grid) <= 0.0) or grid[0] < 0.0:
-        raise ValueError("time grid must be nonnegative and strictly increasing")
+    # A grid that rises strictly from a point >= 0 to a point < inf is finite
+    # throughout: a NaN fails every comparison, so it fails one of the three.
+    if not (grid[0] >= 0.0 and grid[-1] < math.inf and np.all(np.diff(grid) > 0.0)):
+        raise ValueError("time grid must be finite, nonnegative and strictly increasing")
     return grid
 
 

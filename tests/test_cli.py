@@ -94,7 +94,8 @@ class TestValidate:
         rc = main(["validate", write(tmp_path, doc()), "--grid", grid])
         captured = capsys.readouterr()
         assert rc == 1
-        assert captured.err == "error: time grid must have finite points\n"
+        assert captured.err == ("error: time grid must be finite, nonnegative and "
+                                "strictly increasing\n")
         assert captured.out == ""
 
 
