@@ -10,8 +10,14 @@ divergence.
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":
+    # Run as ``python -m amaflow.cli``: the imports below build the heap that
+    # entry() freezes, so the collector stays off until then.
+    gc.disable()
+
+import argparse
 import sys
 from typing import NoReturn
 
@@ -283,11 +289,13 @@ def entry() -> NoReturn:
 
     Moves every object the imports created into the collector's permanent
     generation (``gc.freeze()``), so no later collection walks them again,
-    those the interpreter runs at exit included, then exits with
-    :func:`main`'s code. :func:`main` never freezes: a library call leaves its
-    caller's collector as it found it.
+    those the interpreter runs at exit included, then switches the collector
+    back on (run as ``__main__``, the module imported with it off) and exits
+    with :func:`main`'s code. :func:`main` never freezes: a library call
+    leaves its caller's collector as it found it.
     """
     gc.freeze()
+    gc.enable()
     sys.exit(main())
 
 

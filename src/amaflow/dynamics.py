@@ -248,7 +248,8 @@ def _z_prox(p: TwoBlockProblem, c: float, tau: float, z: np.ndarray, y: np.ndarr
         raise ConditionError(f"prox step tau must be positive, got {tau}")
     if bz is None:
         bz = p.mat_B.dot(z)
-    v = p.mat_Bt.dot(y - (ax + bz - p.b) * c)
+    r = ax + bz if p.b_is_zero else ax + bz - p.b
+    v = p.mat_Bt.dot(y - r * c)
     if p.h2.kind != "zero":
         v = v - p.h2.grad(z)
     return p.g._prox(tau, z + v * tau)
@@ -257,7 +258,7 @@ def _z_prox(p: TwoBlockProblem, c: float, tau: float, z: np.ndarray, y: np.ndarr
 def _z_general(p: TwoBlockProblem, cp: Coupling, z: np.ndarray, y: np.ndarray,
                ax: np.ndarray) -> np.ndarray:
     """The general z-step: the inner loop on ``cp.Q``, warm-started at z."""
-    target = p.mat_Bt.dot(y - (ax - p.b) * cp.c)
+    target = p.mat_Bt.dot(y - (ax if p.b_is_zero else ax - p.b) * cp.c)
     if cp.K is not None:
         target = cp.K.dot(z) + target
     if p.h2.kind != "zero":
@@ -339,7 +340,7 @@ def alternating_update(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray],
         coupling = _coupling(p, K, c, require_uniform, coupling)
         z_new = _z_general(p, coupling, z, y, ax)
     bz_new = p.mat_B.dot(z_new)
-    r = ax + bz_new - p.b
+    r = ax + bz_new if p.b_is_zero else ax + bz_new - p.b
     return Update(x_new, z_new, r * -c, ax, bz_new, coupling, r)
 
 
@@ -424,17 +425,16 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
         raise ValueError(f"record_every must be >= 1, got {record_every}")
 
     snap = _snapshot(p, sched)
-    energy = None
     if reference is not None:
-        from .diagnostics import _energy, check_reference
+        from .diagnostics import _energy_column, check_reference
 
         check_reference(p, reference)
-
-        def energy(t, x, z, y):
-            return _energy(p, snap(t), t, PrimalDualState(x, z, y, t), reference).energy
     step = _rk4_step(p, snap, h) if method == "rk4" else _euler_step(p, snap, h)
     status, k, rec, exc = _run(p, s0, step, h, max(1, int(round(T / h))), record_every,
-                               energy=energy)
+                               energy=reference is not None)
+    if reference is not None:
+        table = rec.rows[:rec.m]
+        _energy_column(p, snap, table, rec.dims, reference, table[:, -1])
     traj = rec.trajectory(method, h, T)
     if status == "error":
         raise TrajectoryError(f"integration aborted at t={k * h:.6g}: {exc}",

@@ -62,7 +62,10 @@ class TwoBlockProblem:
     ``mat_B`` (shared with a :class:`~amaflow.linop.DenseMap`), with their
     transposes ``mat_At`` and ``mat_Bt`` as views; the solvers multiply by
     these directly. The build checks are O(n^2): A, B and b must be finite
-    and A nonzero. The spectra the hypotheses need (``norm_A``, and
+    and A nonzero. ``b_is_zero`` records whether every entry of b is +0.0;
+    then ``v - b`` is ``v`` bit for bit, -0.0 included, and the residuals
+    skip the subtraction (a -0.0 in b keeps it: it turns -0.0 into +0.0).
+    The spectra the hypotheses need (``norm_A``, and
     ``norm_B`` and ``btb_min`` from one SVD of B) are computed once per
     problem, on first use; the iteration never reads them.
     """
@@ -94,6 +97,7 @@ class TwoBlockProblem:
                 raise ValueError(f"{name} must have finite entries")
         if not self.mat_A.any():
             raise ValueError("A must be a nonzero operator")
+        self.b_is_zero = not self.b.any() and not np.signbit(self.b).any()
 
     @cached_property
     def norm_A(self) -> float:
@@ -196,7 +200,7 @@ class TwoBlockProblem:
 
     def _feas(self, ax: np.ndarray, bz: np.ndarray) -> float:
         """``|ax + bz - b|``."""
-        r = ax + bz - self.b
+        r = ax + bz if self.b_is_zero else ax + bz - self.b
         return math.sqrt(r.dot(r))
 
     def _x_residual(self, x: np.ndarray, aty: np.ndarray) -> float:

@@ -129,7 +129,7 @@ def _sample(p: TwoBlockProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray,
     if r is None:
         ax = p.mat_A.dot(x)
         bz = p.mat_B.dot(z) if bz is None else bz
-        r = ax + bz - p.b
+        r = ax + bz if p.b_is_zero else ax + bz - p.b
     return math.sqrt(r.dot(r)), p._x_residual(x, aty), p._z_residual(z, bty), aty, bz
 
 
@@ -145,7 +145,7 @@ def _stop(feas: float, rx: float, rz: float, tol: Optional[tuple]) -> Optional[s
 
 @np.errstate(over="ignore")
 def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
-         every: int, tol: Optional[tuple] = None, energy=None) -> tuple:
+         every: int, tol: Optional[tuple] = None, energy: bool = False) -> tuple:
     """The one loop of the solvers and the integrators: at most ``steps``
     steps of size ``h`` from ``s0``, whose dimensions it checks, recording
     the state at t = 0, every ``every``-th one and the last.
@@ -155,7 +155,8 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
     step's coupling. It returns an :class:`~amaflow.dynamics.Update` with the
     new x and z, the step w of y, and the new ``bz`` and ``r = A x + B z - b``
     when it knows them (the unit step does; else None).
-    ``energy(t, x, z, y)``, when given, fills the table's energy column.
+    ``energy`` reserves the table's energy column, left for the caller to
+    fill before the table is finished.
 
     A recorded state with a residual that is not finite stops the run as
     ``diverged``; given ``tol = (tol_kkt, tol_feas)``, one whose residuals
@@ -179,13 +180,9 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
     s = p.state(s0.x, s0.z, s0.y)
     x, z, y = s.x, s.z, s.y
     At, Bt = p.mat_At, p.mat_Bt
-    rec = _Recorder((p.dim_x, p.dim_z, p.dim_y), energy is not None)
-
-    def add(t, x, z, y, feas, rx, rz):
-        rec.add(t, x, z, y, feas, rx, rz, None if energy is None else energy(t, x, z, y))
-
+    rec = _Recorder((p.dim_x, p.dim_z, p.dim_y), energy)
     feas, rx, rz, aty, bz = _sample(p, x, z, y)
-    add(0.0, x, z, y, feas, rx, rz)
+    rec.add(0.0, x, z, y, feas, rx, rz)
     status = _stop(feas, rx, rz, tol)
     if status is not None:
         return status, 0, rec, None
@@ -196,7 +193,7 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
             up = step(k * h, x, z, y, aty, bz, coupling)
         except (ConvergenceError, ConditionError, CapabilityError) as exc:
             if k % every:
-                add(k * h, x, z, y, *_sample(p, x, z, y)[:3])
+                rec.add(k * h, x, z, y, *_sample(p, x, z, y)[:3])
             return "error", k, rec, exc
         x, z, y, bz, coupling = up.x, up.z, y + up.w, up.bz, up.coupling
         if (k + 1) % every and k + 1 < steps:
@@ -215,7 +212,7 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
         else:
             feas, rx, rz, aty, bz = _sample(p, x, z, y, bz, up.r)
             status = _stop(feas, rx, rz, tol)
-        add((k + 1) * h, x, z, y, feas, rx, rz)
+        rec.add((k + 1) * h, x, z, y, feas, rx, rz)
         if status is not None:
             return status, k + 1, rec, None
     return "max_iters", steps, rec, None

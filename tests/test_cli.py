@@ -370,9 +370,9 @@ ENTRY_CASES = {
 }
 
 
-def _run_process(args, cwd):
+def _run_process(args, cwd, extra_env=None):
     """``python ARGS`` in ``cwd`` with this amaflow on the path, output captured."""
-    env = dict(os.environ)
+    env = dict(os.environ, **(extra_env or {}))
     src = os.path.dirname(os.path.dirname(os.path.abspath(amaflow.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
@@ -426,3 +426,48 @@ class TestEntry:
             cli.entry()
         assert exc.value.code == 3
         assert calls == ["freeze", "main"]
+
+    def test_running_the_module_collects_nothing_before_the_freeze(self, tmp_path):
+        # With the modules' bytecode cached, as an installed package or the
+        # benchmark has it, so the compiler builds no objects on the way. A
+        # probe installed before python -m's run_module counts the collections
+        # that start while nothing is frozen yet: about 33 with the package
+        # importing every module before cli.py runs.
+        env = {"PYTHONPYCACHEPREFIX": str(tmp_path / "pycache")}
+        src = os.path.dirname(os.path.abspath(cli.__file__))
+        compiled = _run_process(["-c", "import compileall, sys; "
+                                 "sys.exit(not compileall.compile_dir(sys.argv[1], quiet=1))",
+                                 src], tmp_path, env)
+        assert compiled.returncode == 0
+        script = ("import gc, runpy, sys\n"
+                  "starts = []\n"
+                  "gc.callbacks.append(lambda phase, info: phase == 'start'\n"
+                  "                    and not gc.get_freeze_count() and starts.append(1))\n"
+                  "sys.argv = ['amaflow', 'norm', sys.argv[1]]\n"
+                  "try:\n"
+                  "    runpy.run_module('amaflow.cli', run_name='__main__', alter_sys=True)\n"
+                  "finally:\n"
+                  "    print('collections', len(starts), 'enabled', gc.isenabled())\n")
+        proc = _run_process(["-c", script, write(tmp_path, doc())], tmp_path, env)
+        assert proc.returncode == 0
+        assert proc.stdout.decode().endswith("collections 0 enabled True\n")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_importing_the_module_leaves_the_collector_as_it_was(self, tmp_path, enabled):
+        script = ("import gc\n"
+                  f"{'gc.enable()' if enabled else 'gc.disable()'}\n"
+                  "before = gc.isenabled(), gc.get_freeze_count()\n"
+                  "import amaflow.cli\n"
+                  "print(before == (gc.isenabled(), gc.get_freeze_count()), before[0])\n")
+        proc = _run_process(["-c", script], tmp_path)
+        assert proc.returncode == 0
+        assert proc.stdout.decode() == f"True {enabled}\n"
+
+    def test_the_entry_switches_the_collector_on_after_the_freeze(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(gc, "enable", lambda: calls.append("enable"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+        with pytest.raises(SystemExit):
+            cli.entry()
+        assert calls == ["freeze", "enable", "main"]

@@ -1,12 +1,24 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from amaflow import (
+    ConstantDenseMetric,
     ConstantSchedule,
+    CoupledReciprocal,
+    DenseMap,
+    L1Norm,
     PrimalDualState,
+    ProxFriendlyMetric,
+    QuadraticDistance,
+    ReciprocalQuadratic,
+    ScaledIdentityMetric,
     SolveConfig,
     SolveResult,
     Trajectory,
+    TwoBlockProblem,
+    ZeroFunction,
     ZeroMetric,
     check_energy_monotone,
     energy,
@@ -206,3 +218,155 @@ class TestReport:
         # the looser report tolerance is reached strictly earlier than the
         # solver's own stopping point
         assert rep.time_to_tolerance < res.final.t
+
+
+def per_row_energy(p, params, s, ref):
+    """The energy of one state, the formula written out row by row."""
+    mu1, K, c, tau = params
+    dx, dz, dy = s.x - ref.x, s.z - ref.z, s.y - ref.y
+    x_term = (2.0 * p.f.strong_convexity * c - c * c * p.norm_A**2) * float(dx.dot(dx))
+    x_metric = c * float(dx.dot(dx * mu1))
+    if tau is not None:
+        z_metric = c / tau * float(dz.dot(dz))
+    else:
+        bdz = p.mat_B.dot(dz)
+        m2_term = 0.0 if K is None else float(dz.dot(K.dot(dz)))
+        z_metric = c * m2_term + c * c * float(bdz.dot(bdz))
+    return x_term + x_metric + z_metric + float(dy.dot(dy))
+
+
+class SteppedSchedule(ConstantSchedule):
+    """``value`` before t = 5 and 1.25 times it from then on."""
+
+    def value_at(self, t):
+        return self.value if t < 5.0 else self.value * 1.25
+
+
+def random_problem(rng, n, B=None):
+    B = rng.standard_normal((n, n)) / (2.0 * np.sqrt(n)) if B is None else B
+    return TwoBlockProblem(QuadraticDistance(rng.standard_normal(n), 1.5), ZeroFunction(n),
+                           L1Norm(n, 0.5), ZeroFunction(n),
+                           DenseMap(rng.standard_normal((n, n)) + 2.0 * np.eye(n)),
+                           DenseMap(B), rng.standard_normal(n))
+
+
+def schedules(p, kind):
+    n = p.dim_x
+    c = ReciprocalQuadratic(4.0, 0.05)
+    if kind == "prox":
+        return ParameterSchedule(c, ZeroMetric(n),
+                                 ProxFriendlyMetric(CoupledReciprocal(0.9, c), c, p.B))
+    if kind == "prox-other-c":
+        # the metric's c matches the run's before t = 5 only: tau rows, then
+        # rows that share one dense M2
+        c, other = ConstantSchedule(0.25), SteppedSchedule(0.25)
+        return ParameterSchedule(c, ScaledIdentityMetric(ConstantSchedule(0.3), n),
+                                 ProxFriendlyMetric(CoupledReciprocal(0.5, other), other, p.B))
+    if kind == "constant-dense":
+        G = np.random.default_rng(n).standard_normal((n, n))
+        return ParameterSchedule(c, ScaledIdentityMetric(ReciprocalQuadratic(2.0, 0.1), n),
+                                 ConstantDenseMetric(DenseMap(G @ G.T / n)))
+    if kind == "scaled-identity":  # a K per distinct mu(t)
+        return ParameterSchedule(c, ZeroMetric(n),
+                                 ScaledIdentityMetric(ReciprocalQuadratic(1.0, 0.2), n))
+    return ParameterSchedule(c, ZeroMetric(n), ZeroMetric(n))
+
+
+class TestStackedEnergy:
+    """The energy column is computed a block of rows at a time; each entry
+    equals the row-by-row formula bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_stacked_products_are_the_rows_own(self, n, rng):
+        table = rng.standard_normal((300, 3 * n + 5)) * 10.0 ** rng.integers(-4, 5, (300, 1))
+        D = table[:, 1:1 + n]  # a strided view, as the table's blocks are
+        M = rng.standard_normal((n, n))
+        assert np.vecdot(D, D).tobytes() == np.array([r.dot(r) for r in D]).tobytes()
+        for layout in (M, np.asfortranarray(M), M[::-1], M[:, ::-1]):
+            got = np.matvec(diagnostics._blas_layout(layout), D)
+            assert got.tobytes() == np.array([layout.dot(r) for r in D]).tobytes()
+
+    @pytest.mark.parametrize("kind", ["prox", "prox-other-c", "constant-dense",
+                                      "scaled-identity", "zero"])
+    @pytest.mark.parametrize("n", [2, 7, 50])
+    def test_column_equals_the_per_row_formula(self, kind, n, rng):
+        B = rng.standard_normal((n, 2 * n))[:, ::2] / (2.0 * np.sqrt(n))  # no unit stride
+        p = random_problem(rng, n, B if kind == "zero" else None)
+        sched = schedules(p, kind)
+        m = 2 * diagnostics._BLOCK + 37
+        table = np.empty((m, 3 * n + 5))
+        table[:, 0] = np.arange(m) * 0.02
+        table[:, 1:] = rng.standard_normal((m, 3 * n + 4)) * 10.0 ** rng.integers(-3, 4, (m, 1))
+        ref = PrimalDualState(*rng.standard_normal((3, n)))
+        snap = dynamics._snapshot(p, sched)
+        out = np.empty(m)
+        diagnostics._energy_column(p, snap, table, (n, n, n), ref, out)
+        traj = Trajectory(table, "rk4", 0.02, m * 0.02, (n, n, n))
+        want = [per_row_energy(p, snap(s.t), s, ref) for s in traj._states()]
+        assert out.tobytes() == np.array(want).tobytes()
+        if kind == "prox-other-c":
+            assert {snap(t)[3] is None for t in table[:, 0]} == {True, False}
+
+    def test_energy_is_the_first_row_of_a_block(self, ex_problem, ex_sched_c025,
+                                                 ex_reference, rng):
+        for t in (0.0, 1.5, 30.0):
+            s = displaced(ex_reference, *rng.standard_normal((3, 2)))
+            e = energy(ex_problem, ex_sched_c025, t, s, ex_reference)
+            params = dynamics._snapshot(ex_problem, ex_sched_c025)(t)
+            assert e.energy == per_row_energy(ex_problem, params, s, ex_reference)
+            assert e.energy == sum(e.components)
+
+    @pytest.mark.parametrize("method, h, record_every", [("rk4", 0.01, 10),
+                                                         ("euler", 0.05, 1)])
+    def test_integrate_fills_the_column_trajectory_energies_computes(
+            self, ex_problem, ex_start, ex_reference, method, h, record_every):
+        sched = example_schedule("c1-decay", 0.99, ex_problem)
+        traj = integrate(ex_problem, sched, ex_start, method=method, h=h, T=30.0,
+                         record_every=record_every, reference=ex_reference)
+        assert len(traj.table) > diagnostics._BLOCK
+        column = diagnostics.trajectory_energies(traj, ex_problem, sched, ex_reference)
+        assert np.array(traj.energies()).tobytes() == np.array(column).tobytes()
+        snap = dynamics._snapshot(ex_problem, sched)
+        want = [per_row_energy(ex_problem, snap(s.t), s, ex_reference)
+                for s in traj._states()]
+        assert column == want
+
+    def test_a_diverged_run_warns_nothing(self, ex_problem, ex_start, ex_reference):
+        c = ConstantSchedule(50.0)
+        sched = ParameterSchedule(c, ZeroMetric(2),
+                                  ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, ex_problem.B))
+        res = prox_ama_run(ex_problem, sched, ex_start, SolveConfig())
+        assert res.status == "diverged"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            column = diagnostics.trajectory_energies(res.iterates, ex_problem, sched,
+                                                     ex_reference)
+            rep = report(res, ex_problem, ex_reference, sched)
+        assert np.isnan(column[-1]) and np.isfinite(column[0])
+        assert rep.energy_monotone is False and rep.energy_max_violation == np.inf
+
+
+class TestNotANumberEnergy:
+    """A step whose energy increase is not a number is a violation of size inf."""
+
+    def two_rows(self, ex_problem, ex_start, second):
+        table = np.zeros((2, 11))
+        table[:, 0] = (0.0, 1.0)
+        table[:, 1:7] = np.concatenate([ex_start.x, ex_start.z, ex_start.y])
+        table[:, -1] = (1.0, second)
+        return Trajectory(table, "prox-ama", 1.0, 1.0, (2, 2, 2))
+
+    @pytest.mark.parametrize("second", [np.nan, np.inf])
+    def test_the_monotone_check_fails(self, ex_problem, ex_start, second):
+        traj = self.two_rows(ex_problem, ex_start, second)
+        assert check_energy_monotone(traj) == (False, np.inf)
+
+    def test_inf_after_inf_is_not_a_number(self):
+        assert diagnostics._monotone([1.0, np.inf, np.inf]) == (False, np.inf)
+        assert diagnostics._monotone([1.0, 0.5, 0.5]) == (True, 0.0)
+
+    def test_the_report_says_so(self, ex_problem, ex_start):
+        rep = report(self.two_rows(ex_problem, ex_start, np.nan), ex_problem)
+        assert rep.energy_monotone is False
+        assert rep.energy_max_violation == np.inf
+        assert rep.as_dict()["energy_max_violation"] == np.inf

@@ -488,3 +488,81 @@ class TestConstantCoupling:
         with pytest.raises(CapabilityError, match=match):
             integrate(ex_problem, sched, ex_start, method="euler", h=1.0, T=5.0)
         assert updates == []
+
+
+def subtracting_run(p, c, tau, s0, iters):
+    """Rows (x, z, y, feasibility) of ``iters`` prox-AMA iterations with M1 = 0,
+    h1 = h2 = 0 and a prox-friendly M2, every ``- b`` written out."""
+    A, B = p.A.matrix, p.B.matrix
+    x, z, y = s0.x, s0.z, s0.y
+    r = A.dot(x) + B.dot(z) - p.b
+    rows = [np.concatenate([x, z, y, [math.sqrt(r.dot(r))]])]
+    bz = B.dot(z)
+    for _ in range(iters):
+        x = p.f._conj_grad(A.T.dot(y))
+        ax = A.dot(x)
+        z = p.g._prox(tau, z + B.T.dot(y - (ax + bz - p.b) * c) * tau)
+        bz = B.dot(z)
+        r = ax + bz - p.b
+        y = y + r * -c
+        rows.append(np.concatenate([x, z, y, [math.sqrt(r.dot(r))]]))
+    return np.array(rows)
+
+
+class TestZeroRightHandSide:
+    """A b of +0.0 entries skips ``- b``: ``v - 0.0`` is ``v`` for every float."""
+
+    @pytest.mark.parametrize("b, skips", [((0.0, 0.0), True), ((-0.0, 0.0), False),
+                                          ((0.0, 1e-300), False), ((0.0,), True),
+                                          ((-0.0,), False)])
+    def test_only_an_all_plus_zero_b_is_skipped(self, b, skips):
+        n = len(b)
+        p = TwoBlockProblem(QuadraticDistance(np.zeros(n), 1.0), ZeroFunction(n),
+                            L1Norm(n, 1.0), ZeroFunction(n), IdentityMap(n),
+                            IdentityMap(n), np.array(b))
+        assert p.b_is_zero is skips
+
+    @pytest.mark.parametrize("b", [(0.0, 0.0), (-0.0, 0.0), (0.0,), (-0.0,)])
+    def test_runs_equal_the_subtracting_loop_bit_for_bit(self, b, rng):
+        # Unit-step Euler, the solvers' loop with no tolerance to stop at.
+        n = len(b)
+        c, tau = 0.25, 0.99 / 0.25
+        if n == 1:
+            # A 1 x 1 product keeps a -0.0, and g = 0 keeps the z-step's sign,
+            # so the sign of b's zero shows in z from the first step on.
+            A = B = np.eye(1)
+            d, g, s0 = np.array([-0.0]), ZeroFunction(1), PrimalDualState([-0.0], [-0.0], [-0.0])
+        else:
+            A = example_problem().A.matrix
+            B = rng.standard_normal((n, n)) / 4.0
+            d, g = rng.standard_normal(n), L1Norm(n, 0.5)
+            s0 = PrimalDualState(*rng.uniform(-10.0, 10.0, (3, n)))
+        p = TwoBlockProblem(QuadraticDistance(d, 1.0), ZeroFunction(n), g, ZeroFunction(n),
+                            DenseMap(A), DenseMap(B), np.array(b))
+        cs = ConstantSchedule(c)
+        sched = ParameterSchedule(cs, ZeroMetric(n),
+                                  ProxFriendlyMetric(CoupledReciprocal(0.99, cs), cs, p.B))
+        want = subtracting_run(p, c, tau, s0, 40)
+        traj = integrate(p, sched, s0, method="euler", h=1.0, T=40.0)
+        assert traj.table[:, 1:2 + 3 * n].tobytes() == want.tobytes()
+        assert p.feasibility_residual(traj.final.state) == want[-1, -1]
+        if n == 1:
+            assert (np.signbit(want[1:, 1]) == np.signbit(b[0])).all()
+
+    @pytest.mark.parametrize("case", ["general", "rk4"])
+    def test_skipping_equals_subtracting_on_every_path(self, case, rng):
+        p = example_problem()
+        assert p.b_is_zero
+        subtracting = TwoBlockProblem(p.f, p.h1, p.g, p.h2, p.A, p.B, p.b)
+        subtracting.b_is_zero = False
+        s0 = PrimalDualState(*rng.uniform(-10.0, 10.0, (3, 2)))
+        if case == "general":
+            sched = ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2),
+                                      ConstantDenseMetric(DenseMap([[0.6, 0.1], [0.1, 0.4]])))
+            cfg = SolveConfig(max_iters=60, tol_kkt=1e-300, tol_feas=1e-300)
+            tables = [prox_ama_run(q, sched, s0, cfg).iterates.table for q in (p, subtracting)]
+        else:
+            sched = example_schedule("c025", 0.99, p)
+            tables = [integrate(q, sched, s0, method="rk4", h=0.05, T=3.0).table
+                      for q in (p, subtracting)]
+        assert tables[0].tobytes() == tables[1].tobytes()
