@@ -13,7 +13,9 @@ import math
 from typing import Optional
 
 from .errors import CapabilityError
-from .dynamics import _euler_step, _m1_factor, _metric_matrix, _snapshot, alternating_update
+from .dynamics import (
+    _euler_step, _m1_factor, _metric_matrix, _once, _snapshot, alternating_update,
+)
 from .problem import PrimalDualState, TwoBlockProblem
 from .schedules import ParameterSchedule, ScalarSchedule
 from .trajectory import Trajectory, _run
@@ -98,5 +100,6 @@ def ama_run(p: TwoBlockProblem, c_schedule: ScalarSchedule, s0: PrimalDualState,
     if p.h1.kind != "zero" or p.h2.kind != "zero":
         raise CapabilityError("the plain alternating scheme requires h1 = h2 = 0")
     c_at = c_schedule.value_at
-    step = _euler_step(p, lambda t: (0.0, None, c_at(t), None), 1.0, require_uniform=False)
+    snap = _once(lambda t: (0.0, None, c_at(t), None), [c_schedule])
+    step = _euler_step(p, snap, 1.0, require_uniform=False)
     return _solve(p, step, s0, cfg, "ama")

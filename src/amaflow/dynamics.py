@@ -37,8 +37,11 @@ from .linop import LinearMap, ScaledIdentityMap, as_vector, matrix_of, sym_eigen
 from .problem import PrimalDualState, TwoBlockProblem
 from .schedules import (
     ConstantDenseMetric,
+    ConstantSchedule,
+    CoupledReciprocal,
     ParameterSchedule,
     ProxFriendlyMetric,
+    ScalarSchedule,
     ScaledIdentityMetric,
     ZeroMetric,
     _check_own_b,
@@ -91,6 +94,23 @@ def _metric_matrix(M2_t: LinearMap) -> Optional[np.ndarray]:
     return matrix_of(M2_t)
 
 
+def _constant(s: ScalarSchedule) -> bool:
+    """Whether ``s.value_at(t)`` is one value for every t: a
+    :class:`ConstantSchedule`, or a :class:`CoupledReciprocal` of one."""
+    while type(s) is CoupledReciprocal:
+        s = s.other
+    return type(s) is ConstantSchedule
+
+
+def _once(at, read: list):
+    """``at``, or, when no schedule in ``read`` (those ``at`` reads) depends on
+    t, a function that returns the one tuple ``at(0.0)`` for every t."""
+    if not all(map(_constant, read)):
+        return at
+    params = at(0.0)
+    return lambda t: params
+
+
 def _snapshot(p: TwoBlockProblem, sched: ParameterSchedule):
     """``t -> (mu1, K, c, tau)``: the update's parameters on ``p`` at time t.
 
@@ -98,26 +118,31 @@ def _snapshot(p: TwoBlockProblem, sched: ParameterSchedule):
     None; otherwise tau is None and K is M2(t) as a dense matrix: None for a
     zero M2, and one shared array while M2 is unchanged (a constant dense M2,
     or a scaled identity whose mu(t) keeps its value), so a run builds its
-    coupling once. The metric kinds are resolved here, once: an M1 that is
-    not zero or a scaled identity, an M2 of a kind not shipped, or a
-    prox-friendly M2 on another B than ``p``'s raises :class:`CapabilityError`
-    before any update. Where a prox-friendly M2's c differs from the run's,
-    K is M2(t) as a dense matrix.
+    coupling once. When no schedule read depends on t (constant c, tau as a
+    reciprocal of a constant, M1 zero or of constant factor, and so on), the
+    snapshot is one tuple, built here. The metric kinds are resolved here,
+    once: an M1 that is not zero or a scaled identity, an M2 of a kind not
+    shipped, or a prox-friendly M2 on another B than ``p``'s raises
+    :class:`CapabilityError` before any update. Where a prox-friendly M2's c
+    differs from the run's, K is M2(t) as a dense matrix.
     """
     c_at = sched.c.value_at
     M1, M2 = sched.M1, sched.M2
+    read = [sched.c]
     if isinstance(M1, ZeroMetric):
         def mu1_at(t):
             return 0.0
     elif isinstance(M1, ScaledIdentityMetric):
         mu1_at = M1.mu.value_at
+        read.append(M1.mu)
     else:
         raise CapabilityError(_M1_KINDS)
     if isinstance(M2, ProxFriendlyMetric):
         _check_own_b(M2, p.B)
         tau_at = M2.tau.value_at
+        read += [M2.tau, M2.c]
         if M2.c is sched.c:
-            return lambda t: (mu1_at(t), None, c_at(t), tau_at(t))
+            return _once(lambda t: (mu1_at(t), None, c_at(t), tau_at(t)), read)
         m2_c_at = M2.c.value_at
         last = [None, None]  # (tau(t), M2's c(t)) and its K, rebuilt when they change
 
@@ -128,15 +153,16 @@ def _snapshot(p: TwoBlockProblem, sched: ParameterSchedule):
             if last[0] != key:
                 last[:] = key, matrix_of(M2.at(t))
             return mu1_at(t), last[1], c, None
-        return prox_at
+        return _once(prox_at, read)
     if isinstance(M2, ZeroMetric):
-        return lambda t: (mu1_at(t), None, c_at(t), None)
+        return _once(lambda t: (mu1_at(t), None, c_at(t), None), read)
     if isinstance(M2, ConstantDenseMetric):
         K = matrix_of(M2.M)
-        return lambda t: (mu1_at(t), K, c_at(t), None)
+        return _once(lambda t: (mu1_at(t), K, c_at(t), None), read)
     if not isinstance(M2, ScaledIdentityMetric):
         raise CapabilityError(f"z-subproblem does not support M2 of kind {M2.kind!r}")
     mu_at, eye = M2.mu.value_at, np.eye(M2.dim)
+    read.append(M2.mu)
     last = [None, None]  # mu(t) and its K, rebuilt when the value changes
 
     def at(t):
@@ -144,7 +170,7 @@ def _snapshot(p: TwoBlockProblem, sched: ParameterSchedule):
         if last[0] != mu:
             last[:] = mu, eye * mu
         return mu1_at(t), last[1], c_at(t), None
-    return at
+    return _once(at, read)
 
 
 class Coupling(NamedTuple):
@@ -344,20 +370,12 @@ def alternating_update(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray],
     return Update(x_new, z_new, r * -c, ax, bz_new, coupling, r)
 
 
-def _field(p: TwoBlockProblem, params: tuple, x, z, y, aty=None, bz=None,
-           coupling: Optional[Coupling] = None) -> tuple:
-    """The field ``(x', z', y')`` at a state for the snapshot ``params``, and
-    the update's coupling."""
-    up = alternating_update(p, *params, x, z, y, aty=aty, bz=bz, coupling=coupling)
-    return up.x - x, up.z - z, up.w, up.coupling
-
-
 def gamma(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
           s: PrimalDualState) -> GammaOutput:
     """Evaluate the field at (t, s); zero exactly at saddle points."""
     s = p.state(s.x, s.z, s.y)
-    u, v, w, _ = _field(p, _snapshot(p, sched)(t), s.x, s.z, s.y)
-    return GammaOutput(u, v, w)
+    up = alternating_update(p, *_snapshot(p, sched)(t), s.x, s.z, s.y)
+    return GammaOutput(up.x - s.x, up.z - s.z, up.w)
 
 
 def _euler_step(p: TwoBlockProblem, snap, h: float, require_uniform: bool = True):
@@ -377,22 +395,29 @@ def _euler_step(p: TwoBlockProblem, snap, h: float, require_uniform: bool = True
 
 
 def _rk4_step(p: TwoBlockProblem, snap, h: float):
-    """The classic four-stage step; the stages share the coupling while it
-    is unchanged."""
+    """The classic four-stage step on one stacked (x, z, y) array, so each
+    combination of stages is one operation; the stages share the coupling
+    while it is unchanged, and the first reuses the state's products."""
     half, sixth = 0.5 * h, h / 6.0
+    a, b = p.dim_x, p.dim_x + p.dim_z
+
+    def field(params, x, z, y, aty=None, bz=None, cp=None):
+        """The stacked field ``(x', z', y')`` at a state, and the coupling."""
+        up = alternating_update(p, *params, x, z, y, True, aty, bz, cp)
+        return np.concatenate((up.x - x, up.z - z, up.w)), up.coupling
+
+    def stage(params, s, cp):
+        return field(params, s[:a], s[a:b], s[b:], cp=cp)
 
     def step(t, x, z, y, aty, bz, cp):
-        mid = snap(t + half)
-        u1, v1, w1, cp = _field(p, snap(t), x, z, y, aty, bz, cp)
-        u2, v2, w2, cp = _field(p, mid, x + u1 * half, z + v1 * half, y + w1 * half,
-                                coupling=cp)
-        u3, v3, w3, cp = _field(p, mid, x + u2 * half, z + v2 * half, y + w2 * half,
-                                coupling=cp)
-        u4, v4, w4, cp = _field(p, snap(t + h), x + u3 * h, z + v3 * h, y + w3 * h,
-                                coupling=cp)
-        return Update(x + (u1 + u2 * 2.0 + u3 * 2.0 + u4) * sixth,
-                      z + (v1 + v2 * 2.0 + v3 * 2.0 + v4) * sixth,
-                      (w1 + w2 * 2.0 + w3 * 2.0 + w4) * sixth, None, None, cp, None)
+        s, mid = np.concatenate((x, z, y)), snap(t + half)
+        f1, cp = field(snap(t), x, z, y, aty, bz, cp)
+        f2, cp = stage(mid, s + f1 * half, cp)
+        f3, cp = stage(mid, s + f2 * half, cp)
+        f4, cp = stage(snap(t + h), s + f3 * h, cp)
+        d = (f1 + f2 * 2.0 + f3 * 2.0 + f4) * sixth
+        s = s + d
+        return Update(s[:a], s[a:b], d[b:], None, None, cp, None)
     return step
 
 

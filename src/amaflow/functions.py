@@ -24,6 +24,9 @@ __all__ = [
     "QuadraticForm",
 ]
 
+_ZERO = np.array(0.0)  # the soft threshold's floor, shared read-only
+_ZERO.flags.writeable = False
+
 
 class SeparableFunction:
     """Base class: evaluation, prox, gradient, conjugate capabilities.
@@ -39,6 +42,8 @@ class SeparableFunction:
     dim: int
     strong_convexity: float = 0.0
     grad_lipschitz: float | None = None
+    # (gamma, constants) of the last two prox steps, the last first; see _step
+    _steps: tuple = (None, None, None, None)
 
     def __call__(self, x) -> float:
         raise NotImplementedError
@@ -51,6 +56,20 @@ class SeparableFunction:
 
     def _prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _step(self, gamma: float):
+        """The kind's ``_constants(gamma)``, the prox's per-step constants,
+        kept for the last two steps: a run uses two, its own and the
+        residuals' 1. The cache is one tuple, read once, so a call never pairs
+        one gamma with another's constants, even on a function shared between
+        threads."""
+        g1, k1, g2, k2 = self._steps
+        if gamma == g1:
+            return k1
+        if gamma != g2:
+            k2 = self._constants(gamma)
+        self._steps = (gamma, k2, g1, k1)
+        return k2
 
     def grad(self, x) -> np.ndarray:
         raise CapabilityError(f"{self.kind} has no gradient")
@@ -74,9 +93,10 @@ class QuadraticDistance(SeparableFunction):
     kind = "quadratic_distance"
 
     def __init__(self, d, weight: float = 1.0):
-        self.d = np.asarray(d, dtype=float)
+        self.d = np.array(d, dtype=float)  # a read-only copy: _prox caches w d
         if self.d.ndim != 1 or not np.isfinite(self.d).all():
             raise ValueError("anchor d must be a vector with finite entries")
+        self.d.flags.writeable = False
         self.weight = float(weight)
         if not 0.0 < self.weight < math.inf:
             raise ValueError(f"weight must be positive and finite, got {weight}")
@@ -88,15 +108,22 @@ class QuadraticDistance(SeparableFunction):
         x = as_vector(x, self.dim, "eval input")
         return 0.5 * self.weight * float(np.sum((x - self.d) ** 2))
 
+    def _constants(self, gamma):
+        # The divisor is a 0-d array: a ufunc is slower on a Python float.
+        gw = gamma * self.weight
+        return gw * self.d, np.array(1.0 + gw)
+
     def _prox(self, gamma, x):
-        return (x + gamma * self.weight * self.d) / (1.0 + gamma * self.weight)
+        gwd, den = self._step(gamma)
+        return (x + gwd) / den
 
     def grad(self, x):
         x = as_vector(x, self.dim, "grad input")
         return self.weight * (x - self.d)
 
     def _conj_grad(self, s):
-        return self.d + s / self.weight
+        # s / 1.0 is s, bit for bit.
+        return self.d + s if self.weight == 1.0 else self.d + s / self.weight
 
     def conj_eval(self, s):
         s = as_vector(s, self.dim, "conjugate input")
@@ -121,8 +148,11 @@ class L1Norm(SeparableFunction):
         x = as_vector(x, self.dim, "eval input")
         return self.weight * float(np.sum(np.abs(x)))
 
+    def _constants(self, gamma):
+        return np.array(gamma * self.weight)  # the threshold, 0-d
+
     def _prox(self, gamma, x):
-        return np.sign(x) * np.maximum(np.abs(x) - gamma * self.weight, 0.0)
+        return np.sign(x) * np.maximum(np.abs(x) - self._step(gamma), _ZERO)
 
     def conj_eval(self, s):
         # Indicator of the weight-radius sup-norm ball.

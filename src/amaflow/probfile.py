@@ -100,9 +100,12 @@ def _number(doc, loc: str, kind=float):
     if isinstance(doc, bool) or not isinstance(doc, (int, float)):
         raise ParseError("expected a number", loc)
     try:
-        return kind(doc)
+        value = kind(doc)
     except (OverflowError, ValueError):  # an integer field given NaN or Infinity
         raise ParseError("expected a finite number", loc) from None
+    if kind is int and value != doc:  # int() would drop the fraction
+        raise ParseError("expected an integer", loc)
+    return value
 
 
 def _build(ctor, loc: str, *args, **kwargs):

@@ -166,6 +166,22 @@ class TestParseErrors:
     def test_non_finite_numbers_are_parse_errors(self, edit, location, fragment):
         self.check(doc(**edit), location, fragment)
 
+    @pytest.mark.parametrize("edit, location", [
+        ({"solver": {"max_iters": 2.5}}, "solver.max_iters"),
+        ({"solver": {"record_every": 7.9}}, "solver.record_every"),
+        ({"solver": {"max_iters": -0.5}}, "solver.max_iters"),
+        ({"functions__g__dim": 2.5}, "functions.g.dim"),
+    ], ids=["max_iters", "record_every", "negative", "dim"])
+    def test_non_integral_integers_are_parse_errors(self, edit, location):
+        self.check(doc(**edit), location, "expected an integer")
+
+    def test_integral_floats_are_integers(self):
+        data = parse_problem_text(doc(solver={"max_iters": 20000.0, "record_every": 7.0},
+                                      functions__g__dim=2.0))
+        assert data.config.max_iters == 20000 and type(data.config.max_iters) is int
+        assert data.config.record_every == 7 and type(data.config.record_every) is int
+        assert data.problem.g.dim == 2
+
     def test_infinite_box_bounds_parse(self):
         g = {"kind": "box_indicator", "lo": [-math.inf, 0.0], "hi": [1.0, math.inf]}
         assert parse_problem_text(doc(functions__g=g)).problem.g.kind == "box_indicator"
