@@ -20,19 +20,20 @@ _EXPORTS = {
               "min_eigenvalue_sym", "operator_norm"),
     "functions": ("BoxIndicator", "L1Norm", "QuadraticDistance", "QuadraticForm",
                   "SeparableFunction", "ZeroFunction"),
-    "problem": ("KKTResidual", "PrimalDualState", "TwoBlockProblem"),
+    "problem": ("KKTResidual", "PrimalDualState", "SolveConfig", "TwoBlockProblem"),
     "schedules": ("ConstantDenseMetric", "ConstantSchedule", "CoupledReciprocal",
                   "MetricSchedule", "ParameterSchedule", "ProxFriendlyMetric",
                   "ReciprocalQuadratic", "ReciprocalSqrt", "ScalarSchedule",
                   "ScaledIdentityMetric", "ValidationReport", "ZeroMetric",
-                  "default_grid", "validate", "validate_corollary"),
+                  "C_VARIANTS", "TAU_C_VARIANTS", "default_grid", "validate",
+                  "validate_corollary"),
     "dynamics": ("GammaOutput", "Trajectory", "TrajectorySample", "gamma", "integrate",
                  "regularized_argmin", "solve_x_subproblem", "solve_z_subproblem"),
-    "discrete": ("SolveConfig", "SolveResult", "ama_run", "prox_ama_run", "prox_ama_step"),
+    "discrete": ("SolveResult", "ama_run", "prox_ama_run", "prox_ama_step"),
     "diagnostics": ("EnergySample", "SummaryReport", "check_energy_monotone", "energy",
                     "report"),
-    "example": ("C_VARIANTS", "TAU_C_VARIANTS", "example_c_schedule", "example_problem",
-                "example_reference", "example_schedule", "example_start"),
+    "example": ("example_c_schedule", "example_problem", "example_reference",
+                "example_schedule", "example_start"),
     "probfile": ("ProblemFileData", "load_problem_file", "parse_problem_text",
                  "serialize_problem"),
 }

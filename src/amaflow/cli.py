@@ -23,9 +23,6 @@ from typing import NoReturn
 
 import numpy as np
 
-from .diagnostics import SummaryReport, report, trajectory_energies
-from .discrete import SolveConfig, ama_run, prox_ama_run
-from .dynamics import Trajectory, integrate
 from .errors import (
     CapabilityError,
     ConditionError,
@@ -33,16 +30,8 @@ from .errors import (
     ParseError,
     TrajectoryError,
 )
-from .example import (
-    C_VARIANTS,
-    TAU_C_VARIANTS,
-    example_problem,
-    example_reference,
-    example_schedule,
-    example_start,
-)
-from .probfile import ProblemFileData, load_problem_file
-from .schedules import default_grid, validate, validate_corollary
+from .problem import SolveConfig
+from .schedules import C_VARIANTS, TAU_C_VARIANTS, default_grid, validate, validate_corollary
 
 MODES = ("continuous-euler", "continuous-rk4", "prox-ama", "ama")
 
@@ -81,8 +70,15 @@ def _print_validation(rep) -> None:
               f"witness={_fmt(ch.witness)} threshold={_fmt(ch.threshold)}")
 
 
+def _load(path: str):
+    """The problem file at ``path``, as :class:`~amaflow.probfile.ProblemFileData`."""
+    from .probfile import load_problem_file
+
+    return load_problem_file(path)
+
+
 def cmd_validate(args) -> int:
-    data = load_problem_file(args.file)
+    data = _load(args.file)
     grid = _parse_grid(args.grid)
     if args.corollary:
         if data.tau is None:
@@ -106,7 +102,7 @@ def _row_format(ncols: int) -> str:
     return ",".join(["%.17g"] * ncols) + "\n"
 
 
-def _write_csv(path: str, traj: Trajectory, time_label: str, energies=None) -> None:
+def _write_csv(path: str, traj, time_label: str, energies=None) -> None:
     """The trajectory's table, a block of rows per write, with ``energies`` as
     one more column when given."""
     cols = [time_label, *(f"{v}{i}" for v, n in zip("xzy", traj.dims) for i in range(n)),
@@ -124,7 +120,7 @@ def _write_csv(path: str, traj: Trajectory, time_label: str, energies=None) -> N
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-def _write_report(path: str, rep: SummaryReport, forced: bool = False) -> None:
+def _write_report(path: str, rep, forced: bool = False) -> None:
     lines = [f"{key}: {_fmt(val)}" for key, val in rep.as_dict().items() if val is not None]
     if forced:
         lines.append("warning: schedule validation failed; run was forced")
@@ -132,21 +128,26 @@ def _write_report(path: str, rep: SummaryReport, forced: bool = False) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _run_mode(data: ProblemFileData, mode: str, args, reference=None):
-    """Dispatch one solve; returns (trajectory, summary-source, exit_code)."""
-    p, sched, s0 = data.problem, data.sched, data.initial
+def _run_mode(p, sched, s0, config: SolveConfig, mode: str, args, reference=None):
+    """Dispatch one solve of ``p`` under ``sched`` from ``s0``, with the run
+    options of ``args`` over ``config``; returns (trajectory, summary-source,
+    exit_code)."""
     flags = {"max_iters": args.max_iters, "tol_kkt": args.tol, "tol_feas": args.tol,
              "record_every": args.record_every}
-    cfg = SolveConfig(**{key: getattr(data.config, key) if flag is None else flag
+    cfg = SolveConfig(**{key: getattr(config, key) if flag is None else flag
                          for key, flag in flags.items()})
 
     if mode in ("prox-ama", "ama"):
+        from .discrete import ama_run, prox_ama_run
+
         if mode == "prox-ama":
             result = prox_ama_run(p, sched, s0, cfg)
         else:
             result = ama_run(p, sched.c, s0, cfg)
         code = 3 if result.status in ("error", "diverged") else 0
         return result.iterates, result, code
+
+    from .dynamics import integrate
 
     h = args.step if args.step is not None else 0.01
     T = args.horizon if args.horizon is not None else 10.0
@@ -160,13 +161,14 @@ def _run_mode(data: ProblemFileData, mode: str, args, reference=None):
     return traj, traj, 0
 
 
-def _emit(data: ProblemFileData, traj, summary_source, prefix: str, mode: str,
+def _emit(p, sched, traj, summary_source, prefix: str, mode: str,
           validation=None, forced=False, reference=None, exit_code=0) -> int:
-    p = data.problem
+    from .diagnostics import report, trajectory_energies
+
     time_label = "k" if mode in ("prox-ama", "ama") else "t"
     energies = None  # computed here when the run recorded none
     if reference is not None and traj is not None and None in traj.energies():
-        energies = trajectory_energies(traj, p, data.sched, reference)
+        energies = trajectory_energies(traj, p, sched, reference)
     if traj is not None:
         _write_csv(f"{prefix}.csv", traj, time_label, energies)
     failed = isinstance(summary_source, TrajectoryError)
@@ -182,9 +184,9 @@ def _emit(data: ProblemFileData, traj, summary_source, prefix: str, mode: str,
 
 
 def cmd_solve(args) -> int:
-    data = load_problem_file(args.file)
-    vr = validate(data.problem, data.sched.c, data.sched.M1, data.sched.M2,
-                  args.eps, default_grid())
+    data = _load(args.file)
+    p, sched = data.problem, data.sched
+    vr = validate(p, sched.c, sched.M1, sched.M2, args.eps, default_grid())
     forced = False
     if not vr.passed:
         if not args.force:
@@ -194,25 +196,26 @@ def cmd_solve(args) -> int:
             return 1
         forced = True
     prefix = args.out_prefix or f"{_stem(args.file)}-{args.mode}"
-    traj, source, code = _run_mode(data, args.mode, args)
-    return _emit(data, traj, source, prefix, args.mode, validation=vr,
+    traj, source, code = _run_mode(p, sched, data.initial, data.config, args.mode, args)
+    return _emit(p, sched, traj, source, prefix, args.mode, validation=vr,
                  forced=forced, exit_code=code)
 
 
 def cmd_paper_example(args) -> int:
+    from .example import example_problem, example_reference, example_schedule, example_start
+
     p = example_problem()
     sched = example_schedule(args.c_schedule, TAU_C_VARIANTS[args.tau_c], p)
-    cfg = SolveConfig()
-    data = ProblemFileData(p, sched, example_start(), cfg, sched.tau)
     ref = example_reference()
     prefix = args.out_prefix or f"example-{args.c_schedule}-{args.tau_c}-{args.mode}"
-    traj, source, code = _run_mode(data, args.mode, args, reference=ref)
-    return _emit(data, traj, source, prefix, args.mode, reference=ref,
+    traj, source, code = _run_mode(p, sched, example_start(), SolveConfig(), args.mode,
+                                   args, reference=ref)
+    return _emit(p, sched, traj, source, prefix, args.mode, reference=ref,
                  exit_code=code)
 
 
 def cmd_norm(args) -> int:
-    data = load_problem_file(args.file)
+    data = _load(args.file)
     print(f"A {data.problem.norm_A:.12g}")
     print(f"B {data.problem.norm_B:.12g}")
     return 0

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import Trajectory, _snapshot
+from .linop import _blas_layout
 from .problem import PrimalDualState, TwoBlockProblem
 from .schedules import ParameterSchedule, ValidationReport
 
@@ -114,14 +115,6 @@ def _terms(p: TwoBlockProblem, params: list, dx: np.ndarray, dz: np.ndarray,
         z_metric[dense] = cd * m2 + cd * cd * np.vecdot(bdz, bdz)
     y_term = np.vecdot(dy, dy)
     return x_term + x_metric + z_metric + y_term, (x_term, x_metric, z_metric, y_term)
-
-
-def _blas_layout(M: np.ndarray) -> np.ndarray:
-    """``M`` if it is C- or F-contiguous, else a C-ordered copy. ``M.dot(v)``
-    multiplies a matrix with no unit stride as such a copy, where
-    ``np.matvec`` would sum without BLAS; a copy of any other layout makes
-    the same BLAS call as the matrix itself."""
-    return M if M.flags.f_contiguous else np.ascontiguousarray(M)
 
 
 def _energy_column(p: TwoBlockProblem, snap, table: np.ndarray, dims: tuple,

@@ -9,39 +9,17 @@ schedules agree exactly. Schedules are sampled at t = k for iteration k.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from .errors import CapabilityError
 from .dynamics import (
     _euler_step, _m1_factor, _metric_matrix, _once, _snapshot, alternating_update,
 )
-from .problem import PrimalDualState, TwoBlockProblem
+from .problem import PrimalDualState, SolveConfig, TwoBlockProblem
 from .schedules import ParameterSchedule, ScalarSchedule
 from .trajectory import Trajectory, _run
 
 __all__ = ["SolveConfig", "SolveResult", "prox_ama_step", "prox_ama_run", "ama_run"]
-
-
-class SolveConfig:
-    """Iteration budget, stopping tolerances and recording cadence of a run."""
-
-    __slots__ = ("max_iters", "tol_kkt", "tol_feas", "record_every")
-
-    def __init__(self, max_iters: int = 20000, tol_kkt: float = 1e-6,
-                 tol_feas: float = 1e-6, record_every: int = 1):
-        if max_iters < 1:
-            raise ValueError(f"max_iters must be positive, got {max_iters}")
-        if not (0.0 < tol_kkt < math.inf and 0.0 < tol_feas < math.inf):
-            raise ValueError("tolerances must be positive and finite")
-        if record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {record_every}")
-        self.max_iters, self.tol_kkt = max_iters, tol_kkt
-        self.tol_feas, self.record_every = tol_feas, record_every
-
-    def __repr__(self) -> str:
-        return (f"SolveConfig(max_iters={self.max_iters!r}, tol_kkt={self.tol_kkt!r}, "
-                f"tol_feas={self.tol_feas!r}, record_every={self.record_every!r})")
 
 
 class SolveResult:

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import CapabilityError, ConditionError, ConvergenceError, TrajectoryError
 from .functions import SeparableFunction
 from .linop import LinearMap, ScaledIdentityMap, as_vector, matrix_of, sym_eigenvalues
-from .problem import PrimalDualState, TwoBlockProblem
+from .problem import PrimalDualState, TwoBlockProblem, _integral
 from .schedules import (
     ConstantDenseMetric,
     ConstantSchedule,
@@ -259,7 +259,7 @@ def regularized_argmin(fun: SeparableFunction, Q: LinearMap, target,
 # The three steps of the update, on trusted arrays.
 
 def _x_argmin(p: TwoBlockProblem, mu1: float, x: np.ndarray, aty: np.ndarray) -> np.ndarray:
-    pull = aty if p.h1.kind == "zero" else aty - p.h1.grad(x)
+    pull = aty if p.h1.kind == "zero" else aty - p.h1._grad(x)
     if mu1 == 0.0:
         return p.f._conj_grad(pull)
     if mu1 < 0.0:
@@ -277,7 +277,7 @@ def _z_prox(p: TwoBlockProblem, c: float, tau: float, z: np.ndarray, y: np.ndarr
     r = ax + bz if p.b_is_zero else ax + bz - p.b
     v = p.mat_Bt.dot(y - r * c)
     if p.h2.kind != "zero":
-        v = v - p.h2.grad(z)
+        v = v - p.h2._grad(z)
     return p.g._prox(tau, z + v * tau)
 
 
@@ -288,7 +288,7 @@ def _z_general(p: TwoBlockProblem, cp: Coupling, z: np.ndarray, y: np.ndarray,
     if cp.K is not None:
         target = cp.K.dot(z) + target
     if p.h2.kind != "zero":
-        target = target - p.h2.grad(z)
+        target = target - p.h2._grad(z)
     return _inner_argmin(p.g, cp.Q, cp.lip, target, z)
 
 
@@ -332,15 +332,19 @@ class Update(NamedTuple):
     """One step: the new blocks, the multiplier step, the new blocks'
     ``ax = A x``, ``bz = B z`` and ``r = ax + bz - b`` for reuse, and the
     z-step's :class:`Coupling` (None on the prox-friendly branch). A step
-    that does not know the products, an integrator's, leaves them None."""
+    that does not know the products, an integrator's, leaves them None; a
+    fractional step gives no w but the new y, with the new state stacked as
+    one (x, z, y) array ``s`` that x, y and z view."""
 
     x: np.ndarray
     z: np.ndarray
-    w: np.ndarray
-    ax: np.ndarray
-    bz: np.ndarray
+    w: Optional[np.ndarray]
+    ax: Optional[np.ndarray]
+    bz: Optional[np.ndarray]
     coupling: Optional[Coupling]
-    r: np.ndarray
+    r: Optional[np.ndarray]
+    y: Optional[np.ndarray] = None
+    s: Optional[np.ndarray] = None
 
 
 def alternating_update(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray],
@@ -380,24 +384,37 @@ def gamma(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
 
 def _euler_step(p: TwoBlockProblem, snap, h: float, require_uniform: bool = True):
     """Explicit Euler at step ``h``. At h = 1 it is the update itself, the
-    discrete iteration, whose ``B z_new`` and ``r`` serve the next step."""
-    def unit(t, x, z, y, aty, bz, cp):
+    discrete iteration, whose ``B z_new`` and ``r`` serve the next step.
+    Otherwise the step combines on the stacked state, the last step's or,
+    at the first, a new one: ``s + (x+ - x, z+ - z, w) h``, the blockwise
+    ``x + (x+ - x) h``, ``z + (z+ - z) h`` and ``y + w h``, bit for bit,
+    with the differences written into one buffer of the step's own."""
+    def unit(t, x, z, y, aty, bz, cp, s=None):
         mu1, K, c, tau = snap(t)
         return alternating_update(p, mu1, K, c, tau, x, z, y, require_uniform, aty, bz, cp)
     if h == 1.0:
         return unit
+    a, b = p.dim_x, p.dim_x + p.dim_z
+    d = np.empty(b + p.dim_y)  # (x+ - x, z+ - z, w), rewritten by every step
+    dx, dz, dy = d[:a], d[a:b], d[b:]
 
-    def step(t, x, z, y, aty, bz, cp):
+    def step(t, x, z, y, aty, bz, cp, s):
         up = unit(t, x, z, y, aty, bz, cp)
-        return Update(x + (up.x - x) * h, z + (up.z - z) * h, up.w * h, None, None,
-                      up.coupling, None)
+        if s is None:
+            s = np.concatenate((x, z, y))
+        np.subtract(up.x, x, dx)
+        np.subtract(up.z, z, dz)
+        np.copyto(dy, up.w)
+        s = s + d * h
+        return Update(s[:a], s[a:b], None, None, None, up.coupling, None, s[b:], s)
     return step
 
 
 def _rk4_step(p: TwoBlockProblem, snap, h: float):
-    """The classic four-stage step on one stacked (x, z, y) array, so each
-    combination of stages is one operation; the stages share the coupling
-    while it is unchanged, and the first reuses the state's products."""
+    """The classic four-stage step on one stacked (x, z, y) array, the last
+    step's or, at the first, a new one, so each combination of stages is one
+    operation; the stages share the coupling while it is unchanged, and the
+    first reuses the state's products."""
     half, sixth = 0.5 * h, h / 6.0
     a, b = p.dim_x, p.dim_x + p.dim_z
 
@@ -409,15 +426,16 @@ def _rk4_step(p: TwoBlockProblem, snap, h: float):
     def stage(params, s, cp):
         return field(params, s[:a], s[a:b], s[b:], cp=cp)
 
-    def step(t, x, z, y, aty, bz, cp):
-        s, mid = np.concatenate((x, z, y)), snap(t + half)
+    def step(t, x, z, y, aty, bz, cp, s):
+        if s is None:
+            s = np.concatenate((x, z, y))
+        mid = snap(t + half)
         f1, cp = field(snap(t), x, z, y, aty, bz, cp)
         f2, cp = stage(mid, s + f1 * half, cp)
         f3, cp = stage(mid, s + f2 * half, cp)
         f4, cp = stage(snap(t + h), s + f3 * h, cp)
-        d = (f1 + f2 * 2.0 + f3 * 2.0 + f4) * sixth
-        s = s + d
-        return Update(s[:a], s[a:b], d[b:], None, None, cp, None)
+        s = s + (f1 + f2 * 2.0 + f3 * 2.0 + f4) * sixth
+        return Update(s[:a], s[a:b], None, None, None, cp, None, s[b:], s)
     return step
 
 
@@ -446,6 +464,7 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
         raise ValueError(f"horizon must be finite, got {T}")
     if T < h:
         raise ValueError(f"horizon {T} shorter than one step {h}")
+    record_every = _integral(record_every, "record_every")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
 

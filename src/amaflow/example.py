@@ -20,6 +20,8 @@ from .functions import L1Norm, QuadraticDistance, ZeroFunction
 from .linop import DenseMap
 from .problem import PrimalDualState, TwoBlockProblem
 from .schedules import (
+    C_VARIANTS,
+    TAU_C_VARIANTS,
     ConstantSchedule,
     CoupledReciprocal,
     ParameterSchedule,
@@ -39,10 +41,6 @@ __all__ = [
     "example_start",
     "example_reference",
 ]
-
-C_VARIANTS = ("c025", "c199", "c1-decay", "c2-decay")
-TAU_C_VARIANTS = {"tc025": 0.25, "tc099": 0.99}
-
 
 def example_problem() -> TwoBlockProblem:
     A = DenseMap(np.array([[2.0, 1.0], [-2.0, 1.0]]) / np.sqrt(8.0))

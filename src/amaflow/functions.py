@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import CapabilityError
-from .linop import LinearMap, _check_symmetric, as_vector
+from .linop import LinearMap, _check_symmetric, _matvec, as_vector
 
 __all__ = [
     "SeparableFunction",
@@ -33,9 +33,12 @@ class SeparableFunction:
 
     Capabilities not available for a kind raise :class:`CapabilityError`.
     ``conj_grad`` is single-valued exactly when ``strong_convexity > 0``; a
-    kind with that property defines it in closed form. The public ``prox``
-    and ``conj_grad`` check their inputs once and call the kind's trusted
-    ``_prox``/``_conj_grad``, which the solvers call on arrays they own.
+    kind with that property defines it in closed form. The public ``prox``,
+    ``grad`` and ``conj_grad`` check their inputs once and call the kind's
+    trusted ``_prox``/``_grad``/``_conj_grad``, which the solvers call on
+    arrays they own. The trusted ``_prox`` and ``_grad`` of the shipped kinds
+    also take a block of points, one per row, and give each row the bits of
+    its own call.
     """
 
     kind: str
@@ -72,6 +75,12 @@ class SeparableFunction:
         return k2
 
     def grad(self, x) -> np.ndarray:
+        # Without the capability, _grad raises before the input matters.
+        if self.grad_lipschitz is not None:
+            x = as_vector(x, self.dim, "grad input")
+        return self._grad(x)
+
+    def _grad(self, x: np.ndarray) -> np.ndarray:
         raise CapabilityError(f"{self.kind} has no gradient")
 
     def conj_eval(self, s) -> float:
@@ -117,8 +126,7 @@ class QuadraticDistance(SeparableFunction):
         gwd, den = self._step(gamma)
         return (x + gwd) / den
 
-    def grad(self, x):
-        x = as_vector(x, self.dim, "grad input")
+    def _grad(self, x):
         return self.weight * (x - self.d)
 
     def _conj_grad(self, s):
@@ -211,9 +219,8 @@ class ZeroFunction(SeparableFunction):
     def _prox(self, gamma, x):
         return x.copy()
 
-    def grad(self, x):
-        as_vector(x, self.dim, "grad input")
-        return np.zeros(self.dim)
+    def _grad(self, x):
+        return np.zeros(x.shape)
 
     def conj_eval(self, s):
         # Indicator of the origin.
@@ -260,11 +267,10 @@ class QuadraticForm(SeparableFunction):
     def _prox(self, gamma, x):
         # (I + gamma Q)^-1 (x - gamma q) in the eigenbasis of Q.
         V = self._V
-        return V.dot(V.T.dot(x - gamma * self.q) / (1.0 + gamma * self._lam))
+        return _matvec(V, _matvec(V.T, x - gamma * self.q) / (1.0 + gamma * self._lam))
 
-    def grad(self, x):
-        x = as_vector(x, self.dim, "grad input")
-        return self._Qmat @ x + self.q
+    def _grad(self, x):
+        return _matvec(self._Qmat, x) + self.q
 
     def _conj_grad(self, s):
         if self.strong_convexity <= 0.0:

@@ -110,6 +110,21 @@ def matrix_of(m: LinearMap) -> np.ndarray:
     return m.matrix if isinstance(m, DenseMap) else m.as_matrix()
 
 
+def _blas_layout(M: np.ndarray) -> np.ndarray:
+    """``M`` if it is C- or F-contiguous, else a C-ordered copy. ``M.dot(v)``
+    multiplies a matrix with no unit stride as such a copy, where
+    ``np.matvec`` would sum without BLAS; a copy of any other layout makes
+    the same BLAS call as the matrix itself."""
+    return M if M.flags.f_contiguous else np.ascontiguousarray(M)
+
+
+def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M.dot(x)`` for a vector ``x``; for a block of vectors, one per row,
+    each row's own ``M.dot``, bit for bit, from one ``np.matvec`` (the same
+    BLAS call per row)."""
+    return M.dot(x) if x.ndim == 1 else np.matvec(_blas_layout(M), x)
+
+
 def _check_symmetric(a: np.ndarray) -> None:
     """Raise unless the square matrix ``a`` is symmetric to 1e-10 relative to
     its largest entry; the message carries the maximal asymmetry."""

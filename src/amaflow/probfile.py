@@ -13,7 +13,6 @@ import json
 
 import numpy as np
 
-from .discrete import SolveConfig
 from .errors import ParseError
 from .functions import (
     BoxIndicator,
@@ -24,7 +23,7 @@ from .functions import (
     ZeroFunction,
 )
 from .linop import DenseMap, LinearMap
-from .problem import PrimalDualState, TwoBlockProblem
+from .problem import PrimalDualState, SolveConfig, TwoBlockProblem
 from .schedules import (
     ConstantSchedule,
     ConstantDenseMetric,

@@ -7,12 +7,14 @@ A problem is
 
 with f strongly convex, h1 and h2 smooth, and A nonzero. The Lagrangian uses
 the multiplier convention ``<y, b - Ax - Bz>``; optimality is measured through
-prox fixed points at unit step, which vanish exactly at saddle points.
+prox fixed points at unit step, which vanish exactly at saddle points. A
+:class:`SolveConfig` says how close to zero a solver run must bring them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from functools import cached_property
 from typing import NamedTuple
 
@@ -20,9 +22,41 @@ import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError
 from .functions import SeparableFunction
-from .linop import _FLOAT, LinearMap, as_vector, matrix_of
+from .linop import _FLOAT, LinearMap, _matvec, as_vector, matrix_of
 
-__all__ = ["PrimalDualState", "TwoBlockProblem", "KKTResidual"]
+__all__ = ["PrimalDualState", "TwoBlockProblem", "KKTResidual", "SolveConfig"]
+
+
+def _integral(value, name: str) -> int:
+    """``value`` as an int: an int, or an integral float such as ``20000.0``.
+    A bool, a fraction or a value that is not a number raises ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != int(value)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+class SolveConfig:
+    """Iteration budget, stopping tolerances and recording cadence of a run."""
+
+    __slots__ = ("max_iters", "tol_kkt", "tol_feas", "record_every")
+
+    def __init__(self, max_iters: int = 20000, tol_kkt: float = 1e-6,
+                 tol_feas: float = 1e-6, record_every: int = 1):
+        max_iters = _integral(max_iters, "max_iters")
+        if max_iters < 1:
+            raise ValueError(f"max_iters must be positive, got {max_iters}")
+        if not (0.0 < tol_kkt < math.inf and 0.0 < tol_feas < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        record_every = _integral(record_every, "record_every")
+        if record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {record_every}")
+        self.max_iters, self.tol_kkt = max_iters, tol_kkt
+        self.tol_feas, self.record_every = tol_feas, record_every
+
+    def __repr__(self) -> str:
+        return (f"SolveConfig(max_iters={self.max_iters!r}, tol_kkt={self.tol_kkt!r}, "
+                f"tol_feas={self.tol_feas!r}, record_every={self.record_every!r})")
 
 
 class PrimalDualState:
@@ -207,7 +241,7 @@ class TwoBlockProblem:
         """``|x - prox_f(x + A* y - grad h1(x))|``."""
         vx = x + aty
         if self.h1.kind != "zero":
-            vx = vx - self.h1.grad(x)
+            vx = vx - self.h1._grad(x)
         rx = x - self.f._prox(1.0, vx)
         return math.sqrt(rx.dot(rx))
 
@@ -215,6 +249,17 @@ class TwoBlockProblem:
         """``|z - prox_g(z + B* y - grad h2(z))|``."""
         vz = z + bty
         if self.h2.kind != "zero":
-            vz = vz - self.h2.grad(z)
+            vz = vz - self.h2._grad(z)
         rz = z - self.g._prox(1.0, vz)
         return math.sqrt(rz.dot(rz))
+
+    def _z_residuals(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """:meth:`_z_residual` of each row of the blocks ``z`` and ``y``, bit
+        for bit: ``B* y``, the catalog's prox and gradient and the squared
+        norm are each the row's own computation (see :func:`~amaflow.linop._matvec`
+        and ``np.vecdot``), and ``np.sqrt`` is ``math.sqrt``."""
+        vz = z + _matvec(self.mat_Bt, y)
+        if self.h2.kind != "zero":
+            vz = vz - self.h2._grad(z)
+        rz = z - self.g._prox(1.0, vz)
+        return np.sqrt(np.vecdot(rz, rz))

@@ -101,7 +101,8 @@ class _Recorder:
                              refcheck=False)
         a, b, c = self.cuts
         row = self.rows[self.m]
-        row[0], row[1:a], row[a:b], row[b:c], row[c:c + 3] = t, x, z, y, (feas, rx, rz)
+        row[0], row[1:a], row[a:b], row[b:c] = t, x, z, y
+        row[c], row[c + 1], row[c + 2] = feas, rx, rz
         if energy is not None:
             row[c + 3] = energy
         self.m += 1
@@ -143,18 +144,40 @@ def _stop(feas: float, rx: float, rz: float, tol: Optional[tuple]) -> Optional[s
     return None
 
 
-@np.errstate(over="ignore")
+def _fill_rz(p: TwoBlockProblem, rec: _Recorder, rows: list, ks: list) -> Optional[int]:
+    """Write the z-residual of each row of the table whose index is in
+    ``rows``, the state of iteration ``ks[i]`` for row ``rows[i]``, and empty
+    both lists. At the first row whose z-residual is not finite, the table
+    is cut after that row and its iteration returned; else None."""
+    if not rows:
+        return None
+    a, b, c = rec.cuts
+    idx = np.array(rows)
+    rz = p._z_residuals(rec.rows[idx, a:b], rec.rows[idx, b:c])
+    rec.rows[idx, c + 2] = rz
+    bad, cut = np.flatnonzero(~np.isfinite(rz)), None
+    if bad.size:
+        i = int(bad[0])
+        rec.m, cut = rows[i] + 1, ks[i]
+    rows.clear()
+    ks.clear()
+    return cut
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
          every: int, tol: Optional[tuple] = None, energy: bool = False) -> tuple:
     """The one loop of the solvers and the integrators: at most ``steps``
     steps of size ``h`` from ``s0``, whose dimensions it checks, recording
     the state at t = 0, every ``every``-th one and the last.
 
-    ``step(t, x, z, y, aty, bz, coupling)`` advances the state at time t,
-    given its ``A* y``, its ``B z`` when known (else None) and the last
-    step's coupling. It returns an :class:`~amaflow.dynamics.Update` with the
-    new x and z, the step w of y, and the new ``bz`` and ``r = A x + B z - b``
-    when it knows them (the unit step does; else None).
+    ``step(t, x, z, y, aty, bz, coupling, s)`` advances the state at time t,
+    given its ``A* y``, its ``B z`` when known (else None), the last step's
+    coupling, and the state stacked as one (x, z, y) array when the last step
+    made it (else None). It returns an :class:`~amaflow.dynamics.Update`:
+    the unit step gives the new x and z, the step w of y, and the new ``bz``
+    and ``r = A x + B z - b``; a fractional step gives the new x, z and y as
+    views of the new stacked state ``s``.
     ``energy`` reserves the table's energy column, left for the caller to
     fill before the table is finished.
 
@@ -167,52 +190,75 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
 
     A unit step streams the matrices four times, A B B A on the prox-friendly
     branch: the update's A x+, B* and B z+, then A* y+ for the next x-step.
-    Given ``tol``, an unrecorded state also gets its x-residual and, from r,
-    its feasibility residual; its z-residual (one more B* y+ and a prox of g)
-    only where those two pass or are not both finite, as elsewhere the state
-    can neither converge nor be found diverged. So a non-finite value that
-    shows first in rz alone, on an unrecorded state, stops the run once it
-    reaches rx or the feasibility residual (through the next z-step,
-    typically one state later) or at the next recorded state. A squared
-    residual past the float range is an infinite residual, without numpy's
-    overflow warning.
+    A state gets its x-residual and, from r, its feasibility residual when it
+    is recorded or, given ``tol``, every step; its z-residual (one more B* y+
+    and a prox of g) only where the stop rule reads it: where those two pass,
+    or one is not finite. Elsewhere the state can neither converge nor be
+    found diverged by them. So a non-finite value that shows first in rz
+    alone, on an unrecorded state, stops the run once it reaches rx or the
+    feasibility residual (through the next z-step, typically one state
+    later) or at the next recorded state. A recorded state's z-residual that
+    the rule does not read is written later, for a block of rows at once (a
+    recorder block at the most, and the rest at the end), bit for bit the
+    one the state would get; one that is not finite cuts the run at that
+    state as ``diverged``, as if the loop had found it there. Past the float
+    range a squared residual is an infinite residual, and a run that goes on
+    past a state it then cuts at makes no NaN warning either: neither
+    overflow nor an invalid operation raises numpy's warning in the loop.
     """
     s = p.state(s0.x, s0.z, s0.y)
     x, z, y = s.x, s.z, s.y
-    At, Bt = p.mat_At, p.mat_Bt
+    A, B, At, Bt = p.mat_A, p.mat_B, p.mat_At, p.mat_Bt
     rec = _Recorder((p.dim_x, p.dim_z, p.dim_y), energy)
     feas, rx, rz, aty, bz = _sample(p, x, z, y)
     rec.add(0.0, x, z, y, feas, rx, rz)
     status = _stop(feas, rx, rz, tol)
     if status is not None:
         return status, 0, rec, None
-    tol_kkt, tol_feas = tol or (None, None)
-    coupling = None
+    # Without tol no state passes; the residuals are then read where recorded.
+    tol_kkt, tol_feas = tol or (-math.inf, -math.inf)
+    rows, ks = [], []  # the recorded states whose z-residual waits, and their k
+    coupling = stacked = exc = None
+    status, stop = "max_iters", steps
     for k in range(steps):
         try:
-            up = step(k * h, x, z, y, aty, bz, coupling)
-        except (ConvergenceError, ConditionError, CapabilityError) as exc:
+            up = step(k * h, x, z, y, aty, bz, coupling, stacked)
+        except (ConvergenceError, ConditionError, CapabilityError) as err:
             if k % every:
                 rec.add(k * h, x, z, y, *_sample(p, x, z, y)[:3])
-            return "error", k, rec, exc
-        x, z, y, bz, coupling = up.x, up.z, y + up.w, up.bz, up.coupling
-        if (k + 1) % every and k + 1 < steps:
-            aty = At.dot(y)
-            if tol is None:
-                continue
-            rx = p._x_residual(x, aty)
-            feas = math.sqrt(up.r.dot(up.r))
-            if ((rx > tol_kkt or feas > tol_feas)
-                    and math.isfinite(rx) and math.isfinite(feas)):
-                continue
-            rz = p._z_residual(z, Bt.dot(y))
-            status = _stop(feas, rx, rz, tol)
-            if status is None:
-                continue
-        else:
-            feas, rx, rz, aty, bz = _sample(p, x, z, y, bz, up.r)
-            status = _stop(feas, rx, rz, tol)
+            status, stop, exc = "error", k, err
+            break
+        x, z, w, _, bz, coupling, r, y_next, stacked = up
+        y = y + w if stacked is None else y_next
+        aty = At.dot(y)
+        recorded = not (k + 1) % every or k + 1 == steps
+        if not recorded and tol is None:
+            continue
+        if r is None:
+            ax, bz = A.dot(x), B.dot(z)
+            r = ax + bz if p.b_is_zero else ax + bz - p.b
+        feas = math.sqrt(r.dot(r))
+        rx = p._x_residual(x, aty)
+        if ((rx > tol_kkt or feas > tol_feas)
+                and math.isfinite(rx) and math.isfinite(feas)):
+            if recorded:
+                rows.append(rec.m)
+                ks.append(k + 1)
+                rec.add((k + 1) * h, x, z, y, feas, rx, math.nan)
+                if len(rows) == rec.block:
+                    cut = _fill_rz(p, rec, rows, ks)
+                    if cut is not None:
+                        return "diverged", cut, rec, None
+            continue
+        rz = p._z_residual(z, Bt.dot(y))
+        verdict = _stop(feas, rx, rz, tol)
+        if verdict is None and not recorded:
+            continue
         rec.add((k + 1) * h, x, z, y, feas, rx, rz)
-        if status is not None:
-            return status, k + 1, rec, None
-    return "max_iters", steps, rec, None
+        if verdict is not None:
+            status, stop = verdict, k + 1
+            break
+    cut = _fill_rz(p, rec, rows, ks)
+    if cut is not None:
+        return "diverged", cut, rec, None
+    return status, stop, rec, exc

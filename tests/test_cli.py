@@ -471,3 +471,38 @@ class TestEntry:
         with pytest.raises(SystemExit):
             cli.entry()
         assert calls == ["freeze", "enable", "main"]
+
+
+# The package modules each subcommand imports, run as ``python -m amaflow.cli``,
+# and whether it imports json: the file readers need the parser, and only the
+# runs need the solvers.
+READERS = ["errors", "functions", "linop", "probfile", "problem", "schedules"]
+SOLVERS = ["diagnostics", "discrete", "dynamics", "trajectory"]
+SUBCOMMAND_IMPORTS = {
+    "validate": (READERS, True),
+    "norm": (READERS, True),
+    "solve": (sorted(READERS + SOLVERS), True),
+    "paper-example": (sorted(set(READERS + SOLVERS + ["example"]) - {"probfile"}), False),
+}
+
+
+class TestImports:
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_IMPORTS))
+    def test_a_subcommand_imports_what_it_runs(self, command, tmp_path):
+        args = {"validate": [write(tmp_path, doc())], "norm": [write(tmp_path, doc())],
+                "solve": [write(tmp_path, doc()), "--max-iters", "3"],
+                "paper-example": ["--max-iters", "3"]}[command]
+        script = ("import runpy, sys\n"
+                  "sys.argv = ['amaflow', *sys.argv[1:]]\n"
+                  "try:\n"
+                  "    runpy.run_module('amaflow.cli', run_name='__main__', alter_sys=True)\n"
+                  "except SystemExit as exc:\n"
+                  "    code = exc.code\n"
+                  "print(code, 'json' in sys.modules,\n"
+                  "      *sorted(m[8:] for m in sys.modules if m.startswith('amaflow.')))\n")
+        proc = _run_process(["-c", script, command, *args], tmp_path)
+        modules, json_loaded = SUBCOMMAND_IMPORTS[command]
+        code, loads_json, *loaded = proc.stdout.decode().splitlines()[-1].split()
+        assert code == "0"
+        assert loaded == modules
+        assert loads_json == str(json_loaded)

@@ -262,6 +262,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(ex_problem, ex_sched_c025, ex_start, record_every=0)
 
+    @pytest.mark.parametrize("bad", [2.5, True, math.nan, "3"])
+    def test_record_every_must_be_an_integer(self, bad, ex_problem, ex_sched_c025, ex_start):
+        # 2.5 recorded every 5th step.
+        with pytest.raises(ValueError, match="record_every must be an integer"):
+            integrate(ex_problem, ex_sched_c025, ex_start, method="euler", h=0.5, T=5.0,
+                      record_every=bad)
+
     @pytest.mark.parametrize("T", [math.inf, math.nan])
     def test_a_non_finite_horizon_is_refused(self, T, ex_problem, ex_sched_c025, ex_start):
         with pytest.raises(ValueError, match="horizon must be finite"):

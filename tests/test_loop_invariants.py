@@ -316,7 +316,7 @@ def blockwise_rk4(p, snap, h):
                                          coupling=coupling)
         return up.x - x, up.z - z, up.w, up.coupling
 
-    def step(t, x, z, y, aty, bz, cp):
+    def step(t, x, z, y, aty, bz, cp, s):
         mid = snap(t + half)
         u1, v1, w1, cp = field(snap(t), x, z, y, aty, bz, cp)
         u2, v2, w2, cp = field(mid, x + u1 * half, z + v1 * half, y + w1 * half,

@@ -16,21 +16,22 @@ import amaflow
 DEFINED_IN = {
     "diagnostics": ["EnergySample", "SummaryReport", "check_energy_monotone", "energy",
                     "report"],
-    "discrete": ["SolveConfig", "SolveResult", "ama_run", "prox_ama_run", "prox_ama_step"],
+    "discrete": ["SolveResult", "ama_run", "prox_ama_run", "prox_ama_step"],
     "dynamics": ["GammaOutput", "gamma", "integrate", "regularized_argmin",
                  "solve_x_subproblem", "solve_z_subproblem"],
     "errors": ["CapabilityError", "ConditionError", "ConvergenceError",
                "DimensionMismatchError", "ParseError", "TrajectoryError"],
-    "example": ["C_VARIANTS", "TAU_C_VARIANTS", "example_c_schedule", "example_problem",
-                "example_reference", "example_schedule", "example_start"],
+    "example": ["example_c_schedule", "example_problem", "example_reference",
+                "example_schedule", "example_start"],
     "functions": ["BoxIndicator", "L1Norm", "QuadraticDistance", "QuadraticForm",
                   "SeparableFunction", "ZeroFunction"],
     "linop": ["DenseMap", "IdentityMap", "LinearMap", "ScaledIdentityMap",
               "min_eigenvalue_sym", "operator_norm"],
     "probfile": ["ProblemFileData", "load_problem_file", "parse_problem_text",
                  "serialize_problem"],
-    "problem": ["KKTResidual", "PrimalDualState", "TwoBlockProblem"],
-    "schedules": ["ConstantDenseMetric", "ConstantSchedule", "CoupledReciprocal",
+    "problem": ["KKTResidual", "PrimalDualState", "SolveConfig", "TwoBlockProblem"],
+    "schedules": ["C_VARIANTS", "TAU_C_VARIANTS", "ConstantDenseMetric", "ConstantSchedule",
+                  "CoupledReciprocal",
                   "MetricSchedule", "ParameterSchedule", "ProxFriendlyMetric",
                   "ReciprocalQuadratic", "ReciprocalSqrt", "ScalarSchedule",
                   "ScaledIdentityMetric", "ValidationReport", "ZeroMetric", "default_grid",

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amaflow import schedules
 from amaflow import (
     ConstantDenseMetric,
     ConstantSchedule,
@@ -308,3 +311,79 @@ class TestDefaultGrid:
         assert g[-1] == pytest.approx(1e4)
         assert np.all(np.diff(g) > 0.0)
         assert g.size > 1000
+
+
+class Stretched(ReciprocalQuadratic):
+    """A kind not shipped: a subclass whose values the grid pass cannot know."""
+
+    def value_at(self, t):
+        return super().value_at(2.0 * t)
+
+    def derivative_at(self, t):
+        return 2.0 * super().derivative_at(2.0 * t)
+
+
+positive = st.floats(1e-6, 1e6)
+scalar_kinds = st.recursive(
+    st.one_of(st.builds(ConstantSchedule, positive),
+              st.builds(ReciprocalQuadratic, positive, st.floats(0.0, 10.0)),
+              st.builds(ReciprocalSqrt, positive, st.floats(0.0, 10.0)),
+              st.builds(Stretched, positive, st.floats(0.0, 10.0))),
+    lambda inner: st.builds(CoupledReciprocal, positive, inner), max_leaves=4)
+grids = st.one_of(
+    st.just(default_grid()),
+    st.lists(st.floats(0.0, 1e7), min_size=schedules._PASS_POINTS,
+             max_size=2 * schedules._PASS_POINTS, unique=True)
+    .map(lambda ts: np.array(sorted(ts))))
+
+
+def per_point(s, grid):
+    return (np.array([s.value_at(t) for t in grid]),
+            np.array([s.derivative_at(t) for t in grid]))
+
+
+class TestGridPasses:
+    """The validators read each schedule on the grid in whole-array passes,
+    bit for bit the per-point values."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(scalar_kinds, grids)
+    def test_a_pass_is_the_per_point_reading(self, s, grid):
+        with np.errstate(all="ignore"):
+            want = per_point(s, grid)
+        got = schedules._on_grid(s, grid)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("s", [
+        ConstantSchedule(0.25), ReciprocalQuadratic(1.1, 0.01), ReciprocalSqrt(1.1, 0.01),
+        ReciprocalQuadratic(1e-4), CoupledReciprocal(0.99, ReciprocalQuadratic(1.1, 0.01)),
+        CoupledReciprocal(0.99, ReciprocalSqrt(1.1, 0.01)),
+        CoupledReciprocal(2.0, CoupledReciprocal(0.5, ReciprocalSqrt(1e-3))),
+        Stretched(1.1), CoupledReciprocal(0.99, Stretched(1.1))])
+    def test_the_default_grid(self, s):
+        grid = default_grid()
+        for a, b in zip(schedules._on_grid(s, grid), per_point(s, grid)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind, points, reads", [
+        (ReciprocalQuadratic, 1060, 0), (Stretched, 1060, 2),
+        (ReciprocalQuadratic, 63, 2), (ReciprocalQuadratic, 64, 0)])
+    def test_only_the_shipped_kinds_on_long_grids_take_the_pass(self, monkeypatch, kind,
+                                                                 points, reads):
+        read = []
+        value_at = kind.value_at
+        monkeypatch.setattr(kind, "value_at", lambda self, t: read.append(1) or value_at(self, t))
+        grid = default_grid()[:points]
+        got = schedules._on_grid(CoupledReciprocal(0.9, kind(1.1)), grid)
+        # per point: the value, and the derivative's denominator
+        assert len(read) == reads * grid.size
+        assert len(got[0]) == len(got[1]) == points
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_point_past_the_float_range_warns_as_it_did(self):
+        # (t + a) ** -1.5 overflows at t = 0 for a = 1e-300: the schedule is
+        # read point by point, with numpy's scalar warning, as before.
+        s = ReciprocalSqrt(1e-300, 1e300)
+        with pytest.raises(RuntimeWarning):
+            schedules._on_grid(CoupledReciprocal(0.5, s), default_grid())

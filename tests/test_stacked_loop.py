@@ -1,0 +1,294 @@
+"""The run loop's array work beyond the update: fractional Euler and RK4 steps
+combined on one stacked (x, z, y) state, and the z-residuals of recorded rows
+that the stop rule does not read, written after the fact in row blocks. Each
+must give the bits of the blockwise, row-by-row computation it replaces."""
+
+import math
+
+import numpy as np
+import pytest
+from test_loop_invariants import blockwise_rk4, same_bits, smooth_problem
+
+from amaflow import (
+    BoxIndicator,
+    ConstantDenseMetric,
+    ConstantSchedule,
+    CoupledReciprocal,
+    DenseMap,
+    L1Norm,
+    ParameterSchedule,
+    PrimalDualState,
+    ProxFriendlyMetric,
+    QuadraticDistance,
+    QuadraticForm,
+    ReciprocalQuadratic,
+    ScaledIdentityMetric,
+    SolveConfig,
+    TrajectoryError,
+    TwoBlockProblem,
+    ZeroFunction,
+    ZeroMetric,
+    example_schedule,
+    integrate,
+    prox_ama_run,
+)
+from amaflow import dynamics
+from amaflow.dynamics import Update, _euler_step, _rk4_step, _snapshot
+from amaflow.trajectory import _Recorder, _run
+
+
+def blockwise_euler(p, snap, h):
+    """Explicit Euler at h != 1 as it was written before it was stacked: each
+    block combined on its own, the loop adding the step of y."""
+    def step(t, x, z, y, aty, bz, cp, s):
+        up = dynamics.alternating_update(p, *snap(t), x, z, y, True, aty, bz, cp)
+        return Update(x + (up.x - x) * h, z + (up.z - z) * h, up.w * h, None, None,
+                      up.coupling, None)
+    return step
+
+
+def varying_schedule(p, n, m2, K):
+    c = ReciprocalQuadratic(1.1, 0.3)
+    M1 = ScaledIdentityMetric(ConstantSchedule(0.5), n)
+    M2 = (ConstantDenseMetric(DenseMap(K)) if m2 == "dense"
+          else ProxFriendlyMetric(CoupledReciprocal(0.9, c), c, p.B))
+    return ParameterSchedule(c, M1, M2)
+
+
+class TestStackedSteps:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m2", ["dense", "prox-friendly"])
+    @pytest.mark.parametrize("h", [0.05, 0.5])
+    def test_fractional_euler_is_the_blockwise_step(self, n, m2, h):
+        p, s0, K = smooth_problem(n, 60 + n)
+        snap = _snapshot(p, varying_schedule(p, n, m2, K))
+        steps = 80
+        tables = [_run(p, s0, make(p, snap, h), h, steps, 1)[2].finish()
+                  for make in (_euler_step, blockwise_euler)]
+        assert len(tables[0]) == steps + 1
+        assert same_bits(*tables)
+
+    @pytest.mark.parametrize("method, blockwise", [("euler", blockwise_euler),
+                                                    ("rk4", blockwise_rk4)])
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_integrate_is_the_blockwise_loop(self, method, blockwise, every):
+        p, s0, K = smooth_problem(3, 71)
+        sched = varying_schedule(p, 3, "prox-friendly", K)
+        h, steps = 0.05, 50
+        traj = integrate(p, sched, s0, method, h, h * steps, every)
+        rec = _run(p, s0, blockwise(p, _snapshot(p, sched), h), h, steps, every)[2]
+        assert same_bits(traj.table, rec.finish())
+
+    def test_a_step_hands_its_stacked_state_to_the_next(self):
+        p, s0, K = smooth_problem(2, 5)
+        snap = _snapshot(p, varying_schedule(p, 2, "dense", K))
+        for make in (_euler_step, _rk4_step):
+            step = make(p, snap, 0.1)
+            up = step(0.0, s0.x, s0.z, s0.y, p.mat_At.dot(s0.y), None, None, None)
+            assert up.w is None and up.s is not None
+            for view, part in zip((up.x, up.z, up.y), np.split(up.s, [2, 5])):
+                assert view.base is up.s and np.array_equal(view, part)
+            again = step(0.1, up.x, up.z, up.y, p.mat_At.dot(up.y), None, up.coupling, up.s)
+            fresh = step(0.1, up.x.copy(), up.z.copy(), up.y.copy(), p.mat_At.dot(up.y),
+                         None, up.coupling, None)
+            assert same_bits(again.s, fresh.s)
+
+    def test_the_unit_step_is_the_update(self, ex_problem, ex_start):
+        step = _euler_step(ex_problem, _snapshot(ex_problem, example_schedule()), 1.0)
+        up = step(0.0, ex_start.x, ex_start.z, ex_start.y, None, None, None, None)
+        assert up.s is None and up.y is None and up.w is not None and up.r is not None
+
+
+# The smooth kinds for h2 and every kind for g, on blocks of other lengths.
+def h2_kinds(m, rng):
+    Q = rng.standard_normal((m, m))
+    return {"zero": ZeroFunction(m),
+            "quadratic_distance": QuadraticDistance(rng.standard_normal(m), 0.4),
+            "quadratic_form": QuadraticForm(DenseMap(Q @ Q.T / m), rng.standard_normal(m))}
+
+
+def g_kinds(m, rng):
+    Q = rng.standard_normal((m, m))
+    lo = -rng.uniform(0.1, 1.0, m)
+    return {"zero": ZeroFunction(m), "l1": L1Norm(m, 0.6),
+            "box_indicator": BoxIndicator(lo, -lo),
+            "quadratic_distance": QuadraticDistance(rng.standard_normal(m), 0.8),
+            "quadratic_form": QuadraticForm(DenseMap(Q @ Q.T / m + 0.1 * np.eye(m)),
+                                            rng.standard_normal(m))}
+
+
+def kind_problem(g_kind, h2_kind, n=3, seed=17):
+    rng = np.random.default_rng(seed)
+    m = n + 1
+    B = rng.standard_normal((n, m))
+    p = TwoBlockProblem(
+        f=QuadraticDistance(rng.standard_normal(n), 1.2), h1=ZeroFunction(n),
+        g=g_kinds(m, rng)[g_kind], h2=h2_kinds(m, rng)[h2_kind],
+        A=DenseMap(rng.standard_normal((n, n)) + 2.0 * np.eye(n)),
+        B=DenseMap(B / np.linalg.norm(B, 2)), b=rng.standard_normal(n))
+    c = ConstantSchedule(0.4)
+    sched = ParameterSchedule(c, ZeroMetric(n),
+                              ProxFriendlyMetric(CoupledReciprocal(0.5, c), c, p.B))
+    s0 = p.state(rng.standard_normal(n) * 3, rng.standard_normal(m) * 3,
+                 rng.standard_normal(n) * 3)
+    return p, sched, s0
+
+
+def rows_z_residuals(p, table, dims):
+    """The z-residual column recomputed a row at a time, as the loop would."""
+    nx, nz, _ = dims
+    out = []
+    for row in table:
+        z = row[1 + nx:1 + nx + nz].copy()
+        y = row[1 + nx + nz:1 + sum(dims)].copy()
+        out.append(p._z_residual(z, p.mat_Bt.dot(y)))
+    return np.array(out)
+
+
+class TestDeferredZResidual:
+    @pytest.mark.parametrize("g_kind", ["zero", "l1", "box_indicator",
+                                        "quadratic_distance", "quadratic_form"])
+    @pytest.mark.parametrize("h2_kind", ["zero", "quadratic_distance", "quadratic_form"])
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_the_column_is_the_rows_own(self, g_kind, h2_kind, every):
+        p, sched, s0 = kind_problem(g_kind, h2_kind)
+        res = prox_ama_run(p, sched, s0, SolveConfig(max_iters=120, tol_kkt=1e-300,
+                                                     tol_feas=1e-300, record_every=every))
+        table, dims = res.iterates.table, res.iterates.dims
+        assert len(table) == 120 // every + 1 + bool(120 % every)
+        rz = table[:, 1 + sum(dims) + 2]
+        assert rz.tobytes() == rows_z_residuals(p, table, dims).tobytes()
+
+    @pytest.mark.parametrize("g_kind", ["l1", "quadratic_form"])
+    def test_the_column_is_the_rows_own_at_n_40(self, g_kind):
+        # Long enough rows that a product summed in another order than the
+        # row's own BLAS call would show in the last bits.
+        p, sched, s0 = kind_problem(g_kind, "quadratic_form", n=40)
+        res = prox_ama_run(p, sched, s0, SolveConfig(max_iters=60, tol_kkt=1e-300,
+                                                     tol_feas=1e-300, record_every=3))
+        table, dims = res.iterates.table, res.iterates.dims
+        assert len(table) == 21
+        rz = table[:, 1 + sum(dims) + 2]
+        assert rz.tobytes() == rows_z_residuals(p, table, dims).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 5, None])
+    def test_the_column_is_the_rows_own_across_blocks(self, ex_problem, ex_start,
+                                                      monkeypatch, block):
+        # 4,076 recorded rows: five recorder blocks of 819 at n = 2, or blocks
+        # of 1 and 5 rows, whose z-residuals are written as each block fills.
+        if block is not None:
+            init = _Recorder.__init__
+
+            def small_blocks(self, *args):
+                init(self, *args)
+                self.block = block
+            monkeypatch.setattr(_Recorder, "__init__", small_blocks)
+        sched = example_schedule("c1-decay", 0.99, ex_problem)
+        res = prox_ama_run(ex_problem, sched, ex_start, SolveConfig())
+        table, dims = res.iterates.table, res.iterates.dims
+        assert res.status == "converged" and len(table) == 4076
+        assert table[:, -1].tobytes() == rows_z_residuals(ex_problem, table, dims).tobytes()
+
+    def test_integrate_writes_the_column_too(self):
+        p, sched, s0 = kind_problem("quadratic_form", "quadratic_form")
+        traj = integrate(p, sched, s0, "rk4", 0.05, 5.0, 3)
+        rz = traj.table[:, 1 + sum(traj.dims) + 2]
+        assert rz.tobytes() == rows_z_residuals(p, traj.table, traj.dims).tobytes()
+
+    def test_stopping_rows_read_their_z_residual_in_the_loop(self, ex_problem, ex_start,
+                                                             monkeypatch):
+        # A converged run's rows all pass the feasibility and x tolerances
+        # from some iterate on; those rows read rz at once, and only the rows
+        # before wait for the block pass.
+        waited = []
+        block = dynamics.TwoBlockProblem._z_residuals
+
+        def counted(self, z, y):
+            waited.append(len(z))
+            return block(self, z, y)
+        monkeypatch.setattr(dynamics.TwoBlockProblem, "_z_residuals", counted)
+        res = prox_ama_run(ex_problem, example_schedule(), ex_start, SolveConfig())
+        table = res.iterates.table
+        assert res.status == "converged"
+        feas, rx = table[1:, -3], table[1:, -2]
+        assert sum(waited) == int(np.sum((feas > 1e-6) | (rx > 1e-6)))
+
+
+def blowing_up(w):
+    """The example with h2 = (w/2)|z|^2 from z = 0: z grows by about
+    tau * w a step, so w |z| passes the float range, and with it the
+    z-residual, while |z| and the other residuals are still finite."""
+    from amaflow import example_problem
+
+    ex = example_problem()
+    p = TwoBlockProblem(ex.f, ex.h1, ex.g, QuadraticDistance(np.zeros(2), w), ex.A, ex.B,
+                        ex.b)
+    c = ConstantSchedule(0.25)
+    sched = ParameterSchedule(c, ZeroMetric(2),
+                              ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B))
+    return p, sched, PrimalDualState([-10.0, 10.0], [0.0, 0.0], [-10.0, 10.0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestZResidualDivergence:
+    # The status, iteration and table sizes are those the loop gave when it
+    # read every recorded row's z-residual at once.
+    @pytest.mark.parametrize("w, every, stop, rows", [(1e8, 1, 18, 19), (1e8, 3, 18, 7),
+                                                      (1e3, 1, 43, 44), (1e3, 3, 44, 16)])
+    def test_the_run_ends_at_the_first_nonfinite_z_residual(self, w, every, stop, rows):
+        p, sched, s0 = blowing_up(w)
+        res = prox_ama_run(p, sched, s0, SolveConfig(max_iters=2000, record_every=every))
+        assert (res.status, res.iterations_used) == ("diverged", stop)
+        assert res.message == f"residual not finite at iteration {stop}"
+        table = res.iterates.table
+        assert len(table) == rows and table[-1, 0] == stop
+        assert res.final.y.tobytes() == table[-1, 5:7].tobytes()
+        for row in table:
+            kkt = p.kkt_residual(PrimalDualState(row[1:3], row[3:5], row[5:7]))
+            assert row[7:].tobytes() == np.array([kkt.feas, kkt.rx, kkt.rz]).tobytes()
+        assert np.isfinite(table[:-1, 7:]).all()
+        if w == 1e8 or every == 1:  # the z-residual alone
+            assert np.isfinite(table[-1, 7:9]).all() and table[-1, 9] == math.inf
+
+    @pytest.mark.parametrize("block", [1, 4])
+    def test_a_full_block_cuts_the_run_where_it_diverged(self, monkeypatch, block):
+        # With the pass run as each block fills, the cut comes at the same
+        # row; with blocks of one row, before the loop takes another step.
+        init = _Recorder.__init__
+
+        def small_blocks(self, *args):
+            init(self, *args)
+            self.block = block
+        monkeypatch.setattr(_Recorder, "__init__", small_blocks)
+        p, sched, s0 = blowing_up(1e3)
+        calls = []
+        update = dynamics.alternating_update
+        monkeypatch.setattr(dynamics, "alternating_update",
+                            lambda *a, **k: calls.append(1) or update(*a, **k))
+        res = prox_ama_run(p, sched, s0, SolveConfig(max_iters=2000))
+        assert (res.status, res.iterations_used, len(res.iterates.table)) == ("diverged", 43, 44)
+        if block == 1:
+            assert len(calls) == 43
+
+    def test_integrate_ends_there_too(self):
+        p, sched, s0 = blowing_up(1e8)
+        with pytest.raises(TrajectoryError) as err:
+            integrate(p, sched, s0, "euler", 1.0, 100.0, 3)
+        traj = err.value.trajectory
+        assert err.value.status == "diverged" and traj.table[-1, 0] == 18.0
+        assert "diverged at t=18" in str(err.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("every", [1, 100])
+def test_the_large_penalty_run_still_diverges_at_142_on_its_x_residual(ex_problem, ex_start,
+                                                                       every):
+    c = ConstantSchedule(50.0)
+    sched = ParameterSchedule(c, ZeroMetric(2),
+                              ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, ex_problem.B))
+    res = prox_ama_run(ex_problem, sched, ex_start, SolveConfig(max_iters=3000,
+                                                                record_every=every))
+    assert (res.status, res.iterations_used) == ("diverged", 142)
+    assert len(res.iterates.table) == (143 if every == 1 else 3)
+    feas, rx, rz = res.iterates.table[-1, 7:]
+    assert math.isfinite(feas) and rx == math.inf
