@@ -167,13 +167,11 @@ def _emit(p, sched, traj, summary_source, prefix: str, mode: str,
 
     time_label = "k" if mode in ("prox-ama", "ama") else "t"
     energies = None  # computed here when the run recorded none
-    if reference is not None and traj is not None and None in traj.energies():
+    if reference is not None and None in traj.energies():
         energies = trajectory_energies(traj, p, sched, reference)
-    if traj is not None:
-        _write_csv(f"{prefix}.csv", traj, time_label, energies)
+    _write_csv(f"{prefix}.csv", traj, time_label, energies)
     failed = isinstance(summary_source, TrajectoryError)
-    rep = report(traj if failed else summary_source, p, validation=validation,
-                 energies=energies)
+    rep = report(traj if failed else summary_source, validation, energies)
     if failed:
         rep.status, rep.message = summary_source.status, str(summary_source)
     _write_report(f"{prefix}.report.txt", rep, forced)

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 REF_KKT_TOL = 1e-6
+REPORT_TOL = 1e-6  # the residual level whose first recorded time a report gives
 
 
 class EnergySample:
@@ -49,28 +50,28 @@ class EnergySample:
 
 
 def check_reference(p: TwoBlockProblem, ref: PrimalDualState) -> None:
-    """Raise ``ValueError`` unless ``ref`` is a saddle point to ``REF_KKT_TOL``."""
+    """Raise ``ValueError`` unless ``ref`` is a saddle point to ``REF_KKT_TOL``;
+    a residual that is not a number fails."""
     res = p.kkt_residual(ref)
-    if res.max > REF_KKT_TOL:
+    if not res.max <= REF_KKT_TOL:
         raise ValueError(
             f"reference state is not a verified saddle point: max residual {res.max:.3e}"
         )
 
 
 def energy(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
-           s: PrimalDualState, ref: PrimalDualState,
-           ref_checked: bool = False) -> EnergySample:
+           s: PrimalDualState, ref: PrimalDualState) -> EnergySample:
     """Evaluate the energy of ``s`` against a verified reference saddle.
 
-    The reference is verified on every call unless the caller has already
-    passed it through :func:`check_reference` (``ref_checked``). M1 must be
-    zero or a scaled identity, and a prox-friendly M2 on the problem's B, as
-    for the solvers. Where its c is the run's, M2 = (1/tau) Id - c B*B makes
-    the z-metric c M2 + c^2 B*B equal (c/tau) Id: no matrix is needed.
-    The first call on a fresh problem carries the SVD behind ``||A||``.
+    The dimensions of ``s`` are checked, and the reference is verified, on
+    every call. M1 must be zero or a scaled identity, and a prox-friendly M2
+    on the problem's B, as for the solvers. Where its c is the run's,
+    M2 = (1/tau) Id - c B*B makes the z-metric c M2 + c^2 B*B equal
+    (c/tau) Id: no matrix is needed. The first call on a fresh problem
+    carries the SVD behind ``||A||``.
     """
-    if not ref_checked:
-        check_reference(p, ref)
+    s = p.state(s.x, s.z, s.y)
+    check_reference(p, ref)
     total, terms = _terms(p, [_snapshot(p, sched)(t)], s.x[None] - ref.x,
                           s.z[None] - ref.z, s.y[None] - ref.y)
     return EnergySample(t, float(total[0]), tuple(float(v[0]) for v in terms))
@@ -151,25 +152,17 @@ def _monotone(values) -> tuple:
     return worst <= 0.0, worst
 
 
-def check_energy_monotone(traj: Trajectory, ref: Optional[PrimalDualState] = None,
-                          p: Optional[TwoBlockProblem] = None,
-                          sched: Optional[ParameterSchedule] = None):
-    """Verify nonincrease of the energy along a recorded trajectory.
+def check_energy_monotone(traj: Trajectory):
+    """Verify nonincrease of the energy column of a recorded trajectory.
 
-    Uses the energies recorded on the samples when present; otherwise all of
-    ``ref``, ``p`` and ``sched`` must be supplied so the energies can be
-    recomputed. Each step is allowed slack 1e-6 * (1 + E_i) for integrator
-    error. Returns ``(passed, max_violation)``.
+    Each step is allowed slack 1e-6 * (1 + E_i) for integrator error.
+    Returns ``(passed, max_violation)``.
     """
     if len(traj.table) < 2:
         raise ValueError("monotonicity check needs at least two samples")
     values = traj.energies()
-    if any(v is None for v in values):
-        if p is None or sched is None or ref is None:
-            raise ValueError(
-                "trajectory has no recorded energies; supply p, sched and ref"
-            )
-        values = trajectory_energies(traj, p, sched, ref)
+    if None in values:
+        raise ValueError("trajectory has no recorded energies")
     return _monotone(values)
 
 
@@ -227,23 +220,14 @@ class SummaryReport:
         return out
 
 
-def _first_time_within(traj: Trajectory, tol: float) -> Optional[float]:
-    c = 1 + sum(traj.dims)
-    hits = np.flatnonzero((traj.table[:, c:c + 3] <= tol).all(axis=1))
-    return float(traj.table[hits[0], 0]) if hits.size else None
-
-
-def report(result_or_traj, p: TwoBlockProblem,
-           ref: Optional[PrimalDualState] = None,
-           sched: Optional[ParameterSchedule] = None,
-           validation: Optional[ValidationReport] = None,
-           tol: float = 1e-6, energies: Optional[list] = None) -> SummaryReport:
+def report(result_or_traj, validation: Optional[ValidationReport] = None,
+           energies: Optional[list] = None) -> SummaryReport:
     """Summarize a solver result or a raw trajectory.
 
-    The energy section appears only when it can be computed: ``energies`` of
-    the samples from the caller, energies recorded on the trajectory, or a
-    reference plus schedules to compute them. ``time_to_tolerance`` reports
-    when all residuals first dropped below ``tol`` among the recorded samples.
+    The energy section appears only for two or more energies: ``energies`` of
+    the rows from the caller (see :func:`trajectory_energies`), else the
+    trajectory's energy column. ``time_to_tolerance`` reports when all
+    residuals first dropped below ``REPORT_TOL`` among the recorded rows.
     """
     if isinstance(result_or_traj, Trajectory):
         traj, status, message, iterations = result_or_traj, "ok", "", None
@@ -261,15 +245,12 @@ def report(result_or_traj, p: TwoBlockProblem,
     t, feas, rx, rz = traj.table[-1, [0, c, c + 1, c + 2]].tolist()
     rep = SummaryReport(status, kind, iterations, traj.horizon, t, feas, rx, rz,
                         validation=validation, message=message)
-    rep.time_to_tolerance = _first_time_within(traj, tol)
+    hits = np.flatnonzero((traj.table[:, c:c + 3] <= REPORT_TOL).all(axis=1))
+    rep.time_to_tolerance = float(traj.table[hits[0], 0]) if hits.size else None
 
     if energies is None:
         energies = traj.energies()
-    have_recorded = len(energies) >= 2 and None not in energies
-    can_recompute = ref is not None and sched is not None and len(energies) >= 2
-    if have_recorded or can_recompute:
-        if not have_recorded:
-            energies = trajectory_energies(traj, p, sched, ref)
+    if len(energies) >= 2 and None not in energies:
         rep.energy_start = float(energies[0])
         rep.energy_end = float(energies[-1])
         rep.energy_monotone, rep.energy_max_violation = _monotone(energies)

@@ -330,16 +330,15 @@ def solve_z_subproblem(p: TwoBlockProblem, M2_t: Optional[LinearMap], c_t: float
 
 class Update(NamedTuple):
     """One step: the new blocks, the multiplier step, the new blocks'
-    ``ax = A x``, ``bz = B z`` and ``r = ax + bz - b`` for reuse, and the
-    z-step's :class:`Coupling` (None on the prox-friendly branch). A step
-    that does not know the products, an integrator's, leaves them None; a
-    fractional step gives no w but the new y, with the new state stacked as
-    one (x, z, y) array ``s`` that x, y and z view."""
+    ``bz = B z`` and ``r = A x + B z - b`` for reuse, and the z-step's
+    :class:`Coupling` (None on the prox-friendly branch). A step that does not
+    know the products, an integrator's, leaves them None; a fractional step
+    gives no w but the new y, with the new state stacked as one (x, z, y)
+    array ``s`` that x, y and z view."""
 
     x: np.ndarray
     z: np.ndarray
     w: Optional[np.ndarray]
-    ax: Optional[np.ndarray]
     bz: Optional[np.ndarray]
     coupling: Optional[Coupling]
     r: Optional[np.ndarray]
@@ -371,7 +370,7 @@ def alternating_update(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray],
         z_new = _z_general(p, coupling, z, y, ax)
     bz_new = p.mat_B.dot(z_new)
     r = ax + bz_new if p.b_is_zero else ax + bz_new - p.b
-    return Update(x_new, z_new, r * -c, ax, bz_new, coupling, r)
+    return Update(x_new, z_new, r * -c, bz_new, coupling, r)
 
 
 def gamma(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
@@ -406,7 +405,7 @@ def _euler_step(p: TwoBlockProblem, snap, h: float, require_uniform: bool = True
         np.subtract(up.z, z, dz)
         np.copyto(dy, up.w)
         s = s + d * h
-        return Update(s[:a], s[a:b], None, None, None, up.coupling, None, s[b:], s)
+        return Update(s[:a], s[a:b], None, None, up.coupling, None, s[b:], s)
     return step
 
 
@@ -435,7 +434,7 @@ def _rk4_step(p: TwoBlockProblem, snap, h: float):
         f3, cp = stage(mid, s + f2 * half, cp)
         f4, cp = stage(snap(t + h), s + f3 * h, cp)
         s = s + (f1 + f2 * 2.0 + f3 * 2.0 + f4) * sixth
-        return Update(s[:a], s[a:b], None, None, None, cp, None, s[b:], s)
+        return Update(s[:a], s[a:b], None, None, cp, None, s[b:], s)
     return step
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discrete import SolveConfig, prox_ama_run
 from .functions import L1Norm, QuadraticDistance, ZeroFunction
 from .linop import DenseMap
 from .problem import PrimalDualState, TwoBlockProblem
@@ -91,30 +90,16 @@ def example_start() -> PrimalDualState:
     )
 
 
-def example_reference(tol: float = 1e-10) -> PrimalDualState:
+def example_reference() -> PrimalDualState:
     """A high-accuracy saddle point of the example.
 
-    At the default ``tol`` it is a committed constant: the bits of the final
-    iterate of :func:`~amaflow.discrete.prox_ama_run` from
-    :func:`example_start` under ``example_schedule("c025", 0.99)`` at
-    tolerance 1e-10 (343 iterations), a test keeping the two within 1e-12.
-    Solving for the reference rather than typing in the exact saddle
-    (0, 0; 0, 0; -1/sqrt 2, 1/sqrt 2) keeps the multiplier signs tied to this
-    package's Lagrangian convention, and the energy column to the iterate's
-    bits. Any other ``tol`` runs that solve.
+    It is a committed constant: the bits of the final iterate of
+    :func:`~amaflow.discrete.prox_ama_run` from :func:`example_start` under
+    ``example_schedule("c025", 0.99)`` at tolerance 1e-10 (343 iterations), a
+    test keeping the two within 1e-12. Taking the reference from that solve
+    rather than typing in the exact saddle (0, 0; 0, 0; -1/sqrt 2, 1/sqrt 2)
+    keeps the multiplier signs tied to this package's Lagrangian convention,
+    and the energy column to the iterate's bits.
     """
-    if tol == 1e-10:
-        return PrimalDualState(np.array([0.0, -1.9151498426280616e-10]), np.zeros(2),
-                               np.array([-0.707106781440463, 0.7071067809326322]))
-    p = example_problem()
-    sched = example_schedule("c025", 0.99, p)
-    budget = 100000
-    # Only the final iterate is needed, so none between is recorded.
-    cfg = SolveConfig(max_iters=budget, tol_kkt=tol, tol_feas=tol, record_every=budget)
-    result = prox_ama_run(p, sched, example_start(), cfg)
-    if result.status != "converged":
-        raise RuntimeError(
-            f"reference solve failed: status {result.status} after "
-            f"{result.iterations_used} iterations"
-        )
-    return result.final.with_time(0.0)
+    return PrimalDualState(np.array([0.0, -1.9151498426280616e-10]), np.zeros(2),
+                           np.array([-0.707106781440463, 0.7071067809326322]))

@@ -47,11 +47,10 @@ class ProblemFileData:
     state, the solver settings and the tau schedule (None without one)."""
 
     def __init__(self, problem: TwoBlockProblem, sched: ParameterSchedule,
-                 initial: PrimalDualState, config: SolveConfig | None = None,
-                 tau: ScalarSchedule | None = None):
+                 initial: PrimalDualState, config: SolveConfig,
+                 tau: ScalarSchedule | None):
         self.problem, self.sched, self.initial = problem, sched, initial
-        self.config = SolveConfig() if config is None else config
-        self.tau = tau
+        self.config, self.tau = config, tau
 
 
 def _expect_object(doc, loc: str, required: set, optional: set = frozenset()) -> dict:
@@ -74,7 +73,10 @@ def _vector(doc, loc: str) -> np.ndarray:
         raise ParseError("expected a list of numbers", loc)
     if not doc:
         raise ParseError("vector must be nonempty", loc)
-    return np.array(doc, dtype=float)
+    try:
+        return np.array(doc, dtype=float)
+    except OverflowError:  # an integer literal past the float range
+        raise ParseError("number too large for a float", loc) from None
 
 
 def _matrix(doc, loc: str) -> np.ndarray:

@@ -28,10 +28,12 @@ __all__ = ["PrimalDualState", "TwoBlockProblem", "KKTResidual", "SolveConfig"]
 
 
 def _integral(value, name: str) -> int:
-    """``value`` as an int: an int, or an integral float such as ``20000.0``.
-    A bool, a fraction or a value that is not a number raises ValueError."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value != int(value)):
+    """``value`` as an int: an int of any size, or an integral float such as
+    ``20000.0``. A bool, a fraction or a value that is not a number raises
+    ValueError."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral) or isinstance(value, numbers.Real)
+            and math.isfinite(value) and value == int(value)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -73,9 +75,6 @@ class PrimalDualState:
     def __repr__(self) -> str:
         return f"PrimalDualState(x={self.x!r}, z={self.z!r}, y={self.y!r}, t={self.t!r})"
 
-    def with_time(self, t: float) -> "PrimalDualState":
-        return PrimalDualState(self.x, self.z, self.y, t)
-
 
 class KKTResidual(NamedTuple):
     """Prox fixed-point violations; all three are zero exactly at saddles."""
@@ -86,7 +85,8 @@ class KKTResidual(NamedTuple):
 
     @property
     def max(self) -> float:
-        return max(self.rx, self.rz, self.feas)
+        """The largest residual; NaN when any is NaN."""
+        return math.nan if any(map(math.isnan, self)) else max(self)
 
 
 class TwoBlockProblem:

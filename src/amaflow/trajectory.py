@@ -31,20 +31,12 @@ class Trajectory:
 
     ``table`` is the read-only table, ``dims`` the lengths of x, z and y.
     ``samples`` is a list built from the rows on first use, with states that
-    view them; ``final``, its last entry, is built alone. ``samples`` may be
-    given as a list of :class:`TrajectorySample`, which is packed into a
-    table, or, with ``dims``, as the table itself.
+    view them; ``final``, its last entry, is built alone.
     """
 
-    def __init__(self, samples, method: str, step: float, horizon: float, dims=None):
-        if dims is None:
-            st = samples[0].state if samples else PrimalDualState([], [], [])
-            rec = _Recorder((st.x.size, st.z.size, st.y.size),
-                            all(s.energy is not None for s in samples))
-            for s in samples:
-                rec.add(s.t, s.state.x, s.state.z, s.state.y, s.feas, *s.kkt[:2], s.energy)
-            samples, dims = rec.finish(), rec.dims
-        self.table, self.dims = samples, dims
+    def __init__(self, table: np.ndarray, method: str, step: float, horizon: float,
+                 dims: tuple):
+        self.table, self.dims = table, dims
         self.method, self.step, self.horizon = method, step, horizon
         self._samples = self._final = None
 
@@ -228,7 +220,7 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
                 rec.add(k * h, x, z, y, *_sample(p, x, z, y)[:3])
             status, stop, exc = "error", k, err
             break
-        x, z, w, _, bz, coupling, r, y_next, stacked = up
+        x, z, w, bz, coupling, r, y_next, stacked = up
         y = y + w if stacked is None else y_next
         aty = At.dot(y)
         recorded = not (k + 1) % every or k + 1 == steps

@@ -128,6 +128,9 @@ class TestNorm:
 
 
     @pytest.mark.parametrize("edit, message", [
+        ({"b": [0.0, 10**400]}, "b: number too large for a float"),
+        ({"operators__A": [[10**400, 0.35], [-0.7, 0.35]]},
+         "operators.A[0]: number too large for a float"),
         ({"functions__f__d": [math.nan, 0.0]},
          "functions.f: anchor d must be a vector with finite entries"),
         ({"schedules__c__value": math.inf},
@@ -135,7 +138,7 @@ class TestNorm:
         ({"initial__x": [math.nan, 10.0]}, "initial.x: must have finite entries"),
         ({"solver": {"tol_kkt": math.nan}},
          "solver: tolerances must be positive and finite"),
-    ], ids=["f.d", "c-value", "initial.x", "tol_kkt"])
+    ], ids=["big-b", "big-A", "f.d", "c-value", "initial.x", "tol_kkt"])
     @pytest.mark.parametrize("command", ["validate", "solve"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_numbers_are_parse_errors(self, edit, message, command, tmp_path,

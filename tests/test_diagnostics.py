@@ -8,6 +8,7 @@ from amaflow import (
     ConstantSchedule,
     CoupledReciprocal,
     DenseMap,
+    DimensionMismatchError,
     L1Norm,
     PrimalDualState,
     ProxFriendlyMetric,
@@ -30,7 +31,9 @@ from amaflow import (
     validate,
 )
 from amaflow import diagnostics, dynamics
+from amaflow.diagnostics import trajectory_energies
 from amaflow.schedules import ParameterSchedule
+from amaflow.trajectory import _Recorder
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +90,13 @@ class TestEnergyValues:
         with pytest.raises(ValueError, match="saddle"):
             energy(ex_problem, ex_sched_c025, 0.0, ex_start, ex_start)
 
+    def test_the_state_must_fit_the_problem(self, ex_problem, ex_sched_c025,
+                                            ex_reference):
+        # blocks of length 1 used to broadcast against the reference
+        short = PrimalDualState([1.0], [1.0], [1.0])
+        with pytest.raises(DimensionMismatchError):
+            energy(ex_problem, ex_sched_c025, 0.0, short, ex_reference)
+
     def test_integrate_rejects_a_non_saddle_reference_before_stepping(
             self, ex_problem, ex_sched_c025, ex_start, monkeypatch):
         updates = []
@@ -109,8 +119,40 @@ class TestEnergyValues:
         assert len(traj.samples) == 11 and len(checks) == 1
         res = prox_ama_run(ex_problem, ex_sched_c025, ex_start,
                            SolveConfig(max_iters=10, tol_kkt=1e-15, tol_feas=1e-15))
-        rep = report(res, ex_problem, ref=ex_reference, sched=ex_sched_c025)
-        assert rep.energy_monotone is True and len(checks) == 2
+        column = trajectory_energies(res.iterates, ex_problem, ex_sched_c025, ex_reference)
+        assert len(column) == 11 and len(checks) == 2
+
+
+class TestNotANumberReference:
+    """A reference with a NaN in any block is no verified saddle point, for
+    every function that checks one. One NaN in x leaves rz finite, in z rx,
+    in y the feasibility residual."""
+
+    @pytest.fixture(params=["x", "z", "y"])
+    def nan_ref(self, request, ex_reference):
+        ref = PrimalDualState(ex_reference.x.copy(), ex_reference.z.copy(),
+                              ex_reference.y.copy())
+        getattr(ref, request.param)[0] = np.nan
+        return ref
+
+    def test_check_reference(self, ex_problem, nan_ref):
+        with pytest.raises(ValueError, match="max residual nan"):
+            diagnostics.check_reference(ex_problem, nan_ref)
+
+    def test_energy(self, ex_problem, ex_sched_c025, ex_start, nan_ref):
+        with pytest.raises(ValueError, match="saddle"):
+            energy(ex_problem, ex_sched_c025, 0.0, ex_start, nan_ref)
+
+    def test_trajectory_energies(self, ex_problem, ex_sched_c025, ex_start, nan_ref):
+        traj = integrate(ex_problem, ex_sched_c025, ex_start, method="euler", h=0.5,
+                         T=1.0)
+        with pytest.raises(ValueError, match="saddle"):
+            trajectory_energies(traj, ex_problem, ex_sched_c025, nan_ref)
+
+    def test_integrate(self, ex_problem, ex_sched_c025, ex_start, nan_ref):
+        with pytest.raises(ValueError, match="saddle"):
+            integrate(ex_problem, ex_sched_c025, ex_start, method="euler", h=0.5,
+                      T=1.0, reference=nan_ref)
 
 
 class TestMonotoneCheck:
@@ -128,22 +170,13 @@ class TestMonotoneCheck:
                                        ex_reference):
         traj = integrate(ex_problem, ex_sched_c025, ex_start, method="rk4",
                          h=0.01, T=2.0, record_every=20, reference=ex_reference)
-        backwards = Trajectory(list(reversed(traj.samples)), traj.method,
-                               traj.step, traj.horizon)
+        backwards = Trajectory(traj.table[::-1], traj.method, traj.step, traj.horizon,
+                               traj.dims)
         ok, worst = check_energy_monotone(backwards)
         assert not ok
         assert worst > 0.0
 
-    def test_recompute_path(self, ex_problem, ex_sched_c025, ex_start,
-                            ex_reference):
-        traj = integrate(ex_problem, ex_sched_c025, ex_start, method="euler",
-                         h=0.1, T=3.0, record_every=5)
-        ok, worst = check_energy_monotone(traj, ex_reference, ex_problem,
-                                          ex_sched_c025)
-        assert ok
-        assert worst == 0.0
-
-    def test_recompute_needs_context(self, ex_problem, ex_sched_c025, ex_start):
+    def test_needs_recorded_energies(self, ex_problem, ex_sched_c025, ex_start):
         traj = integrate(ex_problem, ex_sched_c025, ex_start, method="euler",
                          h=0.5, T=1.0)
         with pytest.raises(ValueError, match="recorded energies"):
@@ -153,7 +186,7 @@ class TestMonotoneCheck:
                                ex_reference):
         traj = integrate(ex_problem, ex_sched_c025, ex_start, method="euler",
                          h=0.5, T=1.0, reference=ex_reference)
-        stub = Trajectory(traj.samples[:1], traj.method, traj.step, traj.horizon)
+        stub = Trajectory(traj.table[:1], traj.method, traj.step, traj.horizon, traj.dims)
         with pytest.raises(ValueError, match="two samples"):
             check_energy_monotone(stub)
 
@@ -162,7 +195,8 @@ class TestReport:
     def test_converged_discrete_run(self, ex_problem, ex_sched_c025, ex_start,
                                     ex_reference):
         res = prox_ama_run(ex_problem, ex_sched_c025, ex_start, SolveConfig())
-        rep = report(res, ex_problem, ref=ex_reference, sched=ex_sched_c025)
+        column = trajectory_energies(res.iterates, ex_problem, ex_sched_c025, ex_reference)
+        rep = report(res, energies=column)
         assert rep.status == "converged"
         assert rep.kind == "discrete"
         assert rep.iterations == res.iterations_used
@@ -174,6 +208,7 @@ class TestReport:
         assert rep.energy_end < rep.energy_start
         assert rep.energy_monotone is True
         assert rep.energy_max_violation == 0.0
+        assert (rep.energy_start, rep.energy_end) == (column[0], column[-1])
         d = rep.as_dict()
         assert d["status"] == "converged"
         assert "energy_start" in d
@@ -183,7 +218,7 @@ class TestReport:
                                                 ex_start):
         traj = integrate(ex_problem, ex_sched_c025, ex_start, method="rk4",
                          h=0.1, T=1.0)
-        rep = report(traj, ex_problem)
+        rep = report(traj)
         assert rep.status == "ok"
         assert rep.kind == "continuous"
         assert rep.iterations is None
@@ -192,9 +227,9 @@ class TestReport:
 
     def test_empty_trajectory(self, ex_problem, ex_start):
         res = SolveResult(final=ex_start,
-                          iterates=Trajectory([], "prox-ama", 1.0, 0.0),
+                          iterates=_Recorder((2, 2, 2), False).trajectory("prox-ama", 1.0, 0.0),
                           status="error", iterations_used=0, message="boom")
-        rep = report(res, ex_problem)
+        rep = report(res)
         assert rep.status == "error"
         assert rep.final_t is None
         assert "boom" in rep.as_dict()["message"]
@@ -204,7 +239,7 @@ class TestReport:
         vrep = validate(ex_problem, bad.c, bad.M1, bad.M2, 0.005, [0.0, 1.0])
         traj = integrate(ex_problem, ex_sched_c025, ex_start, method="euler",
                          h=0.5, T=1.0)
-        rep = report(traj, ex_problem, validation=vrep)
+        rep = report(traj, vrep)
         d = rep.as_dict()
         assert d["validation_passed"] is False
         assert "convergence-condition" in d["validation_failed_rules"]
@@ -214,10 +249,12 @@ class TestReport:
         res = prox_ama_run(ex_problem, ex_sched_c025, ex_start,
                            SolveConfig(max_iters=20000, tol_kkt=1e-8,
                                        tol_feas=1e-8))
-        rep = report(res, ex_problem, tol=1e-3)
-        # the looser report tolerance is reached strictly earlier than the
-        # solver's own stopping point
+        rep = report(res)
+        # the report's 1e-6 is reached strictly earlier than the solver's own
+        # stopping point, at the first row whose three residuals pass it
         assert rep.time_to_tolerance < res.final.t
+        first = next(s for s in res.iterates.samples if max(s.kkt) <= 1e-6)
+        assert rep.time_to_tolerance == first.t
 
 
 def per_row_energy(p, params, s, ref):
@@ -324,7 +361,7 @@ class TestStackedEnergy:
         traj = integrate(ex_problem, sched, ex_start, method=method, h=h, T=30.0,
                          record_every=record_every, reference=ex_reference)
         assert len(traj.table) > diagnostics._BLOCK
-        column = diagnostics.trajectory_energies(traj, ex_problem, sched, ex_reference)
+        column = trajectory_energies(traj, ex_problem, sched, ex_reference)
         assert np.array(traj.energies()).tobytes() == np.array(column).tobytes()
         snap = dynamics._snapshot(ex_problem, sched)
         want = [per_row_energy(ex_problem, snap(s.t), s, ex_reference)
@@ -339,9 +376,8 @@ class TestStackedEnergy:
         assert res.status == "diverged"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            column = diagnostics.trajectory_energies(res.iterates, ex_problem, sched,
-                                                     ex_reference)
-            rep = report(res, ex_problem, ex_reference, sched)
+            column = trajectory_energies(res.iterates, ex_problem, sched, ex_reference)
+            rep = report(res, energies=column)
         assert np.isnan(column[-1]) and np.isfinite(column[0])
         assert rep.energy_monotone is False and rep.energy_max_violation == np.inf
 
@@ -366,7 +402,7 @@ class TestNotANumberEnergy:
         assert diagnostics._monotone([1.0, 0.5, 0.5]) == (True, 0.0)
 
     def test_the_report_says_so(self, ex_problem, ex_start):
-        rep = report(self.two_rows(ex_problem, ex_start, np.nan), ex_problem)
+        rep = report(self.two_rows(ex_problem, ex_start, np.nan))
         assert rep.energy_monotone is False
         assert rep.energy_max_violation == np.inf
         assert rep.as_dict()["energy_max_violation"] == np.inf

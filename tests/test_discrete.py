@@ -344,6 +344,14 @@ class TestSolveConfig:
         assert type(cfg.max_iters) is int and type(cfg.record_every) is int
         assert cfg.max_iters == cfg.record_every == 3
 
+    def test_an_int_past_the_float_range_is_a_run_size(self, ex_problem, ex_sched_c025,
+                                                       ex_start):
+        # math.isfinite(10**400) raises OverflowError: an int is not converted
+        cfg = SolveConfig(max_iters=10**400, record_every=10**400)
+        assert cfg.max_iters == cfg.record_every == 10**400
+        res = prox_ama_run(ex_problem, ex_sched_c025, ex_start, cfg)
+        assert res.status == "converged" and len(res.iterates.table) == 2
+
     def test_an_integral_float_runs_as_its_int(self, ex_problem, ex_sched_c025, ex_start):
         runs = [prox_ama_run(ex_problem, ex_sched_c025, ex_start,
                              SolveConfig(max_iters=v, record_every=w))

@@ -175,6 +175,22 @@ class TestParseErrors:
     def test_non_integral_integers_are_parse_errors(self, edit, location):
         self.check(doc(**edit), location, "expected an integer")
 
+    @pytest.mark.parametrize("edit, location", [
+        ({"b": [0.0, 10**400]}, "b"),
+        ({"initial__x": [10**400, 10.0]}, "initial.x"),
+        ({"operators__A": [[10**400, 0.0], [0.0, 1.0]]}, "operators.A[0]"),
+        ({"functions__f__d": [-10**400, 0.0]}, "functions.f.d"),
+        ({"schedules__M1": {"kind": "constant_dense",
+                            "matrix": [[1.0, 0.0], [0.0, 10**400]]}},
+         "schedules.M1.matrix[1]"),
+    ], ids=["b", "initial.x", "A", "f.d", "M1-matrix"])
+    def test_integers_past_the_float_range_are_parse_errors(self, edit, location):
+        self.check(doc(**edit), location, "number too large for a float")
+
+    def test_an_integer_field_takes_any_int(self):
+        data = parse_problem_text(doc(solver={"max_iters": 10**400}))
+        assert data.config.max_iters == 10**400
+
     def test_integral_floats_are_integers(self):
         data = parse_problem_text(doc(solver={"max_iters": 20000.0, "record_every": 7.0},
                                       functions__g__dim=2.0))

@@ -9,6 +9,7 @@ from amaflow import (
     CapabilityError,
     DenseMap,
     DimensionMismatchError,
+    KKTResidual,
     L1Norm,
     PrimalDualState,
     QuadraticDistance,
@@ -174,6 +175,13 @@ class TestKKTResidual:
         s = state(ex_problem, [3.0, 0.0], [1.0, -1.0], [0.2, 0.1])
         r = ex_problem.kkt_residual(s)
         assert r.max == pytest.approx(max(r.rx, r.rz, r.feas))
+
+    @pytest.mark.parametrize("where", range(3))
+    def test_max_is_nan_when_a_residual_is(self, where):
+        # Python's max() returns its first argument when a later one is NaN
+        values = [1e-12, 0.0, 2e-12]
+        values[where] = math.nan
+        assert math.isnan(KKTResidual(*values).max)
 
 
 class TestSaddleInequalities:

@@ -42,8 +42,8 @@ def blockwise_euler(p, snap, h):
     block combined on its own, the loop adding the step of y."""
     def step(t, x, z, y, aty, bz, cp, s):
         up = dynamics.alternating_update(p, *snap(t), x, z, y, True, aty, bz, cp)
-        return Update(x + (up.x - x) * h, z + (up.z - z) * h, up.w * h, None, None,
-                      up.coupling, None)
+        return Update(x + (up.x - x) * h, z + (up.z - z) * h, up.w * h, bz=None,
+                      coupling=up.coupling, r=None)
     return step
 
 

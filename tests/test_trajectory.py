@@ -21,7 +21,6 @@ from amaflow import (
     ScalarSchedule,
     ScaledIdentityMetric,
     SolveConfig,
-    Trajectory,
     TrajectoryError,
     TrajectorySample,
     ZeroMetric,
@@ -30,7 +29,7 @@ from amaflow import (
     integrate,
     prox_ama_run,
 )
-from amaflow.problem import KKTResidual
+from amaflow.trajectory import _Recorder
 
 from test_properties import SETTINGS, cases
 
@@ -105,29 +104,9 @@ def test_solver_final_is_the_last_row(ex_problem, ex_start, ex_sched_c025):
     assert res.final.t == res.iterations_used == res.iterates.table[-1, 0]
 
 
-@pytest.mark.parametrize("with_energy", [False, True])
-def test_list_round_trip(with_energy):
-    rng = np.random.default_rng(3)
-    made = []
-    for k in range(5):
-        x, z, y = rng.standard_normal(3), rng.standard_normal(2), rng.standard_normal(4)
-        feas, rx, rz = rng.random(3)
-        made.append(TrajectorySample(float(k), PrimalDualState(x, z, y, float(k)), feas,
-                                     KKTResidual(rx, rz, feas),
-                                     float(k) if with_energy else None))
-    traj = Trajectory(made, "prox-ama", 1.0, 4.0)
-    assert traj.dims == (3, 2, 4)
-    assert traj.table.shape == (5, 13 + with_energy)
-    assert traj.table.tobytes() == np.stack([_row(s) for s in made]).tobytes()
-    again = Trajectory(traj.samples, traj.method, traj.step, traj.horizon)
-    assert again.table.tobytes() == traj.table.tobytes()
-    for a, b in zip(traj.samples, made):
-        assert _row(a).tobytes() == _row(b).tobytes()
-
-
-def test_empty_list_round_trip():
-    traj = Trajectory([], "prox-ama", 1.0, 0.0)
-    assert len(traj.table) == 0 and traj.samples == []
+def test_an_empty_table():
+    traj = _Recorder((3, 2, 4), False).trajectory("prox-ama", 1.0, 0.0)
+    assert traj.table.shape == (0, 13) and traj.samples == []
     assert traj.energies() == [] and len(traj.times()) == 0
     with pytest.raises(ValueError, match="empty"):
         traj.final
