@@ -108,7 +108,7 @@ def _write_csv(path: str, traj, time_label: str, energies=None) -> None:
     cols = [time_label, *(f"{v}{i}" for v, n in zip("xzy", traj.dims) for i in range(n)),
             "feas_residual", "kkt_rx", "kkt_rz"]
     table = traj.table
-    if table.shape[1] > len(cols) or energies is not None:
+    if energies is not None:
         cols.append("energy")
     row = _row_format(len(cols))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -128,10 +128,9 @@ def _write_report(path: str, rep, forced: bool = False) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _run_mode(p, sched, s0, config: SolveConfig, mode: str, args, reference=None):
+def _run_mode(p, sched, s0, config: SolveConfig, mode: str, args):
     """Dispatch one solve of ``p`` under ``sched`` from ``s0``, with the run
-    options of ``args`` over ``config``; returns (trajectory, summary-source,
-    exit_code)."""
+    options of ``args`` over ``config``; returns (trajectory, report-source)."""
     flags = {"max_iters": args.max_iters, "tol_kkt": args.tol, "tol_feas": args.tol,
              "record_every": args.record_every}
     cfg = SolveConfig(**{key: getattr(config, key) if flag is None else flag
@@ -144,31 +143,29 @@ def _run_mode(p, sched, s0, config: SolveConfig, mode: str, args, reference=None
             result = prox_ama_run(p, sched, s0, cfg)
         else:
             result = ama_run(p, sched.c, s0, cfg)
-        code = 3 if result.status in ("error", "diverged") else 0
-        return result.iterates, result, code
+        return result.iterates, result
 
     from .dynamics import integrate
 
-    h = args.step if args.step is not None else 0.01
-    T = args.horizon if args.horizon is not None else 10.0
-    rec = args.record_every if args.record_every is not None else 1
+    given = {key: val for key, val in (("h", args.step), ("T", args.horizon),
+                                       ("record_every", args.record_every))
+             if val is not None}
     method = "euler" if mode == "continuous-euler" else "rk4"
     try:
-        traj = integrate(p, sched, s0, method=method, h=h, T=T,
-                         record_every=rec, reference=reference)
+        traj = integrate(p, sched, s0, method=method, **given)
     except TrajectoryError as exc:
-        return exc.trajectory, exc, 3
-    return traj, traj, 0
+        return exc.trajectory, exc
+    return traj, traj
 
 
 def _emit(p, sched, traj, summary_source, prefix: str, mode: str,
-          validation=None, forced=False, reference=None, exit_code=0) -> int:
+          validation=None, forced=False, reference=None) -> int:
+    """Write the run's CSV and report and print its status; returns the exit
+    code, 3 for a run that ended ``error`` or ``diverged``, else 0."""
     from .diagnostics import report, trajectory_energies
 
     time_label = "k" if mode in ("prox-ama", "ama") else "t"
-    energies = None  # computed here when the run recorded none
-    if reference is not None and None in traj.energies():
-        energies = trajectory_energies(traj, p, sched, reference)
+    energies = None if reference is None else trajectory_energies(traj, p, sched, reference)
     _write_csv(f"{prefix}.csv", traj, time_label, energies)
     failed = isinstance(summary_source, TrajectoryError)
     rep = report(traj if failed else summary_source, validation, energies)
@@ -178,7 +175,7 @@ def _emit(p, sched, traj, summary_source, prefix: str, mode: str,
     print(f"status: {rep.status}")
     print(f"wrote: {prefix}.csv")
     print(f"wrote: {prefix}.report.txt")
-    return exit_code
+    return 3 if rep.status in ("error", "diverged") else 0
 
 
 def cmd_solve(args) -> int:
@@ -194,9 +191,8 @@ def cmd_solve(args) -> int:
             return 1
         forced = True
     prefix = args.out_prefix or f"{_stem(args.file)}-{args.mode}"
-    traj, source, code = _run_mode(p, sched, data.initial, data.config, args.mode, args)
-    return _emit(p, sched, traj, source, prefix, args.mode, validation=vr,
-                 forced=forced, exit_code=code)
+    traj, source = _run_mode(p, sched, data.initial, data.config, args.mode, args)
+    return _emit(p, sched, traj, source, prefix, args.mode, validation=vr, forced=forced)
 
 
 def cmd_paper_example(args) -> int:
@@ -206,10 +202,8 @@ def cmd_paper_example(args) -> int:
     sched = example_schedule(args.c_schedule, TAU_C_VARIANTS[args.tau_c], p)
     ref = example_reference()
     prefix = args.out_prefix or f"example-{args.c_schedule}-{args.tau_c}-{args.mode}"
-    traj, source, code = _run_mode(p, sched, example_start(), SolveConfig(), args.mode,
-                                   args, reference=ref)
-    return _emit(p, sched, traj, source, prefix, args.mode, reference=ref,
-                 exit_code=code)
+    traj, source = _run_mode(p, sched, example_start(), SolveConfig(), args.mode, args)
+    return _emit(p, sched, traj, source, prefix, args.mode, reference=ref)
 
 
 def cmd_norm(args) -> int:

@@ -12,11 +12,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import CapabilityError
-from .dynamics import (
-    _euler_step, _m1_factor, _metric_matrix, _once, _snapshot, alternating_update,
-)
+from .dynamics import _euler_step, _m1_factor, _metric_matrix, _snapshot, alternating_update
 from .problem import PrimalDualState, SolveConfig, TwoBlockProblem
-from .schedules import ParameterSchedule, ScalarSchedule
+from .schedules import ParameterSchedule, ScalarSchedule, ZeroMetric
 from .trajectory import Trajectory, _run
 
 __all__ = ["SolveConfig", "SolveResult", "prox_ama_step", "prox_ama_run", "ama_run"]
@@ -77,7 +75,6 @@ def ama_run(p: TwoBlockProblem, c_schedule: ScalarSchedule, s0: PrimalDualState,
     """
     if p.h1.kind != "zero" or p.h2.kind != "zero":
         raise CapabilityError("the plain alternating scheme requires h1 = h2 = 0")
-    c_at = c_schedule.value_at
-    snap = _once(lambda t: (0.0, None, c_at(t), None), [c_schedule])
-    step = _euler_step(p, snap, 1.0, require_uniform=False)
+    sched = ParameterSchedule(c_schedule, ZeroMetric(p.dim_x), ZeroMetric(p.dim_z))
+    step = _euler_step(p, _snapshot(p, sched), 1.0, require_uniform=False)
     return _solve(p, step, s0, cfg, "ama")

@@ -118,12 +118,13 @@ class TwoBlockProblem:
         for name, fun in (("h1", self.h1), ("h2", self.h2)):
             if fun.grad_lipschitz is None:
                 raise ValueError(f"{name} must be smooth (gradient available)")
-        if self.A.dim_in != self.f.dim or self.h1.dim != self.f.dim:
-            raise DimensionMismatchError("x block", self.f.dim, self.A.dim_in)
-        if self.B.dim_in != self.g.dim or self.h2.dim != self.g.dim:
-            raise DimensionMismatchError("z block", self.g.dim, self.B.dim_in)
-        if self.A.dim_out != self.b.shape[0] or self.B.dim_out != self.b.shape[0]:
-            raise DimensionMismatchError("constraint rows", self.b.shape[0], self.A.dim_out)
+        rows = self.b.shape[0]
+        for what, want, got in (("x block", f.dim, A.dim_in), ("x block (h1)", f.dim, h1.dim),
+                                ("z block", g.dim, B.dim_in), ("z block (h2)", g.dim, h2.dim),
+                                ("constraint rows", rows, A.dim_out),
+                                ("constraint rows (B)", rows, B.dim_out)):
+            if got != want:
+                raise DimensionMismatchError(what, want, got)
         self.mat_A, self.mat_B = matrix_of(A), matrix_of(B)
         self.mat_At, self.mat_Bt = self.mat_A.T, self.mat_B.T
         for name, arr in (("A", self.mat_A), ("B", self.mat_B), ("b", self.b)):
@@ -168,13 +169,12 @@ class TwoBlockProblem:
     def dim_y(self) -> int:
         return self.b.shape[0]
 
-    def state(self, x, z, y, t: float = 0.0) -> PrimalDualState:
-        """Build a state, checking dimensions against this problem."""
+    def state(self, x, z, y) -> PrimalDualState:
+        """Build a state at t = 0, checking dimensions against this problem."""
         return PrimalDualState(
             as_vector(x, self.dim_x, "x"),
             as_vector(z, self.dim_z, "z"),
             as_vector(y, self.dim_y, "y"),
-            t,
         )
 
     def primal_objective(self, x, z) -> float:

@@ -86,7 +86,7 @@ class _Recorder:
         self.block = max(1, 8192 // self.width)
         self.rows = np.empty((self.block, self.width))
 
-    def add(self, t, x, z, y, feas, rx, rz, energy=None) -> None:
+    def add(self, t, x, z, y, feas, rx, rz) -> None:
         if self.m == len(self.rows):
             # No view of the buffer exists before finish, so it may move.
             self.rows.resize((self.m + max(self.block, self.m // 8), self.width),
@@ -95,8 +95,6 @@ class _Recorder:
         row = self.rows[self.m]
         row[0], row[1:a], row[a:b], row[b:c] = t, x, z, y
         row[c], row[c + 1], row[c + 2] = feas, rx, rz
-        if energy is not None:
-            row[c + 3] = energy
         self.m += 1
 
     def finish(self) -> np.ndarray:
@@ -108,22 +106,15 @@ class _Recorder:
         return Trajectory(self.finish(), method, step, horizon, self.dims)
 
 
-def _sample(p: TwoBlockProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray,
-            bz=None, r=None) -> tuple:
+def _sample(p: TwoBlockProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray) -> tuple:
     """``(feas, rx, rz, A* y, B z)``: the three residuals of the state (x, z, y)
-    and the products the caller hands to the next update.
-
-    ``bz = B z`` and the constraint residual ``r = A x + B z - b`` are used
-    when the caller has them (``r`` only with ``bz``). B* y is formed before
-    A* y.
-    """
+    and the products the caller hands to the next update. B* y is formed
+    before A* y."""
     bty = p.mat_Bt.dot(y)
     aty = p.mat_At.dot(y)
-    if r is None:
-        ax = p.mat_A.dot(x)
-        bz = p.mat_B.dot(z) if bz is None else bz
-        r = ax + bz if p.b_is_zero else ax + bz - p.b
-    return math.sqrt(r.dot(r)), p._x_residual(x, aty), p._z_residual(z, bty), aty, bz
+    bz = p.mat_B.dot(z)
+    return (p._feas(p.mat_A.dot(x), bz), p._x_residual(x, aty), p._z_residual(z, bty),
+            aty, bz)
 
 
 def _stop(feas: float, rx: float, rz: float, tol: Optional[tuple]) -> Optional[str]:

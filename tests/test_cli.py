@@ -8,8 +8,19 @@ import numpy as np
 import pytest
 
 import amaflow
-from amaflow import cli
-from amaflow.cli import _row_format, main
+from amaflow import (
+    SolveConfig,
+    ama_run,
+    cli,
+    example_problem,
+    example_reference,
+    example_schedule,
+    example_start,
+    integrate,
+    prox_ama_run,
+)
+from amaflow.cli import MODES, _row_format, main
+from amaflow.diagnostics import trajectory_energies
 
 from test_probfile import doc
 
@@ -25,6 +36,31 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     return header, rows
+
+
+# The exit code of a run by its mode and the status it ended with: 3 for a run
+# that failed or diverged, else 0.
+EXIT_CODES = {
+    ("prox-ama", "converged"): 0,
+    ("prox-ama", "max_iters"): 0,
+    ("prox-ama", "diverged"): 3,
+    ("prox-ama", "error"): 3,
+    ("continuous-euler", "ok"): 0,
+    ("continuous-euler", "diverged"): 3,
+    ("continuous-euler", "error"): 3,
+    ("continuous-rk4", "diverged"): 3,
+    ("continuous-rk4", "error"): 3,
+}
+
+
+def check_outcome(rc, out, prefix, mode, status):
+    """Check a run's printed status, its report's status line and its exit code
+    against :data:`EXIT_CODES`; returns the report."""
+    report = prefix.with_name(prefix.name + ".report.txt").read_text()
+    assert out.splitlines()[0] == f"status: {status}"
+    assert report.splitlines()[0] == f"status: {status}"
+    assert rc == EXIT_CODES[mode, status]
+    return report
 
 
 class TestValidate:
@@ -63,6 +99,26 @@ class TestValidate:
         out = capsys.readouterr().out
         assert rc == 0
         assert "grid-points: 3" in out
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"functions__h1": {"kind": "zero", "dim": 3}},
+         "x block (h1): expected dimension 2, got 3"),
+        ({"functions__h2": {"kind": "zero", "dim": 3}},
+         "z block (h2): expected dimension 2, got 3"),
+        ({"operators__B": [[-0.6, 0.0], [0.8, 0.0], [0.0, 1.0]]},
+         "constraint rows (B): expected dimension 2, got 3"),
+        ({"functions__h1": {"kind": "zero", "dim": 10**400}},
+         f"x block (h1): expected dimension 2, got {10**400}"),
+        ({"b": [0.0, 0.0, 0.0]}, "constraint rows: expected dimension 3, got 2"),
+    ], ids=["h1", "h2", "B-rows", "h1-huge", "b"])
+    def test_mismatched_sizes_are_named(self, edit, message, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["solve", write(tmp_path, doc(**edit))])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"parse error: problem: {message}\n"
+        assert captured.out == "" and not list(tmp_path.glob("*.csv"))
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         rc = main(["validate", write(tmp_path, "{broken")])
@@ -210,50 +266,48 @@ class TestSolve:
         report = (tmp_path / "prob-prox-ama.report.txt").read_text()
         assert "warning: schedule validation failed; run was forced" in report
 
-    def test_forced_ill_posed_solve_exits_3(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("mode", ["prox-ama", "continuous-euler", "continuous-rk4"])
+    def test_forced_ill_posed_solve_exits_3(self, mode, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         no_metric = doc(schedules__tau=..., schedules__M2={"kind": "zero"})
-        f = write(tmp_path, no_metric)
-        rc = main(["solve", f, "--force"])
-        capsys.readouterr()
-        assert rc == 3
-        report = (tmp_path / "prob-prox-ama.report.txt").read_text()
-        assert "status: error" in report
+        rc = main(["solve", write(tmp_path, no_metric), "--force", "--mode", mode])
+        report = check_outcome(rc, capsys.readouterr().out, tmp_path / f"prob-{mode}",
+                               mode, "error")
+        if mode != "prox-ama":
+            assert "aborted" in report
 
-        rc = main(["solve", f, "--force", "--mode", "continuous-rk4"])
-        capsys.readouterr()
-        assert rc == 3
-        report = (tmp_path / "prob-continuous-rk4.report.txt").read_text()
-        assert "status: error" in report
-        assert "aborted" in report
-
-    def test_forced_diverging_solve_exits_3(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("c, max_iters, status", [
+        (50.0, "300", "diverged"), (0.25, "300", "converged"), (0.25, "5", "max_iters"),
+    ])
+    def test_forced_diverging_solve_exits_3(self, c, max_iters, status, tmp_path,
+                                            monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        huge_c = doc(schedules__c={"kind": "constant", "value": 50.0})
-        rc = main(["solve", write(tmp_path, huge_c), "--force", "--max-iters", "300"])
-        out = capsys.readouterr().out
-        assert rc == 3
-        assert "status: diverged" in out
-        report = (tmp_path / "prob-prox-ama.report.txt").read_text()
-        assert "status: diverged" in report
+        run = doc(schedules__c={"kind": "constant", "value": c})
+        rc = main(["solve", write(tmp_path, run), "--force", "--max-iters", max_iters])
+        report = check_outcome(rc, capsys.readouterr().out, tmp_path / "prob-prox-ama",
+                               "prox-ama", status)
+        if status != "diverged":
+            return
         assert "message: residual not finite at iteration" in report
         _, rows = read_csv(tmp_path / "prob-prox-ama.csv")
         assert any(v in ("inf", "nan") for v in rows[-1][7:])
         assert int(float(rows[-1][0])) < 300
 
-    def test_forced_diverging_integration_exits_3(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("c, status", [(50.0, "diverged"), (0.25, "ok")])
+    def test_forced_diverging_integration_exits_3(self, c, status, tmp_path, monkeypatch,
+                                                  capsys):
         monkeypatch.chdir(tmp_path)
-        huge_c = doc(schedules__c={"kind": "constant", "value": 50.0})
-        rc = main(["solve", write(tmp_path, huge_c), "--force", "--mode",
+        run = doc(schedules__c={"kind": "constant", "value": c})
+        rc = main(["solve", write(tmp_path, run), "--force", "--mode",
                    "continuous-euler", "--step", "1", "--horizon", "3000",
                    "--record-every", "10"])
-        out = capsys.readouterr().out
-        assert rc == 3
-        assert "status: diverged" in out
-        report = (tmp_path / "prob-continuous-euler.report.txt").read_text()
-        assert "status: diverged" in report
-        assert "message: integration diverged at t=150: residual not finite" in report
+        report = check_outcome(rc, capsys.readouterr().out,
+                               tmp_path / "prob-continuous-euler", "continuous-euler", status)
         _, rows = read_csv(tmp_path / "prob-continuous-euler.csv")
+        if status != "diverged":
+            assert float(rows[-1][0]) == 3000.0
+            return
+        assert "message: integration diverged at t=150: residual not finite" in report
         assert any(v in ("inf", "nan") for v in rows[-1][7:])
         assert all(v not in ("inf", "nan") for row in rows[:-1] for v in row[7:])
         assert float(rows[-1][0]) < 3000.0
@@ -265,11 +319,9 @@ class TestSolve:
         rc = main(["solve", write(tmp_path, huge_c), "--force", "--mode",
                    "continuous-rk4", "--step", "1", "--horizon", "3000",
                    "--record-every", "10"])
-        out = capsys.readouterr().out
-        assert rc == 3
-        assert "status: diverged" in out
-        report = (tmp_path / "prob-continuous-rk4.report.txt").read_text()
-        assert "status: diverged" in report
+        report = check_outcome(rc, capsys.readouterr().out,
+                               tmp_path / "prob-continuous-rk4", "continuous-rk4",
+                               "diverged")
         assert "kind: continuous" in report
         assert "residual not finite" in report
 
@@ -331,6 +383,33 @@ class TestPaperExample:
         report = (tmp_path / "flow.report.txt").read_text()
         assert "kind: continuous" in report
         assert "energy_monotone: true" in report
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_energy_column_is_the_runs_trajectory_energies(self, mode, tmp_path,
+                                                           monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["paper-example", "--mode", mode, "--max-iters", "60", "--tol", "1e-300",
+                     "--step", "0.5", "--horizon", "30", "--record-every", "7",
+                     "--out-prefix", "run"]) == 0
+        capsys.readouterr()
+        header, rows = read_csv(tmp_path / "run.csv")
+        assert header[-1] == "energy" and len(rows) > 2
+        written = np.array([float(r[-1]) for r in rows])
+
+        p, ref, s0 = example_problem(), example_reference(), example_start()
+        sched = example_schedule("c025", 0.99, p)
+        if mode in ("prox-ama", "ama"):
+            cfg = SolveConfig(max_iters=60, tol_kkt=1e-300, tol_feas=1e-300, record_every=7)
+            run = prox_ama_run(p, sched, s0, cfg) if mode == "prox-ama" else \
+                ama_run(p, sched.c, s0, cfg)
+            traj = run.iterates
+        else:
+            options = {"method": mode.removeprefix("continuous-"), "h": 0.5, "T": 30.0,
+                       "record_every": 7}
+            traj = integrate(p, sched, s0, **options)
+            column = integrate(p, sched, s0, reference=ref, **options).energies()
+            assert written.tobytes() == np.array(column).tobytes()
+        assert written.tobytes() == np.array(trajectory_energies(traj, p, sched, ref)).tobytes()
 
     def test_variant_flags(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -272,6 +272,22 @@ class TestConstruction:
                 b=np.zeros(2),
             )
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"h1": ZeroFunction(3)}, "x block (h1): expected dimension 2, got 3"),
+        ({"h2": ZeroFunction(3)}, "z block (h2): expected dimension 2, got 3"),
+        ({"B": DenseMap(np.ones((3, 2)))}, "constraint rows (B): expected dimension 2, got 3"),
+        ({"A": DenseMap(np.ones((2, 3)))}, "x block: expected dimension 2, got 3"),
+        ({"g": L1Norm(3), "h2": ZeroFunction(3)}, "z block: expected dimension 3, got 2"),
+        ({"b": np.zeros(3)}, "constraint rows: expected dimension 3, got 2"),
+    ], ids=["h1", "h2", "B-rows", "A-columns", "B-columns", "b"])
+    def test_mismatch_names_the_sizes_that_disagree(self, edit, message):
+        parts = {"f": QuadraticDistance(np.zeros(2)), "h1": ZeroFunction(2), "g": L1Norm(2),
+                 "h2": ZeroFunction(2), "A": DenseMap(np.eye(2)), "B": DenseMap(np.eye(2)),
+                 "b": np.zeros(2)}
+        with pytest.raises(DimensionMismatchError) as err:
+            TwoBlockProblem(**{**parts, **edit})
+        assert str(err.value) == message
+
     def test_state_coercion_and_mismatch(self, ex_problem):
         s = ex_problem.state([1, 2], [3, 4], [5, 6])
         assert s.x.dtype == np.float64
