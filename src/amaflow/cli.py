@@ -128,17 +128,25 @@ def _write_report(path: str, rep, forced: bool = False) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _check_run_options(args) -> None:
+    """Refuse ``--step`` and ``--horizon`` in a discrete mode, ``--max-iters``
+    and ``--tol`` in a continuous one: the options the mode does not read."""
+    discrete = args.mode in ("prox-ama", "ama")
+    for flag in ("step", "horizon") if discrete else ("max_iters", "tol"):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to --mode {args.mode}")
+
+
 def _run_mode(p, sched, s0, config: SolveConfig, mode: str, args):
     """Dispatch one solve of ``p`` under ``sched`` from ``s0``, with the run
     options of ``args`` over ``config``; returns (trajectory, report-source)."""
-    flags = {"max_iters": args.max_iters, "tol_kkt": args.tol, "tol_feas": args.tol,
-             "record_every": args.record_every}
-    cfg = SolveConfig(**{key: getattr(config, key) if flag is None else flag
-                         for key, flag in flags.items()})
-
     if mode in ("prox-ama", "ama"):
         from .discrete import ama_run, prox_ama_run
 
+        flags = {"max_iters": args.max_iters, "tol_kkt": args.tol, "tol_feas": args.tol,
+                 "record_every": args.record_every}
+        cfg = SolveConfig(**{key: getattr(config, key) if flag is None else flag
+                             for key, flag in flags.items()})
         if mode == "prox-ama":
             result = prox_ama_run(p, sched, s0, cfg)
         else:
@@ -179,6 +187,7 @@ def _emit(p, sched, traj, summary_source, prefix: str, mode: str,
 
 
 def cmd_solve(args) -> int:
+    _check_run_options(args)
     data = _load(args.file)
     p, sched = data.problem, data.sched
     vr = validate(p, sched.c, sched.M1, sched.M2, args.eps, default_grid())
@@ -196,6 +205,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_paper_example(args) -> int:
+    _check_run_options(args)
     from .example import example_problem, example_reference, example_schedule, example_start
 
     p = example_problem()
@@ -274,7 +284,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

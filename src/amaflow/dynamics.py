@@ -223,11 +223,7 @@ def _inner_argmin(fun: SeparableFunction, Q: np.ndarray, lip: float,
         p = p_next
         if delta <= 1e-10 * max(1.0, math.sqrt(p.dot(p))):
             return p
-    raise ConvergenceError(
-        "inner proximal-gradient solve did not reach tolerance",
-        best_estimate=p,
-        diagnostics={"iterations": 50000, "last_step": delta},
-    )
+    raise ConvergenceError("inner proximal-gradient solve did not reach tolerance")
 
 
 def regularized_argmin(fun: SeparableFunction, Q: LinearMap, target,

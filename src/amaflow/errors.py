@@ -2,12 +2,9 @@
 
 
 class DimensionMismatchError(ValueError):
-    """An argument's length does not match the operator or function it feeds."""
+    """An argument's length does not match what it feeds; the message names both."""
 
     def __init__(self, what: str, expected: int, actual: int):
-        self.what = what
-        self.expected = expected
-        self.actual = actual
         super().__init__(f"{what}: expected dimension {expected}, got {actual}")
 
 
@@ -16,16 +13,7 @@ class CapabilityError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its budget.
-
-    Carries the best estimate reached and whatever diagnostics the caller
-    may want to inspect.
-    """
-
-    def __init__(self, message: str, best_estimate=None, diagnostics: dict | None = None):
-        self.best_estimate = best_estimate
-        self.diagnostics = diagnostics or {}
-        super().__init__(message)
+    """An iterative routine exhausted its budget; the message names the routine."""
 
 
 class ConditionError(ValueError):

@@ -36,10 +36,13 @@ from .schedules import (
     ScalarSchedule,
     ScaledIdentityMetric,
     ZeroMetric,
+    _Reciprocal,
 )
 
 __all__ = ["ProblemFileData", "parse_problem_text", "load_problem_file",
            "serialize_problem"]
+
+_RECIPROCALS = {cls.kind: cls for cls in (ReciprocalQuadratic, ReciprocalSqrt)}
 
 
 class ProblemFileData:
@@ -149,17 +152,15 @@ def _parse_scalar(doc, loc: str, c: ScalarSchedule | None = None) -> ScalarSched
     if kind == "constant":
         _expect_object(doc, loc, {"kind", "value"})
         return _build(ConstantSchedule, loc, _number(doc["value"], f"{loc}.value"))
-    if kind == "reciprocal_quadratic":
+    if kind in _RECIPROCALS:
         _expect_object(doc, loc, {"kind", "a"}, {"offset"})
-        return _build(ReciprocalQuadratic, loc, _number(doc["a"], f"{loc}.a"),
-                      _number(doc.get("offset", 0.0), f"{loc}.offset"))
-    if kind == "reciprocal_sqrt":
-        _expect_object(doc, loc, {"kind", "a"}, {"offset"})
-        return _build(ReciprocalSqrt, loc, _number(doc["a"], f"{loc}.a"),
+        return _build(_RECIPROCALS[kind], loc, _number(doc["a"], f"{loc}.a"),
                       _number(doc.get("offset", 0.0), f"{loc}.offset"))
     if kind == "coupled_reciprocal":
         _expect_object(doc, loc, {"kind", "numerator"}, {"of", "other"})
         num = _number(doc["numerator"], f"{loc}.numerator")
+        if "of" in doc and "other" in doc:
+            raise ParseError("coupled_reciprocal takes 'of' or 'other', not both", loc)
         if "of" in doc:
             if doc["of"] != "c" or c is None:
                 raise ParseError("'of' may only reference the c schedule", f"{loc}.of")
@@ -258,7 +259,7 @@ def load_problem_file(path: str) -> ProblemFileData:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(str(exc), path) from exc
     return parse_problem_text(text)
 
@@ -281,10 +282,8 @@ def _function_doc(fun: SeparableFunction) -> dict:
 def _scalar_doc(s: ScalarSchedule, c: ScalarSchedule | None = None) -> dict:
     if isinstance(s, ConstantSchedule):
         return {"kind": "constant", "value": s.value}
-    if isinstance(s, ReciprocalQuadratic):
-        return {"kind": "reciprocal_quadratic", "a": s.a, "offset": s.offset}
-    if isinstance(s, ReciprocalSqrt):
-        return {"kind": "reciprocal_sqrt", "a": s.a, "offset": s.offset}
+    if isinstance(s, _Reciprocal):
+        return {"kind": s.kind, "a": s.a, "offset": s.offset}
     if isinstance(s, CoupledReciprocal):
         doc = {"kind": "coupled_reciprocal", "numerator": s.numerator}
         if c is not None and s.other is c:

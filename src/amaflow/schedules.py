@@ -21,7 +21,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import CapabilityError
-from .linop import LinearMap, ScaledIdentityMap, _check_symmetric, matrix_of, sym_eigenvalues
+from .linop import (DenseMap, LinearMap, ScaledIdentityMap, _check_symmetric, matrix_of,
+                    sym_eigenvalues)
 
 __all__ = [
     "ScalarSchedule",
@@ -85,10 +86,8 @@ class ConstantSchedule(ScalarSchedule):
         return 0.0
 
 
-class ReciprocalQuadratic(ScalarSchedule):
-    """``1/(t^2 + a) + offset`` with ``a > 0``, ``offset >= 0``."""
-
-    kind = "reciprocal_quadratic"
+class _Reciprocal(ScalarSchedule):
+    """The constructor of the two reciprocal kinds: ``a > 0``, ``offset >= 0``."""
 
     def __init__(self, a: float, offset: float = 0.0):
         if not 0.0 < a < math.inf:
@@ -97,6 +96,12 @@ class ReciprocalQuadratic(ScalarSchedule):
             raise ValueError(f"offset must be nonnegative and finite, got {offset}")
         self.a = float(a)
         self.offset = float(offset)
+
+
+class ReciprocalQuadratic(_Reciprocal):
+    """``1/(t^2 + a) + offset`` with ``a > 0``, ``offset >= 0``."""
+
+    kind = "reciprocal_quadratic"
 
     def value_at(self, t):
         return 1.0 / (t * t + self.a) + self.offset
@@ -105,18 +110,10 @@ class ReciprocalQuadratic(ScalarSchedule):
         return -2.0 * t / (t * t + self.a) ** 2
 
 
-class ReciprocalSqrt(ScalarSchedule):
+class ReciprocalSqrt(_Reciprocal):
     """``1/sqrt(t + a) + offset`` with ``a > 0``, ``offset >= 0``."""
 
     kind = "reciprocal_sqrt"
-
-    def __init__(self, a: float, offset: float = 0.0):
-        if not 0.0 < a < math.inf:
-            raise ValueError(f"parameter a must be positive and finite, got {a}")
-        if not 0.0 <= offset < math.inf:
-            raise ValueError(f"offset must be nonnegative and finite, got {offset}")
-        self.a = float(a)
-        self.offset = float(offset)
 
     def value_at(self, t):
         return 1.0 / math.sqrt(t + self.a) + self.offset
@@ -219,14 +216,10 @@ class ProxFriendlyMetric(MetricSchedule):
         return bm.T @ bm
 
     def at(self, t):
-        from .linop import DenseMap
-
         mat = np.eye(self.dim) / self.tau.value_at(t) - self.c.value_at(t) * self._btb
         return DenseMap(mat)
 
     def derivative_at(self, t):
-        from .linop import DenseMap
-
         tau = self.tau.value_at(t)
         mat = (
             -self.tau.derivative_at(t) / (tau * tau) * np.eye(self.dim)
@@ -426,8 +419,11 @@ def _at_extremes(a: np.ndarray, b: np.ndarray, extremes: np.ndarray) -> np.ndarr
     return a[:, None] + b[:, None] * extremes
 
 
-def _c_rules(p, c: ScalarSchedule, values: np.ndarray, derivs: np.ndarray,
-             eps: float) -> list:
+def _c_rules(p, c: ScalarSchedule, eps: float, t_grid) -> tuple:
+    """The checked grid, c and c' on it, and the c rules both validators share."""
+    grid = _check_grid(t_grid)
+    _check_eps(p, eps)
+    values, derivs = _on_grid(c, grid)
     sigma = p.f.strong_convexity
     a2 = p.norm_A**2
     constant = isinstance(c, ConstantSchedule)
@@ -435,7 +431,7 @@ def _c_rules(p, c: ScalarSchedule, values: np.ndarray, derivs: np.ndarray,
     range_margin = float(np.min(np.minimum(values - eps, upper - values)))
     sup_deriv = float(np.max(derivs))
     sup_abs_deriv = float(np.max(np.abs(derivs)))
-    return [
+    return grid, values, derivs, [
         CheckResult("c-range", range_margin >= -1e-12, range_margin, 0.0),
         CheckResult("c-decreasing", sup_deriv <= 1e-12, sup_deriv, 0.0),
         CheckResult("c-lipschitz", math.isfinite(sup_abs_deriv), sup_abs_deriv, math.inf),
@@ -484,10 +480,7 @@ def validate(p, c: ScalarSchedule, M1: MetricSchedule, M2: MetricSchedule,
     one of the four shipped kinds raises :class:`CapabilityError`. The first
     call on a fresh problem carries its SVDs of A and B.
     """
-    grid = _check_grid(t_grid)
-    _check_eps(p, eps)
-    c_vals, c_derivs = _on_grid(c, grid)
-    checks = _c_rules(p, c, c_vals, c_derivs, eps)
+    grid, c_vals, _, checks = _c_rules(p, c, eps, t_grid)
 
     l1 = p.h1.grad_lipschitz or 0.0
     l2 = p.h2.grad_lipschitz or 0.0
@@ -519,10 +512,7 @@ def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
     uniformly-positive-metric branch. The first call on a fresh problem
     carries its SVDs of A and B.
     """
-    grid = _check_grid(t_grid)
-    _check_eps(p, eps)
-    c_vals, c_derivs = _on_grid(c, grid)
-    checks = _c_rules(p, c, c_vals, c_derivs, eps)
+    grid, c_vals, c_derivs, checks = _c_rules(p, c, eps, t_grid)
 
     b2 = p.norm_B**2
     l2 = p.h2.grad_lipschitz or 0.0

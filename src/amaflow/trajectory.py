@@ -106,17 +106,6 @@ class _Recorder:
         return Trajectory(self.finish(), method, step, horizon, self.dims)
 
 
-def _sample(p: TwoBlockProblem, x: np.ndarray, z: np.ndarray, y: np.ndarray) -> tuple:
-    """``(feas, rx, rz, A* y, B z)``: the three residuals of the state (x, z, y)
-    and the products the caller hands to the next update. B* y is formed
-    before A* y."""
-    bty = p.mat_Bt.dot(y)
-    aty = p.mat_At.dot(y)
-    bz = p.mat_B.dot(z)
-    return (p._feas(p.mat_A.dot(x), bz), p._x_residual(x, aty), p._z_residual(z, bty),
-            aty, bz)
-
-
 def _stop(feas: float, rx: float, rz: float, tol: Optional[tuple]) -> Optional[str]:
     """``converged`` when ``tol = (tol_kkt, tol_feas)`` is given and the
     residuals pass it, ``diverged`` when one is not finite, else None."""
@@ -193,7 +182,7 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
     x, z, y = s.x, s.z, s.y
     A, B, At, Bt = p.mat_A, p.mat_B, p.mat_At, p.mat_Bt
     rec = _Recorder((p.dim_x, p.dim_z, p.dim_y), energy)
-    feas, rx, rz, aty, bz = _sample(p, x, z, y)
+    feas, rx, rz, aty, bz = p._sample(x, z, y)
     rec.add(0.0, x, z, y, feas, rx, rz)
     status = _stop(feas, rx, rz, tol)
     if status is not None:
@@ -208,7 +197,7 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
             up = step(k * h, x, z, y, aty, bz, coupling, stacked)
         except (ConvergenceError, ConditionError, CapabilityError) as err:
             if k % every:
-                rec.add(k * h, x, z, y, *_sample(p, x, z, y)[:3])
+                rec.add(k * h, x, z, y, *p._sample(x, z, y)[:3])
             status, stop, exc = "error", k, err
             break
         x, z, w, bz, coupling, r, y_next, stacked = up

@@ -388,8 +388,9 @@ class TestPaperExample:
     def test_energy_column_is_the_runs_trajectory_energies(self, mode, tmp_path,
                                                            monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(["paper-example", "--mode", mode, "--max-iters", "60", "--tol", "1e-300",
-                     "--step", "0.5", "--horizon", "30", "--record-every", "7",
+        own = (["--max-iters", "60", "--tol", "1e-300"] if mode in ("prox-ama", "ama")
+               else ["--step", "0.5", "--horizon", "30"])
+        assert main(["paper-example", "--mode", mode, *own, "--record-every", "7",
                      "--out-prefix", "run"]) == 0
         capsys.readouterr()
         header, rows = read_csv(tmp_path / "run.csv")
@@ -440,6 +441,67 @@ class TestCsvRows:
         assert _row_format(len(values)) % values == expected
         for v in values:
             assert _row_format(1) % (v,) == f"{v:.17g}\n"
+
+
+class TestRunOptions:
+    """A mode takes only the run options it reads. The refusal comes before
+    the problem file is read, and it writes nothing."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("command", ["solve", "paper-example"])
+    def test_a_foreign_option_is_refused(self, command, mode, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.chdir(tmp_path)
+        # a file that does not exist: reading it would be a parse error, exit 2
+        head = [command] + ([str(tmp_path / "missing.json")] if command == "solve" else [])
+        if mode in ("prox-ama", "ama"):
+            own = ["--max-iters", "40", "--tol", "1e-9"]
+            foreign = [("--step", "5"), ("--horizon", "-3")]
+        else:
+            own = ["--step", "0.5", "--horizon", "40"]
+            foreign = [("--max-iters", "0"), ("--tol", "1e-9")]
+        for flag, value in foreign:
+            assert main(head + ["--mode", mode, *own, flag, value]) == 1
+            assert capsys.readouterr() == ("", f"error: {flag} does not apply to --mode {mode}\n")
+        # every foreign option at once, the last first: the first in the order
+        # step, horizon, max-iters, tol is named
+        given = [tok for pair in reversed(foreign) for tok in pair]
+        assert main(head + ["--mode", mode, *given, *own]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {foreign[0][0]} does not apply to --mode {mode}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_continuous_mode_ignores_the_files_solver_block(self, tmp_path, monkeypatch,
+                                                              capsys):
+        monkeypatch.chdir(tmp_path)
+        f = write(tmp_path, doc(solver={"max_iters": 1, "tol_kkt": 1e-300}))
+        assert main(["solve", f, "--mode", "continuous-euler", "--step", "1",
+                     "--horizon", "20", "--out-prefix", "run"]) == 0
+        capsys.readouterr()
+        assert len(read_csv(tmp_path / "run.csv")[1]) == 21
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("command", ["solve", "paper-example"])
+    def test_an_output_that_cannot_be_written_is_an_error_line(self, command, tmp_path,
+                                                               monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        head = [command] + ([write(tmp_path, doc())] if command == "solve" else [])
+        prefix = tmp_path / "missing" / "run"
+        assert main(head + ["--max-iters", "5", "--out-prefix", str(prefix)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: '{prefix}.csv'\n")
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "norm"])
+    def test_a_file_that_is_not_utf8_is_a_parse_error(self, command, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "prob.json"
+        path.write_bytes(b"\xff\xfe" + doc().encode("utf-16-le"))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"parse error: {path}: 'utf-8' codec can't "
+                                           "decode byte 0xff in position 0: invalid start byte\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prob.json"]
 
 
 # One case per exit code: the problem-file edit and the arguments after the file.

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from amaflow import ParseError, ProxFriendlyMetric
+from amaflow import ParseError, ProxFriendlyMetric, ReciprocalSqrt
 from amaflow.probfile import (
     ProblemFileData,
     load_problem_file,
@@ -132,6 +132,14 @@ class TestParseErrors:
         tau = {"kind": "coupled_reciprocal", "numerator": 1.0, "of": "tau"}
         self.check(doc(schedules__tau=tau), "schedules.tau.of")
 
+    def test_coupling_takes_of_or_other_not_both(self):
+        tau = {"kind": "coupled_reciprocal", "numerator": 0.99, "of": "c",
+               "other": {"kind": "constant", "value": 2.0}}
+        self.check(doc(schedules__tau=tau), "schedules.tau",
+                   "coupled_reciprocal takes 'of' or 'other', not both")
+        nested = {"kind": "coupled_reciprocal", "numerator": 0.5, "other": tau}
+        self.check(doc(schedules__tau=nested), "schedules.tau.other", "not both")
+
     def test_prox_friendly_needs_tau(self):
         self.check(doc(schedules__tau=...), "schedules.M2", "requires a 'tau'")
 
@@ -236,10 +244,19 @@ class TestRoundTrip:
             "M1": {"kind": "scaled_identity",
                    "mu": {"kind": "constant", "value": 0.5}},
             "M2": {"kind": "constant_dense", "matrix": [[0.6, 0.1], [0.1, 0.8]]},
+            # a nested other, two levels down to a reciprocal_sqrt
+            "tau": {"kind": "coupled_reciprocal", "numerator": 0.5,
+                    "other": {"kind": "coupled_reciprocal", "numerator": 2.0,
+                              "other": {"kind": "reciprocal_sqrt", "a": 1.1,
+                                        "offset": 0.01}}},
         }
         text = json.dumps(d)
         once = serialize_problem(parse_problem_text(text))
         assert serialize_problem(parse_problem_text(once)) == once
+        written = json.loads(once)["schedules"]
+        for name in ("c", "tau", "M1", "M2"):
+            assert written[name] == d["schedules"][name]
+        assert type(parse_problem_text(once).tau.other.other) is ReciprocalSqrt
 
 
 class TestLoad:
@@ -254,3 +271,11 @@ class TestLoad:
         with pytest.raises(ParseError) as err:
             load_problem_file(str(tmp_path / "nope.json"))
         assert "nope.json" in err.value.location
+
+    def test_a_file_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "prob.json"
+        path.write_bytes(b"\xff\xfe" + doc().encode("utf-16-le"))
+        with pytest.raises(ParseError) as err:
+            load_problem_file(str(path))
+        assert err.value.location == str(path)
+        assert "'utf-8' codec can't decode byte 0xff" in str(err.value)
