@@ -18,6 +18,7 @@ if __name__ == "__main__":
     gc.disable()
 
 import argparse
+import os
 import sys
 from typing import NoReturn
 
@@ -102,35 +103,51 @@ def _row_format(ncols: int) -> str:
     return ",".join(["%.17g"] * ncols) + "\n"
 
 
-def _write_csv(path: str, traj, time_label: str, energies=None) -> None:
-    """The trajectory's table, a block of rows per write, with ``energies`` as
-    one more column when given."""
+def _csv_chunks(traj, time_label: str, energies=None):
+    """The CSV of the trajectory's table, a block of rows per chunk, with
+    ``energies`` as one more column when given."""
     cols = [time_label, *(f"{v}{i}" for v, n in zip("xzy", traj.dims) for i in range(n)),
             "feas_residual", "kkt_rx", "kkt_rz"]
     table = traj.table
     if energies is not None:
         cols.append("energy")
     row = _row_format(len(cols))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(0, len(table), 64):
-            block = table[i:i + 64]
-            if energies is not None:
-                block = np.column_stack((block, energies[i:i + 64]))
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    yield ",".join(cols) + "\n"
+    for i in range(0, len(table), 64):
+        block = table[i:i + 64]
+        if energies is not None:
+            block = np.column_stack((block, energies[i:i + 64]))
+        yield row * len(block) % tuple(block.ravel().tolist())
 
 
-def _write_report(path: str, rep, forced: bool = False) -> None:
+def _report_text(rep, forced: bool = False) -> str:
     lines = [f"{key}: {_fmt(val)}" for key, val in rep.as_dict().items() if val is not None]
     if forced:
         lines.append("warning: schedule validation failed; run was forced")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_all(outputs) -> None:
+    """Write each ``(path, chunks)`` in turn. A write that fails removes the
+    files this call opened before it raises, so no output is left half made."""
+    opened = []
+    try:
+        for path, chunks in outputs:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                opened.append(path)
+                fh.writelines(chunks)
+    except OSError:
+        for path in opened:
+            os.remove(path)
+        raise
 
 
 def _check_run_options(args) -> None:
     """Refuse ``--step`` and ``--horizon`` in a discrete mode, ``--max-iters``
-    and ``--tol`` in a continuous one: the options the mode does not read."""
+    and ``--tol`` in a continuous one: the options the mode does not read;
+    and an empty ``--out-prefix``."""
+    if args.out_prefix == "":
+        raise ValueError("--out-prefix must not be empty")
     discrete = args.mode in ("prox-ama", "ama")
     for flag in ("step", "horizon") if discrete else ("max_iters", "tol"):
         if getattr(args, flag) is not None:
@@ -168,18 +185,19 @@ def _run_mode(p, sched, s0, config: SolveConfig, mode: str, args):
 
 def _emit(p, sched, traj, summary_source, prefix: str, mode: str,
           validation=None, forced=False, reference=None) -> int:
-    """Write the run's CSV and report and print its status; returns the exit
-    code, 3 for a run that ended ``error`` or ``diverged``, else 0."""
+    """Write the run's CSV and report, both or neither, and print its status;
+    returns the exit code, 3 for a run that ended ``error`` or ``diverged``,
+    else 0."""
     from .diagnostics import report, trajectory_energies
 
     time_label = "k" if mode in ("prox-ama", "ama") else "t"
     energies = None if reference is None else trajectory_energies(traj, p, sched, reference)
-    _write_csv(f"{prefix}.csv", traj, time_label, energies)
     failed = isinstance(summary_source, TrajectoryError)
     rep = report(traj if failed else summary_source, validation, energies)
     if failed:
         rep.status, rep.message = summary_source.status, str(summary_source)
-    _write_report(f"{prefix}.report.txt", rep, forced)
+    _write_all(((f"{prefix}.csv", _csv_chunks(traj, time_label, energies)),
+                (f"{prefix}.report.txt", [_report_text(rep, forced)])))
     print(f"status: {rep.status}")
     print(f"wrote: {prefix}.csv")
     print(f"wrote: {prefix}.report.txt")
@@ -224,8 +242,6 @@ def cmd_norm(args) -> int:
 
 
 def _stem(path: str) -> str:
-    import os
-
     base = os.path.basename(path)
     return base.rsplit(".", 1)[0] if "." in base else base
 

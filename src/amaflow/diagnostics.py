@@ -119,51 +119,43 @@ def _terms(p: TwoBlockProblem, params: list, dx: np.ndarray, dz: np.ndarray,
 
 
 def _energy_column(p: TwoBlockProblem, snap, table: np.ndarray, dims: tuple,
-                   ref: PrimalDualState, out: np.ndarray) -> None:
-    """Write the energy of each row of a run's ``table`` (see
-    :class:`~amaflow.trajectory.Trajectory`) to ``out``, a block of rows at a
-    time, with the schedules read through ``snap`` at each row's time."""
+                   ref: PrimalDualState) -> np.ndarray:
+    """The energy of each row of a run's ``table`` (see
+    :class:`~amaflow.trajectory.Trajectory`), a block of rows at a time, with
+    the schedules read through ``snap`` at each row's time."""
     a, b, c = 1 + dims[0], 1 + dims[0] + dims[1], 1 + sum(dims)
+    out = np.empty(len(table))
     for i in range(0, len(table), _BLOCK):
         rows = table[i:i + _BLOCK]
         params = [snap(t) for t in rows[:, 0].tolist()]
         out[i:i + _BLOCK] = _terms(p, params, rows[:, 1:a] - ref.x, rows[:, a:b] - ref.z,
                                    rows[:, b:c] - ref.y)[0]
+    return out
 
 
 def trajectory_energies(traj: Trajectory, p: TwoBlockProblem,
                         sched: ParameterSchedule, ref: PrimalDualState) -> list:
     """The energy of every recorded row, with the reference checked once."""
     check_reference(p, ref)
-    out = np.empty(len(traj.table))
-    _energy_column(p, _snapshot(p, sched), traj.table, traj.dims, ref, out)
-    return out.tolist()
+    return _energy_column(p, _snapshot(p, sched), traj.table, traj.dims, ref).tolist()
 
 
-def _monotone(values) -> tuple:
-    """``(passed, max_violation)``; a step whose increase is not a number (a
-    NaN energy, or inf after inf) is a violation of size inf."""
+def check_energy_monotone(energies) -> tuple:
+    """Verify nonincrease of a run's energies (see :func:`trajectory_energies`).
+
+    Each step is allowed slack 1e-6 * (1 + E_i) for integrator error; a step
+    whose increase is not a number (a NaN energy, or inf after inf) is a
+    violation of size inf. Returns ``(passed, max_violation)``.
+    """
+    if len(energies) < 2:
+        raise ValueError("monotonicity check needs at least two samples")
     worst = 0.0
-    for e_prev, e_next in zip(values, values[1:]):
+    for e_prev, e_next in zip(energies, energies[1:]):
         excess = e_next - e_prev - 1e-6 * (1.0 + e_prev)
         if math.isnan(excess):
             return False, math.inf
         worst = max(worst, excess)
     return worst <= 0.0, worst
-
-
-def check_energy_monotone(traj: Trajectory):
-    """Verify nonincrease of the energy column of a recorded trajectory.
-
-    Each step is allowed slack 1e-6 * (1 + E_i) for integrator error.
-    Returns ``(passed, max_violation)``.
-    """
-    if len(traj.table) < 2:
-        raise ValueError("monotonicity check needs at least two samples")
-    values = traj.energies()
-    if None in values:
-        raise ValueError("trajectory has no recorded energies")
-    return _monotone(values)
 
 
 class SummaryReport:
@@ -224,9 +216,9 @@ def report(result_or_traj, validation: Optional[ValidationReport] = None,
            energies: Optional[list] = None) -> SummaryReport:
     """Summarize a solver result or a raw trajectory.
 
-    The energy section appears only for two or more energies: ``energies`` of
-    the rows from the caller (see :func:`trajectory_energies`), else the
-    trajectory's energy column. ``time_to_tolerance`` reports when all
+    The energy section appears only for two or more ``energies`` of the rows
+    (see :func:`trajectory_energies`), checked by
+    :func:`check_energy_monotone`. ``time_to_tolerance`` reports when all
     residuals first dropped below ``REPORT_TOL`` among the recorded rows.
     """
     if isinstance(result_or_traj, Trajectory):
@@ -248,10 +240,8 @@ def report(result_or_traj, validation: Optional[ValidationReport] = None,
     hits = np.flatnonzero((traj.table[:, c:c + 3] <= REPORT_TOL).all(axis=1))
     rep.time_to_tolerance = float(traj.table[hits[0], 0]) if hits.size else None
 
-    if energies is None:
-        energies = traj.energies()
-    if len(energies) >= 2 and None not in energies:
+    if energies is not None and len(energies) >= 2:
         rep.energy_start = float(energies[0])
         rep.energy_end = float(energies[-1])
-        rep.energy_monotone, rep.energy_max_violation = _monotone(energies)
+        rep.energy_monotone, rep.energy_max_violation = check_energy_monotone(energies)
     return rep

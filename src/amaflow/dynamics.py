@@ -436,20 +436,19 @@ def _rk4_step(p: TwoBlockProblem, snap, h: float):
 
 def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
               method: str = "rk4", h: float = 0.01, T: float = 10.0,
-              record_every: int = 1,
-              reference: Optional[PrimalDualState] = None) -> Trajectory:
+              record_every: int = 1) -> Trajectory:
     """Run an explicit fixed-step integration from t = 0 to t = T.
 
-    Residuals are computed at recorded samples only; an energy value is
-    attached to each sample when a reference saddle point is supplied. The
-    dimensions of ``s0`` are checked, and the reference is checked to be a
-    saddle point, once, before the first step. The run is the solvers' loop
-    with an Euler or RK4 step, and stops as they do: at a subproblem failure,
-    with a last sample for the state the failing step started from, and at a
-    recorded sample with a residual that is not finite. Either raises
-    :class:`TrajectoryError` carrying the partial trajectory, with status
-    ``error`` or ``diverged``. Unit-step Euler is the solvers' step, so its
-    trajectory is ``prox_ama_run``'s, bit for bit, with the same products.
+    Residuals are computed at recorded samples only; their energies are
+    :func:`~amaflow.diagnostics.trajectory_energies`'s to compute. The
+    dimensions of ``s0`` are checked once, before the first step. The run is
+    the solvers' loop with an Euler or RK4 step, and stops as they do: at a
+    subproblem failure, with a last sample for the state the failing step
+    started from, and at a recorded sample with a residual that is not
+    finite. Either raises :class:`TrajectoryError` carrying the partial
+    trajectory, with status ``error`` or ``diverged``. Unit-step Euler is the
+    solvers' step, so its trajectory is ``prox_ama_run``'s, bit for bit, with
+    the same products.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
@@ -464,16 +463,8 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
         raise ValueError(f"record_every must be >= 1, got {record_every}")
 
     snap = _snapshot(p, sched)
-    if reference is not None:
-        from .diagnostics import _energy_column, check_reference
-
-        check_reference(p, reference)
     step = _rk4_step(p, snap, h) if method == "rk4" else _euler_step(p, snap, h)
-    status, k, rec, exc = _run(p, s0, step, h, max(1, int(round(T / h))), record_every,
-                               energy=reference is not None)
-    if reference is not None:
-        table = rec.rows[:rec.m]
-        _energy_column(p, snap, table, rec.dims, reference, table[:, -1])
+    status, k, rec, exc = _run(p, s0, step, h, max(1, int(round(T / h))), record_every)
     traj = rec.trajectory(method, h, T)
     if status == "error":
         raise TrajectoryError(f"integration aborted at t={k * h:.6g}: {exc}",

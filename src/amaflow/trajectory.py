@@ -1,7 +1,7 @@
 """A run's recorded iterates as one float64 table, a row per iterate, with the
-columns of the CLI's CSV: t, x, z, y, the feasibility, x- and z-residuals and,
-when the run had a reference saddle, the energy; and the one loop that runs
-the solvers and the integrators and records them."""
+columns of the CLI's CSV up to its energy: t, x, z, y, the feasibility, x- and
+z-residuals; and the one loop that runs the solvers and the integrators and
+records them."""
 
 from __future__ import annotations
 
@@ -17,13 +17,12 @@ __all__ = ["TrajectorySample", "Trajectory"]
 
 
 class TrajectorySample:
-    """One recorded state with its residuals and, given a reference, its energy."""
+    """One recorded state with its residuals."""
 
-    __slots__ = ("t", "state", "feas", "kkt", "energy")
+    __slots__ = ("t", "state", "feas", "kkt")
 
-    def __init__(self, t: float, state: PrimalDualState, feas: float, kkt: KKTResidual,
-                 energy: Optional[float] = None):
-        self.t, self.state, self.feas, self.kkt, self.energy = t, state, feas, kkt, energy
+    def __init__(self, t: float, state: PrimalDualState, feas: float, kkt: KKTResidual):
+        self.t, self.state, self.feas, self.kkt = t, state, feas, kkt
 
 
 class Trajectory:
@@ -49,8 +48,8 @@ class Trajectory:
 
     def _samples_of(self, rows: slice) -> list:
         residuals = self.table[rows, 1 + sum(self.dims):].tolist()
-        return [TrajectorySample(st.t, st, feas, KKTResidual(rx, rz, feas), *energy)
-                for st, (feas, rx, rz, *energy) in zip(self._states(rows), residuals)]
+        return [TrajectorySample(st.t, st, feas, KKTResidual(rx, rz, feas))
+                for st, (feas, rx, rz) in zip(self._states(rows), residuals)]
 
     @property
     def samples(self) -> list:
@@ -69,20 +68,15 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.table[:, 0]
 
-    def energies(self) -> list:
-        """The energy column, or None for each row of a table without one."""
-        has_energy = self.table.shape[1] > 4 + sum(self.dims)
-        return self.table[:, -1].tolist() if has_energy else [None] * len(self.table)
-
 
 class _Recorder:
     """Appends the rows of a run's table. The buffer grows by blocks of at
     least 64 KiB, or an eighth of its rows, and is trimmed once, at the end."""
 
-    def __init__(self, dims: tuple, energy: bool):
+    def __init__(self, dims: tuple):
         self.dims, self.m = dims, 0
         self.cuts = (1 + dims[0], 1 + dims[0] + dims[1], 1 + sum(dims))
-        self.width = self.cuts[2] + 3 + energy
+        self.width = self.cuts[2] + 3
         self.block = max(1, 8192 // self.width)
         self.rows = np.empty((self.block, self.width))
 
@@ -138,7 +132,7 @@ def _fill_rz(p: TwoBlockProblem, rec: _Recorder, rows: list, ks: list) -> Option
 
 @np.errstate(over="ignore", invalid="ignore")
 def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
-         every: int, tol: Optional[tuple] = None, energy: bool = False) -> tuple:
+         every: int, tol: Optional[tuple] = None) -> tuple:
     """The one loop of the solvers and the integrators: at most ``steps``
     steps of size ``h`` from ``s0``, whose dimensions it checks, recording
     the state at t = 0, every ``every``-th one and the last.
@@ -150,8 +144,6 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
     the unit step gives the new x and z, the step w of y, and the new ``bz``
     and ``r = A x + B z - b``; a fractional step gives the new x, z and y as
     views of the new stacked state ``s``.
-    ``energy`` reserves the table's energy column, left for the caller to
-    fill before the table is finished.
 
     A recorded state with a residual that is not finite stops the run as
     ``diverged``; given ``tol = (tol_kkt, tol_feas)``, one whose residuals
@@ -181,7 +173,7 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
     s = p.state(s0.x, s0.z, s0.y)
     x, z, y = s.x, s.z, s.y
     A, B, At, Bt = p.mat_A, p.mat_B, p.mat_At, p.mat_Bt
-    rec = _Recorder((p.dim_x, p.dim_z, p.dim_y), energy)
+    rec = _Recorder((p.dim_x, p.dim_z, p.dim_y))
     feas, rx, rz, aty, bz = p._sample(x, z, y)
     rec.add(0.0, x, z, y, feas, rx, rz)
     status = _stop(feas, rx, rz, tol)

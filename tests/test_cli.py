@@ -405,11 +405,8 @@ class TestPaperExample:
                 ama_run(p, sched.c, s0, cfg)
             traj = run.iterates
         else:
-            options = {"method": mode.removeprefix("continuous-"), "h": 0.5, "T": 30.0,
-                       "record_every": 7}
-            traj = integrate(p, sched, s0, **options)
-            column = integrate(p, sched, s0, reference=ref, **options).energies()
-            assert written.tobytes() == np.array(column).tobytes()
+            traj = integrate(p, sched, s0, method=mode.removeprefix("continuous-"), h=0.5,
+                             T=30.0, record_every=7)
         assert written.tobytes() == np.array(trajectory_energies(traj, p, sched, ref)).tobytes()
 
     def test_variant_flags(self, tmp_path, monkeypatch, capsys):
@@ -491,6 +488,28 @@ class TestFileErrors:
         assert main(head + ["--max-iters", "5", "--out-prefix", str(prefix)]) == 1
         assert capsys.readouterr() == (
             "", f"error: [Errno 2] No such file or directory: '{prefix}.csv'\n")
+
+    @pytest.mark.parametrize("command", ["solve", "paper-example"])
+    @pytest.mark.parametrize("blocked", [".csv", ".report.txt"])
+    def test_a_failed_write_leaves_neither_file(self, command, blocked, tmp_path,
+                                                monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        head = [command] + ([write(tmp_path, doc())] if command == "solve" else [])
+        (tmp_path / f"run{blocked}").mkdir()
+        assert main(head + ["--max-iters", "5", "--out-prefix", "run"]) == 1
+        assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: 'run{blocked}'\n")
+        assert not (tmp_path / "run.csv").is_file()
+        assert not (tmp_path / "run.report.txt").is_file()
+        assert (tmp_path / f"run{blocked}").is_dir()
+
+    @pytest.mark.parametrize("command", ["solve", "paper-example"])
+    def test_an_empty_out_prefix_is_refused_before_the_file_is_read(self, command, tmp_path,
+                                                                     monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        head = [command] + (["missing.json"] if command == "solve" else [])
+        assert main(head + ["--out-prefix", ""]) == 1
+        assert capsys.readouterr() == ("", "error: --out-prefix must not be empty\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["validate", "solve", "norm"])
     def test_a_file_that_is_not_utf8_is_a_parse_error(self, command, tmp_path,

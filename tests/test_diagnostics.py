@@ -97,26 +97,15 @@ class TestEnergyValues:
         with pytest.raises(DimensionMismatchError):
             energy(ex_problem, ex_sched_c025, 0.0, short, ex_reference)
 
-    def test_integrate_rejects_a_non_saddle_reference_before_stepping(
-            self, ex_problem, ex_sched_c025, ex_start, monkeypatch):
-        updates = []
-        real = dynamics.alternating_update
-        monkeypatch.setattr(dynamics, "alternating_update",
-                            lambda *a, **k: updates.append(1) or real(*a, **k))
-        with pytest.raises(ValueError, match="saddle"):
-            integrate(ex_problem, ex_sched_c025, ex_start, method="euler", h=0.5,
-                      T=2.0, reference=ex_start)
-        assert updates == []
-
     def test_reference_is_checked_once_per_trajectory(
             self, ex_problem, ex_sched_c025, ex_start, ex_reference, monkeypatch):
         checks = []
         real = diagnostics.check_reference
         monkeypatch.setattr(diagnostics, "check_reference",
                             lambda *a: checks.append(1) or real(*a))
-        traj = integrate(ex_problem, ex_sched_c025, ex_start, method="euler", h=0.5,
-                         T=5.0, reference=ex_reference)
-        assert len(traj.samples) == 11 and len(checks) == 1
+        traj = integrate(ex_problem, ex_sched_c025, ex_start, method="euler", h=0.5, T=5.0)
+        column = trajectory_energies(traj, ex_problem, ex_sched_c025, ex_reference)
+        assert len(column) == 11 and len(checks) == 1
         res = prox_ama_run(ex_problem, ex_sched_c025, ex_start,
                            SolveConfig(max_iters=10, tol_kkt=1e-15, tol_feas=1e-15))
         column = trajectory_energies(res.iterates, ex_problem, ex_sched_c025, ex_reference)
@@ -149,46 +138,37 @@ class TestNotANumberReference:
         with pytest.raises(ValueError, match="saddle"):
             trajectory_energies(traj, ex_problem, ex_sched_c025, nan_ref)
 
-    def test_integrate(self, ex_problem, ex_sched_c025, ex_start, nan_ref):
-        with pytest.raises(ValueError, match="saddle"):
-            integrate(ex_problem, ex_sched_c025, ex_start, method="euler", h=0.5,
-                      T=1.0, reference=nan_ref)
-
 
 class TestMonotoneCheck:
     def test_recorded_energies_pass(self, ex_problem, ex_sched_c025, ex_start,
                                     ex_reference):
         traj = integrate(ex_problem, ex_sched_c025, ex_start, method="rk4",
-                         h=0.01, T=5.0, record_every=25, reference=ex_reference)
-        ok, worst = check_energy_monotone(traj)
+                         h=0.01, T=5.0, record_every=25)
+        es = trajectory_energies(traj, ex_problem, ex_sched_c025, ex_reference)
+        ok, worst = check_energy_monotone(es)
         assert ok
         assert worst == 0.0
-        es = traj.energies()
         assert es[-1] < es[0]
 
     def test_reversed_trajectory_fails(self, ex_problem, ex_sched_c025, ex_start,
                                        ex_reference):
         traj = integrate(ex_problem, ex_sched_c025, ex_start, method="rk4",
-                         h=0.01, T=2.0, record_every=20, reference=ex_reference)
+                         h=0.01, T=2.0, record_every=20)
         backwards = Trajectory(traj.table[::-1], traj.method, traj.step, traj.horizon,
                                traj.dims)
-        ok, worst = check_energy_monotone(backwards)
+        es = trajectory_energies(backwards, ex_problem, ex_sched_c025, ex_reference)
+        ok, worst = check_energy_monotone(es)
         assert not ok
         assert worst > 0.0
-
-    def test_needs_recorded_energies(self, ex_problem, ex_sched_c025, ex_start):
-        traj = integrate(ex_problem, ex_sched_c025, ex_start, method="euler",
-                         h=0.5, T=1.0)
-        with pytest.raises(ValueError, match="recorded energies"):
-            check_energy_monotone(traj)
 
     def test_needs_two_samples(self, ex_problem, ex_sched_c025, ex_start,
                                ex_reference):
         traj = integrate(ex_problem, ex_sched_c025, ex_start, method="euler",
-                         h=0.5, T=1.0, reference=ex_reference)
-        stub = Trajectory(traj.table[:1], traj.method, traj.step, traj.horizon, traj.dims)
-        with pytest.raises(ValueError, match="two samples"):
-            check_energy_monotone(stub)
+                         h=0.5, T=1.0)
+        es = trajectory_energies(traj, ex_problem, ex_sched_c025, ex_reference)
+        for few in (es[:1], []):
+            with pytest.raises(ValueError, match="two samples"):
+                check_energy_monotone(few)
 
 
 class TestReport:
@@ -227,7 +207,7 @@ class TestReport:
 
     def test_empty_trajectory(self, ex_problem, ex_start):
         res = SolveResult(final=ex_start,
-                          iterates=_Recorder((2, 2, 2), False).trajectory("prox-ama", 1.0, 0.0),
+                          iterates=_Recorder((2, 2, 2)).trajectory("prox-ama", 1.0, 0.0),
                           status="error", iterations_used=0, message="boom")
         rep = report(res)
         assert rep.status == "error"
@@ -336,8 +316,7 @@ class TestStackedEnergy:
         table[:, 1:] = rng.standard_normal((m, 3 * n + 4)) * 10.0 ** rng.integers(-3, 4, (m, 1))
         ref = PrimalDualState(*rng.standard_normal((3, n)))
         snap = dynamics._snapshot(p, sched)
-        out = np.empty(m)
-        diagnostics._energy_column(p, snap, table, (n, n, n), ref, out)
+        out = diagnostics._energy_column(p, snap, table, (n, n, n), ref)
         traj = Trajectory(table, "rk4", 0.02, m * 0.02, (n, n, n))
         want = [per_row_energy(p, snap(s.t), s, ref) for s in traj._states()]
         assert out.tobytes() == np.array(want).tobytes()
@@ -355,14 +334,13 @@ class TestStackedEnergy:
 
     @pytest.mark.parametrize("method, h, record_every", [("rk4", 0.01, 10),
                                                          ("euler", 0.05, 1)])
-    def test_integrate_fills_the_column_trajectory_energies_computes(
+    def test_an_integrations_energies_are_the_per_row_formula(
             self, ex_problem, ex_start, ex_reference, method, h, record_every):
         sched = example_schedule("c1-decay", 0.99, ex_problem)
         traj = integrate(ex_problem, sched, ex_start, method=method, h=h, T=30.0,
-                         record_every=record_every, reference=ex_reference)
+                         record_every=record_every)
         assert len(traj.table) > diagnostics._BLOCK
         column = trajectory_energies(traj, ex_problem, sched, ex_reference)
-        assert np.array(traj.energies()).tobytes() == np.array(column).tobytes()
         snap = dynamics._snapshot(ex_problem, sched)
         want = [per_row_energy(ex_problem, snap(s.t), s, ex_reference)
                 for s in traj._states()]
@@ -385,24 +363,20 @@ class TestStackedEnergy:
 class TestNotANumberEnergy:
     """A step whose energy increase is not a number is a violation of size inf."""
 
-    def two_rows(self, ex_problem, ex_start, second):
-        table = np.zeros((2, 11))
-        table[:, 0] = (0.0, 1.0)
-        table[:, 1:7] = np.concatenate([ex_start.x, ex_start.z, ex_start.y])
-        table[:, -1] = (1.0, second)
-        return Trajectory(table, "prox-ama", 1.0, 1.0, (2, 2, 2))
-
     @pytest.mark.parametrize("second", [np.nan, np.inf])
-    def test_the_monotone_check_fails(self, ex_problem, ex_start, second):
-        traj = self.two_rows(ex_problem, ex_start, second)
-        assert check_energy_monotone(traj) == (False, np.inf)
+    def test_the_monotone_check_fails(self, second):
+        assert check_energy_monotone([1.0, second]) == (False, np.inf)
 
     def test_inf_after_inf_is_not_a_number(self):
-        assert diagnostics._monotone([1.0, np.inf, np.inf]) == (False, np.inf)
-        assert diagnostics._monotone([1.0, 0.5, 0.5]) == (True, 0.0)
+        assert check_energy_monotone([1.0, np.inf, np.inf]) == (False, np.inf)
+        assert check_energy_monotone([1.0, 0.5, 0.5]) == (True, 0.0)
 
-    def test_the_report_says_so(self, ex_problem, ex_start):
-        rep = report(self.two_rows(ex_problem, ex_start, np.nan))
+    def test_the_report_says_so(self, ex_start):
+        table = np.zeros((2, 10))
+        table[:, 0] = (0.0, 1.0)
+        table[:, 1:7] = np.concatenate([ex_start.x, ex_start.z, ex_start.y])
+        rep = report(Trajectory(table, "prox-ama", 1.0, 1.0, (2, 2, 2)),
+                     energies=[1.0, np.nan])
         assert rep.energy_monotone is False
         assert rep.energy_max_violation == np.inf
         assert rep.as_dict()["energy_max_violation"] == np.inf

@@ -35,6 +35,7 @@ from amaflow import (
     solve_x_subproblem,
     solve_z_subproblem,
 )
+from amaflow.diagnostics import trajectory_energies
 
 A_MAT = np.array([[2.0, 1.0], [-2.0, 1.0]]) / np.sqrt(8.0)
 B_MAT = np.array([[-3.0, 0.0], [4.0, 0.0]]) / 5.0
@@ -292,19 +293,13 @@ class TestIntegrate:
         assert np.array_equal(traj.final.state.z, run.final.z)
         assert np.array_equal(traj.final.state.y, run.final.y)
 
-    def test_energy_recorded_with_reference(self, ex_problem, ex_sched_c025,
-                                            ex_start, ex_reference):
+    def test_energy_of_every_recorded_sample(self, ex_problem, ex_sched_c025,
+                                             ex_start, ex_reference):
         traj = integrate(ex_problem, ex_sched_c025, ex_start, method="rk4",
-                         h=0.1, T=1.0, reference=ex_reference)
-        es = traj.energies()
+                         h=0.1, T=1.0)
+        es = trajectory_energies(traj, ex_problem, ex_sched_c025, ex_reference)
         assert len(es) == len(traj.samples)
-        assert all(e is not None and e >= 0.0 for e in es)
-
-    def test_energy_absent_without_reference(self, ex_problem, ex_sched_c025,
-                                             ex_start):
-        traj = integrate(ex_problem, ex_sched_c025, ex_start, method="euler",
-                         h=0.5, T=1.0)
-        assert all(s.energy is None for s in traj.samples)
+        assert all(e >= 0.0 for e in es)
 
     def test_subproblem_failure_carries_partial_trajectory(
             self, ex_problem, ex_start):
@@ -531,9 +526,12 @@ class TestProxFriendlyMetricOfAnotherRun:
         b = prox_ama_run(ex_problem, dense, ex_start, cfg)
         assert a.status == b.status and a.iterations_used == b.iterations_used
         np.testing.assert_allclose(a.iterates.table, b.iterates.table, rtol=1e-12, atol=0)
-        a, b = (integrate(ex_problem, s, ex_start, method="rk4", h=0.5, T=5.0,
-                          reference=ex_reference) for s in (mismatch, dense))
+        a, b = (integrate(ex_problem, s, ex_start, method="rk4", h=0.5, T=5.0)
+                for s in (mismatch, dense))
         np.testing.assert_allclose(a.table, b.table, rtol=1e-12, atol=0)
+        ea, eb = (trajectory_energies(t, ex_problem, s, ex_reference)
+                  for t, s in ((a, mismatch), (b, dense)))
+        np.testing.assert_allclose(ea, eb, rtol=1e-12, atol=0)
         a, b = (energy(ex_problem, s, 0.0, ex_start, ex_reference) for s in (mismatch, dense))
         np.testing.assert_allclose(a.components, b.components, rtol=1e-12, atol=0)
 

@@ -37,9 +37,7 @@ from test_properties import SETTINGS, cases
 def _row(smp):
     """A sample as the table row it came from."""
     st_ = smp.state
-    extra = () if smp.energy is None else (smp.energy,)
-    return np.array([smp.t, *st_.x, *st_.z, *st_.y, smp.feas, smp.kkt.rx, smp.kkt.rz,
-                     *extra])
+    return np.array([smp.t, *st_.x, *st_.z, *st_.y, smp.feas, smp.kkt.rx, smp.kkt.rz])
 
 
 @SETTINGS
@@ -73,15 +71,15 @@ def test_unit_step_euler_table_equals_the_solver_table(case, every, diverging):
         assert a[-1].tobytes() == b[-1].tobytes()
 
 
-def test_table_layout_and_sample_views(ex_problem, ex_start, ex_reference):
+def test_table_layout_and_sample_views(ex_problem, ex_start):
     sched = example_schedule("c1-decay", 0.99, ex_problem)
     for traj in (prox_ama_run(ex_problem, sched, ex_start, SolveConfig(record_every=7))
                  .iterates,
                  integrate(ex_problem, sched, ex_start, method="rk4", h=0.1, T=5.0,
-                           record_every=3, reference=ex_reference)):
+                           record_every=3)):
         table = traj.table
         assert traj.dims == (2, 2, 2)
-        assert table.dtype == np.float64 and table.shape[1] == 10 + (traj.method == "rk4")
+        assert table.dtype == np.float64 and table.shape[1] == 10
         assert not table.flags.writeable
         assert np.array_equal(traj.times(), table[:, 0])
         samples = traj.samples
@@ -92,9 +90,6 @@ def test_table_layout_and_sample_views(ex_problem, ex_start, ex_reference):
             for v in (smp.state.x, smp.state.z, smp.state.y):
                 assert np.shares_memory(v, row)
             assert smp.state.t == smp.t and smp.kkt.feas == smp.feas
-        energies = traj.energies()
-        assert (energies == table[:, -1].tolist() if traj.method == "rk4"
-                else energies == [None] * len(table))
 
 
 def test_solver_final_is_the_last_row(ex_problem, ex_start, ex_sched_c025):
@@ -105,9 +100,9 @@ def test_solver_final_is_the_last_row(ex_problem, ex_start, ex_sched_c025):
 
 
 def test_an_empty_table():
-    traj = _Recorder((3, 2, 4), False).trajectory("prox-ama", 1.0, 0.0)
+    traj = _Recorder((3, 2, 4)).trajectory("prox-ama", 1.0, 0.0)
     assert traj.table.shape == (0, 13) and traj.samples == []
-    assert traj.energies() == [] and len(traj.times()) == 0
+    assert len(traj.times()) == 0
     with pytest.raises(ValueError, match="empty"):
         traj.final
 
