@@ -15,7 +15,7 @@ from .errors import CapabilityError
 from .dynamics import _euler_step, _m1_factor, _metric_matrix, _snapshot, alternating_update
 from .problem import PrimalDualState, SolveConfig, TwoBlockProblem
 from .schedules import ParameterSchedule, ScalarSchedule, ZeroMetric
-from .trajectory import Trajectory, _run
+from .trajectory import DIVERGED_ABOVE, Trajectory, _run
 
 __all__ = ["SolveConfig", "SolveResult", "prox_ama_step", "prox_ama_run", "ama_run"]
 
@@ -48,7 +48,7 @@ def _solve(p: TwoBlockProblem, step, s0: PrimalDualState, cfg: SolveConfig,
                                   (cfg.tol_kkt, cfg.tol_feas))
     message = "" if exc is None else str(exc)
     if status == "diverged":
-        message = f"residual not finite at iteration {used}"
+        message = f"residual NaN or past {DIVERGED_ABOVE:g} at iteration {used}"
     traj = rec.trajectory(method, 1.0, float(used))
     return SolveResult(traj.final.state, traj, status, used, message)
 
@@ -58,9 +58,10 @@ def prox_ama_run(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualSta
     """Iterate the proximal alternating scheme until the residuals pass.
 
     The run stops as ``converged`` when they pass, as ``diverged`` at the first
-    iterate with a residual that is not finite, as ``error`` when a subproblem
-    fails, and otherwise as ``max_iters``. The dimensions of ``s0`` are checked
-    once, before the first update.
+    iterate with a residual the stop rule reads that is NaN or past
+    :data:`~amaflow.trajectory.DIVERGED_ABOVE`, whatever ``record_every`` is,
+    as ``error`` when a subproblem fails, and otherwise as ``max_iters``. The
+    dimensions of ``s0`` are checked once, before the first update.
     """
     return _solve(p, _euler_step(p, _snapshot(p, sched), 1.0), s0, cfg, "prox-ama")
 

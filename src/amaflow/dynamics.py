@@ -46,7 +46,7 @@ from .schedules import (
     ZeroMetric,
     _check_own_b,
 )
-from .trajectory import Trajectory, TrajectorySample, _run
+from .trajectory import DIVERGED_ABOVE, Trajectory, TrajectorySample, _run
 
 __all__ = [
     "Coupling",
@@ -210,7 +210,8 @@ def _inner_argmin(fun: SeparableFunction, Q: np.ndarray, lip: float,
     """The proximal-gradient loop for a general Q with Lipschitz constant ``lip``.
 
     It stops once a step is at most ``1e-10 * max(1, |p|)``, p the new point,
-    so iterates of any scale can stop.
+    so iterates of any scale can stop, and fails on a step or point whose norm
+    is not finite: past the float range the test would always pass.
     """
     if lip == 0.0:
         return fun._conj_grad(target)
@@ -219,9 +220,11 @@ def _inner_argmin(fun: SeparableFunction, Q: np.ndarray, lip: float,
     for k in range(50000):
         p_next = fun._prox(step, p - (Q.dot(p) - target) * step)
         d = p_next - p
-        delta = math.sqrt(d.dot(d))
+        delta, scale = math.sqrt(d.dot(d)), math.sqrt(p_next.dot(p_next))
         p = p_next
-        if delta <= 1e-10 * max(1.0, math.sqrt(p.dot(p))):
+        if not (delta < math.inf and scale < math.inf):
+            raise ConvergenceError("inner proximal-gradient step or point not finite")
+        if delta <= 1e-10 * max(1.0, scale):
             return p
     raise ConvergenceError("inner proximal-gradient solve did not reach tolerance")
 
@@ -444,11 +447,12 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     dimensions of ``s0`` are checked once, before the first step. The run is
     the solvers' loop with an Euler or RK4 step, and stops as they do: at a
     subproblem failure, with a last sample for the state the failing step
-    started from, and at a recorded sample with a residual that is not
-    finite. Either raises :class:`TrajectoryError` carrying the partial
-    trajectory, with status ``error`` or ``diverged``. Unit-step Euler is the
-    solvers' step, so its trajectory is ``prox_ama_run``'s, bit for bit, with
-    the same products.
+    started from, and at a recorded sample whose feasibility or x-residual is
+    NaN or past :data:`~amaflow.trajectory.DIVERGED_ABOVE` (only recorded
+    samples are judged). Either raises :class:`TrajectoryError` carrying the
+    partial trajectory, with status ``error`` or ``diverged``. Unit-step Euler
+    is the solvers' step, so its trajectory is ``prox_ama_run``'s, bit for
+    bit, with the same products.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
@@ -470,6 +474,7 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
         raise TrajectoryError(f"integration aborted at t={k * h:.6g}: {exc}",
                               trajectory=traj) from exc
     if status == "diverged":
-        raise TrajectoryError(f"integration diverged at t={k * h:.6g}: residual not finite",
+        raise TrajectoryError(f"integration diverged at t={k * h:.6g}: residual NaN or past "
+                              f"{DIVERGED_ABOVE:g}",
                               trajectory=traj, status="diverged")
     return traj

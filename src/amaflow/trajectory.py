@@ -100,34 +100,34 @@ class _Recorder:
         return Trajectory(self.finish(), method, step, horizon, self.dims)
 
 
+# A residual past this bound, or NaN, stops a run as diverged: well before a
+# squared norm leaves the float range, near 1.3e154.
+DIVERGED_ABOVE = 1e150
+
+
 def _stop(feas: float, rx: float, rz: float, tol: Optional[tuple]) -> Optional[str]:
-    """``converged`` when ``tol = (tol_kkt, tol_feas)`` is given and the
-    residuals pass it, ``diverged`` when one is not finite, else None."""
-    if tol is not None and rx <= tol[0] and rz <= tol[0] and feas <= tol[1]:
-        return "converged"
-    if not (math.isfinite(rx) and math.isfinite(rz) and math.isfinite(feas)):
+    """The stop rule of every state a run forms residuals for. ``diverged``
+    when ``feas`` or ``rx`` is NaN or past :data:`DIVERGED_ABOVE`; else, only
+    where ``tol = (tol_kkt, tol_feas)`` is given and both pass it, ``rz`` is
+    read: ``converged`` when it passes too, ``diverged`` when it is NaN or
+    past the bound. Else None."""
+    if not (feas <= DIVERGED_ABOVE and rx <= DIVERGED_ABOVE):
         return "diverged"
-    return None
-
-
-def _fill_rz(p: TwoBlockProblem, rec: _Recorder, rows: list, ks: list) -> Optional[int]:
-    """Write the z-residual of each row of the table whose index is in
-    ``rows``, the state of iteration ``ks[i]`` for row ``rows[i]``, and empty
-    both lists. At the first row whose z-residual is not finite, the table
-    is cut after that row and its iteration returned; else None."""
-    if not rows:
+    if tol is None or rx > tol[0] or feas > tol[1]:
         return None
-    a, b, c = rec.cuts
-    idx = np.array(rows)
-    rz = p._z_residuals(rec.rows[idx, a:b], rec.rows[idx, b:c])
-    rec.rows[idx, c + 2] = rz
-    bad, cut = np.flatnonzero(~np.isfinite(rz)), None
-    if bad.size:
-        i = int(bad[0])
-        rec.m, cut = rows[i] + 1, ks[i]
-    rows.clear()
-    ks.clear()
-    return cut
+    if rz <= tol[0]:
+        return "converged"
+    return None if rz <= DIVERGED_ABOVE else "diverged"
+
+
+def _fill_rz(p: TwoBlockProblem, rec: _Recorder, rows: list) -> None:
+    """Write the z-residual of each row of the table whose index is in
+    ``rows``, and empty the list."""
+    if rows:
+        a, b, c = rec.cuts
+        idx = np.array(rows)
+        rec.rows[idx, c + 2] = p._z_residuals(rec.rows[idx, a:b], rec.rows[idx, b:c])
+        rows.clear()
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -145,30 +145,23 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
     and ``r = A x + B z - b``; a fractional step gives the new x, z and y as
     views of the new stacked state ``s``.
 
-    A recorded state with a residual that is not finite stops the run as
-    ``diverged``; given ``tol = (tol_kkt, tol_feas)``, one whose residuals
-    all pass stops it as ``converged``. A step whose subproblem fails stops
-    it as ``error``, with a row for the state it started from. Returns
-    ``(status, k, recorder, exc)``: the run stopped at state k, as
-    ``max_iters`` if it took every step; ``exc`` is the subproblem's error.
+    Every state the loop forms residuals for is judged by :func:`_stop`: a
+    recorded one, and given ``tol = (tol_kkt, tol_feas)`` every one. A step
+    whose subproblem fails stops the run as ``error``, with a row for the
+    state it started from. Returns ``(status, k, recorder, exc)``: the run
+    stopped at state k, as ``max_iters`` if it took every step; ``exc`` is
+    the subproblem's error.
 
     A unit step streams the matrices four times, A B B A on the prox-friendly
     branch: the update's A x+, B* and B z+, then A* y+ for the next x-step.
-    A state gets its x-residual and, from r, its feasibility residual when it
-    is recorded or, given ``tol``, every step; its z-residual (one more B* y+
-    and a prox of g) only where the stop rule reads it: where those two pass,
-    or one is not finite. Elsewhere the state can neither converge nor be
-    found diverged by them. So a non-finite value that shows first in rz
-    alone, on an unrecorded state, stops the run once it reaches rx or the
-    feasibility residual (through the next z-step, typically one state
-    later) or at the next recorded state. A recorded state's z-residual that
-    the rule does not read is written later, for a block of rows at once (a
-    recorder block at the most, and the rest at the end), bit for bit the
-    one the state would get; one that is not finite cuts the run at that
-    state as ``diverged``, as if the loop had found it there. Past the float
-    range a squared residual is an infinite residual, and a run that goes on
-    past a state it then cuts at makes no NaN warning either: neither
-    overflow nor an invalid operation raises numpy's warning in the loop.
+    A judged state gets its x-residual and, from r, its feasibility residual;
+    its z-residual (one more B* y+ and a prox of g) only where the rule reads
+    it, where those two pass. A recorded state's z-residual that the rule
+    does not read is written later, for a block of rows at once (a recorder
+    block at the most, and the rest at the end), bit for bit the one the
+    state would get; it is a record only. Past the float range a squared
+    residual is an infinite residual: neither overflow nor an invalid
+    operation raises numpy's warning in the loop.
     """
     s = p.state(s0.x, s0.z, s0.y)
     x, z, y = s.x, s.z, s.y
@@ -179,9 +172,9 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
     status = _stop(feas, rx, rz, tol)
     if status is not None:
         return status, 0, rec, None
-    # Without tol no state passes; the residuals are then read where recorded.
+    # Without tol no state passes, and no z-residual is read in the loop.
     tol_kkt, tol_feas = tol or (-math.inf, -math.inf)
-    rows, ks = [], []  # the recorded states whose z-residual waits, and their k
+    rows = []  # the recorded states whose z-residual waits
     coupling = stacked = exc = None
     status, stop = "max_iters", steps
     for k in range(steps):
@@ -203,26 +196,18 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
             r = ax + bz if p.b_is_zero else ax + bz - p.b
         feas = math.sqrt(r.dot(r))
         rx = p._x_residual(x, aty)
-        if ((rx > tol_kkt or feas > tol_feas)
-                and math.isfinite(rx) and math.isfinite(feas)):
-            if recorded:
-                rows.append(rec.m)
-                ks.append(k + 1)
-                rec.add((k + 1) * h, x, z, y, feas, rx, math.nan)
-                if len(rows) == rec.block:
-                    cut = _fill_rz(p, rec, rows, ks)
-                    if cut is not None:
-                        return "diverged", cut, rec, None
-            continue
-        rz = p._z_residual(z, Bt.dot(y))
+        read = rx <= tol_kkt and feas <= tol_feas
+        rz = p._z_residual(z, Bt.dot(y)) if read else math.nan
         verdict = _stop(feas, rx, rz, tol)
         if verdict is None and not recorded:
             continue
+        if not read:
+            rows.append(rec.m)
         rec.add((k + 1) * h, x, z, y, feas, rx, rz)
         if verdict is not None:
             status, stop = verdict, k + 1
             break
-    cut = _fill_rz(p, rec, rows, ks)
-    if cut is not None:
-        return "diverged", cut, rec, None
+        if len(rows) == rec.block:
+            _fill_rz(p, rec, rows)
+    _fill_rz(p, rec, rows)
     return status, stop, rec, exc

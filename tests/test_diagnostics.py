@@ -356,8 +356,9 @@ class TestStackedEnergy:
             warnings.simplefilter("error")
             column = trajectory_energies(res.iterates, ex_problem, sched, ex_reference)
             rep = report(res, energies=column)
-        assert np.isnan(column[-1]) and np.isfinite(column[0])
-        assert rep.energy_monotone is False and rep.energy_max_violation == np.inf
+        # The run stops at a residual past 1e150, where the energy is still a number.
+        assert res.iterations_used == 138 and np.isfinite(column).all()
+        assert rep.energy_monotone is False and 0.0 < rep.energy_max_violation < np.inf
 
 
 class TestNotANumberEnergy:

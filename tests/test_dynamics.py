@@ -7,6 +7,7 @@ from amaflow import (
     CapabilityError,
     ConditionError,
     ConstantDenseMetric,
+    ConvergenceError,
     ConstantSchedule,
     CoupledReciprocal,
     DenseMap,
@@ -36,6 +37,7 @@ from amaflow import (
     solve_z_subproblem,
 )
 from amaflow.diagnostics import trajectory_energies
+from amaflow.trajectory import DIVERGED_ABOVE
 
 A_MAT = np.array([[2.0, 1.0], [-2.0, 1.0]]) / np.sqrt(8.0)
 B_MAT = np.array([[-3.0, 0.0], [4.0, 0.0]]) / 5.0
@@ -215,6 +217,15 @@ class TestRegularizedArgmin:
         exact = np.linalg.solve(q, target - np.sign(out))
         assert np.linalg.norm(out - exact) <= 1e-8 * np.linalg.norm(exact)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("target", [1e160, math.nan])
+    def test_inner_loop_fails_on_a_point_past_the_float_range(self, target):
+        # Past |p| = 1.3e154 the squared norm is inf, and a relative step test
+        # would pass after one step, with Q p - target off by about 3e159.
+        q = DenseMap(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(ConvergenceError, match="not finite"):
+            regularized_argmin(L1Norm(2, 0.1), q, [target, target])
+
 
 class TestGamma:
     def test_golden_value_at_start(self, ex_problem, ex_sched_c025, ex_start):
@@ -386,19 +397,22 @@ class TestIntegrateDivergence:
         return ParameterSchedule(c, ZeroMetric(2),
                                  ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B))
 
-    def test_raises_at_the_first_nonfinite_recorded_sample(self, ex_problem, ex_start):
+    def test_raises_at_the_first_recorded_sample_past_the_bound(self, ex_problem, ex_start):
+        # Only recorded samples are judged: the solver, which judges every
+        # state, stops at 138, between the recorded t = 130 and 140.
         sched = self.large_penalty(ex_problem)
         with pytest.raises(TrajectoryError) as err:
             integrate(ex_problem, sched, ex_start, method="euler", h=1.0, T=3000.0,
                       record_every=10)
-        assert "diverged at t=150" in str(err.value)
+        assert str(err.value) == "integration diverged at t=140: residual NaN or past 1e+150"
         assert err.value.status == "diverged"
         *before, last = err.value.trajectory.samples
-        assert last.t == 150.0
-        assert not all(math.isfinite(v) for v in last.kkt)
+        assert last.t == 140.0
+        assert not max(last.feas, last.kkt.rx) <= DIVERGED_ABOVE
+        assert all(max(smp.feas, smp.kkt.rx) <= DIVERGED_ABOVE for smp in before)
         run = prox_ama_run(ex_problem, sched, ex_start,
                            SolveConfig(max_iters=3000, record_every=10))
-        assert run.status == "diverged" and run.iterations_used == 142
+        assert run.status == "diverged" and run.iterations_used == 138
         assert [a.t for a in before] == [b.t for b in run.iterates.samples[:-1]]
         for a, b in zip(before, run.iterates.samples):
             for key in ("x", "z", "y"):

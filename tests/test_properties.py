@@ -1,4 +1,5 @@
-"""Property tests on small random dense problems with a prox-friendly M2.
+"""Property tests on small random dense problems with a prox-friendly M2, and
+on the theorem's random problems (:mod:`test_theorem`) for the record cadence.
 
 Each example draws a problem of size n in 2..8 (random A, B with |B| <= 1,
 f a weighted squared distance, g a weighted l1 norm or zero) and a constant
@@ -36,6 +37,7 @@ from amaflow import (
 )
 from amaflow.diagnostics import _terms
 from amaflow.dynamics import _snapshot, alternating_update
+from test_theorem import seeded_case, theorem_cases
 
 SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
 
@@ -168,22 +170,51 @@ def test_recording_cadence_does_not_change_the_run(case, r, tol):
     assert_subsampled(runs[1], runs[0], r)
 
 
-@pytest.mark.parametrize("c, stop", [(50.0, 142), (20.0, 243)])
-@pytest.mark.parametrize("solver", ["prox-ama", "ama"])
-def test_diverging_runs_stop_at_the_same_iterate_for_every_cadence(c, stop, solver):
+def _diverging(case):
+    """A run of a diverging case under a SolveConfig: the example at a penalty
+    c far past its range, by prox-ama or ama, or a seeded random case."""
+    solver, c = case
+    if solver == "seeded":
+        p, sched, s0 = seeded_case(c)
+        return lambda cfg: prox_ama_run(p, sched, s0, cfg)
     p, s0 = example_problem(), example_start()
     c_sched = ConstantSchedule(c)
+    if solver == "ama":
+        return lambda cfg: ama_run(p, c_sched, s0, cfg)
     sched = ParameterSchedule(c_sched, ZeroMetric(2),
                               ProxFriendlyMetric(CoupledReciprocal(0.99, c_sched),
                                                  c_sched, p.B))
+    return lambda cfg: prox_ama_run(p, sched, s0, cfg)
 
-    def run(r):
-        cfg = SolveConfig(max_iters=3000, record_every=r)
-        if solver == "ama":
-            return ama_run(p, c_sched, s0, cfg)
-        return prox_ama_run(p, sched, s0, cfg)
 
-    full = run(1)
+# The seeded cases (n = 5, l1 g, constant dense M2) once ended by cadence:
+# 289 diverged at 620 with every state recorded and ran out its budget
+# otherwise; 130 settled near 1.2e154, under the float range, and never
+# stopped.
+@pytest.mark.parametrize("case, stop, tol, cadences", [
+    (("prox-ama", 50.0), 138, 1e-6, range(2, 10)), (("ama", 50.0), 138, 1e-6, range(2, 10)),
+    (("prox-ama", 20.0), 236, 1e-6, range(2, 10)), (("ama", 20.0), 237, 1e-6, range(2, 10)),
+    (("seeded", 289), 377, 1e-8, (7, 100)), (("seeded", 130), 677, 1e-8, (7, 100)),
+], ids=["prox-ama-c50", "ama-c50", "prox-ama-c20", "ama-c20", "seeded-289", "seeded-130"])
+def test_diverging_runs_stop_at_the_same_iterate_for_every_cadence(case, stop, tol,
+                                                                   cadences):
+    run = _diverging(case)
+
+    def at(r):
+        return run(SolveConfig(max_iters=2000, tol_kkt=tol, tol_feas=tol, record_every=r))
+
+    full = at(1)
     assert full.status == "diverged" and full.iterations_used == stop
-    for r in range(2, 10):
-        assert_subsampled(run(r), full, r)
+    for r in cadences:
+        assert_subsampled(at(r), full, r)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(theorem_cases())
+def test_a_random_runs_stop_does_not_depend_on_its_cadence(case):
+    p, sched, s0 = case
+    runs = [prox_ama_run(p, sched, s0, SolveConfig(max_iters=1000, tol_kkt=1e-8,
+                                                   tol_feas=1e-8, record_every=every))
+            for every in (1, 7, 100)]
+    for every, run in zip((7, 100), runs[1:]):
+        assert_subsampled(run, runs[0], every)

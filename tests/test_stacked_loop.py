@@ -34,7 +34,7 @@ from amaflow import (
 )
 from amaflow import dynamics
 from amaflow.dynamics import Update, _euler_step, _rk4_step, _snapshot
-from amaflow.trajectory import _Recorder, _run
+from amaflow.trajectory import DIVERGED_ABOVE, _Recorder, _run
 
 
 def blockwise_euler(p, snap, h):
@@ -231,29 +231,32 @@ def blowing_up(w):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestZResidualDivergence:
-    # The status, iteration and table sizes are those the loop gave when it
-    # read every recorded row's z-residual at once.
-    @pytest.mark.parametrize("w, every, stop, rows", [(1e8, 1, 18, 19), (1e8, 3, 18, 7),
-                                                      (1e3, 1, 43, 44), (1e3, 3, 44, 16)])
-    def test_the_run_ends_at_the_first_nonfinite_z_residual(self, w, every, stop, rows):
+    # The stop rule reads the z-residual only where the other two pass the
+    # tolerance. Past the bound, or the float range, alone it is a record: the
+    # run stops at the first state whose feasibility or x-residual is past
+    # the bound, one state later here, whatever the cadence.
+    @pytest.mark.parametrize("w, every, stop, rows", [(1e8, 1, 19, 20), (1e8, 3, 19, 8),
+                                                      (1e3, 1, 43, 44), (1e3, 3, 43, 16)])
+    def test_the_run_ends_where_another_residual_passes_the_bound(self, w, every, stop,
+                                                                  rows):
         p, sched, s0 = blowing_up(w)
         res = prox_ama_run(p, sched, s0, SolveConfig(max_iters=2000, record_every=every))
         assert (res.status, res.iterations_used) == ("diverged", stop)
-        assert res.message == f"residual not finite at iteration {stop}"
+        assert res.message == f"residual NaN or past 1e+150 at iteration {stop}"
         table = res.iterates.table
         assert len(table) == rows and table[-1, 0] == stop
         assert res.final.y.tobytes() == table[-1, 5:7].tobytes()
         for row in table:
             kkt = p.kkt_residual(PrimalDualState(row[1:3], row[3:5], row[5:7]))
             assert row[7:].tobytes() == np.array([kkt.feas, kkt.rx, kkt.rz]).tobytes()
-        assert np.isfinite(table[:-1, 7:]).all()
-        if w == 1e8 or every == 1:  # the z-residual alone
-            assert np.isfinite(table[-1, 7:9]).all() and table[-1, 9] == math.inf
+        assert (table[:-1, 7:9] <= DIVERGED_ABOVE).all()
+        assert not (table[-1, 7:9] <= DIVERGED_ABOVE).all()
+        assert table[-2, 0] == stop - 1 and table[-2, 9] > DIVERGED_ABOVE
 
     @pytest.mark.parametrize("block", [1, 4])
-    def test_a_full_block_cuts_the_run_where_it_diverged(self, monkeypatch, block):
-        # With the pass run as each block fills, the cut comes at the same
-        # row; with blocks of one row, before the loop takes another step.
+    def test_the_block_size_does_not_move_the_stop(self, monkeypatch, block):
+        # The z-residuals written a block at a time are a record only: the
+        # run stops at the same state, and takes no step past it.
         init = _Recorder.__init__
 
         def small_blocks(self, *args):
@@ -267,28 +270,30 @@ class TestZResidualDivergence:
                             lambda *a, **k: calls.append(1) or update(*a, **k))
         res = prox_ama_run(p, sched, s0, SolveConfig(max_iters=2000))
         assert (res.status, res.iterations_used, len(res.iterates.table)) == ("diverged", 43, 44)
-        if block == 1:
-            assert len(calls) == 43
+        assert len(calls) == 43
 
-    def test_integrate_ends_there_too(self):
+    def test_integrate_judges_its_recorded_states_only(self):
+        # t = 18, recorded with an infinite z-residual alone, does not stop
+        # the run; t = 19, past the bound in all three, is not recorded.
         p, sched, s0 = blowing_up(1e8)
         with pytest.raises(TrajectoryError) as err:
             integrate(p, sched, s0, "euler", 1.0, 100.0, 3)
         traj = err.value.trajectory
-        assert err.value.status == "diverged" and traj.table[-1, 0] == 18.0
-        assert "diverged at t=18" in str(err.value)
+        assert err.value.status == "diverged" and traj.table[-1, 0] == 21.0
+        assert "diverged at t=21" in str(err.value)
+        assert traj.table[-2, 0] == 18.0 and traj.table[-2, 9] == math.inf
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("every", [1, 100])
-def test_the_large_penalty_run_still_diverges_at_142_on_its_x_residual(ex_problem, ex_start,
-                                                                       every):
+def test_the_large_penalty_run_diverges_at_138_on_its_x_residual(ex_problem, ex_start,
+                                                                 every):
     c = ConstantSchedule(50.0)
     sched = ParameterSchedule(c, ZeroMetric(2),
                               ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, ex_problem.B))
     res = prox_ama_run(ex_problem, sched, ex_start, SolveConfig(max_iters=3000,
                                                                 record_every=every))
-    assert (res.status, res.iterations_used) == ("diverged", 142)
-    assert len(res.iterates.table) == (143 if every == 1 else 3)
+    assert (res.status, res.iterations_used) == ("diverged", 138)
+    assert len(res.iterates.table) == (139 if every == 1 else 3)
     feas, rx, rz = res.iterates.table[-1, 7:]
-    assert math.isfinite(feas) and rx == math.inf
+    assert feas <= DIVERGED_ABOVE < rx

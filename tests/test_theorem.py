@@ -94,10 +94,8 @@ def _m2_schedule(rng, n, c, B, L2):
     return ZeroMetric(n)
 
 
-@st.composite
-def theorem_cases(draw):
-    n = draw(st.integers(2, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def random_case(n, rng):
+    """A problem of size n, its schedules and a start state, drawn from ``rng``."""
     sigma = rng.uniform(0.5, 2.0)
     g = [lambda: L1Norm(n, rng.uniform(0.1, 1.0)),
          lambda: BoxIndicator(-rng.uniform(0.2, 2.0, n), rng.uniform(0.2, 2.0, n)),
@@ -114,6 +112,20 @@ def theorem_cases(draw):
     sched = ParameterSchedule(c, M1, _m2_schedule(rng, n, c, p.B, h2.grad_lipschitz))
     s0 = PrimalDualState(*(rng.uniform(-3.0, 3.0, n) for _ in range(3)))
     return p, sched, s0
+
+
+@st.composite
+def theorem_cases(draw):
+    n = draw(st.integers(2, 6))
+    return random_case(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+def seeded_case(seed):
+    """The case of one integer seed, outside hypothesis: n and the seed of
+    :func:`random_case`'s generator are drawn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    return random_case(n, np.random.default_rng(rng.integers(0, 2**32 - 1)))
 
 
 def _reference(p):

@@ -62,9 +62,9 @@ def test_unit_step_euler_table_equals_the_solver_table(case, every, diverging):
     if run.status == "max_iters":
         assert np.array_equal(a, b)
         return
-    # The solver stops at the first iterate with a residual that is not
-    # finite, which it records off the cadence too; Euler at the next
-    # recorded one. Every row before those is the same.
+    # The solver stops at the first iterate with a residual past the bound,
+    # which it records off the cadence too; Euler at the next recorded one.
+    # Every row before those is the same.
     assert a[:-1].tobytes() == b[:-1].tobytes()
     assert a[-1, 0] >= b[-1, 0]
     if a[-1, 0] == b[-1, 0]:
