@@ -118,12 +118,11 @@ def _terms(p: TwoBlockProblem, params: list, dx: np.ndarray, dz: np.ndarray,
     return x_term + x_metric + z_metric + y_term, (x_term, x_metric, z_metric, y_term)
 
 
-def _energy_column(p: TwoBlockProblem, snap, table: np.ndarray, dims: tuple,
+def _energy_column(p: TwoBlockProblem, snap, traj: Trajectory,
                    ref: PrimalDualState) -> np.ndarray:
-    """The energy of each row of a run's ``table`` (see
-    :class:`~amaflow.trajectory.Trajectory`), a block of rows at a time, with
-    the schedules read through ``snap`` at each row's time."""
-    a, b, c = 1 + dims[0], 1 + dims[0] + dims[1], 1 + sum(dims)
+    """The energy of each row of a run's table, a block of rows at a time,
+    with the schedules read through ``snap`` at each row's time."""
+    table, (a, b, c) = traj.table, traj.cuts
     out = np.empty(len(table))
     for i in range(0, len(table), _BLOCK):
         rows = table[i:i + _BLOCK]
@@ -137,7 +136,7 @@ def trajectory_energies(traj: Trajectory, p: TwoBlockProblem,
                         sched: ParameterSchedule, ref: PrimalDualState) -> list:
     """The energy of every recorded row, with the reference checked once."""
     check_reference(p, ref)
-    return _energy_column(p, _snapshot(p, sched), traj.table, traj.dims, ref).tolist()
+    return _energy_column(p, _snapshot(p, sched), traj, ref).tolist()
 
 
 def check_energy_monotone(energies) -> tuple:
@@ -233,7 +232,7 @@ def report(result_or_traj, validation: Optional[ValidationReport] = None,
         return SummaryReport("error", kind, iterations, None, None, None, None, None,
                              validation=validation, message=message or "empty trajectory")
 
-    c = 1 + sum(traj.dims)  # the first residual column
+    c = traj.cuts[2]  # the first residual column
     t, feas, rx, rz = traj.table[-1, [0, c, c + 1, c + 2]].tolist()
     rep = SummaryReport(status, kind, iterations, traj.horizon, t, feas, rx, rz,
                         validation=validation, message=message)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from .errors import CapabilityError
 from .dynamics import _euler_step, _m1_factor, _metric_matrix, _snapshot, alternating_update
 from .problem import PrimalDualState, SolveConfig, TwoBlockProblem
@@ -32,6 +34,7 @@ class SolveResult:
         self.iterations_used, self.message = iterations_used, message
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def prox_ama_step(p: TwoBlockProblem, M1_k, M2_k, c_k: float,
                   s_k: PrimalDualState, tau_k: Optional[float] = None) -> PrimalDualState:
     """One iteration: x-argmin, z-argmin with the fresh x, multiplier ascent."""

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import CapabilityError, ConditionError, ConvergenceError, TrajectoryError
 from .functions import SeparableFunction
 from .linop import LinearMap, ScaledIdentityMap, as_vector, matrix_of, sym_eigenvalues
-from .problem import PrimalDualState, TwoBlockProblem, _integral
+from .problem import PrimalDualState, TwoBlockProblem, _record_every
 from .schedules import (
     ConstantDenseMetric,
     ConstantSchedule,
@@ -206,7 +206,7 @@ def _coupling(p: TwoBlockProblem, K: Optional[np.ndarray], c: float,
 
 
 def _inner_argmin(fun: SeparableFunction, Q: np.ndarray, lip: float,
-                  target: np.ndarray, start: Optional[np.ndarray]) -> np.ndarray:
+                  target: np.ndarray, start: np.ndarray) -> np.ndarray:
     """The proximal-gradient loop for a general Q with Lipschitz constant ``lip``.
 
     It stops once a step is at most ``1e-10 * max(1, |p|)``, p the new point,
@@ -216,7 +216,7 @@ def _inner_argmin(fun: SeparableFunction, Q: np.ndarray, lip: float,
     if lip == 0.0:
         return fun._conj_grad(target)
     step = 1.0 / lip
-    p = np.zeros(fun.dim) if start is None else start
+    p = start
     for k in range(50000):
         p_next = fun._prox(step, p - (Q.dot(p) - target) * step)
         d = p_next - p
@@ -229,8 +229,9 @@ def _inner_argmin(fun: SeparableFunction, Q: np.ndarray, lip: float,
     raise ConvergenceError("inner proximal-gradient solve did not reach tolerance")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def regularized_argmin(fun: SeparableFunction, Q: LinearMap, target,
-                       start=None, require_uniform: bool = True) -> np.ndarray:
+                       require_uniform: bool = True) -> np.ndarray:
     """``argmin_p  fun(p) + (1/2)<p, Qp> - <target, p>`` for symmetric PSD Q.
 
     Scaled-identity Q dispatches to a single prox (or, for Q = 0, to the
@@ -249,10 +250,7 @@ def regularized_argmin(fun: SeparableFunction, Q: LinearMap, target,
             return fun.conj_grad(target)
         return fun.prox(1.0 / mu, target / mu)
     Qm = matrix_of(Q)
-    lip = _lipschitz(Qm, require_uniform)
-    if start is not None:
-        start = as_vector(start, fun.dim, "start")
-    return _inner_argmin(fun, Qm, lip, target, start)
+    return _inner_argmin(fun, Qm, _lipschitz(Qm, require_uniform), target, np.zeros(fun.dim))
 
 
 # The three steps of the update, on trusted arrays.
@@ -302,6 +300,7 @@ def solve_x_subproblem(p: TwoBlockProblem, M1_t: LinearMap, x, y) -> np.ndarray:
     return _x_argmin(p, mu1, x, p.mat_At.dot(as_vector(y, p.dim_y, "y")))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_z_subproblem(p: TwoBlockProblem, M2_t: Optional[LinearMap], c_t: float,
                        tau_t: Optional[float], z, y, x_new) -> np.ndarray:
     """Return the z-block argmin given the freshly updated x.
@@ -372,6 +371,7 @@ def alternating_update(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray],
     return Update(x_new, z_new, r * -c, bz_new, coupling, r)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gamma(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
           s: PrimalDualState) -> GammaOutput:
     """Evaluate the field at (t, s); zero exactly at saddle points."""
@@ -462,9 +462,7 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
         raise ValueError(f"horizon must be finite, got {T}")
     if T < h:
         raise ValueError(f"horizon {T} shorter than one step {h}")
-    record_every = _integral(record_every, "record_every")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    record_every = _record_every(record_every)
 
     snap = _snapshot(p, sched)
     step = _rk4_step(p, snap, h) if method == "rk4" else _euler_step(p, snap, h)

@@ -38,6 +38,14 @@ def _integral(value, name: str) -> int:
     return int(value)
 
 
+def _record_every(value) -> int:
+    """``record_every`` as an int of at least 1 (see :func:`_integral`)."""
+    every = _integral(value, "record_every")
+    if every < 1:
+        raise ValueError(f"record_every must be >= 1, got {every}")
+    return every
+
+
 class SolveConfig:
     """Iteration budget, stopping tolerances and recording cadence of a run."""
 
@@ -50,11 +58,8 @@ class SolveConfig:
             raise ValueError(f"max_iters must be positive, got {max_iters}")
         if not (0.0 < tol_kkt < math.inf and 0.0 < tol_feas < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        record_every = _integral(record_every, "record_every")
-        if record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {record_every}")
         self.max_iters, self.tol_kkt = max_iters, tol_kkt
-        self.tol_feas, self.record_every = tol_feas, record_every
+        self.tol_feas, self.record_every = tol_feas, _record_every(record_every)
 
     def __repr__(self) -> str:
         return (f"SolveConfig(max_iters={self.max_iters!r}, tol_kkt={self.tol_kkt!r}, "

@@ -28,26 +28,26 @@ class TrajectorySample:
 class Trajectory:
     """The recorded iterates of one run plus the configuration that produced it.
 
-    ``table`` is the read-only table, ``dims`` the lengths of x, z and y.
-    ``samples`` is a list built from the rows on first use, with states that
-    view them; ``final``, its last entry, is built alone.
+    ``table`` is the read-only table, ``dims`` the lengths of x, z and y and
+    ``cuts`` the first columns of z, y and the residuals. ``samples``, built on
+    first use, holds views of the rows; ``final``, its last entry, is built alone.
     """
 
     def __init__(self, table: np.ndarray, method: str, step: float, horizon: float,
                  dims: tuple):
-        self.table, self.dims = table, dims
+        self.table, self.dims, self.cuts = table, dims, _cuts(dims)
         self.method, self.step, self.horizon = method, step, horizon
         self._samples = self._final = None
 
     def _states(self, rows: slice = slice(None)):
         """The states of ``rows``, as views of them, stamped with their times."""
-        nx, nz, ny = self.dims
+        a, b, c = self.cuts
         tab = self.table[rows]
-        return map(PrimalDualState, tab[:, 1:1 + nx], tab[:, 1 + nx:1 + nx + nz],
-                   tab[:, 1 + nx + nz:1 + nx + nz + ny], map(float, tab[:, 0]))
+        return map(PrimalDualState, tab[:, 1:a], tab[:, a:b], tab[:, b:c],
+                   map(float, tab[:, 0]))
 
     def _samples_of(self, rows: slice) -> list:
-        residuals = self.table[rows, 1 + sum(self.dims):].tolist()
+        residuals = self.table[rows, self.cuts[2]:].tolist()
         return [TrajectorySample(st.t, st, feas, KKTResidual(rx, rz, feas))
                 for st, (feas, rx, rz) in zip(self._states(rows), residuals)]
 
@@ -69,18 +69,23 @@ class Trajectory:
         return self.table[:, 0]
 
 
+def _cuts(dims: tuple) -> tuple:
+    """The first columns of z, y and the residuals in a table of ``dims``."""
+    return 1 + dims[0], 1 + dims[0] + dims[1], 1 + sum(dims)
+
+
 class _Recorder:
-    """Appends the rows of a run's table. The buffer grows by blocks of at
-    least 64 KiB, or an eighth of its rows, and is trimmed once, at the end."""
+    """Appends the rows of a run's table but their z-residuals (:meth:`fill_rz`).
+    The buffer grows by blocks of at least 64 KiB, or an eighth of its rows,
+    and is trimmed once, at the end."""
 
     def __init__(self, dims: tuple):
-        self.dims, self.m = dims, 0
-        self.cuts = (1 + dims[0], 1 + dims[0] + dims[1], 1 + sum(dims))
+        self.dims, self.cuts, self.m = dims, _cuts(dims), 0
         self.width = self.cuts[2] + 3
         self.block = max(1, 8192 // self.width)
         self.rows = np.empty((self.block, self.width))
 
-    def add(self, t, x, z, y, feas, rx, rz) -> None:
+    def add(self, t, x, z, y, feas, rx) -> None:
         if self.m == len(self.rows):
             # No view of the buffer exists before finish, so it may move.
             self.rows.resize((self.m + max(self.block, self.m // 8), self.width),
@@ -88,8 +93,15 @@ class _Recorder:
         a, b, c = self.cuts
         row = self.rows[self.m]
         row[0], row[1:a], row[a:b], row[b:c] = t, x, z, y
-        row[c], row[c + 1], row[c + 2] = feas, rx, rz
+        row[c], row[c + 1] = feas, rx
         self.m += 1
+
+    def fill_rz(self, p: TwoBlockProblem) -> None:
+        """Write the z-residual column, a block of rows at a time."""
+        a, b, c = self.cuts
+        for i in range(0, self.m, self.block):
+            rows = self.rows[i:min(i + self.block, self.m)]
+            rows[:, c + 2] = p._z_residuals(rows[:, a:b], rows[:, b:c])
 
     def finish(self) -> np.ndarray:
         self.rows.resize((self.m, self.width), refcheck=False)
@@ -120,16 +132,6 @@ def _stop(feas: float, rx: float, rz: float, tol: Optional[tuple]) -> Optional[s
     return None if rz <= DIVERGED_ABOVE else "diverged"
 
 
-def _fill_rz(p: TwoBlockProblem, rec: _Recorder, rows: list) -> None:
-    """Write the z-residual of each row of the table whose index is in
-    ``rows``, and empty the list."""
-    if rows:
-        a, b, c = rec.cuts
-        idx = np.array(rows)
-        rec.rows[idx, c + 2] = p._z_residuals(rec.rows[idx, a:b], rec.rows[idx, b:c])
-        rows.clear()
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
          every: int, tol: Optional[tuple] = None) -> tuple:
@@ -156,33 +158,30 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
     branch: the update's A x+, B* and B z+, then A* y+ for the next x-step.
     A judged state gets its x-residual and, from r, its feasibility residual;
     its z-residual (one more B* y+ and a prox of g) only where the rule reads
-    it, where those two pass. A recorded state's z-residual that the rule
-    does not read is written later, for a block of rows at once (a recorder
-    block at the most, and the rest at the end), bit for bit the one the
-    state would get; it is a record only. Past the float range a squared
-    residual is an infinite residual: neither overflow nor an invalid
-    operation raises numpy's warning in the loop.
+    it, where those two pass. Whatever the rule read, every recorded row's
+    z-residual is written after the loop, a recorder block of rows at a time,
+    bit for bit the one the state would get; it is a record only. Past the
+    float range a squared residual is an infinite residual: neither overflow
+    nor an invalid operation raises numpy's warning in the loop.
     """
     s = p.state(s0.x, s0.z, s0.y)
     x, z, y = s.x, s.z, s.y
     A, B, At, Bt = p.mat_A, p.mat_B, p.mat_At, p.mat_Bt
     rec = _Recorder((p.dim_x, p.dim_z, p.dim_y))
     feas, rx, rz, aty, bz = p._sample(x, z, y)
-    rec.add(0.0, x, z, y, feas, rx, rz)
+    rec.add(0.0, x, z, y, feas, rx)
     status = _stop(feas, rx, rz, tol)
-    if status is not None:
-        return status, 0, rec, None
+    # A start state that stops the run takes no step.
+    status, stop = (status, 0) if status else ("max_iters", steps)
     # Without tol no state passes, and no z-residual is read in the loop.
     tol_kkt, tol_feas = tol or (-math.inf, -math.inf)
-    rows = []  # the recorded states whose z-residual waits
     coupling = stacked = exc = None
-    status, stop = "max_iters", steps
-    for k in range(steps):
+    for k in range(stop):
         try:
             up = step(k * h, x, z, y, aty, bz, coupling, stacked)
         except (ConvergenceError, ConditionError, CapabilityError) as err:
             if k % every:
-                rec.add(k * h, x, z, y, *p._sample(x, z, y)[:3])
+                rec.add(k * h, x, z, y, *p._sample(x, z, y)[:2])
             status, stop, exc = "error", k, err
             break
         x, z, w, bz, coupling, r, y_next, stacked = up
@@ -196,18 +195,13 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
             r = ax + bz if p.b_is_zero else ax + bz - p.b
         feas = math.sqrt(r.dot(r))
         rx = p._x_residual(x, aty)
-        read = rx <= tol_kkt and feas <= tol_feas
-        rz = p._z_residual(z, Bt.dot(y)) if read else math.nan
+        rz = p._z_residual(z, Bt.dot(y)) if rx <= tol_kkt and feas <= tol_feas else math.nan
         verdict = _stop(feas, rx, rz, tol)
         if verdict is None and not recorded:
             continue
-        if not read:
-            rows.append(rec.m)
-        rec.add((k + 1) * h, x, z, y, feas, rx, rz)
+        rec.add((k + 1) * h, x, z, y, feas, rx)
         if verdict is not None:
             status, stop = verdict, k + 1
             break
-        if len(rows) == rec.block:
-            _fill_rz(p, rec, rows)
-    _fill_rz(p, rec, rows)
+    rec.fill_rz(p)
     return status, stop, rec, exc

@@ -316,8 +316,8 @@ class TestStackedEnergy:
         table[:, 1:] = rng.standard_normal((m, 3 * n + 4)) * 10.0 ** rng.integers(-3, 4, (m, 1))
         ref = PrimalDualState(*rng.standard_normal((3, n)))
         snap = dynamics._snapshot(p, sched)
-        out = diagnostics._energy_column(p, snap, table, (n, n, n), ref)
         traj = Trajectory(table, "rk4", 0.02, m * 0.02, (n, n, n))
+        out = diagnostics._energy_column(p, snap, traj, ref)
         want = [per_row_energy(p, snap(s.t), s, ref) for s in traj._states()]
         assert out.tobytes() == np.array(want).tobytes()
         if kind == "prox-other-c":

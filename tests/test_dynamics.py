@@ -32,6 +32,7 @@ from amaflow import (
     gamma,
     integrate,
     prox_ama_run,
+    prox_ama_step,
     regularized_argmin,
     solve_x_subproblem,
     solve_z_subproblem,
@@ -217,14 +218,30 @@ class TestRegularizedArgmin:
         exact = np.linalg.solve(q, target - np.sign(out))
         assert np.linalg.norm(out - exact) <= 1e-8 * np.linalg.norm(exact)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("helper", ["regularized_argmin", "solve_z_subproblem", "gamma",
+                                        "prox_ama_step"])
     @pytest.mark.parametrize("target", [1e160, math.nan])
-    def test_inner_loop_fails_on_a_point_past_the_float_range(self, target):
+    def test_inner_loop_fails_on_a_point_past_the_float_range(self, ex_problem, helper,
+                                                              target):
         # Past |p| = 1.3e154 the squared norm is inf, and a relative step test
-        # would pass after one step, with Q p - target off by about 3e159.
+        # would pass after one step, with Q p - target off by about 3e159. The
+        # public helpers that reach the loop, the last three with a constant
+        # dense M2 from z = (target, target), raise without numpy's warning.
         q = DenseMap(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        z, zero = np.array([target, target]), np.zeros(2)
+        K = DenseMap([[0.6, 0.1], [0.1, 0.4]])
+        sched = ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2), ConstantDenseMetric(K))
+        calls = {
+            "regularized_argmin": lambda: regularized_argmin(L1Norm(2, 0.1), q, z),
+            "solve_z_subproblem": lambda: solve_z_subproblem(
+                ex_problem, sched.M2.at(0.0), 0.25, None, z, zero, zero),
+            "gamma": lambda: gamma(ex_problem, sched, 0.0, PrimalDualState(zero, z, zero)),
+            "prox_ama_step": lambda: prox_ama_step(ex_problem, sched.M1.at(0.0), sched.M2.at(0.0),
+                                                   0.25, PrimalDualState(zero, z, zero)),
+        }
         with pytest.raises(ConvergenceError, match="not finite"):
-            regularized_argmin(L1Norm(2, 0.1), q, [target, target])
+            calls[helper]()
 
 
 class TestGamma:

@@ -1,13 +1,14 @@
 """The run loop's array work beyond the update: fractional Euler and RK4 steps
-combined on one stacked (x, z, y) state, and the z-residuals of recorded rows
-that the stop rule does not read, written after the fact in row blocks. Each
-must give the bits of the blockwise, row-by-row computation it replaces."""
+combined on one stacked (x, z, y) state, and the z-residual column of the
+recorded rows, written after the loop in row blocks. Each must give the bits
+of the blockwise, row-by-row computation it replaces."""
 
 import math
 
 import numpy as np
 import pytest
 from test_loop_invariants import blockwise_rk4, same_bits, smooth_problem
+from test_trajectory import _Drop
 
 from amaflow import (
     BoxIndicator,
@@ -28,6 +29,7 @@ from amaflow import (
     TwoBlockProblem,
     ZeroFunction,
     ZeroMetric,
+    example_reference,
     example_schedule,
     integrate,
     prox_ama_run,
@@ -134,15 +136,13 @@ def kind_problem(g_kind, h2_kind, n=3, seed=17):
     return p, sched, s0
 
 
-def rows_z_residuals(p, table, dims):
-    """The z-residual column recomputed a row at a time, as the loop would."""
-    nx, nz, _ = dims
-    out = []
-    for row in table:
-        z = row[1 + nx:1 + nx + nz].copy()
-        y = row[1 + nx + nz:1 + sum(dims)].copy()
-        out.append(p._z_residual(z, p.mat_Bt.dot(y)))
-    return np.array(out)
+def rows_z_residuals(p, traj):
+    """The z-residual column recomputed a row at a time by ``kkt_residual``."""
+    return np.array([p.kkt_residual(s).rz for s in traj._states()])
+
+
+def rz_column(traj):
+    return traj.table[:, traj.cuts[2] + 2]
 
 
 class TestDeferredZResidual:
@@ -154,10 +154,9 @@ class TestDeferredZResidual:
         p, sched, s0 = kind_problem(g_kind, h2_kind)
         res = prox_ama_run(p, sched, s0, SolveConfig(max_iters=120, tol_kkt=1e-300,
                                                      tol_feas=1e-300, record_every=every))
-        table, dims = res.iterates.table, res.iterates.dims
-        assert len(table) == 120 // every + 1 + bool(120 % every)
-        rz = table[:, 1 + sum(dims) + 2]
-        assert rz.tobytes() == rows_z_residuals(p, table, dims).tobytes()
+        assert (res.status, res.iterations_used) == ("max_iters", 120)
+        assert len(res.iterates.table) == 120 // every + 1 + bool(120 % every)
+        assert rz_column(res.iterates).tobytes() == rows_z_residuals(p, res.iterates).tobytes()
 
     @pytest.mark.parametrize("g_kind", ["l1", "quadratic_form"])
     def test_the_column_is_the_rows_own_at_n_40(self, g_kind):
@@ -166,16 +165,22 @@ class TestDeferredZResidual:
         p, sched, s0 = kind_problem(g_kind, "quadratic_form", n=40)
         res = prox_ama_run(p, sched, s0, SolveConfig(max_iters=60, tol_kkt=1e-300,
                                                      tol_feas=1e-300, record_every=3))
-        table, dims = res.iterates.table, res.iterates.dims
-        assert len(table) == 21
-        rz = table[:, 1 + sum(dims) + 2]
-        assert rz.tobytes() == rows_z_residuals(p, table, dims).tobytes()
+        assert len(res.iterates.table) == 21
+        assert rz_column(res.iterates).tobytes() == rows_z_residuals(p, res.iterates).tobytes()
 
+    @pytest.mark.parametrize("run, stop, rows", [
+        ("c1-decay", ("converged", 4075), 4076), ("at-the-saddle", ("converged", 0), 1),
+        ("error", ("error", 5), 2), ("max-iters", ("max_iters", 50), 9)],
+        ids=["c1-decay", "at-the-saddle", "error", "max-iters"])
     @pytest.mark.parametrize("block", [1, 5, None])
     def test_the_column_is_the_rows_own_across_blocks(self, ex_problem, ex_start,
-                                                      monkeypatch, block):
-        # 4,076 recorded rows: five recorder blocks of 819 at n = 2, or blocks
-        # of 1 and 5 rows, whose z-residuals are written as each block fills.
+                                                      monkeypatch, block, run, stop, rows):
+        # The pass after the loop writes the column on every return path: a
+        # run that converges, at its start state too (the reference with z
+        # moved by 1e-8, so its z-residual is not 0), one whose step fails
+        # between recorded iterates, and one that takes every step; the
+        # longest, 4,076 rows, fills five recorder blocks of 819 at n = 2, or
+        # blocks of 1 and 5 rows.
         if block is not None:
             init = _Recorder.__init__
 
@@ -183,35 +188,52 @@ class TestDeferredZResidual:
                 init(self, *args)
                 self.block = block
             monkeypatch.setattr(_Recorder, "__init__", small_blocks)
-        sched = example_schedule("c1-decay", 0.99, ex_problem)
-        res = prox_ama_run(ex_problem, sched, ex_start, SolveConfig())
-        table, dims = res.iterates.table, res.iterates.dims
-        assert res.status == "converged" and len(table) == 4076
-        assert table[:, -1].tobytes() == rows_z_residuals(ex_problem, table, dims).tobytes()
+        sched, start, cfg = example_schedule(), ex_start, SolveConfig(record_every=7)
+        if run == "c1-decay":
+            sched, cfg = example_schedule("c1-decay", 0.99, ex_problem), SolveConfig()
+        elif run == "at-the-saddle":
+            ref = example_reference()
+            start = PrimalDualState(ref.x, ref.z + 1e-8, ref.y)
+        elif run == "error":
+            sched = ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2),
+                                      ScaledIdentityMetric(_Drop(1.0, 1e-14), 2))
+        else:
+            cfg = SolveConfig(max_iters=50, record_every=7)
+        res = prox_ama_run(ex_problem, sched, start, cfg)
+        assert (res.status, res.iterations_used) == stop
+        assert len(res.iterates.table) == rows
+        assert (res.iterates.table[:, -1].tobytes()
+                == rows_z_residuals(ex_problem, res.iterates).tobytes())
 
     def test_integrate_writes_the_column_too(self):
         p, sched, s0 = kind_problem("quadratic_form", "quadratic_form")
         traj = integrate(p, sched, s0, "rk4", 0.05, 5.0, 3)
-        rz = traj.table[:, 1 + sum(traj.dims) + 2]
-        assert rz.tobytes() == rows_z_residuals(p, traj.table, traj.dims).tobytes()
+        assert rz_column(traj).tobytes() == rows_z_residuals(p, traj).tobytes()
 
     def test_stopping_rows_read_their_z_residual_in_the_loop(self, ex_problem, ex_start,
                                                              monkeypatch):
         # A converged run's rows all pass the feasibility and x tolerances
-        # from some iterate on; those rows read rz at once, and only the rows
-        # before wait for the block pass.
-        waited = []
-        block = dynamics.TwoBlockProblem._z_residuals
+        # from some iterate on; the stop rule reads those rows' rz in the
+        # loop, and the start state's with its sample, to judge them. The
+        # pass after the loop writes the column of every row.
+        read, passed = [], []
+        row, block = dynamics.TwoBlockProblem._z_residual, dynamics.TwoBlockProblem._z_residuals
+
+        def counted_row(self, z, bty):
+            read.append(1)
+            return row(self, z, bty)
 
         def counted(self, z, y):
-            waited.append(len(z))
+            passed.append(len(z))
             return block(self, z, y)
+        monkeypatch.setattr(dynamics.TwoBlockProblem, "_z_residual", counted_row)
         monkeypatch.setattr(dynamics.TwoBlockProblem, "_z_residuals", counted)
         res = prox_ama_run(ex_problem, example_schedule(), ex_start, SolveConfig())
         table = res.iterates.table
         assert res.status == "converged"
         feas, rx = table[1:, -3], table[1:, -2]
-        assert sum(waited) == int(np.sum((feas > 1e-6) | (rx > 1e-6)))
+        assert len(read) == 1 + int(np.sum((feas <= 1e-6) & (rx <= 1e-6)))
+        assert passed == [len(table)] == [201]
 
 
 def blowing_up(w):

@@ -78,7 +78,7 @@ def test_table_layout_and_sample_views(ex_problem, ex_start):
                  integrate(ex_problem, sched, ex_start, method="rk4", h=0.1, T=5.0,
                            record_every=3)):
         table = traj.table
-        assert traj.dims == (2, 2, 2)
+        assert traj.dims == (2, 2, 2) and traj.cuts == (3, 5, 7)
         assert table.dtype == np.float64 and table.shape[1] == 10
         assert not table.flags.writeable
         assert np.array_equal(traj.times(), table[:, 0])
@@ -102,6 +102,7 @@ def test_solver_final_is_the_last_row(ex_problem, ex_start, ex_sched_c025):
 def test_an_empty_table():
     traj = _Recorder((3, 2, 4)).trajectory("prox-ama", 1.0, 0.0)
     assert traj.table.shape == (0, 13) and traj.samples == []
+    assert traj.cuts == (4, 6, 10)
     assert len(traj.times()) == 0
     with pytest.raises(ValueError, match="empty"):
         traj.final
