@@ -37,14 +37,12 @@ from .linop import LinearMap, ScaledIdentityMap, as_vector, matrix_of, sym_eigen
 from .problem import PrimalDualState, TwoBlockProblem, _record_every
 from .schedules import (
     ConstantDenseMetric,
-    ConstantSchedule,
-    CoupledReciprocal,
     ParameterSchedule,
     ProxFriendlyMetric,
-    ScalarSchedule,
     ScaledIdentityMetric,
     ZeroMetric,
     _check_own_b,
+    _constant,
 )
 from .trajectory import DIVERGED_ABOVE, Trajectory, TrajectorySample, _run
 
@@ -92,14 +90,6 @@ def _metric_matrix(M2_t: LinearMap) -> Optional[np.ndarray]:
     if isinstance(M2_t, ScaledIdentityMap) and M2_t.factor == 0.0:
         return None
     return matrix_of(M2_t)
-
-
-def _constant(s: ScalarSchedule) -> bool:
-    """Whether ``s.value_at(t)`` is one value for every t: a
-    :class:`ConstantSchedule`, or a :class:`CoupledReciprocal` of one."""
-    while type(s) is CoupledReciprocal:
-        s = s.other
-    return type(s) is ConstantSchedule
 
 
 def _once(at, read: list):

@@ -137,8 +137,18 @@ class CoupledReciprocal(ScalarSchedule):
         return self.numerator / self.other.value_at(t)
 
     def derivative_at(self, t):
+        if _constant(self.other):  # derivative 0; denom * denom may underflow to 0
+            return -self.numerator * self.other.derivative_at(t)
         denom = self.other.value_at(t)
         return -self.numerator * self.other.derivative_at(t) / (denom * denom)
+
+
+def _constant(s: ScalarSchedule) -> bool:
+    """Whether ``s.value_at(t)`` is one value for every t: a
+    :class:`ConstantSchedule`, or a :class:`CoupledReciprocal` of one."""
+    while type(s) is CoupledReciprocal:
+        s = s.other
+    return type(s) is ConstantSchedule
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +220,9 @@ class ProxFriendlyMetric(MetricSchedule):
 
     @cached_property
     def _btb(self) -> np.ndarray:
-        # Only the dense views below need B*B; the solvers' z-step, the energy
-        # and the validators use the metric's closed form and never build it.
+        # Only the dense views below need B*B. The energy and the validators use
+        # the metric's closed form; a run's z-step builds it through ``at`` only
+        # where this metric's c differs from the run's (see ``_snapshot``).
         bm = matrix_of(self.B)
         return bm.T @ bm
 
@@ -333,58 +344,12 @@ def _check_eps(p, eps: float) -> None:
         )
 
 
-def _powers(u: np.ndarray, e: float) -> np.ndarray:
-    """``u ** e`` a point at a time, as libm's pow gives it: numpy's array
-    power may round otherwise (a vectorized pow, and ``** 2`` as a square)."""
-    return np.array([v ** e for v in u.tolist()])
-
-
-def _grid_pass(s: ScalarSchedule, grid: np.ndarray) -> Optional[tuple]:
-    """Values and derivatives of a shipped kind of scalar schedule on the
-    grid, in whole-array passes, or None for a kind not shipped (a subclass
-    included). Each value is the one ``value_at`` or ``derivative_at`` gives
-    at that point: the passes make the same IEEE operations in its order."""
-    kind = type(s)
-    if kind is ConstantSchedule:
-        return np.full(grid.size, s.value), np.zeros(grid.size)
-    if kind is ReciprocalQuadratic:
-        q = grid * grid + s.a
-        return 1.0 / q + s.offset, -2.0 * grid / _powers(q, 2)
-    if kind is ReciprocalSqrt:
-        u = grid + s.a
-        return 1.0 / np.sqrt(u) + s.offset, -0.5 * _powers(u, -1.5)
-    if kind is CoupledReciprocal:
-        inner = _grid_pass(s.other, grid)
-        if inner is not None:
-            v, d = inner
-            return s.numerator / v, -s.numerator * d / (v * v)
-    return None
-
-
-# Grids this long or longer take the whole-array passes. On a shorter grid,
-# reading point by point costs less than the passes' fixed cost: an errstate
-# and a few array calls, 20-60 us with cold caches, against ~0.5 us a point.
-_PASS_POINTS = 64
-
-
 def _on_grid(s: ScalarSchedule, grid: np.ndarray) -> tuple:
-    """Values and derivatives of a scalar schedule on the grid.
-
-    The shipped kinds take whole-array passes on a grid of at least
-    ``_PASS_POINTS`` points. Where a pass raises a floating point exception
-    (an overflow, say), on a shorter grid and for a kind not shipped, every
-    point is read alone, through ``value_at`` and ``derivative_at``, so the
-    values and numpy's warnings are those of the per-point reading.
-    """
-    passes = None
-    if grid.size >= _PASS_POINTS:
-        try:
-            with np.errstate(all="raise"):
-                passes = _grid_pass(s, grid)
-        except ArithmeticError:
-            pass
-    if passes is not None:
-        return passes
+    """Values and derivatives of a scalar schedule on the grid: read once, at
+    t = 0, for a schedule that does not depend on t, and otherwise at every
+    point through ``value_at`` and ``derivative_at``."""
+    if _constant(s):
+        return np.full(grid.size, s.value_at(0.0)), np.full(grid.size, s.derivative_at(0.0))
     return (np.array([s.value_at(t) for t in grid]),
             np.array([s.derivative_at(t) for t in grid]))
 
