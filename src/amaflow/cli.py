@@ -18,6 +18,7 @@ if __name__ == "__main__":
     gc.disable()
 
 import argparse
+import atexit
 import os
 import sys
 from typing import NoReturn
@@ -310,14 +311,27 @@ def entry() -> NoReturn:
 
     Moves every object the imports created into the collector's permanent
     generation (``gc.freeze()``), so no later collection walks them again,
-    those the interpreter runs at exit included, then switches the collector
-    back on (run as ``__main__``, the module imported with it off) and exits
-    with :func:`main`'s code. :func:`main` never freezes: a library call
-    leaves its caller's collector as it found it.
+    then switches the collector back on (run as ``__main__``, the module
+    imported with it off) and calls :func:`main`. :func:`main` never
+    freezes: a library call leaves its caller's collector as it found it.
+
+    Once :func:`main` returns, every file it wrote is closed. The entry runs
+    the atexit callbacks, flushes stdout and stderr and ends the process with
+    ``os._exit`` and :func:`main`'s code, without tearing the modules down.
+    A flush that raises leaves through ``sys.exit`` instead, so the
+    interpreter reports the lost output, and exits, as it would have; so does
+    an exception out of :func:`main`.
     """
     gc.freeze()
     gc.enable()
-    sys.exit(main())
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -392,7 +392,7 @@ def _euler_step(p: TwoBlockProblem, snap, h: float, require_uniform: bool = True
             s = np.concatenate((x, z, y))
         np.subtract(up.x, x, dx)
         np.subtract(up.z, z, dz)
-        np.copyto(dy, up.w)
+        dy[...] = up.w
         s = s + d * h
         return Update(s[:a], s[a:b], None, None, up.coupling, None, s[b:], s)
     return step

@@ -134,13 +134,20 @@ class CoupledReciprocal(ScalarSchedule):
         self.other = other
 
     def value_at(self, t):
-        return self.numerator / self.other.value_at(t)
+        try:
+            return self.numerator / self.other.value_at(t)
+        except ZeroDivisionError:  # other's value underflowed to 0
+            return math.inf
 
     def derivative_at(self, t):
         if _constant(self.other):  # derivative 0; denom * denom may underflow to 0
             return -self.numerator * self.other.derivative_at(t)
         denom = self.other.value_at(t)
-        return -self.numerator * self.other.derivative_at(t) / (denom * denom)
+        num = -self.numerator * self.other.derivative_at(t)
+        square = denom * denom
+        if square == 0.0:  # underflowed: divide by denom twice
+            return num / denom / denom
+        return num / square
 
 
 def _constant(s: ScalarSchedule) -> bool:

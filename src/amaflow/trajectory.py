@@ -156,32 +156,35 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
 
     A unit step streams the matrices four times, A B B A on the prox-friendly
     branch: the update's A x+, B* and B z+, then A* y+ for the next x-step.
-    A judged state gets its x-residual and, from r, its feasibility residual;
-    its z-residual (one more B* y+ and a prox of g) only where the rule reads
-    it, where those two pass. Whatever the rule read, every recorded row's
-    z-residual is written after the loop, a recorder block of rows at a time,
-    bit for bit the one the state would get; it is a record only. Past the
-    float range a squared residual is an infinite residual: neither overflow
-    nor an invalid operation raises numpy's warning in the loop.
+    A judged state, the start state too, gets its x-residual and its
+    feasibility residual; its z-residual (one more B* y and a prox of g) only
+    where the rule reads it, where those two pass. Whatever the rule read,
+    every recorded row's z-residual is written after the loop, a recorder
+    block of rows at a time, bit for bit the one the state would get; it is a
+    record only. Past the float range a squared residual is an infinite
+    residual: neither overflow nor an invalid operation raises numpy's
+    warning in the loop.
     """
     s = p.state(s0.x, s0.z, s0.y)
     x, z, y = s.x, s.z, s.y
     A, B, At, Bt = p.mat_A, p.mat_B, p.mat_At, p.mat_Bt
     rec = _Recorder((p.dim_x, p.dim_z, p.dim_y))
-    feas, rx, rz, aty, bz = p._sample(x, z, y)
+    # Without tol no state passes, and no z-residual is read.
+    tol_kkt, tol_feas = tol or (-math.inf, -math.inf)
+    aty, bz = At.dot(y), B.dot(z)
+    feas, rx = p._feas(A.dot(x), bz), p._x_residual(x, aty)
+    rz = p._z_residual(z, Bt.dot(y)) if rx <= tol_kkt and feas <= tol_feas else math.nan
     rec.add(0.0, x, z, y, feas, rx)
     status = _stop(feas, rx, rz, tol)
     # A start state that stops the run takes no step.
     status, stop = (status, 0) if status else ("max_iters", steps)
-    # Without tol no state passes, and no z-residual is read in the loop.
-    tol_kkt, tol_feas = tol or (-math.inf, -math.inf)
     coupling = stacked = exc = None
     for k in range(stop):
         try:
             up = step(k * h, x, z, y, aty, bz, coupling, stacked)
         except (ConvergenceError, ConditionError, CapabilityError) as err:
             if k % every:
-                rec.add(k * h, x, z, y, *p._sample(x, z, y)[:2])
+                rec.add(k * h, x, z, y, p._feas(A.dot(x), B.dot(z)), p._x_residual(x, aty))
             status, stop, exc = "error", k, err
             break
         x, z, w, bz, coupling, r, y_next, stacked = up

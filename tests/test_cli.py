@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ def check_outcome(rc, out, prefix, mode, status):
     return report
 
 
+# tau = 2/(1e-300/c) at c = 1e30: the inner value underflows to 0.
+HUGE_C = {"schedules__c": {"kind": "constant", "value": 1e30},
+          "schedules__tau": {"kind": "coupled_reciprocal", "numerator": 2.0,
+                             "other": {"kind": "coupled_reciprocal", "numerator": 1e-300,
+                                       "of": "c"}}}
+
+
 class TestValidate:
     def test_passing_file(self, tmp_path, capsys):
         rc = main(["validate", write(tmp_path, doc())])
@@ -80,6 +88,25 @@ class TestValidate:
         assert rc == 1
         assert "passed: false" in out
         assert "rule=c-range passed=false" in out
+
+    @pytest.mark.parametrize("edit, rule", [
+        (HUGE_C, "c-range"),
+        ({"schedules__c": {"kind": "reciprocal_quadratic", "a": 1e300}}, "c-range"),
+    ], ids=["tau-underflowing-denominator", "c-square-underflows"])
+    def test_a_schedule_past_the_float_range_is_a_failed_check(self, edit, rule, tmp_path,
+                                                               capsys):
+        # tau = 2/(1e-300/c) at c = 1e30 divides by an inner value that
+        # underflows to 0: tau is inf. tau = 0.99/c with c = 1/(t^2 + 1e300)
+        # has a derivative whose c^2 underflows: it reads 0, not NaN. The
+        # only warnings are numpy's on the true overflows of 1e300^2.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["validate", write(tmp_path, doc(**edit))])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert f"check: rule={rule} passed=false" in out
+        assert "witness=nan" not in out
+        assert all(str(w.message).startswith("overflow") for w in caught)
 
     def test_corollary_mode(self, tmp_path, capsys):
         rc = main(["validate", write(tmp_path, doc()), "--corollary"])
@@ -276,6 +303,20 @@ class TestSolve:
                                mode, "error")
         if mode != "prox-ama":
             assert "aborted" in report
+
+    def test_an_infinite_tau_is_refused_and_diverges_when_forced(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = write(tmp_path, doc(**HUGE_C))
+        rc = main(["solve", path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.endswith("rerun with --force to solve anyway\n")
+        assert not list(tmp_path.glob("*.csv"))
+        rc = main(["solve", path, "--force", "--max-iters", "5"])
+        report = check_outcome(rc, capsys.readouterr().out, tmp_path / "prob-prox-ama",
+                               "prox-ama", "diverged")
+        assert "message: residual NaN or past 1e+150 at iteration 1" in report
 
     @pytest.mark.parametrize("c, max_iters, status", [
         (50.0, "300", "diverged"), (0.25, "300", "converged"), (0.25, "5", "max_iters"),
@@ -540,13 +581,36 @@ ENTRY_CASES = {
 }
 
 
-def _run_process(args, cwd, extra_env=None):
-    """``python ARGS`` in ``cwd`` with this amaflow on the path, output captured."""
-    env = dict(os.environ, **(extra_env or {}))
+def _run_process(args, cwd, extra_env=None, stdout=subprocess.PIPE):
+    """``python ARGS`` in ``cwd`` with this amaflow on the path, stderr and,
+    unless ``stdout`` is given, stdout captured. A variable that ``extra_env``
+    sets to None is removed."""
+    env = {key: value for key, value in dict(os.environ, **(extra_env or {})).items()
+           if value is not None}
     src = os.path.dirname(os.path.dirname(os.path.abspath(amaflow.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
+
+
+def _exits_in_process(monkeypatch, calls):
+    """Record the entry's atexit run and its ``os._exit(code)`` in ``calls``
+    instead of making them, so the entry returns to the test."""
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: calls.append("exitfuncs"))
+    monkeypatch.setattr(cli.os, "_exit", lambda code: calls.append(("_exit", code)))
+
+
+# Run the module as ``python -m`` does (runpy.run_module with alter_sys), with
+# the process's exit code printed by a wrapped os._exit; an exception out of
+# main never reaches it.
+RUN_MODULE = ("import os, runpy, sys\n"
+              "_exit = os._exit\n"
+              "def reported_exit(code):\n"
+              "    print('exit', code, *report(), flush=True)\n"
+              "    _exit(code)\n"
+              "os._exit = reported_exit\n"
+              "sys.argv = ['amaflow', *sys.argv[1:]]\n"
+              "runpy.run_module('amaflow.cli', run_name='__main__', alter_sys=True)\n")
 
 
 class TestEntry:
@@ -592,10 +656,10 @@ class TestEntry:
         calls = []
         monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
         monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
-        with pytest.raises(SystemExit) as exc:
-            cli.entry()
-        assert exc.value.code == 3
-        assert calls == ["freeze", "main"]
+        _exits_in_process(monkeypatch, calls)
+        cli.entry()
+        assert calls[-1] == ("_exit", 3)
+        assert calls == ["freeze", "main", "exitfuncs", ("_exit", 3)]
 
     def test_running_the_module_collects_nothing_before_the_freeze(self, tmp_path):
         # With the modules' bytecode cached, as an installed package or the
@@ -609,15 +673,16 @@ class TestEntry:
                                  "sys.exit(not compileall.compile_dir(sys.argv[1], quiet=1))",
                                  src], tmp_path, env)
         assert compiled.returncode == 0
-        script = ("import gc, runpy, sys\n"
+        # The count is printed by an atexit callback, which the entry runs
+        # after main and before its os._exit.
+        script = ("import atexit, gc, runpy, sys\n"
                   "starts = []\n"
                   "gc.callbacks.append(lambda phase, info: phase == 'start'\n"
                   "                    and not gc.get_freeze_count() and starts.append(1))\n"
+                  "atexit.register(lambda: print('collections', len(starts),\n"
+                  "                              'enabled', gc.isenabled()))\n"
                   "sys.argv = ['amaflow', 'norm', sys.argv[1]]\n"
-                  "try:\n"
-                  "    runpy.run_module('amaflow.cli', run_name='__main__', alter_sys=True)\n"
-                  "finally:\n"
-                  "    print('collections', len(starts), 'enabled', gc.isenabled())\n")
+                  "runpy.run_module('amaflow.cli', run_name='__main__', alter_sys=True)\n")
         proc = _run_process(["-c", script, write(tmp_path, doc())], tmp_path, env)
         assert proc.returncode == 0
         assert proc.stdout.decode().endswith("collections 0 enabled True\n")
@@ -638,9 +703,82 @@ class TestEntry:
         monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
         monkeypatch.setattr(gc, "enable", lambda: calls.append("enable"))
         monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
-        with pytest.raises(SystemExit):
+        _exits_in_process(monkeypatch, calls)
+        cli.entry()
+        assert calls == ["freeze", "enable", "main", "exitfuncs", ("_exit", 0)]
+
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    def test_a_flush_that_raises_exits_through_the_interpreter(self, stream, monkeypatch):
+        class Full:
+            def flush(self):
+                calls.append(f"flush {stream}")
+                raise OSError(28, "No space left on device")
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: 1)
+        monkeypatch.setattr(sys, stream, Full())
+        _exits_in_process(monkeypatch, calls)
+        with pytest.raises(SystemExit) as exc:
             cli.entry()
-        assert calls == ["freeze", "enable", "main"]
+        assert exc.value.code == 1
+        assert calls == ["exitfuncs", f"flush {stream}"]
+
+    def test_a_main_that_raises_exits_through_the_interpreter(self, tmp_path):
+        # The traceback and exit 1 of an uncaught exception; the atexit
+        # callback runs once, at the interpreter's exit, and os._exit never.
+        script = ("import atexit, amaflow.probfile\n"
+                  "def boom(path):\n"
+                  "    raise RuntimeError('boom')\n"
+                  "amaflow.probfile.load_problem_file = boom\n"
+                  "report = lambda: ()\n"
+                  "atexit.register(print, 'atexit callback')\n" + RUN_MODULE)
+        proc = _run_process(["-c", script, "norm", write(tmp_path, doc())], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout.decode() == "atexit callback\n"
+        err = proc.stderr.decode()
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("\nRuntimeError: boom\n")
+
+    @pytest.mark.parametrize("full", [False, True], ids=["stdout", "dev-full"])
+    def test_an_atexit_callback_runs_once(self, full, tmp_path):
+        # Registered before run_module; the entry runs it, and the interpreter
+        # does not run it again, also when a failed flush sends the process
+        # out through sys.exit.
+        script = ("import atexit, runpy, sys\n"
+                  "atexit.register(lambda: sys.stderr.write('atexit callback\\n'))\n"
+                  "sys.argv = ['amaflow', 'norm', sys.argv[1]]\n"
+                  "runpy.run_module('amaflow.cli', run_name='__main__', alter_sys=True)\n")
+        with open(os.devnull if not full else "/dev/full", "w") as out:
+            proc = _run_process(["-c", script, write(tmp_path, doc())], tmp_path,
+                                {"PYTHONUNBUFFERED": None}, stdout=out)
+        assert proc.returncode == (120 if full else 0)
+        assert proc.stderr.decode().count("atexit callback\n") == 1
+        assert proc.stderr.decode().startswith("atexit callback\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_output_lost_on_a_full_device_is_reported(self, unbuffered, tmp_path):
+        # Buffered, the lines reach the device only at the exit's flush,
+        # which fails: the interpreter reports it and exits 120, as it does
+        # for sys.exit(main()). Unbuffered, the first print fails in main.
+        path = write(tmp_path, doc())
+        env = {"PYTHONUNBUFFERED": unbuffered}
+        runs = {}
+        for side, args in {"entry": ["-m", "amaflow.cli", "norm", path],
+                           "sys.exit": ["-c", "import sys; from amaflow.cli import main; "
+                                        "sys.exit(main())", "norm", path]}.items():
+            with open("/dev/full", "w") as full:
+                proc = _run_process(args, tmp_path, env, stdout=full)
+            runs[side] = proc.returncode, proc.stderr.decode()
+        assert runs["entry"] == runs["sys.exit"]
+        code, err = runs["entry"]
+        if unbuffered:
+            assert (code, err) == (1, "error: [Errno 28] No space left on device\n")
+            return
+        assert code == 120
+        first, second = err.splitlines()
+        assert first.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>' ")
+        assert second == "OSError: [Errno 28] No space left on device"
+        assert "Traceback" not in err
 
 
 # The package modules each subcommand imports, run as ``python -m amaflow.cli``,
@@ -662,17 +800,15 @@ class TestImports:
         args = {"validate": [write(tmp_path, doc())], "norm": [write(tmp_path, doc())],
                 "solve": [write(tmp_path, doc()), "--max-iters", "3"],
                 "paper-example": ["--max-iters", "3"]}[command]
-        script = ("import runpy, sys\n"
-                  "sys.argv = ['amaflow', *sys.argv[1:]]\n"
-                  "try:\n"
-                  "    runpy.run_module('amaflow.cli', run_name='__main__', alter_sys=True)\n"
-                  "except SystemExit as exc:\n"
-                  "    code = exc.code\n"
-                  "print(code, 'json' in sys.modules,\n"
-                  "      *sorted(m[8:] for m in sys.modules if m.startswith('amaflow.')))\n")
+        script = ("import sys\n"
+                  "def report():\n"
+                  "    return ('json' in sys.modules,\n"
+                  "            *sorted(m[8:] for m in sys.modules if m.startswith('amaflow.')))\n"
+                  + RUN_MODULE)
         proc = _run_process(["-c", script, command, *args], tmp_path)
         modules, json_loaded = SUBCOMMAND_IMPORTS[command]
-        code, loads_json, *loaded = proc.stdout.decode().splitlines()[-1].split()
+        exit_, code, loads_json, *loaded = proc.stdout.decode().splitlines()[-1].split()
+        assert exit_ == "exit"
         assert code == "0"
         assert loaded == modules
         assert loads_json == str(json_loaded)
