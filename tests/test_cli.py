@@ -89,12 +89,10 @@ class TestValidate:
         assert "passed: false" in out
         assert "rule=c-range passed=false" in out
 
-    @pytest.mark.parametrize("edit, rule", [
-        (HUGE_C, "c-range"),
-        ({"schedules__c": {"kind": "reciprocal_quadratic", "a": 1e300}}, "c-range"),
+    @pytest.mark.parametrize("edit", [
+        HUGE_C, {"schedules__c": {"kind": "reciprocal_quadratic", "a": 1e300}},
     ], ids=["tau-underflowing-denominator", "c-square-underflows"])
-    def test_a_schedule_past_the_float_range_is_a_failed_check(self, edit, rule, tmp_path,
-                                                               capsys):
+    def test_a_schedule_past_the_float_range_is_a_failed_check(self, edit, tmp_path, capsys):
         # tau = 2/(1e-300/c) at c = 1e30 divides by an inner value that
         # underflows to 0: tau is inf. tau = 0.99/c with c = 1/(t^2 + 1e300)
         # has a derivative whose c^2 underflows: it reads 0, not NaN. The
@@ -104,7 +102,7 @@ class TestValidate:
             rc = main(["validate", write(tmp_path, doc(**edit))])
         out = capsys.readouterr().out
         assert rc == 1
-        assert f"check: rule={rule} passed=false" in out
+        assert "check: rule=c-range passed=false" in out
         assert "witness=nan" not in out
         assert all(str(w.message).startswith("overflow") for w in caught)
 
@@ -658,7 +656,6 @@ class TestEntry:
         monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
         _exits_in_process(monkeypatch, calls)
         cli.entry()
-        assert calls[-1] == ("_exit", 3)
         assert calls == ["freeze", "main", "exitfuncs", ("_exit", 3)]
 
     def test_running_the_module_collects_nothing_before_the_freeze(self, tmp_path):
@@ -754,7 +751,6 @@ class TestEntry:
         assert proc.stderr.decode().count("atexit callback\n") == 1
         assert proc.stderr.decode().startswith("atexit callback\n")
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
     def test_output_lost_on_a_full_device_is_reported(self, unbuffered, tmp_path):
         # Buffered, the lines reach the device only at the exit's flush,
