@@ -4,8 +4,10 @@ Subcommands: ``validate`` (schedule hypothesis checks on a problem file),
 ``solve`` (run one of the four solver modes on a problem file),
 ``paper-example`` (the bundled worked example with its named parameter
 variants), and ``norm`` (operator norms of A and B). Exit codes: 0 ok,
-1 validation or capability failure, 2 parse error, 3 solver error or
-divergence.
+1 validation or capability failure, 2 parse error or usage error (an unknown
+option, or a value of the wrong type or outside the choices), 3 solver error
+or divergence. Options take ``--opt value`` or ``--opt=value``, and any
+unique prefix of their names; ``-h`` lists a command's options.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ if __name__ == "__main__":
     # entry() freezes, so the collector stays off until then.
     gc.disable()
 
-import argparse
 import atexit
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import NoReturn
 
 import numpy as np
@@ -247,45 +250,192 @@ def _stem(path: str) -> str:
     return base.rsplit(".", 1)[0] if "." in base else base
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="amaflow",
-                                 description="Two-block separable solver toolkit")
-    sub = ap.add_subparsers(dest="command", required=True)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_HELP = ("-h", "--help")
 
-    v = sub.add_parser("validate", help="check schedule hypotheses for a problem file")
-    v.add_argument("file")
-    v.add_argument("--eps", type=float, default=0.005)
-    v.add_argument("--grid", default=None,
-                   help="comma-separated time grid (default: dense 0..100 plus log tail)")
-    v.add_argument("--corollary", action="store_true",
-                   help="check the prox-friendly (c, tau) conditions instead")
-    v.set_defaults(func=cmd_validate)
 
-    s = sub.add_parser("solve", help="solve a problem file")
-    s.add_argument("file")
-    e = sub.add_parser("paper-example", help="run the bundled worked example")
-    e.add_argument("--c-schedule", choices=C_VARIANTS, default="c025")
-    e.add_argument("--tau-c", choices=sorted(TAU_C_VARIANTS), default="tc099")
-    for run in (s, e):  # the run options both share
-        run.add_argument("--mode", choices=MODES, default="prox-ama")
-        run.add_argument("--step", type=float, default=None, help="integrator step size")
-        run.add_argument("--horizon", type=float, default=None,
-                         help="integration horizon T")
-        run.add_argument("--max-iters", type=int, default=None)
-        run.add_argument("--tol", type=float, default=None,
-                         help="sets both the KKT and feasibility tolerances")
-        run.add_argument("--record-every", type=int, default=None)
-        run.add_argument("--out-prefix", default=None)
-    s.add_argument("--eps", type=float, default=0.005)
-    s.add_argument("--force", action="store_true",
-                   help="run even if schedule validation fails")
-    s.set_defaults(func=cmd_solve)
-    e.set_defaults(func=cmd_paper_example)
+class _Parser:
+    """The command line, read by the rules of argparse for the forms these
+    commands take: ``--opt value`` or ``--opt=value``, a unique prefix of an
+    option's name, a token like ``-3`` as a value, FILE anywhere among the
+    options or after ``--``, and the last of a repeated option.
 
-    n = sub.add_parser("norm", help="print the operator norms of A and B")
-    n.add_argument("file")
-    n.set_defaults(func=cmd_norm)
-    return ap
+    ``commands`` maps each subcommand to its handler, whether it takes FILE,
+    its line of help and its options, each ``(name, kind, default, help)``:
+    a kind is a type, a tuple of choices, or None for a flag.
+    """
+
+    def __init__(self, commands: dict):
+        self.commands = commands
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        """The namespace of ``argv`` (``sys.argv[1:]`` when None): ``command``,
+        ``func`` (the handler), ``file`` where the command takes one, and each
+        option by its name in snake case. ``-h`` prints the help and raises
+        ``SystemExit(0)``; a usage error prints the usage and the error to
+        stderr and raises ``SystemExit(2)``."""
+        argv = sys.argv[1:] if argv is None else list(argv)
+        if not argv:
+            self._error(None, "the following arguments are required: command")
+        command = argv[0]
+        if command in _HELP or (len(command) > 2 and "--help".startswith(command)):
+            self._help(None)
+        if command not in self.commands:
+            choices = ", ".join(map(repr, self.commands))
+            self._error(None, f"argument command: invalid choice: {command!r} "
+                              f"(choose from {choices})")
+        return self._parse(command, argv[1:])
+
+    def _parse(self, command: str, tokens: list) -> SimpleNamespace:
+        func, takes_file, _, options = self.commands[command]
+        kinds = {name: kind for name, kind, _, _ in options}
+        ns = SimpleNamespace(command=command, func=func,
+                             **{_dest(name): default for name, _, default, _ in options})
+        rest, i = [], 0  # (token, whether it is an unknown option)
+        while i < len(tokens):
+            tok = tokens[i]
+            i += 1
+            if tok == "--":  # the tokens after it are positionals
+                rest += ((tok, False) for tok in tokens[i:])
+                break
+            option = self._option(command, tok)
+            if option is None:
+                rest.append((tok, False))
+                continue
+            name, value = option
+            if name is None:
+                rest.append((tok, True))
+            elif name in _HELP:
+                self._help(command)
+            elif kinds[name] is None:
+                if value is not None:
+                    self._error(command, f"argument {name}: ignored explicit argument {value!r}")
+                setattr(ns, _dest(name), True)
+            else:
+                if value is None:
+                    if i == len(tokens) or tokens[i] == "--" \
+                            or self._option(command, tokens[i]) is not None:
+                        self._error(command, f"argument {name}: expected one argument")
+                    value = tokens[i]
+                    i += 1
+                setattr(ns, _dest(name), self._convert(command, name, kinds[name], value))
+        if takes_file:
+            first = next((k for k, (_, unknown) in enumerate(rest) if not unknown), None)
+            if first is None:
+                self._error(command, "the following arguments are required: FILE")
+            ns.file = rest.pop(first)[0]
+        if rest:
+            self._error(command, f"unrecognized arguments: {' '.join(tok for tok, _ in rest)}")
+        return ns
+
+    def _option(self, command: str, tok: str):
+        """None where ``tok`` is a positional; else the option it names (None
+        for an unknown one) and the value given after ``=`` (None if none).
+        A prefix of more than one option's name is a usage error."""
+        if tok[:1] != "-" or len(tok) == 1:
+            return None
+        names = [*_HELP, *(name for name, _, _, _ in self.commands[command][3])]
+        flag, eq, value = tok.partition("=")
+        if flag in names:
+            return flag, value if eq else None
+        if tok.startswith("--"):
+            matches = [name for name in names if name.startswith(flag)]
+            if len(matches) > 1:
+                self._error(command, f"ambiguous option: {tok} could match "
+                                     f"{', '.join(matches)}")
+            if matches:
+                return matches[0], value if eq else None
+        return None if _is_value(tok) else (None, None)
+
+    def _convert(self, command: str, name: str, kind, value: str):
+        if isinstance(kind, tuple):
+            if value not in kind:
+                self._error(command, f"argument {name}: invalid choice: {value!r} "
+                                     f"(choose from {', '.join(map(repr, kind))})")
+            return value
+        try:
+            return kind(value)
+        except ValueError:
+            self._error(command, f"argument {name}: invalid {kind.__name__} value: {value!r}")
+
+    def _usage(self, command) -> str:
+        if command is None:
+            return f"usage: amaflow [-h] {{{','.join(self.commands)}}} ..."
+        _, takes_file, _, options = self.commands[command]
+        parts = ["usage: amaflow", command, "[-h]"]
+        parts += (f"[{_metavar(name, kind)}]" for name, kind, _, _ in options)
+        return " ".join(parts + ["FILE"] * takes_file)
+
+    def _help(self, command) -> NoReturn:
+        if command is None:
+            about = "Two-block separable solver toolkit"
+            rows = [(name, entry[2]) for name, entry in self.commands.items()]
+            rows.append(("-h, --help", "show this help message and exit"))
+        else:
+            _, takes_file, about, options = self.commands[command]
+            rows = [("FILE", "the problem file")] * takes_file
+            rows.append(("-h, --help", "show this help message and exit"))
+            for name, kind, default, text in options:
+                if default is not None and kind is not None:
+                    text = f"{text or ''} (default: {default})".lstrip()
+                rows.append((_metavar(name, kind), text or ""))
+        print(self._usage(command), "", about, "", sep="\n")
+        print("\n".join(f"  {left:<22}  {right}".rstrip() for left, right in rows))
+        raise SystemExit(0)
+
+    def _error(self, command, message: str) -> NoReturn:
+        prog = "amaflow" if command is None else f"amaflow {command}"
+        print(self._usage(command), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _is_value(tok: str) -> bool:
+    """Whether ``tok``, which starts with ``-`` and names no option, is a
+    value all the same, as argparse reads it: a negative number, or a token
+    with a space."""
+    return bool(_NEGATIVE_NUMBER.match(tok)) or " " in tok
+
+
+def _dest(name: str) -> str:
+    return name[2:].replace("-", "_")
+
+
+def _metavar(name: str, kind) -> str:
+    if kind is None:
+        return name
+    if isinstance(kind, tuple):
+        return f"{name} {{{','.join(kind)}}}"
+    return f"{name} {_dest(name).upper()}"
+
+
+def build_parser() -> _Parser:
+    """The parser of amaflow's command line, from its one table of commands.
+
+    The table is built on each call, so each handler is the module's
+    attribute of that moment.
+    """
+    eps = ("--eps", float, 0.005, None)
+    run = [("--mode", MODES, "prox-ama", None),  # the run options of both runs
+           ("--step", float, None, "integrator step size"),
+           ("--horizon", float, None, "integration horizon T"),
+           ("--max-iters", int, None, None),
+           ("--tol", float, None, "sets both the KKT and feasibility tolerances"),
+           ("--record-every", int, None, None),
+           ("--out-prefix", str, None, None)]
+    return _Parser({
+        "validate": (cmd_validate, True, "check schedule hypotheses for a problem file", [
+            eps,
+            ("--grid", str, None,
+             "comma-separated time grid (default: dense 0..100 plus log tail)"),
+            ("--corollary", None, False,
+             "check the prox-friendly (c, tau) conditions instead")]),
+        "solve": (cmd_solve, True, "solve a problem file", [
+            *run, eps, ("--force", None, False, "run even if schedule validation fails")]),
+        "paper-example": (cmd_paper_example, False, "run the bundled worked example", [
+            ("--c-schedule", C_VARIANTS, "c025", None),
+            ("--tau-c", tuple(sorted(TAU_C_VARIANTS)), "tc099", None), *run]),
+        "norm": (cmd_norm, True, "print the operator norms of A and B", []),
+    })
 
 
 def main(argv=None) -> int:

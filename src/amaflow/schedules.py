@@ -497,7 +497,9 @@ def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
     checks.append(CheckResult("tau-derivative-ratio-bounded", math.isfinite(ratio),
                               ratio, math.inf))
 
-    coupling_excess = float(np.max(c_vals * tau_vals * b2 - (1.0 - tau_vals * l2 / 4.0)))
+    # tau L2 / 4, formed only where L2 > 0: an infinite tau times L2 = 0 is NaN.
+    tau_l2 = tau_vals * l2 / 4.0 if l2 > 0 else 0.0
+    coupling_excess = float(np.max(c_vals * tau_vals * b2 - (1.0 - tau_l2)))
     checks.append(CheckResult("coupling-inequality", coupling_excess <= 1e-9,
                               coupling_excess, 0.0))
 
@@ -505,7 +507,7 @@ def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
     checks.append(CheckResult("derivative-coupling", deriv_excess <= 1e-9,
                               deriv_excess, 0.0))
 
-    strict_margin = float(np.min(1.0 - tau_vals * l2 / 4.0 - c_vals * tau_vals * b2))
+    strict_margin = float(np.min(1.0 - tau_l2 - c_vals * tau_vals * b2))
     cond_witness = max(strict_margin, p.btb_min)
     checks.append(CheckResult("convergence-condition", cond_witness > 1e-10,
                               cond_witness, 1e-10))

@@ -106,6 +106,16 @@ class TestValidate:
         assert "witness=nan" not in out
         assert all(str(w.message).startswith("overflow") for w in caught)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_infinite_tau_with_l2_zero_has_finite_corollary_witnesses(self, tmp_path,
+                                                                        capsys):
+        # tau L2 / 4 is 0 where L2 = 0, not inf * 0 = NaN.
+        rc = main(["validate", write(tmp_path, doc(**HUGE_C)), "--corollary"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert "check: rule=coupling-inequality passed=false witness=inf threshold=0" in out
+        assert "check: rule=convergence-condition passed=false witness=0 threshold=1e-10" in out
+
     def test_corollary_mode(self, tmp_path, capsys):
         rc = main(["validate", write(tmp_path, doc()), "--corollary"])
         out = capsys.readouterr().out
@@ -524,6 +534,125 @@ class TestRunOptions:
         assert len(read_csv(tmp_path / "run.csv")[1]) == 21
 
 
+# The namespace of each subcommand with no option given, FILE "f" where it takes
+# one: the attributes main and the cmd_* handlers read.
+RUN_DEFAULTS = {"mode": "prox-ama", "step": None, "horizon": None, "max_iters": None,
+                "tol": None, "record_every": None, "out_prefix": None}
+DEFAULT_NAMESPACES = {
+    "validate": {"command": "validate", "func": cli.cmd_validate, "file": "f",
+                 "eps": 0.005, "grid": None, "corollary": False},
+    "solve": {"command": "solve", "func": cli.cmd_solve, "file": "f", **RUN_DEFAULTS,
+              "eps": 0.005, "force": False},
+    "paper-example": {"command": "paper-example", "func": cli.cmd_paper_example,
+                      "c_schedule": "c025", "tau_c": "tc099", **RUN_DEFAULTS},
+    "norm": {"command": "norm", "func": cli.cmd_norm, "file": "f"},
+}
+
+
+def parse(*argv):
+    return vars(cli.build_parser().parse_args(list(argv)))
+
+
+class TestArgv:
+    """The command line as argparse read it: each form these commands take,
+    and a usage error or help as a ``SystemExit``."""
+
+    @pytest.mark.parametrize("command", sorted(DEFAULT_NAMESPACES))
+    def test_the_defaults(self, command):
+        head = [command] + (["f"] if "file" in DEFAULT_NAMESPACES[command] else [])
+        assert parse(*head) == DEFAULT_NAMESPACES[command]
+
+    @pytest.mark.parametrize("head, flag, value, dest", [
+        (["validate", "f"], "--eps", "1e-3", 1e-3),
+        (["validate", "f"], "--grid", "0,1", "0,1"),
+        (["solve", "f"], "--mode", "ama", "ama"),
+        (["solve", "f"], "--max-iters", "7", 7),
+        (["paper-example"], "--horizon", "-3", -3.0),
+        (["paper-example"], "--out-prefix", "run", "run"),
+    ])
+    def test_a_value_follows_the_option_or_an_equals_sign(self, head, flag, value, dest):
+        spaced = parse(*head, flag, value)
+        assert spaced == parse(*head, f"{flag}={value}")
+        assert spaced[flag[2:].replace("-", "_")] == dest
+
+    @pytest.mark.parametrize("command", ["solve", "paper-example"])
+    def test_an_empty_out_prefix_after_an_equals_sign_is_refused(self, command, tmp_path,
+                                                                   monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        head = [command] + (["missing.json"] if command == "solve" else [])
+        assert parse(*head, "--out-prefix=")["out_prefix"] == ""
+        assert main(head + ["--out-prefix="]) == 1
+        assert capsys.readouterr() == ("", "error: --out-prefix must not be empty\n")
+
+    def test_a_negative_value_reaches_the_run_option_check(self, capsys):
+        assert main(["paper-example", "--horizon", "-3"]) == 1
+        assert capsys.readouterr() == ("", "error: --horizon does not apply to --mode "
+                                           "prox-ama\n")
+
+    def test_file_goes_before_or_after_the_options(self):
+        options = ["--mode", "ama", "--force", "--eps", "0.1"]
+        assert parse("solve", "f", *options) == parse("solve", *options, "f") \
+            == parse("solve", "--mode", "ama", "f", "--force", "--eps", "0.1") \
+            == dict(DEFAULT_NAMESPACES["solve"], mode="ama", force=True, eps=0.1)
+
+    def test_a_unique_prefix_names_its_option(self):
+        assert parse("paper-example", "--c-sch", "c199", "--tau=tc025") == \
+            dict(DEFAULT_NAMESPACES["paper-example"], c_schedule="c199", tau_c="tc025")
+
+    def test_the_last_of_a_repeated_option_wins(self):
+        assert parse("paper-example", "--max-iters", "3", "--max-iters=5")["max_iters"] == 5
+        assert parse("validate", "f", "--corollary", "--corollary")["corollary"] is True
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"],
+                                      *([command, "-h"] for command in DEFAULT_NAMESPACES),
+                                      *([command, "--help"] for command in DEFAULT_NAMESPACES)],
+                             ids="_".join)
+    def test_help_lists_the_options_and_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 0
+        assert captured.err == ""
+        assert captured.out.startswith("usage: amaflow")
+        names = (DEFAULT_NAMESPACES if len(argv) == 1 else
+                 [f"--{key.replace('_', '-')}" for key in DEFAULT_NAMESPACES[argv[0]]
+                  if key not in ("command", "func", "file")])
+        assert all(name in captured.out for name in names)
+
+    @pytest.mark.parametrize("argv, error", [
+        ([], "amaflow: error: the following arguments are required: command"),
+        (["bogus"], "amaflow: error: argument command: invalid choice: 'bogus' "
+                    "(choose from 'validate', 'solve', 'paper-example', 'norm')"),
+        (["norm", "f", "--bogus"], "amaflow norm: error: unrecognized arguments: --bogus"),
+        (["paper-example", "--t", "1"],
+         "amaflow paper-example: error: ambiguous option: --t could match --tau-c, --tol"),
+        (["solve", "f", "--max-iters"],
+         "amaflow solve: error: argument --max-iters: expected one argument"),
+        (["validate"], "amaflow validate: error: the following arguments are required: FILE"),
+        (["norm", "f", "g"], "amaflow norm: error: unrecognized arguments: g"),
+        (["solve", "f", "--max-iters", "2.5"],
+         "amaflow solve: error: argument --max-iters: invalid int value: '2.5'"),
+        (["validate", "f", "--eps", "x"],
+         "amaflow validate: error: argument --eps: invalid float value: 'x'"),
+        (["paper-example", "--mode", "bogus"],
+         "amaflow paper-example: error: argument --mode: invalid choice: 'bogus' (choose "
+         "from 'continuous-euler', 'continuous-rk4', 'prox-ama', 'ama')"),
+        (["solve", "f", "--force=1"],
+         "amaflow solve: error: argument --force: ignored explicit argument '1'"),
+    ], ids=["no-command", "unknown-command", "unknown-option", "ambiguous-prefix",
+            "missing-value", "missing-file", "extra-positional", "int", "float", "choice",
+            "flag-value"])
+    def test_a_usage_error_prints_the_usage_and_exits_2(self, argv, error, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        usage, message = captured.err.splitlines()
+        assert usage.startswith("usage: amaflow")
+        assert message == error
+
+
 class TestFileErrors:
     @pytest.mark.parametrize("command", ["solve", "paper-example"])
     def test_an_output_that_cannot_be_written_is_an_error_line(self, command, tmp_path,
@@ -796,15 +925,20 @@ class TestImports:
         args = {"validate": [write(tmp_path, doc())], "norm": [write(tmp_path, doc())],
                 "solve": [write(tmp_path, doc()), "--max-iters", "3"],
                 "paper-example": ["--max-iters", "3"]}[command]
+        # argparse (with gettext and, on a parse, locale) is not loaded: the
+        # command line is read by cli's own parser.
         script = ("import sys\n"
                   "def report():\n"
                   "    return ('json' in sys.modules,\n"
+                  "            any(m in sys.modules for m in ('argparse', 'gettext', 'locale')),\n"
                   "            *sorted(m[8:] for m in sys.modules if m.startswith('amaflow.')))\n"
                   + RUN_MODULE)
         proc = _run_process(["-c", script, command, *args], tmp_path)
         modules, json_loaded = SUBCOMMAND_IMPORTS[command]
-        exit_, code, loads_json, *loaded = proc.stdout.decode().splitlines()[-1].split()
+        exit_, code, loads_json, loads_argparse, *loaded = \
+            proc.stdout.decode().splitlines()[-1].split()
         assert exit_ == "exit"
         assert code == "0"
         assert loaded == modules
         assert loads_json == str(json_loaded)
+        assert loads_argparse == "False"
