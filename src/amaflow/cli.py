@@ -21,7 +21,6 @@ if __name__ == "__main__":
 
 import atexit
 import os
-import re
 import sys
 from types import SimpleNamespace
 from typing import NoReturn
@@ -250,7 +249,6 @@ def _stem(path: str) -> str:
     return base.rsplit(".", 1)[0] if "." in base else base
 
 
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 _HELP = ("-h", "--help")
 
 
@@ -391,9 +389,14 @@ class _Parser:
 
 def _is_value(tok: str) -> bool:
     """Whether ``tok``, which starts with ``-`` and names no option, is a
-    value all the same, as argparse reads it: a negative number, or a token
-    with a space."""
-    return bool(_NEGATIVE_NUMBER.match(tok)) or " " in tok
+    value all the same: a number, a comma list of numbers, or a token with a
+    space."""
+    try:
+        for part in tok.split(","):
+            float(part)
+    except ValueError:
+        return " " in tok
+    return True
 
 
 def _dest(name: str) -> str:

@@ -40,8 +40,8 @@ def prox_ama_step(p: TwoBlockProblem, M1_k, M2_k, c_k: float,
     """One iteration: x-argmin, z-argmin with the fresh x, multiplier ascent."""
     s = p.state(s_k.x, s_k.z, s_k.y)
     K = None if tau_k is not None else _metric_matrix(M2_k)
-    up = alternating_update(p, _m1_factor(M1_k), K, c_k, tau_k, s.x, s.z, s.y)
-    return PrimalDualState(up.x, up.z, s.y + up.w, s_k.t + 1)
+    x, z, w = alternating_update(p, _m1_factor(M1_k), K, c_k, tau_k, s.x, s.z, s.y)[:3]
+    return PrimalDualState(x, z, s.y + w, s_k.t + 1)
 
 
 def _solve(p: TwoBlockProblem, step, s0: PrimalDualState, cfg: SolveConfig,

@@ -11,17 +11,16 @@ subproblems followed by a multiplier residual:
 evaluated strictly in that order (the z subproblem consumes the fresh x).
 With unit-step explicit Euler this is exactly the proximal alternating
 minimization iteration in :mod:`amaflow.discrete`: both run the step of
-:func:`_euler_step` at h = 1, :func:`alternating_update`, in the one run loop
-of :mod:`amaflow.trajectory`, so the two produce bit-identical numbers.
+:func:`_euler_step` at h = 1, the update of :func:`_kernel`, in the one run
+loop of :mod:`amaflow.trajectory`, so the two produce bit-identical numbers.
 
-The update works on trusted float64 arrays and per-step scalars: a schedule
-is read through :func:`_snapshot`, which gives M1's factor, c, and either the
-prox step tau (prox-friendly M2) or M2 as one dense matrix K, and every
-product is a ``dot`` with the problem's dense matrices. Runs check their
-start state once; the public helpers check what they are given and then call
-the same private steps. Scalar products are written ``array * scalar``: the
-same IEEE product as ``scalar * array``, without the reflected-operator
-dispatch.
+The update works on trusted float64 arrays and is built once per run: a
+schedule is read through :func:`_snapshot`, which gives M1's factor, c, and
+either the prox step tau (prox-friendly M2) or M2 as one dense matrix K, and
+every product is a ``dot`` with the problem's dense matrices. Runs check
+their start state once; the public helpers check what they are given and
+then build the same update. Scalar products are written ``array * scalar``,
+the same IEEE product as ``scalar * array``, with the scalar a 0-d array.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from .linop import LinearMap, ScaledIdentityMap, as_vector, matrix_of, sym_eigen
 from .problem import PrimalDualState, TwoBlockProblem, _record_every
 from .schedules import (
     ConstantDenseMetric,
+    CoupledReciprocal,
     ParameterSchedule,
     ProxFriendlyMetric,
     ScaledIdentityMetric,
@@ -54,7 +54,6 @@ __all__ = [
     "regularized_argmin",
     "solve_x_subproblem",
     "solve_z_subproblem",
-    "Update",
     "alternating_update",
     "gamma",
     "integrate",
@@ -132,6 +131,9 @@ def _snapshot(p: TwoBlockProblem, sched: ParameterSchedule):
         tau_at = M2.tau.value_at
         read += [M2.tau, M2.c]
         if M2.c is sched.c:
+            if type(M2.tau) is CoupledReciprocal and M2.tau.other is sched.c:
+                tau_of = M2.tau.of  # tau = k / c: c is read once
+                return _once(lambda t: (mu1_at(t), None, c := c_at(t), tau_of(c)), read)
             return _once(lambda t: (mu1_at(t), None, c_at(t), tau_at(t)), read)
         m2_c_at = M2.c.value_at
         last = [None, None]  # (tau(t), M2's c(t)) and its K, rebuilt when they change
@@ -206,9 +208,9 @@ def _inner_argmin(fun: SeparableFunction, Q: np.ndarray, lip: float,
     if lip == 0.0:
         return fun._conj_grad(target)
     step = 1.0 / lip
-    p = start
+    prox, p = fun._prox_at(step), start
     for k in range(50000):
-        p_next = fun._prox(step, p - (Q.dot(p) - target) * step)
+        p_next = prox(p - (Q.dot(p) - target) * step)
         d = p_next - p
         delta, scale = math.sqrt(d.dot(d)), math.sqrt(p_next.dot(p_next))
         p = p_next
@@ -243,40 +245,80 @@ def regularized_argmin(fun: SeparableFunction, Q: LinearMap, target,
     return _inner_argmin(fun, Qm, _lipschitz(Qm, require_uniform), target, np.zeros(fun.dim))
 
 
-# The three steps of the update, on trusted arrays.
+# The update on trusted arrays, built once per run.
 
-def _x_argmin(p: TwoBlockProblem, mu1: float, x: np.ndarray, aty: np.ndarray) -> np.ndarray:
-    pull = aty if p.h1.kind == "zero" else aty - p.h1._grad(x)
-    if mu1 == 0.0:
-        return p.f._conj_grad(pull)
-    if mu1 < 0.0:
-        raise ConditionError(f"subproblem metric has negative factor {mu1}")
-    return p.f._prox(1.0 / mu1, (x * mu1 + pull) / mu1)
+def _blocks(p: TwoBlockProblem, require_uniform: bool = True):
+    """``pick(params) -> (x_step, z_step)``, the blocks for a :func:`_snapshot`
+    tuple: ``x_step(x, aty)``, f's conjugate gradient for mu1 = 0, else a prox
+    of f; ``z_step(z, y, ax, bz)``, a prox of g when tau is given, else the
+    inner loop on the coupling, kept while c and K are unchanged. h1, h2 and
+    b are read only where they are not zero, and the factors are 0-d arrays:
+    a ufunc is faster on one than on a Python float, for the same product."""
+    f, g, B, Bt, b = p.f, p.g, p.mat_B.dot, p.mat_Bt.dot, None if p.b_is_zero else p.b
+    conj, h1, h2 = f._conj_grad, p._h1_grad, p._h2_grad
+    mu1, c, tau = np.zeros(()), np.zeros(()), np.zeros(())
+    f_prox = g_prox = cp = None
+
+    def x_conj(x, aty):
+        return conj(aty if h1 is None else aty - h1(x))
+
+    def x_prox(x, aty):
+        pull = aty if h1 is None else aty - h1(x)
+        return f_prox((x * mu1 + pull) / mu1)
+
+    def z_prox(z, y, ax, bz):  # see solve_z_subproblem
+        bz = B(z) if bz is None else bz
+        v = Bt(y - (ax + bz if b is None else ax + bz - b) * c)
+        return g_prox(z + (v if h2 is None else v - h2(z)) * tau)
+
+    def z_general(z, y, ax, bz):  # warm-started at z
+        target = Bt(y - (ax if b is None else ax - b) * c)
+        target = target if cp.K is None else cp.K.dot(z) + target
+        return _inner_argmin(g, cp.Q, cp.lip, target if h2 is None else target - h2(z), z)
+
+    def pick(params):
+        nonlocal f_prox, g_prox, cp
+        m, K, cv, t = params
+        if m < 0.0:
+            raise ConditionError(f"subproblem metric has negative factor {m}")
+        if m != 0.0:
+            f_prox, mu1[()] = f._prox_at(1.0 / m), m
+        if t is None:
+            cp = _coupling(p, K, cv, require_uniform, cp)
+        elif t <= 0.0:
+            raise ConditionError(f"prox step tau must be positive, got {t}")
+        else:
+            g_prox, tau[()] = g._prox_at(t), t
+        c[()] = cv
+        return x_conj if m == 0.0 else x_prox, z_general if t is None else z_prox
+    return pick
 
 
-def _z_prox(p: TwoBlockProblem, c: float, tau: float, z: np.ndarray, y: np.ndarray,
-            ax: np.ndarray, bz: Optional[np.ndarray]) -> np.ndarray:
-    """The prox-friendly z-step ``prox_{tau g}(z + tau v)``; see :func:`solve_z_subproblem`."""
-    if tau <= 0.0:
-        raise ConditionError(f"prox step tau must be positive, got {tau}")
-    if bz is None:
-        bz = p.mat_B.dot(z)
-    r = ax + bz if p.b_is_zero else ax + bz - p.b
-    v = p.mat_Bt.dot(y - r * c)
-    if p.h2.kind != "zero":
-        v = v - p.h2._grad(z)
-    return p.g._prox(tau, z + v * tau)
+def _kernel(p: TwoBlockProblem, snap, require_uniform: bool = True):
+    """``update(t, x, z, y, aty, bz, s=None) -> (x+, z+, w, B z+, r, None)``:
+    one x-then-z sweep and the multiplier residual on ``p`` at time t, given
+    ``A* y`` and ``B z`` when known (else None), with ``r = A x+ + B z+ - b``
+    formed once and ``w = -c r``. Its blocks are picked again only when
+    ``snap(t)`` is another tuple than the last, so once per run for a constant
+    snapshot. It is the unit Euler step of :func:`~amaflow.trajectory._run`."""
+    pick = _blocks(p, require_uniform)
+    A, B, b = p.mat_A.dot, p.mat_B.dot, None if p.b_is_zero else p.b
+    nc = np.zeros(())
+    key = x_step = z_step = None
 
-
-def _z_general(p: TwoBlockProblem, cp: Coupling, z: np.ndarray, y: np.ndarray,
-               ax: np.ndarray) -> np.ndarray:
-    """The general z-step: the inner loop on ``cp.Q``, warm-started at z."""
-    target = p.mat_Bt.dot(y - (ax if p.b_is_zero else ax - p.b) * cp.c)
-    if cp.K is not None:
-        target = cp.K.dot(z) + target
-    if p.h2.kind != "zero":
-        target = target - p.h2._grad(z)
-    return _inner_argmin(p.g, cp.Q, cp.lip, target, z)
+    def update(t, x, z, y, aty, bz, s=None):
+        nonlocal key, x_step, z_step
+        params = snap(t)
+        if params is not key:
+            x_step, z_step = pick(params)
+            nc[()], key = -params[2], params
+        x_new = x_step(x, aty)
+        ax = A(x_new)
+        z_new = z_step(z, y, ax, bz)
+        bz_new = B(z_new)
+        r = ax + bz_new if b is None else ax + bz_new - b
+        return x_new, z_new, r * nc, bz_new, r, None
+    return update
 
 
 def solve_x_subproblem(p: TwoBlockProblem, M1_t: LinearMap, x, y) -> np.ndarray:
@@ -286,8 +328,8 @@ def solve_x_subproblem(p: TwoBlockProblem, M1_t: LinearMap, x, y) -> np.ndarray:
     the update a single prox or conjugate-gradient evaluation of f.
     """
     x = as_vector(x, p.dim_x, "x")
-    mu1 = _m1_factor(M1_t)
-    return _x_argmin(p, mu1, x, p.mat_At.dot(as_vector(y, p.dim_y, "y")))
+    x_step = _blocks(p)((_m1_factor(M1_t), None, 1.0, 1.0))[0]
+    return x_step(x, p.mat_At.dot(as_vector(y, p.dim_y, "y")))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -311,54 +353,20 @@ def solve_z_subproblem(p: TwoBlockProblem, M2_t: Optional[LinearMap], c_t: float
     z = as_vector(z, p.dim_z, "z")
     y = as_vector(y, p.dim_y, "y")
     ax_new = p.mat_A.dot(as_vector(x_new, p.dim_x, "x_new"))
-    if tau_t is not None:
-        return _z_prox(p, c_t, tau_t, z, y, ax_new, None)
-    return _z_general(p, _coupling(p, _metric_matrix(M2_t), c_t, True), z, y, ax_new)
-
-
-class Update(NamedTuple):
-    """One step: the new blocks, the multiplier step, the new blocks'
-    ``bz = B z`` and ``r = A x + B z - b`` for reuse, and the z-step's
-    :class:`Coupling` (None on the prox-friendly branch). A step that does not
-    know the products, an integrator's, leaves them None; a fractional step
-    gives no w but the new y, with the new state stacked as one (x, z, y)
-    array ``s`` that x, y and z view."""
-
-    x: np.ndarray
-    z: np.ndarray
-    w: Optional[np.ndarray]
-    bz: Optional[np.ndarray]
-    coupling: Optional[Coupling]
-    r: Optional[np.ndarray]
-    y: Optional[np.ndarray] = None
-    s: Optional[np.ndarray] = None
+    K = None if tau_t is not None else _metric_matrix(M2_t)
+    z_step = _blocks(p)((0.0, K, c_t, tau_t))[1]
+    return z_step(z, y, ax_new, None)
 
 
 def alternating_update(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray],
                        c: float, tau: Optional[float], x: np.ndarray, z: np.ndarray,
-                       y: np.ndarray, require_uniform: bool = True, aty=None, bz=None,
-                       coupling: Optional[Coupling] = None) -> Update:
-    """One x-then-z sweep plus the multiplier residual, on trusted arrays.
-
-    ``(mu1, K, c, tau)`` is a :func:`_snapshot` of the schedules. Returns an
-    :class:`Update` with ``r = A x_new + B z_new - b``, formed once, and
-    ``w = -c r``. ``aty`` and ``bz`` are ``A* y`` and ``B z`` when known;
-    ``coupling`` is the previous update's, reused when c and K are unchanged,
-    so a run with a constant coupling checks and decomposes it once. The
-    continuous field and the discrete iteration both reduce to this.
-    """
-    if aty is None:
-        aty = p.mat_At.dot(y)
-    x_new = _x_argmin(p, mu1, x, aty)
-    ax = p.mat_A.dot(x_new)
-    if tau is not None:
-        z_new = _z_prox(p, c, tau, z, y, ax, bz)
-    else:
-        coupling = _coupling(p, K, c, require_uniform, coupling)
-        z_new = _z_general(p, coupling, z, y, ax)
-    bz_new = p.mat_B.dot(z_new)
-    r = ax + bz_new if p.b_is_zero else ax + bz_new - p.b
-    return Update(x_new, z_new, r * -c, bz_new, coupling, r)
+                       y: np.ndarray, require_uniform: bool = True, aty=None,
+                       bz=None) -> tuple:
+    """One update of :func:`_kernel` on its own, on trusted arrays:
+    ``(x+, z+, w, B z+, r)`` for the :func:`_snapshot` tuple
+    ``(mu1, K, c, tau)``, given ``A* y`` and ``B z`` when known."""
+    params, aty = (mu1, K, c, tau), p.mat_At.dot(y) if aty is None else aty
+    return _kernel(p, lambda t: params, require_uniform)(0.0, x, z, y, aty, bz)[:5]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -366,64 +374,65 @@ def gamma(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
           s: PrimalDualState) -> GammaOutput:
     """Evaluate the field at (t, s); zero exactly at saddle points."""
     s = p.state(s.x, s.z, s.y)
-    up = alternating_update(p, *_snapshot(p, sched)(t), s.x, s.z, s.y)
-    return GammaOutput(up.x - s.x, up.z - s.z, up.w)
+    x, z, w = _kernel(p, _snapshot(p, sched))(t, s.x, s.z, s.y, p.mat_At.dot(s.y), None)[:3]
+    return GammaOutput(x - s.x, z - s.z, w)
 
 
 def _euler_step(p: TwoBlockProblem, snap, h: float, require_uniform: bool = True):
-    """Explicit Euler at step ``h``. At h = 1 it is the update itself, the
-    discrete iteration, whose ``B z_new`` and ``r`` serve the next step.
-    Otherwise the step combines on the stacked state, the last step's or,
-    at the first, a new one: ``s + (x+ - x, z+ - z, w) h``, the blockwise
-    ``x + (x+ - x) h``, ``z + (z+ - z) h`` and ``y + w h``, bit for bit,
-    with the differences written into one buffer of the step's own."""
-    def unit(t, x, z, y, aty, bz, cp, s=None):
-        mu1, K, c, tau = snap(t)
-        return alternating_update(p, mu1, K, c, tau, x, z, y, require_uniform, aty, bz, cp)
+    """Explicit Euler at step ``h``, a step of :func:`~amaflow.trajectory._run`.
+    At h = 1 it is the update itself, the discrete iteration, whose ``B z_new``
+    and ``r`` serve the next step. Otherwise the step combines on the stacked
+    state, the last step's or, at the first, a new one:
+    ``s + (x+ - x, z+ - z, w) h``, the blockwise ``x + (x+ - x) h``,
+    ``z + (z+ - z) h`` and ``y + w h``, bit for bit, with the differences
+    written into one buffer of the step's own."""
+    update = _kernel(p, snap, require_uniform)
     if h == 1.0:
-        return unit
+        return update
     a, b = p.dim_x, p.dim_x + p.dim_z
     d = np.empty(b + p.dim_y)  # (x+ - x, z+ - z, w), rewritten by every step
     dx, dz, dy = d[:a], d[a:b], d[b:]
+    h, subtract = np.array(h), np.subtract
 
-    def step(t, x, z, y, aty, bz, cp, s):
-        up = unit(t, x, z, y, aty, bz, cp)
+    def step(t, x, z, y, aty, bz, s):
+        x_new, z_new, w, _, _, _ = update(t, x, z, y, aty, bz)
         if s is None:
             s = np.concatenate((x, z, y))
-        np.subtract(up.x, x, dx)
-        np.subtract(up.z, z, dz)
-        dy[...] = up.w
+        subtract(x_new, x, dx)
+        subtract(z_new, z, dz)
+        dy[...] = w
         s = s + d * h
-        return Update(s[:a], s[a:b], None, None, up.coupling, None, s[b:], s)
+        return s[:a], s[a:b], None, None, None, s
     return step
 
 
 def _rk4_step(p: TwoBlockProblem, snap, h: float):
     """The classic four-stage step on one stacked (x, z, y) array, the last
     step's or, at the first, a new one, so each combination of stages is one
-    operation; the stages share the coupling while it is unchanged, and the
-    first reuses the state's products."""
-    half, sixth = 0.5 * h, h / 6.0
+    operation; the stages share the kernel, and the first reuses the state's
+    products."""
+    update, At = _kernel(p, snap), p.mat_At.dot
     a, b = p.dim_x, p.dim_x + p.dim_z
+    half = 0.5 * h
+    f_half, f_h, two, sixth = (np.array(v) for v in (half, h, 2.0, h / 6.0))
 
-    def field(params, x, z, y, aty=None, bz=None, cp=None):
-        """The stacked field ``(x', z', y')`` at a state, and the coupling."""
-        up = alternating_update(p, *params, x, z, y, True, aty, bz, cp)
-        return np.concatenate((up.x - x, up.z - z, up.w)), up.coupling
+    def field(t, x, z, y, aty=None, bz=None):
+        """The stacked field ``(x', z', y')`` at time t and a state."""
+        x_new, z_new, w, _, _, _ = update(t, x, z, y, At(y) if aty is None else aty, bz)
+        return np.concatenate((x_new - x, z_new - z, w))
 
-    def stage(params, s, cp):
-        return field(params, s[:a], s[a:b], s[b:], cp=cp)
+    def stage(t, s):
+        return field(t, s[:a], s[a:b], s[b:])
 
-    def step(t, x, z, y, aty, bz, cp, s):
+    def step(t, x, z, y, aty, bz, s):
         if s is None:
             s = np.concatenate((x, z, y))
-        mid = snap(t + half)
-        f1, cp = field(snap(t), x, z, y, aty, bz, cp)
-        f2, cp = stage(mid, s + f1 * half, cp)
-        f3, cp = stage(mid, s + f2 * half, cp)
-        f4, cp = stage(snap(t + h), s + f3 * h, cp)
-        s = s + (f1 + f2 * 2.0 + f3 * 2.0 + f4) * sixth
-        return Update(s[:a], s[a:b], None, None, cp, None, s[b:], s)
+        f1 = field(t, x, z, y, aty, bz)
+        f2 = stage(t + half, s + f1 * f_half)
+        f3 = stage(t + half, s + f2 * f_half)
+        f4 = stage(t + h, s + f3 * f_h)
+        s = s + (f1 + f2 * two + f3 * two + f4) * sixth
+        return s[:a], s[a:b], None, None, None, s
     return step
 
 

@@ -26,6 +26,7 @@ __all__ = [
 
 _ZERO = np.array(0.0)  # the soft threshold's floor, shared read-only
 _ZERO.flags.writeable = False
+_sign, _maximum, _abs = np.sign, np.maximum, np.abs
 
 
 class SeparableFunction:
@@ -36,17 +37,17 @@ class SeparableFunction:
     kind with that property defines it in closed form. The public ``prox``,
     ``grad`` and ``conj_grad`` check their inputs once and call the kind's
     trusted ``_prox``/``_grad``/``_conj_grad``, which the solvers call on
-    arrays they own. The trusted ``_prox`` and ``_grad`` of the shipped kinds
-    also take a block of points, one per row, and give each row the bits of
-    its own call.
+    arrays they own. A kind's prox is ``_prox_at(gamma)``, the map
+    ``x -> prox_{gamma f}(x)`` with its per-step constants formed once; a run
+    builds it once per step size. The trusted ``_prox`` and ``_grad`` of the
+    shipped kinds also take a block of points, one per row, and give each row
+    the bits of its own call.
     """
 
     kind: str
     dim: int
     strong_convexity: float = 0.0
     grad_lipschitz: float | None = None
-    # (gamma, constants) of the last two prox steps, the last first; see _step
-    _steps: tuple = (None, None, None, None)
 
     def __call__(self, x) -> float:
         raise NotImplementedError
@@ -58,21 +59,11 @@ class SeparableFunction:
         return self._prox(gamma, as_vector(x, self.dim, "prox input"))
 
     def _prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._prox_at(gamma)(x)
 
-    def _step(self, gamma: float):
-        """The kind's ``_constants(gamma)``, the prox's per-step constants,
-        kept for the last two steps: a run uses two, its own and the
-        residuals' 1. The cache is one tuple, read once, so a call never pairs
-        one gamma with another's constants, even on a function shared between
-        threads."""
-        g1, k1, g2, k2 = self._steps
-        if gamma == g1:
-            return k1
-        if gamma != g2:
-            k2 = self._constants(gamma)
-        self._steps = (gamma, k2, g1, k1)
-        return k2
+    def _prox_at(self, gamma: float):
+        """``x -> prox_{gamma f}(x)``, its per-step constants formed here."""
+        raise NotImplementedError
 
     def grad(self, x) -> np.ndarray:
         # Without the capability, _grad raises before the input matters.
@@ -117,14 +108,11 @@ class QuadraticDistance(SeparableFunction):
         x = as_vector(x, self.dim, "eval input")
         return 0.5 * self.weight * float(np.sum((x - self.d) ** 2))
 
-    def _constants(self, gamma):
+    def _prox_at(self, gamma):
         # The divisor is a 0-d array: a ufunc is slower on a Python float.
         gw = gamma * self.weight
-        return gw * self.d, np.array(1.0 + gw)
-
-    def _prox(self, gamma, x):
-        gwd, den = self._step(gamma)
-        return (x + gwd) / den
+        gwd, den = gw * self.d, np.array(1.0 + gw)
+        return lambda x: (x + gwd) / den
 
     def _grad(self, x):
         return self.weight * (x - self.d)
@@ -156,11 +144,9 @@ class L1Norm(SeparableFunction):
         x = as_vector(x, self.dim, "eval input")
         return self.weight * float(np.sum(np.abs(x)))
 
-    def _constants(self, gamma):
-        return np.array(gamma * self.weight)  # the threshold, 0-d
-
-    def _prox(self, gamma, x):
-        return np.sign(x) * np.maximum(np.abs(x) - self._step(gamma), _ZERO)
+    def _prox_at(self, gamma):
+        threshold = np.array(gamma * self.weight)  # 0-d
+        return lambda x: _sign(x) * _maximum(_abs(x) - threshold, _ZERO)
 
     def conj_eval(self, s):
         # Indicator of the weight-radius sup-norm ball.
@@ -192,8 +178,9 @@ class BoxIndicator(SeparableFunction):
         inside = np.all(x >= self.lo - 1e-12) and np.all(x <= self.hi + 1e-12)
         return 0.0 if inside else math.inf
 
-    def _prox(self, gamma, x):
-        return np.clip(x, self.lo, self.hi)
+    def _prox_at(self, gamma):
+        lo, hi = self.lo, self.hi
+        return lambda x: np.clip(x, lo, hi)
 
     def conj_eval(self, s):
         # Support function of the box.
@@ -216,8 +203,8 @@ class ZeroFunction(SeparableFunction):
         as_vector(x, self.dim, "eval input")
         return 0.0
 
-    def _prox(self, gamma, x):
-        return x.copy()
+    def _prox_at(self, gamma):
+        return lambda x: x.copy()
 
     def _grad(self, x):
         return np.zeros(x.shape)
@@ -264,10 +251,10 @@ class QuadraticForm(SeparableFunction):
         x = as_vector(x, self.dim, "eval input")
         return 0.5 * float(x @ (self._Qmat @ x)) + float(self.q @ x)
 
-    def _prox(self, gamma, x):
+    def _prox_at(self, gamma):
         # (I + gamma Q)^-1 (x - gamma q) in the eigenbasis of Q.
-        V = self._V
-        return _matvec(V, _matvec(V.T, x - gamma * self.q) / (1.0 + gamma * self._lam))
+        V, gq, den = self._V, gamma * self.q, 1.0 + gamma * self._lam
+        return lambda x: _matvec(V, _matvec(V.T, x - gq) / den)
 
     def _grad(self, x):
         return _matvec(self._Qmat, x) + self.q

@@ -138,6 +138,9 @@ class TwoBlockProblem:
         if not self.mat_A.any():
             raise ValueError("A must be a nonzero operator")
         self.b_is_zero = not self.b.any() and not np.signbit(self.b).any()
+        # The residuals' prox maps at step 1, and h1's and h2's gradients or None.
+        self._f_prox1, self._g_prox1 = f._prox_at(1.0), g._prox_at(1.0)
+        self._h1_grad, self._h2_grad = (None if h.kind == "zero" else h._grad for h in (h1, h2))
 
     @cached_property
     def norm_A(self) -> float:
@@ -253,17 +256,17 @@ class TwoBlockProblem:
     def _x_residual(self, x: np.ndarray, aty: np.ndarray) -> float:
         """``|x - prox_f(x + A* y - grad h1(x))|``."""
         vx = x + aty
-        if self.h1.kind != "zero":
-            vx = vx - self.h1._grad(x)
-        rx = x - self.f._prox(1.0, vx)
+        if self._h1_grad is not None:
+            vx = vx - self._h1_grad(x)
+        rx = x - self._f_prox1(vx)
         return math.sqrt(rx.dot(rx))
 
     def _z_residual(self, z: np.ndarray, bty: np.ndarray) -> float:
         """``|z - prox_g(z + B* y - grad h2(z))|``."""
         vz = z + bty
-        if self.h2.kind != "zero":
-            vz = vz - self.h2._grad(z)
-        rz = z - self.g._prox(1.0, vz)
+        if self._h2_grad is not None:
+            vz = vz - self._h2_grad(z)
+        rz = z - self._g_prox1(vz)
         return math.sqrt(rz.dot(rz))
 
     def _z_residuals(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -272,7 +275,7 @@ class TwoBlockProblem:
         norm are each the row's own computation (see :func:`~amaflow.linop._matvec`
         and ``np.vecdot``), and ``np.sqrt`` is ``math.sqrt``."""
         vz = z + _matvec(self.mat_Bt, y)
-        if self.h2.kind != "zero":
-            vz = vz - self.h2._grad(z)
-        rz = z - self.g._prox(1.0, vz)
+        if self._h2_grad is not None:
+            vz = vz - self._h2_grad(z)
+        rz = z - self._g_prox1(vz)
         return np.sqrt(np.vecdot(rz, rz))

@@ -134,8 +134,11 @@ class CoupledReciprocal(ScalarSchedule):
         self.other = other
 
     def value_at(self, t):
+        return self.of(self.other.value_at(t))
+
+    def of(self, other: float) -> float:  # the value where other's is ``other``
         try:
-            return self.numerator / self.other.value_at(t)
+            return self.numerator / other
         except ZeroDivisionError:  # other's value underflowed to 0
             return math.inf
 
@@ -351,14 +354,26 @@ def _check_eps(p, eps: float) -> None:
         )
 
 
+@np.errstate(over="ignore")
 def _on_grid(s: ScalarSchedule, grid: np.ndarray) -> tuple:
     """Values and derivatives of a scalar schedule on the grid: read once, at
     t = 0, for a schedule that does not depend on t, and otherwise at every
-    point through ``value_at`` and ``derivative_at``."""
+    point through ``value_at`` and ``derivative_at``. A square of t past the
+    float range is inf, whose reciprocal is the limit, so it does not warn."""
     if _constant(s):
         return np.full(grid.size, s.value_at(0.0)), np.full(grid.size, s.derivative_at(0.0))
     return (np.array([s.value_at(t) for t in grid]),
             np.array([s.derivative_at(t) for t in grid]))
+
+
+def _reciprocal_on_grid(tau: ScalarSchedule, grid: np.ndarray) -> tuple:
+    """``1/tau`` and its derivative ``-tau'/tau^2`` on the grid. For tau = k/o
+    they are o/k and o'/k, read without forming tau, which can overflow."""
+    if type(tau) is CoupledReciprocal:
+        o, do = _on_grid(tau.other, grid)
+        return o / tau.numerator, do / tau.numerator
+    tau, dtau = _on_grid(tau, grid)
+    return 1.0 / tau, -dtau / (tau * tau)
 
 
 def _spectral_form(M: MetricSchedule, grid: np.ndarray, B: LinearMap) -> tuple:
@@ -375,9 +390,9 @@ def _spectral_form(M: MetricSchedule, grid: np.ndarray, B: LinearMap) -> tuple:
         return mu, dmu, zero, zero, None
     if isinstance(M, ProxFriendlyMetric):
         _check_own_b(M, B)
-        tau, dtau = _on_grid(M.tau, grid)
         c, dc = _on_grid(M.c, grid)
-        return 1.0 / tau, -dtau / (tau * tau), -c, -dc, None
+        alpha, dalpha = _reciprocal_on_grid(M.tau, grid)
+        return alpha, dalpha, -c, -dc, None
     if isinstance(M, ConstantDenseMetric):
         return zero, zero, zero, zero, M.M.as_matrix()
     raise CapabilityError(f"metric kind {M.kind!r} has no spectral form and cannot be validated")
@@ -493,7 +508,8 @@ def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
     inf_tau_deriv = float(np.min(tau_derivs))
     checks.append(CheckResult("tau-increasing", inf_tau_deriv >= -1e-12, inf_tau_deriv, 0.0))
 
-    ratio = float(np.max(tau_derivs / tau_vals**2))
+    ratios = -_reciprocal_on_grid(tau, grid)[1]  # tau'/tau^2
+    ratio = float(np.max(ratios))
     checks.append(CheckResult("tau-derivative-ratio-bounded", math.isfinite(ratio),
                               ratio, math.inf))
 
@@ -503,7 +519,7 @@ def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
     checks.append(CheckResult("coupling-inequality", coupling_excess <= 1e-9,
                               coupling_excess, 0.0))
 
-    deriv_excess = float(np.max(-c_derivs * b2 - tau_derivs / tau_vals**2))
+    deriv_excess = float(np.max(-c_derivs * b2 - ratios))
     checks.append(CheckResult("derivative-coupling", deriv_excess <= 1e-9,
                               deriv_excess, 0.0))
 

@@ -139,13 +139,14 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
     steps of size ``h`` from ``s0``, whose dimensions it checks, recording
     the state at t = 0, every ``every``-th one and the last.
 
-    ``step(t, x, z, y, aty, bz, coupling, s)`` advances the state at time t,
-    given its ``A* y``, its ``B z`` when known (else None), the last step's
-    coupling, and the state stacked as one (x, z, y) array when the last step
-    made it (else None). It returns an :class:`~amaflow.dynamics.Update`:
-    the unit step gives the new x and z, the step w of y, and the new ``bz``
-    and ``r = A x + B z - b``; a fractional step gives the new x, z and y as
-    views of the new stacked state ``s``.
+    ``step(t, x, z, y, aty, bz, s)`` advances the state at time t, given its
+    ``A* y``, its ``B z`` when known (else None) and the state stacked as one
+    (x, z, y) array when the last step made it (else None). It returns
+    ``(x, z, w, bz, r, s)``: the unit step, the update of
+    :func:`~amaflow.dynamics._kernel`, gives the new x and z, the step w of
+    y, and the new ``bz`` and ``r = A x + B z - b``; a fractional step gives
+    the new stacked state ``s``, with x and z as views of it, its last block
+    the new y, and no w or products.
 
     Every state the loop forms residuals for is judged by :func:`_stop`: a
     recorded one, and given ``tol = (tol_kkt, tol_feas)`` every one. A step
@@ -178,25 +179,22 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
     status = _stop(feas, rx, rz, tol)
     # A start state that stops the run takes no step.
     status, stop = (status, 0) if status else ("max_iters", steps)
-    coupling = stacked = exc = None
+    stacked = exc = None
+    cut = p.dim_x + p.dim_z  # where y starts in a stacked state
     for k in range(stop):
         try:
-            up = step(k * h, x, z, y, aty, bz, coupling, stacked)
+            x, z, w, bz, r, stacked = step(k * h, x, z, y, aty, bz, stacked)
         except (ConvergenceError, ConditionError, CapabilityError) as err:
             if k % every:
                 rec.add(k * h, x, z, y, p._feas(A.dot(x), B.dot(z)), p._x_residual(x, aty))
             status, stop, exc = "error", k, err
             break
-        x, z, w, bz, coupling, r, y_next, stacked = up
-        y = y + w if stacked is None else y_next
+        y = y + w if stacked is None else stacked[cut:]
         aty = At.dot(y)
         recorded = not (k + 1) % every or k + 1 == steps
         if not recorded and tol is None:
             continue
-        if r is None:
-            ax, bz = A.dot(x), B.dot(z)
-            r = ax + bz if p.b_is_zero else ax + bz - p.b
-        feas = math.sqrt(r.dot(r))
+        feas = math.sqrt(r.dot(r)) if r is not None else p._feas(A.dot(x), bz := B.dot(z))
         rx = p._x_residual(x, aty)
         rz = p._z_residual(z, Bt.dot(y)) if rx <= tol_kkt and feas <= tol_feas else math.nan
         verdict = _stop(feas, rx, rz, tol)

@@ -59,3 +59,20 @@ def decompositions(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
         monkeypatch.setattr(_LINALG_IMPL, name, counted)
     return counts
+
+
+@pytest.fixture
+def updates(monkeypatch):
+    """A list that gains one entry per update a run or a helper makes: every
+    update goes through a kernel of ``dynamics._kernel``."""
+    from amaflow import dynamics
+
+    made = []
+    build = dynamics._kernel
+
+    def counting(*args, **kwargs):
+        update = build(*args, **kwargs)
+        return lambda *a: made.append(1) or update(*a)
+
+    monkeypatch.setattr(dynamics, "_kernel", counting)
+    return made

@@ -589,6 +589,31 @@ class TestArgv:
         assert capsys.readouterr() == ("", "error: --horizon does not apply to --mode "
                                            "prox-ama\n")
 
+    @pytest.mark.parametrize("head, flag, value, dest", [
+        (["paper-example"], "--horizon", "-1e3", -1e3),
+        (["paper-example"], "--horizon", "-.5e-2", -5e-3),
+        (["paper-example"], "--horizon", "-inf", -math.inf),
+        (["validate", "f"], "--grid", "-1,2", "-1,2"),
+        (["validate", "f"], "--grid", "-1e-3,-2.5,3", "-1e-3,-2.5,3"),
+        (["validate", "f"], "--eps", "-1E3", -1e3),
+    ])
+    def test_any_number_after_a_space_is_a_value(self, head, flag, value, dest):
+        spaced = parse(*head, flag, value)
+        assert spaced == parse(*head, f"{flag}={value}")
+        assert spaced[flag[2:]] == dest
+
+    @pytest.mark.parametrize("argv, error", [
+        (["paper-example", "--mode", "continuous-euler", "--horizon", "-1e3"],
+         "error: horizon -1000.0 shorter than one step 0.01"),
+        (["validate", "FILE", "--grid", "-1,2"],
+         "error: time grid must be finite, nonnegative and strictly increasing"),
+    ])
+    def test_a_negative_number_reaches_its_check(self, argv, error, tmp_path, capsys):
+        argv = [write(tmp_path, doc()) if tok == "FILE" else tok for tok in argv]
+        for form in (argv, argv[:-2] + [f"{argv[-2]}={argv[-1]}"]):
+            assert main(form) == 1
+            assert capsys.readouterr() == ("", error + "\n")
+
     def test_file_goes_before_or_after_the_options(self):
         options = ["--mode", "ama", "--force", "--eps", "0.1"]
         assert parse("solve", "f", *options) == parse("solve", *options, "f") \
@@ -639,9 +664,15 @@ class TestArgv:
          "from 'continuous-euler', 'continuous-rk4', 'prox-ama', 'ama')"),
         (["solve", "f", "--force=1"],
          "amaflow solve: error: argument --force: ignored explicit argument '1'"),
+        (["paper-example", "--horizon", "--tol", "1"],
+         "amaflow paper-example: error: argument --horizon: expected one argument"),
+        (["paper-example", "--horizon", "-h"],
+         "amaflow paper-example: error: argument --horizon: expected one argument"),
+        (["validate", "f", "--grid", "-1,x"],
+         "amaflow validate: error: argument --grid: expected one argument"),
     ], ids=["no-command", "unknown-command", "unknown-option", "ambiguous-prefix",
             "missing-value", "missing-file", "extra-positional", "int", "float", "choice",
-            "flag-value"])
+            "flag-value", "option-after-option", "help-after-option", "not-numbers"])
     def test_a_usage_error_prints_the_usage_and_exits_2(self, argv, error, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

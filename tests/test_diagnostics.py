@@ -161,6 +161,13 @@ class TestMonotoneCheck:
         assert not ok
         assert worst > 0.0
 
+    @pytest.mark.parametrize("energy", [0.0, 3.0, 1000.0])
+    def test_the_slack_is_one_millionth_of_one_plus_the_energy(self, energy):
+        slack = 1e-6 * (1.0 + energy)
+        assert check_energy_monotone([energy, energy + 0.9995 * slack]) == (True, 0.0)
+        ok, worst = check_energy_monotone([energy, energy + 1.0005 * slack])
+        assert not ok and worst == pytest.approx(0.0005 * slack, rel=1e-6)
+
     def test_needs_two_samples(self, ex_problem, ex_sched_c025, ex_start,
                                ex_reference):
         traj = integrate(ex_problem, ex_sched_c025, ex_start, method="euler",

@@ -37,6 +37,44 @@ A_T = (np.array([[2.0, 1.0], [-2.0, 1.0]]) / np.sqrt(8.0)).T
 Y_STAR = np.array([-1.0, 1.0]) / np.sqrt(2.0)
 
 
+class TestUnequalTolerances:
+    """The z-residual is held to tol_kkt, as the x-residual is; tol_feas bounds
+    the feasibility residual alone."""
+
+    @staticmethod
+    def start_with_z_residual(rz):
+        # x = d and y = 0 make the x-residual 0, b = A x + B z makes the
+        # feasibility residual 0, and z = e + 2 rz gives the z-residual
+        # |z - prox_g(z)| = |z - e| / 2 = rz.
+        d, e = np.array([0.5, -1.0]), np.array([1.0, 2.0])
+        A, B = np.array([[1.0, 0.5], [-0.5, 1.0]]), np.array([[0.8, 0.0], [0.3, 0.6]])
+        z = e + np.array([2.0 * rz, 0.0])
+        p = TwoBlockProblem(f=QuadraticDistance(d, 1.0), h1=ZeroFunction(2),
+                            g=QuadraticDistance(e, 1.0), h2=ZeroFunction(2),
+                            A=DenseMap(A), B=DenseMap(B), b=A.dot(d) + B.dot(z))
+        c = ConstantSchedule(0.25)
+        sched = ParameterSchedule(c, ZeroMetric(2),
+                                  ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B))
+        return p, sched, p.state(d, z, np.zeros(2))
+
+    def test_the_start_state_has_the_residuals_it_is_built_for(self):
+        p, _, s0 = self.start_with_z_residual(1e-4)
+        kkt = p.kkt_residual(s0)
+        assert kkt.feas <= 1e-15 and kkt.rx == 0.0 and kkt.rz == pytest.approx(1e-4, rel=1e-9)
+
+    @pytest.mark.parametrize("tol_kkt, tol_feas, stops_at_start", [
+        (1e-3, 1e-6, True), (1e-6, 1e-3, False)])
+    def test_the_z_residual_is_read_against_tol_kkt(self, tol_kkt, tol_feas,
+                                                    stops_at_start):
+        p, sched, s0 = self.start_with_z_residual(1e-4)
+        res = prox_ama_run(p, sched, s0, SolveConfig(max_iters=2000, tol_kkt=tol_kkt,
+                                                     tol_feas=tol_feas))
+        assert res.status == "converged"
+        assert (res.iterations_used == 0) == stops_at_start
+        feas, rx, rz = res.iterates.table[-1, 7:]
+        assert rx <= tol_kkt and rz <= tol_kkt and feas <= tol_feas
+
+
 class TestStep:
     def test_saddle_is_a_fixed_point(self, ex_problem, ex_sched_c025, ex_reference):
         s = ex_reference
@@ -498,10 +536,7 @@ class TestConstantCoupling:
 
     @pytest.mark.parametrize("which", ["M1", "M2"])
     def test_other_metric_kinds_are_refused_before_the_first_update(
-            self, which, ex_problem, ex_start, monkeypatch):
-        import amaflow.discrete
-        import amaflow.dynamics
-
+            self, which, ex_problem, ex_start, updates):
         class Custom(MetricSchedule):
             kind = "custom"
             dim = 2
@@ -509,10 +544,6 @@ class TestConstantCoupling:
             def at(self, t):
                 return DenseMap(np.eye(2))
 
-        updates = []
-        for mod in (amaflow.discrete, amaflow.dynamics):
-            monkeypatch.setattr(mod, "alternating_update",
-                                lambda *a, **k: updates.append(a))
         metrics = {"M1": ZeroMetric(2), "M2": ZeroMetric(2), which: Custom()}
         sched = ParameterSchedule(ConstantSchedule(0.25), metrics["M1"], metrics["M2"])
         match = "custom" if which == "M2" else "M1"

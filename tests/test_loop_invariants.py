@@ -34,7 +34,7 @@ from amaflow import (
 )
 from amaflow import dynamics
 from amaflow.diagnostics import check_reference
-from amaflow.dynamics import Update, _rk4_step, _snapshot
+from amaflow.dynamics import _rk4_step, _snapshot
 from amaflow.trajectory import _run
 
 
@@ -293,26 +293,22 @@ class TestCachedProxConstants:
 
 def blockwise_rk4(p, snap, h):
     """The RK4 step as it was written before its stages were stacked: each
-    block combined on its own."""
+    block combined on its own, each stage a separate update."""
     half, sixth = 0.5 * h, h / 6.0
 
-    def field(params, x, z, y, aty=None, bz=None, coupling=None):
-        up = dynamics.alternating_update(p, *params, x, z, y, aty=aty, bz=bz,
-                                         coupling=coupling)
-        return up.x - x, up.z - z, up.w, up.coupling
+    def field(params, x, z, y, aty=None, bz=None):
+        x_new, z_new, w = dynamics.alternating_update(p, *params, x, z, y, aty=aty, bz=bz)[:3]
+        return x_new - x, z_new - z, w
 
-    def step(t, x, z, y, aty, bz, cp, s):
+    def step(t, x, z, y, aty, bz, s):
         mid = snap(t + half)
-        u1, v1, w1, cp = field(snap(t), x, z, y, aty, bz, cp)
-        u2, v2, w2, cp = field(mid, x + u1 * half, z + v1 * half, y + w1 * half,
-                               coupling=cp)
-        u3, v3, w3, cp = field(mid, x + u2 * half, z + v2 * half, y + w2 * half,
-                               coupling=cp)
-        u4, v4, w4, cp = field(snap(t + h), x + u3 * h, z + v3 * h, y + w3 * h,
-                               coupling=cp)
-        return Update(x + (u1 + u2 * 2.0 + u3 * 2.0 + u4) * sixth,
-                      z + (v1 + v2 * 2.0 + v3 * 2.0 + v4) * sixth,
-                      (w1 + w2 * 2.0 + w3 * 2.0 + w4) * sixth, bz=None, coupling=cp, r=None)
+        u1, v1, w1 = field(snap(t), x, z, y, aty, bz)
+        u2, v2, w2 = field(mid, x + u1 * half, z + v1 * half, y + w1 * half)
+        u3, v3, w3 = field(mid, x + u2 * half, z + v2 * half, y + w2 * half)
+        u4, v4, w4 = field(snap(t + h), x + u3 * h, z + v3 * h, y + w3 * h)
+        return (x + (u1 + u2 * 2.0 + u3 * 2.0 + u4) * sixth,
+                z + (v1 + v2 * 2.0 + v3 * 2.0 + v4) * sixth,
+                (w1 + w2 * 2.0 + w3 * 2.0 + w4) * sixth, None, None, None)
     return step
 
 

@@ -115,16 +115,16 @@ def test_fused_update_matches_the_textbook_step(case, with_h2):
         h2 = QuadraticForm(DenseMap(G @ G.T / n), d)
         p = TwoBlockProblem(p.f, p.h1, p.g, h2, p.A, p.B, p.b)
     c, tau = sched.c.value_at(t), sched.tau.value_at(t)
-    up = alternating_update(p, 0.0, None, c, tau, x, z, y)
+    ux, uz, uw, ubz, ur = alternating_update(p, 0.0, None, c, tau, x, z, y)
     A, B = p.A.matrix, p.B.matrix
     M2 = sched.M2.at(t).as_matrix()
-    terms = [M2 @ z, B.T @ y, c * (B.T @ (A @ up.x - p.b)), p.h2.grad(z)]
+    terms = [M2 @ z, B.T @ y, c * (B.T @ (A @ ux - p.b)), p.h2.grad(z)]
     want_z = p.g.prox(tau, tau * (terms[0] + terms[1] - terms[2] - terms[3]))
-    assert np.linalg.norm(up.z - want_z) <= 1e-12 * tau * sum(np.linalg.norm(v) for v in terms)
-    parts = [p.b, A @ up.x, B @ up.z]
+    assert np.linalg.norm(uz - want_z) <= 1e-12 * tau * sum(np.linalg.norm(v) for v in terms)
+    parts = [p.b, A @ ux, B @ uz]
     want_w = c * (parts[0] - parts[1] - parts[2])
-    assert np.linalg.norm(up.w - want_w) <= 1e-12 * c * sum(np.linalg.norm(v) for v in parts)
-    assert np.array_equal(up.r, p.mat_A.dot(up.x) + up.bz - p.b)
+    assert np.linalg.norm(uw - want_w) <= 1e-12 * c * sum(np.linalg.norm(v) for v in parts)
+    assert np.array_equal(ur, p.mat_A.dot(ux) + ubz - p.b)
 
 
 @SETTINGS

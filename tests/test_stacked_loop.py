@@ -35,17 +35,16 @@ from amaflow import (
     prox_ama_run,
 )
 from amaflow import dynamics
-from amaflow.dynamics import Update, _euler_step, _rk4_step, _snapshot
+from amaflow.dynamics import _euler_step, _rk4_step, _snapshot
 from amaflow.trajectory import DIVERGED_ABOVE, _Recorder, _run
 
 
 def blockwise_euler(p, snap, h):
     """Explicit Euler at h != 1 as it was written before it was stacked: each
     block combined on its own, the loop adding the step of y."""
-    def step(t, x, z, y, aty, bz, cp, s):
-        up = dynamics.alternating_update(p, *snap(t), x, z, y, True, aty, bz, cp)
-        return Update(x + (up.x - x) * h, z + (up.z - z) * h, up.w * h, bz=None,
-                      coupling=up.coupling, r=None)
+    def step(t, x, z, y, aty, bz, s):
+        x_new, z_new, w = dynamics.alternating_update(p, *snap(t), x, z, y, True, aty, bz)[:3]
+        return x + (x_new - x) * h, z + (z_new - z) * h, w * h, None, None, None
     return step
 
 
@@ -86,19 +85,24 @@ class TestStackedSteps:
         snap = _snapshot(p, varying_schedule(p, 2, "dense", K))
         for make in (_euler_step, _rk4_step):
             step = make(p, snap, 0.1)
-            up = step(0.0, s0.x, s0.z, s0.y, p.mat_At.dot(s0.y), None, None, None)
-            assert up.w is None and up.s is not None
-            for view, part in zip((up.x, up.z, up.y), np.split(up.s, [2, 5])):
-                assert view.base is up.s and np.array_equal(view, part)
-            again = step(0.1, up.x, up.z, up.y, p.mat_At.dot(up.y), None, up.coupling, up.s)
-            fresh = step(0.1, up.x.copy(), up.z.copy(), up.y.copy(), p.mat_At.dot(up.y),
-                         None, up.coupling, None)
-            assert same_bits(again.s, fresh.s)
+            x, z, w, bz, r, s = step(0.0, s0.x, s0.z, s0.y, p.mat_At.dot(s0.y), None, None)
+            assert w is None and bz is None and r is None and s is not None
+            y = s[5:]
+            for view, part in zip((x, z), np.split(s, [2, 5])):
+                assert view.base is s and np.array_equal(view, part)
+            again = step(0.1, x, z, y, p.mat_At.dot(y), None, s)[5]
+            fresh = step(0.1, x.copy(), z.copy(), y.copy(), p.mat_At.dot(y), None, None)[5]
+            assert same_bits(again, fresh)
 
     def test_the_unit_step_is_the_update(self, ex_problem, ex_start):
-        step = _euler_step(ex_problem, _snapshot(ex_problem, example_schedule()), 1.0)
-        up = step(0.0, ex_start.x, ex_start.z, ex_start.y, None, None, None, None)
-        assert up.s is None and up.y is None and up.w is not None and up.r is not None
+        p, s0 = ex_problem, ex_start
+        params = _snapshot(p, example_schedule())(0.0)
+        step = _euler_step(p, _snapshot(p, example_schedule()), 1.0)
+        got = step(0.0, s0.x, s0.z, s0.y, p.mat_At.dot(s0.y), None, None)
+        want = dynamics.alternating_update(p, *params, s0.x, s0.z, s0.y)
+        assert got[5] is None and len(want) == 5
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
 
 
 # The smooth kinds for h2 and every kind for g, on blocks of other lengths.
@@ -273,7 +277,7 @@ class TestZResidualDivergence:
         assert table[-2, 0] == stop - 1 and table[-2, 9] > DIVERGED_ABOVE
 
     @pytest.mark.parametrize("block", [1, 4])
-    def test_the_block_size_does_not_move_the_stop(self, monkeypatch, block):
+    def test_the_block_size_does_not_move_the_stop(self, monkeypatch, updates, block):
         # The z-residuals written a block at a time are a record only: the
         # run stops at the same state, and takes no step past it.
         init = _Recorder.__init__
@@ -283,13 +287,9 @@ class TestZResidualDivergence:
             self.block = block
         monkeypatch.setattr(_Recorder, "__init__", small_blocks)
         p, sched, s0 = blowing_up(1e3)
-        calls = []
-        update = dynamics.alternating_update
-        monkeypatch.setattr(dynamics, "alternating_update",
-                            lambda *a, **k: calls.append(1) or update(*a, **k))
         res = prox_ama_run(p, sched, s0, SolveConfig(max_iters=2000))
         assert (res.status, res.iterations_used, len(res.iterates.table)) == ("diverged", 43, 44)
-        assert len(calls) == 43
+        assert len(updates) == 43
 
     def test_integrate_judges_its_recorded_states_only(self):
         # t = 18, recorded with an infinite z-residual alone, does not stop
