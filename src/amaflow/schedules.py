@@ -354,7 +354,6 @@ def _check_eps(p, eps: float) -> None:
         )
 
 
-@np.errstate(over="ignore")
 def _on_grid(s: ScalarSchedule, grid: np.ndarray) -> tuple:
     """Values and derivatives of a scalar schedule on the grid: read once, at
     t = 0, for a schedule that does not depend on t, and otherwise at every
@@ -362,8 +361,9 @@ def _on_grid(s: ScalarSchedule, grid: np.ndarray) -> tuple:
     float range is inf, whose reciprocal is the limit, so it does not warn."""
     if _constant(s):
         return np.full(grid.size, s.value_at(0.0)), np.full(grid.size, s.derivative_at(0.0))
-    return (np.array([s.value_at(t) for t in grid]),
-            np.array([s.derivative_at(t) for t in grid]))
+    with np.errstate(over="ignore"):
+        return (np.array([s.value_at(t) for t in grid]),
+                np.array([s.derivative_at(t) for t in grid]))
 
 
 def _reciprocal_on_grid(tau: ScalarSchedule, grid: np.ndarray) -> tuple:
@@ -509,21 +509,22 @@ def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
     checks.append(CheckResult("tau-increasing", inf_tau_deriv >= -1e-12, inf_tau_deriv, 0.0))
 
     ratios = -_reciprocal_on_grid(tau, grid)[1]  # tau'/tau^2
-    ratio = float(np.max(ratios))
+    ratio = float(ratios.max())
     checks.append(CheckResult("tau-derivative-ratio-bounded", math.isfinite(ratio),
                               ratio, math.inf))
 
     # tau L2 / 4, formed only where L2 > 0: an infinite tau times L2 = 0 is NaN.
-    tau_l2 = tau_vals * l2 / 4.0 if l2 > 0 else 0.0
-    coupling_excess = float(np.max(c_vals * tau_vals * b2 - (1.0 - tau_l2)))
+    slack = 1.0 - (tau_vals * l2 / 4.0 if l2 > 0 else 0.0)
+    ctb2 = c_vals * tau_vals * b2
+    coupling_excess = float((ctb2 - slack).max())
     checks.append(CheckResult("coupling-inequality", coupling_excess <= 1e-9,
                               coupling_excess, 0.0))
 
-    deriv_excess = float(np.max(-c_derivs * b2 - ratios))
+    deriv_excess = float((-c_derivs * b2 - ratios).max())
     checks.append(CheckResult("derivative-coupling", deriv_excess <= 1e-9,
                               deriv_excess, 0.0))
 
-    strict_margin = float(np.min(1.0 - tau_l2 - c_vals * tau_vals * b2))
+    strict_margin = float((slack - ctb2).min())
     cond_witness = max(strict_margin, p.btb_min)
     checks.append(CheckResult("convergence-condition", cond_witness > 1e-10,
                               cond_witness, 1e-10))
