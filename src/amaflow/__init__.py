@@ -16,8 +16,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "errors": ("CapabilityError", "ConditionError", "ConvergenceError",
                "DimensionMismatchError", "ParseError", "TrajectoryError"),
-    "linop": ("DenseMap", "IdentityMap", "LinearMap", "ScaledIdentityMap",
-              "min_eigenvalue_sym", "operator_norm"),
+    "linop": ("DenseMap", "min_eigenvalue_sym", "operator_norm"),
     "functions": ("BoxIndicator", "L1Norm", "QuadraticDistance", "QuadraticForm",
                   "SeparableFunction", "ZeroFunction"),
     "problem": ("KKTResidual", "PrimalDualState", "SolveConfig", "TwoBlockProblem"),

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError
-from .dynamics import _euler_step, _m1_factor, _metric_matrix, _snapshot, alternating_update
+from .dynamics import _euler_step, _snapshot, alternating_update
 from .problem import PrimalDualState, SolveConfig, TwoBlockProblem
 from .schedules import ParameterSchedule, ScalarSchedule, ZeroMetric
 from .trajectory import DIVERGED_ABOVE, Trajectory, _run
@@ -35,12 +35,13 @@ class SolveResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def prox_ama_step(p: TwoBlockProblem, M1_k, M2_k, c_k: float,
+def prox_ama_step(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray], c_k: float,
                   s_k: PrimalDualState, tau_k: Optional[float] = None) -> PrimalDualState:
-    """One iteration: x-argmin, z-argmin with the fresh x, multiplier ascent."""
+    """One iteration: x-argmin, z-argmin with the fresh x, multiplier ascent,
+    for M1 = mu1 Id and either the prox step ``tau_k`` of a prox-friendly M2
+    or M2 as the (n, n) array ``K`` (None for M2 = 0)."""
     s = p.state(s_k.x, s_k.z, s_k.y)
-    K = None if tau_k is not None else _metric_matrix(M2_k)
-    x, z, w = alternating_update(p, _m1_factor(M1_k), K, c_k, tau_k, s.x, s.z, s.y)[:3]
+    x, z, w = alternating_update(p, mu1, K, c_k, tau_k, s.x, s.z, s.y)[:3]
     return PrimalDualState(x, z, s.y + w, s_k.t + 1)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import CapabilityError, ConditionError, ConvergenceError, TrajectoryError
 from .functions import SeparableFunction
-from .linop import LinearMap, ScaledIdentityMap, as_vector, matrix_of, sym_eigenvalues
+from .linop import as_vector, sym_eigenvalues
 from .problem import PrimalDualState, TwoBlockProblem, _record_every
 from .schedules import (
     ConstantDenseMetric,
@@ -41,6 +41,7 @@ from .schedules import (
     ProxFriendlyMetric,
     ScaledIdentityMetric,
     ZeroMetric,
+    _check_dims,
     _check_own_b,
     _constant,
 )
@@ -75,22 +76,6 @@ class GammaOutput:
         )
 
 
-_M1_KINDS = "x-subproblem supports only zero or scaled-identity M1"
-
-
-def _m1_factor(M1_t: LinearMap) -> float:
-    if not isinstance(M1_t, ScaledIdentityMap):
-        raise CapabilityError(_M1_KINDS)
-    return M1_t.factor
-
-
-def _metric_matrix(M2_t: LinearMap) -> Optional[np.ndarray]:
-    """M2 as the kernel's K: None for a zero map, else its dense matrix."""
-    if isinstance(M2_t, ScaledIdentityMap) and M2_t.factor == 0.0:
-        return None
-    return matrix_of(M2_t)
-
-
 def _once(at, read: list):
     """``at``, or, when no schedule in ``read`` (those ``at`` reads) depends on
     t, a function that returns the one tuple ``at(0.0)`` for every t."""
@@ -110,13 +95,16 @@ def _snapshot(p: TwoBlockProblem, sched: ParameterSchedule):
     coupling once. When no schedule read depends on t (constant c, tau as a
     reciprocal of a constant, M1 zero or of constant factor, and so on), the
     snapshot is one tuple, built here. The metric kinds are resolved here,
-    once: an M1 that is not zero or a scaled identity, an M2 of a kind not
-    shipped, or a prox-friendly M2 on another B than ``p``'s raises
-    :class:`CapabilityError` before any update. Where a prox-friendly M2's c
-    differs from the run's, K is M2(t) as a dense matrix.
+    once: a metric of another size than its block raises
+    :class:`~amaflow.errors.DimensionMismatchError`, and an M1 that is not
+    zero or a scaled identity, an M2 of a kind not shipped, or a
+    prox-friendly M2 on another B than ``p``'s raises
+    :class:`CapabilityError`, before any update. Where a prox-friendly M2's c
+    differs from the run's, K is its closed form ``Id/tau - c B*B``.
     """
     c_at = sched.c.value_at
     M1, M2 = sched.M1, sched.M2
+    _check_dims(p, M1, M2)
     read = [sched.c]
     if isinstance(M1, ZeroMetric):
         def mu1_at(t):
@@ -125,7 +113,7 @@ def _snapshot(p: TwoBlockProblem, sched: ParameterSchedule):
         mu1_at = M1.mu.value_at
         read.append(M1.mu)
     else:
-        raise CapabilityError(_M1_KINDS)
+        raise CapabilityError("x-subproblem supports only zero or scaled-identity M1")
     if isinstance(M2, ProxFriendlyMetric):
         _check_own_b(M2, p.B)
         tau_at = M2.tau.value_at
@@ -143,13 +131,13 @@ def _snapshot(p: TwoBlockProblem, sched: ParameterSchedule):
             if key[1] == c:
                 return mu1_at(t), None, c, key[0]
             if last[0] != key:
-                last[:] = key, matrix_of(M2.at(t))
+                last[:] = key, np.eye(p.dim_z) / key[0] - key[1] * p.btb
             return mu1_at(t), last[1], c, None
         return _once(prox_at, read)
     if isinstance(M2, ZeroMetric):
         return _once(lambda t: (mu1_at(t), None, c_at(t), None), read)
     if isinstance(M2, ConstantDenseMetric):
-        K = matrix_of(M2.M)
+        K = M2.M.matrix
         return _once(lambda t: (mu1_at(t), K, c_at(t), None), read)
     if not isinstance(M2, ScaledIdentityMetric):
         raise CapabilityError(f"z-subproblem does not support M2 of kind {M2.kind!r}")
@@ -222,27 +210,18 @@ def _inner_argmin(fun: SeparableFunction, Q: np.ndarray, lip: float,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def regularized_argmin(fun: SeparableFunction, Q: LinearMap, target,
+def regularized_argmin(fun: SeparableFunction, Q: np.ndarray, target,
                        require_uniform: bool = True) -> np.ndarray:
-    """``argmin_p  fun(p) + (1/2)<p, Qp> - <target, p>`` for symmetric PSD Q.
-
-    Scaled-identity Q dispatches to a single prox (or, for Q = 0, to the
-    conjugate gradient of ``fun``). General Q runs an inner proximal-gradient
-    loop; by default that path insists on a uniformly positive Q
-    (``require_uniform``), the well-posedness the convergence analysis needs.
-    Callers that only need attainment (the classic alternating scheme with no
-    regularization) relax it.
+    """``argmin_p  fun(p) + (1/2)<p, Qp> - <target, p>`` for a symmetric PSD
+    (n, n) array Q, by the inner proximal-gradient loop from p = 0 (for
+    Q = 0, the conjugate gradient of ``fun``). By default it insists on a
+    uniformly positive Q (``require_uniform``), the well-posedness the
+    convergence analysis needs. Callers that only need attainment (the
+    classic alternating scheme with no regularization) relax it. For
+    Q = mu Id the argmin is the single prox ``fun.prox(1/mu, target/mu)``.
     """
-    target = as_vector(target, fun.dim, "subproblem target")
-    if isinstance(Q, ScaledIdentityMap):
-        mu = Q.factor
-        if mu < 0.0:
-            raise ConditionError(f"subproblem metric has negative factor {mu}")
-        if mu == 0.0:
-            return fun.conj_grad(target)
-        return fun.prox(1.0 / mu, target / mu)
-    Qm = matrix_of(Q)
-    return _inner_argmin(fun, Qm, _lipschitz(Qm, require_uniform), target, np.zeros(fun.dim))
+    target, Q = as_vector(target, fun.dim, "subproblem target"), np.asarray(Q, dtype=float)
+    return _inner_argmin(fun, Q, _lipschitz(Q, require_uniform), target, np.zeros(fun.dim))
 
 
 # The update on trusted arrays, built once per run.
@@ -321,19 +300,18 @@ def _kernel(p: TwoBlockProblem, snap, require_uniform: bool = True):
     return update
 
 
-def solve_x_subproblem(p: TwoBlockProblem, M1_t: LinearMap, x, y) -> np.ndarray:
-    """Return the x-block argmin (the new point, not the velocity).
-
-    Only M1 = 0 or a positive multiple of the identity is supported; both keep
-    the update a single prox or conjugate-gradient evaluation of f.
+def solve_x_subproblem(p: TwoBlockProblem, mu1: float, x, y) -> np.ndarray:
+    """Return the x-block argmin (the new point, not the velocity) for
+    M1 = mu1 Id, mu1 >= 0: a single prox of f, or its conjugate gradient for
+    mu1 = 0.
     """
     x = as_vector(x, p.dim_x, "x")
-    x_step = _blocks(p)((_m1_factor(M1_t), None, 1.0, 1.0))[0]
+    x_step = _blocks(p)((mu1, None, 1.0, 1.0))[0]
     return x_step(x, p.mat_At.dot(as_vector(y, p.dim_y, "y")))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_z_subproblem(p: TwoBlockProblem, M2_t: Optional[LinearMap], c_t: float,
+def solve_z_subproblem(p: TwoBlockProblem, K: Optional[np.ndarray], c_t: float,
                        tau_t: Optional[float], z, y, x_new) -> np.ndarray:
     """Return the z-block argmin given the freshly updated x.
 
@@ -344,16 +322,16 @@ def solve_z_subproblem(p: TwoBlockProblem, M2_t: Optional[LinearMap], c_t: float
         z + tau (B*(y - c (A x_new + B z - b)) - grad h2(z)),
 
     tau times M2 z + B* y - c B*(A x_new - b) - grad h2(z), with one adjoint.
-    This branch never reads ``M2_t`` (it may be None) and takes the metric's c
+    This branch never reads ``K`` (it may be None) and takes the metric's c
     and B to be ``c_t`` and ``p.B``: a prox-friendly M2 must share the run's c
-    schedule and the problem's B. Otherwise the quadratic coupling
-    Q = c B*B + M2 is formed as one dense matrix and solved by the inner
-    proximal-gradient loop of :func:`regularized_argmin`.
+    schedule and the problem's B. Otherwise M2 is the (n, n) array ``K``
+    (None for M2 = 0), and the quadratic coupling Q = c B*B + K is formed as
+    one dense matrix and solved by the inner proximal-gradient loop of
+    :func:`regularized_argmin`, warm-started at z.
     """
     z = as_vector(z, p.dim_z, "z")
     y = as_vector(y, p.dim_y, "y")
     ax_new = p.mat_A.dot(as_vector(x_new, p.dim_x, "x_new"))
-    K = None if tau_t is not None else _metric_matrix(M2_t)
     z_step = _blocks(p)((0.0, K, c_t, tau_t))[1]
     return z_step(z, y, ax_new, None)
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import CapabilityError
-from .linop import LinearMap, _check_symmetric, _matvec, as_vector
+from .linop import DenseMap, _check_symmetric, _matvec, as_vector
 
 __all__ = [
     "SeparableFunction",
@@ -227,7 +227,7 @@ class QuadraticForm(SeparableFunction):
 
     kind = "quadratic_form"
 
-    def __init__(self, Q: LinearMap, q):
+    def __init__(self, Q: DenseMap, q):
         self.q = np.asarray(q, dtype=float)
         if self.q.ndim != 1:
             raise ValueError("linear term q must be a vector")
@@ -235,7 +235,7 @@ class QuadraticForm(SeparableFunction):
             raise ValueError("Q must be square and match the dimension of q")
         self.Q = Q
         self.dim = self.q.shape[0]
-        self._Qmat = Q.as_matrix()
+        self._Qmat = Q.matrix
         if not (np.isfinite(self._Qmat).all() and np.isfinite(self.q).all()):
             raise ValueError("Q and q must have finite entries")
         _check_symmetric(self._Qmat)

@@ -1,25 +1,18 @@
 """Dense linear operators with exact adjoints, and their spectral queries.
 
-A problem's operators are dense matrices; the maps here give them a checked
-``apply``/``adjoint_apply`` for callers outside the solvers, which work on
-the matrices themselves. Everything is immutable, so maps can be shared
-freely between concurrent solver runs.
+A problem's operators are dense matrices; :class:`DenseMap` holds one and
+gives it a checked ``apply``/``adjoint_apply`` for callers outside the
+solvers, which work on the matrices themselves. Maps are never modified, so
+they can be shared freely between concurrent solver runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import ConditionError, DimensionMismatchError
 
-__all__ = [
-    "LinearMap",
-    "DenseMap",
-    "IdentityMap",
-    "ScaledIdentityMap",
-    "operator_norm",
-    "min_eigenvalue_sym",
-]
+__all__ = ["DenseMap", "operator_norm", "min_eigenvalue_sym"]
 
 
 _FLOAT = np.dtype(float)
@@ -39,28 +32,8 @@ def as_vector(x, n: int, what: str = "vector") -> np.ndarray:
     return v
 
 
-class LinearMap:
-    """A finite-dimensional linear operator with an exact adjoint and a dense
-    matrix; subclasses implement all three methods."""
-
-    dim_in: int
-    dim_out: int
-
-    def apply(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def adjoint_apply(self, y) -> np.ndarray:
-        raise NotImplementedError
-
-    def as_matrix(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, x) -> np.ndarray:
-        return self.apply(x)
-
-
-class DenseMap(LinearMap):
-    """Operator given by an explicit (row-major) matrix."""
+class DenseMap:
+    """Operator given by an explicit (row-major) matrix, read as ``.matrix``."""
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
@@ -76,38 +49,6 @@ class DenseMap(LinearMap):
 
     def adjoint_apply(self, y):
         return self.matrix.T.dot(as_vector(y, self.dim_out, "adjoint input"))
-
-    def as_matrix(self):
-        return self.matrix.copy()
-
-
-class ScaledIdentityMap(LinearMap):
-    """``factor * Id`` on R^n; ``factor`` may be zero or negative."""
-
-    def __init__(self, n: int, factor: float):
-        if n <= 0:
-            raise ValueError(f"dimension must be positive, got {n}")
-        self.dim_in = self.dim_out = n
-        self.factor = float(factor)
-
-    def apply(self, x):
-        return as_vector(x, self.dim_in, "apply input") * self.factor
-
-    def adjoint_apply(self, y):
-        return as_vector(y, self.dim_out, "adjoint input") * self.factor
-
-    def as_matrix(self):
-        return np.eye(self.dim_in) * self.factor
-
-
-class IdentityMap(ScaledIdentityMap):
-    def __init__(self, n: int):
-        super().__init__(n, 1.0)
-
-
-def matrix_of(m: LinearMap) -> np.ndarray:
-    """The dense matrix of ``m``, shared with a :class:`DenseMap`, not copied."""
-    return m.matrix if isinstance(m, DenseMap) else m.as_matrix()
 
 
 def _blas_layout(M: np.ndarray) -> np.ndarray:
@@ -126,13 +67,17 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _check_symmetric(a: np.ndarray) -> None:
-    """Raise unless the square matrix ``a`` is symmetric to 1e-10 relative to
-    its largest entry; the message carries the maximal asymmetry."""
+    """Raise unless the square matrix ``a`` is finite and symmetric to 1e-10
+    relative to its largest entry; the message carries the maximal asymmetry.
+    A non-finite entry is a :class:`ConditionError`, found before ``a - a.T``,
+    where inf - inf would be NaN and compare as passing."""
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("symmetric eigenvalue input", a.shape[1], a.shape[0])
+    top = float(np.max(np.abs(a))) if a.size else 0.0
+    if not top < np.inf:  # NaN fails the comparison too
+        raise ConditionError("matrix has non-finite entries")
     asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if asym > 1e-10 * scale:
+    if asym > 1e-10 * max(1.0, top):
         raise ValueError(f"map is not symmetric: max asymmetry {asym:.3e}")
 
 
@@ -143,15 +88,15 @@ def sym_eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
-def operator_norm(m: LinearMap) -> float:
-    """Largest singular value of ``m``, from an SVD of its dense matrix."""
-    return float(np.linalg.norm(matrix_of(m), 2))
+def operator_norm(m: DenseMap) -> float:
+    """Largest singular value of ``m``, from an SVD of its matrix."""
+    return float(np.linalg.norm(m.matrix, 2))
 
 
-def min_eigenvalue_sym(m: LinearMap) -> float:
+def min_eigenvalue_sym(m: DenseMap) -> float:
     """Smallest eigenvalue of a square symmetric map, via dense eigh.
 
-    The map is materialized and checked for symmetry first; an asymmetric
-    input raises with the maximal asymmetry magnitude in the message.
+    The matrix is checked first: a non-finite or asymmetric input raises,
+    the latter with the maximal asymmetry magnitude in the message.
     """
-    return float(sym_eigenvalues(matrix_of(m))[0])
+    return float(sym_eigenvalues(m.matrix)[0])

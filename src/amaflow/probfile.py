@@ -22,7 +22,7 @@ from .functions import (
     SeparableFunction,
     ZeroFunction,
 )
-from .linop import DenseMap, LinearMap
+from .linop import DenseMap
 from .problem import PrimalDualState, SolveConfig, TwoBlockProblem
 from .schedules import (
     ConstantSchedule,
@@ -173,7 +173,7 @@ def _parse_scalar(doc, loc: str, c: ScalarSchedule | None = None) -> ScalarSched
 
 
 def _parse_metric(doc, loc: str, dim: int, c: ScalarSchedule,
-                  tau: ScalarSchedule | None, B: LinearMap,
+                  tau: ScalarSchedule | None, B: DenseMap,
                   allow_prox_friendly: bool) -> MetricSchedule:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("expected an object with a 'kind' key", loc)
@@ -274,7 +274,7 @@ def _function_doc(fun: SeparableFunction) -> dict:
     if isinstance(fun, ZeroFunction):
         return {"kind": "zero", "dim": fun.dim}
     if isinstance(fun, QuadraticForm):
-        return {"kind": "quadratic_form", "Q": fun.Q.as_matrix().tolist(),
+        return {"kind": "quadratic_form", "Q": fun.Q.matrix.tolist(),
                 "q": fun.q.tolist()}
     raise ValueError(f"cannot serialize function kind {fun.kind!r}")
 
@@ -302,7 +302,7 @@ def _metric_doc(m: MetricSchedule, c: ScalarSchedule) -> dict:
     if isinstance(m, ProxFriendlyMetric):
         return {"kind": "prox_friendly"}
     if isinstance(m, ConstantDenseMetric):
-        return {"kind": "constant_dense", "matrix": m.M.as_matrix().tolist()}
+        return {"kind": "constant_dense", "matrix": m.M.matrix.tolist()}
     raise ValueError(f"cannot serialize metric kind {m.kind!r}")
 
 
@@ -320,7 +320,7 @@ def serialize_problem(data: ProblemFileData) -> str:
     doc = {
         "functions": {"f": _function_doc(p.f), "h1": _function_doc(p.h1),
                       "g": _function_doc(p.g), "h2": _function_doc(p.h2)},
-        "operators": {"A": p.A.as_matrix().tolist(), "B": p.B.as_matrix().tolist()},
+        "operators": {"A": p.A.matrix.tolist(), "B": p.B.matrix.tolist()},
         "b": p.b.tolist(),
         "schedules": schedules,
         "initial": {"x": data.initial.x.tolist(), "z": data.initial.z.tolist(),

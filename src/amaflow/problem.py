@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError
 from .functions import SeparableFunction
-from .linop import _FLOAT, LinearMap, _matvec, as_vector, matrix_of
+from .linop import _FLOAT, DenseMap, _matvec, as_vector
 
 __all__ = ["PrimalDualState", "TwoBlockProblem", "KKTResidual", "SolveConfig"]
 
@@ -110,8 +110,8 @@ class TwoBlockProblem:
     """
 
     def __init__(self, f: SeparableFunction, h1: SeparableFunction,
-                 g: SeparableFunction, h2: SeparableFunction, A: LinearMap,
-                 B: LinearMap, b):
+                 g: SeparableFunction, h2: SeparableFunction, A: DenseMap,
+                 B: DenseMap, b):
         self.f, self.h1, self.g, self.h2, self.A, self.B = f, h1, g, h2, A, B
         self.b = np.asarray(b, dtype=float)
         if self.b.ndim != 1:
@@ -130,7 +130,7 @@ class TwoBlockProblem:
                                 ("constraint rows (B)", rows, B.dim_out)):
             if got != want:
                 raise DimensionMismatchError(what, want, got)
-        self.mat_A, self.mat_B = matrix_of(A), matrix_of(B)
+        self.mat_A, self.mat_B = A.matrix, B.matrix
         self.mat_At, self.mat_Bt = self.mat_A.T, self.mat_B.T
         for name, arr in (("A", self.mat_A), ("B", self.mat_B), ("b", self.b)):
             if not np.isfinite(arr).all():

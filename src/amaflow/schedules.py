@@ -15,14 +15,12 @@ grid point.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapabilityError
-from .linop import (DenseMap, LinearMap, ScaledIdentityMap, _check_symmetric, matrix_of,
-                    sym_eigenvalues)
+from .errors import CapabilityError, DimensionMismatchError
+from .linop import DenseMap, _check_symmetric, sym_eigenvalues
 
 __all__ = [
     "ScalarSchedule",
@@ -166,16 +164,11 @@ def _constant(s: ScalarSchedule) -> bool:
 
 
 class MetricSchedule:
-    """A symmetric-operator-valued function of time."""
+    """A symmetric-operator-valued function of time on R^dim; the solvers and
+    the validators read each kind's closed form (see :func:`_spectral_form`)."""
 
     kind: str
     dim: int
-
-    def at(self, t: float) -> LinearMap:
-        raise NotImplementedError
-
-    def derivative_at(self, t: float) -> LinearMap:
-        raise NotImplementedError
 
 
 class ZeroMetric(MetricSchedule):
@@ -185,13 +178,6 @@ class ZeroMetric(MetricSchedule):
         if dim <= 0:
             raise ValueError(f"dimension must be positive, got {dim}")
         self.dim = dim
-        self._zero = ScaledIdentityMap(dim, 0.0)
-
-    def at(self, t):
-        return self._zero
-
-    def derivative_at(self, t):
-        return self._zero
 
 
 class ScaledIdentityMetric(MetricSchedule):
@@ -205,12 +191,6 @@ class ScaledIdentityMetric(MetricSchedule):
         self.mu = mu
         self.dim = dim
 
-    def at(self, t):
-        return ScaledIdentityMap(self.dim, self.mu.value_at(t))
-
-    def derivative_at(self, t):
-        return ScaledIdentityMap(self.dim, self.mu.derivative_at(t))
-
 
 class ProxFriendlyMetric(MetricSchedule):
     """``(1/tau(t)) Id - c(t) B*B``.
@@ -222,59 +202,41 @@ class ProxFriendlyMetric(MetricSchedule):
 
     kind = "prox_friendly"
 
-    def __init__(self, tau: ScalarSchedule, c: ScalarSchedule, B: LinearMap):
+    def __init__(self, tau: ScalarSchedule, c: ScalarSchedule, B: DenseMap):
         self.tau = tau
         self.c = c
         self.B = B
         self.dim = B.dim_in
 
-    @cached_property
-    def _btb(self) -> np.ndarray:
-        # Only the dense views below need B*B. The energy and the validators use
-        # the metric's closed form; a run's z-step builds it through ``at`` only
-        # where this metric's c differs from the run's (see ``_snapshot``).
-        bm = matrix_of(self.B)
-        return bm.T @ bm
 
-    def at(self, t):
-        mat = np.eye(self.dim) / self.tau.value_at(t) - self.c.value_at(t) * self._btb
-        return DenseMap(mat)
-
-    def derivative_at(self, t):
-        tau = self.tau.value_at(t)
-        mat = (
-            -self.tau.derivative_at(t) / (tau * tau) * np.eye(self.dim)
-            - self.c.derivative_at(t) * self._btb
-        )
-        return DenseMap(mat)
-
-
-def _check_own_b(M: ProxFriendlyMetric, B: LinearMap) -> None:
+def _check_own_b(M: ProxFriendlyMetric, B: DenseMap) -> None:
     """Raise :class:`CapabilityError` unless ``M`` is built on ``B`` or on a map
     with ``B``'s matrix. A prox-friendly metric's closed forms hold only on the
     problem's own B, and a separate but equal B is the problem's own."""
-    if M.B is not B and not np.array_equal(matrix_of(M.B), matrix_of(B)):
+    if M.B is not B and not np.array_equal(M.B.matrix, B.matrix):
         raise CapabilityError("prox_friendly metric is built on another B than the "
                               "problem's and cannot be validated")
 
 
 class ConstantDenseMetric(MetricSchedule):
-    """A constant metric given by a symmetric map M."""
+    """A constant metric given by a finite symmetric map M."""
 
     kind = "constant_dense"
 
-    def __init__(self, M: LinearMap):
+    def __init__(self, M: DenseMap):
         if M.dim_in != M.dim_out:
             raise ValueError("metric operator must be square")
-        _check_symmetric(matrix_of(M))
+        _check_symmetric(M.matrix)
         self.M = M
         self.dim = M.dim_in
 
-    def at(self, t):
-        return self.M
 
-    def derivative_at(self, t):
-        return ScaledIdentityMap(self.dim, 0.0)
+def _check_dims(p, M1: MetricSchedule, M2: MetricSchedule) -> None:
+    """Raise :class:`DimensionMismatchError` unless M1 acts on ``p``'s x block
+    and M2 on its z block."""
+    for what, want, M in (("M1", p.dim_x, M1), ("M2", p.dim_z, M2)):
+        if M.dim != want:
+            raise DimensionMismatchError(what, want, M.dim)
 
 
 class ParameterSchedule:
@@ -376,7 +338,7 @@ def _reciprocal_on_grid(tau: ScalarSchedule, grid: np.ndarray) -> tuple:
     return 1.0 / tau, -dtau / (tau * tau)
 
 
-def _spectral_form(M: MetricSchedule, grid: np.ndarray, B: LinearMap) -> tuple:
+def _spectral_form(M: MetricSchedule, grid: np.ndarray, B: DenseMap) -> tuple:
     """``(alpha, alpha', beta, beta', K)`` with ``M(t) = alpha(t) Id + beta(t) B*B + K``.
 
     Four arrays over the grid and a constant matrix K (None for K = 0); K is
@@ -394,7 +356,7 @@ def _spectral_form(M: MetricSchedule, grid: np.ndarray, B: LinearMap) -> tuple:
         alpha, dalpha = _reciprocal_on_grid(M.tau, grid)
         return alpha, dalpha, -c, -dc, None
     if isinstance(M, ConstantDenseMetric):
-        return zero, zero, zero, zero, M.M.as_matrix()
+        return zero, zero, zero, zero, M.M.matrix
     raise CapabilityError(f"metric kind {M.kind!r} has no spectral form and cannot be validated")
 
 
@@ -450,8 +412,11 @@ def _z_beta(p, c_vals: np.ndarray, form: tuple, extremes: np.ndarray) -> float:
     if K is None:
         return float(np.min(_at_extremes(alpha, c_vals + beta, extremes)))
     # lambda_min(c B*B + K) is nondecreasing in c because B*B is PSD, so the
-    # smallest c on the grid attains the minimum, whatever the c schedule.
-    return float(sym_eigenvalues(float(np.min(c_vals)) * p.btb + K)[0])
+    # smallest c on the grid attains the minimum, whatever the c schedule. A
+    # coupling past the float range has no eigenvalues to read: NaN, which
+    # fails cweak and cstrong and leaves a forced solve to run.
+    Q = float(np.min(c_vals)) * p.btb + K
+    return float(sym_eigenvalues(Q)[0]) if np.isfinite(Q).all() else math.nan
 
 
 def validate(p, c: ScalarSchedule, M1: MetricSchedule, M2: MetricSchedule,
@@ -463,10 +428,12 @@ def validate(p, c: ScalarSchedule, M1: MetricSchedule, M2: MetricSchedule,
     M1, M2 dominating a quarter of the corresponding gradient Lipschitz
     constants; both metrics Loewner-monotonically decreasing with bounded
     derivative; and the disjunctive convergence condition (uniformly positive
-    regularized M2, or uniformly positive-definite B*B). A metric that is not
-    one of the four shipped kinds raises :class:`CapabilityError`. The first
-    call on a fresh problem carries its SVDs of A and B.
+    regularized M2, or uniformly positive-definite B*B). A metric of another
+    size than its block raises :class:`DimensionMismatchError`, and one that
+    is not of the four shipped kinds :class:`CapabilityError`. The first call
+    on a fresh problem carries its SVDs of A and B.
     """
+    _check_dims(p, M1, M2)
     grid, c_vals, _, checks = _c_rules(p, c, eps, t_grid)
 
     l1 = p.h1.grad_lipschitz or 0.0

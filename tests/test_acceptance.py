@@ -9,17 +9,14 @@ import numpy as np
 import pytest
 
 from amaflow import (
-    ConstantDenseMetric,
     ConstantSchedule,
     DenseMap,
-    IdentityMap,
     L1Norm,
     PrimalDualState,
     ProxFriendlyMetric,
     QuadraticDistance,
     QuadraticForm,
     ReciprocalQuadratic,
-    ScaledIdentityMap,
     SolveConfig,
     TwoBlockProblem,
     ZeroFunction,
@@ -213,7 +210,7 @@ def test_criterion_06_prox_maps_match_brute_force(verdict):
 def test_criterion_07_subproblem_maps_are_lipschitz(verdict, ex_problem):
     rng = np.random.default_rng(70701)
 
-    m1 = ScaledIdentityMap(2, 0.0)
+    m1 = 0.0
     x_fix = np.array([0.3, -0.4])
     bound_x = 1.0 / ex_problem.f.strong_convexity
     worst_x = 0.0
@@ -232,11 +229,11 @@ def test_criterion_07_subproblem_maps_are_lipschitz(verdict, ex_problem):
         h1=ZeroFunction(2),
         g=L1Norm(2, 1.0),
         h2=ZeroFunction(2),
-        A=IdentityMap(2),
-        B=IdentityMap(2),
+        A=DenseMap(np.eye(2)),
+        B=DenseMap(np.eye(2)),
         b=np.zeros(2),
     )
-    m2 = ConstantDenseMetric(DenseMap(m2_mat)).at(0.0)
+    m2 = m2_mat
     z_fix = np.array([0.1, 0.2])
     y_fix = np.array([-0.5, 0.3])
     bound_z = c / beta

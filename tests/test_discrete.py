@@ -9,7 +9,6 @@ from amaflow import (
     ConstantSchedule,
     CoupledReciprocal,
     DenseMap,
-    IdentityMap,
     L1Norm,
     MetricSchedule,
     ParameterSchedule,
@@ -17,7 +16,6 @@ from amaflow import (
     ProxFriendlyMetric,
     QuadraticDistance,
     ReciprocalQuadratic,
-    ScaledIdentityMap,
     ScaledIdentityMetric,
     SolveConfig,
     TwoBlockProblem,
@@ -32,6 +30,7 @@ from amaflow import (
     prox_ama_step,
 )
 from amaflow.trajectory import DIVERGED_ABOVE
+from oracles import step_params
 
 A_T = (np.array([[2.0, 1.0], [-2.0, 1.0]]) / np.sqrt(8.0)).T
 Y_STAR = np.array([-1.0, 1.0]) / np.sqrt(2.0)
@@ -78,17 +77,14 @@ class TestUnequalTolerances:
 class TestStep:
     def test_saddle_is_a_fixed_point(self, ex_problem, ex_sched_c025, ex_reference):
         s = ex_reference
-        m1 = ex_sched_c025.M1.at(0.0)
-        m2 = ex_sched_c025.M2.at(0.0)
         tau = ex_sched_c025.tau.value_at(0.0)
-        out = prox_ama_step(ex_problem, m1, m2, 0.25, s, tau)
+        out = prox_ama_step(ex_problem, 0.0, None, 0.25, s, tau)
         assert out.x == pytest.approx(s.x, abs=1e-10)
         assert out.z == pytest.approx(s.z, abs=1e-10)
         assert out.y == pytest.approx(s.y, abs=1e-10)
 
     def test_first_iterate_formula(self, ex_problem, ex_sched_c025, ex_start):
-        out = prox_ama_step(ex_problem, ex_sched_c025.M1.at(0.0),
-                            ex_sched_c025.M2.at(0.0), 0.25, ex_start,
+        out = prox_ama_step(ex_problem, 0.0, None, 0.25, ex_start,
                             ex_sched_c025.tau.value_at(0.0))
         assert out.x == pytest.approx(np.array([1.0, 0.0]) + A_T @ ex_start.y,
                                       abs=1e-12)
@@ -100,8 +96,8 @@ class TestStep:
         sched = example_schedule("c1-decay", 0.99, ex_problem)
         s = ex_start
         for k in (0.0, 1.0):
-            s = prox_ama_step(ex_problem, sched.M1.at(k), sched.M2.at(k),
-                              sched.c.value_at(k), s, sched.tau.value_at(k))
+            mu1, K, c, tau = step_params(sched, k, ex_problem.mat_B)
+            s = prox_ama_step(ex_problem, mu1, K, c, s, tau)
         run = prox_ama_run(ex_problem, sched, ex_start,
                            SolveConfig(max_iters=2, tol_kkt=1e-15, tol_feas=1e-15))
         assert np.array_equal(run.final.x, s.x)
@@ -296,8 +292,8 @@ class TestAmaRun:
             h1=ZeroFunction(2),
             g=QuadraticDistance(np.zeros(2), 0.7),
             h2=ZeroFunction(2),
-            A=IdentityMap(2),
-            B=IdentityMap(2),
+            A=DenseMap(np.eye(2)),
+            B=DenseMap(np.eye(2)),
             b=np.array([1.0, 1.0]),
         )
         s0 = PrimalDualState(rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2),
@@ -318,8 +314,8 @@ class TestAmaRun:
             h1=ZeroFunction(2),
             g=ZeroFunction(2),
             h2=ZeroFunction(2),
-            A=IdentityMap(2),
-            B=IdentityMap(2),
+            A=DenseMap(np.eye(2)),
+            B=DenseMap(np.eye(2)),
             b=b,
         )
         s0 = PrimalDualState(np.zeros(2), np.zeros(2), np.array([1.0, -2.0]))
@@ -338,8 +334,8 @@ class TestAmaRun:
             h1=QuadraticDistance(np.zeros(2), 1.0),
             g=ZeroFunction(2),
             h2=ZeroFunction(2),
-            A=IdentityMap(2),
-            B=IdentityMap(2),
+            A=DenseMap(np.eye(2)),
+            B=DenseMap(np.eye(2)),
             b=np.zeros(2),
         )
         with pytest.raises(CapabilityError):
@@ -465,7 +461,8 @@ class TestConstantCoupling:
         s = s0
         for k in range(iters):
             t = float(k)
-            s = prox_ama_step(p, sched.M1.at(t), sched.M2.at(t), sched.c.value_at(t), s)
+            mu1, K, c, tau = step_params(sched, t, p.mat_B)
+            s = prox_ama_step(p, mu1, K, c, s, tau)
         return s
 
     def test_constant_dense_run_decomposes_once(self, ex_problem, ex_start,
@@ -478,6 +475,20 @@ class TestConstantCoupling:
         s = self.manual(ex_problem, sched, ex_start, 50)
         for a, b in ((res.final.x, s.x), (res.final.z, s.z), (res.final.y, s.y)):
             assert np.array_equal(a, b)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_coupling_ends_the_run_as_an_error(self):
+        # B*B = 1e308 in its corner, so c B*B at c = 2 is inf: the coupling's
+        # check refuses it before its eigenvalues, and the run ends error.
+        p = TwoBlockProblem(QuadraticDistance([1.0, 0.0], 1.0), ZeroFunction(2),
+                            L1Norm(2, 1.0), ZeroFunction(2), DenseMap(A_T.T),
+                            DenseMap(np.array([[-0.6, 0.0], [0.8, 0.0]]) * 1e154),
+                            np.zeros(2))
+        sched = ParameterSchedule(ConstantSchedule(2.0), ZeroMetric(2), self.M2)
+        res = prox_ama_run(p, sched, p.state([-10.0, 10.0], [0.0, 0.0], [1e-200, 0.0]),
+                           SolveConfig(max_iters=50))
+        assert (res.status, res.iterations_used) == ("error", 0)
+        assert res.message == "matrix has non-finite entries"
 
     def test_integration_decomposes_once_per_run(self, ex_problem, ex_start,
                                                  decompositions):
@@ -541,9 +552,6 @@ class TestConstantCoupling:
             kind = "custom"
             dim = 2
 
-            def at(self, t):
-                return DenseMap(np.eye(2))
-
         metrics = {"M1": ZeroMetric(2), "M2": ZeroMetric(2), which: Custom()}
         sched = ParameterSchedule(ConstantSchedule(0.25), metrics["M1"], metrics["M2"])
         match = "custom" if which == "M2" else "M1"
@@ -582,8 +590,8 @@ class TestZeroRightHandSide:
     def test_only_an_all_plus_zero_b_is_skipped(self, b, skips):
         n = len(b)
         p = TwoBlockProblem(QuadraticDistance(np.zeros(n), 1.0), ZeroFunction(n),
-                            L1Norm(n, 1.0), ZeroFunction(n), IdentityMap(n),
-                            IdentityMap(n), np.array(b))
+                            L1Norm(n, 1.0), ZeroFunction(n), DenseMap(np.eye(n)),
+                            DenseMap(np.eye(n)), np.array(b))
         assert p.b_is_zero is skips
 
     @pytest.mark.parametrize("b", [(0.0, 0.0), (-0.0, 0.0), (0.0,), (-0.0,)])

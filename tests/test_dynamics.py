@@ -13,13 +13,12 @@ from amaflow import (
     DenseMap,
     DimensionMismatchError,
     GammaOutput,
-    IdentityMap,
     L1Norm,
     ParameterSchedule,
     PrimalDualState,
     ProxFriendlyMetric,
     QuadraticDistance,
-    ScaledIdentityMap,
+    ReciprocalSqrt,
     ScaledIdentityMetric,
     SolveConfig,
     TrajectoryError,
@@ -36,9 +35,12 @@ from amaflow import (
     regularized_argmin,
     solve_x_subproblem,
     solve_z_subproblem,
+    validate,
 )
 from amaflow.diagnostics import trajectory_energies
+from amaflow.dynamics import _snapshot
 from amaflow.trajectory import DIVERGED_ABOVE
+from oracles import metric_matrix
 
 A_MAT = np.array([[2.0, 1.0], [-2.0, 1.0]]) / np.sqrt(8.0)
 B_MAT = np.array([[-3.0, 0.0], [4.0, 0.0]]) / 5.0
@@ -66,7 +68,7 @@ def raw_field(x, z, y, c, tau):
 
 class TestXSubproblem:
     def test_unregularized_formula(self, ex_problem, rng):
-        m1 = ScaledIdentityMap(2, 0.0)
+        m1 = 0.0
         for _ in range(25):
             x = rng.uniform(-5, 5, 2)
             y = rng.uniform(-5, 5, 2)
@@ -74,7 +76,7 @@ class TestXSubproblem:
             assert got == pytest.approx(ANCHOR + A_MAT.T @ y, abs=1e-12)
 
     def test_zero_multiplier_lands_on_anchor(self, ex_problem):
-        m1 = ScaledIdentityMap(2, 0.0)
+        m1 = 0.0
         out = solve_x_subproblem(ex_problem, m1, ANCHOR, np.zeros(2))
         assert out == pytest.approx([1.0, 0.0])
 
@@ -84,20 +86,22 @@ class TestXSubproblem:
             h1=ZeroFunction(2),
             g=L1Norm(2, 1.0),
             h2=ZeroFunction(2),
-            A=IdentityMap(2),
-            B=IdentityMap(2),
+            A=DenseMap(np.eye(2)),
+            B=DenseMap(np.eye(2)),
             b=np.zeros(2),
         )
-        out = solve_x_subproblem(p, ScaledIdentityMap(2, 1.0), [2.0, 0.0], np.zeros(2))
+        out = solve_x_subproblem(p, 1.0, [2.0, 0.0], np.zeros(2))
         assert out == pytest.approx([1.0, 0.0])
 
-    def test_dense_metric_refused(self, ex_problem):
-        with pytest.raises(CapabilityError):
-            solve_x_subproblem(ex_problem, DenseMap(np.eye(2)), np.zeros(2), np.zeros(2))
+    def test_dense_metric_refused(self, ex_problem, ex_start):
+        sched = ParameterSchedule(ConstantSchedule(0.25), ConstantDenseMetric(DenseMap(np.eye(2))),
+                                  ZeroMetric(2))
+        with pytest.raises(CapabilityError, match="scaled-identity M1"):
+            gamma(ex_problem, sched, 0.0, ex_start)
 
     def test_contraction_in_multiplier(self, ex_problem, rng):
         # the map y -> new x is ||A||/sigma Lipschitz when M1 = 0
-        m1 = ScaledIdentityMap(2, 0.0)
+        m1 = 0.0
         x = np.array([0.3, -0.4])
         bound = ex_problem.norm_A / ex_problem.f.strong_convexity
         for _ in range(100):
@@ -110,23 +114,21 @@ class TestXSubproblem:
 
 class TestZSubproblem:
     def test_small_pull_is_absorbed(self, ex_problem):
-        m2 = ProxFriendlyMetric(ConstantSchedule(1.0), ConstantSchedule(0.25),
-                                ex_problem.B).at(0.0)
         y = np.array([-1.0, 1.0]) / np.sqrt(2.0)
-        out = solve_z_subproblem(ex_problem, m2, 0.25, 1.0, np.zeros(2), y, np.zeros(2))
+        out = solve_z_subproblem(ex_problem, None, 0.25, 1.0, np.zeros(2), y, np.zeros(2))
         assert out == pytest.approx([0.0, 0.0], abs=1e-14)
 
     def test_prox_path_satisfies_stationarity(self, ex_problem, rng):
         tau = 3.96
-        m2 = ProxFriendlyMetric(ConstantSchedule(tau), ConstantSchedule(0.25),
-                                ex_problem.B).at(0.0)
+        m2 = metric_matrix(ProxFriendlyMetric(ConstantSchedule(tau), ConstantSchedule(0.25),
+                                              ex_problem.B), 0.0, B_MAT)
         for _ in range(30):
             z = rng.uniform(-6, 6, 2)
             y = rng.uniform(-3, 3, 2)
             x_new = rng.uniform(-3, 3, 2)
-            target = (m2.apply(z) + B_MAT.T @ y
+            target = (m2 @ z + B_MAT.T @ y
                       - 0.25 * (B_MAT.T @ (A_MAT @ x_new)))
-            z_new = solve_z_subproblem(ex_problem, m2, 0.25, tau, z, y, x_new)
+            z_new = solve_z_subproblem(ex_problem, None, 0.25, tau, z, y, x_new)
             # optimality: target - z_new/tau must be an l1 subgradient at z_new
             g = target - z_new / tau
             assert np.all(np.abs(g) <= 1.0 + 1e-10)
@@ -144,12 +146,12 @@ class TestZSubproblem:
             h1=ZeroFunction(2),
             g=QuadraticDistance(d_z, w),
             h2=ZeroFunction(2),
-            A=IdentityMap(2),
-            B=IdentityMap(2),
+            A=DenseMap(np.eye(2)),
+            B=DenseMap(np.eye(2)),
             b=np.zeros(2),
         )
         c = 0.3
-        m2 = ConstantDenseMetric(DenseMap(m2_mat)).at(0.0)
+        m2 = m2_mat
         for _ in range(20):
             z = rng.uniform(-4, 4, 2)
             y = rng.uniform(-4, 4, 2)
@@ -167,13 +169,13 @@ class TestZSubproblem:
             h1=ZeroFunction(2),
             g=L1Norm(2, 1.0),
             h2=ZeroFunction(2),
-            A=IdentityMap(2),
-            B=IdentityMap(2),
+            A=DenseMap(np.eye(2)),
+            B=DenseMap(np.eye(2)),
             b=np.zeros(2),
         )
         c = 0.3
         beta = c + float(np.linalg.eigvalsh(m2_mat)[0])
-        m2 = DenseMap(m2_mat)
+        m2 = m2_mat
         z = np.array([0.1, 0.2])
         x_new = np.array([-0.3, 0.4])
         for _ in range(100):
@@ -184,24 +186,23 @@ class TestZSubproblem:
             assert np.linalg.norm(z1 - z2) <= np.linalg.norm(y1 - y2) / beta + 1e-7
 
     def test_nonpositive_tau_refused(self, ex_problem):
-        m2 = ScaledIdentityMap(2, 1.0)
         with pytest.raises(ConditionError):
-            solve_z_subproblem(ex_problem, m2, 0.25, 0.0, np.zeros(2), np.zeros(2),
+            solve_z_subproblem(ex_problem, None, 0.25, 0.0, np.zeros(2), np.zeros(2),
                                np.zeros(2))
 
 
 class TestRegularizedArgmin:
     def test_negative_identity_refused(self):
         with pytest.raises(ConditionError):
-            regularized_argmin(L1Norm(2, 1.0), ScaledIdentityMap(2, -0.5), np.zeros(2))
+            regularized_argmin(L1Norm(2, 1.0), -0.5 * np.eye(2), np.zeros(2))
 
     def test_singular_dense_metric_gated(self):
-        q = DenseMap(np.diag([1.0, 0.0]))
+        q = np.diag([1.0, 0.0])
         with pytest.raises(ConditionError):
             regularized_argmin(L1Norm(2, 1.0), q, np.zeros(2))
 
     def test_gate_relaxation_allows_attainable_case(self):
-        q = DenseMap(np.diag([1.0, 0.0]))
+        q = np.diag([1.0, 0.0])
         # strongly convex objective keeps the minimum attained even though
         # the metric is singular
         out = regularized_argmin(QuadraticDistance(np.zeros(2), 1.0), q,
@@ -214,7 +215,7 @@ class TestRegularizedArgmin:
         m = rng.standard_normal((4, 4))
         q = m @ m.T + 0.5 * np.eye(4)
         target = rng.standard_normal(4) * 1e12
-        out = regularized_argmin(L1Norm(4, 1.0), DenseMap(q), target)
+        out = regularized_argmin(L1Norm(4, 1.0), q, target)
         exact = np.linalg.solve(q, target - np.sign(out))
         assert np.linalg.norm(out - exact) <= 1e-8 * np.linalg.norm(exact)
 
@@ -228,17 +229,18 @@ class TestRegularizedArgmin:
         # would pass after one step, with Q p - target off by about 3e159. The
         # public helpers that reach the loop, the last three with a constant
         # dense M2 from z = (target, target), raise without numpy's warning.
-        q = DenseMap(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        q = np.array([[2.0, 0.5], [0.5, 1.0]])
         z, zero = np.array([target, target]), np.zeros(2)
-        K = DenseMap([[0.6, 0.1], [0.1, 0.4]])
-        sched = ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2), ConstantDenseMetric(K))
+        K = np.array([[0.6, 0.1], [0.1, 0.4]])
+        sched = ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2),
+                                  ConstantDenseMetric(DenseMap(K)))
         calls = {
             "regularized_argmin": lambda: regularized_argmin(L1Norm(2, 0.1), q, z),
             "solve_z_subproblem": lambda: solve_z_subproblem(
-                ex_problem, sched.M2.at(0.0), 0.25, None, z, zero, zero),
+                ex_problem, K, 0.25, None, z, zero, zero),
             "gamma": lambda: gamma(ex_problem, sched, 0.0, PrimalDualState(zero, z, zero)),
-            "prox_ama_step": lambda: prox_ama_step(ex_problem, sched.M1.at(0.0), sched.M2.at(0.0),
-                                                   0.25, PrimalDualState(zero, z, zero)),
+            "prox_ama_step": lambda: prox_ama_step(ex_problem, 0.0, K, 0.25,
+                                                   PrimalDualState(zero, z, zero)),
         }
         with pytest.raises(ConvergenceError, match="not finite"):
             calls[helper]()
@@ -485,15 +487,15 @@ class TestBoundaryChecks:
 
     def test_public_helpers_accept_lists(self, ex_problem, ex_sched_c025):
         p, sched = ex_problem, ex_sched_c025
-        m1, c, tau = sched.M1.at(0.0), 0.25, sched.tau.value_at(0.0)
+        m1, c, tau = 0.0, 0.25, sched.tau.value_at(0.0)
         x, z, y = [1.0, -2.0], [0.5, 3.0], [-1.0, 2.0]
         arr = [np.array(v) for v in (x, z, y)]
         assert np.array_equal(solve_x_subproblem(p, m1, x, y),
                               solve_x_subproblem(p, m1, arr[0], arr[2]))
         assert np.array_equal(solve_z_subproblem(p, None, c, tau, z, y, x),
                               solve_z_subproblem(p, None, c, tau, arr[1], arr[2], arr[0]))
-        assert np.array_equal(regularized_argmin(p.g, ScaledIdentityMap(2, 2.0), x),
-                              regularized_argmin(p.g, ScaledIdentityMap(2, 2.0), arr[0]))
+        assert np.array_equal(regularized_argmin(p.g, 2.0 * np.eye(2), x),
+                              regularized_argmin(p.g, 2.0 * np.eye(2), arr[0]))
         listed = gamma(p, sched, 0.0, PrimalDualState(x, z, y))
         assert np.array_equal(listed.u, gamma(p, sched, 0.0, PrimalDualState(*arr)).u)
         assert np.array_equal(p.A.apply(x), A_MAT @ arr[0])
@@ -501,7 +503,7 @@ class TestBoundaryChecks:
 
     def test_public_helpers_reject_wrong_lengths(self, ex_problem, ex_sched_c025):
         p, sched = ex_problem, ex_sched_c025
-        m1, c, tau = sched.M1.at(0.0), 0.25, sched.tau.value_at(0.0)
+        m1, c, tau = 0.0, 0.25, sched.tau.value_at(0.0)
         good, bad = np.zeros(2), np.zeros(3)
         calls = [
             lambda: solve_x_subproblem(p, m1, bad, good),
@@ -509,7 +511,7 @@ class TestBoundaryChecks:
             lambda: solve_z_subproblem(p, None, c, tau, bad, good, good),
             lambda: solve_z_subproblem(p, None, c, tau, good, bad, good),
             lambda: solve_z_subproblem(p, None, c, tau, good, good, bad),
-            lambda: regularized_argmin(p.g, ScaledIdentityMap(2, 2.0), bad),
+            lambda: regularized_argmin(p.g, 2.0 * np.eye(2), bad),
             lambda: gamma(p, sched, 0.0, PrimalDualState(bad, good, good)),
             lambda: gamma(p, sched, 0.0, PrimalDualState(good, bad, good)),
             lambda: gamma(p, sched, 0.0, PrimalDualState(good, good, bad)),
@@ -537,7 +539,7 @@ class TestProxFriendlyMetricOfAnotherRun:
         M2 = ProxFriendlyMetric(CoupledReciprocal(0.2, c9), c9, p.B)
         return (ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2), M2),
                 ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2),
-                                  ConstantDenseMetric(M2.at(0.0))))
+                                  ConstantDenseMetric(DenseMap(metric_matrix(M2, 0.0, p.mat_B)))))
 
     def test_another_c_runs_as_its_dense_matrix(self, ex_problem, ex_start, ex_reference,
                                                 decompositions):
@@ -556,6 +558,19 @@ class TestProxFriendlyMetricOfAnotherRun:
         np.testing.assert_allclose(ea, eb, rtol=1e-12, atol=0)
         a, b = (energy(ex_problem, s, 0.0, ex_start, ex_reference) for s in (mismatch, dense))
         np.testing.assert_allclose(a.components, b.components, rtol=1e-12, atol=0)
+
+    def test_another_c_forms_its_closed_form_bit_for_bit(self, ex_problem):
+        # K = Id/tau - c2 B*B at every t, for a decaying c2 of the metric's own.
+        c2 = ReciprocalSqrt(1.1, 0.01)
+        sched = ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2), ProxFriendlyMetric(
+            CoupledReciprocal(0.2, c2), c2, ex_problem.B))
+        snap = _snapshot(ex_problem, sched)
+        for t in (0.0, 1.5, 37.0):
+            mu1, K, c, tau = snap(t)
+            want = np.eye(2) / sched.M2.tau.value_at(t) - c2.value_at(t) * (B_MAT.T @ B_MAT)
+            assert (mu1, c, tau) == (0.0, 0.25, None)
+            assert np.array_equal(K, want)
+            assert np.array_equal(K, metric_matrix(sched.M2, t, B_MAT))
 
     def test_an_equal_c_keeps_the_one_prox_step(self, ex_problem, ex_start, decompositions):
         c, equal = ConstantSchedule(0.25), ConstantSchedule(0.25)
@@ -582,3 +597,37 @@ class TestProxFriendlyMetricOfAnotherRun:
         for call in calls:
             with pytest.raises(CapabilityError, match="another B"):
                 call()
+
+
+class TestMetricDimensions:
+    """A metric of another size than its block is refused by every entry point
+    that reads a schedule, before any update."""
+
+    METRICS = {
+        "M1 scaled identity": ("M1", lambda: ScaledIdentityMetric(ConstantSchedule(1.0), 5)),
+        "M2 scaled identity": ("M2", lambda: ScaledIdentityMetric(ConstantSchedule(1.0), 3)),
+        "M2 constant dense": ("M2", lambda: ConstantDenseMetric(DenseMap(np.eye(3)))),
+    }
+
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    @pytest.mark.parametrize("entry", ["prox_ama_run", "integrate", "gamma", "energy",
+                                       "validate"])
+    def test_refused(self, entry, metric, ex_problem, ex_start, ex_reference, updates):
+        which, build = self.METRICS[metric]
+        c = ConstantSchedule(0.25)
+        metrics = {"M1": ZeroMetric(2), "M2": ZeroMetric(2), which: build()}
+        sched = ParameterSchedule(c, metrics["M1"], metrics["M2"])
+        calls = {
+            "prox_ama_run": lambda: prox_ama_run(ex_problem, sched, ex_start,
+                                                 SolveConfig(max_iters=5)),
+            "integrate": lambda: integrate(ex_problem, sched, ex_start, method="rk4", h=0.5,
+                                           T=2.0),
+            "gamma": lambda: gamma(ex_problem, sched, 0.0, ex_start),
+            "energy": lambda: energy(ex_problem, sched, 0.0, ex_start, ex_reference),
+            "validate": lambda: validate(ex_problem, c, sched.M1, sched.M2, 0.005, [0.0, 1.0]),
+        }
+        want = 5 if metric.startswith("M1") else 3
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^{which}: expected dimension 2, got {want}$"):
+            calls[entry]()
+        assert updates == []

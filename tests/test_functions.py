@@ -13,7 +13,6 @@ from amaflow import (
     L1Norm,
     QuadraticDistance,
     QuadraticForm,
-    ScaledIdentityMap,
     SeparableFunction,
     TwoBlockProblem,
     ZeroFunction,
@@ -42,7 +41,7 @@ class TestEval:
         assert ZeroFunction(3)([1.0, 2.0, 3.0]) == 0.0
 
     def test_quadratic_form_value(self):
-        f = QuadraticForm(ScaledIdentityMap(2, 2.0), np.zeros(2))
+        f = QuadraticForm(DenseMap(2.0 * np.eye(2)), np.zeros(2))
         assert f([1.0, 1.0]) == pytest.approx(2.0)
 
 
@@ -90,7 +89,7 @@ class TestGrad:
         assert qd10().grad([0.0, 0.0]) == pytest.approx([-1.0, 0.0])
 
     def test_quadratic_form_gradient(self):
-        f = QuadraticForm(ScaledIdentityMap(2, 1.0), np.array([1.0, 1.0]))
+        f = QuadraticForm(DenseMap(np.eye(2)), np.array([1.0, 1.0]))
         assert f.grad([2.0, 0.0]) == pytest.approx([3.0, 1.0])
 
     def test_nonsmooth_kinds_refuse(self):
@@ -109,7 +108,7 @@ class TestConjGrad:
         assert f.conj_grad([4.0, -2.0]) == pytest.approx([2.0, -1.0])
 
     def test_quadratic_form_solve(self):
-        f = QuadraticForm(ScaledIdentityMap(2, 2.0), np.zeros(2))
+        f = QuadraticForm(DenseMap(2.0 * np.eye(2)), np.zeros(2))
         assert f.conj_grad([1.0, 1.0]) == pytest.approx([0.5, 0.5])
 
     def test_sigma_zero_refuses(self):
@@ -157,7 +156,7 @@ class TestConjEval:
         assert box.conj_eval([1.0, -1.0]) == pytest.approx(3.0 + 2.0)
 
     def test_quadratic_form_has_no_closed_form(self):
-        f = QuadraticForm(ScaledIdentityMap(2, 1.0), np.zeros(2))
+        f = QuadraticForm(DenseMap(np.eye(2)), np.zeros(2))
         with pytest.raises(CapabilityError):
             f.conj_eval([1.0, 0.0])
 
@@ -312,7 +311,7 @@ class TestEdgeCases:
 
     def test_quadratic_form_rejects_indefinite(self):
         with pytest.raises(ValueError):
-            QuadraticForm(ScaledIdentityMap(2, -1.0), np.zeros(2))
+            QuadraticForm(DenseMap(-1.0 * np.eye(2)), np.zeros(2))
 
     def test_box_rejects_crossed_bounds(self):
         with pytest.raises(ValueError):
@@ -335,7 +334,7 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="Q and q must have finite entries"):
             QuadraticForm(DenseMap(np.array([[1.0, 0.0], [0.0, bad]])), np.zeros(2))
         with pytest.raises(ValueError, match="Q and q must have finite entries"):
-            QuadraticForm(ScaledIdentityMap(2, 1.0), [0.0, bad])
+            QuadraticForm(DenseMap(np.eye(2)), [0.0, bad])
 
     def test_box_bounds_may_be_infinite_but_not_nan(self):
         box = BoxIndicator([-math.inf, 0.0], [1.0, math.inf])

@@ -7,6 +7,7 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import step_params
 from test_loop_invariants import blockwise_rk4, same_bits
 from test_stacked_loop import blockwise_euler
 
@@ -105,12 +106,10 @@ def build(case: dict, n: int = 3, seed: int = 5):
 
 def stepped(p, sched, s0, steps):
     """The states of ``prox_ama_step`` iterated ``steps`` times, stacked."""
-    tau = sched.M2.tau if isinstance(sched.M2, ProxFriendlyMetric) else None
     s, rows = s0, [np.concatenate((s0.x, s0.z, s0.y))]
     for k in range(steps):
-        t = float(k)
-        s = prox_ama_step(p, sched.M1.at(t), sched.M2.at(t), sched.c.value_at(t), s,
-                          None if tau is None else tau.value_at(t))
+        mu1, K, c, tau = step_params(sched, float(k), p.mat_B)
+        s = prox_ama_step(p, mu1, K, c, s, tau)
         rows.append(np.concatenate((s.x, s.z, s.y)))
     return np.array(rows)
 

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from amaflow import (
-    DenseMap,
-    DimensionMismatchError,
-    IdentityMap,
-    ScaledIdentityMap,
-    min_eigenvalue_sym,
-    operator_norm,
-)
+from amaflow import ConditionError, DenseMap, DimensionMismatchError, min_eigenvalue_sym, operator_norm
 
 A_MAT = np.array([[2.0, 1.0], [-2.0, 1.0]]) / np.sqrt(8.0)
 B_MAT = np.array([[-3.0, 0.0], [4.0, 0.0]]) / 5.0
@@ -18,9 +11,6 @@ class TestApply:
     def test_dense_columns(self):
         out = DenseMap(A_MAT).apply([1.0, 0.0])
         assert out == pytest.approx([0.7071067811865475, -0.7071067811865475])
-
-    def test_identity(self):
-        assert IdentityMap(2).apply([3.0, -4.0]) == pytest.approx([3.0, -4.0])
 
     def test_dense_second(self):
         assert DenseMap(B_MAT).apply([5.0, 7.0]) == pytest.approx([-3.0, 4.0])
@@ -45,11 +35,6 @@ class TestAdjoint:
         out = DenseMap(A_MAT).adjoint_apply([-0.7071067811865475, 0.7071067811865475])
         assert out == pytest.approx([-1.0, 0.0], abs=1e-12)
 
-    def test_identity_adjoint(self):
-        m = IdentityMap(3)
-        v = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(m.adjoint_apply(v), m.apply(v))
-
     def test_dense_second_adjoint(self):
         assert DenseMap(B_MAT).adjoint_apply([1.0, 0.0]) == pytest.approx([-0.6, 0.0])
 
@@ -58,8 +43,6 @@ class TestAdjoint:
             DenseMap(A_MAT),
             DenseMap(rng.standard_normal((3, 2)).T),
             DenseMap(rng.standard_normal((4, 3))),
-            ScaledIdentityMap(3, 2.5),
-            IdentityMap(2),
         ]
         for m in maps:
             for _ in range(100):
@@ -76,10 +59,10 @@ class TestOperatorNorm:
         assert operator_norm(DenseMap(B_MAT)) == pytest.approx(1.0, abs=1e-8)
 
     def test_scaled_identity(self):
-        assert operator_norm(ScaledIdentityMap(3, -2.5)) == pytest.approx(2.5, abs=1e-10)
+        assert operator_norm(DenseMap(-2.5 * np.eye(3))) == pytest.approx(2.5, abs=1e-10)
 
     def test_zero_map(self):
-        assert operator_norm(ScaledIdentityMap(4, 0.0)) == 0.0
+        assert operator_norm(DenseMap(np.zeros((4, 4)))) == 0.0
 
     def test_submultiplicative(self, rng):
         for _ in range(10):
@@ -106,7 +89,7 @@ class TestOperatorNorm:
 
 class TestMinEigenvalue:
     def test_identity(self):
-        assert min_eigenvalue_sym(IdentityMap(2)) == pytest.approx(1.0)
+        assert min_eigenvalue_sym(DenseMap(np.eye(2))) == pytest.approx(1.0)
 
     def test_gram_of_rank_deficient(self):
         assert min_eigenvalue_sym(DenseMap(B_MAT.T @ B_MAT)) == pytest.approx(0.0, abs=1e-10)
@@ -130,15 +113,13 @@ class TestMinEigenvalue:
         with pytest.raises(DimensionMismatchError):
             min_eigenvalue_sym(DenseMap(np.ones((2, 3))))
 
-
-class TestStructure:
-    def test_as_matrix_matches_apply(self, rng):
-        maps = [DenseMap(rng.standard_normal((2, 3))),
-                DenseMap(rng.standard_normal((3, 4)).T),
-                ScaledIdentityMap(3, -1.5), IdentityMap(2)]
-        for m in maps:
-            mat = m.as_matrix()
-            assert mat.shape == (m.dim_out, m.dim_in)
-            for _ in range(5):
-                x = rng.standard_normal(m.dim_in)
-                assert mat @ x == pytest.approx(m.apply(x), abs=1e-13)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_rejected(self, bad, where):
+        # A NaN asymmetry compares as passing, and inf - inf is NaN: the
+        # entries are checked first, with no numpy warning.
+        mat = np.eye(2)
+        mat[where] = bad
+        with pytest.raises(ConditionError, match="non-finite"):
+            min_eigenvalue_sym(DenseMap(mat))

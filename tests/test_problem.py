@@ -55,15 +55,15 @@ class TestPrimalObjective:
         assert val == pytest.approx(130.5)
 
     def test_infinite_term_propagates(self):
-        from amaflow import BoxIndicator, IdentityMap
+        from amaflow import BoxIndicator
 
         p = TwoBlockProblem(
             f=QuadraticDistance(np.zeros(1), 1.0),
             h1=ZeroFunction(1),
             g=BoxIndicator([-1.0], [1.0]),
             h2=ZeroFunction(1),
-            A=IdentityMap(1),
-            B=IdentityMap(1),
+            A=DenseMap(np.eye(1)),
+            B=DenseMap(np.eye(1)),
             b=np.zeros(1),
         )
         assert math.isinf(p.primal_objective([0.0], [2.0]))
@@ -83,15 +83,13 @@ class TestDualObjective:
         assert ex_problem.dual_objective(y) == -math.inf
 
     def test_needs_plain_smooth_parts(self):
-        from amaflow import IdentityMap
-
         p = TwoBlockProblem(
             f=QuadraticDistance(np.zeros(1), 1.0),
             h1=QuadraticDistance(np.zeros(1), 1.0),
             g=L1Norm(1, 1.0),
             h2=ZeroFunction(1),
-            A=IdentityMap(1),
-            B=IdentityMap(1),
+            A=DenseMap(np.eye(1)),
+            B=DenseMap(np.eye(1)),
             b=np.zeros(1),
         )
         with pytest.raises(CapabilityError):
@@ -116,15 +114,13 @@ class TestFeasibility:
         assert ex_problem.feasibility_residual(s) == pytest.approx(1.0)
 
     def test_offset_right_hand_side(self):
-        from amaflow import IdentityMap
-
         p = TwoBlockProblem(
             f=QuadraticDistance(np.zeros(2), 1.0),
             h1=ZeroFunction(2),
             g=L1Norm(2, 1.0),
             h2=ZeroFunction(2),
-            A=IdentityMap(2),
-            B=IdentityMap(2),
+            A=DenseMap(np.eye(2)),
+            B=DenseMap(np.eye(2)),
             b=np.array([1.0, 1.0]),
         )
         s = state(p, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
@@ -207,36 +203,30 @@ class TestConstruction:
         assert ex_problem.norm_B == pytest.approx(1.0, abs=1e-8)
 
     def test_rejects_weakly_convex_first_block(self):
-        from amaflow import IdentityMap
-
         with pytest.raises(ValueError):
             TwoBlockProblem(
                 f=L1Norm(1, 1.0),
                 h1=ZeroFunction(1),
                 g=L1Norm(1, 1.0),
                 h2=ZeroFunction(1),
-                A=IdentityMap(1),
-                B=IdentityMap(1),
+                A=DenseMap(np.eye(1)),
+                B=DenseMap(np.eye(1)),
                 b=np.zeros(1),
             )
 
     def test_rejects_nonsmooth_coupling_term(self):
-        from amaflow import IdentityMap
-
         with pytest.raises(ValueError):
             TwoBlockProblem(
                 f=QuadraticDistance(np.zeros(1), 1.0),
                 h1=L1Norm(1, 1.0),
                 g=L1Norm(1, 1.0),
                 h2=ZeroFunction(1),
-                A=IdentityMap(1),
-                B=IdentityMap(1),
+                A=DenseMap(np.eye(1)),
+                B=DenseMap(np.eye(1)),
                 b=np.zeros(1),
             )
 
     def test_rejects_null_first_operator(self):
-        from amaflow import IdentityMap
-
         with pytest.raises(ValueError):
             TwoBlockProblem(
                 f=QuadraticDistance(np.zeros(1), 1.0),
@@ -244,7 +234,7 @@ class TestConstruction:
                 g=L1Norm(1, 1.0),
                 h2=ZeroFunction(1),
                 A=DenseMap([[0.0]]),
-                B=IdentityMap(1),
+                B=DenseMap(np.eye(1)),
                 b=np.zeros(1),
             )
 
@@ -259,16 +249,14 @@ class TestConstruction:
                             A=DenseMap(data["A"]), B=DenseMap(data["B"]), b=data["b"])
 
     def test_rejects_mismatched_dimensions(self):
-        from amaflow import IdentityMap
-
         with pytest.raises(DimensionMismatchError):
             TwoBlockProblem(
                 f=QuadraticDistance(np.zeros(2), 1.0),
                 h1=ZeroFunction(2),
                 g=L1Norm(1, 1.0),
                 h2=ZeroFunction(1),
-                A=IdentityMap(2),
-                B=IdentityMap(1),
+                A=DenseMap(np.eye(2)),
+                B=DenseMap(np.eye(1)),
                 b=np.zeros(2),
             )
 
@@ -296,8 +284,8 @@ class TestConstruction:
 
     def test_example_matches_fresh_build(self, ex_problem):
         q = example_problem()
-        assert np.allclose(q.A.as_matrix(), ex_problem.A.as_matrix())
-        assert np.allclose(q.B.as_matrix(), ex_problem.B.as_matrix())
+        assert np.allclose(q.A.matrix, ex_problem.A.matrix)
+        assert np.allclose(q.B.matrix, ex_problem.B.matrix)
         s = example_start()
         assert s.x == pytest.approx([-10.0, 10.0])
 

@@ -37,6 +37,7 @@ from amaflow import (
 )
 from amaflow.diagnostics import _terms
 from amaflow.dynamics import _snapshot, alternating_update
+from oracles import metric_matrix
 from test_theorem import seeded_case, theorem_cases
 
 SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
@@ -91,7 +92,7 @@ def test_matrix_free_z_target_matches_dense_metric(case):
     # With g = 0 the z-step returns tau times its target.
     p, sched, (x_new, z, y, _), t = case
     c, tau = sched.c.value_at(t), sched.tau.value_at(t)
-    M2 = sched.M2.at(t).as_matrix()
+    M2 = metric_matrix(sched.M2, t, p.mat_B)
     Bt = p.B.matrix.T
     ax = p.A.matrix @ x_new
     terms = [M2 @ z, Bt @ y, c * (Bt @ (ax - p.b))]
@@ -117,7 +118,7 @@ def test_fused_update_matches_the_textbook_step(case, with_h2):
     c, tau = sched.c.value_at(t), sched.tau.value_at(t)
     ux, uz, uw, ubz, ur = alternating_update(p, 0.0, None, c, tau, x, z, y)
     A, B = p.A.matrix, p.B.matrix
-    M2 = sched.M2.at(t).as_matrix()
+    M2 = metric_matrix(sched.M2, t, p.mat_B)
     terms = [M2 @ z, B.T @ y, c * (B.T @ (A @ ux - p.b)), p.h2.grad(z)]
     want_z = p.g.prox(tau, tau * (terms[0] + terms[1] - terms[2] - terms[3]))
     assert np.linalg.norm(uz - want_z) <= 1e-12 * tau * sum(np.linalg.norm(v) for v in terms)
@@ -133,7 +134,7 @@ def test_energy_z_term_matches_dense_metric(case):
     p, sched, (x, z, y, dz), t = case
     c = sched.c.value_at(t)
     bdz = p.B.matrix @ dz
-    dense = c * float(dz @ sched.M2.at(t).as_matrix() @ dz) + c * c * float(bdz @ bdz)
+    dense = c * float(dz @ metric_matrix(sched.M2, t, p.mat_B) @ dz) + c * c * float(bdz @ bdz)
     # The energy terms of a state dz away from a point in z only; the point is
     # no saddle of p, so they are read past energy()'s check of the reference.
     zero = np.zeros((1, x.size))

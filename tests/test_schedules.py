@@ -16,6 +16,7 @@ from amaflow import (
     ReciprocalQuadratic,
     ReciprocalSqrt,
     ScaledIdentityMetric,
+    TwoBlockProblem,
     ZeroMetric,
     default_grid,
     example_c_schedule,
@@ -25,7 +26,7 @@ from amaflow import (
     validate_corollary,
 )
 
-from oracles import finite_difference
+from oracles import finite_difference, metric_derivative, metric_matrix
 
 GRID = np.concatenate([[0.0], np.linspace(0.05, 50.0, 48)])
 EPS = 0.005
@@ -100,17 +101,17 @@ class TestScalarDerivatives:
 class TestMetricValues:
     def test_zero(self):
         m = ZeroMetric(2)
-        assert np.allclose(m.at(3.0).as_matrix(), 0.0)
-        assert np.allclose(m.derivative_at(3.0).as_matrix(), 0.0)
+        assert np.allclose(metric_matrix(m, 3.0, None), 0.0)
+        assert np.allclose(metric_derivative(m, 3.0, None), 0.0)
 
     def test_scaled_identity(self):
         m = ScaledIdentityMetric(ConstantSchedule(2.5), 3)
-        assert np.allclose(m.at(1.0).as_matrix(), 2.5 * np.eye(3))
+        assert np.allclose(metric_matrix(m, 1.0, None), 2.5 * np.eye(3))
 
     def test_prox_friendly_example(self):
         p = example_problem()
         m = ProxFriendlyMetric(ConstantSchedule(1.0), ConstantSchedule(0.25), p.B)
-        eigs = np.linalg.eigvalsh(m.at(0.0).as_matrix())
+        eigs = np.linalg.eigvalsh(metric_matrix(m, 0.0, p.mat_B))
         assert eigs[0] == pytest.approx(0.75)
         assert eigs[1] == pytest.approx(1.0)
 
@@ -119,14 +120,25 @@ class TestMetricValues:
         for variant in ("c025", "c199", "c1-decay", "c2-decay"):
             sched = example_schedule(variant, 0.99, p)
             for t in GRID:
-                w = float(np.linalg.eigvalsh(sched.M2.at(float(t)).as_matrix())[0])
+                w = float(np.linalg.eigvalsh(metric_matrix(sched.M2, float(t), p.mat_B))[0])
                 assert w >= -1e-12
 
     def test_constant_dense(self):
         mat = np.array([[2.0, 0.5], [0.5, 1.0]])
         m = ConstantDenseMetric(DenseMap(mat))
-        assert np.allclose(m.at(9.0).as_matrix(), mat)
-        assert np.allclose(m.derivative_at(9.0).as_matrix(), 0.0)
+        assert np.allclose(metric_matrix(m, 9.0, None), mat)
+        assert np.allclose(metric_derivative(m, 9.0, None), 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0)])
+    def test_constant_dense_non_finite_refused(self, bad, where):
+        # A NaN asymmetry compared as passing, and validate then read the
+        # metric's lower bound as 0; inf - inf warned on the way.
+        mat = np.array([[2.0, 0.5], [0.5, 1.0]])
+        mat[where] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ConstantDenseMetric(DenseMap(mat))
 
 
 class TestMetricDerivatives:
@@ -135,15 +147,15 @@ class TestMetricDerivatives:
         c = ReciprocalSqrt(1.1, 0.01)
         m = ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B)
         for t in np.linspace(0.1, 30.0, 25):
-            fd = finite_difference(lambda u: m.at(u).as_matrix(), float(t))
-            assert np.allclose(m.derivative_at(float(t)).as_matrix(), fd,
+            fd = finite_difference(lambda u: metric_matrix(m, u, p.mat_B), float(t))
+            assert np.allclose(metric_derivative(m, float(t), p.mat_B), fd,
                                rtol=1e-5, atol=1e-8)
 
     def test_scaled_identity_against_central_difference(self):
         m = ScaledIdentityMetric(ReciprocalQuadratic(2.0), 3)
         for t in np.linspace(0.1, 10.0, 10):
-            fd = finite_difference(lambda u: m.at(u).as_matrix(), float(t))
-            assert np.allclose(m.derivative_at(float(t)).as_matrix(), fd,
+            fd = finite_difference(lambda u: metric_matrix(m, u, None), float(t))
+            assert np.allclose(metric_derivative(m, float(t), None), fd,
                                rtol=1e-5, atol=1e-8)
 
 
@@ -225,6 +237,17 @@ class TestValidateRejects:
         report = validate(p, c, ZeroMetric(2), ProxFriendlyMetric(tau, c, p.B),
                           EPS, GRID)
         assert "c-decreasing" in report.failed_rules()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_an_overflowing_coupling_reads_beta_nan(self):
+        # B*B = 1e308 in its corner, so c B*B + M2 at c = 2 has an inf entry:
+        # beta is NaN, read without an eigenvalue, and the report is made.
+        ex = example_problem()
+        p = TwoBlockProblem(ex.f, ex.h1, ex.g, ex.h2, ex.A, DenseMap(ex.mat_B * 1e154), ex.b)
+        m2 = ConstantDenseMetric(DenseMap([[0.6, 0.1], [0.1, 0.4]]))
+        report = validate(p, ConstantSchedule(2.0), ZeroMetric(2), m2, EPS, GRID)
+        assert math.isnan(report.beta) and not (report.cweak or report.cstrong)
+        assert report.failed_rules() == ["c-range"]
 
     def test_singular_coupling_without_metric(self):
         # zero M2 over a rank-deficient second operator: neither branch of

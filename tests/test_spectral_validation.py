@@ -40,6 +40,7 @@ from amaflow import (
     validate_corollary,
 )
 from amaflow.schedules import CheckResult
+from oracles import metric_derivative, metric_matrix
 
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 RTOL = 1e-12
@@ -90,7 +91,7 @@ def _dense_metric_rules(name, mats, dmats, shift):
 
 
 def _gram(B):
-    bm = B.as_matrix()
+    bm = B.matrix
     return bm.T @ bm
 
 
@@ -105,10 +106,11 @@ def dense_validate(p, c, M1, M2, eps, grid):
     checks = _dense_c_rules(p, c, eps, grid)
     l1 = p.h1.grad_lipschitz or 0.0
     l2 = p.h2.grad_lipschitz or 0.0
-    m1_mats = [M1.at(t).as_matrix() for t in grid]
-    m1_d = [M1.derivative_at(t).as_matrix() for t in grid]
-    m2_mats = [M2.at(t).as_matrix() for t in grid]
-    m2_d = [M2.derivative_at(t).as_matrix() for t in grid]
+    bm = p.mat_B
+    m1_mats = [metric_matrix(M1, t, bm) for t in grid]
+    m1_d = [metric_derivative(M1, t, bm) for t in grid]
+    m2_mats = [metric_matrix(M2, t, bm) for t in grid]
+    m2_d = [metric_derivative(M2, t, bm) for t in grid]
     checks += _dense_metric_rules("m1", m1_mats, m1_d, l1 / 4.0)
     checks += _dense_metric_rules("m2", m2_mats, m2_d, l2 / 4.0)
     n_z = p.dim_z
@@ -147,7 +149,7 @@ def dense_validate_corollary(p, c, tau, eps, grid):
     checks.append(CheckResult("convergence-condition", cond_witness > 1e-10,
                               cond_witness, 1e-10))
     m2 = ProxFriendlyMetric(tau, c, p.B)
-    m2_mats = [m2.at(t).as_matrix() for t in grid]
+    m2_mats = [metric_matrix(m2, t, p.mat_B) for t in grid]
     beta, cweak, cstrong = _dense_z_wellposedness(p, c, m2_mats, grid)
     return "corollary-prox-friendly", checks, beta, cweak, cstrong
 
@@ -311,7 +313,7 @@ def test_prox_friendly_metric_on_an_equal_b_is_the_problems_own():
     grid = default_grid()
     own = validate(p, c, ZeroMetric(2), ProxFriendlyMetric(ConstantSchedule(1.0), c, p.B),
                    0.005, grid)
-    copy = ProxFriendlyMetric(ConstantSchedule(1.0), c, DenseMap(p.B.as_matrix()))
+    copy = ProxFriendlyMetric(ConstantSchedule(1.0), c, DenseMap(p.mat_B.copy()))
     assert validate(p, c, ZeroMetric(2), copy, 0.005, grid).checks == own.checks
 
     built, apart = example_schedule("c025", 0.99, p), example_schedule("c025", 0.99)
