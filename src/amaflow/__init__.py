@@ -15,7 +15,7 @@ from importlib import import_module as _import_module
 
 _EXPORTS = {
     "errors": ("CapabilityError", "ConditionError", "ConvergenceError",
-               "DimensionMismatchError", "ParseError", "TrajectoryError"),
+               "DimensionMismatchError", "ParseError"),
     "linop": ("DenseMap", "min_eigenvalue_sym", "operator_norm"),
     "functions": ("BoxIndicator", "L1Norm", "QuadraticDistance", "QuadraticForm",
                   "SeparableFunction", "ZeroFunction"),

@@ -27,13 +27,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    ConditionError,
-    ConvergenceError,
-    ParseError,
-    TrajectoryError,
-)
+from .errors import CapabilityError, ConditionError, ConvergenceError, ParseError
 from .problem import SolveConfig
 from .schedules import C_VARIANTS, TAU_C_VARIANTS, default_grid, validate, validate_corollary
 
@@ -159,7 +153,8 @@ def _check_run_options(args) -> None:
 
 def _run_mode(p, sched, s0, config: SolveConfig, mode: str, args):
     """Dispatch one solve of ``p`` under ``sched`` from ``s0``, with the run
-    options of ``args`` over ``config``; returns (trajectory, report-source)."""
+    options of ``args`` over ``config``; returns the solver's result or the
+    integration's trajectory, each with the status of its run."""
     if mode in ("prox-ama", "ama"):
         from .discrete import ama_run, prox_ama_run
 
@@ -168,10 +163,8 @@ def _run_mode(p, sched, s0, config: SolveConfig, mode: str, args):
         cfg = SolveConfig(**{key: getattr(config, key) if flag is None else flag
                              for key, flag in flags.items()})
         if mode == "prox-ama":
-            result = prox_ama_run(p, sched, s0, cfg)
-        else:
-            result = ama_run(p, sched.c, s0, cfg)
-        return result.iterates, result
+            return prox_ama_run(p, sched, s0, cfg)
+        return ama_run(p, sched.c, s0, cfg)
 
     from .dynamics import integrate
 
@@ -179,26 +172,20 @@ def _run_mode(p, sched, s0, config: SolveConfig, mode: str, args):
                                        ("record_every", args.record_every))
              if val is not None}
     method = "euler" if mode == "continuous-euler" else "rk4"
-    try:
-        traj = integrate(p, sched, s0, method=method, **given)
-    except TrajectoryError as exc:
-        return exc.trajectory, exc
-    return traj, traj
+    return integrate(p, sched, s0, method=method, **given)
 
 
-def _emit(p, sched, traj, summary_source, prefix: str, mode: str,
-          validation=None, forced=False, reference=None) -> int:
-    """Write the run's CSV and report, both or neither, and print its status;
-    returns the exit code, 3 for a run that ended ``error`` or ``diverged``,
-    else 0."""
+def _emit(p, sched, outcome, prefix: str, mode: str, validation=None, forced=False,
+          reference=None) -> int:
+    """Write the CSV and report of ``outcome``, :func:`_run_mode`'s, both or
+    neither, and print its status; returns the exit code, 3 for a run that
+    ended ``error`` or ``diverged``, else 0."""
     from .diagnostics import report, trajectory_energies
 
     time_label = "k" if mode in ("prox-ama", "ama") else "t"
+    traj = getattr(outcome, "iterates", outcome)
     energies = None if reference is None else trajectory_energies(traj, p, sched, reference)
-    failed = isinstance(summary_source, TrajectoryError)
-    rep = report(traj if failed else summary_source, validation, energies)
-    if failed:
-        rep.status, rep.message = summary_source.status, str(summary_source)
+    rep = report(outcome, validation, energies)
     _write_all(((f"{prefix}.csv", _csv_chunks(traj, time_label, energies)),
                 (f"{prefix}.report.txt", [_report_text(rep, forced)])))
     print(f"status: {rep.status}")
@@ -221,8 +208,8 @@ def cmd_solve(args) -> int:
             return 1
         forced = True
     prefix = args.out_prefix or f"{_stem(args.file)}-{args.mode}"
-    traj, source = _run_mode(p, sched, data.initial, data.config, args.mode, args)
-    return _emit(p, sched, traj, source, prefix, args.mode, validation=vr, forced=forced)
+    outcome = _run_mode(p, sched, data.initial, data.config, args.mode, args)
+    return _emit(p, sched, outcome, prefix, args.mode, validation=vr, forced=forced)
 
 
 def cmd_paper_example(args) -> int:
@@ -233,8 +220,8 @@ def cmd_paper_example(args) -> int:
     sched = example_schedule(args.c_schedule, TAU_C_VARIANTS[args.tau_c], p)
     ref = example_reference()
     prefix = args.out_prefix or f"example-{args.c_schedule}-{args.tau_c}-{args.mode}"
-    traj, source = _run_mode(p, sched, example_start(), SolveConfig(), args.mode, args)
-    return _emit(p, sched, traj, source, prefix, args.mode, reference=ref)
+    outcome = _run_mode(p, sched, example_start(), SolveConfig(), args.mode, args)
+    return _emit(p, sched, outcome, prefix, args.mode, reference=ref)
 
 
 def cmd_norm(args) -> int:

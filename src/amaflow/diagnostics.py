@@ -213,7 +213,8 @@ class SummaryReport:
 
 def report(result_or_traj, validation: Optional[ValidationReport] = None,
            energies: Optional[list] = None) -> SummaryReport:
-    """Summarize a solver result or a raw trajectory.
+    """Summarize a solver result or a trajectory, with the status and message
+    of its run.
 
     The energy section appears only for two or more ``energies`` of the rows
     (see :func:`trajectory_energies`), checked by
@@ -221,12 +222,11 @@ def report(result_or_traj, validation: Optional[ValidationReport] = None,
     residuals first dropped below ``REPORT_TOL`` among the recorded rows.
     """
     if isinstance(result_or_traj, Trajectory):
-        traj, status, message, iterations = result_or_traj, "ok", "", None
-        kind = "discrete" if traj.method in ("prox-ama", "ama") else "continuous"
+        traj, iterations = result_or_traj, None
     else:
-        res = result_or_traj
-        traj, status, message = res.iterates, res.status, res.message
-        iterations, kind = res.iterations_used, "discrete"
+        traj, iterations = result_or_traj.iterates, result_or_traj.iterations_used
+    status, message = result_or_traj.status, result_or_traj.message
+    kind = "discrete" if traj.method in ("prox-ama", "ama") else "continuous"
 
     if not len(traj.table):
         return SummaryReport("error", kind, iterations, None, None, None, None, None,

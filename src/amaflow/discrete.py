@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .dynamics import _euler_step, _snapshot, alternating_update
+from .linop import as_square
 from .problem import PrimalDualState, SolveConfig, TwoBlockProblem
 from .schedules import ParameterSchedule, ScalarSchedule, ZeroMetric
 from .trajectory import DIVERGED_ABOVE, Trajectory, _run
@@ -39,8 +40,11 @@ def prox_ama_step(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray], c_k: 
                   s_k: PrimalDualState, tau_k: Optional[float] = None) -> PrimalDualState:
     """One iteration: x-argmin, z-argmin with the fresh x, multiplier ascent,
     for M1 = mu1 Id and either the prox step ``tau_k`` of a prox-friendly M2
-    or M2 as the (n, n) array ``K`` (None for M2 = 0)."""
+    or M2 as the (n, n) array ``K`` (None for M2 = 0; a K of another size
+    raises :class:`~amaflow.errors.DimensionMismatchError`)."""
     s = p.state(s_k.x, s_k.z, s_k.y)
+    if K is not None and tau_k is None:
+        K = as_square(K, p.dim_z, "M2")
     x, z, w = alternating_update(p, mu1, K, c_k, tau_k, s.x, s.z, s.y)[:3]
     return PrimalDualState(x, z, s.y + w, s_k.t + 1)
 
@@ -53,7 +57,7 @@ def _solve(p: TwoBlockProblem, step, s0: PrimalDualState, cfg: SolveConfig,
     message = "" if exc is None else str(exc)
     if status == "diverged":
         message = f"residual NaN or past {DIVERGED_ABOVE:g} at iteration {used}"
-    traj = rec.trajectory(method, 1.0, float(used))
+    traj = rec.trajectory(method, 1.0, float(used), status, message)
     return SolveResult(traj.final.state, traj, status, used, message)
 
 

@@ -30,9 +30,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, ConditionError, ConvergenceError, TrajectoryError
+from .errors import CapabilityError, ConditionError, ConvergenceError
 from .functions import SeparableFunction
-from .linop import as_vector, sym_eigenvalues
+from .linop import as_square, as_vector, sym_eigenvalues
 from .problem import PrimalDualState, TwoBlockProblem, _record_every
 from .schedules import (
     ConstantDenseMetric,
@@ -214,13 +214,14 @@ def regularized_argmin(fun: SeparableFunction, Q: np.ndarray, target,
                        require_uniform: bool = True) -> np.ndarray:
     """``argmin_p  fun(p) + (1/2)<p, Qp> - <target, p>`` for a symmetric PSD
     (n, n) array Q, by the inner proximal-gradient loop from p = 0 (for
-    Q = 0, the conjugate gradient of ``fun``). By default it insists on a
-    uniformly positive Q (``require_uniform``), the well-posedness the
+    Q = 0, the conjugate gradient of ``fun``); a Q of another size raises
+    :class:`~amaflow.errors.DimensionMismatchError`. By default it insists on
+    a uniformly positive Q (``require_uniform``), the well-posedness the
     convergence analysis needs. Callers that only need attainment (the
     classic alternating scheme with no regularization) relax it. For
     Q = mu Id the argmin is the single prox ``fun.prox(1/mu, target/mu)``.
     """
-    target, Q = as_vector(target, fun.dim, "subproblem target"), np.asarray(Q, dtype=float)
+    target, Q = as_vector(target, fun.dim, "subproblem target"), as_square(Q, fun.dim, "Q")
     return _inner_argmin(fun, Q, _lipschitz(Q, require_uniform), target, np.zeros(fun.dim))
 
 
@@ -325,13 +326,17 @@ def solve_z_subproblem(p: TwoBlockProblem, K: Optional[np.ndarray], c_t: float,
     This branch never reads ``K`` (it may be None) and takes the metric's c
     and B to be ``c_t`` and ``p.B``: a prox-friendly M2 must share the run's c
     schedule and the problem's B. Otherwise M2 is the (n, n) array ``K``
-    (None for M2 = 0), and the quadratic coupling Q = c B*B + K is formed as
-    one dense matrix and solved by the inner proximal-gradient loop of
-    :func:`regularized_argmin`, warm-started at z.
+    (None for M2 = 0; another size raises
+    :class:`~amaflow.errors.DimensionMismatchError`), and the quadratic
+    coupling Q = c B*B + K is formed as one dense matrix and solved by the
+    inner proximal-gradient loop of :func:`regularized_argmin`, warm-started
+    at z.
     """
     z = as_vector(z, p.dim_z, "z")
     y = as_vector(y, p.dim_y, "y")
     ax_new = p.mat_A.dot(as_vector(x_new, p.dim_x, "x_new"))
+    if K is not None and tau_t is None:
+        K = as_square(K, p.dim_z, "M2")
     z_step = _blocks(p)((0.0, K, c_t, tau_t))[1]
     return z_step(z, y, ax_new, None)
 
@@ -426,10 +431,11 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     subproblem failure, with a last sample for the state the failing step
     started from, and at a recorded sample whose feasibility or x-residual is
     NaN or past :data:`~amaflow.trajectory.DIVERGED_ABOVE` (only recorded
-    samples are judged). Either raises :class:`TrajectoryError` carrying the
-    partial trajectory, with status ``error`` or ``diverged``. Unit-step Euler
-    is the solvers' step, so its trajectory is ``prox_ama_run``'s, bit for
-    bit, with the same products.
+    samples are judged). The trajectory returned carries how the run ended:
+    ``status`` ``ok`` when it reached T, else ``error`` or ``diverged`` with
+    a ``message`` naming the time it stopped at. Unit-step Euler is the
+    solvers' step, so its trajectory is ``prox_ama_run``'s, bit for bit, with
+    the same products.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
@@ -444,12 +450,10 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     snap = _snapshot(p, sched)
     step = _rk4_step(p, snap, h) if method == "rk4" else _euler_step(p, snap, h)
     status, k, rec, exc = _run(p, s0, step, h, max(1, int(round(T / h))), record_every)
-    traj = rec.trajectory(method, h, T)
     if status == "error":
-        raise TrajectoryError(f"integration aborted at t={k * h:.6g}: {exc}",
-                              trajectory=traj) from exc
-    if status == "diverged":
-        raise TrajectoryError(f"integration diverged at t={k * h:.6g}: residual NaN or past "
-                              f"{DIVERGED_ABOVE:g}",
-                              trajectory=traj, status="diverged")
-    return traj
+        message = f"integration aborted at t={k * h:.6g}: {exc}"
+    elif status == "diverged":
+        message = f"integration diverged at t={k * h:.6g}: residual NaN or past {DIVERGED_ABOVE:g}"
+    else:
+        status, message = "ok", ""
+    return rec.trajectory(method, h, T, status, message)

@@ -27,15 +27,3 @@ class ParseError(ValueError):
         self.location = location
         super().__init__(f"{location}: {message}" if location else message)
 
-
-class TrajectoryError(RuntimeError):
-    """An integration run aborted; ``trajectory`` holds the partial result.
-
-    ``status`` is ``"diverged"`` when a residual stopped being finite and
-    ``"error"`` when a subproblem failed, as for the discrete solvers.
-    """
-
-    def __init__(self, message: str, trajectory=None, status: str = "error"):
-        self.trajectory = trajectory
-        self.status = status
-        super().__init__(message)

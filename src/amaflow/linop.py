@@ -32,6 +32,16 @@ def as_vector(x, n: int, what: str = "vector") -> np.ndarray:
     return v
 
 
+def as_square(m, n: int, what: str) -> np.ndarray:
+    """Coerce ``m`` to a float (n, n) array or raise, naming ``what`` and the
+    first side that is not ``n`` (-1 when ``m`` is not 2-d)."""
+    a = np.asarray(m, dtype=float)
+    if a.shape != (n, n):
+        raise DimensionMismatchError(what, n, -1 if a.ndim != 2 else
+                                     a.shape[1] if a.shape[0] == n else a.shape[0])
+    return a
+
+
 class DenseMap:
     """Operator given by an explicit (row-major) matrix, read as ``.matrix``."""
 

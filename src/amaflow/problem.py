@@ -231,22 +231,13 @@ class TwoBlockProblem:
         z = as_vector(s.z, self.dim_z, "z")
         y = as_vector(s.y, self.dim_y, "y")
         with np.errstate(over="ignore"):
-            feas, rx, rz, _, _ = self._sample(x, z, y)
-        return KKTResidual(rx, rz, feas)
+            return KKTResidual(self._x_residual(x, self.mat_At.dot(y)),
+                               self._z_residual(z, self.mat_Bt.dot(y)),
+                               self._feas(self.mat_A.dot(x), self.mat_B.dot(z)))
 
     # The three residuals on trusted arrays. A squared norm past the float
     # range is inf, which is what it means: the run has diverged. The callers
     # switch numpy's overflow warning off for that, once per call or run.
-
-    def _sample(self, x: np.ndarray, z: np.ndarray, y: np.ndarray) -> tuple:
-        """``(feas, rx, rz, A* y, B z)``: the three residuals of the state
-        (x, z, y) and the products a run hands to its next update. B* y is
-        formed before A* y."""
-        bty = self.mat_Bt.dot(y)
-        aty = self.mat_At.dot(y)
-        bz = self.mat_B.dot(z)
-        return (self._feas(self.mat_A.dot(x), bz), self._x_residual(x, aty),
-                self._z_residual(z, bty), aty, bz)
 
     def _feas(self, ax: np.ndarray, bz: np.ndarray) -> float:
         """``|ax + bz - b|``."""

@@ -26,17 +26,22 @@ class TrajectorySample:
 
 
 class Trajectory:
-    """The recorded iterates of one run plus the configuration that produced it.
+    """The recorded iterates of one run, the configuration that produced it
+    and how it ended.
 
     ``table`` is the read-only table, ``dims`` the lengths of x, z and y and
-    ``cuts`` the first columns of z, y and the residuals. ``samples``, built on
-    first use, holds views of the rows; ``final``, its last entry, is built alone.
+    ``cuts`` the first columns of z, y and the residuals. ``status`` and
+    ``message`` are the run's: a solver's status, or for an integration
+    ``ok``, ``diverged`` or ``error``; ``ok`` and no message on a record
+    built by hand. ``samples``, built on first use, holds views of the rows;
+    ``final``, its last entry, is built alone.
     """
 
     def __init__(self, table: np.ndarray, method: str, step: float, horizon: float,
                  dims: tuple):
         self.table, self.dims, self.cuts = table, dims, _cuts(dims)
         self.method, self.step, self.horizon = method, step, horizon
+        self.status, self.message = "ok", ""
         self._samples = self._final = None
 
     def _states(self, rows: slice = slice(None)):
@@ -108,8 +113,11 @@ class _Recorder:
         self.rows.flags.writeable = False
         return self.rows
 
-    def trajectory(self, method: str, step: float, horizon: float) -> Trajectory:
-        return Trajectory(self.finish(), method, step, horizon, self.dims)
+    def trajectory(self, method: str, step: float, horizon: float, status: str,
+                   message: str) -> Trajectory:
+        traj = Trajectory(self.finish(), method, step, horizon, self.dims)
+        traj.status, traj.message = status, message
+        return traj
 
 
 # A residual past this bound, or NaN, stops a run as diverged: well before a

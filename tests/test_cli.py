@@ -181,6 +181,11 @@ class TestValidate:
         assert rc == 1
         assert "grid" in capsys.readouterr().err
 
+    def test_an_empty_grid_argument(self, tmp_path, capsys):
+        rc = main(["validate", write(tmp_path, doc()), "--grid", ","])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: grid argument is empty\n")
+
     @pytest.mark.parametrize("grid", ["0,1,nan,2", "0,inf"])
     def test_non_finite_grid_is_refused(self, grid, tmp_path, capsys):
         rc = main(["validate", write(tmp_path, doc()), "--grid", grid])
@@ -619,6 +624,10 @@ class TestArgv:
         assert parse("solve", "f", *options) == parse("solve", *options, "f") \
             == parse("solve", "--mode", "ama", "f", "--force", "--eps", "0.1") \
             == dict(DEFAULT_NAMESPACES["solve"], mode="ama", force=True, eps=0.1)
+
+    def test_a_token_after_a_double_dash_is_the_file(self):
+        assert parse("validate", "--eps", "0.1", "--", "-f") == \
+            dict(DEFAULT_NAMESPACES["validate"], eps=0.1, file="-f")
 
     def test_a_unique_prefix_names_its_option(self):
         assert parse("paper-example", "--c-sch", "c199", "--tau=tc025") == \

@@ -212,10 +212,25 @@ class TestReport:
         assert rep.energy_start is None
         assert "energy_start" not in rep.as_dict()
 
+    def test_a_trajectory_reports_its_own_outcome(self, ex_problem, ex_start):
+        c = ConstantSchedule(50.0)
+        sched = ParameterSchedule(c, ZeroMetric(2),
+                                  ProxFriendlyMetric(CoupledReciprocal(0.99, c), c,
+                                                     ex_problem.B))
+        traj = integrate(ex_problem, sched, ex_start, method="euler", h=1.0, T=3000.0,
+                         record_every=10)
+        d = report(traj).as_dict()
+        assert (d["status"], d["kind"], d["final_t"]) == ("diverged", "continuous", 140.0)
+        assert d["message"] == "integration diverged at t=140: residual NaN or past 1e+150"
+        res = prox_ama_run(ex_problem, sched, ex_start, SolveConfig(max_iters=3000))
+        d = report(res.iterates).as_dict()
+        assert (d["status"], d["kind"], d["iterations"]) == ("diverged", "discrete", None)
+        assert d["message"] == res.message
+
     def test_empty_trajectory(self, ex_problem, ex_start):
-        res = SolveResult(final=ex_start,
-                          iterates=_Recorder((2, 2, 2)).trajectory("prox-ama", 1.0, 0.0),
-                          status="error", iterations_used=0, message="boom")
+        empty = _Recorder((2, 2, 2)).trajectory("prox-ama", 1.0, 0.0, "error", "boom")
+        res = SolveResult(final=ex_start, iterates=empty, status="error", iterations_used=0,
+                          message="boom")
         rep = report(res)
         assert rep.status == "error"
         assert rep.final_t is None

@@ -21,7 +21,6 @@ from amaflow import (
     ReciprocalSqrt,
     ScaledIdentityMetric,
     SolveConfig,
-    TrajectoryError,
     TwoBlockProblem,
     ZeroFunction,
     ZeroMetric,
@@ -92,6 +91,10 @@ class TestXSubproblem:
         )
         out = solve_x_subproblem(p, 1.0, [2.0, 0.0], np.zeros(2))
         assert out == pytest.approx([1.0, 0.0])
+
+    def test_negative_factor_refused(self, ex_problem):
+        with pytest.raises(ConditionError, match="negative factor -0.5$"):
+            solve_x_subproblem(ex_problem, -0.5, ANCHOR, np.zeros(2))
 
     def test_dense_metric_refused(self, ex_problem, ex_start):
         sched = ParameterSchedule(ConstantSchedule(0.25), ConstantDenseMetric(DenseMap(np.eye(2))),
@@ -337,13 +340,11 @@ class TestIntegrate:
         # z-subproblem without a uniformly positive metric
         sched = ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2),
                                   ZeroMetric(2))
-        with pytest.raises(TrajectoryError) as err:
-            integrate(ex_problem, sched, ex_start, method="euler", h=0.5, T=2.0)
-        partial = err.value.trajectory
+        partial = integrate(ex_problem, sched, ex_start, method="euler", h=0.5, T=2.0)
         assert len(partial.samples) == 1
         assert partial.samples[0].t == 0.0
-        assert "aborted at t=0" in str(err.value)
-        assert err.value.status == "error"
+        assert "aborted at t=0" in partial.message
+        assert partial.status == "error"
 
 
 def textbook(p, sched, s0, method, h, steps):
@@ -416,16 +417,15 @@ class TestIntegrateDivergence:
         return ParameterSchedule(c, ZeroMetric(2),
                                  ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B))
 
-    def test_raises_at_the_first_recorded_sample_past_the_bound(self, ex_problem, ex_start):
+    def test_stops_at_the_first_recorded_sample_past_the_bound(self, ex_problem, ex_start):
         # Only recorded samples are judged: the solver, which judges every
         # state, stops at 138, between the recorded t = 130 and 140.
         sched = self.large_penalty(ex_problem)
-        with pytest.raises(TrajectoryError) as err:
-            integrate(ex_problem, sched, ex_start, method="euler", h=1.0, T=3000.0,
-                      record_every=10)
-        assert str(err.value) == "integration diverged at t=140: residual NaN or past 1e+150"
-        assert err.value.status == "diverged"
-        *before, last = err.value.trajectory.samples
+        traj = integrate(ex_problem, sched, ex_start, method="euler", h=1.0, T=3000.0,
+                         record_every=10)
+        assert traj.message == "integration diverged at t=140: residual NaN or past 1e+150"
+        assert traj.status == "diverged"
+        *before, last = traj.samples
         assert last.t == 140.0
         assert not max(last.feas, last.kkt.rx) <= DIVERGED_ABOVE
         assert all(max(smp.feas, smp.kkt.rx) <= DIVERGED_ABOVE for smp in before)
@@ -438,12 +438,12 @@ class TestIntegrateDivergence:
                 assert np.array_equal(getattr(a.state, key), getattr(b.state, key))
             assert a.kkt == b.kkt and a.feas == b.feas
 
-    def test_rk4_raises_too(self, ex_problem, ex_start):
-        with pytest.raises(TrajectoryError) as err:
-            integrate(ex_problem, self.large_penalty(ex_problem), ex_start,
-                      method="rk4", h=1.0, T=3000.0, record_every=10)
-        last = err.value.trajectory.final
-        assert f"diverged at t={last.t:g}" in str(err.value)
+    def test_rk4_stops_too(self, ex_problem, ex_start):
+        traj = integrate(ex_problem, self.large_penalty(ex_problem), ex_start,
+                         method="rk4", h=1.0, T=3000.0, record_every=10)
+        last = traj.final
+        assert traj.status == "diverged"
+        assert f"diverged at t={last.t:g}" in traj.message
         assert not all(math.isfinite(v) for v in last.kkt)
 
 
@@ -631,3 +631,34 @@ class TestMetricDimensions:
                            match=f"^{which}: expected dimension 2, got {want}$"):
             calls[entry]()
         assert updates == []
+
+
+class TestHelperArrayDimensions:
+    """The single-step helpers check the size of the K or Q array they are
+    given, and name the metric and the block size."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("helper", ["solve_z_subproblem", "prox_ama_step",
+                                        "regularized_argmin"])
+    def test_refused(self, helper, shape, ex_problem, ex_start):
+        M, s = np.eye(*shape), ex_start
+        calls = {
+            "solve_z_subproblem": ("M2", lambda: solve_z_subproblem(ex_problem, M, 0.25, None,
+                                                                    s.z, s.y, s.x)),
+            "prox_ama_step": ("M2", lambda: prox_ama_step(ex_problem, 0.0, M, 0.25, s)),
+            "regularized_argmin": ("Q", lambda: regularized_argmin(ex_problem.g, M,
+                                                                   np.zeros(2))),
+        }
+        what, call = calls[helper]
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^{what}: expected dimension 2, got 3$"):
+            call()
+
+    def test_the_prox_branch_does_not_read_k(self, ex_problem, ex_start):
+        s = ex_start
+        got = solve_z_subproblem(ex_problem, np.eye(3), 0.25, 3.96, s.z, s.y, s.x)
+        want = solve_z_subproblem(ex_problem, None, 0.25, 3.96, s.z, s.y, s.x)
+        assert got.tobytes() == want.tobytes()
+        got = prox_ama_step(ex_problem, 0.0, np.eye(3), 0.25, s, 3.96)
+        want = prox_ama_step(ex_problem, 0.0, None, 0.25, s, 3.96)
+        assert got.z.tobytes() == want.z.tobytes()

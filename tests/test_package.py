@@ -20,7 +20,7 @@ DEFINED_IN = {
     "dynamics": ["GammaOutput", "gamma", "integrate", "regularized_argmin",
                  "solve_x_subproblem", "solve_z_subproblem"],
     "errors": ["CapabilityError", "ConditionError", "ConvergenceError",
-               "DimensionMismatchError", "ParseError", "TrajectoryError"],
+               "DimensionMismatchError", "ParseError"],
     "example": ["example_c_schedule", "example_problem", "example_reference",
                 "example_schedule", "example_start"],
     "functions": ["BoxIndicator", "L1Norm", "QuadraticDistance", "QuadraticForm",
@@ -59,8 +59,8 @@ def fresh_python(script):
     return json.loads(proc.stdout.decode().splitlines()[-1])
 
 
-def test_there_are_73_public_names():
-    assert len(PUBLIC) == 73 and len(SUBMODULES) == 11
+def test_there_are_72_public_names():
+    assert len(PUBLIC) == 72 and len(SUBMODULES) == 11
 
 
 def test_every_public_name_is_its_defining_modules_object():

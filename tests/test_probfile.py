@@ -233,6 +233,15 @@ class TestRoundTrip:
         assert back.sched.c.value_at(3.0) == data.sched.c.value_at(3.0)
         assert back.tau.other is back.sched.c
 
+    def test_a_prox_friendly_m2_writes_its_own_tau(self):
+        data = parse_problem_text(doc())
+        no_tau = ProblemFileData(data.problem, data.sched, data.initial, data.config, None)
+        text = serialize_problem(no_tau)
+        assert json.loads(text)["schedules"]["tau"] == BASE["schedules"]["tau"]
+        assert text == serialize_problem(data)
+        back = parse_problem_text(text)
+        assert back.tau.other is back.sched.c and back.tau.numerator == 0.99
+
     def test_all_kinds_round_trip(self):
         d = json.loads(doc())
         d["functions"]["g"] = {"kind": "box_indicator", "lo": [-1.0, -1.0],

@@ -54,6 +54,14 @@ class TestScalarValues:
         assert tau.value_at(5.0) == pytest.approx(3.96)
         assert tau.derivative_at(5.0) == 0.0
 
+    @pytest.mark.parametrize("t", [0.0, 3.0])
+    def test_a_coupled_reciprocal_whose_square_underflows(self, t):
+        # inner(t) = 1e-300 sqrt(t + 1): its square underflows to 0, so the
+        # derivative divides by it twice
+        tau = CoupledReciprocal(0.99, CoupledReciprocal(1e-300, ReciprocalSqrt(1.0)))
+        want = -0.5 * 0.99 * 1e300 * (t + 1.0) ** -1.5
+        assert tau.derivative_at(t) == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_call_is_value_at(self):
         c = ReciprocalQuadratic(2.0)
         assert c(3.0) == c.value_at(3.0)

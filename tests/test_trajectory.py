@@ -21,7 +21,6 @@ from amaflow import (
     ScalarSchedule,
     ScaledIdentityMetric,
     SolveConfig,
-    TrajectoryError,
     TrajectorySample,
     ZeroMetric,
     ama_run,
@@ -51,11 +50,8 @@ def test_unit_step_euler_table_equals_the_solver_table(case, every, diverging):
     s0, iters = PrimalDualState(x, z, y), 300
     run = prox_ama_run(p, sched, s0, SolveConfig(max_iters=iters, tol_kkt=1e-300,
                                                  tol_feas=1e-300, record_every=every))
-    try:
-        traj = integrate(p, sched, s0, method="euler", h=1.0, T=float(iters),
-                         record_every=every)
-    except TrajectoryError as exc:
-        traj = exc.trajectory
+    traj = integrate(p, sched, s0, method="euler", h=1.0, T=float(iters),
+                     record_every=every)
     a, b = traj.table, run.iterates.table
     assert a.shape == b.shape
     assert run.status == "diverged" if diverging else run.status in ("max_iters", "diverged")
@@ -99,8 +95,29 @@ def test_solver_final_is_the_last_row(ex_problem, ex_start, ex_sched_c025):
     assert res.final.t == res.iterations_used == res.iterates.table[-1, 0]
 
 
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_an_integration_that_reaches_its_horizon_is_ok(ex_problem, ex_start, method):
+    sched = example_schedule("c1-decay", 0.99, ex_problem)
+    traj = integrate(ex_problem, sched, ex_start, method=method, h=0.5, T=2.0)
+    assert (traj.status, traj.message) == ("ok", "")
+    assert traj.times()[-1] == 2.0
+
+
+@pytest.mark.parametrize("c, max_iters, status", [
+    (0.25, 20000, "converged"), (0.25, 5, "max_iters"), (50.0, 3000, "diverged"),
+])
+def test_a_solver_run_and_its_trajectory_end_the_same_way(ex_problem, ex_start, c,
+                                                         max_iters, status):
+    c = ConstantSchedule(c)
+    sched = ParameterSchedule(c, ZeroMetric(2),
+                              ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, ex_problem.B))
+    run = prox_ama_run(ex_problem, sched, ex_start, SolveConfig(max_iters=max_iters))
+    assert run.status == status
+    assert (run.iterates.status, run.iterates.message) == (run.status, run.message)
+
+
 def test_an_empty_table():
-    traj = _Recorder((3, 2, 4)).trajectory("prox-ama", 1.0, 0.0)
+    traj = _Recorder((3, 2, 4)).trajectory("prox-ama", 1.0, 0.0, "error", "boom")
     assert traj.table.shape == (0, 13) and traj.samples == []
     assert traj.cuts == (4, 6, 10)
     assert len(traj.times()) == 0
@@ -169,11 +186,11 @@ def test_a_failing_step_ends_every_mode_the_same_way(ex_problem, ex_start):
     assert run.status == "error" and run.iterations_used == 5
     assert "not uniformly positive" in run.message
     assert run.iterates.times().tolist() == [0.0, 3.0, 5.0]
-    with pytest.raises(TrajectoryError) as err:
-        integrate(ex_problem, sched, ex_start, method="euler", h=1.0, T=50.0,
-                  record_every=3)
-    assert err.value.status == "error" and "aborted at t=5:" in str(err.value)
-    assert np.array_equal(err.value.trajectory.table, run.iterates.table)
+    assert (run.iterates.status, run.iterates.message) == ("error", run.message)
+    traj = integrate(ex_problem, sched, ex_start, method="euler", h=1.0, T=50.0,
+                     record_every=3)
+    assert traj.status == "error" and "aborted at t=5:" in traj.message
+    assert np.array_equal(traj.table, run.iterates.table)
 
 
 def test_a_capability_error_mid_run_ends_the_solver_run(ex_problem, ex_start):
