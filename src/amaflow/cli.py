@@ -153,8 +153,8 @@ def _check_run_options(args) -> None:
 
 def _run_mode(p, sched, s0, config: SolveConfig, mode: str, args):
     """Dispatch one solve of ``p`` under ``sched`` from ``s0``, with the run
-    options of ``args`` over ``config``; returns the solver's result or the
-    integration's trajectory, each with the status of its run."""
+    options of ``args`` over ``config``; returns the run's trajectory, which
+    carries how it ended."""
     if mode in ("prox-ama", "ama"):
         from .discrete import ama_run, prox_ama_run
 
@@ -163,8 +163,8 @@ def _run_mode(p, sched, s0, config: SolveConfig, mode: str, args):
         cfg = SolveConfig(**{key: getattr(config, key) if flag is None else flag
                              for key, flag in flags.items()})
         if mode == "prox-ama":
-            return prox_ama_run(p, sched, s0, cfg)
-        return ama_run(p, sched.c, s0, cfg)
+            return prox_ama_run(p, sched, s0, cfg).iterates
+        return ama_run(p, sched.c, s0, cfg).iterates
 
     from .dynamics import integrate
 
@@ -175,17 +175,16 @@ def _run_mode(p, sched, s0, config: SolveConfig, mode: str, args):
     return integrate(p, sched, s0, method=method, **given)
 
 
-def _emit(p, sched, outcome, prefix: str, mode: str, validation=None, forced=False,
+def _emit(p, sched, traj, prefix: str, mode: str, validation=None, forced=False,
           reference=None) -> int:
-    """Write the CSV and report of ``outcome``, :func:`_run_mode`'s, both or
-    neither, and print its status; returns the exit code, 3 for a run that
+    """Write the CSV and report of the trajectory ``traj``, both or neither,
+    and print its run's status; returns the exit code, 3 for a run that
     ended ``error`` or ``diverged``, else 0."""
     from .diagnostics import report, trajectory_energies
 
     time_label = "k" if mode in ("prox-ama", "ama") else "t"
-    traj = getattr(outcome, "iterates", outcome)
     energies = None if reference is None else trajectory_energies(traj, p, sched, reference)
-    rep = report(outcome, validation, energies)
+    rep = report(traj, validation, energies)
     _write_all(((f"{prefix}.csv", _csv_chunks(traj, time_label, energies)),
                 (f"{prefix}.report.txt", [_report_text(rep, forced)])))
     print(f"status: {rep.status}")
@@ -208,8 +207,8 @@ def cmd_solve(args) -> int:
             return 1
         forced = True
     prefix = args.out_prefix or f"{_stem(args.file)}-{args.mode}"
-    outcome = _run_mode(p, sched, data.initial, data.config, args.mode, args)
-    return _emit(p, sched, outcome, prefix, args.mode, validation=vr, forced=forced)
+    traj = _run_mode(p, sched, data.initial, data.config, args.mode, args)
+    return _emit(p, sched, traj, prefix, args.mode, validation=vr, forced=forced)
 
 
 def cmd_paper_example(args) -> int:
@@ -220,8 +219,8 @@ def cmd_paper_example(args) -> int:
     sched = example_schedule(args.c_schedule, TAU_C_VARIANTS[args.tau_c], p)
     ref = example_reference()
     prefix = args.out_prefix or f"example-{args.c_schedule}-{args.tau_c}-{args.mode}"
-    outcome = _run_mode(p, sched, example_start(), SolveConfig(), args.mode, args)
-    return _emit(p, sched, outcome, prefix, args.mode, reference=ref)
+    traj = _run_mode(p, sched, example_start(), SolveConfig(), args.mode, args)
+    return _emit(p, sched, traj, prefix, args.mode, reference=ref)
 
 
 def cmd_norm(args) -> int:

@@ -213,20 +213,19 @@ class SummaryReport:
 
 def report(result_or_traj, validation: Optional[ValidationReport] = None,
            energies: Optional[list] = None) -> SummaryReport:
-    """Summarize a solver result or a trajectory, with the status and message
-    of its run.
+    """Summarize a solver result or a trajectory from its trajectory alone:
+    the status and message of its run and, for a solver run, its iterations,
+    the trajectory's horizon.
 
     The energy section appears only for two or more ``energies`` of the rows
     (see :func:`trajectory_energies`), checked by
     :func:`check_energy_monotone`. ``time_to_tolerance`` reports when all
     residuals first dropped below ``REPORT_TOL`` among the recorded rows.
     """
-    if isinstance(result_or_traj, Trajectory):
-        traj, iterations = result_or_traj, None
-    else:
-        traj, iterations = result_or_traj.iterates, result_or_traj.iterations_used
-    status, message = result_or_traj.status, result_or_traj.message
+    traj = getattr(result_or_traj, "iterates", result_or_traj)
+    status, message = traj.status, traj.message
     kind = "discrete" if traj.method in ("prox-ama", "ama") else "continuous"
+    iterations = int(traj.horizon) if kind == "discrete" else None
 
     if not len(traj.table):
         return SummaryReport("error", kind, iterations, None, None, None, None, None,

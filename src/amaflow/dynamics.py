@@ -431,7 +431,8 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     subproblem failure, with a last sample for the state the failing step
     started from, and at a recorded sample whose feasibility or x-residual is
     NaN or past :data:`~amaflow.trajectory.DIVERGED_ABOVE` (only recorded
-    samples are judged). The trajectory returned carries how the run ended:
+    samples are judged, each by the loop's one block, the start state
+    included). The trajectory returned carries how the run ended:
     ``status`` ``ok`` when it reached T, else ``error`` or ``diverged`` with
     a ``message`` naming the time it stopped at. Unit-step Euler is the
     solvers' step, so its trajectory is ``prox_ama_run``'s, bit for bit, with

@@ -232,7 +232,7 @@ class TwoBlockProblem:
         y = as_vector(s.y, self.dim_y, "y")
         with np.errstate(over="ignore"):
             return KKTResidual(self._x_residual(x, self.mat_At.dot(y)),
-                               self._z_residual(z, self.mat_Bt.dot(y)),
+                               float(self._z_residuals(z, y)),
                                self._feas(self.mat_A.dot(x), self.mat_B.dot(z)))
 
     # The three residuals on trusted arrays. A squared norm past the float
@@ -252,19 +252,13 @@ class TwoBlockProblem:
         rx = x - self._f_prox1(vx)
         return math.sqrt(rx.dot(rx))
 
-    def _z_residual(self, z: np.ndarray, bty: np.ndarray) -> float:
-        """``|z - prox_g(z + B* y - grad h2(z))|``."""
-        vz = z + bty
-        if self._h2_grad is not None:
-            vz = vz - self._h2_grad(z)
-        rz = z - self._g_prox1(vz)
-        return math.sqrt(rz.dot(rz))
-
     def _z_residuals(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """:meth:`_z_residual` of each row of the blocks ``z`` and ``y``, bit
-        for bit: ``B* y``, the catalog's prox and gradient and the squared
-        norm are each the row's own computation (see :func:`~amaflow.linop._matvec`
-        and ``np.vecdot``), and ``np.sqrt`` is ``math.sqrt``."""
+        """``|z - prox_g(z + B* y - grad h2(z))|``, the one z-residual formula,
+        of a state (a numpy float, bit for bit ``math.sqrt(r.dot(r))``) or of
+        each row of the blocks ``z`` and ``y``, bit for bit the row's own:
+        ``B* y``, the catalog's prox and gradient and the squared norm are each
+        the row's own computation (see :func:`~amaflow.linop._matvec` and
+        ``np.vecdot``)."""
         vz = z + _matvec(self.mat_Bt, y)
         if self._h2_grad is not None:
             vz = vz - self._h2_grad(z)

@@ -30,18 +30,19 @@ class Trajectory:
     and how it ended.
 
     ``table`` is the read-only table, ``dims`` the lengths of x, z and y and
-    ``cuts`` the first columns of z, y and the residuals. ``status`` and
+    ``cuts`` the first columns of z, y and the residuals. ``horizon`` is an
+    integration's T, or the iterations a solver run used. ``status`` and
     ``message`` are the run's: a solver's status, or for an integration
-    ``ok``, ``diverged`` or ``error``; ``ok`` and no message on a record
-    built by hand. ``samples``, built on first use, holds views of the rows;
+    ``ok``, ``diverged`` or ``error``; ``ok`` and no message unless given.
+    ``samples``, built on first use, holds views of the rows;
     ``final``, its last entry, is built alone.
     """
 
     def __init__(self, table: np.ndarray, method: str, step: float, horizon: float,
-                 dims: tuple):
+                 dims: tuple, status: str = "ok", message: str = ""):
         self.table, self.dims, self.cuts = table, dims, _cuts(dims)
         self.method, self.step, self.horizon = method, step, horizon
-        self.status, self.message = "ok", ""
+        self.status, self.message = status, message
         self._samples = self._final = None
 
     def _states(self, rows: slice = slice(None)):
@@ -115,9 +116,7 @@ class _Recorder:
 
     def trajectory(self, method: str, step: float, horizon: float, status: str,
                    message: str) -> Trajectory:
-        traj = Trajectory(self.finish(), method, step, horizon, self.dims)
-        traj.status, traj.message = status, message
-        return traj
+        return Trajectory(self.finish(), method, step, horizon, self.dims, status, message)
 
 
 # A residual past this bound, or NaN, stops a run as diverged: well before a
@@ -156,61 +155,57 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
     the new stacked state ``s``, with x and z as views of it, its last block
     the new y, and no w or products.
 
-    Every state the loop forms residuals for is judged by :func:`_stop`: a
-    recorded one, and given ``tol = (tol_kkt, tol_feas)`` every one. A step
-    whose subproblem fails stops the run as ``error``, with a row for the
-    state it started from. Returns ``(status, k, recorder, exc)``: the run
-    stopped at state k, as ``max_iters`` if it took every step; ``exc`` is
-    the subproblem's error.
+    One block forms, records and judges by :func:`_stop` every state, the
+    start state first (stopping there, it takes no step): a recorded one,
+    and given ``tol = (tol_kkt, tol_feas)`` every one. A step whose
+    subproblem fails stops the run as ``error``, with a row for the state it
+    started from. Returns ``(status, k, recorder, exc)``: the run stopped at
+    state k, as ``max_iters`` if it took every step; ``exc`` is the
+    subproblem's error.
 
     A unit step streams the matrices four times, A B B A on the prox-friendly
     branch: the update's A x+, B* and B z+, then A* y+ for the next x-step.
-    A judged state, the start state too, gets its x-residual and its
-    feasibility residual; its z-residual (one more B* y and a prox of g) only
-    where the rule reads it, where those two pass. Whatever the rule read,
-    every recorded row's z-residual is written after the loop, a recorder
-    block of rows at a time, bit for bit the one the state would get; it is a
-    record only. Past the float range a squared residual is an infinite
-    residual: neither overflow nor an invalid operation raises numpy's
-    warning in the loop.
+    A judged state gets its x-residual and its feasibility residual; its
+    z-residual (one more B* y and a prox of g) only where the rule reads it,
+    where those two pass. Whatever the rule read, every recorded row's
+    z-residual is written after the loop by the same formula, a recorder
+    block of rows at a time; it is a record only. Past the float range a
+    squared residual is an infinite residual: neither overflow nor an
+    invalid operation raises numpy's warning in the loop.
     """
     s = p.state(s0.x, s0.z, s0.y)
     x, z, y = s.x, s.z, s.y
-    A, B, At, Bt = p.mat_A, p.mat_B, p.mat_At, p.mat_Bt
+    A, B, At = p.mat_A, p.mat_B, p.mat_At
     rec = _Recorder((p.dim_x, p.dim_z, p.dim_y))
     # Without tol no state passes, and no z-residual is read.
     tol_kkt, tol_feas = tol or (-math.inf, -math.inf)
-    aty, bz = At.dot(y), B.dot(z)
-    feas, rx = p._feas(A.dot(x), bz), p._x_residual(x, aty)
-    rz = p._z_residual(z, Bt.dot(y)) if rx <= tol_kkt and feas <= tol_feas else math.nan
-    rec.add(0.0, x, z, y, feas, rx)
-    status = _stop(feas, rx, rz, tol)
-    # A start state that stops the run takes no step.
-    status, stop = (status, 0) if status else ("max_iters", steps)
-    stacked = exc = None
+    aty, bz, r = At.dot(y), B.dot(z), None
+    status, stop, stacked, exc = "max_iters", steps, None, None
     cut = p.dim_x + p.dim_z  # where y starts in a stacked state
-    for k in range(stop):
+    for k in range(steps + 1):
+        recorded = not k % every or k == steps
+        if recorded or tol is not None:
+            if r is None and bz is None:  # a fractional step's state
+                bz = B.dot(z)
+            feas = math.sqrt(r.dot(r)) if r is not None else p._feas(A.dot(x), bz)
+            rx = p._x_residual(x, aty)
+            rz = p._z_residuals(z, y) if rx <= tol_kkt and feas <= tol_feas else math.nan
+            verdict = _stop(feas, rx, rz, tol)
+            if recorded or verdict is not None:
+                rec.add(k * h, x, z, y, feas, rx)
+            if verdict is not None:
+                status, stop = verdict, k
+                break
+        if k == steps:
+            break
         try:
             x, z, w, bz, r, stacked = step(k * h, x, z, y, aty, bz, stacked)
         except (ConvergenceError, ConditionError, CapabilityError) as err:
-            if k % every:
+            if not recorded:
                 rec.add(k * h, x, z, y, p._feas(A.dot(x), B.dot(z)), p._x_residual(x, aty))
             status, stop, exc = "error", k, err
             break
         y = y + w if stacked is None else stacked[cut:]
         aty = At.dot(y)
-        recorded = not (k + 1) % every or k + 1 == steps
-        if not recorded and tol is None:
-            continue
-        feas = math.sqrt(r.dot(r)) if r is not None else p._feas(A.dot(x), bz := B.dot(z))
-        rx = p._x_residual(x, aty)
-        rz = p._z_residual(z, Bt.dot(y)) if rx <= tol_kkt and feas <= tol_feas else math.nan
-        verdict = _stop(feas, rx, rz, tol)
-        if verdict is None and not recorded:
-            continue
-        rec.add((k + 1) * h, x, z, y, feas, rx)
-        if verdict is not None:
-            status, stop = verdict, k + 1
-            break
     rec.fill_rz(p)
     return status, stop, rec, exc

@@ -107,6 +107,19 @@ class TestValidate:
         assert all(str(w.message).startswith("overflow") for w in caught)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_decaying_c_whose_square_underflows_is_decreasing(self, tmp_path, capsys):
+        # c = 1/(t^2 + 1e-200): (t^2 + a)^2 underflows to 0 at t = 0, where
+        # c' is 0, not 0/0; c is past its range there, and decreasing.
+        edit = {"schedules__c": {"kind": "reciprocal_quadratic", "a": 1e-200, "offset": 0}}
+        rc = main(["validate", write(tmp_path, doc(**edit))])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "witness=nan" not in out
+        assert "check: rule=c-range passed=false" in out
+        for rule in ("c-decreasing", "c-lipschitz", "m2-derivative-bounded"):
+            assert f"check: rule={rule} passed=true" in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_an_infinite_tau_with_l2_zero_has_finite_corollary_witnesses(self, tmp_path,
                                                                         capsys):
         # tau L2 / 4 is 0 where L2 = 0, not inf * 0 = NaN.

@@ -223,9 +223,11 @@ class TestReport:
         assert (d["status"], d["kind"], d["final_t"]) == ("diverged", "continuous", 140.0)
         assert d["message"] == "integration diverged at t=140: residual NaN or past 1e+150"
         res = prox_ama_run(ex_problem, sched, ex_start, SolveConfig(max_iters=3000))
+        # A solver run's trajectory carries its iterations as its horizon.
         d = report(res.iterates).as_dict()
-        assert (d["status"], d["kind"], d["iterations"]) == ("diverged", "discrete", None)
+        assert (d["status"], d["kind"], d["iterations"]) == ("diverged", "discrete", 138)
         assert d["message"] == res.message
+        assert d == report(res).as_dict()
 
     def test_empty_trajectory(self, ex_problem, ex_start):
         empty = _Recorder((2, 2, 2)).trajectory("prox-ama", 1.0, 0.0, "error", "boom")

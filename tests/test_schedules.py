@@ -62,6 +62,36 @@ class TestScalarValues:
         want = -0.5 * 0.99 * 1e300 * (t + 1.0) ** -1.5
         assert tau.derivative_at(t) == pytest.approx(want, rel=1e-15, abs=0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t, want", [
+        (0.0, 0.0), (np.float64(0.0), 0.0), (1e-101, -2e-101 / 1.01e-200 / 1.01e-200),
+        (np.float64(1e-101), -2e-101 / 1.01e-200 / 1.01e-200), (1e80, 0.0), (1e200, 0.0)],
+        ids=["zero", "numpy-zero", "tiny", "numpy-tiny", "1e80", "1e200"])
+    def test_a_reciprocal_quadratic_whose_square_underflows(self, t, want):
+        # (t^2 + 1e-200)^2 underflows to 0 at t = 0 and 1e-101, so the
+        # derivative divides by the base twice, not 0/0 or -2t/0; past the
+        # float range the square is inf, so a Python float does not raise.
+        c = ReciprocalQuadratic(1e-200)
+        with np.errstate(over="ignore"):
+            assert c.derivative_at(t) == want
+
+    def test_a_reciprocal_quadratic_derivative_keeps_its_bits_on_a_grid(self):
+        # A numpy float's ** 2 is C pow, which is one ulp off the product at
+        # some points (an array's ** 2 is the product): the derivative keeps
+        # it, so the validators' values, read a numpy float at a time, do not
+        # move wherever the square neither underflows nor overflows.
+        t = np.random.default_rng(3).uniform(0.0, 1.0, 4000) * np.logspace(-60, 60, 4000)
+        for a in (1e-4, 1.0, 1e-100):
+            c = ReciprocalQuadratic(a)
+            got = np.array([c.derivative_at(ti) for ti in t])
+            assert got.tobytes() == np.array([-2.0 * ti / (ti * ti + a) ** 2 for ti in t]).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("zero", [0.0, np.float64(0.0), -0.0],
+                             ids=["zero", "numpy-zero", "minus-zero"])
+    def test_a_coupled_reciprocal_of_zero_is_inf(self, zero):
+        assert CoupledReciprocal(0.99, ConstantSchedule(1.0)).of(zero) == math.inf
+
     def test_call_is_value_at(self):
         c = ReciprocalQuadratic(2.0)
         assert c(3.0) == c.value_at(3.0)

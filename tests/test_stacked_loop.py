@@ -216,17 +216,14 @@ class TestDeferredZResidual:
         # loop to judge them, and the start state's only if it passes them
         # too (on c025 it does not). The pass after the loop writes the
         # column of every row.
+        # One formula serves both: a state's (1-d) reads are the rule's, a
+        # block of rows (2-d) is the column's.
         read, passed = [], []
-        row, block = dynamics.TwoBlockProblem._z_residual, dynamics.TwoBlockProblem._z_residuals
-
-        def counted_row(self, z, bty):
-            read.append(1)
-            return row(self, z, bty)
+        formula = dynamics.TwoBlockProblem._z_residuals
 
         def counted(self, z, y):
-            passed.append(len(z))
-            return block(self, z, y)
-        monkeypatch.setattr(dynamics.TwoBlockProblem, "_z_residual", counted_row)
+            (read if z.ndim == 1 else passed).append(len(z))
+            return formula(self, z, y)
         monkeypatch.setattr(dynamics.TwoBlockProblem, "_z_residuals", counted)
         res = prox_ama_run(ex_problem, example_schedule(), ex_start, SolveConfig())
         table = res.iterates.table

@@ -8,27 +8,35 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import amaflow.cli as cli
 from amaflow import (
     ConstantSchedule,
+    CapabilityError,
+    ConditionError,
+    ConvergenceError,
     CoupledReciprocal,
+    DenseMap,
     ParameterSchedule,
     PrimalDualState,
     ProxFriendlyMetric,
+    QuadraticDistance,
     ScalarSchedule,
     ScaledIdentityMetric,
     SolveConfig,
+    Trajectory,
     TrajectorySample,
+    TwoBlockProblem,
+    ZeroFunction,
     ZeroMetric,
     ama_run,
     example_schedule,
     integrate,
     prox_ama_run,
 )
-from amaflow.trajectory import _Recorder
+from amaflow.trajectory import _Recorder, _run
 
 from test_properties import SETTINGS, cases
 
@@ -114,10 +122,14 @@ def test_a_solver_run_and_its_trajectory_end_the_same_way(ex_problem, ex_start, 
     run = prox_ama_run(ex_problem, sched, ex_start, SolveConfig(max_iters=max_iters))
     assert run.status == status
     assert (run.iterates.status, run.iterates.message) == (run.status, run.message)
+    assert run.iterates.horizon == run.iterations_used
 
 
 def test_an_empty_table():
     traj = _Recorder((3, 2, 4)).trajectory("prox-ama", 1.0, 0.0, "error", "boom")
+    assert (traj.status, traj.message) == ("error", "boom")
+    by_hand = Trajectory(traj.table, "rk4", 0.1, 1.0, (3, 2, 4))
+    assert (by_hand.status, by_hand.message) == ("ok", "")
     assert traj.table.shape == (0, 13) and traj.samples == []
     assert traj.cuts == (4, 6, 10)
     assert len(traj.times()) == 0
@@ -200,3 +212,75 @@ def test_a_capability_error_mid_run_ends_the_solver_run(ex_problem, ex_start):
     assert run.status == "error" and run.iterations_used == 5
     assert "conjugate gradient" in run.message
     assert run.iterates.times().tolist() == [0.0, 3.0, 5.0]
+
+
+def _still_problem():
+    """A problem whose state (x, z, y) = (d, z0, 0) has x-residual 0,
+    feasibility residual 0 and z-residual 1e-4, and whose state (d, e, 0)
+    has z-residual 0 (``f`` and ``g`` are unit-weight distances to d and
+    e, so a prox at step 1 halves the distance to the anchor)."""
+    d, e = np.array([0.5, -1.0]), np.array([1.0, 2.0])
+    A, B = np.array([[1.0, 0.5], [-0.5, 1.0]]), np.array([[0.8, 0.0], [0.3, 0.6]])
+    z0 = e + np.array([2e-4, 0.0])
+    p = TwoBlockProblem(f=QuadraticDistance(d, 1.0), h1=ZeroFunction(2),
+                        g=QuadraticDistance(e, 1.0), h2=ZeroFunction(2),
+                        A=DenseMap(A), B=DenseMap(B), b=A.dot(d) + B.dot(z0))
+    return p, PrimalDualState(d, z0, np.zeros(2)), e
+
+
+_FAILURES = (ConvergenceError("stub"), ConditionError("stub"), CapabilityError("stub"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(steps=st.integers(0, 25), every=st.integers(1, 8), h=st.sampled_from([1.0, 0.25]),
+       tol=st.booleans(), converge_at=st.none() | st.integers(0, 27),
+       raise_at=st.none() | st.integers(0, 27), failure=st.sampled_from(_FAILURES),
+       fractional=st.booleans())
+@example(steps=10, every=3, h=1.0, tol=True, converge_at=None, raise_at=0,
+         failure=_FAILURES[0], fractional=False)
+@example(steps=10, every=3, h=1.0, tol=False, converge_at=None, raise_at=6,
+         failure=_FAILURES[1], fractional=True)
+@example(steps=10, every=3, h=1.0, tol=True, converge_at=0, raise_at=0,
+         failure=_FAILURES[2], fractional=False)
+@example(steps=10, every=4, h=0.25, tol=True, converge_at=7, raise_at=7,
+         failure=_FAILURES[0], fractional=True)
+def test_the_loop_records_and_stops_where_its_rule_says(steps, every, h, tol, converge_at,
+                                                        raise_at, failure, fractional):
+    """``_run`` with a stub step that leaves x and y alone, moves z onto the
+    anchor of g at state ``converge_at`` (the start state when 0) and raises ``failure`` in step
+    ``raise_at``: its rows are t = 0, every ``every``-th state before the
+    stop and the stop once; it stops at the first state that passes the
+    tolerance (the start state too, taking no step), else at the failing
+    step as ``error``, else after every step as ``max_iters``. Without a
+    tolerance no state passes."""
+    p, s0, e = _still_problem()
+    if converge_at == 0:
+        s0 = PrimalDualState(s0.x, e, s0.y)
+    taken = []
+
+    def step(t, x, z, y, aty, bz, stacked):
+        k = round(t / h)
+        taken.append(k)
+        if k == raise_at:
+            raise failure
+        z = e.copy() if converge_at is not None and k + 1 >= converge_at else z
+        if fractional:
+            s = np.concatenate([x, z, y])
+            return s[:2], s[2:4], None, None, None, s
+        bz = p.mat_B.dot(z)
+        return x, z, np.zeros(2), bz, p.mat_A.dot(x) + bz - p.b, None
+
+    status, stop, rec, exc = _run(p, s0, step, h, steps, every, (1e-6, 1.0) if tol else None)
+    if tol and converge_at is not None and converge_at <= steps and (
+            raise_at is None or converge_at <= raise_at):
+        want = ("converged", converge_at, None, list(range(converge_at)))
+    elif raise_at is not None and raise_at < steps:
+        want = ("error", raise_at, failure, list(range(raise_at + 1)))
+    else:
+        want = ("max_iters", steps, None, list(range(steps)))
+    assert (status, stop, exc, taken) == want
+    rows = sorted({k for k in range(stop) if not k % every} | {stop})
+    table = rec.trajectory("stub", h, stop * h, status, "").table
+    assert table[:, 0].tolist() == [k * h for k in rows]
+    moved = [converge_at is not None and k >= converge_at for k in rows]
+    assert (table[:, -1] == 0.0).tolist() == moved
