@@ -84,7 +84,8 @@ class TestScalarValues:
         for a in (1e-4, 1.0, 1e-100):
             c = ReciprocalQuadratic(a)
             got = np.array([c.derivative_at(ti) for ti in t])
-            assert got.tobytes() == np.array([-2.0 * ti / (ti * ti + a) ** 2 for ti in t]).tobytes()
+            want = np.array([-2.0 * ti / (ti * ti + a) ** 2 for ti in t])
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("zero", [0.0, np.float64(0.0), -0.0],

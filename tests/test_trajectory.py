@@ -18,18 +18,14 @@ from amaflow import (
     ConditionError,
     ConvergenceError,
     CoupledReciprocal,
-    DenseMap,
     ParameterSchedule,
     PrimalDualState,
     ProxFriendlyMetric,
-    QuadraticDistance,
     ScalarSchedule,
     ScaledIdentityMetric,
     SolveConfig,
     Trajectory,
     TrajectorySample,
-    TwoBlockProblem,
-    ZeroFunction,
     ZeroMetric,
     ama_run,
     example_schedule,
@@ -38,6 +34,7 @@ from amaflow import (
 )
 from amaflow.trajectory import _Recorder, _run
 
+import test_discrete
 from test_properties import SETTINGS, cases
 
 
@@ -214,20 +211,6 @@ def test_a_capability_error_mid_run_ends_the_solver_run(ex_problem, ex_start):
     assert run.iterates.times().tolist() == [0.0, 3.0, 5.0]
 
 
-def _still_problem():
-    """A problem whose state (x, z, y) = (d, z0, 0) has x-residual 0,
-    feasibility residual 0 and z-residual 1e-4, and whose state (d, e, 0)
-    has z-residual 0 (``f`` and ``g`` are unit-weight distances to d and
-    e, so a prox at step 1 halves the distance to the anchor)."""
-    d, e = np.array([0.5, -1.0]), np.array([1.0, 2.0])
-    A, B = np.array([[1.0, 0.5], [-0.5, 1.0]]), np.array([[0.8, 0.0], [0.3, 0.6]])
-    z0 = e + np.array([2e-4, 0.0])
-    p = TwoBlockProblem(f=QuadraticDistance(d, 1.0), h1=ZeroFunction(2),
-                        g=QuadraticDistance(e, 1.0), h2=ZeroFunction(2),
-                        A=DenseMap(A), B=DenseMap(B), b=A.dot(d) + B.dot(z0))
-    return p, PrimalDualState(d, z0, np.zeros(2)), e
-
-
 _FAILURES = (ConvergenceError("stub"), ConditionError("stub"), CapabilityError("stub"))
 
 
@@ -247,13 +230,17 @@ _FAILURES = (ConvergenceError("stub"), ConditionError("stub"), CapabilityError("
 def test_the_loop_records_and_stops_where_its_rule_says(steps, every, h, tol, converge_at,
                                                         raise_at, failure, fractional):
     """``_run`` with a stub step that leaves x and y alone, moves z onto the
-    anchor of g at state ``converge_at`` (the start state when 0) and raises ``failure`` in step
-    ``raise_at``: its rows are t = 0, every ``every``-th state before the
-    stop and the stop once; it stops at the first state that passes the
-    tolerance (the start state too, taking no step), else at the failing
-    step as ``error``, else after every step as ``max_iters``. Without a
-    tolerance no state passes."""
-    p, s0, e = _still_problem()
+    anchor e of g at state ``converge_at`` (the start state when 0) and
+    raises ``failure`` in step ``raise_at``: its rows are t = 0, every
+    ``every``-th state before the stop and the stop once; it stops at the
+    first state that passes the tolerance (the start state too, taking no
+    step), else at the failing step as ``error``, else after every step as
+    ``max_iters``. Without a tolerance no state passes. The start state of
+    :meth:`test_discrete.TestUnequalTolerances.start_with_z_residual` has
+    x-residual 0, feasibility residual 0 and z-residual 1e-4; at e its
+    z-residual is 0."""
+    p, _, s0 = test_discrete.TestUnequalTolerances.start_with_z_residual(1e-4)
+    e = p.g.d
     if converge_at == 0:
         s0 = PrimalDualState(s0.x, e, s0.y)
     taken = []
