@@ -104,7 +104,7 @@ def _terms(p: TwoBlockProblem, params: list, dx: np.ndarray, dz: np.ndarray,
     dense = np.flatnonzero(np.isnan(tau))
     if dense.size:
         dzd, cd = dz[dense], c[dense]
-        bdz = np.matvec(_blas_layout(p.mat_B), dzd)
+        bdz = np.matvec(_blas_layout(p.B), dzd)
         m2 = np.zeros(dense.size)
         groups = {}
         for j, i in enumerate(dense.tolist()):

@@ -137,7 +137,7 @@ def _snapshot(p: TwoBlockProblem, sched: ParameterSchedule):
     if isinstance(M2, ZeroMetric):
         return _once(lambda t: (mu1_at(t), None, c_at(t), None), read)
     if isinstance(M2, ConstantDenseMetric):
-        K = M2.M.matrix
+        K = M2.M
         return _once(lambda t: (mu1_at(t), K, c_at(t), None), read)
     if not isinstance(M2, ScaledIdentityMetric):
         raise CapabilityError(f"z-subproblem does not support M2 of kind {M2.kind!r}")
@@ -234,7 +234,7 @@ def _blocks(p: TwoBlockProblem, require_uniform: bool = True):
     inner loop on the coupling, kept while c and K are unchanged. h1, h2 and
     b are read only where they are not zero, and the factors are 0-d arrays:
     a ufunc is faster on one than on a Python float, for the same product."""
-    f, g, B, Bt, b = p.f, p.g, p.mat_B.dot, p.mat_Bt.dot, None if p.b_is_zero else p.b
+    f, g, B, Bt, b = p.f, p.g, p.B.dot, p.Bt.dot, None if p.b_is_zero else p.b
     conj, h1, h2 = f._conj_grad, p._h1_grad, p._h2_grad
     mu1, c, tau = np.zeros(()), np.zeros(()), np.zeros(())
     f_prox = g_prox = cp = None
@@ -282,7 +282,7 @@ def _kernel(p: TwoBlockProblem, snap, require_uniform: bool = True):
     ``snap(t)`` is another tuple than the last, so once per run for a constant
     snapshot. It is the unit Euler step of :func:`~amaflow.trajectory._run`."""
     pick = _blocks(p, require_uniform)
-    A, B, b = p.mat_A.dot, p.mat_B.dot, None if p.b_is_zero else p.b
+    A, B, b = p.A.dot, p.B.dot, None if p.b_is_zero else p.b
     nc = np.zeros(())
     key = x_step = z_step = None
 
@@ -308,7 +308,7 @@ def solve_x_subproblem(p: TwoBlockProblem, mu1: float, x, y) -> np.ndarray:
     """
     x = as_vector(x, p.dim_x, "x")
     x_step = _blocks(p)((mu1, None, 1.0, 1.0))[0]
-    return x_step(x, p.mat_At.dot(as_vector(y, p.dim_y, "y")))
+    return x_step(x, p.At.dot(as_vector(y, p.dim_y, "y")))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -334,7 +334,7 @@ def solve_z_subproblem(p: TwoBlockProblem, K: Optional[np.ndarray], c_t: float,
     """
     z = as_vector(z, p.dim_z, "z")
     y = as_vector(y, p.dim_y, "y")
-    ax_new = p.mat_A.dot(as_vector(x_new, p.dim_x, "x_new"))
+    ax_new = p.A.dot(as_vector(x_new, p.dim_x, "x_new"))
     if K is not None and tau_t is None:
         K = as_square(K, p.dim_z, "M2")
     z_step = _blocks(p)((0.0, K, c_t, tau_t))[1]
@@ -348,7 +348,7 @@ def alternating_update(p: TwoBlockProblem, mu1: float, K: Optional[np.ndarray],
     """One update of :func:`_kernel` on its own, on trusted arrays:
     ``(x+, z+, w, B z+, r)`` for the :func:`_snapshot` tuple
     ``(mu1, K, c, tau)``, given ``A* y`` and ``B z`` when known."""
-    params, aty = (mu1, K, c, tau), p.mat_At.dot(y) if aty is None else aty
+    params, aty = (mu1, K, c, tau), p.At.dot(y) if aty is None else aty
     return _kernel(p, lambda t: params, require_uniform)(0.0, x, z, y, aty, bz)[:5]
 
 
@@ -357,7 +357,7 @@ def gamma(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
           s: PrimalDualState) -> GammaOutput:
     """Evaluate the field at (t, s); zero exactly at saddle points."""
     s = p.state(s.x, s.z, s.y)
-    x, z, w = _kernel(p, _snapshot(p, sched))(t, s.x, s.z, s.y, p.mat_At.dot(s.y), None)[:3]
+    x, z, w = _kernel(p, _snapshot(p, sched))(t, s.x, s.z, s.y, p.At.dot(s.y), None)[:3]
     return GammaOutput(x - s.x, z - s.z, w)
 
 
@@ -394,7 +394,7 @@ def _rk4_step(p: TwoBlockProblem, snap, h: float):
     step's or, at the first, a new one, so each combination of stages is one
     operation; the stages share the kernel, and the first reuses the state's
     products."""
-    update, At = _kernel(p, snap), p.mat_At.dot
+    update, At = _kernel(p, snap), p.At.dot
     a, b = p.dim_x, p.dim_x + p.dim_z
     half = 0.5 * h
     f_half, f_h, two, sixth = (np.array(v) for v in (half, h, 2.0, h / 6.0))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import L1Norm, QuadraticDistance, ZeroFunction
-from .linop import DenseMap
 from .problem import PrimalDualState, TwoBlockProblem
 from .schedules import (
     C_VARIANTS,
@@ -42,8 +41,8 @@ __all__ = [
 ]
 
 def example_problem() -> TwoBlockProblem:
-    A = DenseMap(np.array([[2.0, 1.0], [-2.0, 1.0]]) / np.sqrt(8.0))
-    B = DenseMap(np.array([[-3.0, 0.0], [4.0, 0.0]]) / 5.0)
+    A = np.array([[2.0, 1.0], [-2.0, 1.0]]) / np.sqrt(8.0)
+    B = np.array([[-3.0, 0.0], [4.0, 0.0]]) / 5.0
     return TwoBlockProblem(
         f=QuadraticDistance(d=np.array([1.0, 0.0]), weight=1.0),
         h1=ZeroFunction(2),

@@ -227,19 +227,18 @@ class QuadraticForm(SeparableFunction):
 
     kind = "quadratic_form"
 
-    def __init__(self, Q: DenseMap, q):
+    def __init__(self, Q, q):
         self.q = np.asarray(q, dtype=float)
         if self.q.ndim != 1:
             raise ValueError("linear term q must be a vector")
-        if Q.dim_in != Q.dim_out or Q.dim_in != self.q.shape[0]:
-            raise ValueError("Q must be square and match the dimension of q")
-        self.Q = Q
+        self.Q = Q = DenseMap(Q)
         self.dim = self.q.shape[0]
-        self._Qmat = Q.matrix
-        if not (np.isfinite(self._Qmat).all() and np.isfinite(self.q).all()):
+        if Q.shape != (self.dim, self.dim):
+            raise ValueError("Q must be square and match the dimension of q")
+        if not (np.isfinite(Q).all() and np.isfinite(self.q).all()):
             raise ValueError("Q and q must have finite entries")
-        _check_symmetric(self._Qmat)
-        self._lam, self._V = np.linalg.eigh(0.5 * (self._Qmat + self._Qmat.T))
+        _check_symmetric(Q)
+        self._lam, self._V = np.linalg.eigh(0.5 * (Q + Q.T))
         sigma = float(self._lam[0])
         if sigma < -1e-10:
             raise ValueError(f"Q must be positive semidefinite; min eigenvalue {sigma:.3e}")
@@ -249,7 +248,7 @@ class QuadraticForm(SeparableFunction):
 
     def __call__(self, x):
         x = as_vector(x, self.dim, "eval input")
-        return 0.5 * float(x @ (self._Qmat @ x)) + float(self.q @ x)
+        return 0.5 * float(x @ (self.Q @ x)) + float(self.q @ x)
 
     def _prox_at(self, gamma):
         # (I + gamma Q)^-1 (x - gamma q) in the eigenbasis of Q.
@@ -257,7 +256,7 @@ class QuadraticForm(SeparableFunction):
         return lambda x: _matvec(V, _matvec(V.T, x - gq) / den)
 
     def _grad(self, x):
-        return _matvec(self._Qmat, x) + self.q
+        return _matvec(self.Q, x) + self.q
 
     def _conj_grad(self, s):
         if self.strong_convexity <= 0.0:

@@ -1,9 +1,9 @@
-"""Dense linear operators with exact adjoints, and their spectral queries.
+"""Dense operators as plain float64 arrays, and their spectral queries.
 
-A problem's operators are dense matrices; :class:`DenseMap` holds one and
-gives it a checked ``apply``/``adjoint_apply`` for callers outside the
-solvers, which work on the matrices themselves. Maps are never modified, so
-they can be shared freely between concurrent solver runs.
+A problem's operators (A, B, a quadratic form's Q, a constant metric's M)
+are dense 2-d float64 arrays, checked once by :func:`DenseMap` when their
+owner is built; every product is a ``dot`` on them. They are never
+modified, so they can be shared freely between concurrent solver runs.
 """
 
 from __future__ import annotations
@@ -42,23 +42,14 @@ def as_square(m, n: int, what: str) -> np.ndarray:
     return a
 
 
-class DenseMap:
-    """Operator given by an explicit (row-major) matrix, read as ``.matrix``."""
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2:
-            raise ValueError(f"matrix must be 2-d, got shape {m.shape}")
-        self.matrix = m
-        self.dim_out, self.dim_in = m.shape
-
-    # ``ndarray.dot`` makes the same BLAS product as ``@`` for a matrix and a
-    # vector, with half the call overhead on small operands.
-    def apply(self, x):
-        return self.matrix.dot(as_vector(x, self.dim_in, "apply input"))
-
-    def adjoint_apply(self, y):
-        return self.matrix.T.dot(as_vector(y, self.dim_out, "adjoint input"))
+def DenseMap(matrix) -> np.ndarray:
+    """``matrix`` as a 2-d float64 array, not copied if it is one; any other
+    number of dimensions raises ValueError. Products are ``dot``: the BLAS
+    call of ``@`` with half the overhead on small operands."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"matrix must be 2-d, got shape {m.shape}")
+    return m
 
 
 def _blas_layout(M: np.ndarray) -> np.ndarray:
@@ -98,15 +89,15 @@ def sym_eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
-def operator_norm(m: DenseMap) -> float:
-    """Largest singular value of ``m``, from an SVD of its matrix."""
-    return float(np.linalg.norm(m.matrix, 2))
+def operator_norm(m) -> float:
+    """Largest singular value of the matrix ``m``, from one SVD."""
+    return float(np.linalg.norm(DenseMap(m), 2))
 
 
-def min_eigenvalue_sym(m: DenseMap) -> float:
-    """Smallest eigenvalue of a square symmetric map, via dense eigh.
+def min_eigenvalue_sym(m) -> float:
+    """Smallest eigenvalue of a square symmetric matrix, via dense eigh.
 
     The matrix is checked first: a non-finite or asymmetric input raises,
     the latter with the maximal asymmetry magnitude in the message.
     """
-    return float(sym_eigenvalues(m.matrix)[0])
+    return float(sym_eigenvalues(DenseMap(m))[0])

@@ -22,7 +22,6 @@ from .functions import (
     SeparableFunction,
     ZeroFunction,
 )
-from .linop import DenseMap
 from .problem import PrimalDualState, SolveConfig, TwoBlockProblem
 from .schedules import (
     ConstantSchedule,
@@ -140,7 +139,7 @@ def _parse_function(doc, loc: str) -> SeparableFunction:
         return _build(ZeroFunction, loc, _number(doc["dim"], f"{loc}.dim", int))
     if kind == "quadratic_form":
         _expect_object(doc, loc, {"kind", "Q", "q"})
-        return _build(QuadraticForm, loc, DenseMap(_matrix(doc["Q"], f"{loc}.Q")),
+        return _build(QuadraticForm, loc, _matrix(doc["Q"], f"{loc}.Q"),
                       _vector(doc["q"], f"{loc}.q"))
     raise ParseError(f"unknown function kind {kind!r}", loc)
 
@@ -173,7 +172,7 @@ def _parse_scalar(doc, loc: str, c: ScalarSchedule | None = None) -> ScalarSched
 
 
 def _parse_metric(doc, loc: str, dim: int, c: ScalarSchedule,
-                  tau: ScalarSchedule | None, B: DenseMap,
+                  tau: ScalarSchedule | None, B: np.ndarray,
                   allow_prox_friendly: bool) -> MetricSchedule:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("expected an object with a 'kind' key", loc)
@@ -196,7 +195,7 @@ def _parse_metric(doc, loc: str, dim: int, c: ScalarSchedule,
         mat = _finite(_matrix(doc["matrix"], f"{loc}.matrix"), f"{loc}.matrix")
         if mat.shape != (dim, dim):
             raise ParseError(f"matrix must be {dim}x{dim}, got {mat.shape}", loc)
-        return _build(ConstantDenseMetric, loc, DenseMap(mat))
+        return _build(ConstantDenseMetric, loc, mat)
     raise ParseError(f"unknown metric kind {kind!r}", loc)
 
 
@@ -216,8 +215,8 @@ def parse_problem_text(text: str) -> ProblemFileData:
     h2 = _parse_function(funs["h2"], "functions.h2")
 
     ops = _expect_object(doc["operators"], "operators", {"A", "B"})
-    A = DenseMap(_matrix(ops["A"], "operators.A"))
-    B = DenseMap(_matrix(ops["B"], "operators.B"))
+    A = _matrix(ops["A"], "operators.A")
+    B = _matrix(ops["B"], "operators.B")
     b = _vector(doc["b"], "b")
 
     try:
@@ -274,7 +273,7 @@ def _function_doc(fun: SeparableFunction) -> dict:
     if isinstance(fun, ZeroFunction):
         return {"kind": "zero", "dim": fun.dim}
     if isinstance(fun, QuadraticForm):
-        return {"kind": "quadratic_form", "Q": fun.Q.matrix.tolist(),
+        return {"kind": "quadratic_form", "Q": fun.Q.tolist(),
                 "q": fun.q.tolist()}
     raise ValueError(f"cannot serialize function kind {fun.kind!r}")
 
@@ -302,7 +301,7 @@ def _metric_doc(m: MetricSchedule, c: ScalarSchedule) -> dict:
     if isinstance(m, ProxFriendlyMetric):
         return {"kind": "prox_friendly"}
     if isinstance(m, ConstantDenseMetric):
-        return {"kind": "constant_dense", "matrix": m.M.matrix.tolist()}
+        return {"kind": "constant_dense", "matrix": m.M.tolist()}
     raise ValueError(f"cannot serialize metric kind {m.kind!r}")
 
 
@@ -320,7 +319,7 @@ def serialize_problem(data: ProblemFileData) -> str:
     doc = {
         "functions": {"f": _function_doc(p.f), "h1": _function_doc(p.h1),
                       "g": _function_doc(p.g), "h2": _function_doc(p.h2)},
-        "operators": {"A": p.A.matrix.tolist(), "B": p.B.matrix.tolist()},
+        "operators": {"A": p.A.tolist(), "B": p.B.tolist()},
         "b": p.b.tolist(),
         "schedules": schedules,
         "initial": {"x": data.initial.x.tolist(), "z": data.initial.z.tolist(),

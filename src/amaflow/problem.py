@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError
 from .functions import SeparableFunction
-from .linop import _FLOAT, DenseMap, _matvec, as_vector
+from .linop import _FLOAT, DenseMap, _matvec, as_vector, operator_norm
 
 __all__ = ["PrimalDualState", "TwoBlockProblem", "KKTResidual", "SolveConfig"]
 
@@ -97,21 +97,20 @@ class KKTResidual(NamedTuple):
 class TwoBlockProblem:
     """Immutable problem data; all residual/objective operations live here.
 
-    The dense matrices of A and B are kept once, at build, as ``mat_A`` and
-    ``mat_B`` (shared with a :class:`~amaflow.linop.DenseMap`), with their
-    transposes ``mat_At`` and ``mat_Bt`` as views; the solvers multiply by
-    these directly. The build checks are O(n^2): A, B and b must be finite
-    and A nonzero. ``b_is_zero`` records whether every entry of b is +0.0;
-    then ``v - b`` is ``v`` bit for bit, -0.0 included, and the residuals
-    skip the subtraction (a -0.0 in b keeps it: it turns -0.0 into +0.0).
-    The spectra the hypotheses need (``norm_A``, and
-    ``norm_B`` and ``btb_min`` from one SVD of B) are computed once per
-    problem, on first use; the iteration never reads them.
+    A and B are float64 arrays (:func:`~amaflow.linop.DenseMap`, which keeps
+    such an array as it is), with their transposes ``At`` and ``Bt`` as
+    views; the solvers multiply by these directly. The build checks are
+    O(n^2): A, B and b must be finite and A nonzero. ``b_is_zero`` records
+    whether every entry of b is +0.0; then ``v - b`` is ``v`` bit for bit,
+    -0.0 included, and the residuals skip the subtraction (a -0.0 in b keeps
+    it: it turns -0.0 into +0.0). The spectra the hypotheses need
+    (``norm_A``, and ``norm_B`` and ``btb_min`` from one SVD of B) are
+    computed once per problem, on first use; the iteration never reads them.
     """
 
     def __init__(self, f: SeparableFunction, h1: SeparableFunction,
-                 g: SeparableFunction, h2: SeparableFunction, A: DenseMap,
-                 B: DenseMap, b):
+                 g: SeparableFunction, h2: SeparableFunction, A, B, b):
+        A, B = DenseMap(A), DenseMap(B)
         self.f, self.h1, self.g, self.h2, self.A, self.B = f, h1, g, h2, A, B
         self.b = np.asarray(b, dtype=float)
         if self.b.ndim != 1:
@@ -124,18 +123,17 @@ class TwoBlockProblem:
             if fun.grad_lipschitz is None:
                 raise ValueError(f"{name} must be smooth (gradient available)")
         rows = self.b.shape[0]
-        for what, want, got in (("x block", f.dim, A.dim_in), ("x block (h1)", f.dim, h1.dim),
-                                ("z block", g.dim, B.dim_in), ("z block (h2)", g.dim, h2.dim),
-                                ("constraint rows", rows, A.dim_out),
-                                ("constraint rows (B)", rows, B.dim_out)):
+        for what, want, got in (("x block", f.dim, A.shape[1]), ("x block (h1)", f.dim, h1.dim),
+                                ("z block", g.dim, B.shape[1]), ("z block (h2)", g.dim, h2.dim),
+                                ("constraint rows", rows, A.shape[0]),
+                                ("constraint rows (B)", rows, B.shape[0])):
             if got != want:
                 raise DimensionMismatchError(what, want, got)
-        self.mat_A, self.mat_B = A.matrix, B.matrix
-        self.mat_At, self.mat_Bt = self.mat_A.T, self.mat_B.T
-        for name, arr in (("A", self.mat_A), ("B", self.mat_B), ("b", self.b)):
+        self.At, self.Bt = A.T, B.T
+        for name, arr in (("A", A), ("B", B), ("b", self.b)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must have finite entries")
-        if not self.mat_A.any():
+        if not A.any():
             raise ValueError("A must be a nonzero operator")
         self.b_is_zero = not self.b.any() and not np.signbit(self.b).any()
         # The residuals' prox maps at step 1, and h1's and h2's gradients or None.
@@ -144,13 +142,13 @@ class TwoBlockProblem:
 
     @cached_property
     def norm_A(self) -> float:
-        return float(np.linalg.norm(self.mat_A, 2))
+        return operator_norm(self.A)
 
     # One SVD of B gives both extreme eigenvalues of B*B, norm_B**2 and
     # btb_min (zero for a wide B); the validators need no others.
     @cached_property
     def _sv_B(self) -> np.ndarray:
-        return np.linalg.svd(self.mat_B, compute_uv=False)
+        return np.linalg.svd(self.B, compute_uv=False)
 
     @cached_property
     def norm_B(self) -> float:
@@ -158,12 +156,13 @@ class TwoBlockProblem:
 
     @cached_property
     def btb_min(self) -> float:
-        return float(self._sv_B[-1]) ** 2 if self.B.dim_out >= self.B.dim_in else 0.0
+        rows, cols = self.B.shape
+        return float(self._sv_B[-1]) ** 2 if rows >= cols else 0.0
 
     @cached_property
     def btb(self) -> np.ndarray:
         """B*B as a dense matrix, built on first use from one product."""
-        return self.mat_Bt @ self.mat_B
+        return self.Bt @ self.B
 
     @property
     def dim_x(self) -> int:
@@ -192,10 +191,12 @@ class TwoBlockProblem:
 
     def lagrangian(self, s: PrimalDualState) -> float:
         y = as_vector(s.y, self.dim_y, "y")
-        primal = self.primal_objective(s.x, s.z)
+        x = as_vector(s.x, self.dim_x, "x")
+        z = as_vector(s.z, self.dim_z, "z")
+        primal = self.primal_objective(x, z)
         if math.isinf(primal):
             return primal
-        gap = self.b - self.A.apply(s.x) - self.B.apply(s.z)
+        gap = self.b - self.A.dot(x) - self.B.dot(z)
         return primal + float(y @ gap)
 
     def dual_objective(self, y) -> float:
@@ -208,16 +209,16 @@ class TwoBlockProblem:
         if self.h1.kind != "zero" or self.h2.kind != "zero":
             raise CapabilityError("dual objective requires h1 = h2 = 0")
         y = as_vector(y, self.dim_y, "y")
-        f_star = self.f.conj_eval(self.A.adjoint_apply(y))
-        g_star = self.g.conj_eval(self.B.adjoint_apply(y))
+        f_star = self.f.conj_eval(self.At.dot(y))
+        g_star = self.g.conj_eval(self.Bt.dot(y))
         if math.isinf(f_star) or math.isinf(g_star):
             return -math.inf
         return -f_star - g_star + float(y @ self.b)
 
     def feasibility_residual(self, s: PrimalDualState) -> float:
         """``|A x + B z - b|``."""
-        ax = self.mat_A.dot(as_vector(s.x, self.dim_x, "x"))
-        bz = self.mat_B.dot(as_vector(s.z, self.dim_z, "z"))
+        ax = self.A.dot(as_vector(s.x, self.dim_x, "x"))
+        bz = self.B.dot(as_vector(s.z, self.dim_z, "z"))
         with np.errstate(over="ignore"):
             return self._feas(ax, bz)
 
@@ -231,9 +232,9 @@ class TwoBlockProblem:
         z = as_vector(s.z, self.dim_z, "z")
         y = as_vector(s.y, self.dim_y, "y")
         with np.errstate(over="ignore"):
-            return KKTResidual(self._x_residual(x, self.mat_At.dot(y)),
+            return KKTResidual(self._x_residual(x, self.At.dot(y)),
                                float(self._z_residuals(z, y)),
-                               self._feas(self.mat_A.dot(x), self.mat_B.dot(z)))
+                               self._feas(self.A.dot(x), self.B.dot(z)))
 
     # The three residuals on trusted arrays. A squared norm past the float
     # range is inf, which is what it means: the run has diverged. The callers
@@ -259,7 +260,7 @@ class TwoBlockProblem:
         ``B* y``, the catalog's prox and gradient and the squared norm are each
         the row's own computation (see :func:`~amaflow.linop._matvec` and
         ``np.vecdot``)."""
-        vz = z + _matvec(self.mat_Bt, y)
+        vz = z + _matvec(self.Bt, y)
         if self._h2_grad is not None:
             vz = vz - self._h2_grad(z)
         rz = z - self._g_prox1(vz)

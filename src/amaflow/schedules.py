@@ -126,7 +126,10 @@ class ReciprocalSqrt(_Reciprocal):
         return 1.0 / math.sqrt(t + self.a) + self.offset
 
     def derivative_at(self, t):
-        return -0.5 * (t + self.a) ** -1.5
+        try:
+            return -0.5 * (t + self.a) ** -1.5
+        except OverflowError:  # a Python float's power past the float range
+            return -math.inf
 
 
 class CoupledReciprocal(ScalarSchedule):
@@ -208,33 +211,34 @@ class ProxFriendlyMetric(MetricSchedule):
 
     kind = "prox_friendly"
 
-    def __init__(self, tau: ScalarSchedule, c: ScalarSchedule, B: DenseMap):
+    def __init__(self, tau: ScalarSchedule, c: ScalarSchedule, B):
         self.tau = tau
         self.c = c
-        self.B = B
-        self.dim = B.dim_in
+        self.B = DenseMap(B)
+        self.dim = self.B.shape[1]
 
 
-def _check_own_b(M: ProxFriendlyMetric, B: DenseMap) -> None:
-    """Raise :class:`CapabilityError` unless ``M`` is built on ``B`` or on a map
-    with ``B``'s matrix. A prox-friendly metric's closed forms hold only on the
+def _check_own_b(M: ProxFriendlyMetric, B: np.ndarray) -> None:
+    """Raise :class:`CapabilityError` unless ``M`` is built on ``B`` or on a
+    matrix equal to it. A prox-friendly metric's closed forms hold only on the
     problem's own B, and a separate but equal B is the problem's own."""
-    if M.B is not B and not np.array_equal(M.B.matrix, B.matrix):
+    if M.B is not B and not np.array_equal(M.B, B):
         raise CapabilityError("prox_friendly metric is built on another B than the "
                               "problem's and cannot be validated")
 
 
 class ConstantDenseMetric(MetricSchedule):
-    """A constant metric given by a finite symmetric map M."""
+    """A constant metric given by a finite symmetric matrix M."""
 
     kind = "constant_dense"
 
-    def __init__(self, M: DenseMap):
-        if M.dim_in != M.dim_out:
+    def __init__(self, M):
+        M = DenseMap(M)
+        if M.shape[0] != M.shape[1]:
             raise ValueError("metric operator must be square")
-        _check_symmetric(M.matrix)
+        _check_symmetric(M)
         self.M = M
-        self.dim = M.dim_in
+        self.dim = M.shape[0]
 
 
 def _check_dims(p, M1: MetricSchedule, M2: MetricSchedule) -> None:
@@ -344,7 +348,7 @@ def _reciprocal_on_grid(tau: ScalarSchedule, grid: np.ndarray) -> tuple:
     return 1.0 / tau, -dtau / (tau * tau)
 
 
-def _spectral_form(M: MetricSchedule, grid: np.ndarray, B: DenseMap) -> tuple:
+def _spectral_form(M: MetricSchedule, grid: np.ndarray, B: np.ndarray) -> tuple:
     """``(alpha, alpha', beta, beta', K)`` with ``M(t) = alpha(t) Id + beta(t) B*B + K``.
 
     Four arrays over the grid and a constant matrix K (None for K = 0); K is
@@ -362,7 +366,7 @@ def _spectral_form(M: MetricSchedule, grid: np.ndarray, B: DenseMap) -> tuple:
         alpha, dalpha = _reciprocal_on_grid(M.tau, grid)
         return alpha, dalpha, -c, -dc, None
     if isinstance(M, ConstantDenseMetric):
-        return zero, zero, zero, zero, M.M.matrix
+        return zero, zero, zero, zero, M.M
     raise CapabilityError(f"metric kind {M.kind!r} has no spectral form and cannot be validated")
 
 

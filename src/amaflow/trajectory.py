@@ -175,7 +175,7 @@ def _run(p: TwoBlockProblem, s0: PrimalDualState, step, h: float, steps: int,
     """
     s = p.state(s0.x, s0.z, s0.y)
     x, z, y = s.x, s.z, s.y
-    A, B, At = p.mat_A, p.mat_B, p.mat_At
+    A, B, At = p.A, p.B, p.At
     rec = _Recorder((p.dim_x, p.dim_z, p.dim_y))
     # Without tol no state passes, and no z-residual is read.
     tol_kkt, tol_feas = tol or (-math.inf, -math.inf)

@@ -67,7 +67,7 @@ def metric_matrix(M, t, B):
     if M.kind == "prox_friendly":
         return eye / M.tau.value_at(t) - M.c.value_at(t) * (B.T @ B)
     if M.kind == "constant_dense":
-        return M.M.matrix.copy()
+        return M.M.copy()
     raise ValueError(f"no closed form for metric kind {M.kind!r}")
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from amaflow import (
     ConstantSchedule,
-    DenseMap,
     L1Norm,
     PrimalDualState,
     ProxFriendlyMetric,
@@ -192,7 +191,7 @@ def test_criterion_06_prox_maps_match_brute_force(verdict):
     for _ in range(50):
         raw = rng.uniform(-1, 1, (2, 2))
         qmat = raw @ raw.T + 0.3 * np.eye(2)
-        fun = QuadraticForm(DenseMap(qmat), rng.uniform(-1, 1, 2))
+        fun = QuadraticForm(qmat, rng.uniform(-1, 1, 2))
         gam = float(rng.uniform(0.1, 3.0))
         x = rng.uniform(-4, 4, 2)
 
@@ -229,8 +228,8 @@ def test_criterion_07_subproblem_maps_are_lipschitz(verdict, ex_problem):
         h1=ZeroFunction(2),
         g=L1Norm(2, 1.0),
         h2=ZeroFunction(2),
-        A=DenseMap(np.eye(2)),
-        B=DenseMap(np.eye(2)),
+        A=np.eye(2),
+        B=np.eye(2),
         b=np.zeros(2),
     )
     m2 = m2_mat

@@ -7,7 +7,6 @@ from amaflow import (
     ConstantDenseMetric,
     ConstantSchedule,
     CoupledReciprocal,
-    DenseMap,
     DimensionMismatchError,
     L1Norm,
     PrimalDualState,
@@ -270,7 +269,7 @@ def per_row_energy(p, params, s, ref):
     if tau is not None:
         z_metric = c / tau * float(dz.dot(dz))
     else:
-        bdz = p.mat_B.dot(dz)
+        bdz = p.B.dot(dz)
         m2_term = 0.0 if K is None else float(dz.dot(K.dot(dz)))
         z_metric = c * m2_term + c * c * float(bdz.dot(bdz))
     return x_term + x_metric + z_metric + float(dy.dot(dy))
@@ -287,8 +286,8 @@ def random_problem(rng, n, B=None):
     B = rng.standard_normal((n, n)) / (2.0 * np.sqrt(n)) if B is None else B
     return TwoBlockProblem(QuadraticDistance(rng.standard_normal(n), 1.5), ZeroFunction(n),
                            L1Norm(n, 0.5), ZeroFunction(n),
-                           DenseMap(rng.standard_normal((n, n)) + 2.0 * np.eye(n)),
-                           DenseMap(B), rng.standard_normal(n))
+                           rng.standard_normal((n, n)) + 2.0 * np.eye(n),
+                           B, rng.standard_normal(n))
 
 
 def schedules(p, kind):
@@ -306,7 +305,7 @@ def schedules(p, kind):
     if kind == "constant-dense":
         G = np.random.default_rng(n).standard_normal((n, n))
         return ParameterSchedule(c, ScaledIdentityMetric(ReciprocalQuadratic(2.0, 0.1), n),
-                                 ConstantDenseMetric(DenseMap(G @ G.T / n)))
+                                 ConstantDenseMetric(G @ G.T / n))
     if kind == "scaled-identity":  # a K per distinct mu(t)
         return ParameterSchedule(c, ZeroMetric(n),
                                  ScaledIdentityMetric(ReciprocalQuadratic(1.0, 0.2), n))

@@ -8,7 +8,6 @@ from amaflow import (
     ConstantDenseMetric,
     ConstantSchedule,
     CoupledReciprocal,
-    DenseMap,
     L1Norm,
     MetricSchedule,
     ParameterSchedule,
@@ -50,7 +49,7 @@ class TestUnequalTolerances:
         z = e + np.array([2.0 * rz, 0.0])
         p = TwoBlockProblem(f=QuadraticDistance(d, 1.0), h1=ZeroFunction(2),
                             g=QuadraticDistance(e, 1.0), h2=ZeroFunction(2),
-                            A=DenseMap(A), B=DenseMap(B), b=A.dot(d) + B.dot(z))
+                            A=A, B=B, b=A.dot(d) + B.dot(z))
         c = ConstantSchedule(0.25)
         sched = ParameterSchedule(c, ZeroMetric(2),
                                   ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B))
@@ -96,7 +95,7 @@ class TestStep:
         sched = example_schedule("c1-decay", 0.99, ex_problem)
         s = ex_start
         for k in (0.0, 1.0):
-            mu1, K, c, tau = step_params(sched, k, ex_problem.mat_B)
+            mu1, K, c, tau = step_params(sched, k, ex_problem.B)
             s = prox_ama_step(ex_problem, mu1, K, c, s, tau)
         run = prox_ama_run(ex_problem, sched, ex_start,
                            SolveConfig(max_iters=2, tol_kkt=1e-15, tol_feas=1e-15))
@@ -181,21 +180,19 @@ class LoggedMatrix(np.ndarray):
         return self.view(np.ndarray).dot(x)
 
 
-def logged_map(matrix, name, log):
-    m = DenseMap(matrix)
-    m.matrix = LoggedMatrix(m.matrix, name, log)
-    return m
-
-
 def logged_problem(rng, n=20):
     """A prox-friendly problem whose products with A and B go to the returned log."""
     log = []
     B = rng.standard_normal((n, n))
     p = TwoBlockProblem(
         f=QuadraticDistance(rng.standard_normal(n), 1.0), h1=ZeroFunction(n),
-        g=L1Norm(n, 0.5), h2=ZeroFunction(n),
-        A=logged_map(rng.standard_normal((n, n)) + 3.0 * np.eye(n), "A", log),
-        B=logged_map(B / np.linalg.norm(B, 2), "B", log), b=rng.standard_normal(n))
+        g=L1Norm(n, 0.5), h2=ZeroFunction(n), A=rng.standard_normal((n, n)) + 3.0 * np.eye(n),
+        B=B / np.linalg.norm(B, 2), b=rng.standard_normal(n))
+    # The build keeps plain arrays; put logged views of the two in their place.
+    for name in "AB":
+        m = LoggedMatrix(getattr(p, name), name, log)
+        setattr(p, name, m)
+        setattr(p, name + "t", m.T)
     c = ConstantSchedule(1.0)
     sched = ParameterSchedule(c, ZeroMetric(n),
                               ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B))
@@ -292,8 +289,8 @@ class TestAmaRun:
             h1=ZeroFunction(2),
             g=QuadraticDistance(np.zeros(2), 0.7),
             h2=ZeroFunction(2),
-            A=DenseMap(np.eye(2)),
-            B=DenseMap(np.eye(2)),
+            A=np.eye(2),
+            B=np.eye(2),
             b=np.array([1.0, 1.0]),
         )
         s0 = PrimalDualState(rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2),
@@ -314,8 +311,8 @@ class TestAmaRun:
             h1=ZeroFunction(2),
             g=ZeroFunction(2),
             h2=ZeroFunction(2),
-            A=DenseMap(np.eye(2)),
-            B=DenseMap(np.eye(2)),
+            A=np.eye(2),
+            B=np.eye(2),
             b=b,
         )
         s0 = PrimalDualState(np.zeros(2), np.zeros(2), np.array([1.0, -2.0]))
@@ -334,8 +331,8 @@ class TestAmaRun:
             h1=QuadraticDistance(np.zeros(2), 1.0),
             g=ZeroFunction(2),
             h2=ZeroFunction(2),
-            A=DenseMap(np.eye(2)),
-            B=DenseMap(np.eye(2)),
+            A=np.eye(2),
+            B=np.eye(2),
             b=np.zeros(2),
         )
         with pytest.raises(CapabilityError):
@@ -455,13 +452,13 @@ class TestConstantCoupling:
     """The general-M2 z-step checks and decomposes c B*B + M2 once while it is
     constant: one eigvalsh gives both the positivity gate and the norm."""
 
-    M2 = ConstantDenseMetric(DenseMap([[0.6, 0.1], [0.1, 0.4]]))
+    M2 = ConstantDenseMetric([[0.6, 0.1], [0.1, 0.4]])
 
     def manual(self, p, sched, s0, iters):
         s = s0
         for k in range(iters):
             t = float(k)
-            mu1, K, c, tau = step_params(sched, t, p.mat_B)
+            mu1, K, c, tau = step_params(sched, t, p.B)
             s = prox_ama_step(p, mu1, K, c, s, tau)
         return s
 
@@ -481,8 +478,8 @@ class TestConstantCoupling:
         # B*B = 1e308 in its corner, so c B*B at c = 2 is inf: the coupling's
         # check refuses it before its eigenvalues, and the run ends error.
         p = TwoBlockProblem(QuadraticDistance([1.0, 0.0], 1.0), ZeroFunction(2),
-                            L1Norm(2, 1.0), ZeroFunction(2), DenseMap(A_T.T),
-                            DenseMap(np.array([[-0.6, 0.0], [0.8, 0.0]]) * 1e154),
+                            L1Norm(2, 1.0), ZeroFunction(2), A_T.T,
+                            np.array([[-0.6, 0.0], [0.8, 0.0]]) * 1e154,
                             np.zeros(2))
         sched = ParameterSchedule(ConstantSchedule(2.0), ZeroMetric(2), self.M2)
         res = prox_ama_run(p, sched, p.state([-10.0, 10.0], [0.0, 0.0], [1e-200, 0.0]),
@@ -523,7 +520,7 @@ class TestConstantCoupling:
         assert res.iterations_used == 50
         assert decompositions == {"eigvalsh": 1, "eigh": 0, "svd": 0}
         dense = prox_ama_run(ex_problem, ParameterSchedule(
-            c, ZeroMetric(2), ConstantDenseMetric(DenseMap(0.5 * np.eye(2)))), ex_start, cfg)
+            c, ZeroMetric(2), ConstantDenseMetric(0.5 * np.eye(2))), ex_start, cfg)
         assert len(res.iterates.samples) == len(dense.iterates.samples) == 51
         for a, b in zip(res.iterates.samples, dense.iterates.samples):
             for key in ("x", "z", "y"):
@@ -565,7 +562,7 @@ class TestConstantCoupling:
 def subtracting_run(p, c, tau, s0, iters):
     """Rows (x, z, y, feasibility) of ``iters`` prox-AMA iterations with M1 = 0,
     h1 = h2 = 0 and a prox-friendly M2, every ``- b`` written out."""
-    A, B = p.A.matrix, p.B.matrix
+    A, B = p.A, p.B
     x, z, y = s0.x, s0.z, s0.y
     r = A.dot(x) + B.dot(z) - p.b
     rows = [np.concatenate([x, z, y, [math.sqrt(r.dot(r))]])]
@@ -590,8 +587,8 @@ class TestZeroRightHandSide:
     def test_only_an_all_plus_zero_b_is_skipped(self, b, skips):
         n = len(b)
         p = TwoBlockProblem(QuadraticDistance(np.zeros(n), 1.0), ZeroFunction(n),
-                            L1Norm(n, 1.0), ZeroFunction(n), DenseMap(np.eye(n)),
-                            DenseMap(np.eye(n)), np.array(b))
+                            L1Norm(n, 1.0), ZeroFunction(n), np.eye(n),
+                            np.eye(n), np.array(b))
         assert p.b_is_zero is skips
 
     @pytest.mark.parametrize("b", [(0.0, 0.0), (-0.0, 0.0), (0.0,), (-0.0,)])
@@ -605,12 +602,12 @@ class TestZeroRightHandSide:
             A = B = np.eye(1)
             d, g, s0 = np.array([-0.0]), ZeroFunction(1), PrimalDualState([-0.0], [-0.0], [-0.0])
         else:
-            A = example_problem().A.matrix
+            A = example_problem().A
             B = rng.standard_normal((n, n)) / 4.0
             d, g = rng.standard_normal(n), L1Norm(n, 0.5)
             s0 = PrimalDualState(*rng.uniform(-10.0, 10.0, (3, n)))
         p = TwoBlockProblem(QuadraticDistance(d, 1.0), ZeroFunction(n), g, ZeroFunction(n),
-                            DenseMap(A), DenseMap(B), np.array(b))
+                            A, B, np.array(b))
         cs = ConstantSchedule(c)
         sched = ParameterSchedule(cs, ZeroMetric(n),
                                   ProxFriendlyMetric(CoupledReciprocal(0.99, cs), cs, p.B))
@@ -630,7 +627,7 @@ class TestZeroRightHandSide:
         s0 = PrimalDualState(*rng.uniform(-10.0, 10.0, (3, 2)))
         if case == "general":
             sched = ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2),
-                                      ConstantDenseMetric(DenseMap([[0.6, 0.1], [0.1, 0.4]])))
+                                      ConstantDenseMetric([[0.6, 0.1], [0.1, 0.4]]))
             cfg = SolveConfig(max_iters=60, tol_kkt=1e-300, tol_feas=1e-300)
             tables = [prox_ama_run(q, sched, s0, cfg).iterates.table for q in (p, subtracting)]
         else:

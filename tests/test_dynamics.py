@@ -10,7 +10,6 @@ from amaflow import (
     ConvergenceError,
     ConstantSchedule,
     CoupledReciprocal,
-    DenseMap,
     DimensionMismatchError,
     GammaOutput,
     L1Norm,
@@ -85,8 +84,8 @@ class TestXSubproblem:
             h1=ZeroFunction(2),
             g=L1Norm(2, 1.0),
             h2=ZeroFunction(2),
-            A=DenseMap(np.eye(2)),
-            B=DenseMap(np.eye(2)),
+            A=np.eye(2),
+            B=np.eye(2),
             b=np.zeros(2),
         )
         out = solve_x_subproblem(p, 1.0, [2.0, 0.0], np.zeros(2))
@@ -97,7 +96,7 @@ class TestXSubproblem:
             solve_x_subproblem(ex_problem, -0.5, ANCHOR, np.zeros(2))
 
     def test_dense_metric_refused(self, ex_problem, ex_start):
-        sched = ParameterSchedule(ConstantSchedule(0.25), ConstantDenseMetric(DenseMap(np.eye(2))),
+        sched = ParameterSchedule(ConstantSchedule(0.25), ConstantDenseMetric(np.eye(2)),
                                   ZeroMetric(2))
         with pytest.raises(CapabilityError, match="scaled-identity M1"):
             gamma(ex_problem, sched, 0.0, ex_start)
@@ -149,8 +148,8 @@ class TestZSubproblem:
             h1=ZeroFunction(2),
             g=QuadraticDistance(d_z, w),
             h2=ZeroFunction(2),
-            A=DenseMap(np.eye(2)),
-            B=DenseMap(np.eye(2)),
+            A=np.eye(2),
+            B=np.eye(2),
             b=np.zeros(2),
         )
         c = 0.3
@@ -172,8 +171,8 @@ class TestZSubproblem:
             h1=ZeroFunction(2),
             g=L1Norm(2, 1.0),
             h2=ZeroFunction(2),
-            A=DenseMap(np.eye(2)),
-            B=DenseMap(np.eye(2)),
+            A=np.eye(2),
+            B=np.eye(2),
             b=np.zeros(2),
         )
         c = 0.3
@@ -236,7 +235,7 @@ class TestRegularizedArgmin:
         z, zero = np.array([target, target]), np.zeros(2)
         K = np.array([[0.6, 0.1], [0.1, 0.4]])
         sched = ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2),
-                                  ConstantDenseMetric(DenseMap(K)))
+                                  ConstantDenseMetric(K))
         calls = {
             "regularized_argmin": lambda: regularized_argmin(L1Norm(2, 0.1), q, z),
             "solve_z_subproblem": lambda: solve_z_subproblem(
@@ -379,8 +378,8 @@ def random_problem(n=5, seed=5):
         f=QuadraticDistance(rng.standard_normal(n), 1.5),
         h1=QuadraticDistance(rng.standard_normal(n), 0.3),
         g=L1Norm(n, 0.7), h2=QuadraticDistance(rng.standard_normal(n), 0.2),
-        A=DenseMap(rng.standard_normal((n, n)) + 2.0 * np.eye(n)),
-        B=DenseMap(B / np.linalg.norm(B, 2)), b=rng.standard_normal(n))
+        A=rng.standard_normal((n, n)) + 2.0 * np.eye(n),
+        B=B / np.linalg.norm(B, 2), b=rng.standard_normal(n))
     c = ConstantSchedule(0.5)
     sched = ParameterSchedule(c, ScaledIdentityMetric(ConstantSchedule(0.5), n),
                               ProxFriendlyMetric(CoupledReciprocal(0.9, c), c, p.B))
@@ -447,16 +446,6 @@ class TestIntegrateDivergence:
         assert not all(math.isfinite(v) for v in last.kkt)
 
 
-class LooseMap(DenseMap):
-    """A dense map that trusts the length of what it is given."""
-
-    def apply(self, x):
-        return self.matrix.dot(x)
-
-    def adjoint_apply(self, y):
-        return self.matrix.T.dot(y)
-
-
 class TestBoundaryChecks:
     """Runs check their start once; public helpers still check what they get."""
 
@@ -466,10 +455,10 @@ class TestBoundaryChecks:
             self, run, block, ex_problem, updates):
         from amaflow import ama_run
 
-        # maps that do not check lengths: the run itself must catch the start
+        # plain arrays, whose products check no lengths: the run itself must
+        # catch the start
         p = TwoBlockProblem(f=ex_problem.f, h1=ex_problem.h1, g=ex_problem.g,
-                            h2=ex_problem.h2, A=LooseMap(A_MAT), B=LooseMap(B_MAT),
-                            b=ex_problem.b)
+                            h2=ex_problem.h2, A=A_MAT, B=B_MAT, b=ex_problem.b)
         sched = example_schedule("c025", 0.99, p)
 
         blocks = {"x": np.zeros(2), "z": np.zeros(2), "y": np.zeros(2)}
@@ -498,7 +487,6 @@ class TestBoundaryChecks:
                               regularized_argmin(p.g, 2.0 * np.eye(2), arr[0]))
         listed = gamma(p, sched, 0.0, PrimalDualState(x, z, y))
         assert np.array_equal(listed.u, gamma(p, sched, 0.0, PrimalDualState(*arr)).u)
-        assert np.array_equal(p.A.apply(x), A_MAT @ arr[0])
         assert np.array_equal(p.f.prox(1.0, x), p.f.prox(1.0, arr[0]))
 
     def test_public_helpers_reject_wrong_lengths(self, ex_problem, ex_sched_c025):
@@ -515,8 +503,6 @@ class TestBoundaryChecks:
             lambda: gamma(p, sched, 0.0, PrimalDualState(bad, good, good)),
             lambda: gamma(p, sched, 0.0, PrimalDualState(good, bad, good)),
             lambda: gamma(p, sched, 0.0, PrimalDualState(good, good, bad)),
-            lambda: p.A.apply(bad),
-            lambda: p.B.adjoint_apply(bad),
             lambda: p.f.prox(1.0, bad),
             lambda: p.g.prox(1.0, bad),
             lambda: p.h1.grad(bad),
@@ -525,8 +511,6 @@ class TestBoundaryChecks:
         for call in calls:
             with pytest.raises(DimensionMismatchError):
                 call()
-        with pytest.raises(DimensionMismatchError):
-            p.A.apply(np.zeros((2, 1)))
 
 
 class TestProxFriendlyMetricOfAnotherRun:
@@ -539,7 +523,7 @@ class TestProxFriendlyMetricOfAnotherRun:
         M2 = ProxFriendlyMetric(CoupledReciprocal(0.2, c9), c9, p.B)
         return (ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2), M2),
                 ParameterSchedule(ConstantSchedule(0.25), ZeroMetric(2),
-                                  ConstantDenseMetric(DenseMap(metric_matrix(M2, 0.0, p.mat_B)))))
+                                  ConstantDenseMetric(metric_matrix(M2, 0.0, p.B))))
 
     def test_another_c_runs_as_its_dense_matrix(self, ex_problem, ex_start, ex_reference,
                                                 decompositions):
@@ -588,7 +572,7 @@ class TestProxFriendlyMetricOfAnotherRun:
                                                           ex_reference):
         c = ConstantSchedule(0.25)
         sched = ParameterSchedule(c, ZeroMetric(2), ProxFriendlyMetric(
-            CoupledReciprocal(0.99, c), c, DenseMap(ex_problem.mat_B * 0.5)))
+            CoupledReciprocal(0.99, c), c, ex_problem.B * 0.5))
         calls = [
             lambda: prox_ama_run(ex_problem, sched, ex_start, SolveConfig(max_iters=3)),
             lambda: integrate(ex_problem, sched, ex_start, method="euler", h=1.0, T=3.0),
@@ -606,7 +590,7 @@ class TestMetricDimensions:
     METRICS = {
         "M1 scaled identity": ("M1", lambda: ScaledIdentityMetric(ConstantSchedule(1.0), 5)),
         "M2 scaled identity": ("M2", lambda: ScaledIdentityMetric(ConstantSchedule(1.0), 3)),
-        "M2 constant dense": ("M2", lambda: ConstantDenseMetric(DenseMap(np.eye(3)))),
+        "M2 constant dense": ("M2", lambda: ConstantDenseMetric(np.eye(3))),
     }
 
     @pytest.mark.parametrize("metric", sorted(METRICS))

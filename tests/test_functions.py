@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from amaflow import (
     BoxIndicator,
     CapabilityError,
-    DenseMap,
     DimensionMismatchError,
     L1Norm,
     QuadraticDistance,
@@ -41,7 +40,7 @@ class TestEval:
         assert ZeroFunction(3)([1.0, 2.0, 3.0]) == 0.0
 
     def test_quadratic_form_value(self):
-        f = QuadraticForm(DenseMap(2.0 * np.eye(2)), np.zeros(2))
+        f = QuadraticForm(2.0 * np.eye(2), np.zeros(2))
         assert f([1.0, 1.0]) == pytest.approx(2.0)
 
 
@@ -72,7 +71,7 @@ class TestProx:
     def test_firm_contraction_probes(self, rng):
         funs = [qd10(), L1Norm(2, 0.7), BoxIndicator([-1.0, -2.0], [2.0, 1.0]),
                 ZeroFunction(2),
-                QuadraticForm(DenseMap([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.1]))]
+                QuadraticForm([[2.0, 0.5], [0.5, 1.0]], np.array([0.3, -0.1]))]
         for f in funs:
             for _ in range(50):
                 gamma = float(rng.uniform(0.05, 4.0))
@@ -89,7 +88,7 @@ class TestGrad:
         assert qd10().grad([0.0, 0.0]) == pytest.approx([-1.0, 0.0])
 
     def test_quadratic_form_gradient(self):
-        f = QuadraticForm(DenseMap(np.eye(2)), np.array([1.0, 1.0]))
+        f = QuadraticForm(np.eye(2), np.array([1.0, 1.0]))
         assert f.grad([2.0, 0.0]) == pytest.approx([3.0, 1.0])
 
     def test_nonsmooth_kinds_refuse(self):
@@ -108,7 +107,7 @@ class TestConjGrad:
         assert f.conj_grad([4.0, -2.0]) == pytest.approx([2.0, -1.0])
 
     def test_quadratic_form_solve(self):
-        f = QuadraticForm(DenseMap(2.0 * np.eye(2)), np.zeros(2))
+        f = QuadraticForm(2.0 * np.eye(2), np.zeros(2))
         assert f.conj_grad([1.0, 1.0]) == pytest.approx([0.5, 0.5])
 
     def test_sigma_zero_refuses(self):
@@ -156,7 +155,7 @@ class TestConjEval:
         assert box.conj_eval([1.0, -1.0]) == pytest.approx(3.0 + 2.0)
 
     def test_quadratic_form_has_no_closed_form(self):
-        f = QuadraticForm(DenseMap(np.eye(2)), np.zeros(2))
+        f = QuadraticForm(np.eye(2), np.zeros(2))
         with pytest.raises(CapabilityError):
             f.conj_eval([1.0, 0.0])
 
@@ -184,7 +183,7 @@ class TestQuadraticFormFactorization:
 
     def test_build_makes_one_eigh(self, rng, decompositions):
         raw = rng.standard_normal((6, 6))
-        QuadraticForm(DenseMap(raw @ raw.T), rng.standard_normal(6))
+        QuadraticForm(raw @ raw.T, rng.standard_normal(6))
         assert decompositions == {"eigvalsh": 0, "eigh": 1, "svd": 0}
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -192,7 +191,7 @@ class TestQuadraticFormFactorization:
     def test_capabilities_match_dense_solves(self, case):
         Q, q, rank, gamma, x = case
         n = q.shape[0]
-        f = QuadraticForm(DenseMap(Q), q)
+        f = QuadraticForm(Q, q)
         assert _close(f.prox(gamma, x), np.linalg.solve(np.eye(n) + gamma * Q, x - gamma * q))
         norm = np.linalg.svd(Q, compute_uv=False)[0]
         assert abs(f.grad_lipschitz - norm) <= 1e-12 * norm
@@ -205,24 +204,30 @@ class TestQuadraticFormFactorization:
         rng = np.random.default_rng(0)
         for _ in range(200):
             G = rng.standard_normal((6, 3))
-            f = QuadraticForm(DenseMap(G @ G.T), np.zeros(6))
+            f = QuadraticForm(G @ G.T, np.zeros(6))
             assert f.strong_convexity == 0.0
             with pytest.raises(CapabilityError, match="singular"):
                 f.conj_grad(np.ones(6))
             with pytest.raises(ValueError, match="strongly convex"):
                 TwoBlockProblem(f, ZeroFunction(6), ZeroFunction(6), ZeroFunction(6),
-                                DenseMap(np.eye(6)), DenseMap(np.eye(6)), np.zeros(6))
+                                np.eye(6), np.eye(6), np.zeros(6))
 
     def test_singular_form_has_no_conjugate_gradient(self):
-        f = QuadraticForm(DenseMap([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]]),
+        f = QuadraticForm([[4.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]],
                           np.zeros(3))
         assert f.strong_convexity == 0.0
         with pytest.raises(CapabilityError, match="singular"):
             f.conj_grad(np.ones(3))
 
+    def test_q_is_kept_as_given_or_converted_once(self):
+        Q = np.array([[3.0, 1.0], [1.0, 2.0]])
+        assert QuadraticForm(Q, np.zeros(2)).Q is Q
+        listed = QuadraticForm([[3, 1], [1, 2]], np.zeros(2)).Q
+        assert listed.dtype == np.float64 and np.array_equal(listed, Q)
+
     def test_asymmetric_form_is_rejected_with_magnitude(self):
         with pytest.raises(ValueError, match="max asymmetry 3.000e-01"):
-            QuadraticForm(DenseMap([[1.0, 0.3], [0.0, 1.0]]), np.zeros(2))
+            QuadraticForm([[1.0, 0.3], [0.0, 1.0]], np.zeros(2))
 
 
 class TestMoreauIdentity:
@@ -240,7 +245,7 @@ class TestMoreauIdentity:
 class TestStrongMonotonicity:
     def test_gradient_probes(self, rng):
         for f in (QuadraticDistance(np.array([0.5, 0.5]), 2.0),
-                  QuadraticForm(DenseMap([[3.0, 1.0], [1.0, 2.0]]), np.zeros(2))):
+                  QuadraticForm([[3.0, 1.0], [1.0, 2.0]], np.zeros(2))):
             sigma = f.strong_convexity
             assert sigma > 0
             for _ in range(50):
@@ -289,7 +294,7 @@ class TestBruteForceProxOracle:
         for _ in range(self.N):
             raw = rng.uniform(-1, 1, (2, 2))
             qmat = raw @ raw.T + 0.3 * np.eye(2)
-            f = QuadraticForm(DenseMap(qmat), rng.uniform(-1, 1, 2))
+            f = QuadraticForm(qmat, rng.uniform(-1, 1, 2))
             gamma = float(rng.uniform(0.1, 3.0))
             x = rng.uniform(-4, 4, 2)
 
@@ -311,7 +316,7 @@ class TestEdgeCases:
 
     def test_quadratic_form_rejects_indefinite(self):
         with pytest.raises(ValueError):
-            QuadraticForm(DenseMap(-1.0 * np.eye(2)), np.zeros(2))
+            QuadraticForm(-1.0 * np.eye(2), np.zeros(2))
 
     def test_box_rejects_crossed_bounds(self):
         with pytest.raises(ValueError):
@@ -332,9 +337,9 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="weight must be nonnegative and finite"):
             L1Norm(2, bad)
         with pytest.raises(ValueError, match="Q and q must have finite entries"):
-            QuadraticForm(DenseMap(np.array([[1.0, 0.0], [0.0, bad]])), np.zeros(2))
+            QuadraticForm(np.array([[1.0, 0.0], [0.0, bad]]), np.zeros(2))
         with pytest.raises(ValueError, match="Q and q must have finite entries"):
-            QuadraticForm(DenseMap(np.eye(2)), [0.0, bad])
+            QuadraticForm(np.eye(2), [0.0, bad])
 
     def test_box_bounds_may_be_infinite_but_not_nan(self):
         box = BoxIndicator([-math.inf, 0.0], [1.0, math.inf])
@@ -349,8 +354,8 @@ def _catalog(rng):
     G = rng.standard_normal((3, 3))
     return [QuadraticDistance(rng.standard_normal(3), 1.7), L1Norm(3, 0.6),
             BoxIndicator([-1.0, -0.5, 0.0], [1.0, 0.5, 2.0]), ZeroFunction(3),
-            QuadraticForm(DenseMap(G @ G.T + np.eye(3)), rng.standard_normal(3)),
-            QuadraticForm(DenseMap([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+            QuadraticForm(G @ G.T + np.eye(3), rng.standard_normal(3)),
+            QuadraticForm([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
                           np.ones(3))]
 
 

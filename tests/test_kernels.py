@@ -16,7 +16,6 @@ from amaflow import (
     ConstantDenseMetric,
     ConstantSchedule,
     CoupledReciprocal,
-    DenseMap,
     L1Norm,
     ParameterSchedule,
     ProxFriendlyMetric,
@@ -85,12 +84,12 @@ def build(case: dict, n: int = 3, seed: int = 5):
               "smooth": lambda: QuadraticDistance(rng.standard_normal(n), 0.3)}
     g = {"zero": lambda: ZeroFunction(n), "l1": lambda: L1Norm(n, 0.6),
          "box": lambda: BoxIndicator(-np.full(n, 0.7), np.full(n, 0.9)),
-         "quadratic_form": lambda: QuadraticForm(DenseMap(spd(rng, n, 0.1)),
+         "quadratic_form": lambda: QuadraticForm(spd(rng, n, 0.1),
                                                  rng.standard_normal(n))}[case["g"]]()
     p = TwoBlockProblem(f=QuadraticDistance(rng.standard_normal(n), 1.2),
                         h1=smooth[case["h1"]](), g=g, h2=smooth[case["h2"]](),
-                        A=DenseMap(rng.standard_normal((n, n)) + 2.0 * np.eye(n)),
-                        B=DenseMap(B),
+                        A=rng.standard_normal((n, n)) + 2.0 * np.eye(n),
+                        B=B,
                         b=np.zeros(n) if case["b"] == "zero" else rng.standard_normal(n))
     c = ConstantSchedule(0.4) if case["c"] == "constant" else ReciprocalQuadratic(2.0, 0.2)
     M1 = {"zero": ZeroMetric(n),
@@ -98,7 +97,7 @@ def build(case: dict, n: int = 3, seed: int = 5):
           "varying": ScaledIdentityMetric(ReciprocalSqrt(1.0, 0.5), n)}[case["M1"]]
     M2 = {"zero": ZeroMetric(n),
           "scaled": ScaledIdentityMetric(ConstantSchedule(0.3), n),
-          "constant_dense": ConstantDenseMetric(DenseMap(spd(rng, n, 0.2))),
+          "constant_dense": ConstantDenseMetric(spd(rng, n, 0.2)),
           "prox_friendly": ProxFriendlyMetric(CoupledReciprocal(0.9, c), c, p.B)}[case["M2"]]
     s0 = p.state(*(rng.standard_normal(n) * 2.0 for _ in range(3)))
     return p, ParameterSchedule(c, M1, M2), s0
@@ -108,7 +107,7 @@ def stepped(p, sched, s0, steps):
     """The states of ``prox_ama_step`` iterated ``steps`` times, stacked."""
     s, rows = s0, [np.concatenate((s0.x, s0.z, s0.y))]
     for k in range(steps):
-        mu1, K, c, tau = step_params(sched, float(k), p.mat_B)
+        mu1, K, c, tau = step_params(sched, float(k), p.B)
         s = prox_ama_step(p, mu1, K, c, s, tau)
         rows.append(np.concatenate((s.x, s.z, s.y)))
     return np.array(rows)

@@ -13,7 +13,6 @@ from amaflow import (
     ConstantDenseMetric,
     ConstantSchedule,
     CoupledReciprocal,
-    DenseMap,
     L1Norm,
     ParameterSchedule,
     ProxFriendlyMetric,
@@ -84,8 +83,7 @@ def schedules(p):
                               ProxFriendlyMetric(CoupledReciprocal(0.9, c), c, p.B)),
             ParameterSchedule(c, ZeroMetric(n), ZeroMetric(n)),
             ParameterSchedule(c, ZeroMetric(n),
-                              ConstantDenseMetric(DenseMap(np.array([[0.6, 0.1],
-                                                                     [0.1, 0.4]])))),
+                              ConstantDenseMetric(np.array([[0.6, 0.1], [0.1, 0.4]]))),
             ParameterSchedule(c, ScaledIdentityMetric(Const(0.3), n),
                               ScaledIdentityMetric(Const(0.7), n)),
         ])
@@ -228,8 +226,8 @@ class TestCachedProxConstants:
         """Two problems share f and g, with other steps; their runs, taken in
         turns, equal runs on functions of their own."""
         def problem(f, g):
-            A = DenseMap(np.array([[2.0, 1.0], [-2.0, 1.0]]) / np.sqrt(8.0))
-            B = DenseMap(np.array([[-3.0, 0.0], [4.0, 0.0]]) / 5.0)
+            A = np.array([[2.0, 1.0], [-2.0, 1.0]]) / np.sqrt(8.0)
+            B = np.array([[-3.0, 0.0], [4.0, 0.0]]) / 5.0
             return TwoBlockProblem(f=f, h1=ZeroFunction(2), g=g, h2=ZeroFunction(2),
                                    A=A, B=B, b=np.array([0.1, -0.2]))
 
@@ -317,8 +315,8 @@ def smooth_problem(n, seed):
         f=QuadraticDistance(rng.standard_normal(n), 1.5),
         h1=QuadraticDistance(rng.standard_normal(n), 0.3),
         g=L1Norm(m, 0.7), h2=QuadraticDistance(rng.standard_normal(m), 0.2),
-        A=DenseMap(rng.standard_normal((n, n)) + 2.0 * np.eye(n)),
-        B=DenseMap(B / np.linalg.norm(B, 2)), b=rng.standard_normal(n))
+        A=rng.standard_normal((n, n)) + 2.0 * np.eye(n),
+        B=B / np.linalg.norm(B, 2), b=rng.standard_normal(n))
     s0 = p.state(rng.standard_normal(n), rng.standard_normal(m), rng.standard_normal(n))
     G = rng.standard_normal((m, m))
     return p, s0, G @ G.T / m + 0.5 * np.eye(m)
@@ -331,7 +329,7 @@ class TestStackedRungeKutta:
         p, s0, K = smooth_problem(n, 40 + n)
         c = ReciprocalQuadratic(1.1, 0.3)
         M1 = ScaledIdentityMetric(ConstantSchedule(0.5), n)
-        M2 = (ConstantDenseMetric(DenseMap(K)) if m2 == "dense"
+        M2 = (ConstantDenseMetric(K) if m2 == "dense"
               else ProxFriendlyMetric(CoupledReciprocal(0.9, c), c, p.B))
         snap = _snapshot(p, ParameterSchedule(c, M1, M2))
         h, steps = 0.05, 60

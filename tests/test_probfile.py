@@ -228,8 +228,8 @@ class TestRoundTrip:
         back = parse_problem_text(serialize_problem(data))
         assert back.config.max_iters == 123
         assert back.config.tol_kkt == 1e-9
-        assert np.allclose(back.problem.A.matrix,
-                           data.problem.A.matrix)
+        assert np.allclose(back.problem.A,
+                           data.problem.A)
         assert back.sched.c.value_at(3.0) == data.sched.c.value_at(3.0)
         assert back.tau.other is back.sched.c
 

@@ -13,10 +13,13 @@ from amaflow import (
     L1Norm,
     PrimalDualState,
     QuadraticDistance,
+    SolveConfig,
     TwoBlockProblem,
     ZeroFunction,
     example_problem,
+    example_schedule,
     example_start,
+    prox_ama_run,
 )
 
 Y_STAR = np.array([-1.0, 1.0]) / np.sqrt(2.0)
@@ -62,8 +65,8 @@ class TestPrimalObjective:
             h1=ZeroFunction(1),
             g=BoxIndicator([-1.0], [1.0]),
             h2=ZeroFunction(1),
-            A=DenseMap(np.eye(1)),
-            B=DenseMap(np.eye(1)),
+            A=np.eye(1),
+            B=np.eye(1),
             b=np.zeros(1),
         )
         assert math.isinf(p.primal_objective([0.0], [2.0]))
@@ -88,8 +91,8 @@ class TestDualObjective:
             h1=QuadraticDistance(np.zeros(1), 1.0),
             g=L1Norm(1, 1.0),
             h2=ZeroFunction(1),
-            A=DenseMap(np.eye(1)),
-            B=DenseMap(np.eye(1)),
+            A=np.eye(1),
+            B=np.eye(1),
             b=np.zeros(1),
         )
         with pytest.raises(CapabilityError):
@@ -119,8 +122,8 @@ class TestFeasibility:
             h1=ZeroFunction(2),
             g=L1Norm(2, 1.0),
             h2=ZeroFunction(2),
-            A=DenseMap(np.eye(2)),
-            B=DenseMap(np.eye(2)),
+            A=np.eye(2),
+            B=np.eye(2),
             b=np.array([1.0, 1.0]),
         )
         s = state(p, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
@@ -156,8 +159,8 @@ class TestKKTResidual:
         p = TwoBlockProblem(
             f=QuadraticDistance(rng.standard_normal(n), 1.5),
             h1=QuadraticDistance(rng.standard_normal(n), 0.3), g=L1Norm(n, 0.7),
-            h2=QuadraticDistance(rng.standard_normal(n), 0.2), A=DenseMap(A),
-            B=DenseMap(B), b=rng.standard_normal(n))
+            h2=QuadraticDistance(rng.standard_normal(n), 0.2), A=A,
+            B=B, b=rng.standard_normal(n))
         for _ in range(20):
             x, z, y = (rng.standard_normal(n) * 10.0 for _ in range(3))
             r = p.kkt_residual(state(p, x, z, y))
@@ -209,8 +212,8 @@ class TestConstruction:
                 h1=ZeroFunction(1),
                 g=L1Norm(1, 1.0),
                 h2=ZeroFunction(1),
-                A=DenseMap(np.eye(1)),
-                B=DenseMap(np.eye(1)),
+                A=np.eye(1),
+                B=np.eye(1),
                 b=np.zeros(1),
             )
 
@@ -221,8 +224,8 @@ class TestConstruction:
                 h1=L1Norm(1, 1.0),
                 g=L1Norm(1, 1.0),
                 h2=ZeroFunction(1),
-                A=DenseMap(np.eye(1)),
-                B=DenseMap(np.eye(1)),
+                A=np.eye(1),
+                B=np.eye(1),
                 b=np.zeros(1),
             )
 
@@ -233,8 +236,8 @@ class TestConstruction:
                 h1=ZeroFunction(1),
                 g=L1Norm(1, 1.0),
                 h2=ZeroFunction(1),
-                A=DenseMap([[0.0]]),
-                B=DenseMap(np.eye(1)),
+                A=[[0.0]],
+                B=np.eye(1),
                 b=np.zeros(1),
             )
 
@@ -246,7 +249,7 @@ class TestConstruction:
         h = ZeroFunction(2)
         with pytest.raises(ValueError, match=f"^{name} must have finite entries$"):
             TwoBlockProblem(f=QuadraticDistance(np.zeros(2)), h1=h, g=L1Norm(2), h2=h,
-                            A=DenseMap(data["A"]), B=DenseMap(data["B"]), b=data["b"])
+                            A=data["A"], B=data["B"], b=data["b"])
 
     def test_rejects_mismatched_dimensions(self):
         with pytest.raises(DimensionMismatchError):
@@ -255,22 +258,22 @@ class TestConstruction:
                 h1=ZeroFunction(2),
                 g=L1Norm(1, 1.0),
                 h2=ZeroFunction(1),
-                A=DenseMap(np.eye(2)),
-                B=DenseMap(np.eye(1)),
+                A=np.eye(2),
+                B=np.eye(1),
                 b=np.zeros(2),
             )
 
     @pytest.mark.parametrize("edit, message", [
         ({"h1": ZeroFunction(3)}, "x block (h1): expected dimension 2, got 3"),
         ({"h2": ZeroFunction(3)}, "z block (h2): expected dimension 2, got 3"),
-        ({"B": DenseMap(np.ones((3, 2)))}, "constraint rows (B): expected dimension 2, got 3"),
-        ({"A": DenseMap(np.ones((2, 3)))}, "x block: expected dimension 2, got 3"),
+        ({"B": np.ones((3, 2))}, "constraint rows (B): expected dimension 2, got 3"),
+        ({"A": np.ones((2, 3))}, "x block: expected dimension 2, got 3"),
         ({"g": L1Norm(3), "h2": ZeroFunction(3)}, "z block: expected dimension 3, got 2"),
         ({"b": np.zeros(3)}, "constraint rows: expected dimension 3, got 2"),
     ], ids=["h1", "h2", "B-rows", "A-columns", "B-columns", "b"])
     def test_mismatch_names_the_sizes_that_disagree(self, edit, message):
         parts = {"f": QuadraticDistance(np.zeros(2)), "h1": ZeroFunction(2), "g": L1Norm(2),
-                 "h2": ZeroFunction(2), "A": DenseMap(np.eye(2)), "B": DenseMap(np.eye(2)),
+                 "h2": ZeroFunction(2), "A": np.eye(2), "B": np.eye(2),
                  "b": np.zeros(2)}
         with pytest.raises(DimensionMismatchError) as err:
             TwoBlockProblem(**{**parts, **edit})
@@ -284,10 +287,42 @@ class TestConstruction:
 
     def test_example_matches_fresh_build(self, ex_problem):
         q = example_problem()
-        assert np.allclose(q.A.matrix, ex_problem.A.matrix)
-        assert np.allclose(q.B.matrix, ex_problem.B.matrix)
+        assert np.allclose(q.A, ex_problem.A)
+        assert np.allclose(q.B, ex_problem.B)
         s = example_start()
         assert s.x == pytest.approx([-10.0, 10.0])
+
+
+class TestArrayOperators:
+    """A and B are float64 arrays, kept as given or converted once at build."""
+
+    @staticmethod
+    def build(A, B):
+        ex = example_problem()
+        return TwoBlockProblem(ex.f, ex.h1, ex.g, ex.h2, A, B, ex.b)
+
+    def test_float_arrays_are_kept_as_given(self, rng):
+        A, B = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+        p = self.build(A, B)
+        assert p.A is A and p.B is B
+        assert p.At.base is A and p.Bt.base is B
+
+    def test_arrays_lists_and_dense_maps_give_bit_identical_runs(self):
+        ex = example_problem()
+        tables = []
+        for A, B in ((ex.A, ex.B), (ex.A.tolist(), ex.B.tolist()),
+                     (DenseMap(ex.A.tolist()), DenseMap(ex.B.tolist()))):
+            p = self.build(A, B)
+            assert type(p.A) is type(p.B) is np.ndarray and p.A.dtype == p.B.dtype == np.float64
+            res = prox_ama_run(p, example_schedule("c025", 0.99, p), example_start(),
+                               SolveConfig(max_iters=400))
+            tables.append(res.iterates.table.tobytes())
+        assert tables[0] == tables[1] == tables[2]
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2, 1)], ids=["1-d", "3-d"])
+    def test_an_operator_that_is_not_2_d_raises(self, shape):
+        with pytest.raises(ValueError, match="matrix must be 2-d"):
+            self.build(np.ones(shape), np.eye(2))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -297,7 +332,7 @@ def test_spectra_on_first_use_equal_the_direct_calls_bit_for_bit(m, n_x, n_z, se
     rng = np.random.default_rng(seed)
     A, B = rng.standard_normal((m, n_x)), rng.standard_normal((m, n_z))
     p = TwoBlockProblem(f=QuadraticDistance(np.zeros(n_x)), h1=ZeroFunction(n_x),
-                        g=L1Norm(n_z), h2=ZeroFunction(n_z), A=DenseMap(A), B=DenseMap(B),
+                        g=L1Norm(n_z), h2=ZeroFunction(n_z), A=A, B=B,
                         b=np.zeros(m))
     sv = np.linalg.svd(B, compute_uv=False)
     assert p.norm_A == float(np.linalg.norm(A, 2))

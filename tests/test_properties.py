@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from amaflow import (
     ConstantSchedule,
     CoupledReciprocal,
-    DenseMap,
     L1Norm,
     ParameterSchedule,
     PrimalDualState,
@@ -54,7 +53,7 @@ def cases(draw, zero_g=False):
     p = TwoBlockProblem(
         f=QuadraticDistance(rng.standard_normal(n), draw(st.floats(0.5, 2.0))),
         h1=ZeroFunction(n), g=g, h2=ZeroFunction(n),
-        A=DenseMap(A), B=DenseMap(B), b=rng.standard_normal(n))
+        A=A, B=B, b=rng.standard_normal(n))
     c0 = draw(st.floats(0.05, 1.0))
     if draw(st.booleans()):
         c = ConstantSchedule(c0)
@@ -92,9 +91,9 @@ def test_matrix_free_z_target_matches_dense_metric(case):
     # With g = 0 the z-step returns tau times its target.
     p, sched, (x_new, z, y, _), t = case
     c, tau = sched.c.value_at(t), sched.tau.value_at(t)
-    M2 = metric_matrix(sched.M2, t, p.mat_B)
-    Bt = p.B.matrix.T
-    ax = p.A.matrix @ x_new
+    M2 = metric_matrix(sched.M2, t, p.B)
+    Bt = p.B.T
+    ax = p.A @ x_new
     terms = [M2 @ z, Bt @ y, c * (Bt @ (ax - p.b))]
     dense = terms[0] + terms[1] - terms[2]
     got = solve_z_subproblem(p, None, c, tau, z, y, x_new) / tau
@@ -113,19 +112,19 @@ def test_fused_update_matches_the_textbook_step(case, with_h2):
     n = p.dim_z
     if with_h2:
         G = np.random.default_rng(n).standard_normal((n, n))
-        h2 = QuadraticForm(DenseMap(G @ G.T / n), d)
+        h2 = QuadraticForm(G @ G.T / n, d)
         p = TwoBlockProblem(p.f, p.h1, p.g, h2, p.A, p.B, p.b)
     c, tau = sched.c.value_at(t), sched.tau.value_at(t)
     ux, uz, uw, ubz, ur = alternating_update(p, 0.0, None, c, tau, x, z, y)
-    A, B = p.A.matrix, p.B.matrix
-    M2 = metric_matrix(sched.M2, t, p.mat_B)
+    A, B = p.A, p.B
+    M2 = metric_matrix(sched.M2, t, p.B)
     terms = [M2 @ z, B.T @ y, c * (B.T @ (A @ ux - p.b)), p.h2.grad(z)]
     want_z = p.g.prox(tau, tau * (terms[0] + terms[1] - terms[2] - terms[3]))
     assert np.linalg.norm(uz - want_z) <= 1e-12 * tau * sum(np.linalg.norm(v) for v in terms)
     parts = [p.b, A @ ux, B @ uz]
     want_w = c * (parts[0] - parts[1] - parts[2])
     assert np.linalg.norm(uw - want_w) <= 1e-12 * c * sum(np.linalg.norm(v) for v in parts)
-    assert np.array_equal(ur, p.mat_A.dot(ux) + ubz - p.b)
+    assert np.array_equal(ur, p.A.dot(ux) + ubz - p.b)
 
 
 @SETTINGS
@@ -133,8 +132,8 @@ def test_fused_update_matches_the_textbook_step(case, with_h2):
 def test_energy_z_term_matches_dense_metric(case):
     p, sched, (x, z, y, dz), t = case
     c = sched.c.value_at(t)
-    bdz = p.B.matrix @ dz
-    dense = c * float(dz @ metric_matrix(sched.M2, t, p.mat_B) @ dz) + c * c * float(bdz @ bdz)
+    bdz = p.B @ dz
+    dense = c * float(dz @ metric_matrix(sched.M2, t, p.B) @ dz) + c * c * float(bdz @ bdz)
     # The energy terms of a state dz away from a point in z only; the point is
     # no saddle of p, so they are read past energy()'s check of the reference.
     zero = np.zeros((1, x.size))

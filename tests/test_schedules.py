@@ -10,7 +10,6 @@ from amaflow import (
     ConstantDenseMetric,
     ConstantSchedule,
     CoupledReciprocal,
-    DenseMap,
     ParameterSchedule,
     ProxFriendlyMetric,
     ReciprocalQuadratic,
@@ -74,6 +73,14 @@ class TestScalarValues:
         c = ReciprocalQuadratic(1e-200)
         with np.errstate(over="ignore"):
             assert c.derivative_at(t) == want
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", [0.0, np.float64(0.0)], ids=["zero", "numpy-zero"])
+    def test_a_reciprocal_sqrt_derivative_past_the_float_range(self, t):
+        # (t + 1e-300) ** -1.5 is past the float range at t = 0: -inf, where
+        # a Python float's power raised OverflowError.
+        with np.errstate(over="ignore"):
+            assert ReciprocalSqrt(1e-300).derivative_at(t) == -math.inf
 
     def test_a_reciprocal_quadratic_derivative_keeps_its_bits_on_a_grid(self):
         # A numpy float's ** 2 is C pow, which is one ulp off the product at
@@ -150,7 +157,7 @@ class TestMetricValues:
     def test_prox_friendly_example(self):
         p = example_problem()
         m = ProxFriendlyMetric(ConstantSchedule(1.0), ConstantSchedule(0.25), p.B)
-        eigs = np.linalg.eigvalsh(metric_matrix(m, 0.0, p.mat_B))
+        eigs = np.linalg.eigvalsh(metric_matrix(m, 0.0, p.B))
         assert eigs[0] == pytest.approx(0.75)
         assert eigs[1] == pytest.approx(1.0)
 
@@ -159,14 +166,23 @@ class TestMetricValues:
         for variant in ("c025", "c199", "c1-decay", "c2-decay"):
             sched = example_schedule(variant, 0.99, p)
             for t in GRID:
-                w = float(np.linalg.eigvalsh(metric_matrix(sched.M2, float(t), p.mat_B))[0])
+                w = float(np.linalg.eigvalsh(metric_matrix(sched.M2, float(t), p.B))[0])
                 assert w >= -1e-12
 
     def test_constant_dense(self):
         mat = np.array([[2.0, 0.5], [0.5, 1.0]])
-        m = ConstantDenseMetric(DenseMap(mat))
+        m = ConstantDenseMetric(mat)
         assert np.allclose(metric_matrix(m, 9.0, None), mat)
         assert np.allclose(metric_derivative(m, 9.0, None), 0.0)
+
+    def test_metrics_keep_the_matrices_they_are_given(self):
+        p = example_problem()
+        c = ConstantSchedule(0.25)
+        assert ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B).B is p.B
+        mat = np.array([[2.0, 0.5], [0.5, 1.0]])
+        assert ConstantDenseMetric(mat).M is mat
+        listed = ConstantDenseMetric(mat.tolist()).M
+        assert listed.dtype == np.float64 and np.array_equal(listed, mat)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -177,7 +193,7 @@ class TestMetricValues:
         mat = np.array([[2.0, 0.5], [0.5, 1.0]])
         mat[where] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            ConstantDenseMetric(DenseMap(mat))
+            ConstantDenseMetric(mat)
 
 
 class TestMetricDerivatives:
@@ -186,8 +202,8 @@ class TestMetricDerivatives:
         c = ReciprocalSqrt(1.1, 0.01)
         m = ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, p.B)
         for t in np.linspace(0.1, 30.0, 25):
-            fd = finite_difference(lambda u: metric_matrix(m, u, p.mat_B), float(t))
-            assert np.allclose(metric_derivative(m, float(t), p.mat_B), fd,
+            fd = finite_difference(lambda u: metric_matrix(m, u, p.B), float(t))
+            assert np.allclose(metric_derivative(m, float(t), p.B), fd,
                                rtol=1e-5, atol=1e-8)
 
     def test_scaled_identity_against_central_difference(self):
@@ -282,8 +298,8 @@ class TestValidateRejects:
         # B*B = 1e308 in its corner, so c B*B + M2 at c = 2 has an inf entry:
         # beta is NaN, read without an eigenvalue, and the report is made.
         ex = example_problem()
-        p = TwoBlockProblem(ex.f, ex.h1, ex.g, ex.h2, ex.A, DenseMap(ex.mat_B * 1e154), ex.b)
-        m2 = ConstantDenseMetric(DenseMap([[0.6, 0.1], [0.1, 0.4]]))
+        p = TwoBlockProblem(ex.f, ex.h1, ex.g, ex.h2, ex.A, ex.B * 1e154, ex.b)
+        m2 = ConstantDenseMetric([[0.6, 0.1], [0.1, 0.4]])
         report = validate(p, ConstantSchedule(2.0), ZeroMetric(2), m2, EPS, GRID)
         assert math.isnan(report.beta) and not (report.cweak or report.cstrong)
         assert report.failed_rules() == ["c-range"]

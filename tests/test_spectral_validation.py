@@ -23,7 +23,6 @@ from amaflow import (
     ConstantDenseMetric,
     ConstantSchedule,
     CoupledReciprocal,
-    DenseMap,
     L1Norm,
     MetricSchedule,
     ProxFriendlyMetric,
@@ -91,8 +90,7 @@ def _dense_metric_rules(name, mats, dmats, shift):
 
 
 def _gram(B):
-    bm = B.matrix
-    return bm.T @ bm
+    return B.T @ B
 
 
 def _dense_z_wellposedness(p, c, m2_mats, grid):
@@ -106,7 +104,7 @@ def dense_validate(p, c, M1, M2, eps, grid):
     checks = _dense_c_rules(p, c, eps, grid)
     l1 = p.h1.grad_lipschitz or 0.0
     l2 = p.h2.grad_lipschitz or 0.0
-    bm = p.mat_B
+    bm = p.B
     m1_mats = [metric_matrix(M1, t, bm) for t in grid]
     m1_d = [metric_derivative(M1, t, bm) for t in grid]
     m2_mats = [metric_matrix(M2, t, bm) for t in grid]
@@ -149,7 +147,7 @@ def dense_validate_corollary(p, c, tau, eps, grid):
     checks.append(CheckResult("convergence-condition", cond_witness > 1e-10,
                               cond_witness, 1e-10))
     m2 = ProxFriendlyMetric(tau, c, p.B)
-    m2_mats = [metric_matrix(m2, t, p.mat_B) for t in grid]
+    m2_mats = [metric_matrix(m2, t, p.B) for t in grid]
     beta, cweak, cstrong = _dense_z_wellposedness(p, c, m2_mats, grid)
     return "corollary-prox-friendly", checks, beta, cweak, cstrong
 
@@ -199,7 +197,7 @@ def _metric(kind, rng, dim, c, B):
         return ScaledIdentityMetric(mu, dim)
     if kind == "constant_dense":
         m = rng.standard_normal((dim, dim))
-        return ConstantDenseMetric(DenseMap(0.5 * (m + m.T) + rng.uniform(-1.0, 3.0) * np.eye(dim)))
+        return ConstantDenseMetric(0.5 * (m + m.T) + rng.uniform(-1.0, 3.0) * np.eye(dim))
     tau_c = rng.uniform(0.1, 1.5)
     tau = CoupledReciprocal(tau_c, c) if rng.random() < 0.5 else ConstantSchedule(tau_c)
     metric_c = c if rng.random() < 0.5 else ConstantSchedule(rng.uniform(0.05, 1.0))
@@ -232,7 +230,7 @@ def _case(rng, n_z, shape, c_kind, m1_kind, m2_kind):
     p = TwoBlockProblem(
         f=QuadraticDistance(rng.standard_normal(m), rng.uniform(0.5, 2.0)),
         h1=_smooth(rng, m), g=L1Norm(n_z), h2=_smooth(rng, n_z),
-        A=DenseMap(A / np.linalg.norm(A, 2)), B=DenseMap(B), b=rng.standard_normal(m))
+        A=A / np.linalg.norm(A, 2), B=B, b=rng.standard_normal(m))
     c = _c_schedule(c_kind, rng)
     M1 = _metric(m1_kind, rng, m, c, p.B)
     M2 = _metric(m2_kind, rng, n_z, c, p.B)
@@ -299,7 +297,7 @@ def test_unknown_metric_kind_is_refused():
 def test_prox_friendly_metric_on_another_b_is_refused():
     p = example_problem()
     c = ConstantSchedule(0.25)
-    other = ProxFriendlyMetric(ConstantSchedule(1.0), c, DenseMap(p.mat_B * 0.5))
+    other = ProxFriendlyMetric(ConstantSchedule(1.0), c, p.B * 0.5)
     with pytest.raises(CapabilityError, match="prox_friendly"):
         validate(p, c, ZeroMetric(2), other, 0.005, [0.0, 1.0])
 
@@ -313,7 +311,7 @@ def test_prox_friendly_metric_on_an_equal_b_is_the_problems_own():
     grid = default_grid()
     own = validate(p, c, ZeroMetric(2), ProxFriendlyMetric(ConstantSchedule(1.0), c, p.B),
                    0.005, grid)
-    copy = ProxFriendlyMetric(ConstantSchedule(1.0), c, DenseMap(p.mat_B.copy()))
+    copy = ProxFriendlyMetric(ConstantSchedule(1.0), c, p.B.copy())
     assert validate(p, c, ZeroMetric(2), copy, 0.005, grid).checks == own.checks
 
     built, apart = example_schedule("c025", 0.99, p), example_schedule("c025", 0.99)
@@ -331,15 +329,15 @@ def _random_problem(n, seed=0):
     A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
     return TwoBlockProblem(
         f=QuadraticDistance(np.zeros(n)), h1=ZeroFunction(n), g=L1Norm(n),
-        h2=ZeroFunction(n), A=DenseMap(A / np.linalg.norm(A, 2)),
-        B=DenseMap(B / np.linalg.norm(B, 2)), b=rng.standard_normal(n))
+        h2=ZeroFunction(n), A=A / np.linalg.norm(A, 2),
+        B=B / np.linalg.norm(B, 2), b=rng.standard_normal(n))
 
 
 def test_build_makes_one_svd_per_operator(decompositions):
     """The build decomposes nothing; each operator gets one SVD, on first use."""
     rng = np.random.default_rng(1)
     f, h, g = QuadraticDistance(np.zeros(5)), ZeroFunction(5), L1Norm(5)
-    A, B = DenseMap(rng.standard_normal((5, 5))), DenseMap(rng.standard_normal((5, 5)))
+    A, B = rng.standard_normal((5, 5)), rng.standard_normal((5, 5))
     p = TwoBlockProblem(f=f, h1=h, g=g, h2=h, A=A, B=B, b=np.zeros(5))
     assert decompositions == {"eigvalsh": 0, "eigh": 0, "svd": 0}
     p.norm_A
@@ -386,7 +384,7 @@ def test_constant_dense_m2_costs_at_most_two_eigvalsh(decompositions):
     p = _random_problem(n, seed=2)
     rng = np.random.default_rng(3)
     K = rng.standard_normal((n, n))
-    M2 = ConstantDenseMetric(DenseMap(K @ K.T + np.eye(n)))
+    M2 = ConstantDenseMetric(K @ K.T + np.eye(n))
     decompositions["svd"] = 0
     validate(p, ReciprocalQuadratic(4.0), ZeroMetric(n), M2, 0.005, default_grid())
     assert decompositions["eigvalsh"] <= 2

@@ -15,7 +15,6 @@ from amaflow import (
     ConstantDenseMetric,
     ConstantSchedule,
     CoupledReciprocal,
-    DenseMap,
     L1Norm,
     ParameterSchedule,
     PrimalDualState,
@@ -50,7 +49,7 @@ def blockwise_euler(p, snap, h):
 def varying_schedule(p, n, m2, K):
     c = ReciprocalQuadratic(1.1, 0.3)
     M1 = ScaledIdentityMetric(ConstantSchedule(0.5), n)
-    M2 = (ConstantDenseMetric(DenseMap(K)) if m2 == "dense"
+    M2 = (ConstantDenseMetric(K) if m2 == "dense"
           else ProxFriendlyMetric(CoupledReciprocal(0.9, c), c, p.B))
     return ParameterSchedule(c, M1, M2)
 
@@ -84,20 +83,20 @@ class TestStackedSteps:
         snap = _snapshot(p, varying_schedule(p, 2, "dense", K))
         for make in (_euler_step, _rk4_step):
             step = make(p, snap, 0.1)
-            x, z, w, bz, r, s = step(0.0, s0.x, s0.z, s0.y, p.mat_At.dot(s0.y), None, None)
+            x, z, w, bz, r, s = step(0.0, s0.x, s0.z, s0.y, p.At.dot(s0.y), None, None)
             assert w is None and bz is None and r is None and s is not None
             y = s[5:]
             for view, part in zip((x, z), np.split(s, [2, 5])):
                 assert view.base is s and np.array_equal(view, part)
-            again = step(0.1, x, z, y, p.mat_At.dot(y), None, s)[5]
-            fresh = step(0.1, x.copy(), z.copy(), y.copy(), p.mat_At.dot(y), None, None)[5]
+            again = step(0.1, x, z, y, p.At.dot(y), None, s)[5]
+            fresh = step(0.1, x.copy(), z.copy(), y.copy(), p.At.dot(y), None, None)[5]
             assert same_bits(again, fresh)
 
     def test_the_unit_step_is_the_update(self, ex_problem, ex_start):
         p, s0 = ex_problem, ex_start
         params = _snapshot(p, example_schedule())(0.0)
         step = _euler_step(p, _snapshot(p, example_schedule()), 1.0)
-        got = step(0.0, s0.x, s0.z, s0.y, p.mat_At.dot(s0.y), None, None)
+        got = step(0.0, s0.x, s0.z, s0.y, p.At.dot(s0.y), None, None)
         want = dynamics.alternating_update(p, *params, s0.x, s0.z, s0.y)
         assert got[5] is None and len(want) == 5
         for a, b in zip(got, want):
@@ -109,7 +108,7 @@ def h2_kinds(m, rng):
     Q = rng.standard_normal((m, m))
     return {"zero": ZeroFunction(m),
             "quadratic_distance": QuadraticDistance(rng.standard_normal(m), 0.4),
-            "quadratic_form": QuadraticForm(DenseMap(Q @ Q.T / m), rng.standard_normal(m))}
+            "quadratic_form": QuadraticForm(Q @ Q.T / m, rng.standard_normal(m))}
 
 
 def g_kinds(m, rng):
@@ -118,7 +117,7 @@ def g_kinds(m, rng):
     return {"zero": ZeroFunction(m), "l1": L1Norm(m, 0.6),
             "box_indicator": BoxIndicator(lo, -lo),
             "quadratic_distance": QuadraticDistance(rng.standard_normal(m), 0.8),
-            "quadratic_form": QuadraticForm(DenseMap(Q @ Q.T / m + 0.1 * np.eye(m)),
+            "quadratic_form": QuadraticForm(Q @ Q.T / m + 0.1 * np.eye(m),
                                             rng.standard_normal(m))}
 
 
@@ -129,8 +128,8 @@ def kind_problem(g_kind, h2_kind, n=3, seed=17):
     p = TwoBlockProblem(
         f=QuadraticDistance(rng.standard_normal(n), 1.2), h1=ZeroFunction(n),
         g=g_kinds(m, rng)[g_kind], h2=h2_kinds(m, rng)[h2_kind],
-        A=DenseMap(rng.standard_normal((n, n)) + 2.0 * np.eye(n)),
-        B=DenseMap(B / np.linalg.norm(B, 2)), b=rng.standard_normal(n))
+        A=rng.standard_normal((n, n)) + 2.0 * np.eye(n),
+        B=B / np.linalg.norm(B, 2), b=rng.standard_normal(n))
     c = ConstantSchedule(0.4)
     sched = ParameterSchedule(c, ZeroMetric(n),
                               ProxFriendlyMetric(CoupledReciprocal(0.5, c), c, p.B))

@@ -19,7 +19,6 @@ from amaflow import (
     ConstantDenseMetric,
     ConstantSchedule,
     CoupledReciprocal,
-    DenseMap,
     L1Norm,
     ParameterSchedule,
     PrimalDualState,
@@ -90,7 +89,7 @@ def _m2_schedule(rng, n, c, B, L2):
         low = L2 / 4.0 + 0.01 if inside else -0.5
         V = _orthogonal(rng, n)
         K = (V * rng.uniform(low, 1.0 + L2, n)) @ V.T
-        return ConstantDenseMetric(DenseMap(0.5 * (K + K.T)))
+        return ConstantDenseMetric(0.5 * (K + K.T))
     return ZeroMetric(n)
 
 
@@ -103,7 +102,7 @@ def random_case(n, rng):
          lambda: QuadraticDistance(rng.standard_normal(n), rng.uniform(0.2, 2.0))][rng.integers(4)]()
     h1, h2 = _smooth(rng, n), _smooth(rng, n)
     p = TwoBlockProblem(QuadraticDistance(rng.standard_normal(n), sigma), h1, g, h2,
-                        DenseMap(_dense(rng, n, 0.3)), DenseMap(_dense(rng, n, 0.2)),
+                        _dense(rng, n, 0.3), _dense(rng, n, 0.2),
                         rng.standard_normal(n))
     c = _c_schedule(rng, sigma)
     L1 = h1.grad_lipschitz

@@ -254,8 +254,8 @@ def test_the_loop_records_and_stops_where_its_rule_says(steps, every, h, tol, co
         if fractional:
             s = np.concatenate([x, z, y])
             return s[:2], s[2:4], None, None, None, s
-        bz = p.mat_B.dot(z)
-        return x, z, np.zeros(2), bz, p.mat_A.dot(x) + bz - p.b, None
+        bz = p.B.dot(z)
+        return x, z, np.zeros(2), bz, p.A.dot(x) + bz - p.b, None
 
     status, stop, rec, exc = _run(p, s0, step, h, steps, every, (1e-6, 1.0) if tol else None)
     if tol and converge_at is not None and converge_at <= steps and (
