@@ -12,7 +12,7 @@ class TestDenseMap:
 
     def test_a_float_array_is_returned_as_it_is(self, rng):
         m = rng.standard_normal((3, 2))
-        view = m.T  # neither C- nor F-ordered as a copy would be: not copied
+        view = m.T  # a transposed view is kept as a view, not made contiguous
         assert DenseMap(m) is m
         assert DenseMap(view) is view
 
