@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError
-from .dynamics import _euler_step, _snapshot, alternating_update
+from .dynamics import _snapshot, _step, alternating_update
 from .linop import as_square
 from .problem import PrimalDualState, SolveConfig, TwoBlockProblem
 from .schedules import ParameterSchedule, ScalarSchedule, ZeroMetric
@@ -71,7 +71,7 @@ def prox_ama_run(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualSta
     as ``error`` when a subproblem fails, and otherwise as ``max_iters``. The
     dimensions of ``s0`` are checked once, before the first update.
     """
-    return _solve(p, _euler_step(p, _snapshot(p, sched), 1.0), s0, cfg, "prox-ama")
+    return _solve(p, _step(p, _snapshot(p, sched), 1.0), s0, cfg, "prox-ama")
 
 
 def ama_run(p: TwoBlockProblem, c_schedule: ScalarSchedule, s0: PrimalDualState,
@@ -85,5 +85,5 @@ def ama_run(p: TwoBlockProblem, c_schedule: ScalarSchedule, s0: PrimalDualState,
     if p.h1.kind != "zero" or p.h2.kind != "zero":
         raise CapabilityError("the plain alternating scheme requires h1 = h2 = 0")
     sched = ParameterSchedule(c_schedule, ZeroMetric(p.dim_x), ZeroMetric(p.dim_z))
-    step = _euler_step(p, _snapshot(p, sched), 1.0, require_uniform=False)
+    step = _step(p, _snapshot(p, sched), 1.0, require_uniform=False)
     return _solve(p, step, s0, cfg, "ama")

@@ -11,8 +11,8 @@ subproblems followed by a multiplier residual:
 evaluated strictly in that order (the z subproblem consumes the fresh x).
 With unit-step explicit Euler this is exactly the proximal alternating
 minimization iteration in :mod:`amaflow.discrete`: both run the step of
-:func:`_euler_step` at h = 1, the update of :func:`_kernel`, in the one run
-loop of :mod:`amaflow.trajectory`, so the two produce bit-identical numbers.
+:func:`_step` at h = 1, the update of :func:`_kernel`, in the one run loop
+of :mod:`amaflow.trajectory`, so the two produce bit-identical numbers.
 
 The update works on trusted float64 arrays and is built once per run: a
 schedule is read through :func:`_snapshot`, which gives M1's factor, c, and
@@ -361,60 +361,50 @@ def gamma(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
     return GammaOutput(x - s.x, z - s.z, w)
 
 
-def _euler_step(p: TwoBlockProblem, snap, h: float, require_uniform: bool = True):
-    """Explicit Euler at step ``h``, a step of :func:`~amaflow.trajectory._run`.
-    At h = 1 it is the update itself, the discrete iteration, whose ``B z_new``
-    and ``r`` serve the next step. Otherwise the step combines on the stacked
-    state, the last step's or, at the first, a new one:
-    ``s + (x+ - x, z+ - z, w) h``, the blockwise ``x + (x+ - x) h``,
-    ``z + (z+ - z) h`` and ``y + w h``, bit for bit, with the differences
-    written into one buffer of the step's own."""
+def _step(p: TwoBlockProblem, snap, h: float, method: str = "euler",
+          require_uniform: bool = True):
+    """The explicit step at size ``h``, a step of :func:`~amaflow.trajectory._run`.
+    Unit-step Euler is the update itself, the discrete iteration, whose
+    ``B z_new`` and ``r`` serve the next step. Every other step works on the
+    stacked state, the last step's or, at the first, a new one: each stage
+    writes its field ``(x+ - x, z+ - z, w)`` into a row of its own, Euler
+    is ``s + f1 h`` (the blockwise ``x + (x+ - x) h``, ``z + (z+ - z) h``
+    and ``y + w h``, bit for bit) and RK4 the classic combination of four
+    stages, the first reusing the state's products. The state a step
+    returns is a new array, never a stage row."""
     update = _kernel(p, snap, require_uniform)
-    if h == 1.0:
+    if method == "euler" and h == 1.0:
         return update
-    a, b = p.dim_x, p.dim_x + p.dim_z
-    d = np.empty(b + p.dim_y)  # (x+ - x, z+ - z, w), rewritten by every step
-    dx, dz, dy = d[:a], d[a:b], d[b:]
-    h, subtract = np.array(h), np.subtract
-
-    def step(t, x, z, y, aty, bz, s):
-        x_new, z_new, w, _, _, _ = update(t, x, z, y, aty, bz)
-        if s is None:
-            s = np.concatenate((x, z, y))
-        subtract(x_new, x, dx)
-        subtract(z_new, z, dz)
-        dy[...] = w
-        s = s + d * h
-        return s[:a], s[a:b], None, None, None, s
-    return step
-
-
-def _rk4_step(p: TwoBlockProblem, snap, h: float):
-    """The classic four-stage step on one stacked (x, z, y) array, the last
-    step's or, at the first, a new one, so each combination of stages is one
-    operation; the stages share the kernel, and the first reuses the state's
-    products."""
-    update, At = _kernel(p, snap), p.At.dot
-    a, b = p.dim_x, p.dim_x + p.dim_z
+    a, b, At = p.dim_x, p.dim_x + p.dim_z, p.At.dot
+    rows = np.empty((1 if method == "euler" else 4, b + p.dim_y))
+    views = [(f, f[:a], f[a:b], f[b:]) for f in rows]  # rewritten by every step
     half = 0.5 * h
     f_half, f_h, two, sixth = (np.array(v) for v in (half, h, 2.0, h / 6.0))
+    subtract = np.subtract
 
-    def field(t, x, z, y, aty=None, bz=None):
-        """The stacked field ``(x', z', y')`` at time t and a state."""
+    def field(i, t, x, z, y, aty=None, bz=None):
+        """Row i, the field ``(x', z', y')`` at time t and a state."""
+        f, fx, fz, fy = views[i]
         x_new, z_new, w, _, _, _ = update(t, x, z, y, At(y) if aty is None else aty, bz)
-        return np.concatenate((x_new - x, z_new - z, w))
+        subtract(x_new, x, fx)
+        subtract(z_new, z, fz)
+        fy[...] = w
+        return f
 
-    def stage(t, s):
-        return field(t, s[:a], s[a:b], s[b:])
+    def stage(i, t, s):
+        return field(i, t, s[:a], s[a:b], s[b:])
 
     def step(t, x, z, y, aty, bz, s):
         if s is None:
             s = np.concatenate((x, z, y))
-        f1 = field(t, x, z, y, aty, bz)
-        f2 = stage(t + half, s + f1 * f_half)
-        f3 = stage(t + half, s + f2 * f_half)
-        f4 = stage(t + h, s + f3 * f_h)
-        s = s + (f1 + f2 * two + f3 * two + f4) * sixth
+        f1 = field(0, t, x, z, y, aty, bz)
+        if method == "euler":
+            s = s + f1 * f_h
+        else:
+            f2 = stage(1, t + half, s + f1 * f_half)
+            f3 = stage(2, t + half, s + f2 * f_half)
+            f4 = stage(3, t + h, s + f3 * f_h)
+            s = s + (f1 + f2 * two + f3 * two + f4) * sixth
         return s[:a], s[a:b], None, None, None, s
     return step
 
@@ -449,7 +439,7 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
     record_every = _record_every(record_every)
 
     snap = _snapshot(p, sched)
-    step = _rk4_step(p, snap, h) if method == "rk4" else _euler_step(p, snap, h)
+    step = _step(p, snap, h, method)
     status, k, rec, exc = _run(p, s0, step, h, max(1, int(round(T / h))), record_every)
     if status == "error":
         message = f"integration aborted at t={k * h:.6g}: {exc}"

@@ -68,10 +68,8 @@ def _expect_object(doc, loc: str, required: set, optional: set = frozenset()) ->
 
 
 def _vector(doc, loc: str) -> np.ndarray:
-    ok = isinstance(doc, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc
-    )
-    if not ok:
+    # json.loads gives each entry an exact type, and bool is not int
+    if not (isinstance(doc, list) and set(map(type, doc)) <= {int, float}):
         raise ParseError("expected a list of numbers", loc)
     if not doc:
         raise ParseError("vector must be nonempty", loc)

@@ -155,8 +155,9 @@ class CoupledReciprocal(ScalarSchedule):
         denom = self.other.value_at(t)
         num = -self.numerator * self.other.derivative_at(t)
         square = denom * denom
-        if square == 0.0:  # underflowed: divide by denom twice
-            return num / denom / denom
+        if square == 0.0:  # underflowed: divide by denom twice; where denom is 0,
+            # tau is inf and tau' infinite, falling only where other rises
+            return num / denom / denom if denom else (-math.inf if num < 0.0 else math.inf)
         return num / square
 
 
@@ -492,7 +493,10 @@ def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
 
     # tau L2 / 4, formed only where L2 > 0: an infinite tau times L2 = 0 is NaN.
     slack = 1.0 - (tau_vals * l2 / 4.0 if l2 > 0 else 0.0)
-    ctb2 = c_vals * tau_vals * b2
+    # c tau ||B||^2 is k ||B||^2 exactly for tau = k/c, also where c underflows
+    # to 0 and tau is inf.
+    coupled = type(tau) is CoupledReciprocal and tau.other is c
+    ctb2 = np.full(grid.size, tau.numerator * b2) if coupled else c_vals * tau_vals * b2
     coupling_excess = float((ctb2 - slack).max())
     checks.append(CheckResult("coupling-inequality", coupling_excess <= 1e-9,
                               coupling_excess, 0.0))

@@ -129,6 +129,22 @@ class TestValidate:
         assert "check: rule=coupling-inequality passed=false witness=inf threshold=0" in out
         assert "check: rule=convergence-condition passed=false witness=0 threshold=1e-10" in out
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_coupled_tau_over_an_underflowed_c_has_no_nan_corollary_witness(
+            self, tmp_path, capsys):
+        # c = 1/(t^2 + 1e-4) is 0 at t = 1e200, so tau = 0.99/c is inf there:
+        # tau' is read as rising (c' = 0), not 0/0, and c tau ||B||^2 is
+        # 0.99 ||B||^2, not 0 * inf.
+        edit = {"schedules__c": {"kind": "reciprocal_quadratic", "a": 1e-4, "offset": 0}}
+        rc = main(["validate", write(tmp_path, doc(**edit)), "--corollary",
+                   "--grid", "0,1e200"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "witness=nan" not in out
+        assert "check: rule=c-range passed=false" in out
+        for rule in ("tau-increasing", "coupling-inequality", "convergence-condition"):
+            assert f"check: rule={rule} passed=true" in out
+
     def test_corollary_mode(self, tmp_path, capsys):
         rc = main(["validate", write(tmp_path, doc()), "--corollary"])
         out = capsys.readouterr().out

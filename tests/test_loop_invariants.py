@@ -5,6 +5,7 @@ computation it replaces."""
 
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from amaflow import (
 )
 from amaflow import dynamics
 from amaflow.diagnostics import check_reference
-from amaflow.dynamics import _rk4_step, _snapshot
+from amaflow.dynamics import _snapshot, _step
 from amaflow.trajectory import _run
 
 
@@ -334,7 +335,7 @@ class TestStackedRungeKutta:
         snap = _snapshot(p, ParameterSchedule(c, M1, M2))
         h, steps = 0.05, 60
         tables = [_run(p, s0, make(p, snap, h), h, steps, 1)[2].finish()
-                  for make in (_rk4_step, blockwise_rk4)]
+                  for make in (partial(_step, method="rk4"), blockwise_rk4)]
         assert len(tables[0]) == steps + 1
         assert same_bits(*tables)
 

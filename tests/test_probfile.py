@@ -108,6 +108,11 @@ class TestParseErrors:
     def test_vector_with_booleans(self):
         self.check(doc(b=[True, False]), "b", "list of numbers")
 
+    @pytest.mark.parametrize("bad", ["1.0", None, [1.0]], ids=["string", "null", "list"])
+    def test_a_matrix_row_with_a_non_number_fails_at_that_row(self, bad):
+        self.check(doc(operators__A=[[1.0, 0.0], [0.0, bad]]), "operators.A[1]",
+                   "expected a list of numbers")
+
     def test_negative_weight(self):
         self.check(doc(functions__g={"kind": "l1", "dim": 2, "weight": -1.0}),
                    "functions.g", "weight")

@@ -28,16 +28,18 @@ from amaflow import (
     ZeroFunction,
     ZeroMetric,
     ama_run,
+    default_grid,
     example_problem,
     example_start,
     integrate,
     prox_ama_run,
     solve_z_subproblem,
+    validate,
 )
 from amaflow.diagnostics import _terms
 from amaflow.dynamics import _snapshot, alternating_update
 from oracles import metric_matrix
-from test_theorem import seeded_case, theorem_cases
+from test_theorem import _orthogonal, seeded_case, theorem_cases
 
 SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
 
@@ -218,3 +220,30 @@ def test_a_random_runs_stop_does_not_depend_on_its_cadence(case):
             for every in (1, 7, 100)]
     for every, run in zip((7, 100), runs[1:]):
         assert_subsampled(run, runs[0], every)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 59))
+def test_orthogonal_mixing_of_the_constraint_rows_leaves_x_and_z(seed):
+    # (QA, QB, Qb) with y0 -> Q y0, Q orthogonal: A* y, |Ax + Bz - b| and
+    # B*B are unchanged, so the (x, z) iterates are the original run's up to
+    # rounding, y maps to Q y, and validate gives the same verdict.
+    p, sched, s0 = seeded_case(seed)
+    Q = _orthogonal(np.random.default_rng(1000 + seed), p.dim_y)
+    mixed = TwoBlockProblem(p.f, p.h1, p.g, p.h2, Q @ p.A, Q @ p.B, Q @ p.b)
+    M2 = sched.M2
+    if isinstance(M2, ProxFriendlyMetric):
+        M2 = ProxFriendlyMetric(M2.tau, M2.c, mixed.B)
+    cfg = SolveConfig(max_iters=50, tol_kkt=1e-300, tol_feas=1e-300)
+    runs = [prox_ama_run(p, sched, s0, cfg).iterates,
+            prox_ama_run(mixed, ParameterSchedule(sched.c, sched.M1, M2),
+                         PrimalDualState(s0.x, s0.z, Q @ s0.y), cfg).iterates]
+    assert runs[0].status == runs[1].status and len(runs[0].table) == len(runs[1].table)
+    for want, got in zip(runs[0].samples, runs[1].samples):
+        w, g = want.state, got.state
+        scale = 1e-10 * np.linalg.norm(np.concatenate((w.x, w.z, w.y)))
+        for a, b in ((w.x, g.x), (w.z, g.z), (Q @ w.y, g.y)):
+            assert np.linalg.norm(b - a) <= scale
+    verdicts = [validate(q, sched.c, sched.M1, m2, 0.005, default_grid()).passed
+                for q, m2 in ((p, sched.M2), (mixed, M2))]
+    assert verdicts[0] == verdicts[1]

@@ -14,6 +14,7 @@ from amaflow import (
     ProxFriendlyMetric,
     ReciprocalQuadratic,
     ReciprocalSqrt,
+    ScalarSchedule,
     ScaledIdentityMetric,
     TwoBlockProblem,
     ZeroMetric,
@@ -60,6 +61,23 @@ class TestScalarValues:
         tau = CoupledReciprocal(0.99, CoupledReciprocal(1e-300, ReciprocalSqrt(1.0)))
         want = -0.5 * 0.99 * 1e300 * (t + 1.0) ** -1.5
         assert tau.derivative_at(t) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("slope, want", [(-0.0, math.inf), (0.0, math.inf),
+                                             (-1.0, math.inf), (1.0, -math.inf)])
+    def test_a_coupled_reciprocal_over_an_underflowed_value(self, slope, want):
+        # other's value is 0, so tau is inf, and tau' = -k other'/0 is
+        # infinite: falling only where other rises, not 0/0 where other' = 0.
+        class Flat(ScalarSchedule):
+            def value_at(self, t):
+                return np.float64(0.0)
+
+            def derivative_at(self, t):
+                return np.float64(slope)
+
+        tau = CoupledReciprocal(0.99, Flat())
+        assert tau.value_at(1.0) == math.inf
+        assert tau.derivative_at(1.0) == want
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("t, want", [

@@ -33,7 +33,7 @@ from amaflow import (
     prox_ama_run,
 )
 from amaflow import dynamics
-from amaflow.dynamics import _euler_step, _rk4_step, _snapshot
+from amaflow.dynamics import _snapshot, _step
 from amaflow.trajectory import DIVERGED_ABOVE, _Recorder, _run
 
 
@@ -63,7 +63,7 @@ class TestStackedSteps:
         snap = _snapshot(p, varying_schedule(p, n, m2, K))
         steps = 80
         tables = [_run(p, s0, make(p, snap, h), h, steps, 1)[2].finish()
-                  for make in (_euler_step, blockwise_euler)]
+                  for make in (_step, blockwise_euler)]
         assert len(tables[0]) == steps + 1
         assert same_bits(*tables)
 
@@ -81,8 +81,8 @@ class TestStackedSteps:
     def test_a_step_hands_its_stacked_state_to_the_next(self):
         p, s0, K = smooth_problem(2, 5)
         snap = _snapshot(p, varying_schedule(p, 2, "dense", K))
-        for make in (_euler_step, _rk4_step):
-            step = make(p, snap, 0.1)
+        for method in ("euler", "rk4"):
+            step = _step(p, snap, 0.1, method)
             x, z, w, bz, r, s = step(0.0, s0.x, s0.z, s0.y, p.At.dot(s0.y), None, None)
             assert w is None and bz is None and r is None and s is not None
             y = s[5:]
@@ -92,10 +92,28 @@ class TestStackedSteps:
             fresh = step(0.1, x.copy(), z.copy(), y.copy(), p.At.dot(y), None, None)[5]
             assert same_bits(again, fresh)
 
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_no_state_a_step_returns_or_records_is_a_stage_row(self, method):
+        # The stages write their fields into rows the step keeps and rewrites:
+        # a returned state owns its memory, and no later step changes it or
+        # the recorded table.
+        p, s0, K = smooth_problem(3, 9)
+        snap = _snapshot(p, varying_schedule(p, 3, "prox-friendly", K))
+        step = _step(p, snap, 0.1, method)
+        x, z, _, _, _, s = step(0.0, s0.x, s0.z, s0.y, p.At.dot(s0.y), None, None)
+        assert s.base is None and x.base is s and z.base is s
+        kept = s.copy()
+        rec = _run(p, s0, step, 0.1, 5, 1)[2]
+        table = rec.finish().copy()
+        y = s[7:]
+        step(0.1, x, z, y, p.At.dot(y), None, s)
+        step(0.2, s0.x, s0.z, s0.y, p.At.dot(s0.y), None, None)
+        assert same_bits(s, kept) and same_bits(rec.rows, table)
+
     def test_the_unit_step_is_the_update(self, ex_problem, ex_start):
         p, s0 = ex_problem, ex_start
         params = _snapshot(p, example_schedule())(0.0)
-        step = _euler_step(p, _snapshot(p, example_schedule()), 1.0)
+        step = _step(p, _snapshot(p, example_schedule()), 1.0)
         got = step(0.0, s0.x, s0.z, s0.y, p.At.dot(s0.y), None, None)
         want = dynamics.alternating_update(p, *params, s0.x, s0.z, s0.y)
         assert got[5] is None and len(want) == 5
