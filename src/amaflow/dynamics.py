@@ -438,8 +438,7 @@ def integrate(p: TwoBlockProblem, sched: ParameterSchedule, s0: PrimalDualState,
         raise ValueError(f"horizon {T} shorter than one step {h}")
     record_every = _record_every(record_every)
 
-    snap = _snapshot(p, sched)
-    step = _step(p, snap, h, method)
+    step = _step(p, _snapshot(p, sched), h, method)
     status, k, rec, exc = _run(p, s0, step, h, max(1, int(round(T / h))), record_every)
     if status == "error":
         message = f"integration aborted at t={k * h:.6g}: {exc}"
