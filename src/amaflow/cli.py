@@ -27,7 +27,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import CapabilityError, ConditionError, ConvergenceError, ParseError
+from .errors import ParseError
 from .problem import SolveConfig
 from .schedules import C_VARIANTS, TAU_C_VARIANTS, default_grid, validate, validate_corollary
 
@@ -428,18 +428,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # Refusals are ValueErrors; a failing subproblem ends its run with status error.
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (CapabilityError, ConditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

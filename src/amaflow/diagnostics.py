@@ -64,8 +64,8 @@ def energy(p: TwoBlockProblem, sched: ParameterSchedule, t: float,
     """Evaluate the energy of ``s`` against a verified reference saddle.
 
     The dimensions of ``s`` are checked, and the reference is verified, on
-    every call. M1 must be zero or a scaled identity, and a prox-friendly M2
-    on the problem's B, as for the solvers. Where its c is the run's,
+    every call. The metrics pass the solvers' checks (those of
+    :func:`~amaflow.dynamics._snapshot`). Where its c is the run's,
     M2 = (1/tau) Id - c B*B makes the z-metric c M2 + c^2 B*B equal
     (c/tau) Id: no matrix is needed. The first call on a fresh problem
     carries the SVD behind ``||A||``.

@@ -41,8 +41,7 @@ from .schedules import (
     ProxFriendlyMetric,
     ScaledIdentityMetric,
     ZeroMetric,
-    _check_dims,
-    _check_own_b,
+    _check_metrics,
     _constant,
 )
 from .trajectory import DIVERGED_ABOVE, Trajectory, TrajectorySample, _run
@@ -94,17 +93,15 @@ def _snapshot(p: TwoBlockProblem, sched: ParameterSchedule):
     or a scaled identity whose mu(t) keeps its value), so a run builds its
     coupling once. When no schedule read depends on t (constant c, tau as a
     reciprocal of a constant, M1 zero or of constant factor, and so on), the
-    snapshot is one tuple, built here. The metric kinds are resolved here,
-    once: a metric of another size than its block raises
-    :class:`~amaflow.errors.DimensionMismatchError`, and an M1 that is not
-    zero or a scaled identity, an M2 of a kind not shipped, or a
-    prox-friendly M2 on another B than ``p``'s raises
-    :class:`CapabilityError`, before any update. Where a prox-friendly M2's c
-    differs from the run's, K is its closed form ``Id/tau - c B*B``.
+    snapshot is one tuple, built here. Before any update, the metrics pass
+    the validators' check :func:`~amaflow.schedules._check_metrics` and the
+    runs' own rule that M1 is zero or a scaled identity
+    (:class:`CapabilityError`). Where a prox-friendly M2's c differs from the
+    run's, K is its closed form ``Id/tau - c B*B``.
     """
     c_at = sched.c.value_at
     M1, M2 = sched.M1, sched.M2
-    _check_dims(p, M1, M2)
+    _check_metrics(p, M1, M2)
     read = [sched.c]
     if isinstance(M1, ZeroMetric):
         def mu1_at(t):
@@ -115,7 +112,6 @@ def _snapshot(p: TwoBlockProblem, sched: ParameterSchedule):
     else:
         raise CapabilityError("x-subproblem supports only zero or scaled-identity M1")
     if isinstance(M2, ProxFriendlyMetric):
-        _check_own_b(M2, p.B)
         tau_at = M2.tau.value_at
         read += [M2.tau, M2.c]
         if M2.c is sched.c:
@@ -139,9 +135,7 @@ def _snapshot(p: TwoBlockProblem, sched: ParameterSchedule):
     if isinstance(M2, ConstantDenseMetric):
         K = M2.M
         return _once(lambda t: (mu1_at(t), K, c_at(t), None), read)
-    if not isinstance(M2, ScaledIdentityMetric):
-        raise CapabilityError(f"z-subproblem does not support M2 of kind {M2.kind!r}")
-    mu_at, eye = M2.mu.value_at, np.eye(M2.dim)
+    mu_at, eye = M2.mu.value_at, np.eye(M2.dim)  # a scaled identity, the kind left
     read.append(M2.mu)
     last = [None, None]  # mu(t) and its K, rebuilt when the value changes
 

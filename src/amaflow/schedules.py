@@ -152,6 +152,9 @@ class CoupledReciprocal(ScalarSchedule):
     def derivative_at(self, t):
         if _constant(self.other):  # derivative 0; denom * denom may underflow to 0
             return -self.numerator * self.other.derivative_at(t)
+        if type(self.other) is CoupledReciprocal:  # k/(k2/o) = (k/k2) o, also where
+            # k2/o is inf: its derivative over its square would be inf/inf
+            return self.numerator * self.other.other.derivative_at(t) / self.other.numerator
         denom = self.other.value_at(t)
         num = -self.numerator * self.other.derivative_at(t)
         square = denom * denom
@@ -219,15 +222,6 @@ class ProxFriendlyMetric(MetricSchedule):
         self.dim = self.B.shape[1]
 
 
-def _check_own_b(M: ProxFriendlyMetric, B: np.ndarray) -> None:
-    """Raise :class:`CapabilityError` unless ``M`` is built on ``B`` or on a
-    matrix equal to it. A prox-friendly metric's closed forms hold only on the
-    problem's own B, and a separate but equal B is the problem's own."""
-    if M.B is not B and not np.array_equal(M.B, B):
-        raise CapabilityError("prox_friendly metric is built on another B than the "
-                              "problem's and cannot be validated")
-
-
 class ConstantDenseMetric(MetricSchedule):
     """A constant metric given by a finite symmetric matrix M."""
 
@@ -242,12 +236,20 @@ class ConstantDenseMetric(MetricSchedule):
         self.dim = M.shape[0]
 
 
-def _check_dims(p, M1: MetricSchedule, M2: MetricSchedule) -> None:
-    """Raise :class:`DimensionMismatchError` unless M1 acts on ``p``'s x block
-    and M2 on its z block."""
+def _check_metrics(p, M1: MetricSchedule, M2: MetricSchedule) -> None:
+    """Refuse, for M1 then M2, another size than its block of ``p``
+    (:class:`DimensionMismatchError`), then a kind not shipped or a
+    prox-friendly metric on a B other than ``p``'s, off which its closed forms
+    do not hold; an equal copy is ``p``'s (:class:`CapabilityError`)."""
     for what, want, M in (("M1", p.dim_x, M1), ("M2", p.dim_z, M2)):
         if M.dim != want:
             raise DimensionMismatchError(what, want, M.dim)
+        if not isinstance(M, (ZeroMetric, ScaledIdentityMetric, ProxFriendlyMetric,
+                              ConstantDenseMetric)):
+            raise CapabilityError(f"{what}: metric kind {M.kind!r} is not a shipped kind")
+        if isinstance(M, ProxFriendlyMetric) and M.B is not p.B and not np.array_equal(M.B, p.B):
+            raise CapabilityError(f"{what}: prox_friendly metric is built on another B "
+                                  "than the problem's")
 
 
 class ParameterSchedule:
@@ -349,11 +351,12 @@ def _reciprocal_on_grid(tau: ScalarSchedule, grid: np.ndarray) -> tuple:
     return 1.0 / tau, -dtau / (tau * tau)
 
 
-def _spectral_form(M: MetricSchedule, grid: np.ndarray, B: np.ndarray) -> tuple:
+def _spectral_form(M: MetricSchedule, grid: np.ndarray) -> tuple:
     """``(alpha, alpha', beta, beta', K)`` with ``M(t) = alpha(t) Id + beta(t) B*B + K``.
 
     Four arrays over the grid and a constant matrix K (None for K = 0); K is
-    set only where beta is zero. ``B`` is the problem's second operator.
+    set only where beta is zero. ``M`` is a metric :func:`_check_metrics`
+    passed, so a prox-friendly one is on the problem's B.
     """
     zero = np.zeros(grid.size)
     if isinstance(M, ZeroMetric):
@@ -362,13 +365,10 @@ def _spectral_form(M: MetricSchedule, grid: np.ndarray, B: np.ndarray) -> tuple:
         mu, dmu = _on_grid(M.mu, grid)
         return mu, dmu, zero, zero, None
     if isinstance(M, ProxFriendlyMetric):
-        _check_own_b(M, B)
         c, dc = _on_grid(M.c, grid)
         alpha, dalpha = _reciprocal_on_grid(M.tau, grid)
         return alpha, dalpha, -c, -dc, None
-    if isinstance(M, ConstantDenseMetric):
-        return zero, zero, zero, zero, M.M
-    raise CapabilityError(f"metric kind {M.kind!r} has no spectral form and cannot be validated")
+    return zero, zero, zero, zero, M.M
 
 
 def _at_extremes(a: np.ndarray, b: np.ndarray, extremes: np.ndarray) -> np.ndarray:
@@ -409,7 +409,9 @@ def _metric_rules(name: str, form: tuple, extremes: np.ndarray, shift: float) ->
     if alpha.size > 1:
         loewner = float(np.min(_at_extremes(alpha[:-1] - alpha[1:],
                                             beta[:-1] - beta[1:], extremes)))
-    sup_dnorm = float(np.max(np.abs(_at_extremes(dalpha, dbeta, extremes))))
+    # An infinite alpha' or beta' is unbounded (tau = k/c: M2' = c' (Id/k - B*B))
+    steep = np.isinf(dalpha).any() or np.isinf(dbeta).any()
+    sup_dnorm = math.inf if steep else float(np.abs(_at_extremes(dalpha, dbeta, extremes)).max())
     return [
         CheckResult(f"{name}-lower-bound", lower >= -1e-10, lower, 0.0),
         CheckResult(f"{name}-loewner-decreasing", loewner >= -1e-10, loewner, 0.0),
@@ -439,19 +441,19 @@ def validate(p, c: ScalarSchedule, M1: MetricSchedule, M2: MetricSchedule,
     M1, M2 dominating a quarter of the corresponding gradient Lipschitz
     constants; both metrics Loewner-monotonically decreasing with bounded
     derivative; and the disjunctive convergence condition (uniformly positive
-    regularized M2, or uniformly positive-definite B*B). A metric of another
-    size than its block raises :class:`DimensionMismatchError`, and one that
-    is not of the four shipped kinds :class:`CapabilityError`. The first call
-    on a fresh problem carries its SVDs of A and B.
+    regularized M2, or uniformly positive-definite B*B). The metrics first
+    pass the check the runs make, :func:`_check_metrics`; a dense M1 validates,
+    though no run takes it. The first call on a fresh problem carries its
+    SVDs of A and B.
     """
-    _check_dims(p, M1, M2)
+    _check_metrics(p, M1, M2)
     grid, c_vals, _, checks = _c_rules(p, c, eps, t_grid)
 
     l1 = p.h1.grad_lipschitz or 0.0
     l2 = p.h2.grad_lipschitz or 0.0
     extremes = np.array([p.btb_min, p.norm_B**2])
-    m2_form = _spectral_form(M2, grid, p.B)
-    checks += _metric_rules("m1", _spectral_form(M1, grid, p.B), extremes, l1 / 4.0)
+    m2_form = _spectral_form(M2, grid)
+    checks += _metric_rules("m1", _spectral_form(M1, grid), extremes, l1 / 4.0)
     m2_checks = _metric_rules("m2", m2_form, extremes, l2 / 4.0)
     checks += m2_checks
 
@@ -501,7 +503,14 @@ def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
     checks.append(CheckResult("coupling-inequality", coupling_excess <= 1e-9,
                               coupling_excess, 0.0))
 
-    deriv_excess = float((-c_derivs * b2 - ratios).max())
+    if coupled and np.isinf(c_derivs).any():  # tau = k/c, with c' past the float range:
+        steep = np.isinf(c_derivs)  # read c' (1/k - ||B||^2) there, not inf - inf
+        excess = np.where(steep, 0.0, -c_derivs * b2) - np.where(steep, 0.0, ratios)
+        if 1.0 / tau.numerator != b2:
+            excess[steep] = c_derivs[steep] * (1.0 / tau.numerator - b2)
+    else:
+        excess = -c_derivs * b2 - ratios
+    deriv_excess = float(excess.max())
     checks.append(CheckResult("derivative-coupling", deriv_excess <= 1e-9,
                               deriv_excess, 0.0))
 
@@ -510,7 +519,8 @@ def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
     checks.append(CheckResult("convergence-condition", cond_witness > 1e-10,
                               cond_witness, 1e-10))
 
-    # c B*B + (Id/tau - c B*B) = Id/tau exactly for the prox-friendly M2.
-    beta = float(np.min(1.0 / tau_vals))
+    # c B*B + (Id/tau - c B*B) = Id/tau exactly for the prox-friendly M2. min 1/tau
+    # is 1/max tau (a rounded 1/x is monotone), with no 1/0 where tau underflows.
+    beta = float(1.0 / np.max(tau_vals))
     return ValidationReport("corollary-prox-friendly", tuple(checks), tuple(grid),
                             beta, beta > 0.0, beta > 1e-10)

@@ -130,20 +130,40 @@ class TestValidate:
         assert "check: rule=convergence-condition passed=false witness=0 threshold=1e-10" in out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_a_coupled_tau_over_an_underflowed_c_has_no_nan_corollary_witness(
-            self, tmp_path, capsys):
+    @pytest.mark.parametrize("c, tau, args, lines", [
         # c = 1/(t^2 + 1e-4) is 0 at t = 1e200, so tau = 0.99/c is inf there:
         # tau' is read as rising (c' = 0), not 0/0, and c tau ||B||^2 is
         # 0.99 ||B||^2, not 0 * inf.
-        edit = {"schedules__c": {"kind": "reciprocal_quadratic", "a": 1e-4, "offset": 0}}
-        rc = main(["validate", write(tmp_path, doc(**edit)), "--corollary",
-                   "--grid", "0,1e200"])
+        ({"kind": "reciprocal_quadratic", "a": 1e-4, "offset": 0}, None,
+         ["--corollary", "--grid", "0,1e200"],
+         ["tau-increasing passed=true", "coupling-inequality passed=true",
+          "convergence-condition passed=true"]),
+        # c = 1/sqrt(t + 1e-300): c'(0) is -inf, and tau = 0.99/c makes
+        # M2' = c' (Id/0.99 - B*B): unbounded, and the derivative coupling
+        # c' (1/0.99 - ||B||^2) holds, neither read as inf - inf or inf * 0.
+        ({"kind": "reciprocal_sqrt", "a": 1e-300, "offset": 0}, None, [],
+         ["m2-derivative-bounded passed=false witness=inf threshold=inf"]),
+        ({"kind": "reciprocal_sqrt", "a": 1e-300, "offset": 0}, None, ["--corollary"],
+         ["derivative-coupling passed=true witness=-5.0505050505050685e-09 threshold=0"]),
+        # tau = 2/(1e-300/c) = 2e300 c with c = 1/(t^2 + 1): tau' is 2e300 c',
+        # not inf/inf where the inner value is inf at t = 1e200.
+        ({"kind": "reciprocal_quadratic", "a": 1.0, "offset": 0},
+         {"kind": "coupled_reciprocal", "numerator": 2.0,
+          "other": {"kind": "coupled_reciprocal", "numerator": 1e-300, "of": "c"}},
+         ["--corollary", "--grid", "0,1e200"],
+         ["tau-increasing passed=true witness=-0 threshold=0"]),
+    ], ids=["c-underflows", "c-derivative-overflows", "c-derivative-overflows-corollary",
+            "nested-tau-over-an-underflowed-c"])
+    def test_a_tau_over_a_c_past_the_float_range_has_no_nan_witness(
+            self, c, tau, args, lines, tmp_path, capsys):
+        edit = {"schedules__c": c} if tau is None else {"schedules__c": c, "schedules__tau": tau}
+        rc = main(["validate", write(tmp_path, doc(**edit)), *args])
         out = capsys.readouterr().out
         assert rc == 1
         assert "witness=nan" not in out
         assert "check: rule=c-range passed=false" in out
-        for rule in ("tau-increasing", "coupling-inequality", "convergence-condition"):
-            assert f"check: rule={rule} passed=true" in out
+        for line in lines:
+            assert f"check: rule={line}" in out
 
     def test_corollary_mode(self, tmp_path, capsys):
         rc = main(["validate", write(tmp_path, doc()), "--corollary"])

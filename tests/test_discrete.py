@@ -30,6 +30,7 @@ from amaflow import (
 )
 from amaflow.trajectory import DIVERGED_ABOVE
 from oracles import step_params
+from test_dynamics import ENTRIES, entry_calls
 
 A_T = (np.array([[2.0, 1.0], [-2.0, 1.0]]) / np.sqrt(8.0)).T
 Y_STAR = np.array([-1.0, 1.0]) / np.sqrt(2.0)
@@ -542,20 +543,19 @@ class TestConstantCoupling:
         for a, b in ((res.final.x, s.x), (res.final.z, s.z), (res.final.y, s.y)):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("which", ["M1", "M2"])
     def test_other_metric_kinds_are_refused_before_the_first_update(
-            self, which, ex_problem, ex_start, updates):
+            self, which, entry, ex_problem, ex_start, ex_reference, updates):
         class Custom(MetricSchedule):
             kind = "custom"
             dim = 2
 
         metrics = {"M1": ZeroMetric(2), "M2": ZeroMetric(2), which: Custom()}
         sched = ParameterSchedule(ConstantSchedule(0.25), metrics["M1"], metrics["M2"])
-        match = "custom" if which == "M2" else "M1"
-        with pytest.raises(CapabilityError, match=match):
-            prox_ama_run(ex_problem, sched, ex_start, SolveConfig(max_iters=5))
-        with pytest.raises(CapabilityError, match=match):
-            integrate(ex_problem, sched, ex_start, method="euler", h=1.0, T=5.0)
+        with pytest.raises(CapabilityError,
+                           match=f"^{which}: metric kind 'custom' is not a shipped kind$"):
+            entry_calls(ex_problem, sched, ex_start, ex_reference)[entry]()
         assert updates == []
 
 

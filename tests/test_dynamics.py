@@ -49,6 +49,22 @@ GOLDEN_V = np.array([48.500049998724556, -3.96])
 GOLDEN_W = np.array([8.098230804512045, -10.023233304448274])
 
 
+# The entry points that read a schedule's metrics, each refusing a metric pair
+# the problem cannot hold before any update.
+ENTRIES = ["prox_ama_run", "integrate", "gamma", "energy", "validate"]
+
+
+def entry_calls(p, sched, s0, ref):
+    """A call of each of :data:`ENTRIES` on ``p`` under ``sched``."""
+    return {
+        "prox_ama_run": lambda: prox_ama_run(p, sched, s0, SolveConfig(max_iters=5)),
+        "integrate": lambda: integrate(p, sched, s0, method="rk4", h=0.5, T=2.0),
+        "gamma": lambda: gamma(p, sched, 0.0, s0),
+        "energy": lambda: energy(p, sched, 0.0, s0, ref),
+        "validate": lambda: validate(p, sched.c, sched.M1, sched.M2, 0.005, [0.0, 1.0]),
+    }
+
+
 def raw_field(x, z, y, c, tau):
     """The example's field written out with plain matrix algebra.
 
@@ -95,11 +111,16 @@ class TestXSubproblem:
         with pytest.raises(ConditionError, match="negative factor -0.5$"):
             solve_x_subproblem(ex_problem, -0.5, ANCHOR, np.zeros(2))
 
-    def test_dense_metric_refused(self, ex_problem, ex_start):
-        sched = ParameterSchedule(ConstantSchedule(0.25), ConstantDenseMetric(np.eye(2)),
-                                  ZeroMetric(2))
-        with pytest.raises(CapabilityError, match="scaled-identity M1"):
-            gamma(ex_problem, sched, 0.0, ex_start)
+    @pytest.mark.parametrize("entry", ["prox_ama_run", "integrate", "gamma", "energy"])
+    def test_dense_metric_refused(self, entry, ex_problem, ex_start, ex_reference, updates):
+        # validate takes a dense M1; no run does.
+        c = ConstantSchedule(0.25)
+        sched = ParameterSchedule(c, ConstantDenseMetric(np.eye(2)), ZeroMetric(2))
+        validate(ex_problem, c, sched.M1, sched.M2, 0.005, [0.0, 1.0])
+        with pytest.raises(CapabilityError,
+                           match="^x-subproblem supports only zero or scaled-identity M1$"):
+            entry_calls(ex_problem, sched, ex_start, ex_reference)[entry]()
+        assert updates == []
 
     def test_contraction_in_multiplier(self, ex_problem, rng):
         # the map y -> new x is ||A||/sigma Lipschitz when M1 = 0
@@ -568,19 +589,18 @@ class TestProxFriendlyMetricOfAnotherRun:
         assert np.array_equal(a.iterates.table,
                               prox_ama_run(ex_problem, same, ex_start, cfg).iterates.table)
 
-    def test_another_b_is_refused_before_the_first_update(self, ex_problem, ex_start,
-                                                          ex_reference):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("which", ["M1", "M2"])
+    def test_another_b_is_refused_before_the_first_update(self, which, entry, ex_problem,
+                                                          ex_start, ex_reference, updates):
         c = ConstantSchedule(0.25)
-        sched = ParameterSchedule(c, ZeroMetric(2), ProxFriendlyMetric(
-            CoupledReciprocal(0.99, c), c, ex_problem.B * 0.5))
-        calls = [
-            lambda: prox_ama_run(ex_problem, sched, ex_start, SolveConfig(max_iters=3)),
-            lambda: integrate(ex_problem, sched, ex_start, method="euler", h=1.0, T=3.0),
-            lambda: energy(ex_problem, sched, 0.0, ex_start, ex_reference),
-        ]
-        for call in calls:
-            with pytest.raises(CapabilityError, match="another B"):
-                call()
+        metrics = {"M1": ZeroMetric(2), "M2": ZeroMetric(2),
+                   which: ProxFriendlyMetric(CoupledReciprocal(0.99, c), c, ex_problem.B * 0.5)}
+        sched = ParameterSchedule(c, metrics["M1"], metrics["M2"])
+        with pytest.raises(CapabilityError, match=f"^{which}: prox_friendly metric is built "
+                                                  "on another B than the problem's$"):
+            entry_calls(ex_problem, sched, ex_start, ex_reference)[entry]()
+        assert updates == []
 
 
 class TestMetricDimensions:
@@ -594,26 +614,15 @@ class TestMetricDimensions:
     }
 
     @pytest.mark.parametrize("metric", sorted(METRICS))
-    @pytest.mark.parametrize("entry", ["prox_ama_run", "integrate", "gamma", "energy",
-                                       "validate"])
+    @pytest.mark.parametrize("entry", ENTRIES)
     def test_refused(self, entry, metric, ex_problem, ex_start, ex_reference, updates):
         which, build = self.METRICS[metric]
-        c = ConstantSchedule(0.25)
         metrics = {"M1": ZeroMetric(2), "M2": ZeroMetric(2), which: build()}
-        sched = ParameterSchedule(c, metrics["M1"], metrics["M2"])
-        calls = {
-            "prox_ama_run": lambda: prox_ama_run(ex_problem, sched, ex_start,
-                                                 SolveConfig(max_iters=5)),
-            "integrate": lambda: integrate(ex_problem, sched, ex_start, method="rk4", h=0.5,
-                                           T=2.0),
-            "gamma": lambda: gamma(ex_problem, sched, 0.0, ex_start),
-            "energy": lambda: energy(ex_problem, sched, 0.0, ex_start, ex_reference),
-            "validate": lambda: validate(ex_problem, c, sched.M1, sched.M2, 0.005, [0.0, 1.0]),
-        }
+        sched = ParameterSchedule(ConstantSchedule(0.25), metrics["M1"], metrics["M2"])
         want = 5 if metric.startswith("M1") else 3
         with pytest.raises(DimensionMismatchError,
                            match=f"^{which}: expected dimension 2, got {want}$"):
-            calls[entry]()
+            entry_calls(ex_problem, sched, ex_start, ex_reference)[entry]()
         assert updates == []
 
 

@@ -318,9 +318,20 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             QuadraticForm(-1.0 * np.eye(2), np.zeros(2))
 
-    def test_box_rejects_crossed_bounds(self):
-        with pytest.raises(ValueError):
-            BoxIndicator([1.0], [0.0])
+    @pytest.mark.parametrize("make, message", [
+        (lambda: BoxIndicator([1.0], [0.0]), "lo > hi"),
+        (lambda: BoxIndicator([0.0], [1.0, 2.0]), "equal-length vectors"),
+        (lambda: BoxIndicator([[0.0]], [[1.0]]), "equal-length vectors"),
+        (lambda: L1Norm(0), "dimension must be positive, got 0"),
+        (lambda: ZeroFunction(-1), "dimension must be positive, got -1"),
+        (lambda: QuadraticForm(np.eye(2), np.zeros((2, 1))), "q must be a vector"),
+        (lambda: QuadraticForm(np.eye(3), np.zeros(2)), "Q must be square and match"),
+        (lambda: QuadraticForm(np.ones((2, 3)), np.zeros(2)), "Q must be square and match"),
+    ], ids=["box-crossed", "box-lengths", "box-2-d", "l1-dim", "zero-dim", "form-q-2-d",
+            "form-Q-size", "form-Q-not-square"])
+    def test_constructors_refuse_bad_sizes_and_bounds(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):

@@ -105,8 +105,16 @@ class TestParseErrors:
         self.check(doc(operators__A=[[1.0, 2.0], [3.0]]), "operators.A",
                    "row 1 has length 1")
 
-    def test_vector_with_booleans(self):
-        self.check(doc(b=[True, False]), "b", "list of numbers")
+    @pytest.mark.parametrize("edit, location, fragment", [
+        ({"b": [True, False]}, "b", "list of numbers"),
+        ({"b": []}, "b", "vector must be nonempty"),
+        ({"operators__A": []}, "operators.A", "expected a nonempty list of rows"),
+        ({"functions": [1, 2]}, "functions", "expected an object, got list"),
+        ({"schedules__c__value": "0.25"}, "schedules.c.value", "expected a number"),
+    ], ids=["booleans", "empty-vector", "empty-matrix", "section-not-an-object",
+            "scalar-not-a-number"])
+    def test_a_value_of_the_wrong_type_or_size(self, edit, location, fragment):
+        self.check(doc(**edit), location, fragment)
 
     @pytest.mark.parametrize("bad", ["1.0", None, [1.0]], ids=["string", "null", "list"])
     def test_a_matrix_row_with_a_non_number_fails_at_that_row(self, bad):
@@ -117,9 +125,23 @@ class TestParseErrors:
         self.check(doc(functions__g={"kind": "l1", "dim": 2, "weight": -1.0}),
                    "functions.g", "weight")
 
-    def test_unknown_function_kind(self):
-        self.check(doc(functions__g={"kind": "huber", "dim": 2}), "functions.g",
-                   "unknown function kind")
+    @pytest.mark.parametrize("edit, location, fragment", [
+        ({"functions__g": {"kind": "huber", "dim": 2}}, "functions.g",
+         "unknown function kind 'huber'"),
+        ({"schedules__c": {"kind": "exponential", "a": 1.0}}, "schedules.c",
+         "unknown schedule kind 'exponential'"),
+        ({"schedules__M2": {"kind": "diagonal"}}, "schedules.M2",
+         "unknown metric kind 'diagonal'"),
+        ({"functions__g": {"dim": 2}}, "functions.g", "expected an object with a 'kind' key"),
+        ({"schedules__c": {"value": 0.25}}, "schedules.c",
+         "expected an object with a 'kind' key"),
+        ({"schedules__M1": "zero"}, "schedules.M1", "expected an object with a 'kind' key"),
+        ({"schedules__tau": {"kind": "coupled_reciprocal", "numerator": 0.99}},
+         "schedules.tau", "coupled_reciprocal needs 'of' or 'other'"),
+    ], ids=["function", "schedule", "metric", "kind-less-function", "kind-less-schedule",
+            "kind-less-metric", "coupling-with-no-target"])
+    def test_unknown_or_missing_kind(self, edit, location, fragment):
+        self.check(doc(**edit), location, fragment)
 
     def test_incompatible_shapes(self):
         self.check(doc(b=[0.0, 0.0, 0.0]), "problem")

@@ -319,10 +319,15 @@ class TestArrayOperators:
             tables.append(res.iterates.table.tobytes())
         assert tables[0] == tables[1] == tables[2]
 
-    @pytest.mark.parametrize("shape", [(2,), (2, 2, 1)], ids=["1-d", "3-d"])
-    def test_an_operator_that_is_not_2_d_raises(self, shape):
-        with pytest.raises(ValueError, match="matrix must be 2-d"):
-            self.build(np.ones(shape), np.eye(2))
+    @pytest.mark.parametrize("name, shape, message", [
+        ("A", (2,), "matrix must be 2-d"), ("A", (2, 2, 1), "matrix must be 2-d"),
+        ("b", (2, 1), "right-hand side b must be a vector"),
+    ], ids=["1-d", "3-d", "b-2-d"])
+    def test_an_array_of_another_rank_raises(self, name, shape, message):
+        ex = example_problem()
+        parts = {"A": ex.A, "B": ex.B, "b": ex.b, name: np.ones(shape)}
+        with pytest.raises(ValueError, match=message):
+            TwoBlockProblem(ex.f, ex.h1, ex.g, ex.h2, parts["A"], parts["B"], parts["b"])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -122,15 +122,20 @@ class TestScalarValues:
         c = ReciprocalQuadratic(2.0)
         assert c(3.0) == c.value_at(3.0)
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ConstantSchedule(0.0)
-        with pytest.raises(ValueError):
-            ReciprocalQuadratic(-1.0)
-        with pytest.raises(ValueError):
-            ReciprocalSqrt(1.0, -0.2)
-        with pytest.raises(ValueError):
-            CoupledReciprocal(0.0, ConstantSchedule(1.0))
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ConstantSchedule(0.0), "value must be positive"),
+        (lambda: ReciprocalQuadratic(-1.0), "parameter a must be positive"),
+        (lambda: ReciprocalSqrt(1.0, -0.2), "offset must be nonnegative"),
+        (lambda: CoupledReciprocal(0.0, ConstantSchedule(1.0)), "numerator must be positive"),
+        (lambda: ZeroMetric(0), "dimension must be positive, got 0"),
+        (lambda: ScaledIdentityMetric(ConstantSchedule(1.0), -1),
+         "dimension must be positive, got -1"),
+        (lambda: ConstantDenseMetric(np.ones((2, 3))), "metric operator must be square"),
+    ], ids=["constant", "reciprocal-a", "reciprocal-offset", "coupled-numerator",
+            "zero-metric-dim", "scaled-identity-dim", "dense-not-square"])
+    def test_parameter_validation(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameters_are_rejected(self, bad):

@@ -294,12 +294,14 @@ def test_unknown_metric_kind_is_refused():
         validate(p, ConstantSchedule(0.25), ZeroMetric(2), Custom(), 0.005, [0.0, 1.0])
 
 
-def test_prox_friendly_metric_on_another_b_is_refused():
+@pytest.mark.parametrize("grid", [[0.0, 1.0], [1.0, 0.0]], ids=["grid", "bad-grid"])
+def test_prox_friendly_metric_on_another_b_is_refused(grid):
+    # the metrics are checked before the grid
     p = example_problem()
     c = ConstantSchedule(0.25)
     other = ProxFriendlyMetric(ConstantSchedule(1.0), c, p.B * 0.5)
     with pytest.raises(CapabilityError, match="prox_friendly"):
-        validate(p, c, ZeroMetric(2), other, 0.005, [0.0, 1.0])
+        validate(p, c, ZeroMetric(2), other, 0.005, grid)
 
 
 def test_prox_friendly_metric_on_an_equal_b_is_the_problems_own():
