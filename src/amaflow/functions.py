@@ -238,7 +238,7 @@ class QuadraticForm(SeparableFunction):
         if not (np.isfinite(Q).all() and np.isfinite(self.q).all()):
             raise ValueError("Q and q must have finite entries")
         _check_symmetric(Q)
-        self._lam, self._V = np.linalg.eigh(0.5 * (Q + Q.T))
+        self._lam, self._V = np.linalg.eigh(0.5 * Q + 0.5 * Q.T)  # Q + Q.T can overflow
         sigma = float(self._lam[0])
         if sigma < -1e-10:
             raise ValueError(f"Q must be positive semidefinite; min eigenvalue {sigma:.3e}")

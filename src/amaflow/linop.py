@@ -71,13 +71,15 @@ def _check_symmetric(a: np.ndarray) -> None:
     """Raise unless the square matrix ``a`` is finite and symmetric to 1e-10
     relative to its largest entry; the message carries the maximal asymmetry.
     A non-finite entry is a :class:`ConditionError`, found before ``a - a.T``,
-    where inf - inf would be NaN and compare as passing."""
+    where inf - inf would be NaN and compare as passing. An ``a - a.T`` past
+    the float range is an infinite asymmetry, refused without a warning."""
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("symmetric eigenvalue input", a.shape[1], a.shape[0])
     top = float(np.max(np.abs(a))) if a.size else 0.0
     if not top < np.inf:  # NaN fails the comparison too
         raise ConditionError("matrix has non-finite entries")
-    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+    with np.errstate(over="ignore"):
+        asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if asym > 1e-10 * max(1.0, top):
         raise ValueError(f"map is not symmetric: max asymmetry {asym:.3e}")
 
@@ -86,7 +88,7 @@ def sym_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the square matrix ``a``, after
     :func:`_check_symmetric`."""
     _check_symmetric(a)
-    return np.linalg.eigvalsh(0.5 * (a + a.T))
+    return np.linalg.eigvalsh(0.5 * a + 0.5 * a.T)  # a + a.T can overflow
 
 
 def operator_norm(m) -> float:

@@ -3,13 +3,15 @@
 Top-level sections: ``functions`` (f, h1, g, h2), ``operators`` (dense
 row-major A, B), ``b``, ``schedules`` (c, optional tau, M1, M2), ``initial``
 (x, z, y) and optional ``solver`` overrides. Unknown keys anywhere are
-rejected with the offending location in the error. Parsing and serialization
-round-trip exactly for every supported kind.
+rejected with the offending location in the error. The parser and the
+serializer read each plain kind's fields from one table (``_FUNCTIONS``,
+``_SCALARS``), so the two round-trip exactly for every supported kind.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import numpy as np
 
@@ -35,14 +37,10 @@ from .schedules import (
     ScalarSchedule,
     ScaledIdentityMetric,
     ZeroMetric,
-    _Reciprocal,
 )
 
 __all__ = ["ProblemFileData", "parse_problem_text", "load_problem_file",
            "serialize_problem"]
-
-_RECIPROCALS = {cls.kind: cls for cls in (ReciprocalQuadratic, ReciprocalSqrt)}
-
 
 class ProblemFileData:
     """What a problem file describes: the problem, its schedules, the start
@@ -116,65 +114,70 @@ def _build(ctor, loc: str, *args, **kwargs):
         raise ParseError(str(exc), loc) from exc
 
 
-def _parse_function(doc, loc: str) -> SeparableFunction:
+_integer = partial(_number, kind=int)
+
+# The plain kinds: kind -> (class, fields). A field is (name, reader) or
+# (name, reader, default), in constructor order, and named after the
+# attribute the serializer reads back.
+_FUNCTIONS = {
+    "quadratic_distance": (QuadraticDistance, (("d", _vector), ("weight", _number, 1.0))),
+    "l1": (L1Norm, (("dim", _integer), ("weight", _number, 1.0))),
+    "box_indicator": (BoxIndicator, (("lo", _vector), ("hi", _vector))),
+    "zero": (ZeroFunction, (("dim", _integer),)),
+    "quadratic_form": (QuadraticForm, (("Q", _matrix), ("q", _vector))),
+}
+_SCALARS = {
+    "constant": (ConstantSchedule, (("value", _number),)),
+    "reciprocal_quadratic": (ReciprocalQuadratic, (("a", _number), ("offset", _number, 0.0))),
+    "reciprocal_sqrt": (ReciprocalSqrt, (("a", _number), ("offset", _number, 0.0))),
+}
+_METRICS = ("zero", "scaled_identity", "prox_friendly", "constant_dense")
+_SOLVER = {"max_iters": int, "tol_kkt": float, "tol_feas": float, "record_every": int}
+
+
+def _kind(doc, loc: str, kinds, what: str) -> str:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError("expected an object with a 'kind' key", loc)
     kind = doc["kind"]
-    if kind == "quadratic_distance":
-        _expect_object(doc, loc, {"kind", "d"}, {"weight"})
-        return _build(QuadraticDistance, loc, _vector(doc["d"], f"{loc}.d"),
-                      _number(doc.get("weight", 1.0), f"{loc}.weight"))
-    if kind == "l1":
-        _expect_object(doc, loc, {"kind", "dim"}, {"weight"})
-        return _build(L1Norm, loc, _number(doc["dim"], f"{loc}.dim", int),
-                      _number(doc.get("weight", 1.0), f"{loc}.weight"))
-    if kind == "box_indicator":
-        _expect_object(doc, loc, {"kind", "lo", "hi"})
-        return _build(BoxIndicator, loc, _vector(doc["lo"], f"{loc}.lo"),
-                      _vector(doc["hi"], f"{loc}.hi"))
-    if kind == "zero":
-        _expect_object(doc, loc, {"kind", "dim"})
-        return _build(ZeroFunction, loc, _number(doc["dim"], f"{loc}.dim", int))
-    if kind == "quadratic_form":
-        _expect_object(doc, loc, {"kind", "Q", "q"})
-        return _build(QuadraticForm, loc, _matrix(doc["Q"], f"{loc}.Q"),
-                      _vector(doc["q"], f"{loc}.q"))
-    raise ParseError(f"unknown function kind {kind!r}", loc)
+    if not (isinstance(kind, str) and kind in kinds):  # a list or an object is no kind
+        raise ParseError(f"unknown {what} kind {kind!r}", loc)
+    return kind
+
+
+def _plain(doc, loc: str, entry):
+    cls, fields = entry
+    _expect_object(doc, loc, {"kind", *(f[0] for f in fields if len(f) == 2)},
+                   {f[0] for f in fields if len(f) == 3})
+    return _build(cls, loc, *(read(doc.get(name, *default), f"{loc}.{name}")
+                              for name, read, *default in fields))
+
+
+def _parse_function(doc, loc: str) -> SeparableFunction:
+    return _plain(doc, loc, _FUNCTIONS[_kind(doc, loc, _FUNCTIONS, "function")])
 
 
 def _parse_scalar(doc, loc: str, c: ScalarSchedule | None = None) -> ScalarSchedule:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ParseError("expected an object with a 'kind' key", loc)
-    kind = doc["kind"]
-    if kind == "constant":
-        _expect_object(doc, loc, {"kind", "value"})
-        return _build(ConstantSchedule, loc, _number(doc["value"], f"{loc}.value"))
-    if kind in _RECIPROCALS:
-        _expect_object(doc, loc, {"kind", "a"}, {"offset"})
-        return _build(_RECIPROCALS[kind], loc, _number(doc["a"], f"{loc}.a"),
-                      _number(doc.get("offset", 0.0), f"{loc}.offset"))
-    if kind == "coupled_reciprocal":
-        _expect_object(doc, loc, {"kind", "numerator"}, {"of", "other"})
-        num = _number(doc["numerator"], f"{loc}.numerator")
-        if "of" in doc and "other" in doc:
-            raise ParseError("coupled_reciprocal takes 'of' or 'other', not both", loc)
-        if "of" in doc:
-            if doc["of"] != "c" or c is None:
-                raise ParseError("'of' may only reference the c schedule", f"{loc}.of")
-            return _build(CoupledReciprocal, loc, num, c)
-        if "other" in doc:
-            return _build(CoupledReciprocal, loc, num,
-                          _parse_scalar(doc["other"], f"{loc}.other", c))
-        raise ParseError("coupled_reciprocal needs 'of' or 'other'", loc)
-    raise ParseError(f"unknown schedule kind {kind!r}", loc)
+    kind = _kind(doc, loc, [*_SCALARS, "coupled_reciprocal"], "schedule")
+    if kind in _SCALARS:
+        return _plain(doc, loc, _SCALARS[kind])
+    _expect_object(doc, loc, {"kind", "numerator"}, {"of", "other"})
+    num = _number(doc["numerator"], f"{loc}.numerator")
+    if "of" in doc and "other" in doc:
+        raise ParseError("coupled_reciprocal takes 'of' or 'other', not both", loc)
+    if "of" in doc:
+        if doc["of"] != "c" or c is None:
+            raise ParseError("'of' may only reference the c schedule", f"{loc}.of")
+        return _build(CoupledReciprocal, loc, num, c)
+    if "other" in doc:
+        return _build(CoupledReciprocal, loc, num,
+                      _parse_scalar(doc["other"], f"{loc}.other", c))
+    raise ParseError("coupled_reciprocal needs 'of' or 'other'", loc)
 
 
 def _parse_metric(doc, loc: str, dim: int, c: ScalarSchedule,
                   tau: ScalarSchedule | None, B: np.ndarray,
                   allow_prox_friendly: bool) -> MetricSchedule:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ParseError("expected an object with a 'kind' key", loc)
-    kind = doc["kind"]
+    kind = _kind(doc, loc, _METRICS, "metric")
     if kind == "zero":
         _expect_object(doc, loc, {"kind"})
         return ZeroMetric(dim)
@@ -188,13 +191,11 @@ def _parse_metric(doc, loc: str, dim: int, c: ScalarSchedule,
         if tau is None:
             raise ParseError("prox_friendly M2 requires a 'tau' schedule", loc)
         return ProxFriendlyMetric(tau, c, B)
-    if kind == "constant_dense":
-        _expect_object(doc, loc, {"kind", "matrix"})
-        mat = _finite(_matrix(doc["matrix"], f"{loc}.matrix"), f"{loc}.matrix")
-        if mat.shape != (dim, dim):
-            raise ParseError(f"matrix must be {dim}x{dim}, got {mat.shape}", loc)
-        return _build(ConstantDenseMetric, loc, mat)
-    raise ParseError(f"unknown metric kind {kind!r}", loc)
+    _expect_object(doc, loc, {"kind", "matrix"})
+    mat = _finite(_matrix(doc["matrix"], f"{loc}.matrix"), f"{loc}.matrix")
+    if mat.shape != (dim, dim):
+        raise ParseError(f"matrix must be {dim}x{dim}, got {mat.shape}", loc)
+    return _build(ConstantDenseMetric, loc, mat)
 
 
 def parse_problem_text(text: str) -> ProblemFileData:
@@ -202,6 +203,8 @@ def parse_problem_text(text: str) -> ProblemFileData:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", "document") from exc
+    except RecursionError:
+        raise ParseError("nested deeper than the interpreter allows", "document") from None
     _expect_object(doc, "document",
                    {"functions", "operators", "b", "schedules", "initial"},
                    {"solver"})
@@ -216,11 +219,7 @@ def parse_problem_text(text: str) -> ProblemFileData:
     A = _matrix(ops["A"], "operators.A")
     B = _matrix(ops["B"], "operators.B")
     b = _vector(doc["b"], "b")
-
-    try:
-        problem = TwoBlockProblem(f=f, h1=h1, g=g, h2=h2, A=A, B=B, b=b)
-    except ValueError as exc:
-        raise ParseError(str(exc), "problem") from exc
+    problem = _build(TwoBlockProblem, "problem", f=f, h1=h1, g=g, h2=h2, A=A, B=B, b=b)
 
     sch = _expect_object(doc["schedules"], "schedules", {"c", "M1", "M2"}, {"tau"})
     c = _parse_scalar(sch["c"], "schedules.c")
@@ -231,23 +230,16 @@ def parse_problem_text(text: str) -> ProblemFileData:
                        allow_prox_friendly=True)
     sched = ParameterSchedule(c=c, M1=M1, M2=M2)
 
-    init = _expect_object(doc["initial"], "initial", {"x", "z", "y"})
+    init = _expect_object(doc["initial"], "initial", set("xzy"))
     xzy = [_finite(_vector(init[k], f"initial.{k}"), f"initial.{k}") for k in "xzy"]
-    try:
-        initial = problem.state(*xzy)
-    except ValueError as exc:
-        raise ParseError(str(exc), "initial") from exc
+    initial = _build(problem.state, "initial", *xzy)
 
     config = SolveConfig()
     if "solver" in doc:
-        kinds = {"max_iters": int, "tol_kkt": float, "tol_feas": float, "record_every": int}
-        sv = _expect_object(doc["solver"], "solver", set(), set(kinds))
-        values = {key: _number(sv.get(key, getattr(config, key)), f"solver.{key}", kind)
-                  for key, kind in kinds.items()}
-        try:
-            config = SolveConfig(**values)
-        except ValueError as exc:
-            raise ParseError(str(exc), "solver") from exc
+        sv = _expect_object(doc["solver"], "solver", set(), set(_SOLVER))
+        config = _build(SolveConfig, "solver", **{
+            key: _number(sv.get(key, getattr(config, key)), f"solver.{key}", kind)
+            for key, kind in _SOLVER.items()})
 
     return ProblemFileData(problem, sched, initial, config, tau)
 
@@ -261,46 +253,35 @@ def load_problem_file(path: str) -> ProblemFileData:
     return parse_problem_text(text)
 
 
-def _function_doc(fun: SeparableFunction) -> dict:
-    if isinstance(fun, QuadraticDistance):
-        return {"kind": "quadratic_distance", "d": fun.d.tolist(), "weight": fun.weight}
-    if isinstance(fun, L1Norm):
-        return {"kind": "l1", "dim": fun.dim, "weight": fun.weight}
-    if isinstance(fun, BoxIndicator):
-        return {"kind": "box_indicator", "lo": fun.lo.tolist(), "hi": fun.hi.tolist()}
-    if isinstance(fun, ZeroFunction):
-        return {"kind": "zero", "dim": fun.dim}
-    if isinstance(fun, QuadraticForm):
-        return {"kind": "quadratic_form", "Q": fun.Q.tolist(),
-                "q": fun.q.tolist()}
-    raise ValueError(f"cannot serialize function kind {fun.kind!r}")
+def _doc(obj, table, what: str) -> dict:
+    for kind, (cls, fields) in table.items():
+        if isinstance(obj, cls):
+            doc = {"kind": kind}
+            for name, *_ in fields:
+                value = getattr(obj, name)
+                doc[name] = value.tolist() if isinstance(value, np.ndarray) else value
+            return doc
+    raise ValueError(f"cannot serialize {what} kind {obj.kind!r}")
 
 
 def _scalar_doc(s: ScalarSchedule, c: ScalarSchedule | None = None) -> dict:
-    if isinstance(s, ConstantSchedule):
-        return {"kind": "constant", "value": s.value}
-    if isinstance(s, _Reciprocal):
-        return {"kind": s.kind, "a": s.a, "offset": s.offset}
-    if isinstance(s, CoupledReciprocal):
-        doc = {"kind": "coupled_reciprocal", "numerator": s.numerator}
-        if c is not None and s.other is c:
-            doc["of"] = "c"
-        else:
-            doc["other"] = _scalar_doc(s.other, c)
-        return doc
-    raise ValueError(f"cannot serialize schedule kind {s.kind!r}")
+    if not isinstance(s, CoupledReciprocal):
+        return _doc(s, _SCALARS, "schedule")
+    doc = {"kind": "coupled_reciprocal", "numerator": s.numerator}
+    if c is not None and s.other is c:
+        doc["of"] = "c"
+    else:
+        doc["other"] = _scalar_doc(s.other, c)
+    return doc
 
 
 def _metric_doc(m: MetricSchedule, c: ScalarSchedule) -> dict:
-    if isinstance(m, ZeroMetric):
-        return {"kind": "zero"}
     if isinstance(m, ScaledIdentityMetric):
         return {"kind": "scaled_identity", "mu": _scalar_doc(m.mu, c)}
-    if isinstance(m, ProxFriendlyMetric):
-        return {"kind": "prox_friendly"}
     if isinstance(m, ConstantDenseMetric):
         return {"kind": "constant_dense", "matrix": m.M.tolist()}
-    raise ValueError(f"cannot serialize metric kind {m.kind!r}")
+    return _doc(m, {"zero": (ZeroMetric, ()), "prox_friendly": (ProxFriendlyMetric, ())},
+                "metric")
 
 
 def serialize_problem(data: ProblemFileData) -> str:
@@ -315,15 +296,12 @@ def serialize_problem(data: ProblemFileData) -> str:
     schedules["M1"] = _metric_doc(sched.M1, sched.c)
     schedules["M2"] = _metric_doc(sched.M2, sched.c)
     doc = {
-        "functions": {"f": _function_doc(p.f), "h1": _function_doc(p.h1),
-                      "g": _function_doc(p.g), "h2": _function_doc(p.h2)},
+        "functions": {name: _doc(getattr(p, name), _FUNCTIONS, "function")
+                      for name in ("f", "h1", "g", "h2")},
         "operators": {"A": p.A.tolist(), "B": p.B.tolist()},
         "b": p.b.tolist(),
         "schedules": schedules,
-        "initial": {"x": data.initial.x.tolist(), "z": data.initial.z.tolist(),
-                    "y": data.initial.y.tolist()},
-        "solver": {"max_iters": data.config.max_iters, "tol_kkt": data.config.tol_kkt,
-                   "tol_feas": data.config.tol_feas,
-                   "record_every": data.config.record_every},
+        "initial": {k: getattr(data.initial, k).tolist() for k in "xzy"},
+        "solver": {key: getattr(data.config, key) for key in _SOLVER},
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -467,6 +467,7 @@ def validate(p, c: ScalarSchedule, M1: MetricSchedule, M2: MetricSchedule,
     return ValidationReport(mode, tuple(checks), tuple(grid), beta, beta > 0.0, beta > 1e-10)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # products past the float range are inf
 def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
                        eps: float, t_grid) -> ValidationReport:
     """Check the prox-friendly hypotheses for (c, tau) directly.
@@ -511,6 +512,8 @@ def validate_corollary(p, c: ScalarSchedule, tau: ScalarSchedule,
     else:
         excess = -c_derivs * b2 - ratios
     deriv_excess = float(excess.max())
+    if math.isnan(deriv_excess):  # inf - inf: c' and tau'/tau^2 both past the float
+        deriv_excess = math.inf  # range, unbounded as m2-derivative-bounded reads it
     checks.append(CheckResult("derivative-coupling", deriv_excess <= 1e-9,
                               deriv_excess, 0.0))
 

@@ -71,15 +71,26 @@ HUGE_C = {"schedules__c": {"kind": "constant", "value": 1e30},
                              "other": {"kind": "coupled_reciprocal", "numerator": 1e-300,
                                        "of": "c"}}}
 
+# h2 = (1/2)<z, Qz> with L2 = 1e308: Q + Q.T is past the float range.
+HUGE_H2 = {"functions__h2": {"kind": "quadratic_form", "Q": [[1e308, 0.0], [0.0, 1.0]],
+                             "q": [0.0, 0.0]}}
+
 
 class TestValidate:
-    def test_passing_file(self, tmp_path, capsys):
-        rc = main(["validate", write(tmp_path, doc())])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("edit, line", [
+        ({}, "c-range passed=true"),
+        # a + a.T overflows, where 0.5 a + 0.5 a.T does not
+        ({"schedules__M2": {"kind": "constant_dense", "matrix": [[1e308, 0.0], [0.0, 1.0]]}},
+         "m2-lower-bound passed=true witness=1 threshold=0"),
+    ], ids=["example", "dense-m2-near-the-float-range"])
+    def test_passing_file(self, edit, line, tmp_path, capsys):
+        rc = main(["validate", write(tmp_path, doc(**edit))])
         out = capsys.readouterr().out
         assert rc == 0
         assert "mode: theorem-constant-c" in out
         assert "passed: true" in out
-        assert "check: rule=c-range passed=true" in out
+        assert f"check: rule={line}" in out
 
     def test_failure_names_the_rule(self, tmp_path, capsys):
         bad = doc(schedules__c={"kind": "constant", "value": 3.0})
@@ -130,6 +141,15 @@ class TestValidate:
         assert "check: rule=convergence-condition passed=false witness=0 threshold=1e-10" in out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_tau_l2_past_the_float_range_fails_the_coupling(self, tmp_path, capsys):
+        # tau L2 / 4 = 3.96e308 / 4 is inf, and so is the coupling excess.
+        rc = main(["validate", write(tmp_path, doc(**HUGE_H2)), "--corollary"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert "check: rule=coupling-inequality passed=false witness=inf threshold=0" in out
+        assert "check: rule=convergence-condition passed=false witness=0 threshold=1e-10" in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("c, tau, args, lines", [
         # c = 1/(t^2 + 1e-4) is 0 at t = 1e200, so tau = 0.99/c is inf there:
         # tau' is read as rising (c' = 0), not 0/0, and c tau ||B||^2 is
@@ -152,8 +172,22 @@ class TestValidate:
           "other": {"kind": "coupled_reciprocal", "numerator": 1e-300, "of": "c"}},
          ["--corollary", "--grid", "0,1e200"],
          ["tau-increasing passed=true witness=-0 threshold=0"]),
+        # tau = 3/(2/c) = 1.5 c with c = 1/(t^2 + 1e-200): c tau ||B||^2 is past
+        # the float range at t = 0, and reads inf.
+        ({"kind": "reciprocal_quadratic", "a": 1e-200, "offset": 0},
+         {"kind": "coupled_reciprocal", "numerator": 3.0,
+          "other": {"kind": "coupled_reciprocal", "numerator": 2.0, "of": "c"}},
+         ["--corollary"], ["coupling-inequality passed=false witness=inf threshold=0"]),
+        # tau = 0.5/o, o = 1/sqrt(t + 1e-300) + 1: c' and tau'/tau^2 are both
+        # past the float range at t = 0, so the derivative coupling is
+        # unbounded there, not inf - inf.
+        ({"kind": "reciprocal_sqrt", "a": 1e-300, "offset": 0},
+         {"kind": "coupled_reciprocal", "numerator": 0.5,
+          "other": {"kind": "reciprocal_sqrt", "a": 1e-300, "offset": 1}},
+         ["--corollary"], ["derivative-coupling passed=false witness=inf threshold=0"]),
     ], ids=["c-underflows", "c-derivative-overflows", "c-derivative-overflows-corollary",
-            "nested-tau-over-an-underflowed-c"])
+            "nested-tau-over-an-underflowed-c", "c-tau-overflows",
+            "c-and-tau-derivatives-overflow"])
     def test_a_tau_over_a_c_past_the_float_range_has_no_nan_witness(
             self, c, tau, args, lines, tmp_path, capsys):
         edit = {"schedules__c": c} if tau is None else {"schedules__c": c, "schedules__tau": tau}
@@ -246,8 +280,11 @@ class TestValidate:
 
 
 class TestNorm:
-    def test_example_norms(self, tmp_path, capsys):
-        rc = main(["norm", write(tmp_path, doc())])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("edit", [{}, HUGE_H2],
+                             ids=["example", "h2-form-near-the-float-range"])
+    def test_example_norms(self, edit, tmp_path, capsys):
+        rc = main(["norm", write(tmp_path, doc(**edit))])
         out = capsys.readouterr().out.strip().split("\n")
         assert rc == 0
         assert out[0].startswith("A ")
@@ -284,7 +321,9 @@ class TestNorm:
         ({"initial__x": [math.nan, 10.0]}, "initial.x: must have finite entries"),
         ({"solver": {"tol_kkt": math.nan}},
          "solver: tolerances must be positive and finite"),
-    ], ids=["big-b", "big-A", "f.d", "c-value", "initial.x", "tol_kkt"])
+        ({"schedules__c": {"kind": ["constant"], "value": 0.25}},
+         "schedules.c: unknown schedule kind ['constant']"),
+    ], ids=["big-b", "big-A", "f.d", "c-value", "initial.x", "tol_kkt", "list-kind"])
     @pytest.mark.parametrize("command", ["validate", "solve"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_numbers_are_parse_errors(self, edit, message, command, tmp_path,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -94,9 +96,14 @@ class TestMinEigenvalue:
         shifted = min_eigenvalue_sym(sym + 0.7 * np.eye(3))
         assert shifted == pytest.approx(base + 0.7, abs=1e-9)
 
-    def test_asymmetric_rejected_with_magnitude(self):
-        with pytest.raises(ValueError, match="asymmetry"):
-            min_eigenvalue_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mat, asymmetry", [
+        ([[0.0, 1.0], [0.0, 0.0]], "1.000e+00"),
+        ([[1e308, -1e308], [1e308, 1.0]], "inf"),  # a - a.T is past the float range
+    ], ids=["finite", "infinite"])
+    def test_asymmetric_rejected_with_magnitude(self, mat, asymmetry):
+        with pytest.raises(ValueError, match=re.escape(f"max asymmetry {asymmetry}") + "$"):
+            min_eigenvalue_sym(np.array(mat))
 
     def test_rectangular_rejected(self):
         with pytest.raises(DimensionMismatchError):

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amaflow import ParseError, ProxFriendlyMetric, ReciprocalSqrt
 from amaflow.probfile import (
+    _FUNCTIONS,
+    _SCALARS,
     ProblemFileData,
     load_problem_file,
     parse_problem_text,
@@ -93,6 +97,17 @@ class TestParseErrors:
     def test_invalid_json(self):
         self.check("{not json", "document", "invalid JSON")
 
+    @pytest.mark.parametrize("depth", [100_000, 2_000])
+    def test_a_document_nested_too_deeply(self, depth):
+        # json.loads raises RecursionError past the interpreter's limit
+        deep_b = doc().replace('"b": [0.0, 0.0]', '"b": ' + "[" * depth + "]" * depth)
+        self.check(deep_b, "document", "nested deeper than the interpreter allows")
+        tau = json.dumps(BASE["schedules"]["tau"])
+        nested = ('{"kind": "coupled_reciprocal", "numerator": 1.0, "other": ' * depth
+                  + tau + "}" * depth)
+        deep_tau = doc().replace(tau, nested)
+        self.check(deep_tau, "document", "nested deeper than the interpreter allows")
+
     def test_unknown_top_level_key(self):
         d = json.loads(doc())
         d["extra"] = 1
@@ -138,8 +153,31 @@ class TestParseErrors:
         ({"schedules__M1": "zero"}, "schedules.M1", "expected an object with a 'kind' key"),
         ({"schedules__tau": {"kind": "coupled_reciprocal", "numerator": 0.99}},
          "schedules.tau", "coupled_reciprocal needs 'of' or 'other'"),
+        # a kind that is not a string is unknown, and is never hashed
+        ({"functions__g": {"kind": ["l1"], "dim": 2}}, "functions.g",
+         "unknown function kind ['l1']"),
+        ({"functions__g": {"kind": {"kind": "l1"}, "dim": 2}}, "functions.g",
+         "unknown function kind {'kind': 'l1'}"),
+        ({"schedules__c": {"kind": ["constant"], "value": 0.25}}, "schedules.c",
+         "unknown schedule kind ['constant']"),
+        ({"schedules__c": {"kind": {"kind": "constant"}, "value": 0.25}}, "schedules.c",
+         "unknown schedule kind {'kind': 'constant'}"),
+        ({"schedules__tau": {"kind": "coupled_reciprocal", "numerator": 0.99,
+                             "other": {"kind": ["constant"], "value": 1.0}}},
+         "schedules.tau.other", "unknown schedule kind ['constant']"),
+        ({"schedules__tau": {"kind": "coupled_reciprocal", "numerator": 0.99,
+                             "other": {"kind": {}, "value": 1.0}}},
+         "schedules.tau.other", "unknown schedule kind {}"),
+        ({"schedules__M1": {"kind": "scaled_identity",
+                            "mu": {"kind": ["constant"], "value": 0.5}}},
+         "schedules.M1.mu", "unknown schedule kind ['constant']"),
+        ({"schedules__M1": {"kind": "scaled_identity",
+                            "mu": {"kind": {"kind": "constant"}, "value": 0.5}}},
+         "schedules.M1.mu", "unknown schedule kind {'kind': 'constant'}"),
     ], ids=["function", "schedule", "metric", "kind-less-function", "kind-less-schedule",
-            "kind-less-metric", "coupling-with-no-target"])
+            "kind-less-metric", "coupling-with-no-target", "list-function", "object-function",
+            "list-schedule", "object-schedule", "list-other", "object-other", "list-mu",
+            "object-mu"])
     def test_unknown_or_missing_kind(self, edit, location, fragment):
         self.check(doc(**edit), location, fragment)
 
@@ -293,6 +331,82 @@ class TestRoundTrip:
         for name in ("c", "tau", "M1", "M2"):
             assert written[name] == d["schedules"][name]
         assert type(parse_problem_text(once).tau.other.other) is ReciprocalSqrt
+
+
+    # One document per plain kind, every field given, in the slot it fills.
+    PLAIN = {
+        "quadratic_distance": ("functions__f", {"kind": "quadratic_distance",
+                                                "d": [1.0, -0.5], "weight": 2.0}),
+        "l1": ("functions__g", {"kind": "l1", "dim": 2, "weight": 0.5}),
+        "box_indicator": ("functions__g", {"kind": "box_indicator", "lo": [-1.0, -math.inf],
+                                           "hi": [1.0, 2.0]}),
+        "zero": ("functions__h1", {"kind": "zero", "dim": 2}),
+        "quadratic_form": ("functions__h2", {"kind": "quadratic_form",
+                                             "Q": [[2.0, 0.5], [0.5, 1.0]], "q": [0.1, -0.2]}),
+        "constant": ("schedules__c", {"kind": "constant", "value": 0.125}),
+        "reciprocal_quadratic": ("schedules__c", {"kind": "reciprocal_quadratic", "a": 1.1,
+                                                  "offset": 0.01}),
+        "reciprocal_sqrt": ("schedules__c", {"kind": "reciprocal_sqrt", "a": 4.0,
+                                             "offset": 0.0}),
+    }
+
+    @pytest.mark.parametrize("kind", [*_FUNCTIONS, *_SCALARS])
+    def test_every_plain_kind_is_written_as_it_was_read(self, kind):
+        slot, given = self.PLAIN[kind]
+        once = serialize_problem(parse_problem_text(doc(**{slot: given})))
+        assert _at(json.loads(once), slot.split("__")) == given
+        assert serialize_problem(parse_problem_text(once)) == once
+
+
+# The README's example file
+README = json.loads(doc(solver={"max_iters": 20000, "tol_kkt": 1e-6, "tol_feas": 1e-6}))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _paths(node, path=()):
+    """The path of every value inside ``node``, ``node`` itself excluded."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+PATHS = list(_paths(README))
+# Half the draws replace a whole section, function or schedule, and half the
+# values are objects, so a kind object lands in a kind's slot often.
+SLOTS = st.one_of(st.sampled_from(PATHS),
+                  st.sampled_from([path for path in PATHS
+                                   if isinstance(_at(README, path), dict)]))
+VALUES = st.one_of(
+    st.sampled_from([None, True, False, 10**400, 1e308, -1e308, 0, 2.5, "c", [], [1.0, 2.0],
+                     [[1e308, -1e308], [1e308, 1.0]], [[1e308, 0.0], [0.0, 1.0]],
+                     *_FUNCTIONS, *_SCALARS, "coupled_reciprocal", "scaled_identity",
+                     "prox_friendly", "constant_dense"]),
+    st.sampled_from([{}, {"kind": ["constant"]}, {"kind": {"kind": "zero"}},
+                     {"kind": "zero", "dim": 2}, {"kind": "constant", "value": 1e308},
+                     {"kind": "quadratic_form", "Q": [[1e308, 0.0], [0.0, 1.0]],
+                      "q": [0.0, 0.0]},
+                     {"kind": "constant_dense", "matrix": [[1e308, -1e308], [1e308, 1.0]]}]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(SLOTS, VALUES), min_size=1, max_size=3,
+                unique_by=lambda edit: edit[0]))
+def test_any_value_anywhere_parses_or_is_a_parse_error(edits):
+    d = copy.deepcopy(README)
+    for path, value in sorted(edits, key=lambda edit: -len(edit[0])):  # deepest first
+        _at(d, path[:-1])[path[-1]] = copy.deepcopy(value)
+    try:
+        parse_problem_text(json.dumps(d))
+    except ParseError:
+        pass
 
 
 class TestLoad:
