@@ -97,9 +97,9 @@ class TestParseErrors:
     def test_invalid_json(self):
         self.check("{not json", "document", "invalid JSON")
 
-    @pytest.mark.parametrize("depth", [100_000, 2_000])
-    def test_a_document_nested_too_deeply(self, depth):
+    def test_a_document_nested_too_deeply(self):
         # json.loads raises RecursionError past the interpreter's limit
+        depth = 100_000
         deep_b = doc().replace('"b": [0.0, 0.0]', '"b": ' + "[" * depth + "]" * depth)
         self.check(deep_b, "document", "nested deeper than the interpreter allows")
         tau = json.dumps(BASE["schedules"]["tau"])
